@@ -1,8 +1,8 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
 // routing-computation strategy, GSL attachment policy, forwarding
 // granularity, and multi-path diversity. Package-level micro-ablations
-// (Floyd-Warshall vs Dijkstra, two-body vs J2, worker counts) live next to
-// their packages under internal/.
+// (Floyd-Warshall vs Dijkstra, two-body vs J2) live next to their packages
+// under internal/.
 package hypatia
 
 import (

@@ -8,16 +8,19 @@ import (
 	"testing"
 )
 
-// buildRepoCallGraph loads internal/core (pulling its dependencies through
-// the loader) and builds the call graph over everything loaded.
+// buildRepoCallGraph loads internal/core and internal/analysis (pulling
+// their dependencies through the loader) and builds the call graph over
+// everything loaded.
 func buildRepoCallGraph(t *testing.T) *callGraph {
 	t.Helper()
 	l, err := newLoader(".")
 	if err != nil {
 		t.Fatalf("newLoader: %v", err)
 	}
-	if _, err := l.load(l.module + "/internal/core"); err != nil {
-		t.Fatalf("load internal/core: %v", err)
+	for _, path := range []string{"/internal/core", "/internal/analysis"} {
+		if _, err := l.load(l.module + path); err != nil {
+			t.Fatalf("load %s: %v", path, err)
+		}
 	}
 	var all []*pkg
 	for _, p := range l.cache {
@@ -49,27 +52,33 @@ func hasEdge(cg *callGraph, from, to cgKey, viaGo bool) bool {
 }
 
 // TestCallGraphCrossPackage pins the resolution the locksafety and lifecycle
-// checks depend on: the pipeline's launch edge is marked viaGo, the worker's
-// helper call resolves, and the helper's pool acquisition resolves across
-// the package boundary into internal/routing.
+// checks depend on: the pipeline's launch edge is marked viaGo, the
+// producer's engine call resolves across the package boundary into
+// internal/routing, and so does the default strategy's call into the
+// from-scratch sweep and the sweep's pool acquisition.
 func TestCallGraphCrossPackage(t *testing.T) {
 	cg := buildRepoCallGraph(t)
 	newPipeline := findFn(t, cg, "internal/core", "newPipeline")
-	worker := findFn(t, cg, "internal/core", "worker")
-	helper := findFn(t, cg, "internal/core", "shortestPathPooled")
+	producer := findFn(t, cg, "internal/core", "producer")
+	step := findFn(t, cg, "internal/routing", "Step")
+	shortest := findFn(t, cg, "internal/core", "ShortestPath")
+	sweep := findFn(t, cg, "internal/routing", "ForwardingTableFor")
 	empty := findFn(t, cg, "internal/routing", "Empty")
 
-	if !hasEdge(cg, newPipeline, worker, true) {
-		t.Error("newPipeline -> worker launch edge missing or not marked viaGo")
+	if !hasEdge(cg, newPipeline, producer, true) {
+		t.Error("newPipeline -> producer launch edge missing or not marked viaGo")
 	}
-	if hasEdge(cg, newPipeline, worker, false) {
-		t.Error("worker must not appear as a plain callee of newPipeline")
+	if hasEdge(cg, newPipeline, producer, false) {
+		t.Error("producer must not appear as a plain callee of newPipeline")
 	}
-	if !hasEdge(cg, worker, helper, false) {
-		t.Error("worker -> shortestPathPooled call edge missing")
+	if !hasEdge(cg, producer, step, false) {
+		t.Error("producer -> IncrementalEngine.Step cross-package edge missing")
 	}
-	if !hasEdge(cg, helper, empty, false) {
-		t.Error("shortestPathPooled -> TablePool.Empty cross-package edge missing")
+	if !hasEdge(cg, shortest, sweep, false) {
+		t.Error("ShortestPath -> Snapshot.ForwardingTableFor cross-package edge missing")
+	}
+	if !hasEdge(cg, sweep, empty, false) {
+		t.Error("ForwardingTableFor -> TablePool.Empty call edge missing")
 	}
 }
 
@@ -79,40 +88,40 @@ func TestCallGraphCrossPackage(t *testing.T) {
 func TestCallGraphReachability(t *testing.T) {
 	cg := buildRepoCallGraph(t)
 	newPipeline := findFn(t, cg, "internal/core", "newPipeline")
-	worker := findFn(t, cg, "internal/core", "worker")
-	helper := findFn(t, cg, "internal/core", "shortestPathPooled")
+	producer := findFn(t, cg, "internal/core", "producer")
+	step := findFn(t, cg, "internal/routing", "Step")
 	empty := findFn(t, cg, "internal/routing", "Empty")
 
-	goSide := cg.reach([]cgKey{worker}, true)
-	for _, want := range []*types.Func{worker, helper, empty} {
+	goSide := cg.reach([]cgKey{producer}, true)
+	for _, want := range []*types.Func{producer, step, empty} {
 		if !goSide[want] {
 			t.Errorf("goroutine side must reach %s", want.Name())
 		}
 	}
 
 	loopView := cg.reach([]cgKey{newPipeline}, false)
-	if loopView[worker] {
-		t.Error("event-loop side crossed a go edge into worker")
+	if loopView[producer] {
+		t.Error("event-loop side crossed a go edge into producer")
 	}
 	launchView := cg.reach([]cgKey{newPipeline}, true)
-	if !launchView[worker] || !launchView[empty] {
-		t.Error("go-following traversal from newPipeline must reach worker and its pool acquisition")
+	if !launchView[producer] || !launchView[empty] {
+		t.Error("go-following traversal from newPipeline must reach producer and its pool acquisition")
 	}
 }
 
 // TestCallGraphFuncLitGo verifies that a go-launched function literal gets a
-// viaGo edge from its enclosing function (core.PartialForwardingTable fans
-// out per-destination workers this way).
+// viaGo edge from its enclosing function (analysis.runDijkstras fans out
+// per-source workers this way).
 func TestCallGraphFuncLitGo(t *testing.T) {
 	cg := buildRepoCallGraph(t)
-	partial := findFn(t, cg, "internal/core", "PartialForwardingTable")
+	fanOut := findFn(t, cg, "internal/analysis", "runDijkstras")
 	found := false
-	for _, e := range cg.edges[partial] {
+	for _, e := range cg.edges[fanOut] {
 		if _, isLit := e.callee.(*ast.FuncLit); isLit && e.viaGo {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("PartialForwardingTable must launch a function literal with a viaGo edge")
+		t.Error("runDijkstras must launch a function literal with a viaGo edge")
 	}
 }

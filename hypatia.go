@@ -202,13 +202,14 @@ type (
 // scheduled forwarding-state updates.
 func NewRun(cfg RunConfig) (*Run, error) { return core.NewRun(cfg) }
 
-// RoutingStrategy computes forwarding state from a snapshot; plug one into
+// RoutingStrategy computes forwarding state from a snapshot toward the
+// active destination ground stations (nil = all); plug one into
 // RunConfig.Strategy to replace shortest-path routing.
 type RoutingStrategy = core.Strategy
 
 // ShortestPath is the default routing strategy.
-func ShortestPath(s *TopologySnapshot, active []int, workers int) *ForwardingTable {
-	return core.ShortestPath(s, active, workers)
+func ShortestPath(s *TopologySnapshot, active []int) *ForwardingTable {
+	return core.ShortestPath(s, active)
 }
 
 // AvoidNodes wraps a strategy to exclude the given nodes from all paths

@@ -9,10 +9,10 @@ import (
 // TestBenchScriptJSONSchema smoke-tests the JSON rendering in
 // scripts/bench.sh without running any benchmarks: --selftest feeds a
 // canned bench log through the same awk program that builds
-// BENCH_routing.json and asserts the schema — per-benchmark entries plus
-// the serial_over_incremental and serial_over_pipelined ratios — comes out
-// right. Schema regressions then fail the test suite instead of the next
-// bench run.
+// BENCH_routing.json and asserts the schema — per-benchmark entries, with
+// ns_per_instant on the ForwardingState* rows, plus the
+// serial_over_incremental and sharded_over_serial ratios — comes out right.
+// Schema regressions then fail the test suite instead of the next bench run.
 func TestBenchScriptJSONSchema(t *testing.T) {
 	if _, err := exec.LookPath("bash"); err != nil {
 		t.Skip("bash not available")

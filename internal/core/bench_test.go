@@ -34,26 +34,6 @@ func BenchmarkAblationForwardingGranularity(b *testing.B) {
 	}
 }
 
-// Ablation: worker count for parallel forwarding-state computation.
-func BenchmarkAblationForwardingWorkers(b *testing.B) {
-	c, err := constellation.Generate(constellation.Kuiper())
-	if err != nil {
-		b.Fatal(err)
-	}
-	topo, err := routing.NewTopology(c, groundstation.Top100Cities(), routing.GSLFree)
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap := topo.Snapshot(0)
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = ForwardingTableParallel(snap, workers)
-			}
-		})
-	}
-}
-
 // BenchmarkPacketForwardingRate measures end-to-end packet throughput of
 // the simulator for a single saturating TCP flow over Kuiper K1.
 func BenchmarkPacketForwardingRate(b *testing.B) {
@@ -77,9 +57,12 @@ func BenchmarkPacketForwardingRate(b *testing.B) {
 
 // benchSimRun executes the BenchmarkPacketForwardingRate workload — a
 // saturating TCP flow over Kuiper K1 for 2 virtual seconds — on the given
-// engine (shards 0 = serial) and returns how many events it processed.
+// engine (shards 0 = serial) and returns how many events it processed. Only
+// Execute is timed: constellation generation, network set-up and flow
+// attachment happen with the timer stopped, so events/s is the event loop's.
 func benchSimRun(b *testing.B, shards int) uint64 {
 	b.Helper()
+	b.StopTimer()
 	run, err := NewRun(RunConfig{
 		Constellation:  constellation.Kuiper(),
 		GroundStations: groundstation.Top100Cities(),
@@ -91,6 +74,7 @@ func benchSimRun(b *testing.B, shards int) uint64 {
 		b.Fatal(err)
 	}
 	transport.NewTCPFlow(run.Net, run.Flows, 0, 1, transport.TCPConfig{}).Start()
+	b.StartTimer()
 	run.Execute()
 	return run.Sim.Processed()
 }
@@ -126,9 +110,8 @@ func BenchmarkSimSharded(b *testing.B) {
 	}
 }
 
-// benchInstants is the shared schedule for the serial-vs-pipelined
-// forwarding-state benchmarks: 8 Kuiper update instants at the paper's
-// 100 ms granularity.
+// benchInstants is the schedule for the from-scratch forwarding-state
+// benchmark: 8 Kuiper update instants at the paper's 100 ms granularity.
 func benchInstants() []sim.Time {
 	times := make([]sim.Time, 8)
 	for i := range times {
@@ -150,9 +133,9 @@ func benchKuiperTopo(b *testing.B) *routing.Topology {
 	return topo
 }
 
-// BenchmarkForwardingStateSerial is the pre-pipeline baseline: for each
+// BenchmarkForwardingStateSerial is the from-scratch baseline: for each
 // update instant, build a fresh snapshot and compute the full forwarding
-// table inline, exactly as the event loop used to.
+// table with the specification sweep.
 func BenchmarkForwardingStateSerial(b *testing.B) {
 	topo := benchKuiperTopo(b)
 	times := benchInstants()
@@ -161,23 +144,6 @@ func BenchmarkForwardingStateSerial(b *testing.B) {
 		for _, at := range times {
 			_ = topo.Snapshot(at.Seconds()).ForwardingTable()
 		}
-	}
-}
-
-// BenchmarkForwardingStatePipelined runs the same 8 instants through the
-// pipelined engine with pooled arenas (default worker/lookahead config),
-// releasing each table as the run's install events would.
-func BenchmarkForwardingStatePipelined(b *testing.B) {
-	topo := benchKuiperTopo(b)
-	times := benchInstants()
-	cfg := RunConfig{}.withDefaults()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := newPipeline(topo, nil, nil, cfg.Workers, cfg.Lookahead, times, false)
-		for range times {
-			p.next().Release()
-		}
-		p.close()
 	}
 }
 

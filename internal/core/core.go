@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"hypatia/internal/constellation"
 	"hypatia/internal/groundstation"
@@ -39,21 +38,14 @@ type RunConfig struct {
 	// is captured at NewRun: the pipeline precomputes future instants from
 	// it, so mutating the config after construction has no effect.
 	ActiveDstGS []int
-	// Workers bounds the parallelism of forwarding-state computation;
-	// 0 uses a sensible default. Parallelism does not affect results:
-	// per-instant state is a pure function of time and per-destination
-	// trees are independent.
-	Workers int
-	// Lookahead bounds how many update instants the forwarding-state
-	// pipeline may precompute ahead of the simulation clock (each
-	// in-flight instant holds one table arena, so this caps memory);
-	// 0 uses a sensible default of 2×Workers.
-	Lookahead int
 	// Strategy optionally replaces shortest-path routing: it is called at
-	// every forwarding update with the current snapshot, the active
-	// destination set (nil = all), and the worker budget, and returns the
-	// forwarding state to install. This is the paper's "any routing
-	// strategy implementable with static routes" extension point.
+	// every forwarding update with the current snapshot and the active
+	// destination set (nil = all), and returns the forwarding state to
+	// install. This is the paper's "any routing strategy implementable with
+	// static routes" extension point. Nil runs the incremental
+	// shortest-path engine, whose tables are bitwise identical to
+	// ShortestPath's (proven by the hypatia_checks oracle and the
+	// differential suite).
 	Strategy Strategy
 	// Shards selects the sharded conservative-parallel event loop: > 1
 	// partitions the network's nodes across that many concurrent engines
@@ -65,40 +57,27 @@ type RunConfig struct {
 	// forwarding-install events. Shard counts above the satellite count are
 	// clamped.
 	Shards int
-	// NoIncremental disables the incremental forwarding-state engine and
-	// recomputes every instant from scratch on the worker pool. The default
-	// (incremental) path carries per-destination settle orders across
-	// instants and re-solves each tree in that order over the delta layer's
-	// cached-visibility snapshots; its tables are
-	// bitwise identical to the from-scratch ones — proven by the oracle in
-	// hypatia_checks builds and the differential suite — so this switch
-	// exists for A/B benchmarking, not correctness. Custom strategies are
-	// always computed from scratch regardless.
-	NoIncremental bool
 }
 
 // Strategy computes a forwarding table from a topology snapshot. active
 // lists the destination ground stations that will receive traffic (nil
-// means all); workers bounds internal parallelism.
+// means all).
 //
 // Lifetime contract: the snapshot is owned by the engine and is only valid
 // for the duration of the call — its arenas are reused for later instants.
 // A strategy must not retain s (or s.G, s.Pos) after returning; derived
 // snapshots such as s.WithoutNodes are fresh and safe to keep. A strategy
-// must be a pure function of (s, active): the pipelined engine calls it
-// concurrently for different instants, and determinism of the simulation
+// must be a pure function of (s, active): the producer calls it ahead of
+// and concurrently with the event loop, and determinism of the simulation
 // rests on its output depending only on its inputs.
 //
 //hypatia:pure
-type Strategy func(s *routing.Snapshot, active []int, workers int) *routing.ForwardingTable
+type Strategy func(s *routing.Snapshot, active []int) *routing.ForwardingTable
 
 // ShortestPath is the default routing strategy: per-destination Dijkstra
 // over link distances (lowest propagation latency), as in the paper.
-func ShortestPath(s *routing.Snapshot, active []int, workers int) *routing.ForwardingTable {
-	if active == nil {
-		return ForwardingTableParallel(s, workers)
-	}
-	return PartialForwardingTable(s, active, workers)
+func ShortestPath(s *routing.Snapshot, active []int) *routing.ForwardingTable {
+	return s.ForwardingTableFor(active, nil, nil)
 }
 
 // AvoidNodes wraps a strategy so the given nodes are excluded from all
@@ -109,9 +88,9 @@ func AvoidNodes(inner Strategy, nodes ...int) Strategy {
 	for _, n := range nodes {
 		avoid[n] = true
 	}
-	return func(s *routing.Snapshot, active []int, workers int) *routing.ForwardingTable {
+	return func(s *routing.Snapshot, active []int) *routing.ForwardingTable {
 		pruned := s.WithoutNodes(avoid)
-		return inner(pruned, active, workers)
+		return inner(pruned, active)
 	}
 }
 
@@ -123,12 +102,6 @@ func (c RunConfig) withDefaults() RunConfig {
 		c.UpdateInterval = 100 * sim.Millisecond
 	}
 	c.Net = c.Net.WithDefaults()
-	if c.Workers == 0 {
-		c.Workers = 8
-	}
-	if c.Lookahead == 0 {
-		c.Lookahead = 2 * c.Workers
-	}
 	return c
 }
 
@@ -146,13 +119,21 @@ type Run struct {
 }
 
 // NewRun generates the constellation, builds the network, starts the
-// forwarding-state pipeline, installs the t=0 state, and schedules periodic
+// forwarding-state producer, installs the t=0 state, and schedules periodic
 // forwarding updates across the run's duration. Each update event pops the
 // precomputed table for its instant from the pipeline — tables for future
 // instants are computed concurrently with DES execution — and recycles the
 // table it displaces.
 func NewRun(cfg RunConfig) (*Run, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Duration < 0 || cfg.UpdateInterval < 0 {
+		return nil, fmt.Errorf("core: negative duration %v or update interval %v", cfg.Duration, cfg.UpdateInterval)
+	}
+	for _, gs := range cfg.ActiveDstGS {
+		if gs < 0 || gs >= len(cfg.GroundStations) {
+			return nil, fmt.Errorf("core: active destination %d outside the %d ground stations", gs, len(cfg.GroundStations))
+		}
+	}
 	c, err := constellation.Generate(cfg.Constellation)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -172,7 +153,7 @@ func NewRun(cfg RunConfig) (*Run, error) {
 	for at := sim.Time(0); at <= cfg.Duration; at += cfg.UpdateInterval {
 		times = append(times, at)
 	}
-	r.pipe = newPipeline(topo, cfg.Strategy, cfg.ActiveDstGS, cfg.Workers, cfg.Lookahead, times, !cfg.NoIncremental)
+	r.pipe = newPipeline(topo, cfg.Strategy, cfg.ActiveDstGS, times)
 
 	net.InstallForwarding(r.pipe.next())
 	r.updatesInstalled++
@@ -232,67 +213,4 @@ func (r *Run) GSIndexByName(name string) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("core: station %q not found", name)
-}
-
-// ForwardingTableParallel computes the snapshot's full forwarding table
-// with per-destination Dijkstra trees computed on `workers` goroutines.
-// The result is identical to Snapshot.ForwardingTable.
-func ForwardingTableParallel(s *routing.Snapshot, workers int) *routing.ForwardingTable {
-	all := make([]int, s.Topo.NumGS())
-	for i := range all {
-		all[i] = i
-	}
-	return PartialForwardingTable(s, all, workers)
-}
-
-// PartialForwardingTable computes forwarding state only toward the given
-// destination ground stations; entries for other destinations report
-// unreachable. Traffic in an experiment flows only to destinations that
-// were declared active, so the partial table is behaviorally equivalent at
-// a fraction of the cost.
-func PartialForwardingTable(s *routing.Snapshot, dstGS []int, workers int) *routing.ForwardingTable {
-	ft := routing.NewEmptyForwardingTable(s.T, s.Topo.NumNodes(), s.Topo.NumGS())
-	if workers < 1 {
-		workers = 1
-	}
-	// The forwarding table is //hypatia:confined, so the workers never touch
-	// it: each finished predecessor tree is handed back over results and
-	// applied below on the one goroutine that owns ft. The per-tree ack
-	// keeps a worker from overwriting its prev buffer while the owner is
-	// still copying out of it.
-	type destResult struct {
-		gs   int
-		prev []int32
-		ack  chan struct{}
-	}
-	jobs := make(chan int)
-	results := make(chan destResult)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var dist []float64
-			var prev []int32
-			ack := make(chan struct{})
-			for gs := range jobs {
-				dist, prev = s.FromGS(gs, dist, prev)
-				results <- destResult{gs: gs, prev: prev, ack: ack}
-				<-ack
-			}
-		}()
-	}
-	go func() {
-		for _, gs := range dstGS {
-			jobs <- gs
-		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-	for r := range results {
-		ft.SetDestination(r.gs, r.prev)
-		r.ack <- struct{}{}
-	}
-	return ft
 }

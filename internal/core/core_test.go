@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"hypatia/internal/constellation"
 	"hypatia/internal/groundstation"
@@ -44,6 +46,7 @@ func TestNewRunDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(r.Close)
 	if r.Cfg.Duration != 200*sim.Second {
 		t.Errorf("duration default = %v", r.Cfg.Duration)
 	}
@@ -65,6 +68,19 @@ func TestNewRunRejectsBadInputs(t *testing.T) {
 	if _, err := NewRun(RunConfig{Constellation: miniConfig()}); err == nil {
 		t.Error("no ground stations accepted")
 	}
+	for name, mutate := range map[string]func(*RunConfig){
+		"negative update interval":    func(c *RunConfig) { c.UpdateInterval = -sim.Millisecond },
+		"negative duration":           func(c *RunConfig) { c.Duration = -sim.Second },
+		"negative active destination": func(c *RunConfig) { c.ActiveDstGS = []int{0, -1} },
+		"active destination past end": func(c *RunConfig) { c.ActiveDstGS = []int{0, 4} },
+	} {
+		cfg := RunConfig{Constellation: miniConfig(), GroundStations: fourCities(t), Duration: sim.Second}
+		mutate(&cfg)
+		if r, err := NewRun(cfg); err == nil {
+			r.Close()
+			t.Errorf("%s accepted", name)
+		}
+	}
 }
 
 func TestForwardingUpdatesInstalledEveryInterval(t *testing.T) {
@@ -81,6 +97,41 @@ func TestForwardingUpdatesInstalledEveryInterval(t *testing.T) {
 	// t=0 plus 20 periodic updates (t = 0.1 .. 2.0).
 	if got := r.UpdatesInstalled(); got != 21 {
 		t.Errorf("updates installed = %d, want 21", got)
+	}
+}
+
+// TestRunCloseStopsProducer checks the producer's lifecycle on the two ways
+// a run is abandoned: never executed, and stopped mid-run via Sim.Stop.
+// Close must return, and leave no producer goroutine behind.
+func TestRunCloseStopsProducer(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for name, abandon := range map[string]func(*Run){
+		"never executed": func(*Run) {},
+		"stopped mid-run": func(r *Run) {
+			r.Sim.ScheduleAt(sim.Second, r.Sim.Stop)
+			r.Execute()
+			if got := r.UpdatesInstalled(); got >= 100 {
+				t.Fatalf("run was not stopped early: %d updates installed", got)
+			}
+		},
+	} {
+		// 200 s at 100 ms: far more instants than fit in flight, so the
+		// producer cannot have finished on its own when Close is called.
+		r, err := NewRun(RunConfig{Constellation: miniConfig(), GroundStations: fourCities(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		abandon(r)
+		r.Close()
+		r.Close() // idempotent
+		// Close returns once the producer has signalled its exit; give the
+		// runtime a moment to retire the goroutine itself.
+		for i := 0; runtime.NumGoroutine() > before && i < 200; i++ {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > before {
+			t.Errorf("%s: %d goroutines after Close, %d before NewRun", name, got, before)
+		}
 	}
 }
 
@@ -134,7 +185,7 @@ func TestPartialForwardingTableMatchesFull(t *testing.T) {
 	topo, _ := routing.NewTopology(c, cfg.GroundStations, routing.GSLFree)
 	snap := topo.Snapshot(5)
 	full := snap.ForwardingTable()
-	partial := PartialForwardingTable(snap, []int{1, 3}, 4)
+	partial := snap.ForwardingTableFor([]int{1, 3}, nil, nil)
 	for node := 0; node < topo.NumNodes(); node++ {
 		for _, gs := range []int{1, 3} {
 			if full.NextHop(node, gs) != partial.NextHop(node, gs) {
@@ -149,27 +200,6 @@ func TestPartialForwardingTableMatchesFull(t *testing.T) {
 	}
 }
 
-func TestForwardingTableParallelDeterministic(t *testing.T) {
-	cfg := RunConfig{
-		Constellation:  miniConfig(),
-		GroundStations: fourCities(t),
-	}.withDefaults()
-	c, _ := constellation.Generate(cfg.Constellation)
-	topo, _ := routing.NewTopology(c, cfg.GroundStations, routing.GSLFree)
-	snap := topo.Snapshot(42)
-	sequential := snap.ForwardingTable()
-	for trial := 0; trial < 3; trial++ {
-		par := ForwardingTableParallel(snap, 8)
-		for node := 0; node < topo.NumNodes(); node++ {
-			for gs := 0; gs < topo.NumGS(); gs++ {
-				if sequential.NextHop(node, gs) != par.NextHop(node, gs) {
-					t.Fatalf("parallel table differs at node %d dst %d", node, gs)
-				}
-			}
-		}
-	}
-}
-
 func TestGSIndexByName(t *testing.T) {
 	r, err := NewRun(RunConfig{
 		Constellation:  miniConfig(),
@@ -179,6 +209,7 @@ func TestGSIndexByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(r.Close)
 	idx, err := r.GSIndexByName("Manila")
 	if err != nil {
 		t.Fatal(err)
@@ -246,6 +277,7 @@ func TestCustomRoutingStrategyAvoidNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(base.Close)
 	path, _ := base.Topo.Snapshot(0).Path(0, 1)
 	if path == nil || len(path) < 3 {
 		t.Skip("pair disconnected in mini constellation")
@@ -307,7 +339,7 @@ func TestAvoidNodesExcludedNeverOnPath(t *testing.T) {
 	for n := range avoid {
 		nodes = append(nodes, n)
 	}
-	ft := AvoidNodes(ShortestPath, nodes...)(snap, nil, 2)
+	ft := AvoidNodes(ShortestPath, nodes...)(snap, nil)
 
 	walked := 0
 	for src := 0; src < topo.NumNodes(); src++ {
@@ -352,7 +384,7 @@ func TestAvoidNodesAllExcludedUnreachable(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	ft := AvoidNodes(ShortestPath, all...)(snap, nil, 2)
+	ft := AvoidNodes(ShortestPath, all...)(snap, nil)
 	for node := 0; node < topo.NumNodes(); node++ {
 		for gs := 0; gs < topo.NumGS(); gs++ {
 			if node == topo.GSNode(gs) {

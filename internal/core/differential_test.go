@@ -35,65 +35,55 @@ func randomInstants(rng *rand.Rand, n int) []sim.Time {
 	return times
 }
 
-// serialReference computes the forwarding state for one instant the
-// pre-pipeline way: a fresh snapshot plus the serial table computation
-// (Snapshot.ForwardingTable for the full set, a serial
-// PartialForwardingTable for an active subset).
+// serialReference computes the forwarding state for one instant from
+// scratch: a fresh snapshot plus the specification sweep.
 func serialReference(topo *routing.Topology, at sim.Time, active []int) *routing.ForwardingTable {
-	snap := topo.Snapshot(at.Seconds())
-	if active == nil {
-		return snap.ForwardingTable()
-	}
-	return PartialForwardingTable(snap, active, 1)
+	return topo.Snapshot(at.Seconds()).ForwardingTableFor(active, nil, nil)
 }
 
 // TestDifferentialPipelineMatchesSerial is the differential harness for the
-// pipelined engine, in both its modes: over randomized update instants,
-// both GSL policies, and randomized active-destination subsets (including
-// nil = all), every table the pipeline delivers — from the from-scratch
-// worker pool and from the incremental producer alike — must be
-// byte-identical to the serial computation.
+// forwarding-state producer: over randomized update instants, both GSL
+// policies, and randomized active-destination subsets (including nil =
+// all), every table the pipeline delivers must be byte-identical to the
+// serial from-scratch computation.
 func TestDifferentialPipelineMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, incremental := range []bool{false, true} {
-		for _, policy := range []routing.GSLPolicy{routing.GSLFree, routing.GSLNearestOnly} {
-			topo := differentialTopo(t, policy)
-			for trial := 0; trial < 3; trial++ {
-				times := randomInstants(rng, 8)
-				// Trial 0 computes all destinations; later trials a random
-				// nonempty subset.
-				var active []int
-				if trial > 0 {
-					for gs := 0; gs < topo.NumGS(); gs++ {
-						if rng.Intn(2) == 0 {
-							active = append(active, gs)
-						}
-					}
-					if len(active) == 0 {
-						active = []int{rng.Intn(topo.NumGS())}
+	for _, policy := range []routing.GSLPolicy{routing.GSLFree, routing.GSLNearestOnly} {
+		topo := differentialTopo(t, policy)
+		for trial := 0; trial < 3; trial++ {
+			times := randomInstants(rng, 8)
+			// Trial 0 computes all destinations; later trials a random
+			// nonempty subset.
+			var active []int
+			if trial > 0 {
+				for gs := 0; gs < topo.NumGS(); gs++ {
+					if rng.Intn(2) == 0 {
+						active = append(active, gs)
 					}
 				}
-				workers := 1 + rng.Intn(4)
-				lookahead := 1 + rng.Intn(6)
-				p := newPipeline(topo, nil, active, workers, lookahead, times, incremental)
-				for i, at := range times {
-					got := p.next()
-					want := serialReference(topo, at, active)
-					if !got.Equal(want) {
-						t.Fatalf("incremental=%v policy %v trial %d instant %d (t=%v, workers=%d, lookahead=%d): pipeline table differs from serial",
-							incremental, policy, trial, i, at, workers, lookahead)
-					}
-					got.Release()
+				if len(active) == 0 {
+					active = []int{rng.Intn(topo.NumGS())}
 				}
-				p.close()
 			}
+			p := newPipeline(topo, nil, active, times)
+			for i, at := range times {
+				got := p.next()
+				want := serialReference(topo, at, active)
+				if !got.Equal(want) {
+					t.Fatalf("policy %v trial %d instant %d (t=%v): pipeline table differs from serial",
+						policy, trial, i, at)
+				}
+				got.Release()
+			}
+			p.close()
 		}
 	}
 }
 
 // TestDifferentialPipelineCustomStrategy runs the same differential check
-// through the custom-Strategy path: a pipelined AvoidNodes strategy must
-// match calling the strategy directly on a fresh serial snapshot.
+// through the custom-Strategy path: an AvoidNodes strategy called inline by
+// the producer must match calling the strategy directly on a fresh serial
+// snapshot.
 func TestDifferentialPipelineCustomStrategy(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	topo := differentialTopo(t, routing.GSLFree)
@@ -101,10 +91,10 @@ func TestDifferentialPipelineCustomStrategy(t *testing.T) {
 	strategy := AvoidNodes(ShortestPath, avoid...)
 	times := randomInstants(rng, 6)
 	active := []int{0, 2}
-	p := newPipeline(topo, strategy, active, 3, 4, times, true)
+	p := newPipeline(topo, strategy, active, times)
 	for i, at := range times {
 		got := p.next()
-		want := strategy(topo.Snapshot(at.Seconds()), active, 1)
+		want := strategy(topo.Snapshot(at.Seconds()), active)
 		if !got.Equal(want) {
 			t.Fatalf("instant %d (t=%v): pipelined strategy table differs from direct call", i, at)
 		}
@@ -118,9 +108,9 @@ func TestDifferentialPipelineCustomStrategy(t *testing.T) {
 // snapshot — the exact computation the incremental engine replaces.
 func incrementalOracle(topo *routing.Topology, at sim.Time, active, avoid []int) *routing.ForwardingTable {
 	if len(avoid) == 0 {
-		return ShortestPath(topo.Snapshot(at.Seconds()), active, 1)
+		return ShortestPath(topo.Snapshot(at.Seconds()), active)
 	}
-	return AvoidNodes(ShortestPath, avoid...)(topo.Snapshot(at.Seconds()), active, 1)
+	return AvoidNodes(ShortestPath, avoid...)(topo.Snapshot(at.Seconds()), active)
 }
 
 // runIncrementalSequence drives one randomized instant sequence through a
@@ -225,8 +215,10 @@ func FuzzIncrementalForwarding(f *testing.F) {
 func TestDifferentialTableReuseAcrossInstants(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	topo := differentialTopo(t, routing.GSLFree)
-	times := randomInstants(rng, 10)
-	p := newPipeline(topo, nil, nil, 2, 2, times, true)
+	// More instants than the pipeline holds in flight, so the producer
+	// blocks on the consumer and later tables reuse released buffers.
+	times := randomInstants(rng, 2*tablesInFlight+8)
+	p := newPipeline(topo, nil, nil, times)
 	var held *routing.ForwardingTable
 	heldIdx := -1
 	for i, at := range times {

@@ -2,213 +2,99 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"hypatia/internal/routing"
 	"hypatia/internal/sim"
 )
 
-// pipeline is the bounded-lookahead forwarding-state precomputation engine.
-// The run's update instants are known in advance and each instant's
-// (snapshot, forwarding table) pair is a pure function of its time, so a
-// worker pool computes tables for future instants concurrently with DES
-// execution; the install event for instant i then pops a completed table
-// (next) instead of stalling the event loop on a snapshot build plus a
-// per-destination Dijkstra sweep.
+// tablesInFlight bounds how many forwarding tables may exist ahead of the
+// event loop, computed but not yet installed. Each holds one NumNodes×NumGS
+// arena, so this caps the run's forwarding-state memory; the depth lets
+// uneven instants on either side (a costly repair, a busy window of traffic)
+// drain the buffer instead of stalling the other side.
+const tablesInFlight = 16
+
+// pipeline precomputes forwarding state ahead of the event loop. The run's
+// update instants are known in advance and each instant's table is a pure
+// function of its time, so one producer goroutine computes the tables for
+// future instants concurrently with DES execution; the install event for an
+// instant then pops a completed table (next) instead of stalling the event
+// loop on a snapshot build plus a per-destination shortest-path sweep.
 //
 // Overlap cannot change simulation results: tables are delivered strictly
-// in instant order regardless of completion order, each table's content
-// depends only on the topology and its instant (never on DES state or on
-// other workers), and the event loop itself stays single-threaded — the
-// only code that runs concurrently with it is this precomputation of
-// values the serial engine would have computed identically, later.
-//
-// Allocation reuse is layered on top: each worker owns a snapshot arena
-// (position slab, graph edge slabs, visibility scratch — routing.
-// SnapshotInto) and Dijkstra scratch (dist/prev plus the heap workspace),
-// and table buffers come from a shared routing.TablePool. The consumer
-// releases each table back to the pool once the next one is installed, so
-// a steady-state run cycles ~lookahead buffers total.
+// in instant order, each table's content depends only on the topology and
+// its instant (never on DES state), and the event loop itself stays
+// single-threaded — the only code that runs concurrently with it is this
+// precomputation of values it would have computed identically, later.
 type pipeline struct {
-	topo     *routing.Topology
-	strategy Strategy
-	active   []int
-	inner    int // per-instant worker budget handed to a custom Strategy
-	times    []sim.Time
-
-	pool routing.TablePool
-	// tokens is the admission semaphore: it starts with lookahead tokens,
-	// a worker takes one before claiming an instant, and the consumer puts
-	// one back per pop. Claimed-but-unpopped instants therefore never
-	// exceed the lookahead, bounding memory. Taking the token BEFORE
-	// claiming the next instant index keeps token holders identical to the
-	// lowest unclaimed instants, which rules out the deadlock where
-	// buffered high instants starve the low instant the consumer waits on.
-	tokens  chan struct{}
-	results []chan *routing.ForwardingTable
-	nextJob atomic.Int64
-	nextPop int
-	done    chan struct{}
+	// tables carries the tables in instant order. Its buffer holds
+	// tablesInFlight-1: the producer holds one more while blocked sending.
+	tables  chan *routing.ForwardingTable
+	done    chan struct{} // closed by close to stop the producer early
+	stopped chan struct{} // closed by the producer on exit
 	once    sync.Once
-	wg      sync.WaitGroup
 }
 
-// newPipeline starts the precomputation engine over the given update
-// instants. workers bounds total parallelism, lookahead bounds how many
-// instants may be in flight (computing or completed-but-uninstalled) ahead
-// of the DES.
-//
-// With incremental set (and no custom strategy), the worker pool is
-// replaced by a single producer goroutine owning a routing.
-// IncrementalEngine: between consecutive instants every link weight drifts
-// slightly but the per-destination settle orders barely move, so re-solving
-// each tree in its carried order (heap work only where the order went
-// stale) over the delta layer's cached-visibility snapshots is far cheaper
-// than recomputing each instant from scratch — and the chain is inherently
-// sequential, so one goroutine replaces the pool. Tables are bitwise identical either way (the
-// hypatia_checks build re-derives every column from scratch inside the
-// engine and the differential suite proves the same end to end), so the
-// choice of engine cannot affect simulation results. Custom strategies are
-// opaque functions and always take the from-scratch worker pool.
-func newPipeline(topo *routing.Topology, strategy Strategy, active []int, workers, lookahead int, times []sim.Time, incremental bool) *pipeline {
-	if workers < 1 {
-		workers = 1
-	}
-	if lookahead < 1 {
-		lookahead = 1
-	}
-	width := workers
-	if width > lookahead {
-		width = lookahead
-	}
-	if width > len(times) {
-		width = len(times)
-	}
+// newPipeline starts the producer over the given update instants.
+func newPipeline(topo *routing.Topology, strategy Strategy, active []int, times []sim.Time) *pipeline {
 	p := &pipeline{
-		topo:     topo,
-		strategy: strategy,
-		active:   active,
-		inner:    max(1, workers/max(1, width)),
-		times:    times,
-		tokens:   make(chan struct{}, lookahead),
-		results:  make([]chan *routing.ForwardingTable, len(times)),
-		done:     make(chan struct{}),
+		tables:  make(chan *routing.ForwardingTable, tablesInFlight-1),
+		done:    make(chan struct{}),
+		stopped: make(chan struct{}),
 	}
-	for i := range p.results {
-		p.results[i] = make(chan *routing.ForwardingTable, 1)
-	}
-	for i := 0; i < lookahead; i++ {
-		p.tokens <- struct{}{}
-	}
-	if incremental && strategy == nil {
-		p.wg.Add(1)
-		go p.producer()
-		return p
-	}
-	for w := 0; w < width; w++ {
-		p.wg.Add(1)
-		go p.worker()
-	}
+	go p.producer(topo, strategy, active, times)
 	return p
 }
 
-// producer is the incremental counterpart of the worker pool: one goroutine
-// walks the instants in order, repairing forwarding state across each step,
-// under the same token discipline (one token per in-flight instant, returned
-// by the consumer's pop), so the lookahead memory bound is unchanged.
+// producer walks the instants in order and sends each one's table. Without
+// a custom strategy it owns a routing.IncrementalEngine: between consecutive
+// instants every link weight drifts slightly but the per-destination settle
+// orders barely move, so re-solving each tree in its carried order over the
+// delta layer's cached-visibility snapshots is far cheaper than recomputing
+// the instant from scratch, and bitwise identical to it. That chain is
+// inherently sequential, which is why there is one producer and not a pool.
+// A custom strategy is an opaque function, so it is called on a from-scratch
+// snapshot of each instant.
+//
 // The producer holds the machine-checked no-allocation contract for its
-// steady-state loop: the repair chain reuses the engine's carried arenas
-// end to end, so after the one-time engine construction (waived below as
-// amortized setup) each instant is produced without touching the heap.
+// steady-state loop: the repair chain reuses the engine's carried arenas and
+// pooled tables end to end, so after the one-time engine construction each
+// instant is produced without touching the heap.
 //
 //hypatia:noalloc
-func (p *pipeline) producer() {
-	defer p.wg.Done()
-	eng := routing.NewIncrementalEngine(p.topo, &p.pool) //hypatia:allocs(amortized) one-time setup, amortized over the run's instants
-	for i := range p.times {
-		select {
-		case <-p.tokens:
-		case <-p.done:
-			return
-		}
-		// Buffered (cap 1) and written exactly once per instant: the send
-		// never blocks.
-		p.results[i] <- eng.Step(p.times[i].Seconds(), p.active)
+func (p *pipeline) producer(topo *routing.Topology, strategy Strategy, active []int, times []sim.Time) {
+	defer close(p.stopped)
+	var eng *routing.IncrementalEngine
+	if strategy == nil {
+		eng = routing.NewIncrementalEngine(topo, nil)
 	}
-}
-
-// worker claims instants in order and computes their forwarding state with
-// worker-owned arenas. Every token take is matched by exactly one return —
-// by the consumer when the instant's table is popped, or here when the
-// claim is past the end of the schedule — so the semaphore never exceeds
-// its capacity.
-func (p *pipeline) worker() {
-	defer p.wg.Done()
 	var snap *routing.Snapshot
-	var sc routing.StrategyScratch
-	for {
+	for _, at := range times {
+		var ft *routing.ForwardingTable
+		if eng != nil {
+			ft = eng.Step(at.Seconds(), active)
+		} else {
+			snap = topo.SnapshotInto(at.Seconds(), snap)
+			ft = strategy(snap, active) //hypatia:allocs(amortized) custom strategies own their allocation budget
+		}
 		select {
-		case <-p.tokens:
+		case p.tables <- ft:
 		case <-p.done:
 			return
 		}
-		i := int(p.nextJob.Add(1)) - 1
-		if i >= len(p.times) {
-			p.tokens <- struct{}{}
-			return
-		}
-		snap = p.topo.SnapshotInto(p.times[i].Seconds(), snap)
-		var ft *routing.ForwardingTable
-		if p.strategy != nil {
-			ft = p.strategy(snap, p.active, p.inner)
-		} else {
-			ft = shortestPathPooled(snap, p.active, &p.pool, &sc)
-		}
-		// Buffered (cap 1) and written exactly once per instant: the send
-		// never blocks.
-		p.results[i] <- ft
 	}
 }
 
 // next returns the forwarding table for the next update instant, in order,
-// blocking until its precomputation completes. It must be called exactly
+// blocking until its precomputation completes. It must be called at most
 // once per instant, from the (single-threaded) event loop.
-func (p *pipeline) next() *routing.ForwardingTable {
-	ft := <-p.results[p.nextPop]
-	p.nextPop++
-	p.tokens <- struct{}{}
-	return ft
-}
+func (p *pipeline) next() *routing.ForwardingTable { return <-p.tables }
 
-// close shuts the worker pool down and waits for it to exit. Only needed
-// when a run is abandoned before all update instants were consumed; a run
-// executed to completion drains the pipeline and the workers exit on their
-// own. Idempotent; must not race with next.
+// close stops the producer and waits for it to exit. Only needed when a run
+// is abandoned before all update instants were consumed; a run executed to
+// completion drains the pipeline and the producer exits on its own.
+// Idempotent; must not race with next.
 func (p *pipeline) close() {
 	p.once.Do(func() { close(p.done) })
-	p.wg.Wait()
-}
-
-// shortestPathPooled is the engine's default-path equivalent of the
-// ShortestPath strategy: per-destination Dijkstra trees, computed serially
-// with reused scratch (cross-instant parallelism in the pipeline replaces
-// the per-destination fan-out), into a pooled table. Results are identical
-// to Snapshot.ForwardingTable / PartialForwardingTable.
-//
-//hypatia:pure
-//hypatia:noalloc
-func shortestPathPooled(s *routing.Snapshot, active []int, pool *routing.TablePool, sc *routing.StrategyScratch) *routing.ForwardingTable {
-	ft := pool.Empty(s.T, s.Topo.NumNodes(), s.Topo.NumGS())
-	if active == nil {
-		for gs := 0; gs < s.Topo.NumGS(); gs++ {
-			sc.Dist, sc.Prev = s.FromGSScratch(gs, sc.Dist, sc.Prev, &sc.Dijkstra)
-			ft.SetDestination(gs, sc.Prev)
-		}
-		return ft
-	}
-	for _, gs := range active {
-		sc.Dist, sc.Prev = s.FromGSScratch(gs, sc.Dist, sc.Prev, &sc.Dijkstra)
-		ft.SetDestination(gs, sc.Prev)
-	}
-	return ft
+	<-p.stopped
 }

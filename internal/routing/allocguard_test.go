@@ -26,10 +26,10 @@ func TestAllocGuardSnapshotInto(t *testing.T) {
 	})
 }
 
-// TestAllocGuardPooledSweep pins the pooled forwarding-table path the
-// pipeline workers run: table buffers cycle through the pool, Dijkstra
-// scratch is caller-owned, and the release returns every arena, so the
-// steady-state sweep stays allocation-free.
+// TestAllocGuardPooledSweep pins the primitives the from-scratch sweep is
+// built from: table buffers cycle through the pool, Dijkstra scratch is
+// caller-owned, and the release returns every arena, so the steady-state
+// sweep stays allocation-free.
 func TestAllocGuardPooledSweep(t *testing.T) {
 	topo := miniTopo(t, GSLFree)
 	snap := topo.Snapshot(0)
@@ -42,6 +42,21 @@ func TestAllocGuardPooledSweep(t *testing.T) {
 			ft.SetDestination(gs, sc.Prev)
 		}
 		ft.Release()
+	})
+}
+
+// TestAllocGuardShortestPathPooled pins the from-scratch sweep in its
+// pooled, partial form: with the table pool and the Dijkstra scratch kept by
+// the caller, a sweep allocates nothing once the release cycle returns each
+// table to the pool.
+func TestAllocGuardShortestPathPooled(t *testing.T) {
+	topo := miniTopo(t, GSLFree)
+	snap := topo.Snapshot(0)
+	var pool TablePool
+	var sc StrategyScratch
+	active := []int{0, 1, 2, 3}
+	checktest.AllocGuard(t, "Snapshot.ForwardingTableFor", 0, 1, func() {
+		snap.ForwardingTableFor(active, &pool, &sc).Release()
 	})
 }
 

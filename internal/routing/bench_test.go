@@ -33,8 +33,7 @@ func BenchmarkSnapshot(b *testing.B) {
 }
 
 // BenchmarkForwardingTableFull measures a full 100-destination forwarding
-// state computation on one snapshot (sequential; the core package
-// parallelizes this across workers).
+// state computation on one snapshot: the from-scratch specification sweep.
 func BenchmarkForwardingTableFull(b *testing.B) {
 	topo := benchTopo(b, GSLFree)
 	snap := topo.Snapshot(0)

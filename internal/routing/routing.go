@@ -221,10 +221,10 @@ func (s *Snapshot) FromGSScratch(gs int, dist []float64, prev []int32, sc *graph
 	return s.G.DijkstraScratch(s.Topo.GSNode(gs), dist, prev, sc)
 }
 
-// StrategyScratch bundles the worker-owned scratch a routing sweep reuses
-// across update instants: the Dijkstra distance/predecessor arrays and the
-// heap workspace. The zero value is ready for use; a StrategyScratch must
-// not be shared between concurrent sweeps.
+// StrategyScratch bundles the scratch a from-scratch sweep reuses across
+// update instants: the Dijkstra distance/predecessor arrays and the heap
+// workspace. The zero value is ready for use; a StrategyScratch must not be
+// shared between concurrent sweeps.
 //
 //hypatia:confined
 type StrategyScratch struct {
@@ -312,31 +312,56 @@ type ForwardingTable struct {
 	released bool
 }
 
-// ForwardingTable computes the full forwarding state of the snapshot via
-// one Dijkstra per destination ground station (exploiting the symmetry of
-// the undirected graph: the predecessor of node u in the tree rooted at
-// destination d is u's next hop toward d).
+// ForwardingTable computes the full forwarding state of the snapshot into a
+// fresh table: ForwardingTableFor over every destination.
 func (s *Snapshot) ForwardingTable() *ForwardingTable {
-	n := s.Topo.NumNodes()
-	ng := s.Topo.NumGS()
-	ft := &ForwardingTable{T: s.T, NumNodes: n, NumGS: ng, next: make([]int32, n*ng)}
-	dist := make([]float64, n)
-	prev := make([]int32, n)
-	var sc graph.Scratch
-	for gs := 0; gs < ng; gs++ { //hypatia:handle(gs) sweep walks destinations in index order
-		dist, prev = s.FromGSScratch(gs, dist, prev, &sc)
-		copy(ft.next[gs*n:(gs+1)*n], prev)
-		if check.Enabled {
-			ft.checkColumn(gs)
+	return s.ForwardingTableFor(nil, nil, nil)
+}
+
+// ForwardingTableFor is the from-scratch sweep, and the specification every
+// other producer of forwarding state is compared against: one Dijkstra per
+// destination ground station in active (nil = all), exploiting the symmetry
+// of the undirected graph — the predecessor of node u in the tree rooted at
+// destination d is u's next hop toward d. Destinations outside active report
+// unreachable; traffic only flows to destinations declared active, so a
+// partial table is behaviorally equivalent at a fraction of the cost.
+//
+// The table comes from pool and the Dijkstra arenas from sc, so a caller
+// that keeps both across instants sweeps without allocating; nil for either
+// allocates fresh.
+//
+//hypatia:noalloc
+//hypatia:pure
+//hypatia:handle(active: ->gs)
+func (s *Snapshot) ForwardingTableFor(active []int, pool *TablePool, sc *StrategyScratch) *ForwardingTable {
+	n, ng := s.Topo.NumNodes(), s.Topo.NumGS()
+	if sc == nil {
+		sc = &StrategyScratch{}
+	}
+	var ft *ForwardingTable
+	if pool == nil {
+		ft = NewEmptyForwardingTable(s.T, n, ng)
+	} else {
+		ft = pool.Empty(s.T, n, ng)
+	}
+	if active == nil {
+		for gs := 0; gs < ng; gs++ { //hypatia:handle(gs) full sweep walks destinations in index order
+			sc.Dist, sc.Prev = s.FromGSScratch(gs, sc.Dist, sc.Prev, &sc.Dijkstra)
+			ft.SetDestination(gs, sc.Prev)
 		}
+		return ft
+	}
+	for _, gs := range active {
+		sc.Dist, sc.Prev = s.FromGSScratch(gs, sc.Dist, sc.Prev, &sc.Dijkstra)
+		ft.SetDestination(gs, sc.Prev)
 	}
 	return ft
 }
 
 // NewEmptyForwardingTable builds a table with every entry unreachable, for
-// callers that fill destinations selectively (see SetDestination). The core
-// package uses this to compute per-destination trees in parallel and to
-// restrict computation to destinations that actually receive traffic.
+// callers that fill destinations selectively (see SetDestination).
+//
+//hypatia:pure
 func NewEmptyForwardingTable(t float64, numNodes, numGS int) *ForwardingTable {
 	ft := &ForwardingTable{T: t, NumNodes: numNodes, NumGS: numGS, next: make([]int32, numNodes*numGS)}
 	for i := range ft.next {
@@ -450,8 +475,8 @@ func (ft *ForwardingTable) CloneInto(dst *ForwardingTable) *ForwardingTable {
 
 // Equal reports whether two tables encode byte-identical forwarding state:
 // same instant, same dimensions, same next-hop entries. It is the identity
-// predicate the differential tests use to compare the pipelined engine
-// against the serial computation.
+// predicate the differential tests use to compare the forwarding-state
+// producer against the from-scratch sweep.
 func (ft *ForwardingTable) Equal(o *ForwardingTable) bool {
 	//lint:ignore timeunits tables for the same instant must carry the exact same stamp
 	if ft.T != o.T {

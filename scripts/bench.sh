@@ -2,9 +2,9 @@
 # Forwarding-state benchmark harness: runs the routing and core benchmarks
 # with -benchmem at both GOMAXPROCS=1 and a wide setting (nproc, floored at
 # 4) — the single-core run isolates per-op cost, the wide run measures the
-# pipeline under real concurrency — and emits machine-readable results to
-# BENCH_routing.json in the repository root, enforcing the checked-in
-# allocation budgets (alloc_budgets below) on the way, then times
+# sharded event loop under real concurrency — and emits machine-readable
+# results to BENCH_routing.json in the repository root, enforcing the
+# checked-in allocation budgets (alloc_budgets below) on the way, then times
 # hypatialint cold (empty fact cache) vs warm (all-hit fact cache) into
 # BENCH_lint.json.
 # Run from anywhere:
@@ -55,7 +55,7 @@ bench_once() { # $1 = gomaxprocs, $2 = raw output file
         -bench 'Snapshot$|SnapshotInto|ForwardingTableFull|ForwardingTablePooled' \
         -benchtime "$benchtime" -benchmem -count=1 ./internal/routing/ | tee -a "$2"
     GOMAXPROCS="$1" go test -run '^$' \
-        -bench 'ForwardingStateSerial|ForwardingStatePipelined|ForwardingStateIncremental' \
+        -bench 'ForwardingStateSerial|ForwardingStateIncremental' \
         -benchtime "$benchtime" -benchmem -count=1 ./internal/core/ | tee -a "$2"
     GOMAXPROCS="$1" go test -run '^$' \
         -bench 'SimSerial$|SimSharded' \
@@ -109,6 +109,8 @@ END {
     for (i = 0; i < n; i++) {
         name = order[i]
         printf "        \"%s\": {\"ns_per_op\": %s", name, ns[name]
+        # One ForwardingState* op is 8 update instants (benchInstants).
+        if (name ~ /^BenchmarkForwardingState/) printf ", \"ns_per_instant\": %d", ns[name] / 8
         if (name in eps)    printf ", \"events_per_second\": %s", eps[name]
         if (name in bytes)  printf ", \"bytes_per_op\": %s", bytes[name]
         if (name in allocs) printf ", \"allocs_per_op\": %s", allocs[name]
@@ -121,7 +123,6 @@ END {
     printf "      },\n"
     nr = 0
     emit_ratio("serial_over_incremental", ns["BenchmarkForwardingStateSerial"], ns["BenchmarkForwardingStateIncremental"])
-    emit_ratio("serial_over_pipelined",   ns["BenchmarkForwardingStateSerial"], ns["BenchmarkForwardingStatePipelined"])
     emit_ratio("sharded_over_serial",     ns["BenchmarkSimSerial"],             ns["BenchmarkSimSharded/shards=4"])
     for (i = 0; i < nr; i++)
         printf "%s%s\n", ratios[i], (i < nr - 1) ? "," : ""
@@ -147,7 +148,6 @@ if [[ "${1:-}" == "--selftest" ]]; then
 cpu: Selftest CPU @ 2.10GHz
 BenchmarkSnapshotInto-4                 5    1500000 ns/op  56000 B/op  854 allocs/op
 BenchmarkForwardingStateSerial-4        5  160000000 ns/op  1000 B/op  10 allocs/op
-BenchmarkForwardingStatePipelined-4     5   80000000 ns/op  2000 B/op  20 allocs/op
 BenchmarkForwardingStateIncremental-4   5   20000000 ns/op   500 B/op   5 allocs/op
 BenchmarkSimSerial-4                    5   80000000 ns/op  170000 events/s  3000 B/op  30 allocs/op
 BenchmarkSimSharded/shards=2-4          5  160000000 ns/op   85000 events/s  4000 B/op  40 allocs/op
@@ -159,12 +159,11 @@ EOF
         '"gomaxprocs": 4' \
         '"cpu": "Selftest CPU @ 2.10GHz"' \
         '"BenchmarkSnapshotInto": {"ns_per_op": 1500000, "bytes_per_op": 56000, "allocs_per_op": 854, "alloc_budget": 8, "alloc_budget_status": "over"}' \
-        '"BenchmarkForwardingStateSerial": {"ns_per_op": 160000000, "bytes_per_op": 1000, "allocs_per_op": 10}' \
-        '"BenchmarkForwardingStateIncremental": {"ns_per_op": 20000000, "bytes_per_op": 500, "allocs_per_op": 5, "alloc_budget": 100, "alloc_budget_status": "ok"}' \
+        '"BenchmarkForwardingStateSerial": {"ns_per_op": 160000000, "ns_per_instant": 20000000, "bytes_per_op": 1000, "allocs_per_op": 10}' \
+        '"BenchmarkForwardingStateIncremental": {"ns_per_op": 20000000, "ns_per_instant": 2500000, "bytes_per_op": 500, "allocs_per_op": 5, "alloc_budget": 100, "alloc_budget_status": "ok"}' \
         '"BenchmarkSimSerial": {"ns_per_op": 80000000, "events_per_second": 170000, "bytes_per_op": 3000, "allocs_per_op": 30}' \
         '"BenchmarkSimSharded/shards=4": {"ns_per_op": 100000000, "events_per_second": 136000, "bytes_per_op": 4000, "allocs_per_op": 40}' \
         '"serial_over_incremental": 8.000,' \
-        '"serial_over_pipelined": 2.000,' \
         '"sharded_over_serial": 0.800,' \
         '"sharded_over_serial_note"'; do
         if ! grep -qF "$want" <<<"$json"; then
