@@ -159,23 +159,88 @@ type stepResult struct {
 	prev []int32
 }
 
-// AnalyzePairs steps the topology from t=0 through cfg.Duration and returns
-// aggregated statistics for every pair. A "path change" is counted when the
-// satellite sequence differs between two successive connected steps, the
-// paper's definition.
-func AnalyzePairs(topo *routing.Topology, cfg Config) ([]PairStats, error) {
+// sweep is the scaffold AnalyzePairs and PathChangeProfile share: the
+// validated configuration, the pair list, the source ground stations that
+// need a shortest-path tree per step, and the number of steps.
+type sweep struct {
+	topo  *routing.Topology
+	cfg   Config
+	pairs [][2]int
+	srcs  []int // ascending
+	steps int
+}
+
+// newSweep applies the config's defaults and rejects what the stepping loop
+// cannot run on.
+func newSweep(topo *routing.Topology, cfg Config) (*sweep, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Duration <= 0 {
+	if !(cfg.Duration > 0) {
 		return nil, fmt.Errorf("analysis: non-positive duration")
+	}
+	if !(cfg.Step > 0) {
+		return nil, fmt.Errorf("analysis: non-positive step %v", cfg.Step)
+	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("analysis: negative worker count %d", cfg.Workers)
 	}
 	pairs := cfg.pairList(topo)
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("analysis: no pairs to analyze")
 	}
+	srcSet := map[int]bool{}
+	for _, p := range pairs {
+		for _, gs := range p {
+			if gs < 0 || gs >= topo.NumGS() {
+				return nil, fmt.Errorf("analysis: pair %v names ground station %d outside the %d present", p, gs, topo.NumGS())
+			}
+		}
+		srcSet[p[0]] = true
+	}
+	srcs := make([]int, 0, len(srcSet))
+	for s := range srcSet {
+		srcs = append(srcs, s)
+	}
+	sort.Ints(srcs)
+	return &sweep{topo: topo, cfg: cfg, pairs: pairs, srcs: srcs, steps: int(cfg.Duration/cfg.Step) + 1}, nil
+}
 
-	stats := make([]PairStats, len(pairs))
-	lastPath := make([][]int, len(pairs)) // satellite sequence at the last connected step
-	for i, p := range pairs {
+// run steps the topology from t=0 through the duration. At every step it
+// solves one tree per source and calls visit once per pair, in pair order,
+// with the pair's one-way distance in meters and its node path; a pair with
+// no route gets +Inf and a nil path.
+func (sw *sweep) run(visit func(step, pair int, dist float64, path []int)) {
+	trees := make(map[int]*stepResult, len(sw.srcs))
+	for _, s := range sw.srcs {
+		trees[s] = &stepResult{}
+	}
+	for step := 0; step < sw.steps; step++ {
+		snap := sw.topo.Snapshot(float64(step) * sw.cfg.Step)
+		runDijkstras(snap, sw.srcs, trees, sw.cfg.Workers)
+		for i, p := range sw.pairs {
+			tree := trees[p[0]]
+			dstNode := sw.topo.GSNode(p[1])
+			dist := tree.dist[dstNode]
+			if math.IsInf(dist, 1) {
+				visit(step, i, dist, nil)
+				continue
+			}
+			visit(step, i, dist, graph.PathFromPrev(tree.prev, sw.topo.GSNode(p[0]), dstNode))
+		}
+	}
+}
+
+// AnalyzePairs steps the topology from t=0 through cfg.Duration and returns
+// aggregated statistics for every pair. A "path change" is counted when the
+// satellite sequence differs between two successive connected steps, the
+// paper's definition.
+func AnalyzePairs(topo *routing.Topology, cfg Config) ([]PairStats, error) {
+	sw, err := newSweep(topo, cfg)
+	if err != nil {
+		return nil, err
+	}
+	stats := make([]PairStats, len(sw.pairs))
+	lastPath := make([][]int, len(sw.pairs)) // satellite sequence at the last connected step
+	for i, p := range sw.pairs {
 		stats[i] = PairStats{
 			Src: p[0], Dst: p[1],
 			GeodesicRTT: geom.GeodesicRTT(
@@ -185,60 +250,33 @@ func AnalyzePairs(topo *routing.Topology, cfg Config) ([]PairStats, error) {
 			MinHops: math.MaxInt32,
 		}
 	}
-
-	// Which sources need a Dijkstra tree per step.
-	srcSet := map[int]bool{}
-	for _, p := range pairs {
-		srcSet[p[0]] = true
-	}
-	srcs := make([]int, 0, len(srcSet))
-	for s := range srcSet {
-		srcs = append(srcs, s)
-	}
-	sort.Ints(srcs)
-
-	steps := int(cfg.Duration/cfg.Step) + 1
-	trees := make(map[int]*stepResult, len(srcs))
-	for _, s := range srcs {
-		trees[s] = &stepResult{}
-	}
-
-	for step := 0; step < steps; step++ {
-		t := float64(step) * cfg.Step
-		snap := topo.Snapshot(t)
-		runDijkstras(snap, srcs, trees, cfg.Workers)
-
-		for i, p := range pairs {
-			st := &stats[i]
-			st.Steps++
-			tree := trees[p[0]]
-			dstNode := topo.GSNode(p[1])
-			if math.IsInf(tree.dist[dstNode], 1) {
-				st.DisconnectedSteps++
-				continue
-			}
-			rtt := 2 * tree.dist[dstNode] / geom.SpeedOfLight
-			if rtt < st.MinRTT {
-				st.MinRTT = rtt
-			}
-			if rtt > st.MaxRTT {
-				st.MaxRTT = rtt
-			}
-			path := graph.PathFromPrev(tree.prev, topo.GSNode(p[0]), dstNode)
-			hops := len(path) - 1
-			if hops < st.MinHops {
-				st.MinHops = hops
-			}
-			if hops > st.MaxHops {
-				st.MaxHops = hops
-			}
-			sats := routing.SatSequence(topo, path)
-			if lastPath[i] != nil && !intSliceEqual(lastPath[i], sats) {
-				st.PathChanges++
-			}
-			lastPath[i] = sats
+	sw.run(func(_, i int, dist float64, path []int) {
+		st := &stats[i]
+		st.Steps++
+		if path == nil {
+			st.DisconnectedSteps++
+			return
 		}
-	}
+		rtt := 2 * dist / geom.SpeedOfLight
+		if rtt < st.MinRTT {
+			st.MinRTT = rtt
+		}
+		if rtt > st.MaxRTT {
+			st.MaxRTT = rtt
+		}
+		hops := len(path) - 1
+		if hops < st.MinHops {
+			st.MinHops = hops
+		}
+		if hops > st.MaxHops {
+			st.MaxHops = hops
+		}
+		sats := routing.SatSequence(topo, path)
+		if lastPath[i] != nil && !intSliceEqual(lastPath[i], sats) {
+			st.PathChanges++
+		}
+		lastPath[i] = sats
+	})
 	return stats, nil
 }
 
@@ -291,56 +329,31 @@ type ChangeProfile struct {
 // the raw material of Fig 9, where coarser forwarding-state updates are
 // shown to miss path changes entirely.
 func PathChangeProfile(topo *routing.Topology, cfg Config) (*ChangeProfile, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("analysis: non-positive duration")
+	sw, err := newSweep(topo, cfg)
+	if err != nil {
+		return nil, err
 	}
-	pairs := cfg.pairList(topo)
-	if len(pairs) == 0 {
-		return nil, fmt.Errorf("analysis: no pairs to analyze")
-	}
-	srcSet := map[int]bool{}
-	for _, p := range pairs {
-		srcSet[p[0]] = true
-	}
-	srcs := make([]int, 0, len(srcSet))
-	for s := range srcSet {
-		srcs = append(srcs, s)
-	}
-	sort.Ints(srcs)
-
-	steps := int(cfg.Duration/cfg.Step) + 1
 	prof := &ChangeProfile{
-		Step:    cfg.Step,
-		PerStep: make([]int, steps),
-		PerPair: make([]int, len(pairs)),
-		Pairs:   pairs,
+		Step:    sw.cfg.Step,
+		PerStep: make([]int, sw.steps),
+		PerPair: make([]int, len(sw.pairs)),
+		Pairs:   sw.pairs,
 	}
-	lastPath := make([][]int, len(pairs))
-	trees := make(map[int]*stepResult, len(srcs))
-	for _, s := range srcs {
-		trees[s] = &stepResult{}
-	}
-	for step := 0; step < steps; step++ {
-		t := float64(step) * cfg.Step
-		snap := topo.Snapshot(t)
-		runDijkstras(snap, srcs, trees, cfg.Workers)
-		for i, p := range pairs {
-			tree := trees[p[0]]
-			dstNode := topo.GSNode(p[1])
-			if math.IsInf(tree.dist[dstNode], 1) {
-				lastPath[i] = nil
-				continue
-			}
-			path := graph.PathFromPrev(tree.prev, topo.GSNode(p[0]), dstNode)
-			sats := routing.SatSequence(topo, path)
-			if lastPath[i] != nil && !intSliceEqual(lastPath[i], sats) {
-				prof.PerStep[step]++
-				prof.PerPair[i]++
-			}
-			lastPath[i] = sats
+	lastPath := make([][]int, len(sw.pairs))
+	sw.run(func(step, i int, _ float64, path []int) {
+		if path == nil {
+			// Unlike AnalyzePairs, a disconnected step forgets the path: the
+			// first step after an outage is never a change.
+			lastPath[i] = nil
+			return
 		}
-	}
+		sats := routing.SatSequence(topo, path)
+		if lastPath[i] != nil && !intSliceEqual(lastPath[i], sats) {
+			prof.PerStep[step]++
+			prof.PerPair[i]++
+		}
+		lastPath[i] = sats
+	})
 	return prof, nil
 }
 

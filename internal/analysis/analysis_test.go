@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"hypatia/internal/constellation"
@@ -175,10 +176,27 @@ func TestAnalyzePairsExplicitPairsAndExclusion(t *testing.T) {
 	}
 }
 
+// TestAnalyzePairsRejectsBadDuration: both stepped analyses return an
+// analysis error — not a hang (negative Workers), an empty result (negative
+// Step) or an index panic (pair outside the ground stations) — for every
+// configuration the stepping loop cannot run on.
 func TestAnalyzePairsRejectsBadDuration(t *testing.T) {
 	topo := miniTopo(t)
-	if _, err := AnalyzePairs(topo, Config{Duration: 0}); err == nil {
-		t.Error("zero duration accepted")
+	for name, cfg := range map[string]Config{
+		"zero duration":     {Duration: 0},
+		"negative duration": {Duration: -1},
+		"NaN duration":      {Duration: math.NaN()},
+		"negative step":     {Duration: 10, Step: -0.1},
+		"negative workers":  {Duration: 10, Workers: -1},
+		"negative pair":     {Duration: 10, Pairs: [][2]int{{0, 1}, {-1, 2}}},
+		"pair past the end": {Duration: 10, Pairs: [][2]int{{0, topo.NumGS()}}},
+	} {
+		if _, err := AnalyzePairs(topo, cfg); err == nil || !strings.HasPrefix(err.Error(), "analysis: ") {
+			t.Errorf("AnalyzePairs, %s: error %v, want an analysis error", name, err)
+		}
+		if _, err := PathChangeProfile(topo, cfg); err == nil || !strings.HasPrefix(err.Error(), "analysis: ") {
+			t.Errorf("PathChangeProfile, %s: error %v, want an analysis error", name, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"hypatia/internal/constellation"
@@ -55,25 +56,36 @@ func BenchmarkPacketForwardingRate(b *testing.B) {
 	}
 }
 
-// benchSimRun executes the BenchmarkPacketForwardingRate workload — a
-// saturating TCP flow over Kuiper K1 for 2 virtual seconds — on the given
-// engine (shards 0 = serial) and returns how many events it processed. Only
-// Execute is timed: constellation generation, network set-up and flow
+// benchSimRun executes the paper's Fig 2 UDP shape — Kuiper K1, the 100
+// cities, one line-rate UDP flow per pair of a random permutation, every
+// link at 100 Mbit/s — for 200 virtual milliseconds (~2M events) on the
+// given engine (shards 0 = serial) and returns how many events it processed.
+// A hundred independent flows spread over the whole constellation are work a
+// shard count can split; a single flow is one causal chain that none can.
+// Only Execute is timed: constellation generation, network set-up and flow
 // attachment happen with the timer stopped, so events/s is the event loop's.
 func benchSimRun(b *testing.B, shards int) uint64 {
 	b.Helper()
 	b.StopTimer()
+	const rateBps = 100e6
+	net := sim.DefaultConfig()
+	net.ISLRateBps, net.GSLRateBps = rateBps, rateBps
+	cities := groundstation.Top100Cities()
 	run, err := NewRun(RunConfig{
 		Constellation:  constellation.Kuiper(),
-		GroundStations: groundstation.Top100Cities(),
-		Duration:       2 * sim.Second,
-		ActiveDstGS:    []int{0, 1},
+		GroundStations: cities,
+		Duration:       200 * sim.Millisecond,
+		Net:            net,
 		Shards:         shards,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	transport.NewTCPFlow(run.Net, run.Flows, 0, 1, transport.TCPConfig{}).Start()
+	for src, dst := range rand.New(rand.NewSource(20201027)).Perm(len(cities)) {
+		if src != dst {
+			transport.NewUDPFlow(run.Net, run.Flows, src, dst, transport.UDPConfig{RateBps: rateBps}).Start()
+		}
+	}
 	b.StartTimer()
 	run.Execute()
 	return run.Sim.Processed()
@@ -93,11 +105,11 @@ func BenchmarkSimSerial(b *testing.B) {
 // BenchmarkSimSharded runs the same workload on the sharded
 // conservative-parallel loop at several shard counts. Events/s counts what
 // each engine actually processed (sharded runs process extra per-shard
-// copies of forwarding-install events — ~20 per virtual second here, noise
-// against the packet events). On a single-vCPU host the expected ratio to
-// BenchmarkSimSerial is ≈1× or below (coordination overhead, no parallel
-// hardware); bench.sh records nproc next to the ratio so the number is
-// honest.
+// copies of the forwarding-install events — two per shard here, noise
+// against two million packet events). The ratio to BenchmarkSimSerial needs
+// hardware threads to show: with GOMAXPROCS=1 the shards take turns on one
+// thread and the ratio is the coordination overhead alone. bench.sh records
+// nproc and GOMAXPROCS next to the ratio so the number is honest.
 func BenchmarkSimSharded(b *testing.B) {
 	for _, shards := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -113,17 +113,15 @@ type Run struct {
 	Net   *sim.Network
 	Flows *transport.FlowIDs
 
-	pipe             *pipeline
-	installTimes     []sim.Time // sharded runs: update instants after t=0
-	updatesInstalled int
+	pipe *pipeline
 }
 
 // NewRun generates the constellation, builds the network, starts the
-// forwarding-state producer, installs the t=0 state, and schedules periodic
-// forwarding updates across the run's duration. Each update event pops the
-// precomputed table for its instant from the pipeline — tables for future
-// instants are computed concurrently with DES execution — and recycles the
-// table it displaces.
+// forwarding-state producer, installs the t=0 state, and schedules one
+// forwarding update per later instant of the run's duration. Each update
+// takes the precomputed table for its instant off the pipeline — tables for
+// future instants are computed concurrently with DES execution — and
+// recycles the table it displaces.
 func NewRun(cfg RunConfig) (*Run, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Duration < 0 || cfg.UpdateInterval < 0 {
@@ -154,26 +152,8 @@ func NewRun(cfg RunConfig) (*Run, error) {
 		times = append(times, at)
 	}
 	r.pipe = newPipeline(topo, cfg.Strategy, cfg.ActiveDstGS, times)
-
-	net.InstallForwarding(r.pipe.next())
-	r.updatesInstalled++
-	if cfg.Shards > 1 {
-		// Sharded runs install tables via per-shard evInstall events: the
-		// coordinator pops each master here, clones it per shard, and
-		// releases it (sim.Network.RunSharded).
-		r.installTimes = times[1:]
-		net.SetTableSource(r.pipe.next)
-		return r, nil
-	}
-	for _, at := range times[1:] {
-		s.ScheduleAt(at, func() {
-			// Install the precomputed table for this instant; the displaced
-			// table is never consulted again (next hops are resolved at
-			// enqueue time), so its arena recycles immediately.
-			net.InstallForwarding(r.pipe.next()).Release()
-			r.updatesInstalled++
-		})
-	}
+	net.InstallForwarding(<-r.pipe.tables)
+	net.ScheduleInstalls(times[1:], r.pipe.tables)
 	return r, nil
 }
 
@@ -183,23 +163,22 @@ func NewRun(cfg RunConfig) (*Run, error) {
 // Idempotent. The run must not be Executed after Close.
 func (r *Run) Close() { r.pipe.close() }
 
-// Execute runs the simulation to completion and returns the virtual
-// duration simulated. With Cfg.Shards > 1 the run executes on the sharded
-// conservative-parallel loop; it may only be Executed once in that mode
-// (the per-shard install schedule is consumed by the run).
+// Execute runs the simulation to the end of its duration — on the sharded
+// conservative-parallel loop with Cfg.Shards > 1, on the serial loop
+// otherwise — and returns the virtual duration simulated. Executing a run
+// that Sim.Stop cut short resumes it.
 func (r *Run) Execute() sim.Time {
 	if r.Cfg.Shards > 1 {
-		r.updatesInstalled += r.Net.RunSharded(r.Cfg.Duration, r.Cfg.Shards, r.installTimes)
-		r.installTimes = nil
-		return r.Cfg.Duration
+		r.Net.RunSharded(r.Cfg.Duration, r.Cfg.Shards)
+	} else {
+		r.Sim.Run(r.Cfg.Duration)
 	}
-	r.Sim.Run(r.Cfg.Duration)
 	return r.Cfg.Duration
 }
 
 // UpdatesInstalled reports how many forwarding states have been installed
 // so far (including the initial one).
-func (r *Run) UpdatesInstalled() int { return r.updatesInstalled }
+func (r *Run) UpdatesInstalled() int { return 1 + r.Net.Installs() }
 
 // GSIndexByName resolves a ground-station name to its index in the run.
 func (r *Run) GSIndexByName(name string) (int, error) {

@@ -100,28 +100,37 @@ func TestForwardingUpdatesInstalledEveryInterval(t *testing.T) {
 	}
 }
 
-// TestRunCloseStopsProducer checks the producer's lifecycle on the two ways
-// a run is abandoned: never executed, and stopped mid-run via Sim.Stop.
-// Close must return, and leave no producer goroutine behind.
+// TestRunCloseStopsProducer checks the producer's lifecycle on the ways a
+// run is abandoned: never executed, and stopped mid-run via Sim.Stop on the
+// serial and on the sharded loop. Close must return, and leave no producer
+// or shard goroutine behind.
 func TestRunCloseStopsProducer(t *testing.T) {
 	before := runtime.NumGoroutine()
-	for name, abandon := range map[string]func(*Run){
-		"never executed": func(*Run) {},
-		"stopped mid-run": func(r *Run) {
-			r.Sim.ScheduleAt(sim.Second, r.Sim.Stop)
-			r.Execute()
-			if got := r.UpdatesInstalled(); got >= 100 {
-				t.Fatalf("run was not stopped early: %d updates installed", got)
-			}
-		},
+	stopMidRun := func(r *Run) {
+		r.Sim.ScheduleAt(sim.Second, r.Sim.Stop)
+		r.Execute()
+		// Stopped at 1 s of 200: the serial loop halts on the spot, the
+		// sharded one within a lookahead window (a few milliseconds).
+		if got := r.UpdatesInstalled(); got != 11 {
+			t.Fatalf("shards=%d: run was not stopped at 1 s: %d updates installed", r.Cfg.Shards, got)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		shards  int
+		abandon func(*Run)
+	}{
+		{"never executed", 0, func(*Run) {}},
+		{"stopped mid-run", 0, stopMidRun},
+		{"stopped mid-run, sharded", 2, stopMidRun},
 	} {
 		// 200 s at 100 ms: far more instants than fit in flight, so the
 		// producer cannot have finished on its own when Close is called.
-		r, err := NewRun(RunConfig{Constellation: miniConfig(), GroundStations: fourCities(t)})
+		r, err := NewRun(RunConfig{Constellation: miniConfig(), GroundStations: fourCities(t), Shards: tc.shards})
 		if err != nil {
 			t.Fatal(err)
 		}
-		abandon(r)
+		tc.abandon(r)
 		r.Close()
 		r.Close() // idempotent
 		// Close returns once the producer has signalled its exit; give the
@@ -130,7 +139,7 @@ func TestRunCloseStopsProducer(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 		if got := runtime.NumGoroutine(); got > before {
-			t.Errorf("%s: %d goroutines after Close, %d before NewRun", name, got, before)
+			t.Errorf("%s: %d goroutines after Close, %d before NewRun", tc.name, got, before)
 		}
 	}
 }

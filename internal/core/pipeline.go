@@ -18,8 +18,9 @@ const tablesInFlight = 16
 // update instants are known in advance and each instant's table is a pure
 // function of its time, so one producer goroutine computes the tables for
 // future instants concurrently with DES execution; the install event for an
-// instant then pops a completed table (next) instead of stalling the event
-// loop on a snapshot build plus a per-destination shortest-path sweep.
+// instant then receives a completed table from the channel instead of
+// stalling the event loop on a snapshot build plus a per-destination
+// shortest-path sweep.
 //
 // Overlap cannot change simulation results: tables are delivered strictly
 // in instant order, each table's content depends only on the topology and
@@ -27,8 +28,9 @@ const tablesInFlight = 16
 // single-threaded — the only code that runs concurrently with it is this
 // precomputation of values it would have computed identically, later.
 type pipeline struct {
-	// tables carries the tables in instant order. Its buffer holds
-	// tablesInFlight-1: the producer holds one more while blocked sending.
+	// tables carries the tables in instant order, one receive per instant
+	// (sim.Network.ScheduleInstalls). Its buffer holds tablesInFlight-1: the
+	// producer holds one more while blocked sending.
 	tables  chan *routing.ForwardingTable
 	done    chan struct{} // closed by close to stop the producer early
 	stopped chan struct{} // closed by the producer on exit
@@ -85,15 +87,10 @@ func (p *pipeline) producer(topo *routing.Topology, strategy Strategy, active []
 	}
 }
 
-// next returns the forwarding table for the next update instant, in order,
-// blocking until its precomputation completes. It must be called at most
-// once per instant, from the (single-threaded) event loop.
-func (p *pipeline) next() *routing.ForwardingTable { return <-p.tables }
-
 // close stops the producer and waits for it to exit. Only needed when a run
 // is abandoned before all update instants were consumed; a run executed to
 // completion drains the pipeline and the producer exits on its own.
-// Idempotent; must not race with next.
+// Idempotent; must not race with a receive from tables.
 func (p *pipeline) close() {
 	p.once.Do(func() { close(p.done) })
 	<-p.stopped

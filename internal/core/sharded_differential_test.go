@@ -90,12 +90,14 @@ func drawScenario(rng *rand.Rand, policy routing.GSLPolicy, maxDur sim.Time) sha
 }
 
 // shardedOutcome is everything a run observably produces: the full packet
-// trace plus the network's end-of-run counters. Processed() is deliberately
-// absent — sharded runs process extra per-shard copies of install events.
+// trace plus the network's end-of-run counters and the number of forwarding
+// states installed. Processed() is deliberately absent — sharded runs
+// process extra per-shard copies of install events.
 type shardedOutcome struct {
 	trace     []byte
 	delivered uint64
 	drops     map[sim.DropReason]uint64
+	updates   int
 }
 
 // executeScenario wires the scenario into a Run with the given shard count
@@ -139,14 +141,29 @@ func executeScenario(t *testing.T, sc shardedScenario, shards int) shardedOutcom
 			transport.TCPConfig{}).StartAfter(f.delay)
 	}
 	run.Execute()
+	out := shardedOutcome{
+		delivered: run.Net.Delivered(),
+		drops:     map[sim.DropReason]uint64{},
+		updates:   run.UpdatesInstalled(),
+	}
+	if want := 1 + int(sc.duration/sc.interval); out.updates != want {
+		t.Errorf("shards=%d: %d forwarding states installed, want %d", shards, out.updates, want)
+	}
+	// Every install up to the duration has run, so executing again is a
+	// no-op on either loop.
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	traced := buf.Len()
+	run.Execute()
 	if err := tr.Detach(); err != nil {
 		t.Fatal(err)
 	}
-	out := shardedOutcome{
-		trace:     buf.Bytes(),
-		delivered: run.Net.Delivered(),
-		drops:     map[sim.DropReason]uint64{},
+	if run.UpdatesInstalled() != out.updates || run.Net.Delivered() != out.delivered || buf.Len() != traced {
+		t.Errorf("shards=%d: second Execute changed the run: %d installs, %d delivered, %d trace bytes (were %d, %d, %d)",
+			shards, run.UpdatesInstalled(), run.Net.Delivered(), buf.Len(), out.updates, out.delivered, traced)
 	}
+	out.trace = buf.Bytes()
 	for r := sim.DropQueue; r <= sim.DropLink; r++ {
 		out.drops[r] = run.Net.Drops(r)
 	}
@@ -180,6 +197,9 @@ func compareOutcomes(t *testing.T, label string, got, want shardedOutcome) {
 	}
 	if got.delivered != want.delivered {
 		t.Errorf("%s: delivered = %d, want %d", label, got.delivered, want.delivered)
+	}
+	if got.updates != want.updates {
+		t.Errorf("%s: forwarding states installed = %d, want %d", label, got.updates, want.updates)
 	}
 	for r := sim.DropQueue; r <= sim.DropLink; r++ {
 		if got.drops[r] != want.drops[r] {

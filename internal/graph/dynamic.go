@@ -1,19 +1,19 @@
 // Dynamic shortest-path maintenance: diffing two graphs into a changed-edge
-// list and repairing an existing single-source shortest-path tree in place
-// instead of recomputing it from scratch.
+// list and re-solving an existing single-source shortest-path tree in the
+// previous solution's settle order instead of recomputing it from scratch.
 //
 // The forwarding-state engine rebuilds its topology graph every update
-// instant, but between consecutive instants only link weights drift and a
-// handful of edges appear or vanish — the shortest-path trees themselves
-// barely move. RepairSSSP exploits that: it re-propagates distances along
-// the surviving predecessor tree (no heap), then runs Dijkstra only over
-// the region whose tree actually changed. The repaired arrays are bitwise
-// identical to a fresh DijkstraScratch run on the new graph — Dijkstra's
-// output is a canonical function of the graph (distances are the minimum
-// over paths of left-associated float sums; predecessors are the
-// (dist, id)-minimal achiever of each distance), and the repair converges
-// to the same fixpoint. The differential and property tests in
-// dynamic_test.go hold it to exactly that bar.
+// instant, and between consecutive instants nearly every link weight drifts
+// — but the order in which Dijkstra settles the nodes barely moves.
+// RepairSSSPDense exploits that: one sweep over the carried order relaxes
+// every edge with no heap, and Dijkstra proper runs only over the nodes the
+// drift actually reordered. The repaired arrays are bitwise identical to a
+// fresh DijkstraScratch run on the new graph — Dijkstra's output is a
+// canonical function of the graph (distances are the minimum over paths of
+// left-associated float sums; predecessors are the (dist, id)-minimal
+// achiever of each distance), and the repair converges to the same fixpoint.
+// The differential and property tests in dynamic_test.go hold it to exactly
+// that bar.
 //
 // All functions assume simple graphs (no parallel edges), which the
 // topology builders guarantee by construction.
@@ -98,69 +98,17 @@ func DiffInto(oldG, newG *Graph, out []EdgeChange, sc *DiffScratch) []EdgeChange
 	return out
 }
 
-// RepairScratch holds the reusable workspaces of RepairSSSP: the Dijkstra
-// heap for the affected region, the predecessor-tree child index, the
-// traversal stack, the touched-node epochs, and an order buffer for the
-// dense path. The zero value is ready for use; a RepairScratch must not be
-// shared between concurrent repairs.
+// RepairScratch holds the reusable workspaces of RepairSSSPDense: the
+// Dijkstra heap for the reordered region, the swept-node epochs, and the
+// list of nodes that saw a tied offer. The zero value is ready for use; a
+// RepairScratch must not be shared between concurrent repairs.
 //
 //hypatia:confined
 type RepairScratch struct {
-	h         indexedHeap
-	childOff  []int32 //hypatia:handle(node)
-	childBuf  []int32 //hypatia:handle(->node)
-	stack     []int32 //hypatia:handle(->node)
-	roots     []int32 //hypatia:handle(->node)
-	touchList []int32 //hypatia:handle(->node)
-	tieList   []int32 //hypatia:handle(->node)
-	stampArr  []int64 //hypatia:handle(node)
-	stampGen  int64
-	orderBuf  []int32 //hypatia:handle(->node)
-}
-
-// RepairSSSP patches dist and prev — a valid single-source shortest-path
-// solution for src on a previous graph with the same node count — into the
-// solution for g, given the edge changes between the two graphs (as from
-// DiffInto). Both arrays are updated in place; the repaired result is
-// bitwise identical to g.DijkstraScratch(src, ...) run from scratch.
-//
-// Cost is O(V + E) in the worst case (every weight drifted) but with no
-// heap work outside the region whose shortest-path tree changed; for a
-// sparse change list it touches only the changed edges, the subtrees they
-// detach, and the frontier the repair grows back over.
-//
-//hypatia:noalloc
-//hypatia:pure
-//hypatia:handle(src: node, dist: node, prev: node->node)
-func (g *Graph) RepairSSSP(src int, dist []float64, prev []int32, changes []EdgeChange, sc *RepairScratch) {
-	if src < 0 || src >= g.n {
-		panic(fmt.Sprintf("graph: source %d out of range", src))
-	}
-	if len(dist) != g.n || len(prev) != g.n {
-		panic(fmt.Sprintf("graph: repair arrays sized %d/%d for %d nodes", len(dist), len(prev), g.n))
-	}
-	if len(changes) == 0 {
-		return
-	}
-	// A change list covering a large fraction of the edge set (the
-	// constellation case: every link weight drifts every instant) is
-	// cheaper to handle by re-solving in the old solution's settle order
-	// than by classifying individual subtrees. The old distances define
-	// that order; RepairSSSPDense lets callers who keep the order across
-	// repairs skip this sort.
-	if 8*len(changes) >= g.n+g.NumEdges() {
-		if cap(sc.orderBuf) < g.n {
-			sc.orderBuf = make([]int32, g.n)
-		}
-		sc.orderBuf = sc.orderBuf[:g.n]
-		for i := range sc.orderBuf {
-			sc.orderBuf[i] = int32(i)
-		}
-		sortByDist(sc.orderBuf, dist)
-		g.RepairSSSPDense(src, dist, prev, sc.orderBuf, sc)
-		return
-	}
-	g.repairSparse(src, dist, prev, changes, sc)
+	h        indexedHeap
+	tieList  []int32 //hypatia:handle(->node)
+	stampArr []int64 //hypatia:handle(node)
+	stampGen int64
 }
 
 // orderCmp is the settle-order comparator: by distance, then node id —
@@ -221,56 +169,6 @@ func siftDownOrder(order []int32, dist []float64, root, n int) {
 		order[root], order[child] = order[child], order[root]
 		root = child
 	}
-}
-
-// buildChildren fills sc.childOff/childBuf with a CSR child index of the
-// predecessor tree in prev.
-//
-//hypatia:noalloc
-//hypatia:pure
-//hypatia:handle(src: node, prev: node->node)
-func (g *Graph) buildChildren(src int, prev []int32, sc *RepairScratch) {
-	n := g.n
-	if cap(sc.childOff) < n+1 {
-		sc.childOff = make([]int32, n+1)
-		sc.childBuf = make([]int32, n)
-	}
-	sc.childOff = sc.childOff[:n+1]
-	sc.childBuf = sc.childBuf[:n]
-	off := sc.childOff
-	for i := range off {
-		off[i] = 0
-	}
-	// Entries that cannot be tree edges (out of range, self-referencing) are
-	// skipped rather than rejected: callers may hand in arbitrary stale prev
-	// arrays, and whatever this index omits is simply re-solved from scratch.
-	for v := 0; v < n; v++ { //hypatia:handle(node) tree-edge count walks nodes in id order
-		if v != src && prev[v] >= 0 && int(prev[v]) < n && int(prev[v]) != v {
-			off[prev[v]+1]++
-		}
-	}
-	for i := 0; i < n; i++ { //hypatia:handle(node) prefix sum walks nodes in id order
-		off[i+1] += off[i]
-	}
-	// Fill using off[v] as a cursor, then restore by shifting: after the
-	// fill, off[v] holds the END of v's range and off[v-1] its start.
-	for v := 0; v < n; v++ { //hypatia:handle(node) fill walks nodes in id order
-		if v != src && prev[v] >= 0 && int(prev[v]) < n && int(prev[v]) != v {
-			sc.childBuf[off[prev[v]]] = int32(v)
-			off[prev[v]]++
-		}
-	}
-	copy(off[1:], off[:n])
-	off[0] = 0
-}
-
-// children returns node v's child range in the CSR index.
-//
-//hypatia:noalloc
-//hypatia:pure
-//hypatia:handle(v: node)
-func (sc *RepairScratch) children(v int32) []int32 {
-	return sc.childBuf[sc.childOff[v]:sc.childOff[v+1]]
 }
 
 // RepairSSSPDense re-solves single-source shortest paths from src for the
@@ -364,7 +262,7 @@ func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []i
 	// otherwise — so a genuine tie always lands an exact-equality offer and
 	// gets listed; false positives (equality against a not-yet-final
 	// distance) just trigger an idempotent recanonicalization.
-	pops := g.settle(dist, prev, src, sc, nil)
+	pops := g.settle(dist, prev, src, sc)
 	for _, v := range sc.tieList {
 		g.canonicalPrev(src, v, dist, prev)
 	}
@@ -381,129 +279,15 @@ func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []i
 	}
 }
 
-// repairSparse detaches the subtrees under removed or increased tree edges,
-// seeds the heap from the changed edges and the detached frontier, and
-// settles — touching only the affected region.
-//
-//hypatia:noalloc
-//hypatia:pure
-//hypatia:handle(src: node, dist: node, prev: node->node)
-func (g *Graph) repairSparse(src int, dist []float64, prev []int32, changes []EdgeChange, sc *RepairScratch) {
-	n := g.n
-	if cap(sc.stampArr) < n {
-		sc.stampArr = make([]int64, n)
-	}
-	sc.stampArr = sc.stampArr[:n]
-	sc.stampGen++
-	tg := sc.stampGen
-	sc.touchList = sc.touchList[:0]
-	var touch touchFn = func(v int32) { //hypatia:allocs(amortized) settle only invokes touch, so the literal never escapes and is stack-allocated
-		if sc.stampArr[v] != tg {
-			sc.stampArr[v] = tg
-			sc.touchList = append(sc.touchList, v)
-		}
-	}
-	// Detach: a tree edge that vanished or got heavier invalidates its
-	// whole downstream subtree — those distances are no longer upper
-	// bounds. Every other node keeps its old distance, which remains an
-	// upper bound (its tree path avoids all such edges, and weights on it
-	// only decreased or held).
-	sc.roots = sc.roots[:0]
-	for _, ch := range changes {
-		if ch.OldW < 0 || (ch.NewW >= 0 && ch.NewW <= ch.OldW) {
-			continue
-		}
-		if prev[ch.B] == ch.A {
-			sc.roots = append(sc.roots, ch.B)
-		}
-		if prev[ch.A] == ch.B {
-			sc.roots = append(sc.roots, ch.A)
-		}
-	}
-	if len(sc.roots) > 0 {
-		g.buildChildren(src, prev, sc)
-		sc.stack = append(sc.stack[:0], sc.roots...)
-		for len(sc.stack) > 0 {
-			v := sc.stack[len(sc.stack)-1]
-			sc.stack = sc.stack[:len(sc.stack)-1]
-			if sc.stampArr[v] == tg {
-				continue // nested detach root already swept
-			}
-			touch(v)
-			dist[v] = math.Inf(1)
-			prev[v] = -1
-			sc.stack = append(sc.stack, sc.children(v)...)
-		}
-	}
-	detached := len(sc.touchList)
-	h := &sc.h
-	h.reset(n)
-	sc.tieList = sc.tieList[:0]
-	relax := func(u, v int32, w float64) {
-		du := dist[u]
-		if math.IsInf(du, 1) {
-			return
-		}
-		nd := du + w
-		if nd < dist[v] {
-			dist[v] = nd
-			prev[v] = u
-			touch(v)
-			h.push(v, nd)
-			//lint:ignore timeunits exact equality detects shortest-path ties
-		} else if nd == dist[v] && prev[v] != u && int(v) != src {
-			sc.tieList = append(sc.tieList, v)
-		}
-	}
-	// Seeds: surviving or inserted changed edges in both directions, plus
-	// every edge crossing from the intact region into a detached node.
-	for _, ch := range changes {
-		if ch.NewW >= 0 {
-			relax(ch.A, ch.B, ch.NewW)
-			relax(ch.B, ch.A, ch.NewW)
-		}
-	}
-	for _, v := range sc.touchList[:detached] {
-		for _, e := range g.adj[v] {
-			relax(e.To, v, e.W)
-		}
-	}
-	// Re-canonicalize exactly the nodes that saw a tied offer; every node
-	// whose achiever set changed received one. A node's achiever must have
-	// had its own distance re-established (it was touched, so all its edges
-	// were re-relaxed — from the detached-frontier seeding or its last heap
-	// pop) or sit on an explicitly re-relaxed changed edge, so a genuine tie
-	// always lands an exact-equality offer at final values; an untouched
-	// node whose neighborhood is untouched keeps its old canonical
-	// predecessor. False positives (equality against a not-yet-final
-	// distance) just trigger an idempotent recanonicalization.
-	g.settle(dist, prev, src, sc, touch)
-	for _, v := range sc.tieList {
-		g.canonicalPrev(src, v, dist, prev)
-	}
-}
-
-// touchFn observes every node whose distance a repair stage writes. The
-// annotations are load-bearing: settle calls its touch argument
-// dynamically, and the analyzer admits that call inside //hypatia:pure
-// and //hypatia:noalloc bodies only through a function type that carries
-// the contract itself — implementations may write through (and grow)
-// their captured scratch but nothing global, and must not allocate.
-//
-//hypatia:noalloc
-//hypatia:pure
-type touchFn func(int32)
-
 // settle runs the Dijkstra main loop over whatever sc.h was seeded with,
 // appending every node that receives a tied offer to sc.tieList and
-// returning the number of heap pops (the dense path's measure of how stale
-// its sweep order has become). touch, when non-nil, is invoked for every
-// node whose distance it writes.
+// returning the number of heap pops (the repair's measure of how stale its
+// sweep order has become).
 //
 //hypatia:noalloc
 //hypatia:pure
 //hypatia:handle(dist: node, prev: node->node, src: node)
-func (g *Graph) settle(dist []float64, prev []int32, src int, sc *RepairScratch, touch touchFn) int {
+func (g *Graph) settle(dist []float64, prev []int32, src int, sc *RepairScratch) int {
 	h := &sc.h
 	pops := 0
 	for !h.empty() {
@@ -515,9 +299,6 @@ func (g *Graph) settle(dist []float64, prev []int32, src int, sc *RepairScratch,
 			if nd < dist[e.To] {
 				dist[e.To] = nd
 				prev[e.To] = u
-				if touch != nil {
-					touch(e.To)
-				}
 				h.push(e.To, nd)
 				//lint:ignore timeunits exact equality detects shortest-path ties
 			} else if nd == dist[e.To] && prev[e.To] != u && int(e.To) != src {
@@ -565,7 +346,7 @@ func (g *Graph) canonicalPrev(src int, v int32, dist []float64, prev []int32) {
 
 // BellmanFord computes single-source shortest paths by iterated relaxation
 // until fixpoint. It is O(V·E) and exists as an algorithmically independent
-// cross-check for the Dijkstra and RepairSSSP fast paths: on non-negative
+// cross-check for the Dijkstra and RepairSSSPDense fast paths: on non-negative
 // weights all three converge to the same distance fixpoint (the minimum
 // over paths of left-associated float sums), so distances must match
 // bitwise. Predecessors are some valid shortest-path tree but not the

@@ -165,13 +165,23 @@ func TestDiffIntoReconstructs(t *testing.T) {
 	}
 }
 
-// TestRepairSSSPMatchesDijkstra is the core property: repairing the old
-// solution over the diff is bitwise identical to running Dijkstra from
+// settleOrder returns the nodes in Dijkstra's settle order for dist — the
+// order RepairSSSPDense carries from one repair to the next.
+func settleOrder(dist []float64) []int32 {
+	order := make([]int32, len(dist))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return orderCmp(dist, a, b) })
+	return order
+}
+
+// TestRepairSSSPMatchesDijkstra is the core property: re-solving over the
+// old solution's settle order is bitwise identical to running Dijkstra from
 // scratch on the new graph — distances and predecessors both — for float
-// and tie-heavy integer weights alike, on both repair paths.
+// and tie-heavy integer weights alike, whatever the order's quality.
 func TestRepairSSSPMatchesDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	var dsc DiffScratch
 	var rsc RepairScratch
 	for trial := 0; trial < 120; trial++ {
 		n := 4 + rng.Intn(40)
@@ -179,75 +189,48 @@ func TestRepairSSSPMatchesDijkstra(t *testing.T) {
 		oldSet := randomEdgeSet(rng, n, rng.Intn(3*n), intW)
 		newSet := mutateEdgeSet(rng, n, oldSet, 1+rng.Intn(2+n/2), intW)
 		oldG, newG := fromEdgeSet(n, oldSet), fromEdgeSet(n, newSet)
-		changes := DiffInto(oldG, newG, nil, &dsc)
 		src := rng.Intn(n)
 		wantDist, wantPrev := newG.Dijkstra(src, nil, nil)
-		baseDist, basePrev := oldG.Dijkstra(src, nil, nil)
+		dist, prev := oldG.Dijkstra(src, nil, nil)
 
-		// The public entry point (threshold-selected path).
-		dist := append([]float64(nil), baseDist...)
-		prev := append([]int32(nil), basePrev...)
-		newG.RepairSSSP(src, dist, prev, changes, &rsc)
-		sameSSSP(t, "RepairSSSP", dist, wantDist, prev, wantPrev)
+		// Seeded with the old solution's settle order, as the engine does.
+		order := settleOrder(dist)
+		newG.RepairSSSPDense(src, dist, prev, order, &rsc)
+		sameSSSP(t, "RepairSSSPDense", dist, wantDist, prev, wantPrev)
+		// The maintained order must remain a usable permutation: a second
+		// repair over it must reproduce the same solution.
+		newG.RepairSSSPDense(src, dist, prev, order, &rsc)
+		sameSSSP(t, "RepairSSSPDense/again", dist, wantDist, prev, wantPrev)
 
-		// Both internal paths must agree regardless of the threshold.
-		if len(changes) > 0 {
-			// Dense path, once seeded with the old solution's settle order
-			// and once with a deliberately stale (identity) order: order
-			// affects cost only, never the result.
-			order := make([]int32, newG.N())
-			for i := range order {
-				order[i] = int32(i)
-			}
-			slices.SortFunc(order, func(a, b int32) int { return orderCmp(baseDist, a, b) })
-			dist = append(dist[:0], baseDist...)
-			prev = append(prev[:0], basePrev...)
-			newG.RepairSSSPDense(src, dist, prev, order, &rsc)
-			sameSSSP(t, "RepairSSSPDense", dist, wantDist, prev, wantPrev)
-			// The maintained order must remain a usable permutation: a
-			// second repair over it (same graph, so changes are empty in
-			// spirit) must reproduce the same solution.
-			newG.RepairSSSPDense(src, dist, prev, order, &rsc)
-			sameSSSP(t, "RepairSSSPDense/again", dist, wantDist, prev, wantPrev)
-
-			for i := range order {
-				order[i] = int32(i)
-			}
-			for i := range dist {
-				dist[i] = -1 // dense path must not read prior dist/prev
-				prev[i] = -7
-			}
-			newG.RepairSSSPDense(src, dist, prev, order, &rsc)
-			sameSSSP(t, "RepairSSSPDense/staleOrder", dist, wantDist, prev, wantPrev)
-
-			dist = append(dist[:0], baseDist...)
-			prev = append(prev[:0], basePrev...)
-			newG.repairSparse(src, dist, prev, changes, &rsc)
-			sameSSSP(t, "repairSparse", dist, wantDist, prev, wantPrev)
+		// A deliberately stale (identity) order over garbage arrays: order
+		// affects cost only, and prior dist/prev are never read.
+		for i := range order {
+			order[i] = int32(i)
+			dist[i] = -1
+			prev[i] = -7
 		}
+		newG.RepairSSSPDense(src, dist, prev, order, &rsc)
+		sameSSSP(t, "RepairSSSPDense/staleOrder", dist, wantDist, prev, wantPrev)
 	}
 }
 
-// TestRepairSSSPChain carries one solution through a long mutation chain,
-// repairing in place at every step — the exact usage pattern of the
-// incremental forwarding-state engine.
+// TestRepairSSSPChain carries one solution and its settle order through a
+// long mutation chain, repairing in place at every step — the exact usage
+// pattern of the incremental forwarding-state engine.
 func TestRepairSSSPChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	var dsc DiffScratch
 	var rsc RepairScratch
 	n := 30
 	cur := randomEdgeSet(rng, n, 2*n, false)
-	g := fromEdgeSet(n, cur)
 	src := 7
-	dist, prev := g.Dijkstra(src, nil, nil)
+	dist, prev := fromEdgeSet(n, cur).Dijkstra(src, nil, nil)
+	order := settleOrder(dist)
 	for step := 0; step < 60; step++ {
-		next := mutateEdgeSet(rng, n, cur, 1+rng.Intn(6), step%4 == 0)
-		ng := fromEdgeSet(n, next)
-		changes := DiffInto(g, ng, nil, &dsc)
-		ng.RepairSSSP(src, dist, prev, changes, &rsc)
-		wantDist, wantPrev := ng.Dijkstra(src, nil, nil)
+		cur = mutateEdgeSet(rng, n, cur, 1+rng.Intn(6), step%4 == 0)
+		g := fromEdgeSet(n, cur)
+		g.RepairSSSPDense(src, dist, prev, order, &rsc)
+		wantDist, wantPrev := g.Dijkstra(src, nil, nil)
 		sameSSSP(t, "chain", dist, wantDist, prev, wantPrev)
-		cur, g = next, ng
 	}
 }
 
@@ -256,7 +239,6 @@ func TestRepairSSSPChain(t *testing.T) {
 // equal, predecessor tree loop-free and achieving those distances.
 func TestRepairSSSPBellmanFord(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	var dsc DiffScratch
 	var rsc RepairScratch
 	for trial := 0; trial < 40; trial++ {
 		n := 4 + rng.Intn(25)
@@ -266,7 +248,7 @@ func TestRepairSSSPBellmanFord(t *testing.T) {
 		oldG, newG := fromEdgeSet(n, oldSet), fromEdgeSet(n, newSet)
 		src := rng.Intn(n)
 		dist, prev := oldG.Dijkstra(src, nil, nil)
-		newG.RepairSSSP(src, dist, prev, DiffInto(oldG, newG, nil, &dsc), &rsc)
+		newG.RepairSSSPDense(src, dist, prev, settleOrder(dist), &rsc)
 
 		bfDist, _ := newG.BellmanFord(src)
 		for v := range bfDist {
@@ -303,86 +285,32 @@ func TestRepairSSSPBellmanFord(t *testing.T) {
 	}
 }
 
-// TestRepairSSSPUntouchedRegion pins the locality contract: with changes
-// confined to one connected component, the other component's distance and
-// predecessor entries come out bitwise unchanged.
-func TestRepairSSSPUntouchedRegion(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	var dsc DiffScratch
-	var rsc RepairScratch
-	nA, nB := 12, 12
-	n := nA + nB
-	set := map[edgeKey]float64{}
-	// Component A on nodes [0,nA), component B on [nA, n); no cross edges.
-	for v := 1; v < nA; v++ {
-		set[edgeKey{int32(rng.Intn(v)), int32(v)}] = 1 + 10*rng.Float64()
-	}
-	for v := nA + 1; v < n; v++ {
-		set[edgeKey{int32(nA + rng.Intn(v-nA)), int32(v)}] = 1 + 10*rng.Float64()
-	}
-	g := fromEdgeSet(n, set)
-	src := 0 // in component A; component B is unreachable
-	dist, prev := g.Dijkstra(src, nil, nil)
-	for step := 0; step < 20; step++ {
-		next := map[edgeKey]float64{}
-		for k, w := range set {
-			next[k] = w
-		}
-		// Mutate only component-A edges.
-		for k := range set {
-			if int(k.b) < nA && rng.Intn(3) == 0 {
-				next[k] = 1 + 10*rng.Float64()
-			}
-		}
-		ng := fromEdgeSet(n, next)
-		changes := DiffInto(g, ng, nil, &dsc)
-		before := append([]float64(nil), dist[nA:]...)
-		ng.RepairSSSP(src, dist, prev, changes, &rsc)
-		for i, want := range before {
-			if dist[nA+i] != want || prev[nA+i] != -1 {
-				t.Fatalf("step %d: untouched component entry %d changed: dist %v→%v prev %d",
-					step, nA+i, want, dist[nA+i], prev[nA+i])
-			}
-		}
-		wantDist, wantPrev := ng.Dijkstra(src, nil, nil)
-		sameSSSP(t, "untouched", dist, wantDist, prev, wantPrev)
-		set, g = next, ng
-	}
-}
-
-// TestRepairSSSPNoChanges: an empty change list must leave the arrays
-// untouched (the engine skips instants whose graphs are identical).
-func TestRepairSSSPNoChanges(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	var rsc RepairScratch
-	g := fromEdgeSet(10, randomEdgeSet(rng, 10, 12, false))
-	dist, prev := g.Dijkstra(3, nil, nil)
-	d2 := append([]float64(nil), dist...)
-	p2 := append([]int32(nil), prev...)
-	g.RepairSSSP(3, d2, p2, nil, &rsc)
-	sameSSSP(t, "nochange", d2, dist, p2, prev)
-}
-
-// FuzzRepairSSSP drives the repair with fuzzer-chosen topology mutations;
-// the oracle is always a from-scratch Dijkstra on the mutated graph.
+// FuzzRepairSSSP drives the repair with fuzzer-chosen topology mutations
+// and a fuzzer-chosen staleness of the carried order (that many random
+// transpositions of the old solution's settle order); the oracle is always
+// a from-scratch Dijkstra on the mutated graph.
 func FuzzRepairSSSP(f *testing.F) {
-	f.Add(int64(1), 10, 8, false)
-	f.Add(int64(2), 25, 40, true)
-	f.Add(int64(3), 6, 2, false)
-	f.Add(int64(4), 50, 100, true)
-	f.Fuzz(func(t *testing.T, seed int64, n, mutations int, intW bool) {
-		if n < 2 || n > 200 || mutations < 0 || mutations > 400 {
+	f.Add(int64(1), 10, 8, false, 0)
+	f.Add(int64(2), 25, 40, true, 3)
+	f.Add(int64(3), 6, 2, false, 50)
+	f.Add(int64(4), 50, 100, true, 400)
+	f.Fuzz(func(t *testing.T, seed int64, n, mutations int, intW bool, stale int) {
+		if n < 2 || n > 200 || mutations < 0 || mutations > 400 || stale < 0 || stale > 400 {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(seed))
-		var dsc DiffScratch
 		var rsc RepairScratch
 		oldSet := randomEdgeSet(rng, n, rng.Intn(3*n), intW)
 		newSet := mutateEdgeSet(rng, n, oldSet, mutations, intW)
 		oldG, newG := fromEdgeSet(n, oldSet), fromEdgeSet(n, newSet)
 		src := rng.Intn(n)
 		dist, prev := oldG.Dijkstra(src, nil, nil)
-		newG.RepairSSSP(src, dist, prev, DiffInto(oldG, newG, nil, &dsc), &rsc)
+		order := settleOrder(dist)
+		for i := 0; i < stale; i++ {
+			a, b := rng.Intn(n), rng.Intn(n)
+			order[a], order[b] = order[b], order[a]
+		}
+		newG.RepairSSSPDense(src, dist, prev, order, &rsc)
 		wantDist, wantPrev := newG.Dijkstra(src, nil, nil)
 		for i := range dist {
 			if dist[i] != wantDist[i] || prev[i] != wantPrev[i] {

@@ -416,12 +416,14 @@ func (t *Topology) DeltaInto(tsec float64, d *DeltaState) (*Snapshot, []graph.Ed
 // Because the dense repair is correct from any starting order — order
 // quality affects cost, never the bitwise result — the engine needs no
 // freshness bookkeeping at all: active sets may grow, shrink, or reorder
-// between steps, time may jump either direction, and the avoid set may
-// change mid-sequence, all without reseeding. Tables it returns are bitwise
-// identical to the from-scratch computation (Snapshot.ForwardingTable and
-// friends) — the hypatia_checks build re-derives every requested column
-// from scratch and fails on any mismatch, and the differential suites in
-// internal/core prove the same over randomized instant sequences.
+// between steps and time may jump either direction, all without reseeding.
+// Routing that avoids nodes goes through core.AvoidNodes, which runs the
+// from-scratch sweep on a pruned snapshot. Tables the engine returns are
+// bitwise identical to the from-scratch computation
+// (Snapshot.ForwardingTable and friends) — the hypatia_checks build
+// re-derives every requested column from scratch and fails on any mismatch,
+// and the differential suites in internal/core prove the same over
+// randomized instant sequences.
 //
 // An engine is single-owner state (one goroutine at a time); tables it
 // returns are the caller's to Release.
@@ -432,13 +434,6 @@ type IncrementalEngine struct {
 	pool *TablePool
 
 	delta DeltaState
-
-	// avoid, when non-nil, excludes the marked nodes from routing, exactly
-	// as Snapshot.WithoutNodes does. The routed graph is then a pruned copy
-	// of the snapshot graph, rebuilt in place each step.
-	avoid    []bool //hypatia:handle(node)
-	avoidAny bool
-	pruned   *graph.Graph
 
 	repair graph.RepairScratch
 
@@ -470,54 +465,6 @@ func NewIncrementalEngine(topo *Topology, pool *TablePool) *IncrementalEngine {
 	}
 }
 
-// SetAvoid excludes the given nodes from all subsequent routing, as
-// core.AvoidNodes / Snapshot.WithoutNodes do; call with no arguments to
-// clear. Changing the avoid set mid-sequence needs no reseed: the next
-// Step re-solves every requested tree on the newly pruned graph, reusing
-// the carried settle orders (which the switch barely perturbs).
-//
-//hypatia:handle(nodes: ->node)
-func (e *IncrementalEngine) SetAvoid(nodes ...int) {
-	e.avoidAny = len(nodes) > 0
-	if !e.avoidAny {
-		return
-	}
-	if e.avoid == nil {
-		e.avoid = make([]bool, e.topo.NumNodes())
-	}
-	for i := range e.avoid {
-		e.avoid[i] = false
-	}
-	for _, v := range nodes {
-		e.avoid[v] = true
-	}
-}
-
-// pruneInto rebuilds dst as src minus every edge touching an avoided node —
-// the arena-reusing equivalent of Snapshot.WithoutNodes.
-//
-//hypatia:noalloc
-//hypatia:pure
-//hypatia:handle(avoid: node)
-func pruneInto(src *graph.Graph, avoid []bool, dst *graph.Graph) *graph.Graph {
-	if dst == nil {
-		dst = graph.New(src.N())
-	} else {
-		dst.Reset(src.N())
-	}
-	for v := 0; v < src.N(); v++ { //hypatia:handle(node) edge filter walks nodes in id order
-		if avoid[v] {
-			continue
-		}
-		for _, ed := range src.Neighbors(v) {
-			if int(ed.To) > v && !avoid[ed.To] {
-				dst.AddEdge(v, int(ed.To), ed.W)
-			}
-		}
-	}
-	return dst
-}
-
 // Step computes the forwarding table for time tsec toward the given
 // destination ground stations (nil = all), re-solving each tree over its
 // carried settle order. The table comes from the engine's pool; the caller
@@ -529,12 +476,7 @@ func pruneInto(src *graph.Graph, avoid []bool, dst *graph.Graph) *graph.Graph {
 func (e *IncrementalEngine) Step(tsec float64, active []int) *ForwardingTable {
 	t := e.topo
 	n := t.NumNodes()
-	snap := t.deltaSnapshot(tsec, &e.delta)
-	g := snap.G
-	if e.avoidAny {
-		e.pruned = pruneInto(snap.G, e.avoid, e.pruned)
-		g = e.pruned
-	}
+	g := t.deltaSnapshot(tsec, &e.delta).G
 
 	ft := e.pool.Empty(tsec, n, t.NumGS())
 	apply := func(gs int) {

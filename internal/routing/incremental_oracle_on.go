@@ -19,22 +19,13 @@ var oracleComparisons atomic.Uint64
 func OracleComparisons() uint64 { return oracleComparisons.Load() }
 
 // oracleCheck re-derives every requested destination column from scratch —
-// fresh snapshot, fresh prune, fresh Dijkstra, none of the engine's cached
-// state — and fails the run on any bitwise difference from the table the
-// incremental path produced. This is the differential-oracle discipline:
+// fresh snapshot, fresh Dijkstra, none of the engine's cached state — and
+// fails the run on any bitwise difference from the table the incremental
+// path produced. This is the differential-oracle discipline:
 // the retained from-scratch computation is the specification, the
 // incremental path an optimization that must be indistinguishable from it.
 func (e *IncrementalEngine) oracleCheck(tsec float64, active []int, ft *ForwardingTable) {
 	snap := e.topo.Snapshot(tsec)
-	if e.avoidAny {
-		avoid := map[int]bool{}
-		for v, a := range e.avoid {
-			if a {
-				avoid[v] = true
-			}
-		}
-		snap = snap.WithoutNodes(avoid)
-	}
 	n := e.topo.NumNodes()
 	var dist []float64
 	var prev []int32

@@ -141,15 +141,17 @@ type TransmitInfo struct {
 }
 
 // netState is the per-engine slice of mutable simulation state: forwarding
-// state, the position cache, delivery/drop counters, and — in sharded runs —
-// the outboxes, hook journal, and table plumbing for one shard. Each
-// Simulator embeds one; the serial engine's netState on the root Simulator
-// is the whole network state, while a sharded run gives each shard engine
-// its own and folds counters back into the root afterwards.
+// state and the count of scheduled installs executed, the position cache,
+// delivery/drop counters, and — in sharded runs — the outboxes, hook journal,
+// and table plumbing for one shard. Each Simulator embeds one; the serial
+// engine's netState on the root Simulator is the whole network state, while
+// a sharded run gives each shard engine its own and folds counters back into
+// the root afterwards.
 //
 //hypatia:confined
 type netState struct {
 	ft        *routing.ForwardingTable
+	installs  int
 	pos       []geom.Vec3 //hypatia:handle(node)
 	posBucket Time
 
@@ -163,7 +165,6 @@ type netState struct {
 	// forwarding-table clones staged by the coordinator for this shard's
 	// upcoming install events; freed returns displaced clones for reuse.
 	journaling    bool
-	installs      int
 	outbox        [][]handoff //hypatia:handle(shard)
 	journal       []journalRec
 	pendingTables []*routing.ForwardingTable
@@ -249,9 +250,12 @@ type Network struct {
 	onDrop     func(at Time, node int, pkt *Packet, reason DropReason)
 	onDeliver  func(at Time, gs int, pkt *Packet)
 
-	// tableSource feeds forwarding tables to sharded runs' install events,
-	// in update-instant order (core wires the pipeline here).
-	tableSource func() *routing.ForwardingTable
+	// The forwarding-update schedule (ScheduleInstalls): installAt[i] is the
+	// instant of install event i, and tables delivers each event's table in
+	// that order. An engine's st.installs counts the events it has executed,
+	// so it is also the index of the next one.
+	installAt []Time
+	tables    <-chan *routing.ForwardingTable
 }
 
 // DeviceStats is a snapshot of one device's counters.
@@ -400,26 +404,59 @@ func (n *Network) InstallForwarding(ft *routing.ForwardingTable) *routing.Forwar
 	return prev
 }
 
-// SetTableSource registers the producer sharded runs pull forwarding tables
-// from, one call per update instant in order (core wires its precomputation
-// pipeline here). Serial runs install tables directly via InstallForwarding
-// events and ignore it.
-func (n *Network) SetTableSource(fn func() *routing.ForwardingTable) { n.tableSource = fn }
+// ScheduleInstalls schedules one forwarding update per instant of at
+// (ascending, none before Now): the install event for at[i] takes the i-th
+// table off tables, installs it ahead of every packet event of that instant,
+// and Releases the table it displaces. This is the one way periodic
+// forwarding state reaches the network, on the serial and the sharded loop
+// alike; core wires its precomputation pipeline here. It may be called once
+// per network, before the run starts.
+func (n *Network) ScheduleInstalls(at []Time, tables <-chan *routing.ForwardingTable) {
+	if n.tables != nil {
+		panic("sim: forwarding installs already scheduled")
+	}
+	s := n.Sim
+	last := s.now
+	for i, t := range at {
+		if t < last {
+			panic(fmt.Sprintf("sim: install instant %v out of order or in the past (after %v)", t, last))
+		}
+		last = t
+		// The instant index is both key and seq, so every engine of a
+		// sharded run orders its copy of the event identically.
+		s.events.push(event{at: t, owner: -1, kind: evInstall, key: uint64(i), seq: uint64(i)})
+	}
+	n.installAt = at
+	n.tables = tables
+}
 
-// installEvent is the evInstall dispatch: install the next staged table
-// clone for this engine, retiring the displaced clone for reuse.
+// Installs returns how many scheduled forwarding updates have executed.
+func (n *Network) Installs() int { return n.Sim.st.installs }
+
+// installEvent is the evInstall dispatch. The serial loop takes the
+// instant's table straight off the source and recycles the displaced one; a
+// shard engine installs the clone its coordinator staged for this instant
+// and retires the displaced clone for reuse.
 //
 //hypatia:noalloc
 func (n *Network) installEvent(s *Simulator, idx int) {
-	if len(s.st.pendingTables) == 0 {
-		panic(fmt.Sprintf("sim: install event %d with no staged forwarding table", idx))
+	if check.Enabled {
+		check.Assert(idx == s.st.installs, "install event %d executed as install number %d", idx, s.st.installs)
 	}
-	ft := s.st.pendingTables[0]
-	s.st.pendingTables = s.st.pendingTables[1:]
-	if prev := s.st.ft; prev != nil {
-		s.st.freed = append(s.st.freed, prev)
+	prev := s.st.ft
+	if n.shardOf == nil {
+		s.st.ft = <-n.tables
+		prev.Release()
+	} else {
+		if len(s.st.pendingTables) == 0 {
+			panic(fmt.Sprintf("sim: install event %d with no staged forwarding table", idx))
+		}
+		s.st.ft = s.st.pendingTables[0]
+		s.st.pendingTables = s.st.pendingTables[1:]
+		if prev != nil {
+			s.st.freed = append(s.st.freed, prev)
+		}
 	}
-	s.st.ft = ft
 	s.st.installs++
 }
 

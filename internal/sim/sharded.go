@@ -344,31 +344,21 @@ func shardLoop(cmds <-chan shardWindow, done chan<- struct{}) {
 
 // RunSharded executes the network's pending events to `until` on `shards`
 // concurrent engines, producing delivery/drop/transmit traces byte-identical
-// to Simulator.Run. installs lists forwarding-update instants; at each one,
-// every shard installs a clone of the next table from the registered
-// SetTableSource (required when installs is non-empty). It returns the
-// number of update instants installed.
+// to Simulator.Run. Forwarding updates scheduled with ScheduleInstalls
+// execute on every shard: the coordinator takes each instant's table off the
+// source once and stages a clone per shard.
 //
 // Constraints: transports must bind to Network.Clock handles (all transports
 // in this repo do), hook emission order is reproduced by post-run replay, a
-// Stop takes effect at the current lookahead window's boundary on other
-// shards, and the root engine's Schedule panics for the duration of the run.
-// On return the root engine owns all unexecuted future events again (with
-// the clock at until), so subsequent serial Runs may resume the same
-// network; un-run install instants after a Stop are discarded.
-func (n *Network) RunSharded(until Time, shards int, installs []Time) int {
+// Stop of the root engine takes effect at the end of the current lookahead
+// window, and the root engine's Schedule panics for the duration of the run.
+// On return the root engine owns all unexecuted future events again —
+// forwarding updates included — with the clock at until, so further serial
+// or sharded runs may resume the same network.
+func (n *Network) RunSharded(until Time, shards int) {
 	root := n.Sim
 	if n.shardOf != nil {
 		panic("sim: nested sharded run")
-	}
-	if len(installs) > 0 && n.tableSource == nil {
-		panic("sim: sharded run with install instants but no table source")
-	}
-	if check.Enabled {
-		for _, at := range installs {
-			check.Assert(at > root.now && at <= until,
-				"install instant %v outside the run window (%v, %v]", at, root.now, until)
-		}
 	}
 	if shards > n.Topo.NumSats() {
 		shards = n.Topo.NumSats()
@@ -388,6 +378,7 @@ func (n *Network) RunSharded(until Time, shards int, installs []Time) int {
 		s.st.posBucket = -1
 		s.st.journaling = journaling
 		s.st.outbox = make([][]handoff, shards)
+		s.st.installs = root.st.installs
 		s.seq = root.seq
 		s.now = root.now
 		if root.st.ft != nil {
@@ -396,23 +387,21 @@ func (n *Network) RunSharded(until Time, shards int, installs []Time) int {
 		sims[k] = s
 	}
 	// Migrate pending events to their owners' shards (unowned events run on
-	// shard 0), and pre-schedule every install instant on every shard:
-	// forwarding state is engine-local, so each shard installs its own
-	// clone. Install events use their instant index as both key and seq so
-	// all engines agree on their order.
+	// shard 0). Forwarding state is engine-local, so every shard gets its own
+	// copy of each install event and installs its own clone.
 	evs := root.events
 	root.events = nil
 	for i := range evs {
 		e := evs[i]
-		k := int32(0)
-		if e.owner >= 0 {
-			k = shardOf[e.owner]
-		}
-		sims[k].events.push(e)
-	}
-	for i, at := range installs {
-		for k := range sims {
-			sims[k].events.push(event{at: at, owner: -1, kind: evInstall, key: uint64(i), seq: uint64(i)})
+		switch {
+		case e.kind == evInstall:
+			for k := range sims {
+				sims[k].events.push(e)
+			}
+		case e.owner >= 0:
+			sims[shardOf[e.owner]].events.push(e)
+		default:
+			sims[0].events.push(e)
 		}
 	}
 	n.shardOf = shardOf
@@ -430,10 +419,13 @@ func (n *Network) RunSharded(until Time, shards int, installs []Time) int {
 
 	la := newLookahead(n, shardOf, shards)
 	var freelist []*routing.ForwardingTable
-	nextInstall := 0
-	stopped := false
+	nextInstall := root.st.installs
+	root.stopped = false
 	t := root.now
-	for !stopped {
+	// A closure running on a shard stops the run through the root engine
+	// (the only one user code can name); the done receives below order that
+	// write before this read.
+	for !root.stopped {
 		// Jump over event gaps: handoffs are generated only by executing
 		// events, so an interval with no pending events anywhere stays
 		// empty.
@@ -453,12 +445,12 @@ func (n *Network) RunSharded(until Time, shards int, installs []Time) int {
 		}
 		end, inclusive := la.window(t, until)
 		// Stage table clones for the install instants this window executes.
-		for nextInstall < len(installs) {
-			at := installs[nextInstall]
+		for nextInstall < len(n.installAt) {
+			at := n.installAt[nextInstall]
 			if at > end || (at == end && !inclusive) {
 				break
 			}
-			master := n.tableSource()
+			master := <-n.tables
 			for k := range sims {
 				var dst *routing.ForwardingTable
 				if len(freelist) > 0 {
@@ -483,9 +475,6 @@ func (n *Network) RunSharded(until Time, shards int, installs []Time) int {
 		// table clones.
 		for k := range sims {
 			s := sims[k]
-			if s.stopped {
-				stopped = true
-			}
 			for j := range s.st.outbox {
 				dst := sims[j]
 				for _, h := range s.st.outbox[j] {
@@ -507,15 +496,16 @@ func (n *Network) RunSharded(until Time, shards int, installs []Time) int {
 	}
 
 	// Fold shard state back into the root engine: counters, clocks, and
-	// unexecuted future events (so serial Runs may resume). Un-run install
-	// events are dropped — their staged clones no longer exist.
-	installed := sims[0].st.installs
-	behind := 0
+	// unexecuted future events (so a later run may resume). Every window runs
+	// to its end on every shard, so the shards agree on forwarding state and
+	// hold identical copies of the remaining install events; the root takes
+	// shard 0's.
 	for k := range sims {
 		s := sims[k]
-		if s.st.installs < installed {
-			installed = s.st.installs
-			behind = k
+		if check.Enabled {
+			check.Assert(s.st.installs == sims[0].st.installs && len(s.st.pendingTables) == 0,
+				"shard %d ended on install %d with %d staged tables; shard 0 on install %d",
+				k, s.st.installs, len(s.st.pendingTables), sims[0].st.installs)
 		}
 		root.processed += s.processed
 		root.st.delivered += s.st.delivered
@@ -525,40 +515,27 @@ func (n *Network) RunSharded(until Time, shards int, installs []Time) int {
 		if s.seq > root.seq {
 			root.seq = s.seq
 		}
-	}
-	n.shardOf = nil
-	n.sims = nil
-	root.migrated = false
-	// Adopt the least-advanced shard's forwarding table (they are all
-	// identical clones unless a Stop split a window) so a resumed serial
-	// Run continues from the latest installed state, not the pre-run one.
-	root.st.ft = sims[behind].st.ft
-	for k := range sims {
-		s := sims[k]
+		if s.now > root.now {
+			root.now = s.now
+		}
 		for i := range s.events {
-			if e := s.events[i]; e.kind != evInstall {
+			if e := s.events[i]; e.kind != evInstall || k == 0 {
 				root.events.push(e)
 			}
 		}
 		s.events = nil
 	}
-	if stopped {
-		root.stopped = true
-		for k := range sims {
-			if sims[k].now > root.now {
-				root.now = sims[k].now
-			}
-		}
-	} else {
-		root.stopped = false
-		if root.now < until {
-			root.now = until
-		}
+	n.shardOf = nil
+	n.sims = nil
+	root.migrated = false
+	root.st.installs = sims[0].st.installs
+	root.st.ft = sims[0].st.ft
+	if !root.stopped && root.now < until {
+		root.now = until
 	}
 	if journaling {
 		n.replayJournals(sims)
 	}
-	return installed
 }
 
 // replayJournals merges the per-shard hook journals (each already in

@@ -21,8 +21,10 @@ type shardedResult struct {
 // runShardedScenario executes a fixed traffic scenario — a periodic echo
 // flow GS0<->GS1, a queue-overflowing burst GS2->GS1, deterministic link
 // loss, and forwarding updates at 100 ms granularity — serially (shards=0)
-// or on the sharded engine, and returns the observable outcome.
-func runShardedScenario(t *testing.T, shards int, splitAt Time) shardedResult {
+// or on the sharded engine, optionally switching to the serial loop at
+// splitAt or stopping at stopAt and resuming, and returns the observable
+// outcome.
+func runShardedScenario(t *testing.T, shards int, splitAt, stopAt Time) shardedResult {
 	t.Helper()
 	topo := testTopo(t)
 	s := NewSimulator()
@@ -80,40 +82,36 @@ func runShardedScenario(t *testing.T, shards int, splitAt Time) shardedResult {
 
 	const duration = 300 * Millisecond
 	installs := []Time{100 * Millisecond, 200 * Millisecond, 300 * Millisecond}
-	if shards == 0 {
-		for _, at := range installs {
-			at := at
-			s.ScheduleAt(at, func() {
-				n.InstallForwarding(topo.Snapshot(at.Seconds()).ForwardingTable())
-			})
-		}
-		s.Run(duration)
-	} else {
-		next := 0
-		n.SetTableSource(func() *routing.ForwardingTable {
-			ft := topo.Snapshot(installs[next].Seconds()).ForwardingTable()
-			next++
-			return ft
-		})
-		if splitAt > 0 {
-			// Exercise resumability: sharded to splitAt, serial to the end.
-			var pre []Time
-			for _, at := range installs {
-				if at <= splitAt {
-					pre = append(pre, at)
-				}
-			}
-			n.RunSharded(splitAt, shards, pre)
-			for _, at := range installs[len(pre):] {
-				at := at
-				s.ScheduleAt(at, func() {
-					n.InstallForwarding(topo.Snapshot(at.Seconds()).ForwardingTable())
-				})
-			}
-			s.Run(duration)
+	tables := make(chan *routing.ForwardingTable, len(installs))
+	for _, at := range installs {
+		tables <- topo.Snapshot(at.Seconds()).ForwardingTable()
+	}
+	n.ScheduleInstalls(installs, tables)
+	run := func(until Time, shards int) {
+		if shards == 0 {
+			s.Run(until)
 		} else {
-			n.RunSharded(duration, shards, installs)
+			n.RunSharded(until, shards)
 		}
+	}
+	if stopAt > 0 {
+		// A closure stops the run through the root engine — the only engine
+		// user code can name — and the run is then resumed to the end.
+		clk0.Schedule(stopAt, s.Stop)
+		run(duration, shards)
+		if s.Now() >= duration || n.Installs() == len(installs) {
+			t.Errorf("shards=%d: Stop at %v ignored: clock %v, %d installs", shards, stopAt, s.Now(), n.Installs())
+		}
+	}
+	if splitAt > 0 {
+		// Exercise resumability: sharded to splitAt, serial to the end. The
+		// installs past splitAt return to the root engine with everything else.
+		run(splitAt, shards)
+		shards = 0
+	}
+	run(duration, shards)
+	if got := n.Installs(); got != len(installs) {
+		t.Errorf("shards=%d split=%v: %d installs executed, want %d", shards, splitAt, got, len(installs))
 	}
 
 	res := shardedResult{trace: tr.String(), delivered: n.Delivered(), devs: n.DeviceStats(), now: s.Now()}
@@ -127,13 +125,13 @@ func runShardedScenario(t *testing.T, shards int, splitAt Time) shardedResult {
 // must reproduce the serial run's trace and counters byte for byte, at
 // several shard counts.
 func TestShardedMatchesSerial(t *testing.T) {
-	want := runShardedScenario(t, 0, 0)
+	want := runShardedScenario(t, 0, 0, 0)
 	if want.delivered == 0 || want.drops[DropQueue] == 0 ||
 		want.drops[DropLink] == 0 || want.drops[DropNoRoute] == 0 {
 		t.Fatalf("scenario not exercising the paths under test: %+v", want.drops)
 	}
 	for _, shards := range []int{1, 2, 3, 5, 8} {
-		got := runShardedScenario(t, shards, 0)
+		got := runShardedScenario(t, shards, 0, 0)
 		if got.trace != want.trace {
 			t.Errorf("shards=%d: trace diverges from serial (%d vs %d bytes): first diff at byte %d",
 				shards, len(got.trace), len(want.trace), firstDiff(got.trace, want.trace))
@@ -160,13 +158,31 @@ func TestShardedMatchesSerial(t *testing.T) {
 // resumable state: sharded to mid-run, then serial to the end, must equal
 // the all-serial run.
 func TestShardedResume(t *testing.T) {
-	want := runShardedScenario(t, 0, 0)
-	got := runShardedScenario(t, 3, 150*Millisecond)
+	want := runShardedScenario(t, 0, 0, 0)
+	got := runShardedScenario(t, 3, 150*Millisecond, 0)
 	if got.trace != want.trace {
 		t.Errorf("resumed trace diverges from serial: first diff at byte %d", firstDiff(got.trace, want.trace))
 	}
 	if got.delivered != want.delivered || got.drops != want.drops {
 		t.Errorf("resumed delivered/drops = %d/%v, want %d/%v", got.delivered, got.drops, want.delivered, want.drops)
+	}
+}
+
+// TestShardedStopResume: a Stop issued from a running event halts a sharded
+// run at the next window boundary, and resuming it reproduces the serial
+// run that was stopped and resumed the same way.
+func TestShardedStopResume(t *testing.T) {
+	want := runShardedScenario(t, 0, 0, 120*Millisecond)
+	for _, shards := range []int{2, 5} {
+		got := runShardedScenario(t, shards, 0, 120*Millisecond)
+		if got.trace != want.trace {
+			t.Errorf("shards=%d: stopped-and-resumed trace diverges from serial: first diff at byte %d",
+				shards, firstDiff(got.trace, want.trace))
+		}
+		if got.delivered != want.delivered || got.drops != want.drops || got.now != want.now {
+			t.Errorf("shards=%d: delivered/drops/clock = %d/%v/%v, want %d/%v/%v",
+				shards, got.delivered, got.drops, got.now, want.delivered, want.drops, want.now)
+		}
 	}
 }
 
@@ -192,7 +208,7 @@ func TestShardedNoHooks(t *testing.T) {
 		if shards == 0 {
 			s.Run(100 * Millisecond)
 		} else {
-			n.RunSharded(100*Millisecond, shards, nil)
+			n.RunSharded(100*Millisecond, shards)
 		}
 		return n.Delivered(), n.TotalDrops()
 	}

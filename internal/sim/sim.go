@@ -278,9 +278,10 @@ func (s *Simulator) nextSeq() uint64 {
 	return q
 }
 
-// Stop makes Run return after the currently executing event completes. In a
-// sharded run the stop takes effect at the current lookahead window's
-// boundary on the other shards.
+// Stop makes Run return after the currently executing event completes. A
+// sharded run (Network.RunSharded) honours a Stop of the root engine at the
+// end of the current lookahead window, on every shard; there it must only be
+// called from one shard's events at a time.
 func (s *Simulator) Stop() { s.stopped = true }
 
 // Run executes events in canonical order until the queue is empty or the

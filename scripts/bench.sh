@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Forwarding-state benchmark harness: runs the routing and core benchmarks
 # with -benchmem at both GOMAXPROCS=1 and a wide setting (nproc, floored at
-# 4) — the single-core run isolates per-op cost, the wide run measures the
+# 2) — the single-core run isolates per-op cost, the wide run measures the
 # sharded event loop under real concurrency — and emits machine-readable
 # results to BENCH_routing.json in the repository root, enforcing the
 # checked-in allocation budgets (alloc_budgets below) on the way, then times
@@ -19,11 +19,13 @@ cd "$(dirname "$0")/.."
 benchtime="${1:-5x}"
 out="BENCH_routing.json"
 nproc_val="$(nproc)"
-# The wide run is GOMAXPROCS=nproc, floored at 4 so the capture always
-# exercises GOMAXPROCS>1; on hosts with fewer hardware threads than that
-# it measures scheduler interleaving rather than a parallel speedup — the
-# JSON records nproc alongside, so the two cases stay distinguishable.
-wide=$(( nproc_val > 4 ? nproc_val : 4 ))
+# The wide run is GOMAXPROCS=nproc: one thread per hardware thread, never
+# more, so sharded_over_serial is a parallel speedup and not the cost of
+# oversubscription (4 threads on 2 vCPUs measured 1.3-1.4x where 2 threads
+# measure 1.5-1.6x). It is floored at 2 so the capture always exercises
+# GOMAXPROCS>1; on a single-vCPU host that measures scheduler interleaving —
+# the JSON records nproc alongside, so the two cases stay distinguishable.
+wide=$(( nproc_val > 2 ? nproc_val : 2 ))
 raw1="$(mktemp)"
 rawN="$(mktemp)"
 trap 'rm -f "$raw1" "$rawN"' EXIT

@@ -39,53 +39,35 @@ if ./bin/hypatialint ./cmd/hypatialint/testdata/src/... >/dev/null; then
     exit 1
 fi
 
-echo "== hypatialint self-check (confinement escape paths) =="
-# The seeded escape bugs in the confine fixture must fail the lint with the
-# full allocation-to-escape path rendered, in text and -json output alike.
+# Each seeded fixture must fail the lint with its explanation rendered in
+# full, in text and -json output alike: the confine fixture's escape bugs
+# with the allocation-to-escape path, the handles fixture's stale handles
+# with the acquire → invalidate → use path, the allocsafety fixture's
+# allocations with the originating site and call chain (including a
+# multi-hop chain through summarized callees). One row per assertion:
+# stanza title | fixture dir | lint flag | grep pattern | failure message.
 # (The lint exits 1 on the findings, so capture before grepping.)
-conftext=$(./bin/hypatialint ./cmd/hypatialint/testdata/src/confine 2>/dev/null || true)
-if ! grep -q 'confinement.*escape path:' <<<"$conftext"; then
-    echo "no confinement finding with an escape path in text output" >&2
-    exit 1
-fi
-confjson=$(./bin/hypatialint -json ./cmd/hypatialint/testdata/src/confine 2>/dev/null || true)
-if ! grep -q 'escape path:' <<<"$confjson"; then
-    echo "no confinement finding with an escape path in -json output" >&2
-    exit 1
-fi
-
-echo "== hypatialint self-check (handlesafety invalidation paths) =="
-# The seeded handle bugs in the handles fixture must fail the lint with the
-# full acquire → invalidate → use path rendered, in text and -json alike.
-handtext=$(./bin/hypatialint ./cmd/hypatialint/testdata/src/internal/sim/handles 2>/dev/null || true)
-if ! grep -q 'handlesafety.*→ invalidated by.*→ used here' <<<"$handtext"; then
-    echo "no handlesafety finding with an acquire → invalidate → use path in text output" >&2
-    exit 1
-fi
-handjson=$(./bin/hypatialint -json ./cmd/hypatialint/testdata/src/internal/sim/handles 2>/dev/null || true)
-if ! grep -q '→ invalidated by' <<<"$handjson"; then
-    echo "no handlesafety finding with its invalidation path in -json output" >&2
-    exit 1
-fi
-
-echo "== hypatialint self-check (allocsafety origin chains) =="
-# The seeded allocation bugs in the allocsafety fixture must fail the lint
-# with the originating site and the full call chain rendered — including a
-# multi-hop chain through summarized callees — in text and -json alike.
-alloctext=$(./bin/hypatialint ./cmd/hypatialint/testdata/src/allocsafety 2>/dev/null || true)
-if ! grep -q 'allocsafety.*//hypatia:noalloc.*allocates at.*call chain:' <<<"$alloctext"; then
-    echo "no allocsafety finding with an allocation site and call chain in text output" >&2
-    exit 1
-fi
-if ! grep -q 'call chain: allocsafety.entry → allocsafety.helper → allocsafety.mid' <<<"$alloctext"; then
-    echo "no allocsafety finding with a multi-hop origin chain in text output" >&2
-    exit 1
-fi
-allocjson=$(./bin/hypatialint -json ./cmd/hypatialint/testdata/src/allocsafety 2>/dev/null || true)
-if ! grep -q 'call chain:' <<<"$allocjson"; then
-    echo "no allocsafety finding with its origin chain in -json output" >&2
-    exit 1
-fi
+stanza=""
+while IFS='|' read -r title dir flag pattern message; do
+    if [[ "$title" != "$stanza" ]]; then
+        echo "== hypatialint self-check ($title) =="
+        stanza="$title"
+    fi
+    # shellcheck disable=SC2086  # $flag is empty or one word
+    found=$(./bin/hypatialint $flag "./cmd/hypatialint/testdata/src/$dir" 2>/dev/null || true)
+    if ! grep -q "$pattern" <<<"$found"; then
+        echo "$message" >&2
+        exit 1
+    fi
+done <<'ROWS'
+confinement escape paths|confine||confinement.*escape path:|no confinement finding with an escape path in text output
+confinement escape paths|confine|-json|escape path:|no confinement finding with an escape path in -json output
+handlesafety invalidation paths|internal/sim/handles||handlesafety.*→ invalidated by.*→ used here|no handlesafety finding with an acquire → invalidate → use path in text output
+handlesafety invalidation paths|internal/sim/handles|-json|→ invalidated by|no handlesafety finding with its invalidation path in -json output
+allocsafety origin chains|allocsafety||allocsafety.*//hypatia:noalloc.*allocates at.*call chain:|no allocsafety finding with an allocation site and call chain in text output
+allocsafety origin chains|allocsafety||call chain: allocsafety.entry → allocsafety.helper → allocsafety.mid|no allocsafety finding with a multi-hop origin chain in text output
+allocsafety origin chains|allocsafety|-json|call chain:|no allocsafety finding with its origin chain in -json output
+ROWS
 
 echo "== alloc guards (default build, GOMAXPROCS=1) =="
 # The runtime half of //hypatia:noalloc: testing.AllocsPerRun pins the
