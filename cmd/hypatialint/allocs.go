@@ -5,8 +5,9 @@ package main
 //
 // Every call-graph node gets an allocation class from a three-point
 // lattice, computed bottom-up over the strongly connected components of
-// the module-local call graph exactly like the effect analysis in
-// effects.go (and reusing its SCC driver and taint machinery):
+// the module-local call graph by the contract engine in contract.go — the
+// same engine the effect analysis in effects.go runs on, whose taint
+// machinery this scan also reuses:
 //
 //	allocNone       provably allocation-free in steady state
 //	allocAmortized  allocates only to grow caller-owned storage: append
@@ -62,171 +63,45 @@ const (
 	allocAlways               // allocates on the steady-state path
 )
 
-func (c allocClass) String() string {
-	switch c {
-	case allocAmortized:
-		return "amortized-grow"
-	case allocAlways:
-		return "allocates"
-	}
-	return "noalloc"
-}
+// allocSummary is the computed allocation summary of one call-graph node:
+// one witness per non-bottom class the node reaches.
+type allocSummary = summary[allocClass]
 
-// allocSummary is the computed allocation class of one call-graph node,
-// with one witness per non-bottom class.
-type allocSummary struct {
-	class   allocClass
-	origins map[allocClass]origin
-}
+// amortizedDirective waives one allocation site.
+const amortizedDirective = "//hypatia:allocs(amortized)"
 
-func (s *allocSummary) add(c allocClass, o origin) bool {
-	if c == allocNone {
-		return false
-	}
-	if s.origins == nil {
-		s.origins = map[allocClass]origin{}
-	}
-	changed := false
-	if _, ok := s.origins[c]; !ok {
-		s.origins[c] = o
-		changed = true
-	}
-	if c > s.class {
-		s.class = c
-		changed = true
-	}
-	return changed
-}
-
-// witness returns the origin of the summary's steady-state allocation,
-// if it has one.
-func (s *allocSummary) witness() (origin, bool) {
-	if s.class != allocAlways {
-		return origin{}, false
-	}
-	return s.origins[allocAlways], true
-}
-
-// Directives of the allocation contract.
-const (
-	noallocDirective   = "//hypatia:noalloc"
-	amortizedDirective = "//hypatia:allocs(amortized)"
-)
-
-// allocAnalysis is the module-wide result: a summary per node plus the
-// directive sets the allocsafety check consumes.
+// allocAnalysis is the module-wide result: the //hypatia:noalloc contract
+// (directive index plus a summary per node) and the site waivers.
 type allocAnalysis struct {
-	ean    *effectAnalysis // minimal carrier for cg + nodeName (no effect summaries)
-	module string
-
-	summaries map[cgKey]*allocSummary
-	// noallocFns are the //hypatia:noalloc-annotated declared functions.
-	noallocFns map[*types.Func]bool
-	// noallocTypes are named function types annotated //hypatia:noalloc:
-	// dynamic calls through values of such a type are allocation-free by
-	// documented contract.
-	noallocTypes map[*types.TypeName]bool
-	// noallocIfaces are interfaces annotated //hypatia:noalloc: calls
-	// through their methods are trusted, and module-local implementers are
-	// held to the contract by checkAllocSafetyPkgs. The list keeps the
-	// deterministic collection order for reporting.
-	noallocIfaces    map[*types.TypeName]bool
-	noallocIfaceList []*types.TypeName
+	*contract[allocClass]
 	// amortizedAt maps filename -> line -> the //hypatia:allocs(amortized)
-	// directive covering that line (the directive's own line and the next,
-	// like //lint:ignore).
+	// directive covering that line (the directive's own line and the next).
+	// A waiver that downgrades a site is marked in the contract's honored
+	// set, so checkDirectiveComments can flag dead ones.
 	amortizedAt map[string]map[int]*ast.Comment
-	// honored records the comment positions of allocation directives that
-	// took effect, so checkDirectiveComments can flag dead ones.
-	honored map[token.Pos]bool
 }
 
 // analyzeAllocs computes allocation summaries for every node of the call
-// graph, bottom-up over its strongly connected components.
+// graph.
 func analyzeAllocs(all []*pkg, cg *callGraph, module string) *allocAnalysis {
 	ax := &allocAnalysis{
-		ean:           &effectAnalysis{cg: cg, module: module},
-		module:        module,
-		summaries:     map[cgKey]*allocSummary{},
-		noallocFns:    map[*types.Func]bool{},
-		noallocTypes:  map[*types.TypeName]bool{},
-		noallocIfaces: map[*types.TypeName]bool{},
-		amortizedAt:   map[string]map[int]*ast.Comment{},
-		honored:       map[token.Pos]bool{},
+		contract: newContract(cg, module, checkAllocSafety, "//hypatia:noalloc",
+			[]allocClass{allocAmortized, allocAlways},
+			func(c allocClass) bool { return c == allocAlways }),
+		amortizedAt: map[string]map[int]*ast.Comment{},
 	}
+	ax.scan = ax.scanNode
 	for _, p := range all {
-		ax.collectDirectives(p)
+		ax.collectWaivers(p)
 	}
-	var order []cgKey
-	for _, p := range all {
-		order = append(order, cg.funcsIn[p]...)
-	}
-	for _, scc := range sccOrder(order, cg) {
-		ax.solveSCC(scc)
-	}
+	ax.solve(all)
 	return ax
 }
 
-// noallocDirectiveIn returns the //hypatia:noalloc comment of a doc group
-// (alone on a line, optionally followed by a rationale), or nil.
-func noallocDirectiveIn(doc *ast.CommentGroup) *ast.Comment {
-	if doc == nil {
-		return nil
-	}
-	for _, c := range doc.List {
-		if c.Text == noallocDirective || strings.HasPrefix(c.Text, noallocDirective+" ") {
-			return c
-		}
-	}
-	return nil
-}
-
-// collectDirectives records //hypatia:noalloc annotations on function and
-// named-function-type declarations, and indexes //hypatia:allocs(amortized)
-// site comments by the lines they cover.
-func (ax *allocAnalysis) collectDirectives(p *pkg) {
+// collectWaivers indexes //hypatia:allocs(amortized) site comments by the
+// lines they cover.
+func (ax *allocAnalysis) collectWaivers(p *pkg) {
 	for _, f := range p.files {
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if c := noallocDirectiveIn(d.Doc); c != nil {
-					if fn, ok := p.info.Defs[d.Name].(*types.Func); ok {
-						ax.noallocFns[fn] = true
-						ax.honored[c.Pos()] = true
-					}
-				}
-			case *ast.GenDecl:
-				if d.Tok != token.TYPE {
-					continue
-				}
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					c := noallocDirectiveIn(ts.Doc)
-					if c == nil && len(d.Specs) == 1 {
-						c = noallocDirectiveIn(d.Doc)
-					}
-					if c == nil {
-						continue
-					}
-					tn, ok := p.info.Defs[ts.Name].(*types.TypeName)
-					if !ok {
-						continue
-					}
-					switch tn.Type().Underlying().(type) {
-					case *types.Signature:
-						ax.noallocTypes[tn] = true
-						ax.honored[c.Pos()] = true
-					case *types.Interface:
-						ax.noallocIfaces[tn] = true
-						ax.noallocIfaceList = append(ax.noallocIfaceList, tn)
-						ax.honored[c.Pos()] = true
-					}
-				}
-			}
-		}
 		for _, cgrp := range f.Comments {
 			for _, c := range cgrp.List {
 				if c.Text != amortizedDirective && !strings.HasPrefix(c.Text, amortizedDirective+" ") {
@@ -248,35 +123,11 @@ func (ax *allocAnalysis) collectDirectives(p *pkg) {
 	}
 }
 
-// solveSCC computes the summaries of one component to fixpoint; the
-// lattice is finite, so summaries only grow and the iteration is bounded.
-func (ax *allocAnalysis) solveSCC(scc []cgKey) {
-	inSCC := map[cgKey]bool{}
-	for _, k := range scc {
-		inSCC[k] = true
-		if ax.summaries[k] == nil {
-			ax.summaries[k] = &allocSummary{}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, k := range scc {
-			fresh := ax.scanNode(k)
-			cur := ax.summaries[k]
-			for _, c := range []allocClass{allocAmortized, allocAlways} {
-				if o, ok := fresh.origins[c]; ok && cur.add(c, o) {
-					changed = true
-				}
-			}
-		}
-	}
-}
-
 // scanNode computes one node's allocation summary from its body, composing
 // callee summaries (provisional ones for same-SCC callees).
-func (ax *allocAnalysis) scanNode(k cgKey) *allocSummary {
-	p := ax.ean.cg.pkgOf[k]
-	body := ax.ean.cg.body[k]
+func (ax *allocAnalysis) scanNode(k cgKey, _ map[cgKey]bool) *allocSummary {
+	p := ax.cg.pkgOf[k]
+	body := ax.cg.body[k]
 	sum := &allocSummary{}
 	if p == nil || body == nil {
 		return sum
@@ -291,10 +142,7 @@ func (ax *allocAnalysis) scanNode(k cgKey) *allocSummary {
 	// Reuse the effect analysis' taint and closure machinery so append-base
 	// provenance agrees with the purity check's notion of caller-owned
 	// storage.
-	sc.fs = &funcScan{an: ax.ean, p: p, body: body, sum: &funcSummary{}}
-	sc.fs.initParams(k)
-	sc.fs.solveTaint()
-	sc.fs.collectClosures()
+	sc.fs = newTaintScan(ax.cg, k)
 	sc.collectCallPositions(body)
 	sc.walk(body, false)
 	// Literal values that never leave this frame (immediately invoked, or
@@ -303,13 +151,13 @@ func (ax *allocAnalysis) scanNode(k cgKey) *allocSummary {
 	// flagged as closure allocations by the walk; their bodies run on
 	// someone else's path, so only the creation cost lands here. Go-launched
 	// literals charge the go statement, not the body.
-	for _, e := range ax.ean.cg.edges[k] {
+	for _, e := range ax.cg.edges[k] {
 		lit, isLit := e.callee.(*ast.FuncLit)
 		if !isLit || e.viaGo || !sc.captive(lit) {
 			continue
 		}
 		if ls := ax.summaries[lit]; ls != nil {
-			sc.inherit(ls, ax.ean.nodeName(lit), lit.Pos(), false)
+			sc.inherit(ls, ax.cg.nodeName(lit), lit.Pos(), false)
 		}
 	}
 	return sum
@@ -321,7 +169,7 @@ type allocScan struct {
 	p   *pkg
 	sum *allocSummary
 	sig *types.Signature // the node's own signature, for return boxing
-	fs  *funcScan        // borrowed taint/closure machinery
+	fs  *taintScan       // storage provenance of append bases, once-bound literals
 	// callFuns are the expressions in call-function position, so a selector
 	// or literal used as a value (method value, escaping closure) can be
 	// told from one that is simply being called.
@@ -803,16 +651,16 @@ func (sc *allocScan) scanCall(call *ast.CallExpr, guarded bool) {
 				}
 			}
 		}
-		if named, ok := info.TypeOf(call.Fun).(*types.Named); ok && sc.ax.noallocTypes[named.Obj()] {
+		if named, ok := info.TypeOf(call.Fun).(*types.Named); ok && sc.ax.funcTypes[named.Obj()] {
 			return
 		}
 		sc.always(fmt.Sprintf("calls %s dynamically (not through a //hypatia:noalloc function type)", exprLabel(call.Fun)), call.Pos())
 		return
 	}
 
-	if _, hasBody := sc.ax.ean.cg.body[callee]; hasBody {
+	if _, hasBody := sc.ax.cg.body[callee]; hasBody {
 		if cs := sc.ax.summaries[callee]; cs != nil {
-			sc.inherit(cs, sc.ax.ean.nodeName(callee), call.Pos(), guarded)
+			sc.inherit(cs, sc.ax.cg.nodeName(callee), call.Pos(), guarded)
 		}
 		return
 	}
@@ -848,7 +696,7 @@ func (sc *allocScan) ifaceBlessed(fun ast.Expr) bool {
 		t = ptr.Elem()
 	}
 	named, ok := t.(*types.Named)
-	return ok && sc.ax.noallocIfaces[named.Obj()]
+	return ok && sc.ax.ifaces[named.Obj()]
 }
 
 // scanConversion charges the conversions that copy their operand to fresh
@@ -1013,24 +861,4 @@ func (sc *allocScan) scanStdAlloc(call *ast.CallExpr, callee *types.Func) {
 	case class == allocAmortized:
 		sc.amortized(fmt.Sprintf("calls %s (amortized growth)", stdLabel(callee)), call.Pos())
 	}
-}
-
-// serializableAllocs renders the allocation classes of one package's
-// declared functions for the on-disk fact cache; allocation-free functions
-// are omitted (absence means proven NoAlloc).
-func (ax *allocAnalysis) serializableAllocs(p *pkg) map[string]string {
-	out := map[string]string{}
-	for _, k := range ax.ean.cg.funcsIn[p] {
-		fn, ok := k.(*types.Func)
-		if !ok {
-			continue
-		}
-		if sum := ax.summaries[k]; sum != nil && sum.class != allocNone {
-			out[ax.ean.nodeName(fn)] = sum.class.String()
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }

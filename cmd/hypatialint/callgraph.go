@@ -12,8 +12,10 @@ package main
 // conservatively where it matters and document the gap otherwise.
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // cgKey identifies a call-graph node: *types.Func or *ast.FuncLit.
@@ -157,4 +159,35 @@ func (cg *callGraph) reach(roots []cgKey, followGo bool) map[cgKey]bool {
 		}
 	}
 	return seen
+}
+
+// fnDisplay renders a function as Name, or Recv.Name for a method.
+func fnDisplay(fn *types.Func) string {
+	name := fn.Name()
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		if _, rn, ok := namedType(sig.Recv().Type()); ok {
+			return rn + "." + name
+		}
+	}
+	return name
+}
+
+// nodeName renders a call-graph node for witnesses and findings.
+func (cg *callGraph) nodeName(k cgKey) string {
+	switch k := k.(type) {
+	case *types.Func:
+		name := fnDisplay(k)
+		if k.Pkg() != nil {
+			path := k.Pkg().Path()
+			if i := strings.LastIndex(path, "/"); i >= 0 {
+				path = path[i+1:]
+			}
+			name = path + "." + name
+		}
+		return name
+	case *ast.FuncLit:
+		pos := cg.pkgOf[k].fset.Position(k.Pos())
+		return fmt.Sprintf("func literal at %s:%d", shortFile(pos.Filename), pos.Line)
+	}
+	return "?"
 }

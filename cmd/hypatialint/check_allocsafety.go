@@ -27,79 +27,20 @@ import (
 // caller. Implementers need no annotation of their own — the contract is
 // summary-transitive — their computed class just must not be Allocates.
 func checkAllocSafetyPkgs(targets []*pkg, ax *allocAnalysis, rep *reporter) {
-	for _, p := range targets {
-		for _, k := range ax.ean.cg.funcsIn[p] {
-			fn, ok := k.(*types.Func)
-			if !ok || !ax.noallocFns[fn] {
-				continue
-			}
-			decl := ax.ean.cg.declOf[fn]
-			if decl == nil {
-				continue
-			}
-			name := ax.ean.nodeName(fn)
-			sum := ax.summaries[k]
-			if sum == nil {
-				continue
-			}
-			if o, allocates := sum.witness(); allocates {
-				rep.add(decl.Name.Pos(), checkAllocSafety,
-					fmt.Sprintf("%s is marked //hypatia:noalloc but %s", name, o.describe(name)))
-			}
+	allocating := func(_, itn *types.TypeName, _, impl *types.Func) string {
+		sum := ax.summaries[impl]
+		if sum == nil {
+			return ""
 		}
-		checkAllocImplementers(p, ax, rep)
+		o, allocates := ax.witness(sum)
+		if !allocates {
+			return ""
+		}
+		name := ax.cg.nodeName(impl)
+		return fmt.Sprintf("%s satisfies //hypatia:noalloc interface %s.%s, but %s", name, itn.Pkg().Name(), itn.Name(), o.describe(name))
 	}
-}
-
-// checkAllocImplementers reports module-local methods that satisfy a
-// //hypatia:noalloc interface with a summary that allocates. (A type
-// satisfying an annotated interface declared downstream of its own package
-// is invisible from here — the same documented structural-typing gap the
-// purity check has.)
-func checkAllocImplementers(p *pkg, ax *allocAnalysis, rep *reporter) {
-	scope := p.types.Scope()
-	reported := map[*types.Func]bool{}
-	for _, tname := range scope.Names() {
-		tn, ok := scope.Lookup(tname).(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue
-		}
-		if _, isIface := tn.Type().Underlying().(*types.Interface); isIface {
-			continue
-		}
-		for _, itn := range ax.noallocIfaceList {
-			iface, ok := itn.Type().Underlying().(*types.Interface)
-			if !ok {
-				continue
-			}
-			ptr := types.NewPointer(tn.Type())
-			if !types.Implements(tn.Type(), iface) && !types.Implements(ptr, iface) {
-				continue
-			}
-			for i := 0; i < iface.NumMethods(); i++ {
-				m := iface.Method(i)
-				obj, _, _ := types.LookupFieldOrMethod(ptr, true, m.Pkg(), m.Name())
-				impl, ok := obj.(*types.Func)
-				if !ok || reported[impl] {
-					continue
-				}
-				decl := ax.ean.cg.declOf[impl]
-				if decl == nil || ax.ean.cg.pkgOf[impl] != p {
-					continue // promoted from elsewhere; checked in its own package
-				}
-				sum := ax.summaries[impl]
-				if sum == nil {
-					continue
-				}
-				o, allocates := sum.witness()
-				if !allocates {
-					continue
-				}
-				reported[impl] = true
-				name := ax.ean.nodeName(impl)
-				rep.add(decl.Name.Pos(), checkAllocSafety,
-					fmt.Sprintf("%s satisfies //hypatia:noalloc interface %s.%s, but %s", name, itn.Pkg().Name(), itn.Name(), o.describe(name)))
-			}
-		}
+	for _, p := range targets {
+		ax.checkAnnotated(p, rep, nil)
+		ax.checkImplementers(p, rep, allocating)
 	}
 }

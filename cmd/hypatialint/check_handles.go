@@ -145,27 +145,21 @@ var handleLattice = flowLattice[handleFact]{
 }
 
 // handleSummaries holds the interprocedural state: inferred parameter
-// expectations, return domains, and the invalidation sets, refined to
-// fixpoint over the call graph. Explicit //hypatia:handle annotations are
-// immutable axioms the proposals never override.
+// expectations and return domains (the shared tag summaries), plus the
+// invalidation sets, refined to fixpoint over the call graph. Explicit
+// //hypatia:handle annotations are immutable axioms: the methods below
+// shadow the inferred ones so a proposal never overrides an annotation.
 type handleSummaries struct {
+	tagSummaries[string]
 	hx          *handleIndex
-	expect      map[*types.Func][]string
-	expectConf  map[*types.Func]uint64
-	ret         map[*types.Func]string
-	retConf     map[*types.Func]bool
 	invalidates map[*types.Func]map[string]bool
-	changed     bool
 }
 
 func newHandleSummaries(hx *handleIndex) *handleSummaries {
 	s := &handleSummaries{
-		hx:          hx,
-		expect:      map[*types.Func][]string{},
-		expectConf:  map[*types.Func]uint64{},
-		ret:         map[*types.Func]string{},
-		retConf:     map[*types.Func]bool{},
-		invalidates: map[*types.Func]map[string]bool{},
+		tagSummaries: newTagSummaries[string](),
+		hx:           hx,
+		invalidates:  map[*types.Func]map[string]bool{},
 	}
 	for fn, doms := range hx.epochFns {
 		set := map[string]bool{}
@@ -186,45 +180,14 @@ func (s *handleSummaries) explicitParam(fn *types.Func, idx int) handleSpec {
 }
 
 func (s *handleSummaries) propose(fn *types.Func, idx int, dom string) {
-	if fn == nil || dom == "" || idx >= 64 {
-		return
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || idx >= sig.Params().Len() {
-		return
-	}
-	if !s.explicitParam(fn, idx).zero() {
-		return
-	}
-	if s.expect[fn] == nil {
-		s.expect[fn] = make([]string, sig.Params().Len())
-	}
-	if s.expectConf[fn]&(1<<idx) != 0 {
-		return
-	}
-	switch cur := s.expect[fn][idx]; {
-	case cur == "":
-		s.expect[fn][idx] = dom
-		s.changed = true
-	case cur != dom:
-		s.expect[fn][idx] = ""
-		s.expectConf[fn] |= 1 << idx
-		s.changed = true
+	if s.explicitParam(fn, idx).zero() {
+		s.tagSummaries.propose(fn, idx, dom)
 	}
 }
 
 func (s *handleSummaries) proposeRet(fn *types.Func, dom string) {
-	if fn == nil || dom == "" || s.retConf[fn] || s.hx.results[fn] != nil {
-		return
-	}
-	switch cur := s.ret[fn]; {
-	case cur == "":
-		s.ret[fn] = dom
-		s.changed = true
-	case cur != dom:
-		s.ret[fn] = ""
-		s.retConf[fn] = true
-		s.changed = true
+	if s.hx.results[fn] == nil {
+		s.tagSummaries.proposeRet(fn, dom)
 	}
 }
 
@@ -251,10 +214,7 @@ func (s *handleSummaries) expectation(fn *types.Func, idx int) string {
 	if spec := s.explicitParam(fn, idx); !spec.zero() {
 		return spec.dom // array-spec parameters are not scalar sinks
 	}
-	if e := s.expect[fn]; idx < len(e) {
-		return e[idx]
-	}
-	return ""
+	return s.tagSummaries.expectation(fn, idx)
 }
 
 // retSpecs returns the handle specs of fn's result tuple: explicit
@@ -277,43 +237,9 @@ func checkHandleSafetyPkgs(targets, all []*pkg, cfg config, hx *handleIndex, rep
 	if hx.count == 0 {
 		return
 	}
-	var scopeAll, scopeTargets []*pkg
-	seen := map[*pkg]bool{}
-	for _, p := range all {
-		if inSimScope(p.path, cfg.handleScope) && !seen[p] {
-			seen[p] = true
-			scopeAll = append(scopeAll, p)
-		}
-	}
-	for _, p := range targets {
-		if inSimScope(p.path, cfg.handleScope) {
-			scopeTargets = append(scopeTargets, p)
-			if !seen[p] {
-				seen[p] = true
-				scopeAll = append(scopeAll, p)
-			}
-		}
-	}
-	if len(scopeTargets) == 0 {
-		return
-	}
 	sums := newHandleSummaries(hx)
-	for iter := 0; iter < 10; iter++ {
-		sums.changed = false
-		for _, p := range scopeAll {
-			forEachFuncDecl(p, func(fd *ast.FuncDecl) {
-				analyzeHandlesFunc(p, fd, hx, sums, nil)
-			})
-		}
-		if !sums.changed {
-			break
-		}
-	}
-	for _, p := range scopeTargets {
-		rp := rep
-		forEachFuncDecl(p, func(fd *ast.FuncDecl) {
-			analyzeHandlesFunc(p, fd, hx, sums, rp)
-		})
+	analyze := func(p *pkg, fd *ast.FuncDecl, rep *reporter) { analyzeHandlesFunc(p, fd, hx, sums, rep) }
+	for _, p := range runTagFamily(targets, all, cfg.handleScope, &sums.changed, rep, analyze) {
 		checkExhaustivePkg(p, hx, rep)
 	}
 }
@@ -335,10 +261,8 @@ func analyzeHandlesFunc(p *pkg, fd *ast.FuncDecl, hx *handleIndex, sums *handleS
 			hc.paramObjs[sig.Recv()] = true
 		}
 	}
-	bodies := []*ast.BlockStmt{fd.Body}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok {
-			bodies = append(bodies, lit.Body)
 			// Literal parameters are excused from the cannot-prove rule:
 			// the literal's call sites are dynamic, so no expectation can
 			// reach them.
@@ -352,23 +276,7 @@ func analyzeHandlesFunc(p *pkg, fd *ast.FuncDecl, hx *handleIndex, sums *handleS
 		}
 		return true
 	})
-	for _, body := range bodies {
-		g := buildCFG(body, p.info)
-		if g.unstructured {
-			continue
-		}
-		isDeclBody := body == fd.Body
-		xfer := func(f handleFact, n ast.Node, emit func(ast.Node, string, string)) handleFact {
-			return hc.transfer(f, n, isDeclBody, emit)
-		}
-		in := forwardDataflow(g, handleLattice, newHandleFact(), xfer)
-		if rep != nil {
-			emit := func(n ast.Node, check, msg string) { rep.add(n.Pos(), check, msg) }
-			replayDataflow(g, handleLattice, in, xfer, emit)
-		} else {
-			replayDataflow(g, handleLattice, in, xfer, nil)
-		}
-	}
+	flowBodies(p, fd, handleLattice, rep, hc.transfer)
 }
 
 type handleChecker struct {
@@ -416,17 +324,6 @@ func exprName(e ast.Expr) string {
 func coercible(lhs ast.Expr) bool {
 	id, ok := ast.Unparen(lhs).(*ast.Ident)
 	return ok && id.Name != "_"
-}
-
-// fnDisplay renders a callee for invalidation messages.
-func fnDisplay(fn *types.Func) string {
-	name := fn.Name()
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if _, rn, ok := namedType(sig.Recv().Type()); ok {
-			return rn + "." + name
-		}
-	}
-	return name
 }
 
 // bump invalidates every tracked handle governed by a domain in doms,
@@ -682,7 +579,7 @@ func (hc *handleChecker) store(f handleFact, lhs ast.Expr, v handleVal, emit fun
 							field.Name(), want, v.dom, hc.acqText(v)))
 					}
 				} else if v.dom == "" {
-					hc.inferMask(v.mask, want)
+					inferMask(hc.sums, hc.fn, v.mask, want)
 				}
 			}
 		}
@@ -701,7 +598,7 @@ func (hc *handleChecker) store(f handleFact, lhs ast.Expr, v handleVal, emit fun
 						exprName(lhs.X), base.elem, v.dom, hc.acqText(v)))
 				}
 			} else if v.dom == "" {
-				hc.inferMask(v.mask, base.elem)
+				inferMask(hc.sums, hc.fn, v.mask, base.elem)
 			}
 		}
 	case *ast.StarExpr:
@@ -846,7 +743,7 @@ func (hc *handleChecker) checkIndex(f handleFact, e *ast.IndexExpr, base handleV
 					what, base.idx, iv.dom, hc.acqText(iv)))
 			}
 		case iv.mask != 0:
-			hc.inferMask(iv.mask, base.idx)
+			inferMask(hc.sums, hc.fn, iv.mask, base.idx)
 		case iv.param:
 			// A literal's parameter: call sites are dynamic, excused.
 		default:
@@ -906,7 +803,7 @@ func (hc *handleChecker) evalCall(f handleFact, call *ast.CallExpr, emit func(as
 					i, fnDisplay(fn), want, v.dom, hc.acqText(v)))
 			}
 		default:
-			hc.inferMask(v.mask, want)
+			inferMask(hc.sums, hc.fn, v.mask, want)
 		}
 	}
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
@@ -920,15 +817,6 @@ func (hc *handleChecker) evalCall(f handleFact, call *ast.CallExpr, emit func(as
 		return hc.specVal(f, specs[0], call.Pos())
 	}
 	return handleVal{}
-}
-
-func (hc *handleChecker) inferMask(mask uint64, dom string) {
-	for idx := 0; mask != 0; idx++ {
-		if mask&1 != 0 {
-			hc.sums.propose(hc.fn, idx, dom)
-		}
-		mask >>= 1
-	}
 }
 
 // isConst reports whether e is a compile-time constant index.

@@ -2,8 +2,8 @@ package main
 
 // The purity check turns //hypatia:pure into a verified contract. Three
 // rule groups, all reporting inside the package under analysis so findings
-// stay a function of that package plus its dependencies (the property the
-// fact cache keys on):
+// stay a function of that package plus its dependencies (linting a package
+// alone or as part of ./... reports the same findings for it):
 //
 //  1. Contract verification: an annotated function whose effect summary
 //     contains any impure bit is a finding at its declaration, naming the
@@ -18,7 +18,7 @@ package main
 //     reachable from the pipeline's worker bodies carries — and passes —
 //     the contract.
 //
-//  3. Roots: inside -purescope packages (default internal/core), every
+//  3. Roots: inside the pureScope packages (internal/core), every
 //     goroutine body is treated as a pipeline worker. Its own body may use
 //     channels, spawn further goroutines, and fill caller-owned arenas —
 //     that is how the pipeline communicates — but may not touch globals,
@@ -36,15 +36,24 @@ import (
 )
 
 // checkPurityPkgs runs the purity check over the lint targets, using effect
-// summaries computed over every loaded package. It returns the analysis so
-// the driver can persist per-package effect facts.
+// summaries computed over every loaded package. It returns the analysis for
+// the confinement check, which trusts the same annotated types.
 func checkPurityPkgs(targets, all []*pkg, cg *callGraph, cfg config, conf *confIndex, hx *handleIndex, ax *allocAnalysis, rep *reporter) *effectAnalysis {
 	an := analyzeEffects(all, cg, cfg.module)
+	// An implementer of a //hypatia:pure interface must carry the annotation
+	// itself, which checkAnnotated then holds it to.
+	unannotated := func(tn, itn *types.TypeName, m, impl *types.Func) string {
+		if an.fns[impl] {
+			return ""
+		}
+		return fmt.Sprintf("%s satisfies //hypatia:pure interface %s.%s; mark %s //hypatia:pure (calls through the interface are trusted)",
+			tn.Name(), itn.Pkg().Name(), itn.Name(), m.Name())
+	}
 	for _, p := range targets {
 		pc := &purityChecker{an: an, p: p, conf: conf, handles: hx, allocs: ax, rep: rep}
 		pc.checkDirectiveComments()
-		pc.checkAnnotated()
-		pc.checkImplementers()
+		an.checkAnnotated(p, rep, pc.checkCalleesAnnotated)
+		an.checkImplementers(p, rep, unannotated)
 		if inSimScope(p.path, cfg.pureScope) {
 			pc.checkRoots()
 		}
@@ -125,32 +134,10 @@ func (pc *purityChecker) checkDirectiveComments() {
 	}
 }
 
-// checkAnnotated applies rules 1 and 2 to the annotated functions declared
-// in this package.
-func (pc *purityChecker) checkAnnotated() {
-	for _, k := range pc.an.cg.funcsIn[pc.p] {
-		fn, ok := k.(*types.Func)
-		if !ok || !pc.an.pureFns[fn] {
-			continue
-		}
-		decl := pc.an.cg.declOf[fn]
-		if decl == nil {
-			continue
-		}
-		name := pc.an.nodeName(fn)
-		if sum := pc.an.summaries[k]; sum != nil {
-			if o, impure := sum.witness(); impure {
-				pc.rep.add(decl.Name.Pos(), checkPurity,
-					fmt.Sprintf("%s is marked //hypatia:pure but %s", name, o.describe(name)))
-			}
-		}
-		pc.checkCalleesAnnotated(k, decl.Body, name)
-	}
-}
-
 // checkCalleesAnnotated enforces rule 2 over one node's body and its
 // plainly defined literals: every static module-local callee must itself
-// carry the directive.
+// carry the directive. (Rule 1 is the contract engine's checkAnnotated,
+// which calls this on every annotated declaration.)
 func (pc *purityChecker) checkCalleesAnnotated(k cgKey, body *ast.BlockStmt, owner string) {
 	bodyInspect(body, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
@@ -158,64 +145,19 @@ func (pc *purityChecker) checkCalleesAnnotated(k cgKey, body *ast.BlockStmt, own
 			return
 		}
 		callee := resolveCallee(pc.p.info, call)
-		if callee == nil || pc.an.pureFns[callee] {
+		if callee == nil || pc.an.fns[callee] {
 			return
 		}
 		if _, hasBody := pc.an.cg.body[callee]; !hasBody {
 			return // interface/stdlib: rule 1 handles it via the summary
 		}
 		pc.rep.add(call.Pos(), checkPurity,
-			fmt.Sprintf("%s calls %s, which is not marked //hypatia:pure; annotate it (and fix what the analysis finds) or drop the contract", owner, pc.an.nodeName(callee)))
+			fmt.Sprintf("%s calls %s, which is not marked //hypatia:pure; annotate it (and fix what the analysis finds) or drop the contract", owner, pc.an.cg.nodeName(callee)))
 	})
 	for _, e := range pc.an.cg.edges[k] {
 		lit, isLit := e.callee.(*ast.FuncLit)
 		if isLit && !e.viaGo {
 			pc.checkCalleesAnnotated(lit, lit.Body, owner)
-		}
-	}
-}
-
-// checkImplementers enforces the honesty side of //hypatia:pure interfaces:
-// calls through such an interface are trusted, so every module-local type
-// that satisfies one must carry the annotation on the methods it declares
-// here. (A type satisfying a pure interface declared downstream of its own
-// package is invisible from here — the documented structural-typing gap.)
-func (pc *purityChecker) checkImplementers() {
-	scope := pc.p.types.Scope()
-	reported := map[*types.Func]bool{}
-	for _, tname := range scope.Names() {
-		tn, ok := scope.Lookup(tname).(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue
-		}
-		if _, isIface := tn.Type().Underlying().(*types.Interface); isIface {
-			continue
-		}
-		for _, itn := range pc.an.pureIfaceList {
-			iface, ok := itn.Type().Underlying().(*types.Interface)
-			if !ok {
-				continue
-			}
-			ptr := types.NewPointer(tn.Type())
-			if !types.Implements(tn.Type(), iface) && !types.Implements(ptr, iface) {
-				continue
-			}
-			for i := 0; i < iface.NumMethods(); i++ {
-				m := iface.Method(i)
-				obj, _, _ := types.LookupFieldOrMethod(ptr, true, m.Pkg(), m.Name())
-				impl, ok := obj.(*types.Func)
-				if !ok || pc.an.pureFns[impl] || reported[impl] {
-					continue
-				}
-				decl := pc.an.cg.declOf[impl]
-				if decl == nil || pc.an.cg.pkgOf[impl] != pc.p {
-					continue // promoted from elsewhere; checked in its own package
-				}
-				reported[impl] = true
-				pc.rep.add(decl.Name.Pos(), checkPurity,
-					fmt.Sprintf("%s satisfies //hypatia:pure interface %s.%s; mark %s //hypatia:pure (calls through the interface are trusted)",
-						tn.Name(), itn.Pkg().Name(), itn.Name(), m.Name()))
-			}
 		}
 	}
 }
@@ -261,9 +203,9 @@ func (pc *purityChecker) checkRoot(g *ast.GoStmt, seen map[cgKey]bool) {
 	}
 	// Launched function lives outside this package (or has no body): the
 	// contract must travel with it as an annotation checked over there.
-	if !pc.an.pureFns[callee] {
+	if !pc.an.fns[callee] {
 		pc.rep.add(g.Pos(), checkPurity,
-			fmt.Sprintf("launches %s, which is defined outside this package and not marked //hypatia:pure", pc.an.nodeName(callee)))
+			fmt.Sprintf("launches %s, which is defined outside this package and not marked //hypatia:pure", pc.an.cg.nodeName(callee)))
 	}
 }
 
@@ -279,13 +221,11 @@ func (pc *purityChecker) scanRootBody(k cgKey, seen map[cgKey]bool) {
 	if body == nil {
 		return
 	}
-	name := pc.an.nodeName(k)
-	fs := &funcScan{an: pc.an, p: pc.p, body: body, sum: &funcSummary{}, trustPure: true}
-	fs.initParams(k)
-	fs.solveTaint()
+	name := pc.an.cg.nodeName(k)
+	fs := &funcScan{taintScan: newTaintScan(pc.an.cg, k), an: pc.an, sum: &funcSummary{}, trustPure: true}
 	fs.walk()
 	for _, en := range effectNames {
-		if en.bit&effImpure == 0 || en.bit&rootAllowed != 0 || fs.sum.mask&en.bit == 0 {
+		if en.bit&effImpure == 0 || en.bit&rootAllowed != 0 || !fs.sum.has(en.bit) {
 			continue
 		}
 		o := fs.sum.origins[en.bit]
@@ -302,14 +242,14 @@ func (pc *purityChecker) scanRootBody(k cgKey, seen map[cgKey]bool) {
 			return
 		}
 		callee := resolveCallee(pc.p.info, call)
-		if callee == nil || pc.an.pureFns[callee] {
+		if callee == nil || pc.an.fns[callee] {
 			return
 		}
 		if _, hasBody := pc.an.cg.body[callee]; !hasBody {
 			return
 		}
 		pc.rep.add(call.Pos(), checkPurity,
-			fmt.Sprintf("pipeline goroutine %s calls %s, which is not marked //hypatia:pure", name, pc.an.nodeName(callee)))
+			fmt.Sprintf("pipeline goroutine %s calls %s, which is not marked //hypatia:pure", name, pc.an.cg.nodeName(callee)))
 	})
 	for _, e := range pc.an.cg.edges[k] {
 		if lit, isLit := e.callee.(*ast.FuncLit); isLit {

@@ -117,132 +117,20 @@ var unitLattice = flowLattice[unitFact]{
 	},
 }
 
-// unitSummaries holds the interprocedural state: per-function parameter
-// expectations and return units, refined to fixpoint over the call graph.
-type unitSummaries struct {
-	expect     map[*types.Func][]unit
-	expectConf map[*types.Func]uint64 // params with conflicting expectations
-	ret        map[*types.Func]unit
-	retConf    map[*types.Func]bool
-	changed    bool
-}
-
-func (s *unitSummaries) propose(fn *types.Func, idx int, u unit) {
-	if fn == nil || u == unitNone || idx >= 64 {
-		return
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || idx >= sig.Params().Len() {
-		return
-	}
-	if s.expect[fn] == nil {
-		s.expect[fn] = make([]unit, sig.Params().Len())
-	}
-	if s.expectConf[fn]&(1<<idx) != 0 {
-		return
-	}
-	switch cur := s.expect[fn][idx]; {
-	case cur == unitNone:
-		s.expect[fn][idx] = u
-		s.changed = true
-	case cur != u:
-		s.expect[fn][idx] = unitNone
-		s.expectConf[fn] |= 1 << idx
-		s.changed = true
-	}
-}
-
-func (s *unitSummaries) proposeRet(fn *types.Func, u unit) {
-	if fn == nil || u == unitNone || s.retConf[fn] {
-		return
-	}
-	switch cur := s.ret[fn]; {
-	case cur == unitNone:
-		s.ret[fn] = u
-		s.changed = true
-	case cur != u:
-		s.ret[fn] = unitNone
-		s.retConf[fn] = true
-		s.changed = true
-	}
-}
-
-// expectation returns the inferred unit for fn's idx-th parameter.
-func (s *unitSummaries) expectation(fn *types.Func, idx int) unit {
-	if e := s.expect[fn]; idx < len(e) {
-		return e[idx]
-	}
-	return unitNone
-}
-
-// checkUnitSafetyPkgs runs the unitsafety family. Summaries are computed
-// over every loaded package inside the unit scope (so linting one package
-// still sees its in-scope dependencies' parameter expectations); findings
-// are reported only for the lint targets.
+// checkUnitSafetyPkgs runs the unitsafety family: per-function parameter
+// expectations and return units are refined to fixpoint over every loaded
+// package inside the unit scope, then findings are reported for the lint
+// targets (see runTagFamily).
 func checkUnitSafetyPkgs(targets, all []*pkg, cfg config, rep *reporter) {
-	var scopeAll, scopeTargets []*pkg
-	seen := map[*pkg]bool{}
-	for _, p := range all {
-		if inSimScope(p.path, cfg.unitScope) && !seen[p] {
-			seen[p] = true
-			scopeAll = append(scopeAll, p)
-		}
-	}
-	for _, p := range targets {
-		if inSimScope(p.path, cfg.unitScope) {
-			scopeTargets = append(scopeTargets, p)
-			if !seen[p] {
-				seen[p] = true
-				scopeAll = append(scopeAll, p)
-			}
-		}
-	}
-	if len(scopeTargets) == 0 {
-		return
-	}
-	sums := &unitSummaries{
-		expect:     map[*types.Func][]unit{},
-		expectConf: map[*types.Func]uint64{},
-		ret:        map[*types.Func]unit{},
-		retConf:    map[*types.Func]bool{},
-	}
-	// Phase A: infer parameter expectations and return units to fixpoint.
-	for iter := 0; iter < 10; iter++ {
-		sums.changed = false
-		for _, p := range scopeAll {
-			forEachFuncDecl(p, func(fd *ast.FuncDecl) {
-				analyzeUnitsFunc(p, fd, sums, nil)
-			})
-		}
-		if !sums.changed {
-			break
-		}
-	}
-	// Phase B: report against the converged summaries.
-	for _, p := range scopeTargets {
-		rp := rep
-		forEachFuncDecl(p, func(fd *ast.FuncDecl) {
-			analyzeUnitsFunc(p, fd, sums, rp)
-		})
-	}
-}
-
-// forEachFuncDecl visits the package's function declarations (literals are
-// analyzed as part of their enclosing function here: a literal's body is in
-// its own CFG, so it is visited separately with no parameter mask).
-func forEachFuncDecl(p *pkg, fn func(fd *ast.FuncDecl)) {
-	for _, f := range p.files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				fn(fd)
-			}
-		}
-	}
+	sums := newTagSummaries[unit]()
+	runTagFamily(targets, all, cfg.unitScope, &sums.changed, rep, func(p *pkg, fd *ast.FuncDecl, rep *reporter) {
+		analyzeUnitsFunc(p, fd, &sums, rep)
+	})
 }
 
 // analyzeUnitsFunc runs the unit dataflow over one declaration and the
 // literals it contains. rep == nil means summary (inference) mode.
-func analyzeUnitsFunc(p *pkg, fd *ast.FuncDecl, sums *unitSummaries, rep *reporter) {
+func analyzeUnitsFunc(p *pkg, fd *ast.FuncDecl, sums *tagSummaries[unit], rep *reporter) {
 	fn, _ := p.info.Defs[fd.Name].(*types.Func)
 	if fn == nil || isUnitConverter(fn) {
 		// geom.Rad / geom.Deg are the converters themselves: their bodies
@@ -255,35 +143,12 @@ func analyzeUnitsFunc(p *pkg, fd *ast.FuncDecl, sums *unitSummaries, rep *report
 			uc.params[sig.Params().At(i)] = i
 		}
 	}
-	bodies := []*ast.BlockStmt{fd.Body}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			bodies = append(bodies, lit.Body)
-		}
-		return true
-	})
-	for _, body := range bodies {
-		g := buildCFG(body, p.info)
-		if g.unstructured {
-			continue
-		}
-		isDeclBody := body == fd.Body
-		xfer := func(f unitFact, n ast.Node, emit func(ast.Node, string, string)) unitFact {
-			return uc.transfer(f, n, isDeclBody, emit)
-		}
-		in := forwardDataflow(g, unitLattice, unitFact{}, xfer)
-		if rep != nil {
-			emit := func(n ast.Node, check, msg string) { rep.add(n.Pos(), check, msg) }
-			replayDataflow(g, unitLattice, in, xfer, emit)
-		} else {
-			replayDataflow(g, unitLattice, in, xfer, nil)
-		}
-	}
+	flowBodies(p, fd, unitLattice, rep, uc.transfer)
 }
 
 type unitChecker struct {
 	p      *pkg
-	sums   *unitSummaries
+	sums   *tagSummaries[unit]
 	fn     *types.Func
 	params map[*types.Var]int
 }
@@ -658,7 +523,7 @@ func (uc *unitChecker) sink(v unitVal, want unit, at ast.Node, what string, emit
 		return
 	}
 	if v.u == unitNone {
-		uc.inferMask(v.mask, want)
+		inferMask(uc.sums, uc.fn, v.mask, want)
 	}
 }
 
@@ -674,19 +539,10 @@ func (uc *unitChecker) checkMix(l, r unitVal, at ast.Node, emit func(ast.Node, s
 // parameter meters).
 func (uc *unitChecker) inferFromPair(l, r unitVal) {
 	if l.u != unitNone && r.u == unitNone {
-		uc.inferMask(r.mask, l.u)
+		inferMask(uc.sums, uc.fn, r.mask, l.u)
 	}
 	if r.u != unitNone && l.u == unitNone {
-		uc.inferMask(l.mask, r.u)
-	}
-}
-
-func (uc *unitChecker) inferMask(mask uint64, want unit) {
-	for idx := 0; mask != 0; idx++ {
-		if mask&1 != 0 {
-			uc.sums.propose(uc.fn, idx, want)
-		}
-		mask >>= 1
+		inferMask(uc.sums, uc.fn, l.mask, r.u)
 	}
 }
 

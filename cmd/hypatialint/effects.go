@@ -3,10 +3,9 @@ package main
 // Interprocedural effect analysis: the engine behind the purity check.
 //
 // Every call-graph node (declared function, method, or function literal)
-// gets an effect summary — a bitmask over the lattice below plus one witness
-// per bit — computed bottom-up over the strongly connected components of the
-// module-local call graph. Within an SCC the members iterate to a fixpoint;
-// the lattice is a finite union, so the iteration is trivially bounded.
+// gets an effect summary — a set of bits of the lattice below with one
+// witness per bit — computed bottom-up by the contract engine in
+// contract.go; this file is the lattice and the per-node scan.
 //
 // The analysis distinguishes caller-owned mutation from shared mutation:
 // writing through a parameter or receiver pointee (effMutatesPointee) is the
@@ -51,8 +50,8 @@ const (
 const effImpure = effWritesGlobal | effReadsGlobal | effTime | effRand |
 	effIO | effSpawn | effChan | effMapOrder | effUnknownCall
 
-// effectNames are the stable external names of the lattice bits, used in
-// messages and in the persisted per-package fact files.
+// effectNames are the lattice bits in summary order, with the names the
+// standard-library summary messages use.
 var effectNames = []struct {
 	bit  effect
 	name string
@@ -69,214 +68,44 @@ var effectNames = []struct {
 	{effMutatesPointee, "mutates-pointee"},
 }
 
-func (e effect) names() []string {
-	var out []string
-	for _, en := range effectNames {
-		if e&en.bit != 0 {
-			out = append(out, en.name)
-		}
-	}
-	return out
-}
-
-// origin is the witness for one effect bit of one summary: what the
-// primitive effect is, where it happens, and the call chain (callee names,
-// outermost first) from the summarized function down to the site.
-type origin struct {
-	What  string
-	Site  token.Position
-	Chain []string
-	// pos is where this effect surfaces in the summarized function itself —
-	// the primitive site, or the local call site for inherited effects — so
-	// findings always land inside the package under analysis.
-	pos token.Pos
-}
-
-// describe renders the witness for a finding message, naming the full call
-// chain starting from fn.
-func (o origin) describe(fn string) string {
-	chain := fn
-	if len(o.Chain) > 0 {
-		chain += " → " + strings.Join(o.Chain, " → ")
-	}
-	return fmt.Sprintf("%s at %s:%d (call chain: %s)", o.What, shortFile(o.Site.Filename), o.Site.Line, chain)
-}
-
-func shortFile(name string) string {
-	if i := strings.LastIndex(name, "/"); i >= 0 {
-		return name[i+1:]
-	}
-	return name
-}
-
 // funcSummary is the computed effect summary of one call-graph node.
-type funcSummary struct {
-	mask    effect
-	origins map[effect]origin
-}
+type funcSummary = summary[effect]
 
-func (s *funcSummary) add(bit effect, o origin) bool {
-	if s.mask&bit != 0 {
-		return false
-	}
-	s.mask |= bit
-	if s.origins == nil {
-		s.origins = map[effect]origin{}
-	}
-	s.origins[bit] = o
-	return true
-}
-
-// witness returns the origin of the lowest impure bit set in the summary.
-func (s *funcSummary) witness() (origin, bool) {
-	for _, en := range effectNames {
-		if en.bit&effImpure != 0 && s.mask&en.bit != 0 {
-			return s.origins[en.bit], true
-		}
-	}
-	return origin{}, false
-}
-
-// effectAnalysis is the module-wide result: summaries per node plus the
-// directive sets the purity check consumes.
+// effectAnalysis is the module-wide result: the //hypatia:pure contract
+// (directive index plus a summary per node) and the mutable-global set the
+// scan reads.
 type effectAnalysis struct {
-	cg        *callGraph
-	module    string
-	summaries map[cgKey]*funcSummary
-	// pureFns are the //hypatia:pure-annotated declared functions.
-	pureFns map[*types.Func]bool
-	// pureTypes are named function types annotated //hypatia:pure: calls
-	// through values of such a type are pure by documented contract.
-	pureTypes map[*types.TypeName]bool
-	// pureIfaces are interface types annotated //hypatia:pure: their
-	// methods are contract-pure at call sites, and every module-local
-	// implementation must carry (and pass) the annotation.
-	pureIfaces map[*types.TypeName]bool
-	// pureIfaceList is pureIfaces in deterministic declaration order.
-	pureIfaceList []*types.TypeName
+	*contract[effect]
 	// mutableGlobals are package-level variables assigned (or having their
 	// address taken) somewhere in their own package outside declarations.
 	// Reads of other package-level variables are treated as constant loads.
 	mutableGlobals map[*types.Var]bool
-	// honored records the comment positions of //hypatia:pure directives
-	// that actually took effect, so the purity check can flag directives
-	// placed where the analysis ignores them.
-	honored map[token.Pos]bool
-	// conf is the confinement-annotation index, attached by lintPackages so
-	// the driver can persist per-package confinement facts alongside the
-	// effect summaries.
-	conf *confIndex
-	// handles is the handle/epoch annotation index, attached by lintPackages
-	// for the same reason.
-	handles *handleIndex
-	// allocs is the allocation-effect analysis, attached by lintPackages so
-	// the driver can persist per-package allocation classes.
-	allocs *allocAnalysis
 }
 
-// pureDirective is the annotation marking a function (or a named function
-// type) as part of the pipeline's checked purity contract.
-const pureDirective = "//hypatia:pure"
-
-// pureDirectiveIn returns the //hypatia:pure directive comment of a doc
-// group (alone on a line, optionally followed by a rationale after a
-// space), or nil.
-func pureDirectiveIn(doc *ast.CommentGroup) *ast.Comment {
-	if doc == nil {
-		return nil
-	}
-	for _, c := range doc.List {
-		if c.Text == pureDirective || strings.HasPrefix(c.Text, pureDirective+" ") {
-			return c
-		}
-	}
-	return nil
-}
-
-// analyzeEffects computes effect summaries for every node of the call graph,
-// bottom-up over its strongly connected components.
+// analyzeEffects computes effect summaries for every node of the call graph.
 func analyzeEffects(all []*pkg, cg *callGraph, module string) *effectAnalysis {
-	an := &effectAnalysis{
-		cg:             cg,
-		module:         module,
-		summaries:      map[cgKey]*funcSummary{},
-		pureFns:        map[*types.Func]bool{},
-		pureTypes:      map[*types.TypeName]bool{},
-		pureIfaces:     map[*types.TypeName]bool{},
-		mutableGlobals: map[*types.Var]bool{},
-		honored:        map[token.Pos]bool{},
+	points := make([]effect, len(effectNames))
+	for i, en := range effectNames {
+		points[i] = en.bit
 	}
+	an := &effectAnalysis{
+		contract: newContract(cg, module, checkPurity, "//hypatia:pure", points,
+			func(bit effect) bool { return bit&effImpure != 0 }),
+		mutableGlobals: map[*types.Var]bool{},
+	}
+	an.scan = an.scanNode
 	for _, p := range all {
-		an.collectDirectives(p)
 		an.collectMutableGlobals(p)
 	}
-
-	// Stable node order: packages are pre-sorted by path, funcsIn is file
-	// order, so SCC discovery (and therefore witness selection) is
-	// deterministic.
-	var order []cgKey
-	for _, p := range all {
-		order = append(order, cg.funcsIn[p]...)
-	}
-	for _, scc := range sccOrder(order, cg) {
-		an.solveSCC(scc)
-	}
+	an.solve(all)
 	return an
-}
-
-// collectDirectives records //hypatia:pure annotations on function
-// declarations and named function type declarations.
-func (an *effectAnalysis) collectDirectives(p *pkg) {
-	for _, f := range p.files {
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if c := pureDirectiveIn(d.Doc); c != nil {
-					if fn, ok := p.info.Defs[d.Name].(*types.Func); ok {
-						an.pureFns[fn] = true
-						an.honored[c.Pos()] = true
-					}
-				}
-			case *ast.GenDecl:
-				if d.Tok != token.TYPE {
-					continue
-				}
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					c := pureDirectiveIn(ts.Doc)
-					if c == nil && len(d.Specs) == 1 {
-						c = pureDirectiveIn(d.Doc)
-					}
-					if c == nil {
-						continue
-					}
-					tn, ok := p.info.Defs[ts.Name].(*types.TypeName)
-					if !ok {
-						continue
-					}
-					switch tn.Type().Underlying().(type) {
-					case *types.Signature:
-						an.pureTypes[tn] = true
-						an.honored[c.Pos()] = true
-					case *types.Interface:
-						an.pureIfaces[tn] = true
-						an.pureIfaceList = append(an.pureIfaceList, tn)
-						an.honored[c.Pos()] = true
-					}
-				}
-			}
-		}
-	}
 }
 
 // collectMutableGlobals marks every package-level variable of p that p
 // itself assigns or aliases. Cross-package writes to exported variables are
 // caught at the writer (effWritesGlobal) but do not flip the reader's view;
 // this keeps a package's facts a function of itself and its dependencies,
-// which the on-disk fact cache relies on.
+// so its findings do not depend on which other packages a run loads.
 func (an *effectAnalysis) collectMutableGlobals(p *pkg) {
 	mark := func(e ast.Expr) {
 		root, _ := writeRoot(p.info, e)
@@ -342,130 +171,16 @@ func writeRoot(info *types.Info, e ast.Expr) (root ast.Expr, deref bool) {
 	}
 }
 
-// ---- SCC computation (Tarjan, iterative-enough for our depths) ----
-
-// sccOrder returns the strongly connected components of the call graph in
-// reverse topological order (callees before callers), following only plain
-// call edges — go-launch edges contribute effSpawn at the launch site
-// instead of inheriting the body's effects.
-func sccOrder(order []cgKey, cg *callGraph) [][]cgKey {
-	index := map[cgKey]int{}
-	low := map[cgKey]int{}
-	onStack := map[cgKey]bool{}
-	var stack []cgKey
-	var sccs [][]cgKey
-	next := 0
-
-	var strongconnect func(v cgKey)
-	strongconnect = func(v cgKey) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, e := range cg.edges[v] {
-			if e.viaGo {
-				continue
-			}
-			w := e.callee
-			if _, hasBody := cg.body[w]; !hasBody {
-				continue
-			}
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []cgKey
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			sccs = append(sccs, scc)
-		}
-	}
-	for _, v := range order {
-		if _, seen := index[v]; !seen {
-			strongconnect(v)
-		}
-	}
-	return sccs
-}
-
-// solveSCC computes the summaries of one component to fixpoint. Summaries
-// only grow, so re-walking members until nothing changes terminates within
-// a handful of passes.
-func (an *effectAnalysis) solveSCC(scc []cgKey) {
-	inSCC := map[cgKey]bool{}
-	for _, k := range scc {
-		inSCC[k] = true
-		if an.summaries[k] == nil {
-			an.summaries[k] = &funcSummary{}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, k := range scc {
-			fresh := an.scanNode(k, inSCC)
-			cur := an.summaries[k]
-			for _, en := range effectNames {
-				if fresh.mask&en.bit != 0 && cur.add(en.bit, fresh.origins[en.bit]) {
-					changed = true
-				}
-			}
-		}
-	}
-}
-
-// nodeName renders a call-graph node for witnesses and findings.
-func (an *effectAnalysis) nodeName(k cgKey) string {
-	switch k := k.(type) {
-	case *types.Func:
-		name := k.Name()
-		if sig, ok := k.Type().(*types.Signature); ok && sig.Recv() != nil {
-			if _, rn, ok := namedType(sig.Recv().Type()); ok {
-				name = rn + "." + name
-			}
-		}
-		if k.Pkg() != nil {
-			path := k.Pkg().Path()
-			if i := strings.LastIndex(path, "/"); i >= 0 {
-				path = path[i+1:]
-			}
-			name = path + "." + name
-		}
-		return name
-	case *ast.FuncLit:
-		pos := an.cg.pkgOf[k].fset.Position(k.Pos())
-		return fmt.Sprintf("func literal at %s:%d", shortFile(pos.Filename), pos.Line)
-	}
-	return "?"
-}
-
 // ---- per-node scan ----
 
 // scanNode computes one node's effect mask from its body, composing callee
 // summaries (provisional ones for same-SCC callees).
 func (an *effectAnalysis) scanNode(k cgKey, inSCC map[cgKey]bool) *funcSummary {
-	p := an.cg.pkgOf[k]
-	body := an.cg.body[k]
 	sum := &funcSummary{}
-	if p == nil || body == nil {
+	if an.cg.pkgOf[k] == nil || an.cg.body[k] == nil {
 		return sum
 	}
-	fs := &funcScan{an: an, p: p, body: body, sum: sum, inSCC: inSCC}
-	fs.initParams(k)
-	fs.solveTaint()
+	fs := &funcScan{taintScan: newTaintScan(an.cg, k), an: an, sum: sum, inSCC: inSCC}
 	fs.walk()
 	// Effects of function literals defined in this body (but not launched
 	// with go) fold into the definer: the literal runs on the definer's
@@ -479,17 +194,13 @@ func (an *effectAnalysis) scanNode(k cgKey, inSCC map[cgKey]bool) *funcSummary {
 			continue
 		}
 		if ls := an.summaries[lit]; ls != nil {
-			fs.inherit(ls, an.nodeName(lit), lit.Pos())
-			if ls.mask&effMutatesPointee != 0 {
+			fs.inherit(ls, an.cg.nodeName(lit), lit.Pos())
+			if ls.has(effMutatesPointee) {
 				sum.add(effMutatesPointee, ls.origins[effMutatesPointee])
 			}
 		}
 	}
 	return sum
-}
-
-func (an *effectAnalysis) pos(p *pkg, pos token.Pos) token.Position {
-	return p.fset.Position(pos)
 }
 
 // taintClass tracks where a value's storage may live.
@@ -501,18 +212,12 @@ const (
 	taintGlobal                   // package-level storage (directly or via alias)
 )
 
-// funcScan is the per-node analysis state.
-type funcScan struct {
-	an    *effectAnalysis
-	p     *pkg
-	body  *ast.BlockStmt
-	sum   *funcSummary
-	inSCC map[cgKey]bool
-	// trustPure makes calls to //hypatia:pure functions effect-free (their
-	// contract is verified at their own declaration). Root-body scans set
-	// it; the summary fixpoint does not, so summaries stay directive-free.
-	trustPure bool
-
+// taintScan is the storage-provenance view of one node's body, shared by the
+// effect and allocation scans: which variables are parameters, where each
+// local's storage may live, and which locals are bound once to a literal.
+type taintScan struct {
+	p      *pkg
+	body   *ast.BlockStmt
 	params map[*types.Var]bool
 	taints map[*types.Var]taintClass
 	// closures maps local variables bound exactly once to a function literal
@@ -522,9 +227,26 @@ type funcScan struct {
 	closures map[*types.Var]*ast.FuncLit
 }
 
-func (fs *funcScan) initParams(k cgKey) {
-	fs.params = map[*types.Var]bool{}
-	fs.taints = map[*types.Var]taintClass{}
+// funcScan is the per-node effect-scan state.
+type funcScan struct {
+	*taintScan
+	an    *effectAnalysis
+	sum   *funcSummary
+	inSCC map[cgKey]bool
+	// trustPure makes calls to //hypatia:pure functions effect-free (their
+	// contract is verified at their own declaration). Root-body scans set
+	// it; the summary fixpoint does not, so summaries stay directive-free.
+	trustPure bool
+}
+
+// newTaintScan solves the provenance of node k, which must have a body.
+func newTaintScan(cg *callGraph, k cgKey) *taintScan {
+	fs := &taintScan{
+		p:      cg.pkgOf[k],
+		body:   cg.body[k],
+		params: map[*types.Var]bool{},
+		taints: map[*types.Var]taintClass{},
+	}
 	addField := func(fl *ast.FieldList) {
 		if fl == nil {
 			return
@@ -539,18 +261,20 @@ func (fs *funcScan) initParams(k cgKey) {
 	}
 	switch k := k.(type) {
 	case *types.Func:
-		decl := fs.an.cg.declOf[k]
-		if decl != nil {
+		if decl := cg.declOf[k]; decl != nil {
 			addField(decl.Recv)
 			addField(decl.Type.Params)
 		}
 	case *ast.FuncLit:
 		addField(k.Type.Params)
 	}
+	fs.solveTaint()
+	fs.collectClosures()
+	return fs
 }
 
 // classOf resolves the taint class of a variable reference.
-func (fs *funcScan) classOf(obj *types.Var) taintClass {
+func (fs *taintScan) classOf(obj *types.Var) taintClass {
 	if isPkgLevelVar(obj) {
 		// Loading a value-typed global yields a copy — local storage.
 		// Pointerish globals alias package-level storage even when the
@@ -605,7 +329,7 @@ func pointerishSeen(t types.Type, seen map[types.Type]bool) bool {
 }
 
 // exprTaint computes the taint class of an expression's value.
-func (fs *funcScan) exprTaint(e ast.Expr) taintClass {
+func (fs *taintScan) exprTaint(e ast.Expr) taintClass {
 	if e == nil {
 		return taintLocal
 	}
@@ -675,7 +399,7 @@ func maxTaint(a, b taintClass) taintClass {
 // solveTaint propagates taint through the node's assignments to fixpoint.
 // Flow-insensitive: a local ever assigned global-aliasing storage is
 // global-tainted everywhere.
-func (fs *funcScan) solveTaint() {
+func (fs *taintScan) solveTaint() {
 	type asg struct {
 		obj *types.Var
 		rhs ast.Expr
@@ -725,7 +449,7 @@ func (fs *funcScan) solveTaint() {
 
 // shallowWalk visits the node's body without descending into nested
 // function literals (they are separate call-graph nodes).
-func (fs *funcScan) shallowWalk(visit func(ast.Node)) {
+func (fs *taintScan) shallowWalk(visit func(ast.Node)) {
 	bodyInspect(fs.body, visit)
 }
 
@@ -744,7 +468,7 @@ func bodyInspect(body *ast.BlockStmt, visit func(ast.Node)) {
 }
 
 func (fs *funcScan) add(bit effect, what string, pos token.Pos) {
-	fs.sum.add(bit, origin{What: what, Site: fs.an.pos(fs.p, pos), pos: pos})
+	fs.sum.add(bit, origin{What: what, Site: fs.p.fset.Position(pos), pos: pos})
 }
 
 // inherit folds a callee summary's impure bits into this node, extending
@@ -752,7 +476,7 @@ func (fs *funcScan) add(bit effect, what string, pos token.Pos) {
 // literal) site the inherited effects are attributed to.
 func (fs *funcScan) inherit(callee *funcSummary, name string, callPos token.Pos) {
 	for _, en := range effectNames {
-		if en.bit&effImpure == 0 || callee.mask&en.bit == 0 {
+		if en.bit&effImpure == 0 || !callee.has(en.bit) {
 			continue
 		}
 		o := callee.origins[en.bit]
@@ -768,7 +492,7 @@ func (fs *funcScan) inherit(callee *funcSummary, name string, callPos token.Pos)
 // collectClosures finds single-assignment local function-literal bindings.
 // The scan covers nested literals too: a reassignment or &-take anywhere in
 // the body disqualifies the variable.
-func (fs *funcScan) collectClosures() {
+func (fs *taintScan) collectClosures() {
 	fs.closures = map[*types.Var]*ast.FuncLit{}
 	assigns := map[*types.Var]int{}
 	litOf := map[*types.Var]*ast.FuncLit{}
@@ -831,7 +555,6 @@ func (fs *funcScan) collectClosures() {
 // walk performs the effect scan proper.
 func (fs *funcScan) walk() {
 	info := fs.p.info
-	fs.collectClosures()
 	fs.shallowWalk(func(n ast.Node) {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
@@ -891,7 +614,7 @@ func (fs *funcScan) recordWrite(lhs ast.Expr) {
 			// rebind touches only this frame; a captured outer variable
 			// lives in the enclosing (caller-owned) frame.
 			if !fs.params[obj] && !(obj.Pos() >= fs.body.Pos() && obj.Pos() <= fs.body.End()) {
-				fs.sum.add(effMutatesPointee, origin{What: fmt.Sprintf("writes captured variable %s", obj.Name()), Site: fs.an.pos(fs.p, lhs.Pos())})
+				fs.sum.add(effMutatesPointee, origin{What: fmt.Sprintf("writes captured variable %s", obj.Name()), Site: fs.p.fset.Position(lhs.Pos())})
 			}
 			return
 		}
@@ -899,7 +622,7 @@ func (fs *funcScan) recordWrite(lhs ast.Expr) {
 		case taintGlobal:
 			fs.add(effWritesGlobal, fmt.Sprintf("writes package-level state through alias %s", obj.Name()), lhs.Pos())
 		case taintParam:
-			fs.sum.add(effMutatesPointee, origin{What: "writes a caller-owned pointee", Site: fs.an.pos(fs.p, lhs.Pos())})
+			fs.sum.add(effMutatesPointee, origin{What: "writes a caller-owned pointee", Site: fs.p.fset.Position(lhs.Pos())})
 		}
 	case *ast.SelectorExpr:
 		// Qualified write to another package's variable.
@@ -911,7 +634,7 @@ func (fs *funcScan) recordWrite(lhs ast.Expr) {
 		case taintGlobal:
 			fs.add(effWritesGlobal, "writes package-level state through an aliasing expression", lhs.Pos())
 		case taintParam:
-			fs.sum.add(effMutatesPointee, origin{What: "writes a caller-owned pointee", Site: fs.an.pos(fs.p, lhs.Pos())})
+			fs.sum.add(effMutatesPointee, origin{What: "writes a caller-owned pointee", Site: fs.p.fset.Position(lhs.Pos())})
 		}
 	}
 }
@@ -947,8 +670,8 @@ func (fs *funcScan) scanCall(call *ast.CallExpr) {
 			if v, ok := info.Uses[id].(*types.Var); ok {
 				if lit := fs.closures[v]; lit != nil {
 					sum := fs.an.summaries[lit]
-					if sum == nil || sum.mask&effMutatesPointee != 0 {
-						fs.composePointeeWrite(call, fs.an.nodeName(lit))
+					if sum == nil || sum.has(effMutatesPointee) {
+						fs.composePointeeWrite(call, fs.an.cg.nodeName(lit))
 					}
 					return
 				}
@@ -957,7 +680,7 @@ func (fs *funcScan) scanCall(call *ast.CallExpr) {
 		// Dynamic call: allowed only through a function type whose
 		// declaration carries //hypatia:pure (the documented contract,
 		// e.g. core.Strategy).
-		if named, ok := info.TypeOf(call.Fun).(*types.Named); ok && fs.an.pureTypes[named.Obj()] {
+		if named, ok := info.TypeOf(call.Fun).(*types.Named); ok && fs.an.funcTypes[named.Obj()] {
 			return
 		}
 		fs.add(effUnknownCall, fmt.Sprintf("calls %s dynamically (not through a //hypatia:pure function type)", exprLabel(call.Fun)), call.Pos())
@@ -966,15 +689,15 @@ func (fs *funcScan) scanCall(call *ast.CallExpr) {
 
 	if _, hasBody := fs.an.cg.body[callee]; hasBody {
 		sum := fs.an.summaries[callee]
-		mutates := sum == nil || sum.mask&effMutatesPointee != 0 || fs.inSCC[callee]
+		mutates := sum == nil || sum.has(effMutatesPointee) || fs.inSCC[callee]
 		// In trustPure mode (root-body scans), an annotated callee's
 		// interior effects are its own contract, verified at its
 		// declaration; only the pointee composition still applies here.
-		if sum != nil && !(fs.trustPure && fs.an.pureFns[callee]) {
-			fs.inherit(sum, fs.an.nodeName(callee), call.Pos())
+		if sum != nil && !(fs.trustPure && fs.an.fns[callee]) {
+			fs.inherit(sum, fs.an.cg.nodeName(callee), call.Pos())
 		}
 		if mutates {
-			fs.composePointeeWrite(call, fs.an.nodeName(callee))
+			fs.composePointeeWrite(call, fs.an.cg.nodeName(callee))
 		}
 		return
 	}
@@ -983,7 +706,7 @@ func (fs *funcScan) scanCall(call *ast.CallExpr) {
 	// purity check verifies every module-local implementation.
 	if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
 		if named, ok := sig.Recv().Type().(*types.Named); ok {
-			if _, isIface := named.Underlying().(*types.Interface); isIface && fs.an.pureIfaces[named.Obj()] {
+			if _, isIface := named.Underlying().(*types.Interface); isIface && fs.an.ifaces[named.Obj()] {
 				return
 			}
 		}
@@ -1019,7 +742,7 @@ func (fs *funcScan) composePointeeWrite(call *ast.CallExpr, name string) {
 	case taintGlobal:
 		fs.add(effWritesGlobal, fmt.Sprintf("passes package-level state to %s, which writes through its parameters", name), call.Pos())
 	case taintParam:
-		fs.sum.add(effMutatesPointee, origin{What: "forwards caller-owned storage to a pointee-writing callee", Site: fs.an.pos(fs.p, call.Pos())})
+		fs.sum.add(effMutatesPointee, origin{What: "forwards caller-owned storage to a pointee-writing callee", Site: fs.p.fset.Position(call.Pos())})
 	}
 }
 
@@ -1038,7 +761,7 @@ func (fs *funcScan) scanBuiltin(name string, call *ast.CallExpr) {
 				// append(x, ...) rebinds; the caller sees the mutation
 				// only through the returned slice, which the assignment
 				// rules track.
-				fs.sum.add(effMutatesPointee, origin{What: name + " mutates a caller-owned buffer", Site: fs.an.pos(fs.p, call.Pos())})
+				fs.sum.add(effMutatesPointee, origin{What: name + " mutates a caller-owned buffer", Site: fs.p.fset.Position(call.Pos())})
 			}
 		}
 	case "close":
@@ -1066,13 +789,7 @@ func (fs *funcScan) scanStdCall(call *ast.CallExpr, callee *types.Func) {
 }
 
 func stdLabel(fn *types.Func) string {
-	path := fn.Pkg().Path()
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if _, rn, ok := namedType(sig.Recv().Type()); ok {
-			return path + "." + rn + "." + fn.Name()
-		}
-	}
-	return path + "." + fn.Name()
+	return fn.Pkg().Path() + "." + fnDisplay(fn)
 }
 
 func exprLabel(e ast.Expr) string {
@@ -1165,24 +882,4 @@ func stdSummary(fn *types.Func) (mask effect, mutates bool, known bool) {
 		return 0, true, true
 	}
 	return 0, false, false
-}
-
-// serializableEffects renders the summaries of one package's declared
-// functions for the on-disk fact cache (debugging and tooling surface; the
-// cache's correctness does not depend on them).
-func (an *effectAnalysis) serializableEffects(p *pkg) map[string][]string {
-	out := map[string][]string{}
-	for _, k := range an.cg.funcsIn[p] {
-		fn, ok := k.(*types.Func)
-		if !ok {
-			continue
-		}
-		if sum := an.summaries[k]; sum != nil && sum.mask != 0 {
-			out[an.nodeName(fn)] = sum.mask.names()
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }

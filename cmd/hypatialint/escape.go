@@ -35,7 +35,8 @@ package main
 //
 // Findings are reported in the package that contains the go statement,
 // global store, or dynamic call, keeping each package's findings a function
-// of itself plus its dependencies (the fact-cache invariant). The solver
+// of itself plus its dependencies (so linting it alone or as part of ./...
+// reports the same findings for it). The solver
 // runs once per lint target over its dependency cone; a confined value
 // flowing from a target into a *dependency's* launch site is therefore
 // reported when that dependency is linted, not here — consistently dropped
@@ -181,37 +182,6 @@ func confinedTypeName(t types.Type, conf *confIndex) *types.TypeName {
 		}
 	}
 	return nil
-}
-
-// serializable renders the annotations declared in p for the fact cache.
-func (conf *confIndex) serializable(p *pkg) map[string]string {
-	out := map[string]string{}
-	for tn := range conf.types {
-		if tn.Pkg() == p.types {
-			out["type "+tn.Name()] = "confined"
-		}
-	}
-	for fv := range conf.fields {
-		if fv.Pkg() == p.types {
-			pos := p.fset.Position(fv.Pos())
-			out[fmt.Sprintf("field %s at %s:%d", fv.Name(), shortFile(pos.Filename), pos.Line)] = "confined"
-		}
-	}
-	for fn := range conf.transfer {
-		if fn.Pkg() == p.types {
-			name := fn.Name()
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-				if _, rn, ok := namedType(sig.Recv().Type()); ok {
-					name = rn + "." + name
-				}
-			}
-			out["func "+name] = "transfer"
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }
 
 // ---- the check ----

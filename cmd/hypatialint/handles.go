@@ -469,63 +469,3 @@ func (hx *handleIndex) staleDom(dom, idx, elem string) string {
 	}
 	return ""
 }
-
-// serializable renders the annotations declared in p for the fact cache.
-func (hx *handleIndex) serializable(p *pkg) map[string]string {
-	out := map[string]string{}
-	describeFn := func(fn *types.Func) string {
-		name := fn.Name()
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			if _, rn, ok := namedType(sig.Recv().Type()); ok {
-				name = rn + "." + name
-			}
-		}
-		return name
-	}
-	for fv, spec := range hx.fields {
-		if fv.Pkg() == p.types {
-			pos := p.fset.Position(fv.Pos())
-			out[fmt.Sprintf("field %s at %s:%d", fv.Name(), shortFile(pos.Filename), pos.Line)] = "handle " + spec.String()
-		}
-	}
-	for fv, dom := range hx.epochFields {
-		if fv.Pkg() == p.types {
-			pos := p.fset.Position(fv.Pos())
-			out[fmt.Sprintf("epoch field %s at %s:%d", fv.Name(), shortFile(pos.Filename), pos.Line)] = "epoch " + dom
-		}
-	}
-	for fn, specs := range hx.params {
-		if fn.Pkg() == p.types {
-			var parts []string
-			for i, s := range specs {
-				if !s.zero() {
-					parts = append(parts, fmt.Sprintf("%d:%s", i, s))
-				}
-			}
-			out["func "+describeFn(fn)+" params"] = strings.Join(parts, " ")
-		}
-	}
-	for fn, specs := range hx.results {
-		if fn.Pkg() == p.types {
-			var parts []string
-			for _, s := range specs {
-				parts = append(parts, s.String())
-			}
-			out["func "+describeFn(fn)+" return"] = strings.Join(parts, " ")
-		}
-	}
-	for fn, doms := range hx.epochFns {
-		if fn.Pkg() == p.types {
-			out["func "+describeFn(fn)+" epoch"] = strings.Join(doms, " ")
-		}
-	}
-	for tn := range hx.exhaustive {
-		if tn.Pkg() == p.types {
-			out["type "+tn.Name()] = "exhaustive"
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}

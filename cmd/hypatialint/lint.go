@@ -71,8 +71,8 @@ type directive struct {
 type reporter struct {
 	fset     *token.FileSet
 	findings []Finding
-	// byLine maps filename -> line -> directives covering that line (an
-	// ignore comment covers its own line and the next).
+	// byLine maps filename -> line -> directives covering that line (a
+	// trailing ignore comment covers its own line, an own-line one the next).
 	byLine     map[string]map[int][]*directive
 	directives []*directive
 }
@@ -113,13 +113,11 @@ func (r *reporter) sorted() []Finding {
 }
 
 // sortFindings orders findings by file/line/column/check/message, stably.
-// The driver relies on the stability: cached entries hold each package's
-// findings in their cold-run order, so re-sorting the assembled mix of
-// cached and fresh findings reproduces the cold output byte for byte. The
-// check-name tiebreak keeps co-located findings from different families in
-// a fixed order regardless of which family ran first, and the message
+// The check-name tiebreak keeps co-located findings from different families
+// in a fixed order regardless of which family ran first, and the message
 // tiebreak makes the order a pure function of the findings' content even
-// when one check reports twice at the same position.
+// when one check reports twice at the same position — two runs over the
+// same tree print the same bytes.
 func sortFindings(findings []Finding) {
 	sort.SliceStable(findings, func(i, j int) bool {
 		a, b := findings[i].Pos, findings[j].Pos
@@ -145,6 +143,7 @@ func sortFindings(findings []Finding) {
 // Malformed directives (missing check name or reason) are themselves
 // reported under the "directive" check.
 func (r *reporter) collectSuppressions(file *ast.File) {
+	var code map[int]bool // filled on the first well-formed directive
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
 			text, ok := strings.CutPrefix(c.Text, "//lint:")
@@ -176,11 +175,38 @@ func (r *reporter) collectSuppressions(file *ast.File) {
 				lines = map[int][]*directive{}
 				r.byLine[pos.Filename] = lines
 			}
-			for _, line := range []int{pos.Line, pos.Line + 1} {
-				lines[line] = append(lines[line], d)
+			if code == nil {
+				code = codeLines(r.fset, file)
 			}
+			line := pos.Line
+			if !code[line] {
+				line++ // alone on its line: covers the next
+			}
+			lines[line] = append(lines[line], d)
 		}
 	}
+}
+
+// codeLines returns the lines of file on which some syntax node starts or
+// ends. A // comment runs to the end of its line, so one on such a line
+// trails code and one on any other line stands alone.
+func codeLines(fset *token.FileSet, file *ast.File) map[int]bool {
+	lines := map[int]bool{}
+	tf := fset.File(file.Pos())
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil:
+			return false
+		case *ast.File:
+			return true
+		case *ast.CommentGroup, *ast.Comment:
+			return false
+		}
+		lines[tf.Line(n.Pos())] = true
+		lines[tf.Line(n.End()-1)] = true
+		return true
+	})
+	return lines
 }
 
 func knownCheck(name string) bool {
@@ -195,10 +221,11 @@ func knownCheck(name string) bool {
 	return false
 }
 
-// config carries the linter settings.
+// config carries the scopes of the scoped check families: import-path
+// substrings selecting the packages each applies to.
 type config struct {
-	// simScope lists import-path substrings identifying simulator-core
-	// packages, where the nondeterminism check applies.
+	// simScope identifies the simulator-core packages, where the
+	// nondeterminism check applies.
 	simScope []string
 	// unitScope identifies the orbit-math packages, where the unitsafety
 	// dataflow applies.
@@ -218,11 +245,21 @@ type config struct {
 	module string
 }
 
+// defaultConfig is the configuration the command line runs with. The
+// analyzer is inside its own nondeterminism scope: two runs over one tree
+// must print the same bytes, so it is held to the simulator's bar.
+var defaultConfig = config{
+	simScope:    []string{"internal/sim", "internal/transport", "internal/routing", "internal/core", "cmd/hypatialint"},
+	unitScope:   []string{"internal/orbit", "internal/geom", "internal/tle"},
+	lockScope:   []string{"internal/core"},
+	pureScope:   []string{"internal/core"},
+	handleScope: []string{"internal/sim", "internal/graph", "internal/routing"},
+}
+
 // lintPackages runs every check family: per-package checks over the lint
 // targets, then the interprocedural families over the call graph built from
-// all loaded packages, then the stale-suppression sweep. It returns the
-// effect analysis so the cached driver can persist per-package summaries.
-func lintPackages(targets, all []*pkg, cg *callGraph, cfg config, rep *reporter) *effectAnalysis {
+// all loaded packages, then the stale-suppression sweep.
+func lintPackages(targets, all []*pkg, cg *callGraph, cfg config, rep *reporter) {
 	for _, p := range targets {
 		for _, f := range p.files {
 			rep.collectSuppressions(f)
@@ -247,17 +284,13 @@ func lintPackages(targets, all []*pkg, cg *callGraph, cfg config, rep *reporter)
 	// comments.
 	ax := analyzeAllocs(all, cg, cfg.module)
 	an := checkPurityPkgs(targets, all, cg, cfg, conf, hx, ax, rep)
-	an.conf = conf
-	an.handles = hx
-	an.allocs = ax
 	checkAllocSafetyPkgs(targets, ax, rep)
 	checkConfinementPkgs(targets, all, cg, an, conf, cfg, rep)
 	rep.reportStale()
-	return an
 }
 
 // inSimScope reports whether the package's import path falls inside the
-// given scope list (substring match, as for all scope flags).
+// given scope list (substring match, as for every scope in config).
 func inSimScope(path string, scope []string) bool {
 	for _, s := range scope {
 		if s != "" && strings.Contains(path, s) {

@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-// fixtureCfg mirrors the default scopes, rebased onto the fixture tree: the
+// fixtureCfg mirrors defaultConfig, rebased onto the fixture tree: the
 // fixture directories are named so their paths contain the same substrings
 // as the real packages each scoped check targets.
 var fixtureCfg = config{
@@ -309,8 +309,7 @@ func TestAllocFixtureFailsAlone(t *testing.T) {
 }
 
 // TestFindingsSortedByPosition pins the output ordering contract: findings
-// are sorted by file, then line, then column, then check name, in both the
-// serial path and (via TestDriverMatchesSerialLint) the cached driver.
+// are sorted by file, then line, then column, then check name.
 func TestFindingsSortedByPosition(t *testing.T) {
 	findings, err := lint(".", []string{"./testdata/src/..."}, fixtureCfg)
 	if err != nil {
@@ -455,11 +454,13 @@ func TestPurityCallChain(t *testing.T) {
 	}
 }
 
-// TestSuppressionEdgeCases pins two corners of the directive machinery:
+// TestSuppressionEdgeCases pins three corners of the directive machinery:
 // a line producing findings from two checks with an ignore naming only one
 // of them (only the named finding is suppressed, the directive is used),
-// and two directives — one above, one trailing — matching the same
-// suppressed finding (both are used, neither is stale).
+// two directives — one above, one trailing — matching the same suppressed
+// finding (both are used, neither is stale), and a trailing directive
+// followed by a line with the same finding (the directive covers its own
+// line only, so the second finding stands).
 func TestSuppressionEdgeCases(t *testing.T) {
 	scratch := filepath.Join("testdata", "scratch-suppress")
 	if err := os.MkdirAll(scratch, 0o755); err != nil {
@@ -483,6 +484,13 @@ func doubledDirective() {
 	//lint:ignore droppederror covered from the line above
 	mightFail(false) //lint:ignore droppederror covered from the same line
 }
+
+// A trailing directive covers only the line it shares with code: the same
+// check fires unsuppressed on the line below.
+func trailingCoversOwnLineOnly() {
+	mightFail(true) //lint:ignore droppederror this line only
+	mightFail(false)
+}
 `
 	if err := os.WriteFile(filepath.Join(scratch, "scratch.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
@@ -500,8 +508,9 @@ func doubledDirective() {
 		counts[key{f.Check, f.Suppressed}]++
 	}
 	want := map[key]int{
-		{checkDroppedError, true}: 2,
-		{checkTimeUnits, false}:   1,
+		{checkDroppedError, true}:  3,
+		{checkDroppedError, false}: 1,
+		{checkTimeUnits, false}:    1,
 	}
 	for k, n := range want {
 		if counts[k] != n {
@@ -515,283 +524,73 @@ func doubledDirective() {
 	}
 }
 
-// TestFactCache drives lintDriver through a cold run, a warm run, and an
-// invalidating edit. The warm run is proven to come from the cache by
-// tampering with the stored entry: the tampered message surfacing in the
-// results means no re-analysis happened. The edit then changes the
-// package's content hash, so the tampered entry is ignored and the fresh
-// findings reflect the new source.
-func TestFactCache(t *testing.T) {
-	scratch := filepath.Join("testdata", "scratch-cache")
-	if err := os.MkdirAll(scratch, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	defer os.RemoveAll(scratch)
-	srcFile := filepath.Join(scratch, "scratch.go")
-	src := `package scratch
-
-func mightFail(int) error { return nil }
-
-func drop() {
-	mightFail(1)
-}
-
-// scratchArena exists so the entry must carry confinement facts.
-//
-//hypatia:confined
-type scratchArena struct{ n int }
-
-//hypatia:transfer
-func handoff(a *scratchArena) *scratchArena { return a }
-
-// scratchRing exists so the entry must carry handle facts.
-type scratchRing struct {
-	owner int //hypatia:handle(node)
-}
-
-// reuse is proven allocation-free, so it must be absent from the
-// persisted allocation facts; leaky must be recorded as allocating.
-//
-//hypatia:noalloc
-func reuse(buf []int) []int { return buf[:0] }
-
-func leaky() []byte { return make([]byte, 8) }
-`
-	if err := os.WriteFile(srcFile, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cacheDir := t.TempDir()
-
-	cold, err := lintDriver(".", []string{"./" + scratch}, fixtureCfg, cacheDir, true)
-	if err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
-	if len(cold) != 1 || cold[0].Check != checkDroppedError {
-		t.Fatalf("cold run: got %v, want one %s finding", cold, checkDroppedError)
-	}
-
-	entries, err := filepath.Glob(filepath.Join(cacheDir, "*.json"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("cache entries after cold run: %v (err %v), want exactly one", entries, err)
-	}
-	data, err := os.ReadFile(entries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entry cacheEntry
-	if err := json.Unmarshal(data, &entry); err != nil {
-		t.Fatalf("decoding cache entry: %v", err)
-	}
-	if entry.Confinement["type scratchArena"] != "confined" || entry.Confinement["func handoff"] != "transfer" {
-		t.Errorf("cache entry confinement facts = %v, want the scratch annotations persisted", entry.Confinement)
-	}
-	var handlePersisted bool
-	for k, v := range entry.Handles {
-		if strings.HasPrefix(k, "field owner at scratch.go:") && v == "handle node" {
-			handlePersisted = true
+// TestLintRunsByteIdentical pins the determinism the analyzer is held to:
+// two independent runs over the fixture tree — every check family, every
+// origin chain and escape path — must print byte-identical -json output.
+func TestLintRunsByteIdentical(t *testing.T) {
+	var out [2]bytes.Buffer
+	for i := range out {
+		findings, err := lint(".", []string{"./testdata/src/..."}, fixtureCfg)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if err := writeJSON(&out[i], findings); err != nil {
+			t.Fatalf("run %d: writeJSON: %v", i, err)
 		}
 	}
-	if !handlePersisted {
-		t.Errorf("cache entry handle facts = %v, want the owner field annotation persisted", entry.Handles)
-	}
-	if entry.Allocs["scratch-cache.leaky"] != "allocates" {
-		t.Errorf("cache entry allocation facts = %v, want leaky recorded as allocates", entry.Allocs)
-	}
-	if _, recorded := entry.Allocs["scratch-cache.reuse"]; recorded {
-		t.Errorf("cache entry allocation facts = %v, want the proven-noalloc reuse omitted", entry.Allocs)
-	}
-
-	const marker = "TAMPERED-BY-TEST"
-	tampered := bytes.Replace(data, []byte(cold[0].Msg), []byte(marker), 1)
-	if bytes.Equal(tampered, data) {
-		t.Fatalf("cached entry does not contain the finding message %q", cold[0].Msg)
-	}
-	if err := os.WriteFile(entries[0], tampered, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	warm, err := lintDriver(".", []string{"./" + scratch}, fixtureCfg, cacheDir, true)
-	if err != nil {
-		t.Fatalf("warm run: %v", err)
-	}
-	if len(warm) != 1 || warm[0].Msg != marker {
-		t.Fatalf("warm run: got %v, want the tampered cached finding (proof the cache was used)", warm)
-	}
-
-	// Fix the dropped error and introduce a float equality instead: the
-	// content hash changes, the tampered entry no longer matches its key,
-	// and the fresh analysis must report the new finding.
-	edited := `package scratch
-
-func mightFail(int) error { return nil }
-
-func drop(a, b float64) bool {
-	_ = mightFail(1)
-	return a == b
-}
-`
-	if err := os.WriteFile(srcFile, []byte(edited), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := lintDriver(".", []string{"./" + scratch}, fixtureCfg, cacheDir, true)
-	if err != nil {
-		t.Fatalf("post-edit run: %v", err)
-	}
-	if len(fresh) != 1 || fresh[0].Check != checkTimeUnits || fresh[0].Msg == marker {
-		t.Fatalf("post-edit run: got %v, want one fresh %s finding", fresh, checkTimeUnits)
+	if out[0].Len() == 0 || !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
+		t.Errorf("two runs over the fixture tree differ:\n%s\nvs\n%s", out[0].Bytes(), out[1].Bytes())
 	}
 }
 
-// TestCacheStaleSchemaRecomputes pins the schema-eviction contract: an
-// entry written by an older analyzer (lower schema number) must be treated
-// as a miss and recomputed, never replayed — even when its key would still
-// match.
-func TestCacheStaleSchemaRecomputes(t *testing.T) {
-	scratch := filepath.Join("testdata", "scratch-schema")
-	if err := os.MkdirAll(scratch, 0o755); err != nil {
-		t.Fatal(err)
+// TestImportPathPatterns pins how a pattern is told from a directory: only
+// the module path itself, or a path under it, is an import path (rebased
+// onto the module root wherever the tool runs); a directory whose name
+// merely starts with the module name is a directory.
+func TestImportPathPatterns(t *testing.T) {
+	byPath, err := lint(".", []string{"hypatia/cmd/hypatialint/testdata/src/lifecycle"}, fixtureCfg)
+	if err != nil {
+		t.Fatalf("import-path pattern: %v", err)
 	}
-	defer os.RemoveAll(scratch)
-	src := `package scratch
+	byDir, err := lint(".", []string{"./testdata/src/lifecycle"}, fixtureCfg)
+	if err != nil {
+		t.Fatalf("directory pattern: %v", err)
+	}
+	if len(byPath) == 0 || fmt.Sprint(byPath) != fmt.Sprint(byDir) {
+		t.Errorf("import-path pattern found %v, directory pattern %v", byPath, byDir)
+	}
 
-func mightFail(int) error { return nil }
-
-func drop() {
-	mightFail(1)
-}
-`
-	if err := os.WriteFile(filepath.Join(scratch, "scratch.go"), []byte(src), 0o644); err != nil {
+	// The sibling lives under testdata so the go tool never sees it.
+	if err := os.Chdir("testdata"); err != nil {
 		t.Fatal(err)
 	}
-	cacheDir := t.TempDir()
-	cold, err := lintDriver(".", []string{"./" + scratch}, fixtureCfg, cacheDir, true)
-	if err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
-	if len(cold) != 1 || cold[0].Check != checkDroppedError {
-		t.Fatalf("cold run: got %v, want one %s finding", cold, checkDroppedError)
-	}
-	entries, err := filepath.Glob(filepath.Join(cacheDir, "*.json"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("cache entries: %v (err %v), want exactly one", entries, err)
-	}
-	data, err := os.ReadFile(entries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entry cacheEntry
-	if err := json.Unmarshal(data, &entry); err != nil {
-		t.Fatal(err)
-	}
-	if entry.Schema != cacheSchema {
-		t.Fatalf("cold entry schema = %d, want %d", entry.Schema, cacheSchema)
-	}
-	// Regress the entry to the previous schema and plant a marker: if the
-	// warm run replays it, the marker surfaces; if it correctly evicts, the
-	// recomputed finding matches the cold one and the entry is rewritten at
-	// the current schema.
-	const marker = "STALE-SCHEMA-REPLAYED"
-	entry.Schema = cacheSchema - 1
-	entry.Findings[0].Message = marker
-	stale, err := json.Marshal(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(entries[0], stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := lintDriver(".", []string{"./" + scratch}, fixtureCfg, cacheDir, true)
-	if err != nil {
-		t.Fatalf("warm run: %v", err)
-	}
-	if len(warm) != 1 || warm[0].Msg != cold[0].Msg {
-		t.Fatalf("warm run after schema regression: got %v, want the recomputed finding %q", warm, cold[0].Msg)
-	}
-	data, err = os.ReadFile(entries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &entry); err != nil {
-		t.Fatal(err)
-	}
-	if entry.Schema != cacheSchema || entry.Findings[0].Message != cold[0].Msg {
-		t.Errorf("stale entry not rewritten at schema %d: %+v", cacheSchema, entry)
-	}
-}
-
-// TestCacheColdRunsByteIdentical pins the determinism the warm-equals-cold
-// contract rests on: two cold runs over the same tree — allocation facts
-// included — must serialize byte-identical cache entries.
-func TestCacheColdRunsByteIdentical(t *testing.T) {
-	read := func(dir string) map[string][]byte {
-		t.Helper()
-		entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
-		if err != nil || len(entries) == 0 {
-			t.Fatalf("cache entries: %v (err %v)", entries, err)
-		}
-		out := map[string][]byte{}
-		for _, e := range entries {
-			data, err := os.ReadFile(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[filepath.Base(e)] = data
-		}
-		return out
-	}
-	pattern := "./testdata/src/allocsafety"
-	dirA, dirB := t.TempDir(), t.TempDir()
-	if _, err := lintDriver(".", []string{pattern}, fixtureCfg, dirA, true); err != nil {
-		t.Fatalf("first cold run: %v", err)
-	}
-	if _, err := lintDriver(".", []string{pattern}, fixtureCfg, dirB, true); err != nil {
-		t.Fatalf("second cold run: %v", err)
-	}
-	a, b := read(dirA), read(dirB)
-	if len(a) != len(b) {
-		t.Fatalf("entry counts differ: %d vs %d", len(a), len(b))
-	}
-	for name, data := range a {
-		if !bytes.Equal(data, b[name]) {
-			t.Errorf("entry %s differs between cold runs:\n%s\nvs\n%s", name, data, b[name])
-		}
-		var entry cacheEntry
-		if err := json.Unmarshal(data, &entry); err != nil {
+	defer func() {
+		if err := os.Chdir(".."); err != nil {
 			t.Fatal(err)
 		}
-		if entry.Allocs["allocsafety.sliceLit"] != "allocates" {
-			t.Errorf("entry %s allocation facts = %v, want sliceLit recorded as allocates", name, entry.Allocs)
-		}
-		if entry.Allocs["allocsafety.arena.push"] != "amortized-grow" {
-			t.Errorf("entry %s allocation facts = %v, want arena.push recorded as amortized-grow", name, entry.Allocs)
-		}
+	}()
+	const sibling = "hypatia-tools"
+	if err := os.MkdirAll(sibling, 0o755); err != nil {
+		t.Fatal(err)
 	}
-}
+	defer os.RemoveAll(sibling)
+	src := `package tools
 
-// TestDriverMatchesSerialLint verifies the cached parallel driver and the
-// serial uncached path agree over the full fixture tree — findings,
-// suppression state, order, everything.
-func TestDriverMatchesSerialLint(t *testing.T) {
-	pattern := "./testdata/src/..."
-	serial, err := lint(".", []string{pattern}, fixtureCfg)
-	if err != nil {
-		t.Fatalf("serial lint: %v", err)
+func mightFail() error { return nil }
+
+func drop() { mightFail() }
+`
+	if err := os.WriteFile(filepath.Join(sibling, "tools.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	cacheDir := t.TempDir()
-	for _, mode := range []string{"cold", "warm"} {
-		got, err := lintDriver(".", []string{pattern}, fixtureCfg, cacheDir, true)
+	for _, pattern := range []string{sibling, sibling + "/..."} {
+		findings, err := lint(".", []string{pattern}, fixtureCfg)
 		if err != nil {
-			t.Fatalf("%s driver run: %v", mode, err)
+			t.Errorf("pattern %q: %v", pattern, err)
+			continue
 		}
-		if len(got) != len(serial) {
-			t.Fatalf("%s driver run: %d findings, serial %d", mode, len(got), len(serial))
-		}
-		// Cache entries do not store byte offsets, so compare the rendered
-		// form (file:line:col, check, message) plus the suppression state.
-		for i := range got {
-			if got[i].String() != serial[i].String() || got[i].Suppressed != serial[i].Suppressed {
-				t.Errorf("%s driver run, finding %d:\n  driver: %v\n  serial: %v", mode, i, got[i], serial[i])
-			}
+		if len(findings) != 1 || findings[0].Check != checkDroppedError || filepath.Base(filepath.Dir(findings[0].Pos.Filename)) != sibling {
+			t.Errorf("pattern %q: got %v, want the one %s finding in %s", pattern, findings, checkDroppedError, sibling)
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // pkg is one loaded, type-checked package ready for linting.
@@ -40,14 +39,6 @@ type loader struct {
 	// loading guards against import cycles, which would otherwise recurse
 	// forever; Go forbids them, so hitting one is a hard error.
 	loading map[string]bool
-	// mu guards cache during the parallel load phase; stdMu serializes the
-	// GOROOT source importer, which memoizes internally but is not safe for
-	// concurrent use. parallel marks that phase: module-local imports must
-	// then already be loaded (the driver schedules dependencies first), so
-	// a miss is an internal error rather than a recursive load.
-	mu       sync.Mutex
-	stdMu    sync.Mutex
-	parallel bool
 }
 
 // newLoader locates the enclosing module of dir and returns a loader for it.
@@ -112,37 +103,27 @@ func (l *loader) importPath(dir string) (string, error) {
 // Import implements types.Importer: module-local packages come from source
 // under the module root, everything else from the standard library.
 func (l *loader) Import(path string) (*types.Package, error) {
-	if path == l.module || strings.HasPrefix(path, l.module+"/") {
-		l.mu.Lock()
-		p := l.cache[path]
-		parallel := l.parallel
-		l.mu.Unlock()
-		if p != nil {
-			return p.types, nil
-		}
-		if parallel {
-			return nil, fmt.Errorf("internal: %s imported before it was scheduled", path)
-		}
+	if l.local(path) {
 		p, err := l.load(path)
 		if err != nil {
 			return nil, err
 		}
 		return p.types, nil
 	}
-	l.stdMu.Lock()
-	defer l.stdMu.Unlock()
 	return l.std.Import(path)
+}
+
+// local reports whether path names the module or a package inside it.
+func (l *loader) local(path string) bool {
+	return path == l.module || strings.HasPrefix(path, l.module+"/")
 }
 
 // load parses and type-checks the package at the given module-local import
 // path, memoized.
 func (l *loader) load(path string) (*pkg, error) {
-	l.mu.Lock()
 	if p, ok := l.cache[path]; ok {
-		l.mu.Unlock()
 		return p, nil
 	}
-	l.mu.Unlock()
 	if l.loading[path] {
 		return nil, fmt.Errorf("import cycle through %s", path)
 	}
@@ -154,9 +135,7 @@ func (l *loader) load(path string) (*pkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.mu.Lock()
 	l.cache[path] = p
-	l.mu.Unlock()
 	return p, nil
 }
 
@@ -262,10 +241,9 @@ func expandPatterns(l *loader, patterns []string) ([]string, error) {
 		}
 	}
 	for _, pat := range patterns {
-		if strings.HasPrefix(pat, l.module) {
+		if l.local(pat) {
 			// Import-path form: rebase onto the module root.
-			rel := strings.TrimPrefix(strings.TrimPrefix(pat, l.module), "/")
-			pat = "./" + filepath.ToSlash(filepath.FromSlash(rel))
+			pat = filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(pat, l.module)))
 		}
 		recursive := false
 		if strings.HasSuffix(pat, "/...") || pat == "..." {

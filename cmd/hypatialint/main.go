@@ -40,8 +40,8 @@
 //	                annotated functions; on a named function type or an
 //	                interface the annotation blesses calls through it and
 //	                obligates module-local implementers; goroutine bodies in
-//	                -purescope packages are held to the worker contract
-//	                (channels and arena writes allowed)
+//	                the pipeline packages (defaultConfig.pureScope) are held
+//	                to the worker contract (channels and arena writes allowed)
 //	confinement     //hypatia:confined on a type or struct field is a
 //	                machine-proven ownership contract: an Andersen-style
 //	                points-to analysis over the call graph proves each such
@@ -73,23 +73,21 @@
 //	                name an unknown directive, or sit where they take no
 //	                effect
 //
-// The command line runs through a cached, parallel driver: packages are
-// type-checked concurrently along the import DAG, and per-package findings
-// are persisted under .hypatialint-cache/ (override with -cache, disable
-// with -nocache) keyed by analyzer schema, toolchain, configuration, and
-// the transitive content hash — warm runs over an unchanged tree reproduce
-// the cold output byte for byte without type-checking anything.
+// One run is one serial pass: the lint targets and their module-local
+// imports are parsed and type-checked from source, every check family runs
+// over them, and the findings come out sorted — the same lint() the test
+// suite calls. The scopes of the scoped families are the fixed defaultConfig
+// below, not flags.
 //
 // Usage:
 //
 //	go run ./cmd/hypatialint ./...
 //	go run ./cmd/hypatialint -list
 //	go run ./cmd/hypatialint -json ./... | jq .
-//	go run ./cmd/hypatialint -simscope internal/sim,internal/engine ./...
-//	go run ./cmd/hypatialint -nocache ./...
 //
-// A finding can be suppressed for one line with a directive comment on the
-// same line or the line above, naming the check and giving a reason:
+// A finding can be suppressed for one line with a directive comment trailing
+// that line, or alone on the line above, naming the check and giving a
+// reason:
 //
 //	//lint:ignore timeunits Seconds is the one sanctioned conversion
 //
@@ -111,7 +109,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 )
 
 func main() {
@@ -121,19 +118,7 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("hypatialint", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
-	simScope := fs.String("simscope", "internal/sim,internal/transport,internal/routing,internal/core,cmd/hypatialint",
-		"comma-separated import-path substrings identifying simulator-core packages (scope of the nondeterminism check); the analyzer lints itself — warm-cache output must be byte-identical, so it is held to the same determinism bar")
-	unitScope := fs.String("unitscope", "internal/orbit,internal/geom,internal/tle",
-		"comma-separated import-path substrings identifying orbit-math packages (scope of the unitsafety check)")
-	lockScope := fs.String("lockscope", "internal/core,cmd/hypatialint",
-		"comma-separated import-path substrings identifying event-loop/worker packages (scope of the locksafety check); includes the analyzer's own parallel driver")
-	pureScope := fs.String("purescope", "internal/core",
-		"comma-separated import-path substrings identifying pipeline packages whose goroutine bodies are held to the purity contract")
-	handleScope := fs.String("handlescope", "internal/sim,internal/graph,internal/routing",
-		"comma-separated import-path substrings identifying struct-of-arrays packages (scope of the handlesafety check)")
 	jsonOut := fs.Bool("json", false, "print findings as a JSON array (includes suppressed findings with their state)")
-	cacheDir := fs.String("cache", "", "fact-cache directory (default <module root>/.hypatialint-cache)")
-	noCache := fs.Bool("nocache", false, "disable the on-disk fact cache (packages are still loaded in parallel)")
 	list := fs.Bool("list", false, "list the checks and exit")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: hypatialint [flags] [packages]")
@@ -154,14 +139,7 @@ func run(args []string) int {
 		patterns = []string{"./..."}
 	}
 
-	cfg := config{
-		simScope:    splitList(*simScope),
-		unitScope:   splitList(*unitScope),
-		lockScope:   splitList(*lockScope),
-		pureScope:   splitList(*pureScope),
-		handleScope: splitList(*handleScope),
-	}
-	findings, err := lintDriver(".", patterns, cfg, *cacheDir, !*noCache)
+	findings, err := lint(".", patterns, defaultConfig)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hypatialint:", err)
 		return 2
@@ -218,11 +196,12 @@ func writeJSON(w io.Writer, findings []Finding) error {
 	return enc.Encode(out)
 }
 
-// lint loads every package matched by patterns (resolved relative to dir),
-// builds the module-local call graph over everything the loader pulled in,
-// and returns the sorted findings (suppressed ones included). It is the
-// serial, uncached path the tests exercise; the command line goes through
-// lintDriver.
+// lint loads every package matched by patterns (resolved relative to dir)
+// and runs every check family over them, returning the sorted findings
+// (suppressed ones included). The call graph and the interprocedural
+// summaries cover every loaded module-local package — targets plus
+// dependencies — so interprocedural facts do not stop at the lint-target
+// boundary.
 func lint(dir string, patterns []string, cfg config) ([]Finding, error) {
 	l, err := newLoader(dir)
 	if err != nil {
@@ -247,33 +226,13 @@ func lint(dir string, patterns []string, cfg config) ([]Finding, error) {
 		}
 		targets = append(targets, p)
 	}
-	findings, _ := analyzeTargets(l, targets, cfg)
-	return findings, nil
-}
-
-// analyzeTargets runs every check family over the given targets. The call
-// graph and unit summaries cover every loaded module-local package —
-// targets plus dependencies — so interprocedural facts do not stop at the
-// lint-target boundary.
-func analyzeTargets(l *loader, targets []*pkg, cfg config) ([]Finding, *effectAnalysis) {
 	var all []*pkg
 	for _, p := range l.cache {
 		all = append(all, p)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].path < all[j].path })
-	cg := buildCallGraph(all)
 	rep := newReporter(l.fset)
 	cfg.module = l.module
-	an := lintPackages(targets, all, cg, cfg, rep)
-	return rep.sorted(), an
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
+	lintPackages(targets, all, buildCallGraph(all), cfg, rep)
+	return rep.sorted(), nil
 }

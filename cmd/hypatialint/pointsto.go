@@ -35,7 +35,7 @@ package main
 // nodes, and parameters accumulate the arguments of every static call
 // site. Solving is monotone, so the fixpoint is independent of constraint
 // order; everything that feeds reported output is additionally kept in
-// deterministic order so the fact cache stays byte-identical across runs.
+// deterministic order so two runs over the same tree print the same bytes.
 
 import (
 	"go/ast"
@@ -1355,7 +1355,7 @@ func (g *ptGen) evalCallInfo(call *ast.CallExpr) ([]ptNode, callInfo) {
 	}
 	// Blessed dynamic dispatch: //hypatia:pure named function types
 	// guarantee no retention, so results are fresh epochs.
-	if named, ok := types.Unalias(g.info.TypeOf(call.Fun)).(*types.Named); ok && g.an.pureTypes[named.Obj()] {
+	if named, ok := types.Unalias(g.info.TypeOf(call.Fun)).(*types.Named); ok && g.an.funcTypes[named.Obj()] {
 		if sig != nil {
 			return g.epochResults(sig, call.Pos(), "returned by "+named.Obj().Name()+" call"), callInfo{args: args, fun: funNode}
 		}
@@ -1379,7 +1379,7 @@ func (g *ptGen) pureIfaceMethod(fn *types.Func) bool {
 		return false
 	}
 	if named, ok := types.Unalias(sig.Recv().Type()).(*types.Named); ok {
-		return g.an.pureIfaces[named.Obj()]
+		return g.an.ifaces[named.Obj()]
 	}
 	return false
 }

@@ -4,9 +4,7 @@
 # 2) — the single-core run isolates per-op cost, the wide run measures the
 # sharded event loop under real concurrency — and emits machine-readable
 # results to BENCH_routing.json in the repository root, enforcing the
-# checked-in allocation budgets (alloc_budgets below) on the way, then times
-# hypatialint cold (empty fact cache) vs warm (all-hit fact cache) into
-# BENCH_lint.json.
+# checked-in allocation budgets (alloc_budgets below) on the way.
 # Run from anywhere:
 #
 #   ./scripts/bench.sh [benchtime]
@@ -213,44 +211,3 @@ bench_once "$wide" "$rawN"
 
 echo "wrote $out"
 budget_check "$out"
-
-echo "== hypatialint cold vs warm (fact cache) =="
-lintout="BENCH_lint.json"
-lintcache="$(mktemp -d)"
-trap 'rm -f "$raw1" "$rawN"; rm -rf "$lintcache"' EXIT
-go build -o bin/hypatialint ./cmd/hypatialint
-
-# now_ms prints a millisecond wall-clock timestamp.
-now_ms() { date +%s%3N; }
-
-t0=$(now_ms)
-./bin/hypatialint -cache "$lintcache" ./...
-t1=$(now_ms)
-cold_ms=$((t1 - t0))
-
-# Best of three warm runs, so one scheduling hiccup does not skew the ratio.
-warm_ms=""
-for _ in 1 2 3; do
-    t0=$(now_ms)
-    ./bin/hypatialint -cache "$lintcache" ./...
-    t1=$(now_ms)
-    d=$((t1 - t0))
-    if [[ -z "$warm_ms" || "$d" -lt "$warm_ms" ]]; then warm_ms=$d; fi
-done
-
-awk -v goversion="$(go version | awk '{print $3}')" -v nproc="$nproc_val" \
-    -v cold="$cold_ms" -v warm="$warm_ms" 'BEGIN {
-    printf "{\n"
-    printf "  \"go\": \"%s\",\n", goversion
-    printf "  \"gomaxprocs\": %d,\n", nproc
-    printf "  \"lint_cold_ms\": %d,\n", cold
-    printf "  \"lint_warm_ms\": %d,\n", warm
-    if (warm > 0)
-        printf "  \"cold_over_warm\": %.3f\n", cold / warm
-    else
-        printf "  \"cold_over_warm\": null\n"
-    printf "}\n"
-}' > "$lintout"
-
-echo "wrote $lintout"
-cat "$lintout"
