@@ -606,8 +606,8 @@ func (sc *allocScan) scanExpr(e ast.Expr, guarded bool) {
 
 // scanCompositeLit charges slice and map literals; plain struct and array
 // literals are stack values (an address-take or interface box charges them
-// at that conversion instead — the PR 6 points-to model's "escape by
-// reference or by boxing" split, applied syntactically).
+// at that conversion instead: a value escapes by reference or by boxing,
+// judged syntactically).
 func (sc *allocScan) scanCompositeLit(lit *ast.CompositeLit, guarded bool) {
 	t := sc.p.info.TypeOf(lit)
 	if t == nil {

@@ -3,9 +3,9 @@ package main
 // Module-local call graph over every loaded package (lint targets plus the
 // dependencies the loader pulled in). Nodes are declared functions/methods
 // (*types.Func) and function literals (*ast.FuncLit); edges are statically
-// resolved calls, with go-statement launches marked separately so the
-// locksafety check can split the program into "event loop side" and
-// "goroutine side".
+// resolved calls, with go-statement launches marked separately: a launched
+// body runs on its own frame, so the contract engines do not fold it into
+// its launcher the way they fold a plainly called literal.
 //
 // Dynamic calls (through function values, interface methods, or unresolved
 // selectors) produce no edge; the affected checks treat their absence
@@ -34,20 +34,16 @@ type callGraph struct {
 	// funcsIn lists the nodes declared in each package, in file order
 	// (declarations first, literals in encounter order).
 	funcsIn map[*pkg][]cgKey
-	// normalCallers counts non-go in-edges, used to tell pure goroutine
-	// bodies (only ever launched, never called) from ordinary functions.
-	normalCallers map[cgKey]int
 }
 
 // buildCallGraph constructs the graph over the given packages.
 func buildCallGraph(pkgs []*pkg) *callGraph {
 	cg := &callGraph{
-		edges:         map[cgKey][]cgEdge{},
-		body:          map[cgKey]*ast.BlockStmt{},
-		pkgOf:         map[cgKey]*pkg{},
-		declOf:        map[*types.Func]*ast.FuncDecl{},
-		funcsIn:       map[*pkg][]cgKey{},
-		normalCallers: map[cgKey]int{},
+		edges:   map[cgKey][]cgEdge{},
+		body:    map[cgKey]*ast.BlockStmt{},
+		pkgOf:   map[cgKey]*pkg{},
+		declOf:  map[*types.Func]*ast.FuncDecl{},
+		funcsIn: map[*pkg][]cgKey{},
 	}
 	for _, p := range pkgs {
 		for _, f := range p.files {
@@ -114,9 +110,6 @@ func (cg *callGraph) scanBody(p *pkg, cur cgKey, body *ast.BlockStmt) {
 
 func (cg *callGraph) addEdge(from cgKey, to cgKey, viaGo bool) {
 	cg.edges[from] = append(cg.edges[from], cgEdge{callee: to, viaGo: viaGo})
-	if !viaGo {
-		cg.normalCallers[to]++
-	}
 }
 
 // resolveCallee statically resolves a call's target function, or nil for
@@ -133,32 +126,6 @@ func resolveCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// reach returns every node reachable from roots. When followGo is true the
-// traversal crosses go-statement edges (the goroutine side is closed under
-// both launching and calling); when false it follows plain calls only (the
-// event-loop side never enters a goroutine body by calling it).
-func (cg *callGraph) reach(roots []cgKey, followGo bool) map[cgKey]bool {
-	seen := map[cgKey]bool{}
-	stack := append([]cgKey(nil), roots...)
-	for len(stack) > 0 {
-		k := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if k == nil || seen[k] {
-			continue
-		}
-		seen[k] = true
-		for _, e := range cg.edges[k] {
-			if e.viaGo && !followGo {
-				continue
-			}
-			if !seen[e.callee] {
-				stack = append(stack, e.callee)
-			}
-		}
-	}
-	return seen
 }
 
 // fnDisplay renders a function as Name, or Recv.Name for a method.

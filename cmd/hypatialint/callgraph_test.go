@@ -51,8 +51,8 @@ func hasEdge(cg *callGraph, from, to cgKey, viaGo bool) bool {
 	return false
 }
 
-// TestCallGraphCrossPackage pins the resolution the locksafety and lifecycle
-// checks depend on: the pipeline's launch edge is marked viaGo, the
+// TestCallGraphCrossPackage pins the resolution the interprocedural checks
+// depend on: the pipeline's launch edge is marked viaGo, the
 // producer's engine call resolves across the package boundary into
 // internal/routing, and so does the default strategy's call into the
 // from-scratch sweep and the sweep's pool acquisition.
@@ -79,33 +79,6 @@ func TestCallGraphCrossPackage(t *testing.T) {
 	}
 	if !hasEdge(cg, sweep, empty, false) {
 		t.Error("ForwardingTableFor -> TablePool.Empty call edge missing")
-	}
-}
-
-// TestCallGraphReachability pins the side-splitting semantics of reach: the
-// goroutine side follows launches transitively across packages; the
-// event-loop side stops at go statements.
-func TestCallGraphReachability(t *testing.T) {
-	cg := buildRepoCallGraph(t)
-	newPipeline := findFn(t, cg, "internal/core", "newPipeline")
-	producer := findFn(t, cg, "internal/core", "producer")
-	step := findFn(t, cg, "internal/routing", "Step")
-	empty := findFn(t, cg, "internal/routing", "Empty")
-
-	goSide := cg.reach([]cgKey{producer}, true)
-	for _, want := range []*types.Func{producer, step, empty} {
-		if !goSide[want] {
-			t.Errorf("goroutine side must reach %s", want.Name())
-		}
-	}
-
-	loopView := cg.reach([]cgKey{newPipeline}, false)
-	if loopView[producer] {
-		t.Error("event-loop side crossed a go edge into producer")
-	}
-	launchView := cg.reach([]cgKey{newPipeline}, true)
-	if !launchView[producer] || !launchView[empty] {
-		t.Error("go-following traversal from newPipeline must reach producer and its pool acquisition")
 	}
 }
 

@@ -1,7 +1,7 @@
 package main
 
 // Per-function control-flow graph construction. The flow-sensitive check
-// families (lifecycle, unitsafety, locksafety) run a forward dataflow
+// families (lifecycle, unitsafety, handlesafety) run a forward dataflow
 // (dataflow.go) over this CFG instead of inspecting statements in isolation.
 //
 // Shape: blocks hold only "simple" nodes — plain statements and the

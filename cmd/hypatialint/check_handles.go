@@ -26,7 +26,7 @@ package main
 // not an unbounded counter — keeps the lattice finite, so bumps inside loops
 // still reach a fixpoint. A handle used after an invalidation on ANY path
 // through the CFG is reported with the full acquire → invalidate → use
-// chain, like the confinement escape paths.
+// chain.
 // Invalidation is interprocedural: a function that (transitively) calls an
 // epoch-bumping function bumps at its own call sites too.
 

@@ -36,9 +36,8 @@ import (
 )
 
 // checkPurityPkgs runs the purity check over the lint targets, using effect
-// summaries computed over every loaded package. It returns the analysis for
-// the confinement check, which trusts the same annotated types.
-func checkPurityPkgs(targets, all []*pkg, cg *callGraph, cfg config, conf *confIndex, hx *handleIndex, ax *allocAnalysis, rep *reporter) *effectAnalysis {
+// summaries computed over every loaded package.
+func checkPurityPkgs(targets, all []*pkg, cg *callGraph, cfg config, hx *handleIndex, ax *allocAnalysis, rep *reporter) {
 	an := analyzeEffects(all, cg, cfg.module)
 	// An implementer of a //hypatia:pure interface must carry the annotation
 	// itself, which checkAnnotated then holds it to.
@@ -50,7 +49,7 @@ func checkPurityPkgs(targets, all []*pkg, cg *callGraph, cfg config, conf *confI
 			tn.Name(), itn.Pkg().Name(), itn.Name(), m.Name())
 	}
 	for _, p := range targets {
-		pc := &purityChecker{an: an, p: p, conf: conf, handles: hx, allocs: ax, rep: rep}
+		pc := &purityChecker{an: an, p: p, handles: hx, allocs: ax, rep: rep}
 		pc.checkDirectiveComments()
 		an.checkAnnotated(p, rep, pc.checkCalleesAnnotated)
 		an.checkImplementers(p, rep, unannotated)
@@ -58,13 +57,11 @@ func checkPurityPkgs(targets, all []*pkg, cg *callGraph, cfg config, conf *confI
 			pc.checkRoots()
 		}
 	}
-	return an
 }
 
 type purityChecker struct {
 	an      *effectAnalysis
 	p       *pkg
-	conf    *confIndex
 	handles *handleIndex
 	allocs  *allocAnalysis
 	rep     *reporter
@@ -89,16 +86,6 @@ func (pc *purityChecker) checkDirectiveComments() {
 					if !pc.an.honored[c.Pos()] {
 						pc.rep.add(c.Pos(), checkDirective,
 							"//hypatia:pure has no effect here; it belongs in the doc comment of a function or a named function type")
-					}
-				case "confined":
-					if !pc.conf.honored[c.Pos()] {
-						pc.rep.add(c.Pos(), checkDirective,
-							"//hypatia:confined has no effect here; it belongs in the doc comment of a type declaration or a struct field")
-					}
-				case "transfer":
-					if !pc.conf.honored[c.Pos()] {
-						pc.rep.add(c.Pos(), checkDirective,
-							"//hypatia:transfer has no effect here; it belongs in the doc comment of a function or method")
 					}
 				case "handle":
 					if !pc.handles.honored[c.Pos()] {
@@ -127,7 +114,7 @@ func (pc *purityChecker) checkDirectiveComments() {
 					}
 				default:
 					pc.rep.add(c.Pos(), checkDirective,
-						fmt.Sprintf("unknown //hypatia: directive %q (supported: //hypatia:pure, //hypatia:confined, //hypatia:transfer, //hypatia:handle, //hypatia:epoch, //hypatia:exhaustive, //hypatia:noalloc, //hypatia:allocs)", "hypatia:"+verb))
+						fmt.Sprintf("unknown //hypatia: directive %q (supported: //hypatia:pure, //hypatia:handle, //hypatia:epoch, //hypatia:exhaustive, //hypatia:noalloc, //hypatia:allocs)", "hypatia:"+verb))
 				}
 			}
 		}

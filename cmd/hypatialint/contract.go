@@ -142,6 +142,20 @@ func (c *contract[K]) solve(all []*pkg) {
 	}
 }
 
+// directiveIn returns the comment of a doc group that is exactly the given
+// directive (optionally followed by a rationale after a space), or nil.
+func directiveIn(doc *ast.CommentGroup, directive string) *ast.Comment {
+	if doc == nil {
+		return nil
+	}
+	for _, c := range doc.List {
+		if c.Text == directive || strings.HasPrefix(c.Text, directive+" ") {
+			return c
+		}
+	}
+	return nil
+}
+
 // collectDirectives records the contract's annotations on function
 // declarations, named function types, and interfaces.
 func (c *contract[K]) collectDirectives(p *pkg) {

@@ -18,10 +18,8 @@ const (
 	checkCopyLock       = "copylock"       // by-value copies of sync primitives / the engine
 	checkLifecycle      = "lifecycle"      // use-after-Release / double-Release / leaked forwarding tables
 	checkUnitSafety     = "unitsafety"     // degrees/radians/meters/seconds taint reaching a mismatched sink
-	checkLockSafety     = "locksafety"     // unguarded writes to state shared across a go statement
 	checkStaleIgnore    = "staleignore"    // //lint:ignore directives that no longer match any finding
 	checkPurity         = "purity"         // //hypatia:pure contract violations and unannotated pipeline callees
-	checkConfinement    = "confinement"    // //hypatia:confined values reachable from more than one goroutine
 	checkHandleSafety   = "handlesafety"   // wrong-domain or stale handles indexing annotated arrays; non-exhaustive tag switches
 	checkAllocSafety    = "allocsafety"    // //hypatia:noalloc functions allocating on the steady-state path
 	checkDirective      = "directive"      // malformed //lint: or //hypatia: comments
@@ -35,10 +33,8 @@ var checkDocs = [][2]string{
 	{checkCopyLock, "no by-value copies of types containing sync primitives, sim.Simulator, or the event heap"},
 	{checkLifecycle, "pooled forwarding tables must not be used after Release, released twice, or leaked on early-return paths"},
 	{checkUnitSafety, "degrees/radians/meters/kilometers/seconds must not mix or reach a sink expecting another unit"},
-	{checkLockSafety, "fields accessed from both sides of a go statement must be written under a lock, over a channel, or before launch"},
 	{checkStaleIgnore, "//lint:ignore directives must still match a finding; delete them when the code is fixed"},
 	{checkPurity, "//hypatia:pure functions must be effect-free and call only annotated functions; pipeline goroutine bodies are held to the worker contract"},
-	{checkConfinement, "//hypatia:confined values must stay reachable from at most one goroutine; ownership transfers only over channels or //hypatia:transfer calls"},
 	{checkHandleSafety, "indexes into //hypatia:handle arrays must carry the matching domain and predate no //hypatia:epoch invalidation; switches over //hypatia:exhaustive tags must cover every constant or have a default"},
 	{checkAllocSafety, "//hypatia:noalloc functions must not allocate on the steady-state path; caller-owned arena growth and //hypatia:allocs(amortized) sites are the only allowances"},
 	{checkDirective, "//lint:ignore directives must name a check and give a reason; //hypatia: comments must be valid and take effect"},
@@ -230,9 +226,6 @@ type config struct {
 	// unitScope identifies the orbit-math packages, where the unitsafety
 	// dataflow applies.
 	unitScope []string
-	// lockScope identifies the packages built around the event-loop/worker
-	// split, where the locksafety check applies.
-	lockScope []string
 	// pureScope identifies the packages whose goroutine bodies are pipeline
 	// workers, held to the purity root contract.
 	pureScope []string
@@ -251,7 +244,6 @@ type config struct {
 var defaultConfig = config{
 	simScope:    []string{"internal/sim", "internal/transport", "internal/routing", "internal/core", "cmd/hypatialint"},
 	unitScope:   []string{"internal/orbit", "internal/geom", "internal/tle"},
-	lockScope:   []string{"internal/core"},
 	pureScope:   []string{"internal/core"},
 	handleScope: []string{"internal/sim", "internal/graph", "internal/routing"},
 }
@@ -277,15 +269,12 @@ func lintPackages(targets, all []*pkg, cg *callGraph, cfg config, rep *reporter)
 	// handlesafety runs before the purity pass so coercion directives are
 	// already marked honored when checkDirectiveComments validates them.
 	checkHandleSafetyPkgs(targets, all, cfg, hx, rep)
-	conf := collectConfinementDirectives(all)
-	checkLockSafetyPkgs(targets, cg, cfg, conf, rep)
 	// The allocation analysis runs before the purity pass so its directive
 	// index is complete when checkDirectiveComments validates //hypatia:
 	// comments.
 	ax := analyzeAllocs(all, cg, cfg.module)
-	an := checkPurityPkgs(targets, all, cg, cfg, conf, hx, ax, rep)
+	checkPurityPkgs(targets, all, cg, cfg, hx, ax, rep)
 	checkAllocSafetyPkgs(targets, ax, rep)
-	checkConfinementPkgs(targets, all, cg, an, conf, cfg, rep)
 	rep.reportStale()
 }
 

@@ -18,10 +18,7 @@ import (
 var fixtureCfg = config{
 	simScope:  []string{"internal/sim", "internal/transport", "internal/routing"},
 	unitScope: []string{"internal/orbit", "internal/geom", "internal/tle"},
-	lockScope: []string{"internal/core"},
-	// The purity-root fixture lives under purity/core rather than
-	// internal/core so the locksafety fixture's goroutines stay out of the
-	// pure scope and vice versa.
+	// The purity-root fixture lives under purity/core, not internal/core.
 	pureScope:   []string{"purity/core"},
 	handleScope: []string{"internal/sim", "internal/graph", "internal/routing"},
 }
@@ -107,9 +104,8 @@ func TestFixtures(t *testing.T) {
 	}
 	for _, name := range []string{
 		checkNondeterminism, checkTimeUnits, checkDroppedError, checkCopyLock,
-		checkLifecycle, checkUnitSafety, checkLockSafety, checkStaleIgnore,
-		checkPurity, checkConfinement, checkHandleSafety, checkAllocSafety,
-		checkDirective,
+		checkLifecycle, checkUnitSafety, checkStaleIgnore, checkPurity,
+		checkHandleSafety, checkAllocSafety, checkDirective,
 	} {
 		if !families[name] {
 			t.Errorf("check family %q produced no findings on its fixtures", name)
@@ -139,56 +135,6 @@ func TestLifecycleFixtureFailsAlone(t *testing.T) {
 	}
 	if counts[checkStaleIgnore] != 1 {
 		t.Errorf("staleignore findings = %d, want exactly the planted stale directive", counts[checkStaleIgnore])
-	}
-}
-
-// TestConfinementFixtureFailsAlone pins the acceptance criterion that the
-// seeded escape bugs in the confinement fixture fail the lint when run by
-// themselves, with the full allocation-to-escape path present in both the
-// text rendering and the -json output.
-func TestConfinementFixtureFailsAlone(t *testing.T) {
-	if code := run([]string{"./testdata/src/confine"}); code != 1 {
-		t.Fatalf("run on confine fixture = %d, want 1", code)
-	}
-	findings, err := lint(".", []string{"./testdata/src/confine"}, fixtureCfg)
-	if err != nil {
-		t.Fatalf("lint: %v", err)
-	}
-	var confinement int
-	var pathed bool
-	for _, f := range findings {
-		if f.Check != checkConfinement {
-			continue
-		}
-		confinement++
-		if strings.Contains(f.String(), "escape path:") &&
-			strings.Contains(f.Msg, "confine.arena value at fixture.go:") &&
-			strings.Contains(f.Msg, "captured variable a") {
-			pathed = true
-		}
-	}
-	if confinement < 10 {
-		t.Errorf("confinement findings = %d, want the fixture's ten seeded escapes", confinement)
-	}
-	if !pathed {
-		t.Errorf("no finding renders the allocation-to-escape path; findings:\n%v", findings)
-	}
-	var buf bytes.Buffer
-	if err := writeJSON(&buf, findings); err != nil {
-		t.Fatalf("writeJSON: %v", err)
-	}
-	var decoded []jsonFinding
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("decode -json output: %v", err)
-	}
-	var jsonPathed bool
-	for _, d := range decoded {
-		if d.Check == checkConfinement && strings.Contains(d.Message, "escape path:") {
-			jsonPathed = true
-		}
-	}
-	if !jsonPathed {
-		t.Error("-json output carries no confinement finding with its escape path")
 	}
 }
 
@@ -595,8 +541,8 @@ func drop() { mightFail() }
 	}
 }
 
-// TestMalformedDirective verifies that broken //lint: comments are
-// themselves findings rather than silent no-ops.
+// TestMalformedDirective verifies that broken //lint: comments and unknown
+// //hypatia: verbs are themselves findings rather than silent no-ops.
 func TestMalformedDirective(t *testing.T) {
 	// The loader resolves packages relative to the enclosing module, so the
 	// scratch fixture must live inside the repo tree rather than t.TempDir.
@@ -615,6 +561,14 @@ func unknownCheck() {}
 
 //lint:frobnicate x y
 func unknownDirective() {}
+
+// No analyzer reads these verbs, so they must not pass as silent comments.
+//
+//hypatia:confined
+type formerlyConfined struct{}
+
+//hypatia:transfer
+func formerlyTransfer() {}
 `
 	if err := os.WriteFile(filepath.Join(scratch, "scratch.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
@@ -623,8 +577,8 @@ func unknownDirective() {}
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
-	if len(findings) != 3 {
-		t.Fatalf("findings = %v, want 3 directive findings", findings)
+	if len(findings) != 5 {
+		t.Fatalf("findings = %v, want 5 directive findings", findings)
 	}
 	for _, f := range findings {
 		if f.Check != checkDirective {

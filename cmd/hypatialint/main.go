@@ -13,7 +13,7 @@
 //	copylock        no by-value copies of sync primitives, sim.Simulator,
 //	                or the event heap
 //
-// On top of these per-statement rules sit three flow-sensitive families,
+// On top of these per-statement rules sit the flow-sensitive families,
 // built on a per-function control-flow graph, a forward dataflow engine,
 // and a module-local call graph:
 //
@@ -23,16 +23,13 @@
 //	unitsafety      degrees/radians/meters/kilometers/seconds are tracked
 //	                through assignments and calls; mixing units or passing
 //	                one where another is expected is a finding
-//	locksafety      a struct field accessed on both sides of a go statement
-//	                must be written under a held lock, handed off on a
-//	                channel, or written only before the launch
 //	staleignore     a //lint:ignore directive that no longer matches any
 //	                finding is itself reported, so suppressions cannot
 //	                outlive the code they excused
 //
 // An interprocedural effect analysis — a bottom-up fixpoint over the
 // strongly-connected components of the module-local call graph — backs the
-// final pair:
+// contract families:
 //
 //	purity          //hypatia:pure is a checked contract: an annotated
 //	                function must be free of global writes, wall-clock and
@@ -42,13 +39,6 @@
 //	                obligates module-local implementers; goroutine bodies in
 //	                the pipeline packages (defaultConfig.pureScope) are held
 //	                to the worker contract (channels and arena writes allowed)
-//	confinement     //hypatia:confined on a type or struct field is a
-//	                machine-proven ownership contract: an Andersen-style
-//	                points-to analysis over the call graph proves each such
-//	                value reachable from at most one goroutine at a time,
-//	                with channel send/receive and //hypatia:transfer calls
-//	                as the only ownership-transfer points; violations report
-//	                the full allocation→escape path
 //	handlesafety    //hypatia:handle(<domain>) types the raw integer handles
 //	                of the struct-of-arrays simulator core: a flow-sensitive
 //	                taint lattice proves every index into an annotated array
@@ -72,6 +62,10 @@
 //	directive       //lint: and //hypatia: comments that are malformed,
 //	                name an unknown directive, or sit where they take no
 //	                effect
+//
+// "State owned by one goroutine at a time" is deliberately not a static
+// family: that property is gated by go test -race -tags hypatia_checks over
+// the sharded and pipeline differentials (DESIGN.md "Removed, and why").
 //
 // One run is one serial pass: the lint targets and their module-local
 // imports are parsed and type-checked from source, every check family runs

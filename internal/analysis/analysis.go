@@ -201,7 +201,7 @@ func newSweep(topo *routing.Topology, cfg Config) (*sweep, error) {
 		srcs = append(srcs, s)
 	}
 	sort.Ints(srcs)
-	return &sweep{topo: topo, cfg: cfg, pairs: pairs, srcs: srcs, steps: int(cfg.Duration/cfg.Step) + 1}, nil
+	return &sweep{topo: topo, cfg: cfg, pairs: pairs, srcs: srcs, steps: stepCount(cfg.Duration, cfg.Step)}, nil
 }
 
 // run steps the topology from t=0 through the duration. At every step it
@@ -375,10 +375,17 @@ func MissedChanges(baseline, coarse *ChangeProfile) ([]int, error) {
 	return out, nil
 }
 
+// stepCount is the number of instants 0, step, 2·step, ... that fit in
+// [0, duration]. The tolerance keeps a quotient that is a whole number on
+// paper (0.7/0.1) from truncating one short of it in floating point.
+func stepCount(duration, step float64) int {
+	return int(math.Floor(duration/step+1e-9)) + 1
+}
+
 // RTTSeries returns the computed RTT (seconds; +Inf when disconnected) of
 // one pair at every step — the "Computed" curve of Fig 3.
 func RTTSeries(topo *routing.Topology, src, dst int, duration, step float64) []float64 {
-	n := int(duration/step) + 1
+	n := stepCount(duration, step)
 	out := make([]float64, n)
 	for i := 0; i < n; i++ {
 		out[i] = topo.Snapshot(float64(i)*step).RTT(src, dst)

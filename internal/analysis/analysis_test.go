@@ -287,3 +287,22 @@ func TestRTTSeries(t *testing.T) {
 		t.Skip("pair disconnected throughout in mini constellation")
 	}
 }
+
+// TestStepCount pins the instant count on horizons whose float quotient
+// lands just below a whole number: 0.7/0.1 is 6.999..., and the instant at
+// 0.7 s must still be analysed.
+func TestStepCount(t *testing.T) {
+	for _, tc := range []struct {
+		duration, step float64
+		want           int
+	}{
+		{0.3, 0.1, 4}, {0.7, 0.1, 8}, {1, 0.3, 4}, {30, 0.1, 301}, {200, 0.05, 4001},
+	} {
+		if got := stepCount(tc.duration, tc.step); got != tc.want {
+			t.Errorf("stepCount(%v, %v) = %d, want %d", tc.duration, tc.step, got, tc.want)
+		}
+	}
+	if got := len(RTTSeries(miniTopo(t), 0, 1, 0.7, 0.1)); got != 8 {
+		t.Errorf("RTTSeries over 0.7 s at 0.1 s has %d samples, want 8", got)
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -98,6 +99,39 @@ func TestForwardingUpdatesInstalledEveryInterval(t *testing.T) {
 	if got := r.UpdatesInstalled(); got != 21 {
 		t.Errorf("updates installed = %d, want 21", got)
 	}
+}
+
+// TestConcurrentRunsShareNothing executes four runs at once in one process,
+// serial and sharded mixed. Each run owns its producer, engines and scratch;
+// any state two runs reach in common (a package-level scratch, a shared
+// pool buffer) is a data race for the race detector and a table mismatch for
+// the hypatia_checks oracle.
+func TestConcurrentRunsShareNothing(t *testing.T) {
+	gs := fourCities(t)
+	var wg sync.WaitGroup
+	for i, shards := range []int{1, 2, 1, 2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := NewRun(RunConfig{
+				Constellation:  miniConfig(),
+				GroundStations: gs,
+				Duration:       5 * sim.Second,
+				Shards:         shards,
+			})
+			if err != nil {
+				t.Errorf("run %d: %v", i, err)
+				return
+			}
+			defer r.Close()
+			r.Execute()
+			// t=0 plus 50 periodic updates at the default 100 ms.
+			if got := r.UpdatesInstalled(); got != 51 {
+				t.Errorf("run %d (shards=%d): updates installed = %d, want 51", i, shards, got)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestRunCloseStopsProducer checks the producer's lifecycle on the ways a

@@ -37,8 +37,6 @@ type EdgeChange struct {
 // DiffScratch holds the per-node weight slots DiffInto reuses across calls.
 // The zero value is ready for use; a DiffScratch must not be shared between
 // concurrent DiffInto calls.
-//
-//hypatia:confined
 type DiffScratch struct {
 	w     []float64 //hypatia:handle(node)
 	stamp []int64   //hypatia:handle(node)
@@ -102,8 +100,6 @@ func DiffInto(oldG, newG *Graph, out []EdgeChange, sc *DiffScratch) []EdgeChange
 // Dijkstra heap for the reordered region, the swept-node epochs, and the
 // list of nodes that saw a tied offer. The zero value is ready for use; a
 // RepairScratch must not be shared between concurrent repairs.
-//
-//hypatia:confined
 type RepairScratch struct {
 	h        indexedHeap
 	tieList  []int32 //hypatia:handle(->node)

@@ -288,8 +288,6 @@ func (h *indexedHeap) empty() bool { return len(h.nodes) == 0 }
 // shared between concurrent Dijkstra calls. Threading one Scratch through
 // a sweep of many runs (e.g. one per destination ground station) removes
 // the per-run heap allocations.
-//
-//hypatia:confined
 type Scratch struct {
 	h indexedHeap
 }

@@ -39,8 +39,6 @@ const marginSafety = 0.9
 // deadline keep their cached status; expired pairs are rechecked with the
 // exact same arithmetic VisibleFromInto uses, so the resulting snapshot is
 // bitwise identical to Topology.SnapshotInto.
-//
-//hypatia:confined
 type DeltaState struct {
 	topo   *Topology
 	snaps  [2]*Snapshot
@@ -427,8 +425,6 @@ func (t *Topology) DeltaInto(tsec float64, d *DeltaState) (*Snapshot, []graph.Ed
 //
 // An engine is single-owner state (one goroutine at a time); tables it
 // returns are the caller's to Release.
-//
-//hypatia:confined
 type IncrementalEngine struct {
 	topo *Topology
 	pool *TablePool
@@ -437,14 +433,18 @@ type IncrementalEngine struct {
 
 	repair graph.RepairScratch
 
-	// Per-destination shortest-path state: the dist/prev solution arrays and
-	// the settle order carried into the next repair. A nil order marks a
-	// destination never yet computed; its first repair starts from the
-	// identity order, which degenerates to an ordinary Dijkstra (every
-	// improvement routes through the heap) and sorts itself on return.
-	dist  [][]float64 //hypatia:handle(gs)
-	prev  [][]int32   //hypatia:handle(gs->node)
-	order [][]int32   //hypatia:handle(gs->node)
+	// The one dist/prev solution pair every repair writes into: the dense
+	// repair overwrites both before reading either, and a tree's prev is
+	// copied into the table before the next destination reuses the pair.
+	dist []float64 //hypatia:handle(node)
+	prev []int32   //hypatia:handle(node->node)
+
+	// Per-destination settle order, the only state a repair carries into the
+	// next one. A nil order marks a destination never yet computed; its
+	// first repair starts from the identity order, which degenerates to an
+	// ordinary Dijkstra (every improvement routes through the heap) and
+	// sorts itself on return.
+	order [][]int32 //hypatia:handle(gs->node)
 }
 
 // NewIncrementalEngine builds an engine over topo drawing tables from pool
@@ -455,13 +455,13 @@ func NewIncrementalEngine(topo *Topology, pool *TablePool) *IncrementalEngine {
 	if pool == nil {
 		pool = &TablePool{}
 	}
-	ng := topo.NumGS()
+	n := topo.NumNodes()
 	return &IncrementalEngine{
 		topo:  topo,
 		pool:  pool,
-		dist:  make([][]float64, ng),
-		prev:  make([][]int32, ng),
-		order: make([][]int32, ng),
+		dist:  make([]float64, n),
+		prev:  make([]int32, n),
+		order: make([][]int32, topo.NumGS()),
 	}
 }
 
@@ -486,11 +486,9 @@ func (e *IncrementalEngine) Step(tsec float64, active []int) *ForwardingTable {
 				ord[i] = int32(i)
 			}
 			e.order[gs] = ord
-			e.dist[gs] = make([]float64, n)
-			e.prev[gs] = make([]int32, n)
 		}
-		g.RepairSSSPDense(t.GSNode(gs), e.dist[gs], e.prev[gs], e.order[gs], &e.repair)
-		ft.SetDestination(gs, e.prev[gs])
+		g.RepairSSSPDense(t.GSNode(gs), e.dist, e.prev, e.order[gs], &e.repair)
+		ft.SetDestination(gs, e.prev)
 	}
 	if active == nil {
 		for gs := 0; gs < t.NumGS(); gs++ { //hypatia:handle(gs) full sweep walks destinations in index order

@@ -225,8 +225,6 @@ func (s *Snapshot) FromGSScratch(gs int, dist []float64, prev []int32, sc *graph
 // update instants: the Dijkstra distance/predecessor arrays and the heap
 // workspace. The zero value is ready for use; a StrategyScratch must not be
 // shared between concurrent sweeps.
-//
-//hypatia:confined
 type StrategyScratch struct {
 	Dist     []float64 //hypatia:handle(node)
 	Prev     []int32   //hypatia:handle(node->node)
@@ -295,8 +293,6 @@ func (s *Snapshot) KShortestPaths(srcGS, dstGS, k int) []graph.WeightedPath {
 // for every node and every destination ground station, the next-hop node.
 // It is the in-memory analog of the static routing tables Hypatia installs
 // into ns-3 at each state-update event.
-//
-//hypatia:confined
 type ForwardingTable struct {
 	T        float64
 	NumNodes int
@@ -387,7 +383,6 @@ type TablePool struct {
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:transfer
 func (p *TablePool) Empty(t float64, numNodes, numGS int) *ForwardingTable {
 	need := numNodes * numGS
 	var ft *ForwardingTable
@@ -422,7 +417,6 @@ func (p *TablePool) Empty(t float64, numNodes, numGS int) *ForwardingTable {
 // repeat.
 //
 //hypatia:noalloc
-//hypatia:transfer
 //hypatia:epoch(recv: table-slot)
 func (ft *ForwardingTable) Release() {
 	if ft == nil {
@@ -453,7 +447,6 @@ func (ft *ForwardingTable) Release() {
 // later instants.
 //
 //hypatia:noalloc
-//hypatia:transfer
 //hypatia:epoch(dst: table-slot)
 func (ft *ForwardingTable) CloneInto(dst *ForwardingTable) *ForwardingTable {
 	if check.Enabled {

@@ -147,8 +147,6 @@ type TransmitInfo struct {
 // engine's netState on the root Simulator is the whole network state, while
 // a sharded run gives each shard engine its own and folds counters back into
 // the root afterwards.
-//
-//hypatia:confined
 type netState struct {
 	ft        *routing.ForwardingTable
 	installs  int
@@ -184,8 +182,6 @@ type queued struct {
 // its ring lives in the shared Network.rings slab. Each device is owned by
 // the engine executing its node's events — the serial loop, or exactly one
 // shard in a sharded run.
-//
-//hypatia:confined
 type device struct {
 	node    int32 //hypatia:handle(node)
 	rateBps float64

@@ -24,10 +24,11 @@ import (
 // Cross-shard packets become timestamped handoffs: the sending shard
 // appends to a per-destination outbox, and the coordinator — which owns
 // every shard engine between windows (ownership passes over the command/
-// done channels, the machine-checked //hypatia:transfer discipline) —
-// routes them into the destination heaps before the next window. Handoff
-// arrival times always land at or beyond the window boundary (asserted
-// under hypatia_checks), so no shard ever receives an event in its past.
+// done channels; the race detector over the sharded differentials is the
+// gate on that discipline) — routes them into the destination heaps before
+// the next window. Handoff arrival times always land at or beyond the
+// window boundary (asserted under hypatia_checks), so no shard ever
+// receives an event in its past.
 //
 // Determinism: events are ordered by the canonical content key
 // (at, owner, kind, key, seq) on every engine, so each shard pops exactly
@@ -320,7 +321,7 @@ func (la *lookahead) window(t, until Time) (Time, bool) {
 }
 
 // shardWindow is one command to a shard goroutine: adopt an engine (sim
-// non-nil, the confinement transfer point) or execute a window.
+// non-nil, the ownership handoff) or execute a window.
 type shardWindow struct {
 	sim       *Simulator
 	end       Time

@@ -112,8 +112,6 @@ type event struct {
 
 // eventHeap is a manual binary min-heap of event records (container/heap
 // would box every push/pop through interface{}).
-//
-//hypatia:confined
 type eventHeap []event
 
 //hypatia:noalloc
@@ -192,8 +190,6 @@ type journalKey struct {
 // Simulator is a discrete-event engine: single-threaded on its own, and the
 // unit of parallelism in a sharded run (one Simulator per shard, each owned
 // by exactly one goroutine at a time — see Network.RunSharded).
-//
-//hypatia:confined
 type Simulator struct {
 	now       Time
 	events    eventHeap

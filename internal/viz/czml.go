@@ -9,6 +9,7 @@ package viz
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"hypatia/internal/constellation"
 	"hypatia/internal/geom"
@@ -94,6 +95,13 @@ type czmlMaterial struct {
 	} `json:"solidColor"`
 }
 
+// stepCount is the number of samples 0, step, 2·step, ... that fit in
+// [0, duration]. The tolerance keeps a quotient that is a whole number on
+// paper (0.7/0.1) from truncating one short of it in floating point.
+func stepCount(duration, step float64) int {
+	return int(math.Floor(duration/step+1e-9)) + 1
+}
+
 // ConstellationCZML renders the satellite trajectories of a constellation
 // as a CZML document loadable in any Cesium viewer. Positions are sampled
 // in the inertial frame and emitted as time-tagged ECEF cartesians.
@@ -116,7 +124,7 @@ func ConstellationCZML(c *constellation.Constellation, opt CZMLOptions) ([]byte,
 			Multiplier:  10,
 		},
 	}}
-	steps := int(opt.Duration/opt.Step) + 1
+	steps := stepCount(opt.Duration, opt.Step)
 	for i := range c.Satellites {
 		cart := make([]float64, 0, steps*4)
 		for k := 0; k < steps; k++ {

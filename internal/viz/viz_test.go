@@ -100,6 +100,21 @@ func TestConstellationCZMLPositionsAreOrbital(t *testing.T) {
 	}
 }
 
+// TestStepCount pins the sample count on horizons whose float quotient
+// lands just below a whole number (0.7/0.1 is 6.999...).
+func TestStepCount(t *testing.T) {
+	for _, tc := range []struct {
+		duration, step float64
+		want           int
+	}{
+		{0.3, 0.1, 4}, {0.7, 0.1, 8}, {1, 0.3, 4}, {30, 0.1, 301}, {200, 0.05, 4001},
+	} {
+		if got := stepCount(tc.duration, tc.step); got != tc.want {
+			t.Errorf("stepCount(%v, %v) = %d, want %d", tc.duration, tc.step, got, tc.want)
+		}
+	}
+}
+
 func TestConstellationCZMLRejectsBadOptions(t *testing.T) {
 	c := miniConstellation(t)
 	if _, err := ConstellationCZML(c, CZMLOptions{Duration: -5, Step: 1}); err == nil {

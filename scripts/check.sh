@@ -5,11 +5,26 @@
 #
 #   ./scripts/check.sh
 #
-# Exits non-zero on the first failure.
+# Exits non-zero on the first failure. Each stage's wall time is printed as
+# it finishes ("-- <stage>: N s").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== gofmt =="
+# stage closes the previous stage with its elapsed seconds and opens the
+# next; an empty name only closes.
+stage_name=""
+stage() {
+    if [[ -n "$stage_name" ]]; then
+        echo "-- $stage_name: $((SECONDS - stage_start)) s"
+    fi
+    stage_name=$1
+    stage_start=$SECONDS
+    if [[ -n "$stage_name" ]]; then
+        echo "== $stage_name =="
+    fi
+}
+
+stage "gofmt"
 unformatted=$(gofmt -s -l . | grep -v '^cmd/hypatialint/testdata/' || true)
 if [[ -n "$unformatted" ]]; then
     echo "files need gofmt -s -w:" >&2
@@ -17,26 +32,26 @@ if [[ -n "$unformatted" ]]; then
     exit 1
 fi
 
-echo "== go vet =="
+stage "go vet"
 go vet ./...
 
-echo "== build (both variants) =="
+stage "build (both variants)"
 go build ./...
 go build -tags hypatia_checks ./...
 
-echo "== build hypatialint =="
+stage "build hypatialint"
 go build -o bin/hypatialint ./cmd/hypatialint
 
-echo "== hypatialint =="
+stage "hypatialint"
 ./bin/hypatialint ./...
 
-echo "== hypatialint self-check (fixtures must fail) =="
+stage "hypatialint self-check (fixtures must fail)"
 if ./bin/hypatialint ./cmd/hypatialint/testdata/src/... >/dev/null; then
     echo "hypatialint reported the fixture tree clean; the analyzer is broken" >&2
     exit 1
 fi
 
-echo "== alloc guards (default build, GOMAXPROCS=1) =="
+stage "alloc guards (default build, GOMAXPROCS=1)"
 # The runtime half of //hypatia:noalloc: testing.AllocsPerRun pins the
 # steady-state hot paths to their budgets. Run in the default build — the
 # hypatia_checks build boxes assertion arguments and runs from-scratch
@@ -45,7 +60,7 @@ echo "== alloc guards (default build, GOMAXPROCS=1) =="
 GOMAXPROCS=1 go test -count=1 -run 'TestAllocGuard' \
     ./internal/graph/ ./internal/routing/ ./internal/sim/
 
-echo "== incremental oracle exercised (comparison count must be nonzero) =="
+stage "incremental oracle exercised (comparison count must be nonzero)"
 # The differential layer is only as good as the oracle actually running:
 # these tests fail unless the hypatia_checks oracle re-derived and compared
 # a nonzero number of forwarding columns against the incremental engine.
@@ -53,7 +68,8 @@ go test -tags hypatia_checks -count=1 \
     -run 'TestIncrementalOracleExercised|TestDifferentialIncrementalSequences' \
     ./internal/routing/ ./internal/core/
 
-echo "== go test -race -tags hypatia_checks (shuffled) =="
+stage "go test -race -tags hypatia_checks (shuffled)"
 go test -race -tags hypatia_checks -shuffle=on ./...
 
-echo "ALL CHECKS PASSED"
+stage ""
+echo "ALL CHECKS PASSED in $SECONDS s"
