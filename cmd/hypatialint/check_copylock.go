@@ -9,7 +9,7 @@ import (
 
 // checkCopyLockPkg enforces mutex/copy safety: values whose type contains a
 // sync primitive (anything with a Lock method, matching go vet's rule), the
-// simulator engine, or its event heap must never be copied by value — a
+// simulator engine, or its event queue must never be copied by value — a
 // copy forks the lock or the event queue and the two halves silently
 // diverge. Flagged sites:
 //
@@ -143,12 +143,11 @@ func noCopy(t types.Type, seen map[types.Type]bool) (string, bool) {
 	case *types.Struct:
 		for i := 0; i < u.NumFields(); i++ {
 			ft := u.Field(i).Type()
-			// A struct holding the engine's event heap (sim.Simulator) must
-			// never be copied: the copy forks the event queue and the two
-			// engines silently diverge. The heap type itself may use value
-			// receivers (the standard container/heap slice idiom).
+			// A struct holding the engine's event queue (sim.Simulator) must
+			// never be copied: the copy forks the queue — two heaps over one
+			// record slab — and the two engines silently diverge.
 			if path, name, ok := namedType(ft); ok &&
-				strings.HasSuffix(path, "internal/sim") && (name == "eventHeap" || name == "Simulator") {
+				strings.HasSuffix(path, "internal/sim") && (name == "eventQueue" || name == "Simulator") {
 				return "a struct containing sim." + name + " (the event engine)", true
 			}
 			if why, bad := noCopy(ft, seen); bad {

@@ -30,7 +30,7 @@ var checkDocs = [][2]string{
 	{checkNondeterminism, "no wall-clock time, unseeded math/rand, or map-range-ordered event scheduling in simulator-core packages"},
 	{checkTimeUnits, "sim.Time/float conversions must go through sim.Seconds()/Time.Seconds(); no float ==/!= outside tests (zero-sentinel compares allowed)"},
 	{checkDroppedError, "error results must be handled or explicitly discarded with _ ="},
-	{checkCopyLock, "no by-value copies of types containing sync primitives, sim.Simulator, or the event heap"},
+	{checkCopyLock, "no by-value copies of types containing sync primitives, sim.Simulator, or the event queue"},
 	{checkLifecycle, "pooled forwarding tables must not be used after Release, released twice, or leaked on early-return paths"},
 	{checkUnitSafety, "degrees/radians/meters/kilometers/seconds must not mix or reach a sink expecting another unit"},
 	{checkStaleIgnore, "//lint:ignore directives must still match a finding; delete them when the code is fixed"},

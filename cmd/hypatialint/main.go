@@ -11,7 +11,7 @@
 //	                tests (zero-sentinel comparisons allowed)
 //	droppederror    error results must be handled or discarded with _ =
 //	copylock        no by-value copies of sync primitives, sim.Simulator,
-//	                or the event heap
+//	                or the event queue
 //
 // On top of these per-statement rules sit the flow-sensitive families,
 // built on a per-function control-flow graph, a forward dataflow engine,

@@ -171,7 +171,10 @@ type (
 	NetworkConfig = sim.Config
 	// Network is the packet-forwarding fabric.
 	Network = sim.Network
-	// Packet is a simulated packet.
+	// Packet is a simulated packet. The network reuses the record once the
+	// packet is delivered or dropped: a *Packet handed to a flow handler or
+	// to a transmit, drop or deliver hook (Network.RegisterFlow, Set*Hook)
+	// is valid only until that callback returns — copy the value to keep it.
 	Packet = sim.Packet
 )
 

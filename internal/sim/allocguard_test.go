@@ -9,30 +9,33 @@ import (
 // The AllocGuard tests are the runtime half of the //hypatia:noalloc
 // contract on the event engine; see internal/check/checktest.
 
-// TestAllocGuardEventHeap pins the heap machinery the engine lives on:
-// once the backing array has grown to the working-set size, fill/drain
-// cycles of pushes and pops allocate nothing.
+// TestAllocGuardEventHeap pins the queue machinery the engine lives on:
+// once the heap and the record slab have grown to the working-set size,
+// fill/drain cycles of pushes — plain and through the per-device FIFOs — and
+// pops allocate nothing.
 func TestAllocGuardEventHeap(t *testing.T) {
-	var h eventHeap
-	checktest.AllocGuard(t, "eventHeap push/pop", 0, 1, func() {
+	var q eventQueue
+	q.devices(4)
+	checktest.AllocGuard(t, "eventQueue push/pop", 0, 1, func() {
 		for i := 0; i < 64; i++ {
-			h.push(event{at: Time(i * 7 % 64), owner: int32(i % 5), kind: evClosure, seq: uint64(i)})
+			q.push(event{at: Time(i * 7 % 64), owner: int32(i % 5), kind: evClosure, seq: uint64(2 * i)})
+			q.pushFlight(int32(i%4), event{at: Time(i * 5 % 64), owner: int32(i % 3), kind: evReceive, key: uint64(i), seq: uint64(2*i + 1)})
 		}
-		for len(h) > 0 {
-			h.pop()
+		for q.len() > 0 {
+			q.pop()
 		}
 	})
 }
 
 // TestAllocGuardPacketPath pins the full per-packet event chain — inject,
-// forward, enqueue, serialize, receive, deliver — at one heap allocation
-// per packet: the Packet record Send mints by design. Everything after the
-// injection (device rings, event records, position cache) reuses
+// forward, enqueue, serialize, receive, deliver — at zero heap allocations:
+// Send reuses the record of a packet whose journey has ended, and everything
+// after the injection (device rings, event records, position cache) reuses
 // engine-owned storage.
 func TestAllocGuardPacketPath(t *testing.T) {
 	s, n, _ := testNet(t, DefaultConfig())
 	n.RegisterFlow(1, 1, func(*Packet) {})
-	checktest.AllocGuard(t, "packet delivery path", 1, 1, func() {
+	checktest.AllocGuard(t, "packet delivery path", 0, 1, func() {
 		n.Send(0, 1, 1, 1500, nil)
 		s.Run(s.Now() + Second)
 	})

@@ -11,6 +11,13 @@ import (
 // Packet is a simulated network packet. Size covers everything serialized on
 // the wire (payload plus headers); Payload carries the transport-layer
 // segment and is opaque to the network.
+//
+// Lifetime: the network owns every Packet and reuses the record once the
+// packet's journey ends (delivered or dropped). A *Packet handed to a Handler
+// or to a transmit, drop or deliver hook is valid only until that callback
+// returns; a callback that needs the packet later copies the value. Builds
+// with the hypatia_checks tag poison a recycled record (ID ^0, Hops -1,
+// Size -1) so a retained pointer fails loudly.
 type Packet struct {
 	ID     uint64
 	SrcGS  int    //hypatia:handle(gs) source ground-station index
@@ -23,7 +30,8 @@ type Packet struct {
 	Payload any
 }
 
-// Handler consumes packets delivered to a ground station for a flow.
+// Handler consumes packets delivered to a ground station for a flow. The
+// packet is valid only until the handler returns (see Packet).
 type Handler func(*Packet)
 
 // DropReason classifies packet drops.
@@ -132,7 +140,8 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// TransmitInfo describes one link transmission, for monitoring hooks.
+// TransmitInfo describes one link transmission, for monitoring hooks. Packet
+// is valid only until the hook returns (see Packet).
 type TransmitInfo struct {
 	From, To int // node ids
 	Packet   *Packet
@@ -155,6 +164,10 @@ type netState struct {
 
 	delivered uint64
 	drops     [numDropReasons]uint64
+
+	// freePkts holds the records of packets whose journey ended on this
+	// engine, for Send to reuse.
+	freePkts []*Packet
 
 	// Sharded-run fields (unused on the root engine in serial runs).
 	// outbox[k] collects handoffs destined for shard k during a window; the
@@ -333,6 +346,7 @@ func NewNetwork(s *Simulator, topo *routing.Topology, cfg Config) (*Network, err
 		}
 	}
 	n.rings = make([]queued, len(n.devs)*cfg.QueuePackets)
+	s.events.devices(len(n.devs))
 	return n, nil
 }
 
@@ -352,38 +366,52 @@ func (n *Network) simFor(node int32) *Simulator {
 }
 
 // SetTransmitHook registers fn to observe every link transmission. Pass nil
-// to disable. Used by the utilization experiments (Figs 10, 14, 15).
+// to disable. Used by the utilization experiments (Figs 10, 14, 15). The
+// TransmitInfo's Packet is valid only until fn returns (see Packet).
 func (n *Network) SetTransmitHook(fn func(TransmitInfo)) { n.onTransmit = fn }
 
 // SetDropHook registers fn to observe every packet drop with the drop time,
-// the node where it occurred, and the reason. Pass nil to disable.
+// the node where it occurred, and the reason. Pass nil to disable. pkt is
+// valid only until fn returns (see Packet).
 func (n *Network) SetDropHook(fn func(at Time, node int, pkt *Packet, reason DropReason)) {
 	n.onDrop = fn
 }
 
 // SetDeliverHook registers fn to observe every packet handed to a transport
 // handler at its destination ground station, with the delivery time. Pass
-// nil to disable.
+// nil to disable. pkt is valid only until fn returns (see Packet).
 func (n *Network) SetDeliverHook(fn func(at Time, gs int, pkt *Packet)) { n.onDeliver = fn }
 
 // drop counts a drop and notifies the hook (directly, or via the shard
-// journal for post-run replay in canonical order).
+// journal for post-run replay in canonical order). The drop ends the
+// packet's journey: its record is recycled and the caller must not touch it
+// again.
 //
 //hypatia:noalloc
 //hypatia:handle(node: node)
 func (n *Network) drop(s *Simulator, node int32, pkt *Packet, reason DropReason) {
 	s.st.drops[reason]++
-	if s.st.journaling {
-		if n.onDrop != nil {
+	if n.onDrop != nil {
+		if s.st.journaling {
 			s.st.journal = append(s.st.journal, journalRec{
 				key: s.emissionKey(), jk: jDrop, at: s.now, a: node, reason: reason, pkt: *pkt,
 			})
+		} else {
+			n.onDrop(s.now, int(node), pkt, reason) //hypatia:allocs(amortized) monitoring hooks own their allocation budget
 		}
-		return
 	}
-	if n.onDrop != nil {
-		n.onDrop(s.now, int(node), pkt, reason) //hypatia:allocs(amortized) monitoring hooks own their allocation budget
+	s.recycle(pkt)
+}
+
+// recycle returns the record of a packet whose journey has ended to the
+// engine's free list.
+//
+//hypatia:noalloc
+func (s *Simulator) recycle(pkt *Packet) {
+	if check.Enabled {
+		pkt.ID, pkt.Hops, pkt.Size = ^uint64(0), -1, -1
 	}
+	s.st.freePkts = append(s.st.freePkts, pkt)
 }
 
 // InstallForwarding replaces the network-wide forwarding state and returns
@@ -490,8 +518,16 @@ func (n *Network) Send(srcGS, dstGS int, flowID uint32, size int, payload any) u
 	node := int32(n.Topo.GSNode(srcGS))
 	s := n.simFor(node)
 	n.pktSeq[node]++
-	pkt := &Packet{
-		ID:      uint64(node)<<32 | uint64(n.pktSeq[node]),
+	id := uint64(node)<<32 | uint64(n.pktSeq[node])
+	var pkt *Packet
+	if k := len(s.st.freePkts) - 1; k >= 0 {
+		pkt = s.st.freePkts[k]
+		s.st.freePkts = s.st.freePkts[:k]
+	} else {
+		pkt = new(Packet)
+	}
+	*pkt = Packet{
+		ID:      id,
 		SrcGS:   srcGS,
 		DstGS:   dstGS,
 		FlowID:  flowID,
@@ -499,8 +535,8 @@ func (n *Network) Send(srcGS, dstGS int, flowID uint32, size int, payload any) u
 		SentAt:  s.now,
 		Payload: payload,
 	}
-	n.forward(s, node, pkt)
-	return pkt.ID
+	n.forward(s, node, pkt) // may end the journey and recycle pkt
+	return id
 }
 
 // Delivered returns the count of packets handed to transport handlers.
@@ -653,7 +689,7 @@ func (n *Network) transmitDone(s *Simulator, di int32) {
 	if n.cfg.LossModel != nil && n.cfg.LossModel(int(d.node), int(target), done) { //hypatia:allocs(amortized) loss models own their allocation budget
 		n.drop(s, d.node, pkt, DropLink)
 	} else {
-		n.deliverTo(s, target, done+prop, pkt)
+		n.deliverTo(s, di, target, done+prop, pkt)
 	}
 	if d.n > 0 {
 		n.transmitStart(s, di)
@@ -662,12 +698,13 @@ func (n *Network) transmitDone(s *Simulator, di int32) {
 	}
 }
 
-// deliverTo schedules a packet's arrival at its target node: locally when
-// the target is on this engine, as a cross-shard handoff otherwise.
+// deliverTo schedules the arrival at its target node of a packet device di
+// has just put on the wire: locally, through the device's in-flight FIFO,
+// when the target is on this engine, as a cross-shard handoff otherwise.
 //
 //hypatia:noalloc
-//hypatia:handle(target: node)
-func (n *Network) deliverTo(s *Simulator, target int32, at Time, pkt *Packet) {
+//hypatia:handle(di: device, target: node)
+func (n *Network) deliverTo(s *Simulator, di, target int32, at Time, pkt *Packet) {
 	if n.shardOf != nil {
 		if k := n.shardOf[target]; k != s.shard {
 			if check.Enabled {
@@ -678,7 +715,7 @@ func (n *Network) deliverTo(s *Simulator, target int32, at Time, pkt *Packet) {
 			return
 		}
 	}
-	s.events.push(event{at: at, owner: target, kind: evReceive, key: pkt.ID, seq: s.nextSeq(), pkt: pkt})
+	s.events.pushFlight(di, event{at: at, owner: target, kind: evReceive, key: pkt.ID, seq: s.nextSeq(), pkt: pkt})
 }
 
 // receive is the evReceive dispatch: packet arrival at a node — local
@@ -705,6 +742,7 @@ func (n *Network) receive(s *Simulator, node int32, pkt *Packet) {
 			}
 		}
 		h(pkt) //hypatia:allocs(amortized) transport handlers own their allocation budget
+		s.recycle(pkt)
 		return
 	}
 	n.forward(s, node, pkt)

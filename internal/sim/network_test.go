@@ -171,14 +171,14 @@ func TestLossModelPartialLossStillDelivers(t *testing.T) {
 
 func TestPacketDelivery(t *testing.T) {
 	s, n, topo := testNet(t, DefaultConfig())
-	var got *Packet
+	var got Packet // a copy: the pointer is valid only inside the handler
 	var at Time
-	n.RegisterFlow(1, 7, func(p *Packet) { got, at = p, s.Now() })
+	n.RegisterFlow(1, 7, func(p *Packet) { got, at = *p, s.Now() })
 
 	n.Send(0, 1, 7, 1500, "hello")
 	s.Run(Second)
 
-	if got == nil {
+	if n.Delivered() == 0 {
 		t.Fatal("packet not delivered")
 	}
 	if got.Payload != "hello" || got.SrcGS != 0 || got.DstGS != 1 {

@@ -1,0 +1,205 @@
+package sim
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// queueDrive is what one op stream exercised, so the seeded test can insist
+// that the interesting paths were reached.
+type queueDrive struct {
+	pops       int
+	maxPending int
+	maxHeld    int // most events held in FIFOs behind their heads at once
+	outOfOrder int // receives pushed earlier than their device's previous one
+	refills    int // receives pushed for a device whose FIFO had run empty
+}
+
+// driveQueue feeds an eventQueue an op stream through its real entry points
+// (push, pushFlight, pop, len, nextAt) and checks every pop against an oracle
+// that is not a heap: the set of everything scheduled and not yet popped,
+// stably sorted under the canonical comparator. Each op is two bytes — what,
+// and with which parameters — so the seeded test and the fuzzer share it.
+func driveQueue(t *testing.T, ops []byte) queueDrive {
+	t.Helper()
+	const devs = 4
+	// Two devices share a propagation delay, so receives pushed at one instant
+	// on both tie on `at` at different owners.
+	prop := [devs]Time{5000, 5000, 7000, 3000}
+	delays := [...]Time{0, 0, 1, 120, 5000, 100000}
+	jitter := [...]Time{0, 0, 37, -2500}
+
+	var (
+		q       eventQueue
+		pending []event
+		now     Time
+		seq     uint64
+		pktID   uint64
+		lastAt  [devs]Time
+		live    [devs]int // receives pending per device, by either path
+		emptied [devs]bool
+		st      queueDrive
+	)
+	q.devices(devs)
+	sched := func(e event, dev int32) {
+		e.seq = seq
+		seq++
+		if dev >= 0 {
+			q.pushFlight(dev, e)
+		} else {
+			q.push(e)
+		}
+		pending = append(pending, e)
+	}
+	pop := func() {
+		sort.SliceStable(pending, func(i, j int) bool { return pending[i].before(&pending[j]) })
+		want := pending[0]
+		pending = pending[1:]
+		if at := q.nextAt(); at != want.at {
+			t.Fatalf("pop %d: nextAt %v, oracle's earliest is at %v", st.pops, at, want.at)
+		}
+		got := q.pop()
+		if got.at != want.at || got.owner != want.owner || got.kind != want.kind || got.key != want.key || got.seq != want.seq {
+			t.Fatalf("pop %d: got (at %v owner %d kind %d key %d seq %d), oracle says (at %v owner %d kind %d key %d seq %d)",
+				st.pops, got.at, got.owner, got.kind, got.key, got.seq, want.at, want.owner, want.kind, want.key, want.seq)
+		}
+		if got.kind == evReceive {
+			// The test keeps the producing device in the high bits of the key.
+			d := got.key >> 32
+			live[d]--
+			emptied[d] = live[d] == 0
+		}
+		now = got.at
+		st.pops++
+	}
+	popN := func(n int) {
+		for ; n > 0 && len(pending) > 0; n-- {
+			pop()
+		}
+	}
+	for i := 0; i+1 < len(ops); i += 2 {
+		op, arg := ops[i]%16, int(ops[i+1])
+		switch {
+		case op < 2: // unowned closure
+			sched(event{at: now + delays[arg%len(delays)], owner: -1, kind: evClosure}, -1)
+		case op < 4: // owned closure
+			sched(event{at: now + delays[arg/4%len(delays)], owner: int32(arg % 4), kind: evClosure}, -1)
+		case op == 4: // three closures on one (at, owner): seq decides
+			for k := 0; k < 3; k++ {
+				sched(event{at: now + delays[arg/4%len(delays)], owner: int32(arg%4) - 1, kind: evClosure}, -1)
+			}
+		case op < 7: // transmit completion of device arg%devs (node = device)
+			d := int32(arg % devs)
+			sched(event{at: now + 120, owner: d, kind: evTransmitDone, key: uint64(d)}, -1)
+		case op < 12: // receive through the per-device path
+			d := arg % devs
+			at := now + prop[d] + jitter[arg/16%len(jitter)]
+			if live[d] > 0 && at < lastAt[d] {
+				st.outOfOrder++
+			}
+			if emptied[d] {
+				st.refills++
+				emptied[d] = false
+			}
+			lastAt[d] = at
+			live[d]++
+			pktID++
+			sched(event{at: at, owner: int32(arg / 4 % 3), kind: evReceive, key: uint64(d)<<32 | pktID}, int32(d))
+		case op < 15 || arg%16 != 0: // fewer pops than pushes: the heap gets deep
+			popN(1 + arg%4)
+		default: // run dry: every FIFO empties, later receives refill them
+			popN(len(pending))
+		}
+		if q.len() != len(pending) {
+			t.Fatalf("op %d: len() = %d with %d events pending", i/2, q.len(), len(pending))
+		}
+		st.maxPending = max(st.maxPending, len(pending))
+		st.maxHeld = max(st.maxHeld, q.assertConsistent())
+	}
+	popN(len(pending))
+	if q.len() != 0 {
+		t.Fatalf("drained queue reports %d pending", q.len())
+	}
+	q.assertConsistent()
+	return st
+}
+
+// TestEventQueueMatchesSortedOracle holds the 4-ary heap of FIFO heads to the
+// canonical pop order over seeded random mixes of closures (owned, unowned,
+// zero-delay, equal (at, owner)), transmit completions, and receives through
+// the per-device path — in order, out of order, tied on `at` across owners,
+// into FIFOs that run empty and refill — with pops interleaved throughout.
+func TestEventQueueMatchesSortedOracle(t *testing.T) {
+	var total queueDrive
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]byte, 2*1500)
+		rng.Read(ops)
+		st := driveQueue(t, ops)
+		total.pops += st.pops
+		total.maxPending = max(total.maxPending, st.maxPending)
+		total.maxHeld = max(total.maxHeld, st.maxHeld)
+		total.outOfOrder += st.outOfOrder
+		total.refills += st.refills
+	}
+	if total.pops < 10000 || total.maxPending < 150 || total.maxHeld < 50 || total.outOfOrder < 100 || total.refills < 100 {
+		t.Errorf("op streams too tame to trust: %+v", total)
+	}
+}
+
+// TestEventQueueTakeAll checks the migration surface: takeAll returns every
+// pending event exactly once, FIFO-held ones included, and leaves an empty
+// queue that accepts both kinds of push again.
+func TestEventQueueTakeAll(t *testing.T) {
+	var q eventQueue
+	q.devices(2)
+	for i := 0; i < 10; i++ {
+		q.push(event{at: Time(100 - i), owner: -1, kind: evClosure, seq: uint64(2 * i)})
+		q.pushFlight(int32(i%2), event{at: Time(10 * i), owner: 1, kind: evReceive, key: uint64(i), seq: uint64(2*i + 1)})
+	}
+	if held := q.assertConsistent(); held != 8 {
+		t.Fatalf("%d events FIFO-held, want 8", held)
+	}
+	evs := q.takeAll()
+	seen := map[uint64]bool{}
+	for _, e := range evs {
+		seen[e.seq] = true
+	}
+	if len(evs) != 20 || len(seen) != 20 {
+		t.Fatalf("takeAll returned %d events, %d distinct; want 20", len(evs), len(seen))
+	}
+	if q.len() != 0 {
+		t.Fatalf("queue holds %d events after takeAll", q.len())
+	}
+	q.pushFlight(1, event{at: 5, owner: 0, kind: evReceive, key: 1})
+	q.push(event{at: 3, owner: -1, kind: evClosure})
+	if e := q.pop(); e.at != 3 {
+		t.Errorf("popped at %v after refill, want 3", e.at)
+	}
+	if e := q.pop(); e.at != 5 || q.len() != 0 {
+		t.Errorf("popped at %v with %d left, want 5 and 0", e.at, q.len())
+	}
+}
+
+// FuzzEventQueue lets the fuzzer write the op stream of driveQueue; any
+// counterexample is a pop out of canonical order, a miscounted Pending, or
+// (under hypatia_checks) a broken heap or FIFO invariant.
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte{})
+	// One device's FIFO filling in order, then out of order, then drained.
+	f.Add([]byte{7, 0, 7, 0, 7, 32, 7, 48, 7, 0, 15, 0})
+	// Receives at one instant on two devices with equal delay, other owners.
+	f.Add([]byte{8, 0, 8, 5, 8, 9, 8, 1, 12, 1, 8, 4, 15, 0})
+	// Closures tied on (at, owner) around a transmit completion.
+	f.Add([]byte{4, 1, 5, 0, 4, 1, 0, 0, 12, 7, 4, 17, 15, 0})
+	// A FIFO that empties and refills, pops interleaved.
+	f.Add([]byte{9, 2, 9, 2, 12, 1, 9, 2, 15, 0, 9, 2, 9, 50, 12, 0, 9, 2, 15, 0})
+	rng := rand.New(rand.NewSource(20201027))
+	long := make([]byte, 512)
+	rng.Read(long)
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		driveQueue(t, ops)
+	})
+}

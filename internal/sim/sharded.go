@@ -11,7 +11,7 @@ import (
 
 // This file implements the sharded conservative-parallel execution mode.
 //
-// Nodes are partitioned into shards, each owning a Simulator (event heap +
+// Nodes are partitioned into shards, each owning a Simulator (event queue +
 // clock) that a dedicated goroutine advances through lookahead windows. The
 // windows are derived from the minimum cross-shard propagation delay: any
 // event a shard executes at time t can influence another shard no earlier
@@ -25,10 +25,10 @@ import (
 // appends to a per-destination outbox, and the coordinator — which owns
 // every shard engine between windows (ownership passes over the command/
 // done channels; the race detector over the sharded differentials is the
-// gate on that discipline) — routes them into the destination heaps before
-// the next window. Handoff arrival times always land at or beyond the
-// window boundary (asserted under hypatia_checks), so no shard ever
-// receives an event in its past.
+// gate on that discipline) — routes them into the destination queues, as
+// plain heap events, before the next window. Handoff arrival times always
+// land at or beyond the window boundary (asserted under hypatia_checks), so
+// no shard ever receives an event in its past.
 //
 // Determinism: events are ordered by the canonical content key
 // (at, owner, kind, key, seq) on every engine, so each shard pops exactly
@@ -378,6 +378,7 @@ func (n *Network) RunSharded(until Time, shards int) {
 		s.shard = int32(k)
 		s.st.posBucket = -1
 		s.st.journaling = journaling
+		s.events.devices(len(n.devs))
 		s.st.outbox = make([][]handoff, shards)
 		s.st.installs = root.st.installs
 		s.seq = root.seq
@@ -388,12 +389,11 @@ func (n *Network) RunSharded(until Time, shards int) {
 		sims[k] = s
 	}
 	// Migrate pending events to their owners' shards (unowned events run on
-	// shard 0). Forwarding state is engine-local, so every shard gets its own
-	// copy of each install event and installs its own clone.
-	evs := root.events
-	root.events = nil
-	for i := range evs {
-		e := evs[i]
+	// shard 0), in-flight FIFOs drained into plain records: a device's FIFO
+	// lives on the engine that executes the device, and starts empty there.
+	// Forwarding state is engine-local, so every shard gets its own copy of
+	// each install event and installs its own clone.
+	for _, e := range root.events.takeAll() {
 		switch {
 		case e.kind == evInstall:
 			for k := range sims {
@@ -403,6 +403,11 @@ func (n *Network) RunSharded(until Time, shards int) {
 			sims[shardOf[e.owner]].events.push(e)
 		default:
 			sims[0].events.push(e)
+		}
+	}
+	if check.Enabled {
+		for k := range sims {
+			check.Assert(sims[k].events.assertConsistent() == 0, "shard %d starts with FIFO-held events", k)
 		}
 	}
 	n.shardOf = shardOf
@@ -432,8 +437,8 @@ func (n *Network) RunSharded(until Time, shards int) {
 		// empty.
 		earliest := Time(-1)
 		for k := range sims {
-			if len(sims[k].events) > 0 {
-				if at := sims[k].events[0].at; earliest < 0 || at < earliest {
+			if sims[k].events.len() > 0 {
+				if at := sims[k].events.nextAt(); earliest < 0 || at < earliest {
 					earliest = at
 				}
 			}
@@ -472,7 +477,7 @@ func (n *Network) RunSharded(until Time, shards int) {
 		for k := range done {
 			<-done[k]
 		}
-		// Route handoffs into destination heaps and recycle displaced
+		// Route handoffs into destination queues and recycle displaced
 		// table clones.
 		for k := range sims {
 			s := sims[k]
@@ -519,12 +524,14 @@ func (n *Network) RunSharded(until Time, shards int) {
 		if s.now > root.now {
 			root.now = s.now
 		}
-		for i := range s.events {
-			if e := s.events[i]; e.kind != evInstall || k == 0 {
+		for _, e := range s.events.takeAll() {
+			if e.kind != evInstall || k == 0 {
 				root.events.push(e)
 			}
 		}
-		s.events = nil
+	}
+	if check.Enabled {
+		check.Assert(root.events.assertConsistent() == 0, "root engine resumes with FIFO-held events")
 	}
 	n.shardOf = nil
 	n.sims = nil

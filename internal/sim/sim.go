@@ -1,8 +1,9 @@
 // Package sim is a discrete-event, packet-level network simulator for LEO
 // constellations — the Go substitute for the ns-3 module the Hypatia paper
-// builds on. It provides the event engine (this file), a network model
-// (network.go): nodes for satellites and ground stations, point-to-point ISL
-// channels, a shared-medium GSL channel, drop-tail queues, per-packet
+// builds on. It provides the event engine (this file) over its pending-event
+// set (queue.go: a 4-ary heap in which the earliest of a device's in-flight
+// arrivals stands for all of them), a network model (network.go): nodes for
+// satellites and ground stations, point-to-point ISL channels, a shared-medium GSL channel, drop-tail queues, per-packet
 // propagation delays derived from live satellite positions, and
 // forwarding-state updates installed at a configurable time granularity —
 // and a sharded conservative-parallel execution mode (sharded.go) that
@@ -93,13 +94,13 @@ const (
 	evReceive
 )
 
-// event is one scheduled occurrence. The comparator below orders events by
-// content, not by insertion: at, then owner (-1 for unowned/user events),
-// then kind, then the per-kind key, then seq. For any two events that can
-// ever tie through (at, owner, kind, key), both engines assign seq in the
-// same relative order (all scheduling onto one owner happens on the engine
-// executing that owner), which is what makes serial and sharded runs pop
-// identical sequences.
+// event is one scheduled occurrence. The comparator (event.before, queue.go)
+// orders events by content, not by insertion: at, then owner (-1 for
+// unowned/user events), then kind, then the per-kind key, then seq. For any
+// two events that can ever tie through (at, owner, kind, key), both engines
+// assign seq in the same relative order (all scheduling onto one owner
+// happens on the engine executing that owner), which is what makes serial and
+// sharded runs pop identical sequences.
 type event struct {
 	at    Time
 	seq   uint64
@@ -108,71 +109,6 @@ type event struct {
 	kind  evKind
 	pkt   *Packet
 	fn    func()
-}
-
-// eventHeap is a manual binary min-heap of event records (container/heap
-// would box every push/pop through interface{}).
-type eventHeap []event
-
-//hypatia:noalloc
-func (h eventHeap) less(i, j int) bool {
-	a, b := &h[i], &h[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.owner != b.owner {
-		return a.owner < b.owner
-	}
-	if a.kind != b.kind {
-		return a.kind < b.kind
-	}
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return a.seq < b.seq
-}
-
-//hypatia:noalloc
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !q.less(i, p) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
-	}
-}
-
-//hypatia:noalloc
-func (h *eventHeap) pop() event {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = event{} // clear pkt/fn references for the GC
-	q = q[:n]
-	*h = q
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && q.less(r, l) {
-			m = r
-		}
-		if !q.less(m, i) {
-			break
-		}
-		q[i], q[m] = q[m], q[i]
-		i = m
-	}
-	return top
 }
 
 // journalKey is the canonical identity of an event occurrence plus an
@@ -192,7 +128,7 @@ type journalKey struct {
 // by exactly one goroutine at a time — see Network.RunSharded).
 type Simulator struct {
 	now       Time
-	events    eventHeap
+	events    eventQueue
 	seq       uint64
 	processed uint64
 	stopped   bool
@@ -228,8 +164,9 @@ func (s *Simulator) Now() Time { return s.now }
 // duplicated per-shard forwarding installs).
 func (s *Simulator) Processed() uint64 { return s.processed }
 
-// Pending returns the number of events currently queued.
-func (s *Simulator) Pending() int { return len(s.events) }
+// Pending returns the number of events currently queued, whether they sit in
+// the heap or wait in a device's in-flight FIFO.
+func (s *Simulator) Pending() int { return s.events.len() }
 
 // Schedule enqueues fn to run delay from now. Negative delays panic: they
 // indicate a logic bug that would violate causality.
@@ -300,8 +237,8 @@ func (s *Simulator) Run(until Time) {
 //
 //hypatia:noalloc
 func (s *Simulator) runWindow(end Time, inclusive bool) {
-	for len(s.events) > 0 && !s.stopped {
-		at := s.events[0].at
+	for s.events.len() > 0 && !s.stopped {
+		at := s.events.nextAt()
 		if at > end || (at == end && !inclusive) {
 			break
 		}

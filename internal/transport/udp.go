@@ -34,7 +34,14 @@ type UDPFlow struct {
 	DstGS  int
 
 	running bool
-	sent    int64 // packets sent
+	// tick is the pacing timer's func value, built once per Start so that the
+	// per-packet Schedule allocates nothing. It belongs to pacing chain gen:
+	// a firing left pending by a Stop finds the flow stopped, or a later
+	// Start's gen, and does nothing — a quick Stop/Start cannot leave two
+	// chains alive.
+	tick func()
+	gen  uint32
+	sent int64 // packets sent
 	// ReceivedPayloadBytes counts payload bytes that reached the sink.
 	ReceivedPayloadBytes int64
 	// ReceivedLog records payload bytes per arrival for windowed rates.
@@ -61,6 +68,13 @@ func (f *UDPFlow) Start() {
 		panic("transport: UDP flow started twice")
 	}
 	f.running = true
+	f.gen++
+	gen := f.gen
+	f.tick = func() {
+		if f.running && gen == f.gen {
+			f.sendNext()
+		}
+	}
 	f.sendNext()
 }
 
@@ -75,18 +89,17 @@ func (f *UDPFlow) Stop() { f.running = false }
 func (f *UDPFlow) Sent() int64 { return f.sent }
 
 func (f *UDPFlow) sendNext() {
-	if !f.running {
-		return
-	}
 	wire := f.cfg.PayloadSize + f.cfg.HeaderBytes
-	f.Net.Send(f.SrcGS, f.DstGS, f.FlowID, wire, f.cfg.PayloadSize)
+	// No payload travels: the sink derives the payload bytes from the wire
+	// size, and a boxed int per packet would be the path's only allocation.
+	f.Net.Send(f.SrcGS, f.DstGS, f.FlowID, wire, nil)
 	f.sent++
 	// Pace at the configured rate counted over wire bytes.
-	f.clk.Schedule(sim.Seconds(float64(wire*8)/f.cfg.RateBps), f.sendNext)
+	f.clk.Schedule(sim.Seconds(float64(wire*8)/f.cfg.RateBps), f.tick)
 }
 
 func (f *UDPFlow) onReceive(pkt *sim.Packet) {
-	payload := pkt.Payload.(int)
+	payload := pkt.Size - f.cfg.HeaderBytes
 	f.ReceivedPayloadBytes += int64(payload)
 	f.ReceivedLog.Add(f.clk.Now(), float64(payload))
 }

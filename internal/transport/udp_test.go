@@ -159,3 +159,31 @@ func TestFlowIDsUnique(t *testing.T) {
 		seen[id] = true
 	}
 }
+
+// TestUDPStopStartKeepsRate restarts a flow before the pacing timer its Stop
+// left pending has fired: that stale firing must not revive the old chain
+// beside the new one (the flow would send at twice its rate from then on).
+func TestUDPStopStartKeepsRate(t *testing.T) {
+	const rate, horizon = 100e6, 100 * sim.Millisecond
+	cfg := sim.DefaultConfig()
+	cfg.ISLRateBps, cfg.GSLRateBps = rate, rate
+	sentBy := func(restart bool) int64 {
+		d := newDumbbell(t, cfg, geom.Vec3{}, 0)
+		f := NewUDPFlow(d.net, d.ids, 0, 1, UDPConfig{RateBps: rate})
+		f.Start() // next firing at 120 us
+		if restart {
+			d.sim.Schedule(50*sim.Microsecond, f.Stop)
+			d.sim.Schedule(60*sim.Microsecond, f.Start)
+		}
+		d.sim.Run(horizon)
+		return f.Sent()
+	}
+	single, restarted := sentBy(false), sentBy(true)
+	if single < 800 {
+		t.Fatalf("single chain sent only %d packets in %v at 100 Mbit/s", single, horizon)
+	}
+	// The restart itself sends one packet early (at 60 us).
+	if diff := restarted - single; diff < 0 || diff > 1 {
+		t.Errorf("sent %d packets after a quick Stop/Start, %d without: two pacing chains alive", restarted, single)
+	}
+}

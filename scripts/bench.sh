@@ -35,9 +35,13 @@ trap 'rm -f "$raw1" "$rawN"' EXIT
 # state — SnapshotInto and the pooled sweep measure 0–1, the incremental
 # engine ~10–20 per 8-step op of amortized arena residue — so only a real
 # regression (losing a reuse path, a new per-op allocation) trips them.
+# BenchmarkSimSerial is the packet path end to end: ~1.9M events allocate
+# 27.7–30.4k times (forwarding tables off the producer, Series growth at the
+# sinks, queue slab and ring growth while the links fill); a packet path
+# that allocated once per packet again would read 500k.
 # Every budgeted benchmark gets "alloc_budget"/"alloc_budget_status" fields
 # in the JSON, and any "over" status fails the run.
-alloc_budgets="BenchmarkSnapshotInto=8 BenchmarkForwardingTableFull=16 BenchmarkForwardingTablePooled=8 BenchmarkForwardingStateIncremental=100"
+alloc_budgets="BenchmarkSnapshotInto=8 BenchmarkForwardingTableFull=16 BenchmarkForwardingTablePooled=8 BenchmarkForwardingStateIncremental=100 BenchmarkSimSerial=40000"
 
 # budget_check fails when any benchmark came out over its pinned budget —
 # the bench harness' counterpart of a failing allocsafety finding.
@@ -143,7 +147,9 @@ if [[ "${1:-}" == "--selftest" ]]; then
     # below 1.0 so the nproc annotation path is exercised, keeps the
     # incremental engine inside its allocation budget ("ok"), and regresses
     # SnapshotInto to its pre-arena-warmup 854 allocs/op so the "over"
-    # status and the budget_check failure path are exercised too.
+    # status and the budget_check failure path are exercised too. SimSerial
+    # sits inside its packet-path budget here; a second canned log below puts
+    # it back at one allocation per packet.
     cat > "$self" <<'EOF'
 cpu: Selftest CPU @ 2.10GHz
 BenchmarkSnapshotInto-4                 5    1500000 ns/op  56000 B/op  854 allocs/op
@@ -161,7 +167,7 @@ EOF
         '"BenchmarkSnapshotInto": {"ns_per_op": 1500000, "bytes_per_op": 56000, "allocs_per_op": 854, "alloc_budget": 8, "alloc_budget_status": "over"}' \
         '"BenchmarkForwardingStateSerial": {"ns_per_op": 160000000, "ns_per_instant": 20000000, "bytes_per_op": 1000, "allocs_per_op": 10}' \
         '"BenchmarkForwardingStateIncremental": {"ns_per_op": 20000000, "ns_per_instant": 2500000, "bytes_per_op": 500, "allocs_per_op": 5, "alloc_budget": 100, "alloc_budget_status": "ok"}' \
-        '"BenchmarkSimSerial": {"ns_per_op": 80000000, "events_per_second": 170000, "bytes_per_op": 3000, "allocs_per_op": 30}' \
+        '"BenchmarkSimSerial": {"ns_per_op": 80000000, "events_per_second": 170000, "bytes_per_op": 3000, "allocs_per_op": 30, "alloc_budget": 40000, "alloc_budget_status": "ok"}' \
         '"BenchmarkSimSharded/shards=4": {"ns_per_op": 100000000, "events_per_second": 136000, "bytes_per_op": 4000, "allocs_per_op": 40}' \
         '"serial_over_incremental": 8.000,' \
         '"sharded_over_serial": 0.800,' \
@@ -188,6 +194,25 @@ EOF
         exit 1
     fi
     rm -f "$selfjson" "$selfjson.ok"
+    # The packet-path budget's "over" side: SimSerial back at the 505 052
+    # allocs/op it measured with one Packet, one boxed payload and one method
+    # value per UDP packet must be marked over and fail budget_check.
+    self="$(mktemp)"
+    cat > "$self" <<'EOF'
+cpu: Selftest CPU @ 2.10GHz
+BenchmarkSimSerial-4                    5  841000000 ns/op  2400000 events/s  25000000 B/op  505052 allocs/op
+EOF
+    selfjson="$(mktemp)"
+    run_json "$self" 4 > "$selfjson"
+    rm -f "$self"
+    if ! grep -qF '"allocs_per_op": 505052, "alloc_budget": 40000, "alloc_budget_status": "over"' "$selfjson" ||
+        budget_check "$selfjson" 2>/dev/null; then
+        echo "bench.sh --selftest: an allocating packet path passed BenchmarkSimSerial's budget:" >&2
+        cat "$selfjson" >&2
+        rm -f "$selfjson"
+        exit 1
+    fi
+    rm -f "$selfjson"
     echo "bench.sh --selftest: ok"
     exit 0
 fi

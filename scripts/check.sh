@@ -58,7 +58,7 @@ stage "alloc guards (default build, GOMAXPROCS=1)"
 # oracles, so the guards skip there — at GOMAXPROCS=1 so background
 # scheduling cannot smear allocations across the measured runs.
 GOMAXPROCS=1 go test -count=1 -run 'TestAllocGuard' \
-    ./internal/graph/ ./internal/routing/ ./internal/sim/
+    ./internal/graph/ ./internal/routing/ ./internal/sim/ ./internal/transport/
 
 stage "incremental oracle exercised (comparison count must be nonzero)"
 # The differential layer is only as good as the oracle actually running:
