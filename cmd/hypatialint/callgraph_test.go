@@ -8,16 +8,16 @@ import (
 	"testing"
 )
 
-// buildRepoCallGraph loads internal/core and internal/analysis (pulling
-// their dependencies through the loader) and builds the call graph over
+// buildRepoCallGraph loads the given module-relative packages (pulling their
+// dependencies through the loader) and builds the call graph over
 // everything loaded.
-func buildRepoCallGraph(t *testing.T) *callGraph {
+func buildRepoCallGraph(t *testing.T, paths ...string) *callGraph {
 	t.Helper()
 	l, err := newLoader(".")
 	if err != nil {
 		t.Fatalf("newLoader: %v", err)
 	}
-	for _, path := range []string{"/internal/core", "/internal/analysis"} {
+	for _, path := range paths {
 		if _, err := l.load(l.module + path); err != nil {
 			t.Fatalf("load %s: %v", path, err)
 		}
@@ -57,7 +57,7 @@ func hasEdge(cg *callGraph, from, to cgKey, viaGo bool) bool {
 // internal/routing, and so does the default strategy's call into the
 // from-scratch sweep and the sweep's pool acquisition.
 func TestCallGraphCrossPackage(t *testing.T) {
-	cg := buildRepoCallGraph(t)
+	cg := buildRepoCallGraph(t, "/internal/core")
 	newPipeline := findFn(t, cg, "internal/core", "newPipeline")
 	producer := findFn(t, cg, "internal/core", "producer")
 	step := findFn(t, cg, "internal/routing", "Step")
@@ -83,18 +83,20 @@ func TestCallGraphCrossPackage(t *testing.T) {
 }
 
 // TestCallGraphFuncLitGo verifies that a go-launched function literal gets a
-// viaGo edge from its enclosing function (analysis.runDijkstras fans out
-// per-source workers this way).
+// viaGo edge from its enclosing function. The specimen is the purity
+// fixture's clean worker launch: the simulator's two `go` statements launch
+// named functions, so no non-test source has such a literal.
 func TestCallGraphFuncLitGo(t *testing.T) {
-	cg := buildRepoCallGraph(t)
-	fanOut := findFn(t, cg, "internal/analysis", "runDijkstras")
+	const fixture = "/cmd/hypatialint/testdata/src/purity/core"
+	cg := buildRepoCallGraph(t, fixture)
+	launch := findFn(t, cg, fixture, "startWorker")
 	found := false
-	for _, e := range cg.edges[fanOut] {
+	for _, e := range cg.edges[launch] {
 		if _, isLit := e.callee.(*ast.FuncLit); isLit && e.viaGo {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("runDijkstras must launch a function literal with a viaGo edge")
+		t.Error("startWorker must launch a function literal with a viaGo edge")
 	}
 }

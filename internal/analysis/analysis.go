@@ -1,7 +1,8 @@
 // Package analysis implements Hypatia's snapshot-based network analysis —
 // the Go counterpart of the paper's networkx pipeline. It steps a topology
-// through time at a fixed granularity, computes shortest paths on each
-// snapshot, and aggregates the per-pair statistics behind the paper's
+// through time at a fixed granularity, solves shortest-path trees at each
+// instant on the engine packet runs use (routing.IncrementalEngine), and
+// aggregates the per-pair statistics behind the paper's
 // constellation-wide figures: RTT extremes relative to the geodesic
 // (Fig 6), RTT variation (Fig 7), path-structure churn (Fig 8), and the
 // sensitivity of those measurements to the time-step granularity (Fig 9).
@@ -10,11 +11,11 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync"
 
+	"hypatia/internal/check"
 	"hypatia/internal/geom"
-	"hypatia/internal/graph"
 	"hypatia/internal/routing"
 )
 
@@ -117,17 +118,16 @@ type Config struct {
 	// Pairs restricts analysis to specific (src, dst) ground-station index
 	// pairs; nil analyzes all unordered pairs.
 	Pairs [][2]int
-	// Workers bounds parallelism (per-source Dijkstras within each step);
-	// 0 picks 8.
+	// Workers is ignored.
+	//
+	// Deprecated: ignored; the sweep runs on one goroutine. Removed with the
+	// next benchmark PR.
 	Workers int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Step == 0 {
 		c.Step = 0.1
-	}
-	if c.Workers == 0 {
-		c.Workers = 8
 	}
 	return c
 }
@@ -153,21 +153,44 @@ func (c Config) pairList(topo *routing.Topology) [][2]int {
 	return out
 }
 
-// stepResult carries one source GS's Dijkstra output for one snapshot.
-type stepResult struct {
-	dist []float64
-	prev []int32
-}
+// pairVisitor receives one pair's shortest path at one step: its one-way
+// length in meters, its link count, and whether its satellite sequence
+// differs from the one the pair last had. A pair with no route gets +Inf, 0
+// and false.
+//
+//hypatia:noalloc
+//hypatia:pure
+type pairVisitor func(step, pair int, dist float64, hops int, changed bool)
 
 // sweep is the scaffold AnalyzePairs and PathChangeProfile share: the
-// validated configuration, the pair list, the source ground stations that
-// need a shortest-path tree per step, and the number of steps.
+// validated configuration, the pair list grouped by source ground station,
+// the number of steps, and the engine that solves one shortest-path tree
+// per source per step, with the per-pair path memory the change count
+// compares against.
 type sweep struct {
 	topo  *routing.Topology
 	cfg   Config
 	pairs [][2]int
-	srcs  []int // ascending
 	steps int
+
+	eng    *routing.IncrementalEngine
+	roots  []int               // source ground stations, ascending
+	byRoot [][]int             // byRoot[gs]: indices of the pairs whose source is gs
+	onTree routing.TreeVisitor // sw.tree, bound once so a step allocates nothing
+
+	// forgetOnOutage drops a pair's remembered path at a step with no
+	// route, so the first step after an outage is never a change.
+	forgetOnOutage bool
+
+	// lastSats[i] is pair i's satellite sequence at the last step it had
+	// one, listed from the destination back to the source (the order the
+	// predecessor walk yields; only equality is ever asked of it). Empty
+	// means nothing to compare against. sats is the walk's scratch.
+	lastSats [][]int32
+	sats     []int32
+
+	step  int // the step being visited
+	visit pairVisitor
 }
 
 // newSweep applies the config's defaults and rejects what the stepping loop
@@ -180,52 +203,89 @@ func newSweep(topo *routing.Topology, cfg Config) (*sweep, error) {
 	if !(cfg.Step > 0) {
 		return nil, fmt.Errorf("analysis: non-positive step %v", cfg.Step)
 	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("analysis: negative worker count %d", cfg.Workers)
-	}
 	pairs := cfg.pairList(topo)
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("analysis: no pairs to analyze")
 	}
-	srcSet := map[int]bool{}
-	for _, p := range pairs {
+	byRoot := make([][]int, topo.NumGS())
+	for i, p := range pairs {
 		for _, gs := range p {
 			if gs < 0 || gs >= topo.NumGS() {
 				return nil, fmt.Errorf("analysis: pair %v names ground station %d outside the %d present", p, gs, topo.NumGS())
 			}
 		}
-		srcSet[p[0]] = true
+		byRoot[p[0]] = append(byRoot[p[0]], i)
 	}
-	srcs := make([]int, 0, len(srcSet))
-	for s := range srcSet {
-		srcs = append(srcs, s)
+	sw := &sweep{
+		topo: topo, cfg: cfg, pairs: pairs, steps: stepCount(cfg.Duration, cfg.Step),
+		eng:      routing.NewIncrementalEngine(topo, nil),
+		byRoot:   byRoot,
+		lastSats: make([][]int32, len(pairs)),
 	}
-	sort.Ints(srcs)
-	return &sweep{topo: topo, cfg: cfg, pairs: pairs, srcs: srcs, steps: stepCount(cfg.Duration, cfg.Step)}, nil
+	for gs, group := range byRoot {
+		if group != nil {
+			sw.roots = append(sw.roots, gs)
+		}
+	}
+	sw.onTree = sw.tree
+	return sw, nil
 }
 
 // run steps the topology from t=0 through the duration. At every step it
-// solves one tree per source and calls visit once per pair, in pair order,
-// with the pair's one-way distance in meters and its node path; a pair with
-// no route gets +Inf and a nil path.
-func (sw *sweep) run(visit func(step, pair int, dist float64, path []int)) {
-	trees := make(map[int]*stepResult, len(sw.srcs))
-	for _, s := range sw.srcs {
-		trees[s] = &stepResult{}
+// solves one tree per source and calls visit once per pair — grouped by
+// source, not in pair order; per-pair statistics and per-step counts do not
+// depend on the order within a step.
+func (sw *sweep) run(visit pairVisitor) {
+	sw.visit = visit
+	for sw.step = 0; sw.step < sw.steps; sw.step++ {
+		sw.advance()
 	}
-	for step := 0; step < sw.steps; step++ {
-		snap := sw.topo.Snapshot(float64(step) * sw.cfg.Step)
-		runDijkstras(snap, sw.srcs, trees, sw.cfg.Workers)
-		for i, p := range sw.pairs {
-			tree := trees[p[0]]
-			dstNode := sw.topo.GSNode(p[1])
-			dist := tree.dist[dstNode]
-			if math.IsInf(dist, 1) {
-				visit(step, i, dist, nil)
-				continue
+}
+
+// advance solves and visits the current step's trees.
+//
+//hypatia:noalloc
+func (sw *sweep) advance() {
+	sw.eng.Trees(float64(sw.step)*sw.cfg.Step, sw.roots, sw.onTree)
+}
+
+// tree visits every pair whose source is gs on that source's tree: the
+// pair's distance is the tree's at the destination, and its path is the
+// predecessor walk from the destination back to the root, which is counted
+// and reduced to its satellites without being materialised.
+//
+//hypatia:noalloc
+//hypatia:pure
+func (sw *sweep) tree(gs int, dist []float64, prev []int32) {
+	nSat := sw.topo.NumSats()
+	root := sw.topo.GSNode(gs)
+	for _, i := range sw.byRoot[gs] {
+		dst := sw.topo.GSNode(sw.pairs[i][1])
+		if math.IsInf(dist[dst], 1) {
+			if sw.forgetOnOutage {
+				sw.lastSats[i] = sw.lastSats[i][:0]
 			}
-			visit(step, i, dist, graph.PathFromPrev(tree.prev, sw.topo.GSNode(p[0]), dstNode))
+			sw.visit(sw.step, i, dist[dst], 0, false)
+			continue
 		}
+		hops := 0
+		sats := sw.sats[:0]
+		for v := dst; v != root; v = int(prev[v]) {
+			if v < nSat {
+				sats = append(sats, int32(v))
+			}
+			hops++
+			if check.Enabled {
+				check.Assert(hops < len(prev), "analysis: predecessor walk from gs %d toward gs %d loops", sw.pairs[i][1], gs)
+			}
+		}
+		sw.sats = sats
+		last := sw.lastSats[i]
+		same := slices.Equal(last, sats)
+		if !same {
+			sw.lastSats[i] = append(last[:0], sats...)
+		}
+		sw.visit(sw.step, i, dist[dst], hops, len(last) > 0 && !same)
 	}
 }
 
@@ -239,7 +299,6 @@ func AnalyzePairs(topo *routing.Topology, cfg Config) ([]PairStats, error) {
 		return nil, err
 	}
 	stats := make([]PairStats, len(sw.pairs))
-	lastPath := make([][]int, len(sw.pairs)) // satellite sequence at the last connected step
 	for i, p := range sw.pairs {
 		stats[i] = PairStats{
 			Src: p[0], Dst: p[1],
@@ -250,67 +309,36 @@ func AnalyzePairs(topo *routing.Topology, cfg Config) ([]PairStats, error) {
 			MinHops: math.MaxInt32,
 		}
 	}
-	sw.run(func(_, i int, dist float64, path []int) {
-		st := &stats[i]
-		st.Steps++
-		if path == nil {
-			st.DisconnectedSteps++
-			return
-		}
-		rtt := 2 * dist / geom.SpeedOfLight
-		if rtt < st.MinRTT {
-			st.MinRTT = rtt
-		}
-		if rtt > st.MaxRTT {
-			st.MaxRTT = rtt
-		}
-		hops := len(path) - 1
-		if hops < st.MinHops {
-			st.MinHops = hops
-		}
-		if hops > st.MaxHops {
-			st.MaxHops = hops
-		}
-		sats := routing.SatSequence(topo, path)
-		if lastPath[i] != nil && !intSliceEqual(lastPath[i], sats) {
-			st.PathChanges++
-		}
-		lastPath[i] = sats
-	})
+	sw.run(func(_, i int, dist float64, hops int, changed bool) { stats[i].observe(dist, hops, changed) })
 	return stats, nil
 }
 
-// runDijkstras fills trees for each source on worker goroutines.
-func runDijkstras(snap *routing.Snapshot, srcs []int, trees map[int]*stepResult, workers int) {
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range jobs {
-				tr := trees[s]
-				tr.dist, tr.prev = snap.FromGS(s, tr.dist, tr.prev)
-			}
-		}()
+// observe folds one step's shortest path into the pair's aggregates.
+//
+//hypatia:noalloc
+//hypatia:pure
+func (st *PairStats) observe(dist float64, hops int, changed bool) {
+	st.Steps++
+	if math.IsInf(dist, 1) {
+		st.DisconnectedSteps++
+		return
 	}
-	for _, s := range srcs {
-		jobs <- s
+	rtt := 2 * dist / geom.SpeedOfLight
+	if rtt < st.MinRTT {
+		st.MinRTT = rtt
 	}
-	close(jobs)
-	wg.Wait()
-}
-
-func intSliceEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+	if rtt > st.MaxRTT {
+		st.MaxRTT = rtt
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	if hops < st.MinHops {
+		st.MinHops = hops
 	}
-	return true
+	if hops > st.MaxHops {
+		st.MaxHops = hops
+	}
+	if changed {
+		st.PathChanges++
+	}
 }
 
 // ChangeProfile is the output of PathChangeProfile: per-step and per-pair
@@ -339,20 +367,14 @@ func PathChangeProfile(topo *routing.Topology, cfg Config) (*ChangeProfile, erro
 		PerPair: make([]int, len(sw.pairs)),
 		Pairs:   sw.pairs,
 	}
-	lastPath := make([][]int, len(sw.pairs))
-	sw.run(func(step, i int, _ float64, path []int) {
-		if path == nil {
-			// Unlike AnalyzePairs, a disconnected step forgets the path: the
-			// first step after an outage is never a change.
-			lastPath[i] = nil
-			return
-		}
-		sats := routing.SatSequence(topo, path)
-		if lastPath[i] != nil && !intSliceEqual(lastPath[i], sats) {
+	// Unlike AnalyzePairs, a disconnected step forgets the path: the first
+	// step after an outage is never a change.
+	sw.forgetOnOutage = true
+	sw.run(func(step, i int, _ float64, _ int, changed bool) {
+		if changed {
 			prof.PerStep[step]++
 			prof.PerPair[i]++
 		}
-		lastPath[i] = sats
 	})
 	return prof, nil
 }
@@ -385,10 +407,14 @@ func stepCount(duration, step float64) int {
 // RTTSeries returns the computed RTT (seconds; +Inf when disconnected) of
 // one pair at every step — the "Computed" curve of Fig 3.
 func RTTSeries(topo *routing.Topology, src, dst int, duration, step float64) []float64 {
-	n := stepCount(duration, step)
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = topo.Snapshot(float64(i)*step).RTT(src, dst)
+	out := make([]float64, stepCount(duration, step))
+	eng := routing.NewIncrementalEngine(topo, nil)
+	roots := []int{src}
+	dstNode := topo.GSNode(dst)
+	for i := range out {
+		eng.Trees(float64(i)*step, roots, func(_ int, dist []float64, _ []int32) {
+			out[i] = 2 * dist[dstNode] / geom.SpeedOfLight // +Inf stays +Inf
+		})
 	}
 	return out
 }

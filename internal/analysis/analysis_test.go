@@ -12,6 +12,11 @@ import (
 
 func miniTopo(t *testing.T) *routing.Topology {
 	t.Helper()
+	return miniTopoPolicy(t, routing.GSLFree)
+}
+
+func miniTopoPolicy(t *testing.T, policy routing.GSLPolicy) *routing.Topology {
+	t.Helper()
 	cfg := constellation.Config{
 		Name: "Mini",
 		Shells: []constellation.Shell{{
@@ -31,7 +36,7 @@ func miniTopo(t *testing.T) *routing.Topology {
 		g.ID = i
 		gss = append(gss, g)
 	}
-	topo, err := routing.NewTopology(c, gss, routing.GSLFree)
+	topo, err := routing.NewTopology(c, gss, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,9 +182,9 @@ func TestAnalyzePairsExplicitPairsAndExclusion(t *testing.T) {
 }
 
 // TestAnalyzePairsRejectsBadDuration: both stepped analyses return an
-// analysis error — not a hang (negative Workers), an empty result (negative
-// Step) or an index panic (pair outside the ground stations) — for every
-// configuration the stepping loop cannot run on.
+// analysis error — not an empty result (negative Step) or an index panic
+// (pair outside the ground stations) — for every configuration the stepping
+// loop cannot run on.
 func TestAnalyzePairsRejectsBadDuration(t *testing.T) {
 	topo := miniTopo(t)
 	for name, cfg := range map[string]Config{
@@ -187,7 +192,6 @@ func TestAnalyzePairsRejectsBadDuration(t *testing.T) {
 		"negative duration": {Duration: -1},
 		"NaN duration":      {Duration: math.NaN()},
 		"negative step":     {Duration: 10, Step: -0.1},
-		"negative workers":  {Duration: 10, Workers: -1},
 		"negative pair":     {Duration: 10, Pairs: [][2]int{{0, 1}, {-1, 2}}},
 		"pair past the end": {Duration: 10, Pairs: [][2]int{{0, topo.NumGS()}}},
 	} {
@@ -196,23 +200,6 @@ func TestAnalyzePairsRejectsBadDuration(t *testing.T) {
 		}
 		if _, err := PathChangeProfile(topo, cfg); err == nil || !strings.HasPrefix(err.Error(), "analysis: ") {
 			t.Errorf("PathChangeProfile, %s: error %v, want an analysis error", name, err)
-		}
-	}
-}
-
-func TestAnalyzeDeterministicAcrossWorkerCounts(t *testing.T) {
-	topo := miniTopo(t)
-	a, err := AnalyzePairs(topo, Config{Duration: 20, Step: 1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := AnalyzePairs(topo, Config{Duration: 20, Step: 1, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("worker counts disagree at pair %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }

@@ -5,11 +5,12 @@
 // The forwarding-state engine rebuilds its topology graph every update
 // instant, and between consecutive instants nearly every link weight drifts
 // — but the order in which Dijkstra settles the nodes barely moves.
-// RepairSSSPDense exploits that: one sweep over the carried order relaxes
-// every edge with no heap, and Dijkstra proper runs only over the nodes the
-// drift actually reordered. The repaired arrays are bitwise identical to a
-// fresh DijkstraScratch run on the new graph — Dijkstra's output is a
-// canonical function of the graph (distances are the minimum over paths of
+// RepairSSSPDense exploits that: one sweep over the carried order lets every
+// node pull its distance from its neighbours with no heap, and Dijkstra
+// proper runs only over the nodes the drift actually reordered. On strictly
+// positive weights the repaired arrays are bitwise identical to a fresh
+// DijkstraScratch run on the new graph — Dijkstra's output is a canonical
+// function of the graph (distances are the minimum over paths of
 // left-associated float sums; predecessors are the (dist, id)-minimal
 // achiever of each distance), and the repair converges to the same fixpoint.
 // The differential and property tests in dynamic_test.go hold it to exactly
@@ -23,6 +24,8 @@ package graph
 import (
 	"fmt"
 	"math"
+
+	"hypatia/internal/check"
 )
 
 // EdgeChange records one undirected edge (A < B) that differs between an
@@ -97,14 +100,14 @@ func DiffInto(oldG, newG *Graph, out []EdgeChange, sc *DiffScratch) []EdgeChange
 }
 
 // RepairScratch holds the reusable workspaces of RepairSSSPDense: the
-// Dijkstra heap for the reordered region, the swept-node epochs, and the
-// list of nodes that saw a tied offer. The zero value is ready for use; a
-// RepairScratch must not be shared between concurrent repairs.
+// Dijkstra heap for the reordered region, the list of nodes that saw a tied
+// offer, and the list of nodes nothing had reached when they were swept.
+// The zero value is ready for use; a RepairScratch must not be shared
+// between concurrent repairs.
 type RepairScratch struct {
-	h        indexedHeap
-	tieList  []int32 //hypatia:handle(->node)
-	stampArr []int64 //hypatia:handle(node)
-	stampGen int64
+	h         indexedHeap
+	tieList   []int32 //hypatia:handle(->node)
+	unreached []int32 //hypatia:handle(->node)
 }
 
 // orderCmp is the settle-order comparator: by distance, then node id —
@@ -167,26 +170,84 @@ func siftDownOrder(order []int32, dist []float64, root, n int) {
 	}
 }
 
+// Bit patterns the pull sweep orders distances by. Distances are sums of
+// non-negative weights starting at +0 — never negative, never NaN — so
+// their IEEE-754 bit patterns order exactly as the floats do, compared as
+// integers of either signedness. The sweep marks a node it has not reached
+// yet with -Inf, whose pattern (sign bit set) is above every distance's as a
+// uint64 and below every distance's as an int64: one mark that loses both
+// the kernel's unsigned minimum and its signed maximum with no test of its
+// own, and that a relaxation's `<` and `==` against it both reject.
+const (
+	unsweptBits = 0xFFF0000000000000 // math.Float64bits(math.Inf(-1)): not yet swept
+	farBits     = 0x7FEFFFFFFFFFFFFF // math.Float64bits(math.MaxFloat64): swept, unreached
+)
+
+// pull is the inner loop of RepairSSSPDense's sweep: over one node's
+// half-edges it returns, as float bit patterns,
+//
+//	arg   the neighbour u that made the smallest offer (-1 with no edges),
+//	best  that offer, dist[u] + w(u,v) — at or above farBits when no
+//	      neighbour swept so far has been reached,
+//	tie   the value of the last offer that equalled the running minimum:
+//	      tie == best exactly when a second neighbour also offered best,
+//	far   the largest dist[u] among neighbours already swept, 0 with none.
+//
+// Each is one accumulator updated by a conditional move, so the loop has no
+// data-dependent branch and no store. It is deliberately a function of its
+// own: written inline, the sweep has more live values than registers and
+// the compiler keeps the accumulators on the stack, which measured 12-18 %
+// slower per tree (DESIGN.md, "Incremental forwarding state").
+//
+//hypatia:noalloc
+//hypatia:pure
+//hypatia:handle(dist: node, return: node)
+func pull(edges []Edge, dist []float64) (arg int32, best, tie, far uint64) {
+	arg, best, tie = -1, ^uint64(0), ^uint64(0)
+	for _, e := range edges {
+		u := e.To
+		du := dist[u]
+		nd := math.Float64bits(du + e.W)
+		db := math.Float64bits(du)
+		if nd == best {
+			tie = nd
+		}
+		if nd < best {
+			arg, best = u, nd
+		}
+		if int64(db) > int64(far) {
+			far = db
+		}
+	}
+	return arg, best, tie, far
+}
+
 // RepairSSSPDense re-solves single-source shortest paths from src for the
 // total-drift case: every weight may have changed (the constellation case —
 // all inter-satellite distances move every instant) but the settle order
 // barely does. It is Dijkstra with the priority queue replaced by order, the
-// previous solution's settle order: one sweep relaxes each node's edges at
-// its old position, and the heap is engaged only for nodes the drift
-// actually reordered (an improvement arriving after a node was swept). dist
-// and prev are fully rewritten — their prior contents may be arbitrary;
-// all the carried-over state lives in order, which must be a permutation of
-// the nodes and is refreshed in place toward the new solution's settle
-// order whenever drift has degraded it, ready for the next repair. A bad
-// order (identity on first use, stale after a coarse time jump) costs extra
-// heap work, never correctness.
+// previous solution's settle order: one sweep visits the nodes at their old
+// positions and lets each pull its distance from its neighbours — the
+// minimum of dist[u] + w(u,v) over the neighbours swept before it — and the
+// heap is engaged only for nodes the drift actually reordered (a node swept
+// after a neighbour it improves). dist and prev are fully rewritten — their
+// prior contents may be arbitrary; all the carried-over state lives in
+// order, which must be a permutation of the nodes and is refreshed in place
+// toward the new solution's settle order whenever drift has degraded it,
+// ready for the next repair.
 //
-// The result is bitwise identical to DijkstraScratch regardless of order:
-// the relaxation fixpoint — distances as minima over paths of
-// left-associated float sums — does not depend on sweep order, every node
-// whose distance improves post-sweep is re-settled through the heap, and
-// predecessors are re-canonicalized whenever a tie was observed. A stale
-// order costs time, never correctness.
+// Edge weights must be strictly positive (every topology builder emits
+// distances between distinct positions). Then the result is bitwise
+// identical to DijkstraScratch regardless of order: the relaxation fixpoint
+// — distances as minima over paths of left-associated float sums — does not
+// depend on sweep order, every node whose distance improves after its slot
+// is re-settled through the heap, and predecessors are re-canonicalized
+// whenever a tie was observed. A stale order costs time, never correctness.
+// With zero-weight edges the distances are still that fixpoint and prev is
+// still a loop-free tree achieving them, but Dijkstra pops a node first
+// reached over a zero edge straight after its discoverer whatever its id,
+// so its predecessor choice there is not the (dist, id) rule canonicalPrev
+// applies (TestRepairZeroWeightEdges).
 //
 //hypatia:noalloc
 //hypatia:pure
@@ -199,66 +260,83 @@ func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []i
 	if len(dist) != n || len(prev) != n || len(order) != n {
 		panic(fmt.Sprintf("graph: repair arrays sized %d/%d/%d for %d nodes", len(dist), len(prev), len(order), n))
 	}
-	if cap(sc.stampArr) < n {
-		sc.stampArr = make([]int64, n)
-	}
-	sc.stampArr = sc.stampArr[:n]
-	off, csrTo, csrW := g.csr()
-	stamp := sc.stampArr
+	off, csr := g.csr()
 
+	// A swept node holds a finite distance, or math.MaxFloat64 while nothing
+	// has reached it.
+	unswept := math.Inf(-1)
 	for i := range dist {
-		dist[i] = Infinity
-		prev[i] = -1
+		dist[i] = unswept
 	}
-	dist[src] = 0
-	prev[src] = int32(src)
-
-	sc.stampGen++
-	tg := sc.stampGen
 	h := &sc.h
 	h.reset(n)
 	sc.tieList = sc.tieList[:0]
-	swept := 0
+	sc.unreached = sc.unreached[:0]
 	for _, v := range order {
-		if stamp[v] != tg {
-			stamp[v] = tg
-			swept++
+		if math.Float64bits(dist[v]) != unsweptBits {
+			panic(fmt.Sprintf("graph: order lists node %d twice; must be a permutation", v))
 		}
-		dv := dist[v]
-		//lint:ignore timeunits sentinel compare, cheaper than math.IsInf
-		if dv == Infinity {
-			// Still unreached at its slot (order stale, or genuinely
-			// unreachable). Marked swept above: if a later relaxation does
-			// reach it, that improvement routes it through the heap.
+		edges := csr[off[v]:off[v+1]]
+		arg, best, tie, far := pull(edges, dist)
+		if int(v) == src {
+			arg, best, tie = v, 0, unsweptBits
+		}
+		if best >= farBits {
+			// Nothing swept so far reaches v (order stale, or v genuinely
+			// unreachable): if a later node does, its second pass below
+			// finds the mark and routes v through the heap.
+			dist[v] = math.MaxFloat64
+			prev[v] = -1
+			sc.unreached = append(sc.unreached, v)
 			continue
 		}
-		for k, end := off[v], off[v+1]; k < end; k++ {
-			to := csrTo[k]
-			nd := dv + csrW[k]
-			if nd < dist[to] {
+		dv := math.Float64frombits(best)
+		dist[v] = dv
+		prev[v] = arg
+		if tie == best {
+			sc.tieList = append(sc.tieList, v)
+		}
+		if far < best {
+			continue
+		}
+		// The order is stale here: a neighbour swept earlier sits at or
+		// beyond v, so v may improve it. Offer v's distance to the swept
+		// neighbours the way Dijkstra relaxes, and let the heap re-settle
+		// whatever improves.
+		for _, e := range edges {
+			to := e.To
+			dt := dist[to]
+			nd := dv + e.W
+			if nd < dt {
 				dist[to] = nd
 				prev[to] = v
-				if stamp[to] == tg {
-					h.push(to, nd)
-				}
+				h.push(to, nd)
 				//lint:ignore timeunits exact equality detects shortest-path ties
-			} else if nd == dist[to] && prev[to] != v && int(to) != src {
+			} else if nd == dt && prev[to] != v && int(to) != src {
 				sc.tieList = append(sc.tieList, to)
 			}
 		}
 	}
-	if swept != n {
-		panic(fmt.Sprintf("graph: order covers %d of %d nodes; must be a permutation", swept, n))
-	}
 	// Settle the reordered region exactly as Dijkstra would, then
 	// re-canonicalize the predecessors of every node that saw a tied offer
 	// (unique-achiever nodes are already canonical). Every achiever of a
-	// node's final distance relaxes its edges at final values at least once
-	// — in its sweep slot if it was final by then, from its last heap pop
-	// otherwise — so a genuine tie always lands an exact-equality offer and
-	// gets listed; false positives (equality against a not-yet-final
-	// distance) just trigger an idempotent recanonicalization.
+	// node's final distance offers it at its final value at least once — to
+	// the node's own pull if it was swept and final by then, from its
+	// second pass or its last heap pop otherwise — so a genuine tie always
+	// lands an exact-equality offer and gets listed; false positives
+	// (equality against a not-yet-final distance) just trigger an
+	// idempotent recanonicalization.
 	pops := g.settle(dist, prev, src, sc)
+	for _, v := range sc.unreached {
+		if math.Float64bits(dist[v]) == farBits {
+			dist[v] = Infinity
+		}
+	}
+	if check.Enabled {
+		for v, d := range dist {
+			check.Assert(math.Float64bits(d) != farBits, "repair from %d: node %d still holds the unreached mark", src, v)
+		}
+	}
 	for _, v := range sc.tieList {
 		g.canonicalPrev(src, v, dist, prev)
 	}
@@ -267,8 +345,8 @@ func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []i
 	// needs a node swept before its tree parent, and that takes relative
 	// drift on the scale of a link weight — so sorting every repair buys
 	// nothing. The settle pop count is the direct measure of order quality;
-	// when it grows past n/8 (stale order after a coarse time jump, first
-	// use from the identity order) one full sort makes the order tight
+	// when it grows past n/8 (stale order after a coarse time jump, an order
+	// that was never a settle order) one full sort makes the order tight
 	// again. Correctness never depends on this.
 	if pops*8 > n {
 		sortByDist(order, dist)
@@ -308,7 +386,10 @@ func (g *Graph) settle(dist []float64, prev []int32, src int, sc *RepairScratch)
 // canonicalPrev recomputes prev[v] as Dijkstra would have chosen it: the
 // neighbor u minimizing (dist[u], u) among those whose relaxation achieves
 // dist[v] exactly — the first achiever in Dijkstra's deterministic pop
-// order.
+// order. Only achievers strictly closer than v are candidates, which every
+// achiever over a positive weight is; an achiever at v's own distance (a
+// zero-weight edge) may be v's descendant, so when there is no other the
+// predecessor relaxation left — always a loop-free choice — stays.
 //
 //hypatia:noalloc
 //hypatia:pure
@@ -323,10 +404,15 @@ func (g *Graph) canonicalPrev(src int, v int32, dist []float64, prev []int32) {
 		return
 	}
 	best := int32(-1) //hypatia:handle(node) sentinel until the first achiever lands
+	achieved := false
 	for _, e := range g.adj[v] {
 		u := e.To
 		//lint:ignore timeunits achiever test must match Dijkstra's exact float relaxation
 		if dist[u]+e.W != dist[v] {
+			continue
+		}
+		achieved = true
+		if !(dist[u] < dist[v]) {
 			continue
 		}
 		//lint:ignore timeunits exact pop-order tie-break (dist, id)
@@ -334,10 +420,12 @@ func (g *Graph) canonicalPrev(src int, v int32, dist []float64, prev []int32) {
 			best = u
 		}
 	}
-	if best < 0 {
+	if !achieved {
 		panic(fmt.Sprintf("graph: repaired distances inconsistent: node %d has dist %v but no achieving neighbor", v, dist[v]))
 	}
-	prev[v] = best
+	if best >= 0 {
+		prev[v] = best
+	}
 }
 
 // BellmanFord computes single-source shortest paths by iterated relaxation

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"hypatia/internal/check"
 )
 
 // edgeKey identifies an undirected edge for test bookkeeping.
@@ -191,10 +193,14 @@ func TestRepairSSSPMatchesDijkstra(t *testing.T) {
 		oldG, newG := fromEdgeSet(n, oldSet), fromEdgeSet(n, newSet)
 		src := rng.Intn(n)
 		wantDist, wantPrev := newG.Dijkstra(src, nil, nil)
-		dist, prev := oldG.Dijkstra(src, nil, nil)
 
-		// Seeded with the old solution's settle order, as the engine does.
-		order := settleOrder(dist)
+		// Seeded with the old solution's settle order, as the engine does:
+		// the heap's pop order, which is the (dist, id) order.
+		order := make([]int32, n)
+		dist, prev := oldG.DijkstraScratch(src, nil, nil, &Scratch{Order: order})
+		if want := settleOrder(dist); !slices.Equal(order, want) {
+			t.Fatalf("trial %d: recorded pop order %v, (dist, id) order %v", trial, order, want)
+		}
 		newG.RepairSSSPDense(src, dist, prev, order, &rsc)
 		sameSSSP(t, "RepairSSSPDense", dist, wantDist, prev, wantPrev)
 		// The maintained order must remain a usable permutation: a second
@@ -211,6 +217,142 @@ func TestRepairSSSPMatchesDijkstra(t *testing.T) {
 		}
 		newG.RepairSSSPDense(src, dist, prev, order, &rsc)
 		sameSSSP(t, "RepairSSSPDense/staleOrder", dist, wantDist, prev, wantPrev)
+	}
+
+	// An order that was never a settle order of anything (a random
+	// permutation) over sparse graphs, most of them disconnected, with
+	// weights in {1, 2, 3}: nodes swept before anything reaches them, nodes
+	// nothing ever reaches, and ties everywhere.
+	disconnected := 0
+	for trial := 0; trial < 2000; trial++ {
+		g, src, order := randomSparseCase(rng, 1)
+		popOrder := make([]int32, g.N())
+		wantDist, wantPrev := g.DijkstraScratch(src, nil, nil, &Scratch{Order: popOrder})
+		if want := settleOrder(wantDist); !slices.Equal(popOrder, want) {
+			t.Fatalf("sparse trial %d: recorded pop order %v, (dist, id) order %v", trial, popOrder, want)
+		}
+		if slices.Contains(wantPrev, -1) {
+			disconnected++
+		}
+		dist, prev := make([]float64, g.N()), make([]int32, g.N())
+		g.RepairSSSPDense(src, dist, prev, order, &rsc)
+		sameSSSP(t, "RepairSSSPDense/randomOrder", dist, wantDist, prev, wantPrev)
+	}
+	if disconnected < 500 {
+		t.Fatalf("only %d of 2000 sparse cases were disconnected; the unreached path is not exercised", disconnected)
+	}
+}
+
+// TestRepairRejectsNonPermutation: an order that lists a node twice is a
+// caller bug the repair must not paper over.
+func TestRepairRejectsNonPermutation(t *testing.T) {
+	g := fromEdgeSet(3, map[edgeKey]float64{{0, 1}: 1, {1, 2}: 1})
+	defer func() {
+		if recover() == nil {
+			t.Error("order {0, 1, 1} accepted")
+		}
+	}()
+	g.RepairSSSPDense(0, make([]float64, 3), make([]int32, 3), []int32{0, 1, 1}, &RepairScratch{})
+}
+
+// randomSparseCase draws a graph of up to 31 nodes with up to 3n random
+// edges (no spanning tree, so often disconnected) of integer weight
+// minW..minW+2, a source, and a random permutation to repair over.
+func randomSparseCase(rng *rand.Rand, minW int) (*Graph, int, []int32) {
+	n := 2 + rng.Intn(30)
+	set := map[edgeKey]float64{}
+	for i := rng.Intn(3 * n); i > 0; i-- {
+		a, b := rng.Intn(n), rng.Intn(n)
+		if a == b {
+			continue
+		}
+		if a > b {
+			a, b = b, a
+		}
+		set[edgeKey{int32(a), int32(b)}] = float64(minW + rng.Intn(3))
+	}
+	order := make([]int32, n)
+	for i, v := range rng.Perm(n) {
+		order[i] = int32(v)
+	}
+	return fromEdgeSet(n, set), rng.Intn(n), order
+}
+
+// TestRepairZeroWeightEdges pins what the repair guarantees outside its
+// contract, on graphs with zero-weight edges (AddEdge admits them; no
+// topology emits one). Dijkstra pops a node first reached over a zero edge
+// straight after its discoverer whatever its id, so its predecessors are not
+// the (dist, id) rule's and the repair's differ from them. What holds:
+// distances bitwise equal to Dijkstra's and Bellman-Ford's, and prev a
+// loop-free tree in which every predecessor achieves its node's distance.
+func TestRepairZeroWeightEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	var rsc RepairScratch
+	if check.Enabled {
+		// The checked build refuses the input instead.
+		g := fromEdgeSet(2, map[edgeKey]float64{{0, 1}: 0})
+		defer func() {
+			if recover() == nil {
+				t.Error("hypatia_checks build repaired over a zero-weight edge")
+			}
+		}()
+		g.RepairSSSPDense(0, make([]float64, 2), make([]int32, 2), []int32{0, 1}, &rsc)
+		return
+	}
+	prevDiffers := 0
+	for trial := 0; trial < 2000; trial++ {
+		g, src, order := randomSparseCase(rng, 0)
+		n := g.N()
+		wantDist, wantPrev := g.Dijkstra(src, nil, nil)
+		bfDist, _ := g.BellmanFord(src)
+		dist, prev := make([]float64, n), make([]int32, n)
+		g.RepairSSSPDense(src, dist, prev, order, &rsc)
+		for v := 0; v < n; v++ {
+			if dist[v] != wantDist[v] || dist[v] != bfDist[v] {
+				t.Fatalf("trial %d node %d: repaired dist %v, Dijkstra %v, Bellman-Ford %v", trial, v, dist[v], wantDist[v], bfDist[v])
+			}
+			if prev[v] != wantPrev[v] {
+				prevDiffers++
+			}
+		}
+		checkAchievingTree(t, g, src, dist, prev)
+	}
+	if prevDiffers == 0 {
+		t.Error("repair matched Dijkstra's predecessors on every zero-weight case; the positive-weight contract can be widened")
+	}
+}
+
+// checkAchievingTree asserts prev is a shortest-path tree for dist: the
+// source its own predecessor, unreachable nodes at -1, every other node's
+// predecessor a neighbour whose relaxation gives exactly the node's
+// distance, and every walk up the tree ending at the source.
+func checkAchievingTree(t *testing.T, g *Graph, src int, dist []float64, prev []int32) {
+	t.Helper()
+	for v := 0; v < g.N(); v++ {
+		switch {
+		case v == src:
+			if prev[v] != int32(src) {
+				t.Fatalf("prev[src] = %d", prev[v])
+			}
+		case math.IsInf(dist[v], 1):
+			if prev[v] != -1 {
+				t.Fatalf("unreachable node %d has prev %d", v, prev[v])
+			}
+		default:
+			if PathFromPrev(prev, src, v) == nil {
+				t.Fatalf("node %d reachable (dist %v) but prev tree yields no path", v, dist[v])
+			}
+			achieved := false
+			for _, e := range g.Neighbors(v) {
+				if e.To == prev[v] && dist[prev[v]]+e.W == dist[v] {
+					achieved = true
+					break
+				}
+			}
+			if !achieved {
+				t.Fatalf("node %d: prev %d does not achieve dist %v", v, prev[v], dist[v])
+			}
+		}
 	}
 }
 
@@ -256,32 +398,7 @@ func TestRepairSSSPBellmanFord(t *testing.T) {
 				t.Fatalf("trial %d node %d: repaired dist %v, Bellman-Ford %v", trial, v, dist[v], bfDist[v])
 			}
 		}
-		for v := 0; v < n; v++ {
-			switch {
-			case v == src:
-				if prev[v] != int32(src) {
-					t.Fatalf("prev[src] = %d", prev[v])
-				}
-			case math.IsInf(dist[v], 1):
-				if prev[v] != -1 {
-					t.Fatalf("unreachable node %d has prev %d", v, prev[v])
-				}
-			default:
-				if PathFromPrev(prev, src, v) == nil {
-					t.Fatalf("node %d reachable (dist %v) but prev tree yields no path", v, dist[v])
-				}
-				achieved := false
-				for _, e := range newG.Neighbors(v) {
-					if e.To == prev[v] && dist[prev[v]]+e.W == dist[v] {
-						achieved = true
-						break
-					}
-				}
-				if !achieved {
-					t.Fatalf("node %d: prev %d does not achieve dist %v", v, prev[v], dist[v])
-				}
-			}
-		}
+		checkAchievingTree(t, newG, src, dist, prev)
 	}
 }
 
@@ -294,6 +411,10 @@ func FuzzRepairSSSP(f *testing.F) {
 	f.Add(int64(2), 25, 40, true, 3)
 	f.Add(int64(3), 6, 2, false, 50)
 	f.Add(int64(4), 50, 100, true, 400)
+	// 40 mutations cut 3 of these 16 nodes off the source, and 400
+	// transpositions leave nothing of the settle order: nodes swept before
+	// anything reaches them, some never reached.
+	f.Add(int64(18), 16, 40, true, 400)
 	f.Fuzz(func(t *testing.T, seed int64, n, mutations int, intW bool, stale int) {
 		if n < 2 || n > 200 || mutations < 0 || mutations > 400 || stale < 0 || stale > 400 {
 			t.Skip()

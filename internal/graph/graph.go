@@ -14,6 +14,8 @@ package graph
 import (
 	"fmt"
 	"math"
+
+	"hypatia/internal/check"
 )
 
 // Infinity is the distance reported for unreachable nodes.
@@ -30,14 +32,13 @@ type Graph struct {
 	n   int
 	adj [][]Edge //hypatia:handle(node)
 
-	// Lazy CSR mirror of adj for the dense-repair sweep: one contiguous
-	// (offset, target, weight) triple streams far better than per-node
-	// adjacency slabs scattered across the heap. Invalidated by any
-	// mutation, rebuilt on demand, shared by every repair over the same
-	// graph build.
-	csrOff []int32   //hypatia:handle(node->csr-slot)
-	csrTo  []int32   //hypatia:handle(csr-slot->node)
-	csrW   []float64 //hypatia:handle(csr-slot)
+	// Lazy CSR mirror of adj for the dense-repair sweep: every node's
+	// half-edges in one contiguous array (node v's are
+	// csrE[csrOff[v]:csrOff[v+1]]) stream far better than per-node adjacency
+	// slabs scattered across the heap. Invalidated by any mutation, rebuilt
+	// on demand, shared by every repair over the same graph build.
+	csrOff []int32 //hypatia:handle(node->csr-slot)
+	csrE   []Edge  //hypatia:handle(csr-slot)
 	csrOK  bool
 }
 
@@ -73,41 +74,33 @@ func (g *Graph) Reset(n int) {
 
 // csr returns the graph's CSR adjacency mirror, rebuilding it if any edge
 // was added since the last build. Only for single-owner use (the repair
-// paths): the rebuild mutates the receiver.
+// paths): the rebuild mutates the receiver. The checked build holds every
+// weight to the repair's contract (strictly positive) here.
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(return: node->csr-slot, csr-slot->node, csr-slot)
-func (g *Graph) csr() (off, to []int32, w []float64) {
+//hypatia:handle(return: node->csr-slot, csr-slot)
+func (g *Graph) csr() (off []int32, edges []Edge) {
 	if g.csrOK {
-		return g.csrOff, g.csrTo, g.csrW
+		return g.csrOff, g.csrE
 	}
 	if cap(g.csrOff) < g.n+1 {
 		g.csrOff = make([]int32, g.n+1)
 	}
 	g.csrOff = g.csrOff[:g.n+1]
-	total := 0
+	g.csrE = g.csrE[:0]
 	g.csrOff[0] = 0
-	for v := 0; v < g.n; v++ { //hypatia:handle(node) offset build walks nodes in id order
-		total += len(g.adj[v])
-		g.csrOff[v+1] = int32(total)
-	}
-	if cap(g.csrTo) < total {
-		g.csrTo = make([]int32, total)
-		g.csrW = make([]float64, total)
-	}
-	g.csrTo = g.csrTo[:total]
-	g.csrW = g.csrW[:total]
-	k := 0                     //hypatia:handle(csr-slot) CSR write cursor
 	for v := 0; v < g.n; v++ { //hypatia:handle(node) edge copy walks nodes in id order
-		for _, e := range g.adj[v] {
-			g.csrTo[k] = e.To
-			g.csrW[k] = e.W
-			k++
+		if check.Enabled {
+			for _, e := range g.adj[v] {
+				check.Assert(e.W > 0, "graph: edge %d-%d has weight %v; the repair's contract is strictly positive weights", v, e.To, e.W)
+			}
 		}
+		g.csrE = append(g.csrE, g.adj[v]...)
+		g.csrOff[v+1] = int32(len(g.csrE))
 	}
 	g.csrOK = true
-	return g.csrOff, g.csrTo, g.csrW
+	return g.csrOff, g.csrE
 }
 
 // N returns the number of nodes.
@@ -290,6 +283,12 @@ func (h *indexedHeap) empty() bool { return len(h.nodes) == 0 }
 // the per-run heap allocations.
 type Scratch struct {
 	h indexedHeap
+
+	// Order, when its length is the graph's node count, receives the run's
+	// settle order: the nodes in the order the heap popped them, then the
+	// unreached ones by ascending id — the order RepairSSSPDense carries
+	// from one solution to the next. Any other length records nothing.
+	Order []int32 //hypatia:handle(->node)
 }
 
 // Dijkstra computes single-source shortest paths from src. It fills dist
@@ -335,8 +334,14 @@ func (g *Graph) DijkstraScratch(src int, dist []float64, prev []int32, sc *Scrat
 	dist[src] = 0
 	prev[src] = int32(src)
 	h.push(int32(src), 0)
+	record := len(sc.Order) == g.n
+	settled := 0
 	for !h.empty() {
 		u := h.pop()
+		if record {
+			sc.Order[settled] = u
+			settled++
+		}
 		du := dist[u]
 		for _, e := range g.adj[u] {
 			nd := du + e.W
@@ -344,6 +349,14 @@ func (g *Graph) DijkstraScratch(src int, dist []float64, prev []int32, sc *Scrat
 				dist[e.To] = nd
 				prev[e.To] = u
 				h.push(e.To, nd)
+			}
+		}
+	}
+	if record {
+		for v := range prev {
+			if prev[v] < 0 {
+				sc.Order[settled] = int32(v)
+				settled++
 			}
 		}
 	}

@@ -401,27 +401,28 @@ func (t *Topology) DeltaInto(tsec float64, d *DeltaState) (*Snapshot, []graph.Ed
 	return snap, changes
 }
 
-// IncrementalEngine carries forwarding state across consecutive instants:
-// instead of a fresh snapshot plus one full heap-driven Dijkstra per
-// destination, each Step builds the snapshot through the delta layer's
-// visibility margin cache and re-solves the per-destination trees with
-// graph.RepairSSSPDense, which replaces the priority queue with the
-// destination's settle order from the previous instant. Between 100 ms
-// instants every link weight drifts (so there is nothing to diff around)
-// but the settle order barely moves, which makes the re-solve a single
-// near-branchless sweep over the adjacency.
+// IncrementalEngine carries shortest-path state across consecutive instants:
+// instead of a fresh snapshot plus one full heap-driven Dijkstra per root,
+// each instant builds the snapshot through the delta layer's visibility
+// margin cache and re-solves the per-ground-station trees with
+// graph.RepairSSSPDense, which replaces the priority queue with the root's
+// settle order from the previous instant. Between 100 ms instants every link
+// weight drifts (so there is nothing to diff around) but the settle order
+// barely moves, which makes the re-solve a single near-branchless sweep over
+// the adjacency. Trees is that loop; Step (forwarding tables for packet
+// runs) and the stepped analyses of internal/analysis are its two clients.
 //
 // Because the dense repair is correct from any starting order — order
 // quality affects cost, never the bitwise result — the engine needs no
-// freshness bookkeeping at all: active sets may grow, shrink, or reorder
-// between steps and time may jump either direction, all without reseeding.
-// Routing that avoids nodes goes through core.AvoidNodes, which runs the
-// from-scratch sweep on a pruned snapshot. Tables the engine returns are
-// bitwise identical to the from-scratch computation
-// (Snapshot.ForwardingTable and friends) — the hypatia_checks build
-// re-derives every requested column from scratch and fails on any mismatch,
-// and the differential suites in internal/core prove the same over
-// randomized instant sequences.
+// freshness bookkeeping at all: root sets may grow, shrink, or reorder
+// between instants and time may jump either direction, all without
+// reseeding. Routing that avoids nodes goes through core.AvoidNodes, which
+// runs the from-scratch sweep on a pruned snapshot. Every tree is bitwise
+// identical to the from-scratch computation (Snapshot.FromGS, and so
+// Snapshot.ForwardingTable and friends) — the hypatia_checks build
+// re-derives every requested tree from scratch and fails on any mismatch,
+// and the differential suites in internal/core and internal/analysis prove
+// the same over randomized instant sequences.
 //
 // An engine is single-owner state (one goroutine at a time); tables it
 // returns are the caller's to Release.
@@ -432,19 +433,25 @@ type IncrementalEngine struct {
 	delta DeltaState
 
 	repair graph.RepairScratch
+	first  graph.Scratch // a root's first tree: from-scratch Dijkstra
 
-	// The one dist/prev solution pair every repair writes into: the dense
-	// repair overwrites both before reading either, and a tree's prev is
-	// copied into the table before the next destination reuses the pair.
+	// The one dist/prev solution pair every tree is written into: the dense
+	// repair overwrites both before reading either, and Trees hands a tree
+	// to its visitor before the next root reuses the pair.
 	dist []float64 //hypatia:handle(node)
 	prev []int32   //hypatia:handle(node->node)
 
-	// Per-destination settle order, the only state a repair carries into the
-	// next one. A nil order marks a destination never yet computed; its
-	// first repair starts from the identity order, which degenerates to an
-	// ordinary Dijkstra (every improvement routes through the heap) and
-	// sorts itself on return.
+	// Per-root settle order, the only state a repair carries into the next
+	// one. A nil order marks a root never yet computed: its first tree is a
+	// from-scratch Dijkstra whose pop order becomes the order.
 	order [][]int32 //hypatia:handle(gs->node)
+
+	// Step's client state: the table being filled, and installColumn bound
+	// once as the visitor so that a Step creates no closure.
+	ft      *ForwardingTable
+	install TreeVisitor
+
+	oracle oracleState // hypatia_checks only
 }
 
 // NewIncrementalEngine builds an engine over topo drawing tables from pool
@@ -456,55 +463,98 @@ func NewIncrementalEngine(topo *Topology, pool *TablePool) *IncrementalEngine {
 		pool = &TablePool{}
 	}
 	n := topo.NumNodes()
-	return &IncrementalEngine{
+	e := &IncrementalEngine{
 		topo:  topo,
 		pool:  pool,
 		dist:  make([]float64, n),
 		prev:  make([]int32, n),
 		order: make([][]int32, topo.NumGS()),
 	}
+	e.install = e.installColumn
+	return e
 }
 
-// Step computes the forwarding table for time tsec toward the given
-// destination ground stations (nil = all), re-solving each tree over its
-// carried settle order. The table comes from the engine's pool; the caller
-// owns it and must Release it.
+// TreeVisitor receives one shortest-path tree from Trees: the root ground
+// station and the distance (meters, +Inf unreachable) and predecessor (-1
+// unreachable, the root its own) arrays over all nodes, as Dijkstra rooted
+// at that station's node fills them. The arrays are the engine's and are
+// overwritten by the next root: a visitor reads what it needs and returns.
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(active: ->gs)
-func (e *IncrementalEngine) Step(tsec float64, active []int) *ForwardingTable {
-	t := e.topo
-	n := t.NumNodes()
-	g := t.deltaSnapshot(tsec, &e.delta).G
+type TreeVisitor func(gs int, dist []float64, prev []int32)
 
-	ft := e.pool.Empty(tsec, n, t.NumGS())
-	apply := func(gs int) {
-		if e.order[gs] == nil {
-			ord := make([]int32, n)
-			for i := range ord {
-				ord[i] = int32(i)
-			}
-			e.order[gs] = ord
+// Trees advances the engine to time tsec and solves one shortest-path tree
+// per root ground station (nil = all, in index order), handing each to
+// visit before the next root overwrites it. The graph is undirected, so the
+// tree rooted at a station is at once the forwarding column toward it
+// (prev[v] = v's next hop) and the shortest paths from it.
+//
+//hypatia:noalloc
+//hypatia:pure
+//hypatia:handle(roots: ->gs)
+func (e *IncrementalEngine) Trees(tsec float64, roots []int, visit TreeVisitor) {
+	g := e.topo.deltaSnapshot(tsec, &e.delta).G
+	if roots == nil {
+		for gs := 0; gs < e.topo.NumGS(); gs++ { //hypatia:handle(gs) full sweep walks roots in index order
+			e.tree(g, tsec, gs)
+			visit(gs, e.dist, e.prev)
 		}
-		g.RepairSSSPDense(t.GSNode(gs), e.dist, e.prev, e.order[gs], &e.repair)
-		ft.SetDestination(gs, e.prev)
+		return
 	}
-	if active == nil {
-		for gs := 0; gs < t.NumGS(); gs++ { //hypatia:handle(gs) full sweep walks destinations in index order
-			apply(gs)
-		}
+	for _, gs := range roots {
+		e.tree(g, tsec, gs)
+		visit(gs, e.dist, e.prev)
+	}
+}
+
+// tree solves the tree rooted at ground station gs on g into e.dist/e.prev:
+// a repair over the root's carried settle order, or on first use a
+// from-scratch Dijkstra that records it.
+//
+//hypatia:noalloc
+//hypatia:pure
+//hypatia:handle(gs: gs)
+func (e *IncrementalEngine) tree(g *graph.Graph, tsec float64, gs int) {
+	root := e.topo.GSNode(gs)
+	if ord := e.order[gs]; ord != nil {
+		g.RepairSSSPDense(root, e.dist, e.prev, ord, &e.repair)
 	} else {
-		for _, gs := range active {
-			apply(gs)
-		}
+		e.first.Order = make([]int32, g.N())
+		e.dist, e.prev = g.DijkstraScratch(root, e.dist, e.prev, &e.first)
+		e.order[gs], e.first.Order = e.first.Order, nil
 	}
 	if check.Enabled {
 		// The checked-build oracle is deliberately impure: it bumps a
 		// process-global comparison counter so check.sh can assert the
 		// differential layer actually ran.
 		//lint:ignore purity hypatia_checks oracle counts comparisons globally
-		e.oracleCheck(tsec, active, ft)
+		e.oracleCheck(tsec, gs)
 	}
+}
+
+// Step computes the forwarding table for time tsec toward the given
+// destination ground stations (nil = all): Trees, each tree's predecessors
+// installed as its destination's next-hop column. The table comes from the
+// engine's pool; the caller owns it and must Release it.
+//
+//hypatia:noalloc
+//hypatia:pure
+//hypatia:handle(active: ->gs)
+func (e *IncrementalEngine) Step(tsec float64, active []int) *ForwardingTable {
+	ft := e.pool.Empty(tsec, e.topo.NumNodes(), e.topo.NumGS())
+	e.ft = ft
+	e.Trees(tsec, active, e.install)
+	e.ft = nil
 	return ft
+}
+
+// installColumn is Step's TreeVisitor: the tree's predecessors are its
+// root's next-hop column.
+//
+//hypatia:noalloc
+//hypatia:pure
+//hypatia:handle(gs: gs, prev: node->node)
+func (e *IncrementalEngine) installColumn(gs int, _ []float64, prev []int32) {
+	e.ft.SetDestination(gs, prev)
 }

@@ -8,44 +8,43 @@ import (
 	"hypatia/internal/check"
 )
 
-// oracleComparisons counts the destination columns the incremental engine
-// has verified against the from-scratch oracle. check.sh asserts it is
-// nonzero after the routing tests, so a refactor cannot silently stop
-// exercising the incremental path.
+// oracleComparisons counts the trees the incremental engine has verified
+// against the from-scratch oracle. check.sh asserts it is nonzero after the
+// routing tests, so a refactor cannot silently stop exercising the
+// incremental path.
 var oracleComparisons atomic.Uint64
 
-// OracleComparisons reports how many destination columns have been
-// oracle-verified so far in this process (always 0 in unchecked builds).
+// OracleComparisons reports how many trees have been oracle-verified so far
+// in this process (always 0 in unchecked builds).
 func OracleComparisons() uint64 { return oracleComparisons.Load() }
 
-// oracleCheck re-derives every requested destination column from scratch —
-// fresh snapshot, fresh Dijkstra, none of the engine's cached state — and
-// fails the run on any bitwise difference from the table the incremental
-// path produced. This is the differential-oracle discipline:
-// the retained from-scratch computation is the specification, the
-// incremental path an optimization that must be indistinguishable from it.
-func (e *IncrementalEngine) oracleCheck(tsec float64, active []int, ft *ForwardingTable) {
-	snap := e.topo.Snapshot(tsec)
-	n := e.topo.NumNodes()
-	var dist []float64
-	var prev []int32
-	verify := func(gs int) {
-		dist, prev = snap.FromGS(gs, dist, prev)
-		for node := 0; node < n; node++ {
-			got := ft.NextHop(node, gs)
-			check.Assert(got == prev[node],
-				"incremental oracle t=%v: node %d -> dst gs %d has next hop %d, from-scratch says %d",
-				tsec, node, gs, got, prev[node])
+// oracleState is the oracle's own from-scratch snapshot of the instant being
+// verified and its Dijkstra arrays — none of the engine's cached state.
+type oracleState struct {
+	snap *Snapshot
+	dist []float64
+	prev []int32
+}
+
+// oracleCheck re-derives the tree rooted at gs from scratch — fresh
+// snapshot, fresh Dijkstra — and fails the run on any bitwise difference, in
+// distance or predecessor, from the tree the engine just produced. This is
+// the differential-oracle discipline: the retained from-scratch computation
+// is the specification, the incremental path an optimization that must be
+// indistinguishable from it. A forwarding-table column is a copy of prev
+// and an analysis reads dist and walks prev, so both of Trees' clients are
+// covered here.
+func (e *IncrementalEngine) oracleCheck(tsec float64, gs int) {
+	o := &e.oracle
+	if o.snap == nil || o.snap.T != tsec {
+		o.snap = e.topo.SnapshotInto(tsec, o.snap)
+	}
+	o.dist, o.prev = o.snap.FromGS(gs, o.dist, o.prev)
+	for node := range o.dist {
+		if e.dist[node] != o.dist[node] || e.prev[node] != o.prev[node] {
+			check.Failf("incremental oracle t=%v root gs %d: node %d has (dist %v, prev %d), from-scratch says (%v, %d)",
+				tsec, gs, node, e.dist[node], e.prev[node], o.dist[node], o.prev[node])
 		}
-		oracleComparisons.Add(1)
 	}
-	if active == nil {
-		for gs := 0; gs < e.topo.NumGS(); gs++ {
-			verify(gs)
-		}
-		return
-	}
-	for _, gs := range active {
-		verify(gs)
-	}
+	oracleComparisons.Add(1)
 }

@@ -171,8 +171,9 @@ func TestIncrementalEngineBackwardTime(t *testing.T) {
 }
 
 // TestIncrementalOracleExercised is the check.sh self-check hook: under
-// -tags hypatia_checks every Step oracle-verifies its columns, and this
+// -tags hypatia_checks every tree behind a Step is oracle-verified, and this
 // test fails if that instrumentation has gone dead (comparison count zero).
+// internal/analysis has the same hook for the engine's other client.
 func TestIncrementalOracleExercised(t *testing.T) {
 	if !check.Enabled {
 		t.Skip("oracle instrumentation requires -tags hypatia_checks")

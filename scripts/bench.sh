@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Forwarding-state benchmark harness: runs the routing and core benchmarks
-# with -benchmem at both GOMAXPROCS=1 and a wide setting (nproc, floored at
-# 2) — the single-core run isolates per-op cost, the wide run measures the
-# sharded event loop under real concurrency — and emits machine-readable
-# results to BENCH_routing.json in the repository root, enforcing the
-# checked-in allocation budgets (alloc_budgets below) on the way.
+# Forwarding-state benchmark harness: runs the routing, core and analysis
+# benchmarks with -benchmem at both GOMAXPROCS=1 and a wide setting (nproc,
+# floored at 2) — the single-core run isolates per-op cost, the wide run
+# measures the sharded event loop under real concurrency — and emits
+# machine-readable results to BENCH_routing.json in the repository root,
+# enforcing the checked-in allocation budgets (alloc_budgets below) on the
+# way.
 # Run from anywhere:
 #
 #   ./scripts/bench.sh [benchtime]
@@ -39,9 +40,14 @@ trap 'rm -f "$raw1" "$rawN"' EXIT
 # 27.7–30.4k times (forwarding tables off the producer, Series growth at the
 # sinks, queue slab and ring growth while the links fill); a packet path
 # that allocated once per packet again would read 500k.
+# BenchmarkAnalyzePairsS1 is 8 steps of the stepped analysis on the engine:
+# 57 allocs/op at the default 5x (steps 17-57 of a run, where a pair's stored
+# satellite sequence or a visibility list still meets a new longest now and
+# then; less at longer benchtimes); a sweep that materialised its 4 950 paths
+# per step again would read hundreds of thousands.
 # Every budgeted benchmark gets "alloc_budget"/"alloc_budget_status" fields
 # in the JSON, and any "over" status fails the run.
-alloc_budgets="BenchmarkSnapshotInto=8 BenchmarkForwardingTableFull=16 BenchmarkForwardingTablePooled=8 BenchmarkForwardingStateIncremental=100 BenchmarkSimSerial=40000"
+alloc_budgets="BenchmarkSnapshotInto=8 BenchmarkForwardingTableFull=16 BenchmarkForwardingTablePooled=8 BenchmarkForwardingStateIncremental=100 BenchmarkSimSerial=40000 BenchmarkAnalyzePairsS1=75"
 
 # budget_check fails when any benchmark came out over its pinned budget —
 # the bench harness' counterpart of a failing allocsafety finding.
@@ -64,6 +70,9 @@ bench_once() { # $1 = gomaxprocs, $2 = raw output file
     GOMAXPROCS="$1" go test -run '^$' \
         -bench 'SimSerial$|SimSharded' \
         -benchtime "$benchtime" -benchmem -count=1 ./internal/core/ | tee -a "$2"
+    GOMAXPROCS="$1" go test -run '^$' \
+        -bench 'AnalyzePairsS1' \
+        -benchtime "$benchtime" -benchmem -count=1 ./internal/analysis/ | tee -a "$2"
 }
 
 # run_json renders one raw bench log as a JSON run object. Metrics are
@@ -115,6 +124,8 @@ END {
         printf "        \"%s\": {\"ns_per_op\": %s", name, ns[name]
         # One ForwardingState* op is 8 update instants (benchInstants).
         if (name ~ /^BenchmarkForwardingState/) printf ", \"ns_per_instant\": %d", ns[name] / 8
+        # One AnalyzePairs op is 8 analysis steps (analyzeStepsPerOp).
+        if (name ~ /^BenchmarkAnalyzePairs/) printf ", \"ns_per_step\": %d", ns[name] / 8
         if (name in eps)    printf ", \"events_per_second\": %s", eps[name]
         if (name in bytes)  printf ", \"bytes_per_op\": %s", bytes[name]
         if (name in allocs) printf ", \"allocs_per_op\": %s", allocs[name]
@@ -148,8 +159,9 @@ if [[ "${1:-}" == "--selftest" ]]; then
     # incremental engine inside its allocation budget ("ok"), and regresses
     # SnapshotInto to its pre-arena-warmup 854 allocs/op so the "over"
     # status and the budget_check failure path are exercised too. SimSerial
-    # sits inside its packet-path budget here; a second canned log below puts
-    # it back at one allocation per packet.
+    # and AnalyzePairsS1 sit inside their budgets here; two more canned logs
+    # below put the first back at one allocation per packet and the second
+    # back at materialised paths.
     cat > "$self" <<'EOF'
 cpu: Selftest CPU @ 2.10GHz
 BenchmarkSnapshotInto-4                 5    1500000 ns/op  56000 B/op  854 allocs/op
@@ -158,6 +170,7 @@ BenchmarkForwardingStateIncremental-4   5   20000000 ns/op   500 B/op   5 allocs
 BenchmarkSimSerial-4                    5   80000000 ns/op  170000 events/s  3000 B/op  30 allocs/op
 BenchmarkSimSharded/shards=2-4          5  160000000 ns/op   85000 events/s  4000 B/op  40 allocs/op
 BenchmarkSimSharded/shards=4-4          5  100000000 ns/op  136000 events/s  4000 B/op  40 allocs/op
+BenchmarkAnalyzePairsS1-4               5   56000000 ns/op  6000 B/op  57 allocs/op
 EOF
     json="$(run_json "$self" 4)"
     rm -f "$self"
@@ -169,6 +182,7 @@ EOF
         '"BenchmarkForwardingStateIncremental": {"ns_per_op": 20000000, "ns_per_instant": 2500000, "bytes_per_op": 500, "allocs_per_op": 5, "alloc_budget": 100, "alloc_budget_status": "ok"}' \
         '"BenchmarkSimSerial": {"ns_per_op": 80000000, "events_per_second": 170000, "bytes_per_op": 3000, "allocs_per_op": 30, "alloc_budget": 40000, "alloc_budget_status": "ok"}' \
         '"BenchmarkSimSharded/shards=4": {"ns_per_op": 100000000, "events_per_second": 136000, "bytes_per_op": 4000, "allocs_per_op": 40}' \
+        '"BenchmarkAnalyzePairsS1": {"ns_per_op": 56000000, "ns_per_step": 7000000, "bytes_per_op": 6000, "allocs_per_op": 57, "alloc_budget": 75, "alloc_budget_status": "ok"}' \
         '"serial_over_incremental": 8.000,' \
         '"sharded_over_serial": 0.800,' \
         '"sharded_over_serial_note"'; do
@@ -208,6 +222,25 @@ EOF
     if ! grep -qF '"allocs_per_op": 505052, "alloc_budget": 40000, "alloc_budget_status": "over"' "$selfjson" ||
         budget_check "$selfjson" 2>/dev/null; then
         echo "bench.sh --selftest: an allocating packet path passed BenchmarkSimSerial's budget:" >&2
+        cat "$selfjson" >&2
+        rm -f "$selfjson"
+        exit 1
+    fi
+    rm -f "$selfjson"
+    # The analysis budget's "over" side: 8 steps that each materialise 4 950
+    # node paths and satellite sequences, as the from-scratch sweep did
+    # (45 MB per virtual second), must be marked over and fail budget_check.
+    self="$(mktemp)"
+    cat > "$self" <<'EOF'
+cpu: Selftest CPU @ 2.10GHz
+BenchmarkAnalyzePairsS1-4               5  190000000 ns/op  36300000 B/op  410000 allocs/op
+EOF
+    selfjson="$(mktemp)"
+    run_json "$self" 4 > "$selfjson"
+    rm -f "$self"
+    if ! grep -qF '"ns_per_step": 23750000, "bytes_per_op": 36300000, "allocs_per_op": 410000, "alloc_budget": 75, "alloc_budget_status": "over"' "$selfjson" ||
+        budget_check "$selfjson" 2>/dev/null; then
+        echo "bench.sh --selftest: a path-materialising sweep passed BenchmarkAnalyzePairsS1's budget:" >&2
         cat "$selfjson" >&2
         rm -f "$selfjson"
         exit 1

@@ -58,15 +58,16 @@ stage "alloc guards (default build, GOMAXPROCS=1)"
 # oracles, so the guards skip there — at GOMAXPROCS=1 so background
 # scheduling cannot smear allocations across the measured runs.
 GOMAXPROCS=1 go test -count=1 -run 'TestAllocGuard' \
-    ./internal/graph/ ./internal/routing/ ./internal/sim/ ./internal/transport/
+    ./internal/graph/ ./internal/routing/ ./internal/analysis/ ./internal/sim/ ./internal/transport/
 
 stage "incremental oracle exercised (comparison count must be nonzero)"
 # The differential layer is only as good as the oracle actually running:
 # these tests fail unless the hypatia_checks oracle re-derived and compared
-# a nonzero number of forwarding columns against the incremental engine.
+# a nonzero number of shortest-path trees against the incremental engine,
+# for forwarding tables (routing, core) and for the stepped analyses.
 go test -tags hypatia_checks -count=1 \
     -run 'TestIncrementalOracleExercised|TestDifferentialIncrementalSequences' \
-    ./internal/routing/ ./internal/core/
+    ./internal/routing/ ./internal/core/ ./internal/analysis/
 
 stage "go test -race -tags hypatia_checks (shuffled)"
 go test -race -tags hypatia_checks -shuffle=on ./...
