@@ -56,25 +56,30 @@ func BenchmarkPacketForwardingRate(b *testing.B) {
 	}
 }
 
-// benchSimRun executes the paper's Fig 2 UDP shape — Kuiper K1, the 100
-// cities, one line-rate UDP flow per pair of a random permutation, every
-// link at 100 Mbit/s — for 200 virtual milliseconds (~2M events) on the
-// given engine (shards 0 = serial) and returns how many events it processed.
+// benchSimRun executes one of the paper's Fig 2 shapes — Kuiper K1, the 100
+// cities, one flow per pair of a random permutation — on the given engine
+// (shards 0 = serial) and returns how many events it processed. The UDP shape
+// is line-rate flows on 100 Mbit/s links for 200 virtual milliseconds (~2M
+// events); the TCP shape (tcp set) is NewReno on 25 Mbit/s links for 2 virtual
+// seconds (~2.1M events: the benchmark's tcp_perm100 workload, shorter).
 // A hundred independent flows spread over the whole constellation are work a
 // shard count can split; a single flow is one causal chain that none can.
 // Only Execute is timed: constellation generation, network set-up and flow
 // attachment happen with the timer stopped, so events/s is the event loop's.
-func benchSimRun(b *testing.B, shards int) uint64 {
+func benchSimRun(b *testing.B, shards int, tcp bool) uint64 {
 	b.Helper()
 	b.StopTimer()
-	const rateBps = 100e6
+	rateBps, duration := 100e6, 200*sim.Millisecond
+	if tcp {
+		rateBps, duration = 25e6, 2*sim.Second
+	}
 	net := sim.DefaultConfig()
 	net.ISLRateBps, net.GSLRateBps = rateBps, rateBps
 	cities := groundstation.Top100Cities()
 	run, err := NewRun(RunConfig{
 		Constellation:  constellation.Kuiper(),
 		GroundStations: cities,
-		Duration:       200 * sim.Millisecond,
+		Duration:       duration,
 		Net:            net,
 		Shards:         shards,
 	})
@@ -82,7 +87,11 @@ func benchSimRun(b *testing.B, shards int) uint64 {
 		b.Fatal(err)
 	}
 	for src, dst := range rand.New(rand.NewSource(20201027)).Perm(len(cities)) {
-		if src != dst {
+		switch {
+		case src == dst:
+		case tcp:
+			transport.NewTCPFlow(run.Net, run.Flows, src, dst, transport.TCPConfig{}).Start()
+		default:
 			transport.NewUDPFlow(run.Net, run.Flows, src, dst, transport.UDPConfig{RateBps: rateBps}).Start()
 		}
 	}
@@ -91,16 +100,19 @@ func benchSimRun(b *testing.B, shards int) uint64 {
 	return run.Sim.Processed()
 }
 
-// BenchmarkSimSerial is the serial event-loop baseline for the sharded
-// engine: identical workload, shard count 0. Its events/s metric is the
-// denominator of bench.sh's sharded_over_serial speedup ratio.
-func BenchmarkSimSerial(b *testing.B) {
+// benchSim reports events/s over b.N runs of benchSimRun.
+func benchSim(b *testing.B, shards int, tcp bool) {
 	var total uint64
 	for i := 0; i < b.N; i++ {
-		total += benchSimRun(b, 0)
+		total += benchSimRun(b, shards, tcp)
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "events/s")
 }
+
+// BenchmarkSimSerial is the serial event-loop baseline for the sharded
+// engine: identical workload, shard count 0. Its events/s metric is the
+// denominator of bench.sh's sharded_over_serial speedup ratio.
+func BenchmarkSimSerial(b *testing.B) { benchSim(b, 0, false) }
 
 // BenchmarkSimSharded runs the same workload on the sharded
 // conservative-parallel loop at several shard counts. Events/s counts what
@@ -112,13 +124,18 @@ func BenchmarkSimSerial(b *testing.B) {
 // nproc and GOMAXPROCS next to the ratio so the number is honest.
 func BenchmarkSimSharded(b *testing.B) {
 	for _, shards := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			var total uint64
-			for i := 0; i < b.N; i++ {
-				total += benchSimRun(b, shards)
-			}
-			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "events/s")
-		})
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) { benchSim(b, shards, false) })
+	}
+}
+
+// BenchmarkSimSerialTCP and BenchmarkSimShardedTCP are the same pair on the
+// TCP shape: ACK reverse traffic, transport timers, per-flow logs, a quarter
+// of the line rate. bench.sh emits their ratio as sharded_over_serial_tcp.
+func BenchmarkSimSerialTCP(b *testing.B) { benchSim(b, 0, true) }
+
+func BenchmarkSimShardedTCP(b *testing.B) {
+	for _, shards := range []int{2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) { benchSim(b, shards, true) })
 	}
 }
 

@@ -40,3 +40,25 @@ func TestAllocGuardPacketPath(t *testing.T) {
 		s.Run(s.Now() + Second)
 	})
 }
+
+// TestAllocGuardTimer pins a Timer at zero allocations once built: arming,
+// re-arming later (no event), re-arming earlier (a second carrier), firing,
+// stopping, and the carrier popping as a no-op all reuse the one func value
+// NewTimer bound.
+func TestAllocGuardTimer(t *testing.T) {
+	s, clks := timerClocks(1)
+	fired := 0
+	tm := clks[0].NewTimer(func() { fired++ })
+	checktest.AllocGuard(t, "Timer Reset/Stop/fire", 0, 1, func() {
+		tm.Reset(5)
+		tm.Reset(9)
+		tm.Reset(2)
+		s.Run(s.Now() + 3)
+		tm.Reset(4)
+		tm.Stop()
+		s.Run(s.Now() + 10)
+	})
+	if fired == 0 {
+		t.Error("timer never fired")
+	}
+}

@@ -19,7 +19,8 @@ type shardedResult struct {
 }
 
 // runShardedScenario executes a fixed traffic scenario — a periodic echo
-// flow GS0<->GS1, a queue-overflowing burst GS2->GS1, deterministic link
+// flow GS0<->GS1 paced by a Timer and watched by a second one that every reply
+// pushes back, a queue-overflowing burst GS2->GS1, deterministic link
 // loss, and forwarding updates at 100 ms granularity — serially (shards=0)
 // or on the sharded engine, optionally switching to the serial loop at
 // splitAt or stopping at stopAt and resuming, and returns the observable
@@ -50,16 +51,32 @@ func runShardedScenario(t *testing.T, shards int, splitAt, stopAt Time) shardedR
 		fmt.Fprintf(&tr, "RX %v gs=%d pkt=%d hops=%d\n", at, gs, pkt.ID, pkt.Hops)
 	})
 
-	// Flow 1: GS0 pings GS1 every 5 ms; GS1 echoes back.
+	// Flow 1: GS0 pings GS1 every 5 ms; GS1 echoes back. Both timers are
+	// armed before the run, so their carriers migrate to a shard engine with
+	// the run, back at a Stop or a split, and out again on resume. The
+	// watchdog is the retransmission-timer shape: each reply moves its
+	// deadline later under a carrier that stays where it is, and it fires
+	// (a flow 4 packet in the trace) only after a lost ping or reply.
 	clk0 := n.Clock(0)
-	n.RegisterFlow(0, 1, func(*Packet) {})
-	n.RegisterFlow(1, 1, func(p *Packet) { n.Send(1, 0, 1, 200, nil) })
-	var tick func()
-	tick = func() {
+	var pace, watchdog *Timer
+	watchdogFired, watchdogPushed := 0, 0
+	pace = clk0.NewTimer(func() {
 		n.Send(0, 1, 1, 300, nil)
-		clk0.Schedule(5*Millisecond, tick)
-	}
-	clk0.Schedule(0, tick)
+		pace.Reset(5 * Millisecond)
+	})
+	watchdog = clk0.NewTimer(func() {
+		watchdogFired++
+		n.Send(0, 1, 4, 100, nil)
+		watchdog.Reset(7 * Millisecond)
+	})
+	n.RegisterFlow(0, 1, func(*Packet) {
+		watchdogPushed++
+		watchdog.Reset(7 * Millisecond)
+	})
+	n.RegisterFlow(1, 1, func(p *Packet) { n.Send(1, 0, 1, 200, nil) })
+	n.RegisterFlow(1, 4, func(*Packet) {})
+	pace.Reset(0)
+	watchdog.Reset(7 * Millisecond)
 
 	// Flow 2: GS0 bursts 30 packets at t=50 ms into 4-packet queues,
 	// overflowing its GSL device (queue drops).
@@ -114,6 +131,10 @@ func runShardedScenario(t *testing.T, shards int, splitAt, stopAt Time) shardedR
 		t.Errorf("shards=%d split=%v: %d installs executed, want %d", shards, splitAt, got, len(installs))
 	}
 
+	if watchdogFired == 0 || watchdogPushed <= watchdogFired {
+		t.Errorf("shards=%d: watchdog fired %d times and was pushed back %d times; the scenario wants some of the first and more of the second",
+			shards, watchdogFired, watchdogPushed)
+	}
 	res := shardedResult{trace: tr.String(), delivered: n.Delivered(), devs: n.DeviceStats(), now: s.Now()}
 	for r := DropReason(0); r < numDropReasons; r++ {
 		res.drops[r] = n.Drops(r)
@@ -223,19 +244,23 @@ func TestShardedNoHooks(t *testing.T) {
 	}
 }
 
-// TestClockSerialEquivalence pins that Clock handles behave exactly like the
-// root simulator outside sharded runs.
+// TestClockSerialEquivalence pins that Clock handles, and Timers on them,
+// behave exactly like the root simulator outside sharded runs.
 func TestClockSerialEquivalence(t *testing.T) {
 	_, n, _ := testNet(t, Config{})
 	clk := n.Clock(0)
 	if clk.Now() != n.Sim.Now() {
 		t.Fatalf("Clock.Now = %v, Sim.Now = %v", clk.Now(), n.Sim.Now())
 	}
-	var at Time
+	var at, timerAt Time
 	clk.Schedule(7*Millisecond, func() { at = clk.Now() })
+	clk.NewTimer(func() { timerAt = n.Sim.Now() }).Reset(9 * Millisecond)
 	n.Sim.Run(Second)
 	if at != 7*Millisecond {
 		t.Errorf("clock-scheduled event ran at %v, want 7ms", at)
+	}
+	if timerAt != 9*Millisecond {
+		t.Errorf("clock timer fired at %v, want 9ms", timerAt)
 	}
 	defer func() {
 		if recover() == nil {

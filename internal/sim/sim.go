@@ -2,7 +2,8 @@
 // constellations — the Go substitute for the ns-3 module the Hypatia paper
 // builds on. It provides the event engine (this file) over its pending-event
 // set (queue.go: a 4-ary heap in which the earliest of a device's in-flight
-// arrivals stands for all of them), a network model (network.go): nodes for
+// arrivals stands for all of them), re-armable timers for the transports
+// (timer.go), a network model (network.go): nodes for
 // satellites and ground stations, point-to-point ISL channels, a shared-medium GSL channel, drop-tail queues, per-packet
 // propagation delays derived from live satellite positions, and
 // forwarding-state updates installed at a configurable time granularity —
@@ -161,7 +162,11 @@ func (s *Simulator) Now() Time { return s.now }
 // counts dominate simulation wall-clock time (paper §3.4), so this is the
 // scalability-relevant metric. After a sharded run the root engine reports
 // the sum across shards (which exceeds a serial run's count by the
-// duplicated per-shard forwarding installs).
+// duplicated per-shard forwarding installs). The count is of engine events,
+// not of simulated outcomes: a transport timer that is re-armed before it
+// fires costs no event (see Timer), where each superseded arm used to pop as
+// a no-op closure, so a run's count can drop between versions with no
+// simulated difference — which is why it is outside every digest.
 func (s *Simulator) Processed() uint64 { return s.processed }
 
 // Pending returns the number of events currently queued, whether they sit in

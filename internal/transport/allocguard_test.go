@@ -29,3 +29,19 @@ func TestAllocGuardUDPSteadyState(t *testing.T) {
 		d.sim.Run(d.sim.Now() + 10*sim.Millisecond)
 	})
 }
+
+// TestAllocGuardTCPTimers pins TCP's per-ACK and per-segment timer work at
+// zero allocations: arming and cancelling the retransmission timer, arming
+// the delayed-ACK timer, and their carriers popping.
+func TestAllocGuardTCPTimers(t *testing.T) {
+	d := newDumbbell(t, sim.DefaultConfig(), geom.Vec3{}, 0)
+	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{})
+	checktest.AllocGuard(t, "TCP timer arms", 0, 1, func() {
+		f.armRTO()
+		f.cancelRTO()
+		f.armRTO() // fires with nothing in flight: onTimeout returns at once
+		f.delAckTimer.Reset(f.cfg.DelAckTimeout)
+		f.delAckTimer.Stop()
+		d.sim.Run(d.sim.Now() + 2*sim.Second)
+	})
+}

@@ -78,7 +78,7 @@ type bbr struct {
 	deliveredAt map[int64]int64    // per-segment: delivered count at send time
 	sentStamp   map[int64]sim.Time // per-segment send time (kept separate from sentAt for retransmissions)
 
-	pacingGen uint64 // generation for the pacing timer
+	pacing *sim.Timer // fires bbrPacedSend; set by NewTCPFlow
 }
 
 func newBBR() *bbr {
@@ -134,17 +134,6 @@ func (f *TCPFlow) bbrCwnd() float64 {
 	return math.Max(gain*bdp, bbrMinCwnd)
 }
 
-// bbrSchedulePacedSend arms the pacing timer for the next transmission.
-func (f *TCPFlow) bbrSchedulePacedSend(delay sim.Time) {
-	f.bbr.pacingGen++
-	gen := f.bbr.pacingGen
-	f.clk.Schedule(delay, func() {
-		if f.bbr.pacingGen == gen {
-			f.bbrPacedSend()
-		}
-	})
-}
-
 // bbrPacedSend transmits one segment if the inflight cap allows, then
 // re-arms the timer at the pacing interval.
 func (f *TCPFlow) bbrPacedSend() {
@@ -168,7 +157,7 @@ func (f *TCPFlow) bbrPacedSend() {
 			f.armRTO()
 		}
 	}
-	f.bbrSchedulePacedSend(interval)
+	b.pacing.Reset(interval)
 }
 
 // bbrOnAck updates the model from a cumulative ACK covering [old sndUna,

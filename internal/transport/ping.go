@@ -48,18 +48,19 @@ type Pinger struct {
 	SrcGS  int
 	DstGS  int
 
-	running bool
-	results []PingResult
-	index   map[int64]int // seq -> index in results
-	next    int64
+	// interval fires sendNext one Interval after each request; the stream
+	// runs exactly while it is armed (or inside sendNext).
+	interval *sim.Timer
+	results  []PingResult // results[seq] is request seq
 }
 
 // NewPinger creates a pinger and registers both endpoints. Call Start.
 func NewPinger(net *sim.Network, ids *FlowIDs, srcGS, dstGS int, cfg PingConfig) *Pinger {
 	p := &Pinger{
 		Net: net, clk: net.Clock(srcGS), cfg: cfg.withDefaults(), FlowID: ids.Next(),
-		SrcGS: srcGS, DstGS: dstGS, index: map[int64]int{},
+		SrcGS: srcGS, DstGS: dstGS,
 	}
+	p.interval = p.clk.NewTimer(p.sendNext)
 	net.RegisterFlow(srcGS, p.FlowID, p.onReply)
 	net.RegisterFlow(dstGS, p.FlowID, p.onRequest)
 	return p
@@ -68,10 +69,9 @@ func NewPinger(net *sim.Network, ids *FlowIDs, srcGS, dstGS int, cfg PingConfig)
 // Start begins the periodic echo stream; it runs until Stop or the end of
 // the simulation.
 func (p *Pinger) Start() {
-	if p.running {
+	if p.interval.Armed() {
 		panic("transport: pinger started twice")
 	}
-	p.running = true
 	p.sendNext()
 }
 
@@ -80,19 +80,15 @@ func (p *Pinger) Start() {
 func (p *Pinger) StartAfter(delay sim.Time) { p.clk.Schedule(delay, p.Start) }
 
 // Stop halts the request stream.
-func (p *Pinger) Stop() { p.running = false }
+func (p *Pinger) Stop() { p.interval.Stop() }
 
 func (p *Pinger) sendNext() {
-	if !p.running {
-		return
-	}
 	now := p.clk.Now()
-	p.index[p.next] = len(p.results)
-	p.results = append(p.results, PingResult{Seq: p.next, SentAt: now})
+	seq := int64(len(p.results))
+	p.results = append(p.results, PingResult{Seq: seq, SentAt: now})
 	p.Net.Send(p.SrcGS, p.DstGS, p.FlowID, p.cfg.Size,
-		pingPayload{seq: p.next, sentAt: now})
-	p.next++
-	p.clk.Schedule(p.cfg.Interval, p.sendNext)
+		pingPayload{seq: seq, sentAt: now})
+	p.interval.Reset(p.cfg.Interval)
 }
 
 // onRequest echoes a request back to the source.
@@ -111,12 +107,11 @@ func (p *Pinger) onReply(pkt *sim.Packet) {
 	if !pl.isReply {
 		return
 	}
-	i, ok := p.index[pl.seq]
-	if !ok {
+	if pl.seq < 0 || pl.seq >= int64(len(p.results)) {
 		return
 	}
-	p.results[i].RTT = p.clk.Now() - pl.sentAt
-	p.results[i].Replied = true
+	p.results[pl.seq].RTT = p.clk.Now() - pl.sentAt
+	p.results[pl.seq].Replied = true
 }
 
 // Results returns all ping outcomes in sequence order. The slice is owned

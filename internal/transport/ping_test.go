@@ -124,6 +124,35 @@ func TestPingStop(t *testing.T) {
 	}
 }
 
+// TestPingStopStartKeepsRate restarts a pinger before the firing its Stop left
+// pending has run: that firing must not revive the old request chain beside
+// the new one (the stream would run at twice its rate from then on).
+func TestPingStopStartKeepsRate(t *testing.T) {
+	const horizon = sim.Second
+	sentBy := func(restart bool) int {
+		d := newDumbbell(t, sim.DefaultConfig(), geom.Vec3{}, 0)
+		p := NewPinger(d.net, d.ids, 0, 1, PingConfig{Interval: 10 * sim.Millisecond})
+		p.Start() // next request at 10 ms
+		if restart {
+			d.sim.Schedule(4*sim.Millisecond, p.Stop)
+			d.sim.Schedule(5*sim.Millisecond, p.Start)
+		}
+		d.sim.Run(horizon)
+		if lost := p.LossCount(); lost > 3 {
+			t.Errorf("restart=%v: %d of %d pings unanswered", restart, lost, len(p.Results()))
+		}
+		return len(p.Results())
+	}
+	single, restarted := sentBy(false), sentBy(true)
+	if single < 100 {
+		t.Fatalf("single chain sent only %d pings in %v at 10 ms", single, horizon)
+	}
+	// The restart itself sends one request early (at 5 ms).
+	if diff := restarted - single; diff < 0 || diff > 1 {
+		t.Errorf("sent %d pings after a quick Stop/Start, %d without: two request chains alive", restarted, single)
+	}
+}
+
 func mean(xs []float64) float64 {
 	total := 0.0
 	for _, x := range xs {

@@ -170,7 +170,7 @@ type TCPFlow struct {
 
 	sentAt   map[int64]sim.Time // first-transmission time per in-flight segment
 	everRetx map[int64]bool     // segments ever retransmitted (no RTT sample)
-	rtoGen   uint64             // generation counter for the retransmission timer
+	rtoTimer *sim.Timer         // retransmission timer; fires onTimeout
 	srtt     float64            // smoothed RTT, seconds (0 until first sample)
 	rttvar   float64
 	rto      sim.Time
@@ -196,7 +196,11 @@ type TCPFlow struct {
 	rcvNxt    int64
 	ooo       map[int64]bool // out-of-order segments received
 	delAckCnt int
-	delAckGen uint64
+	// delAckTimer acknowledges a lone segment that no second one follows. It
+	// runs on the source station's clock like everything else of the flow
+	// (RegisterFlow colocates the two ends): the owner is part of the
+	// canonical event order.
+	delAckTimer *sim.Timer
 	// ArrivalLog is the receiver-side arrival order of data segment
 	// sequence numbers (populated only with TrackReordering).
 	ArrivalLog []int64
@@ -237,10 +241,13 @@ func NewTCPFlow(net *sim.Network, ids *FlowIDs, srcGS, dstGS int, cfg TCPConfig)
 		baseRTT:     math.Inf(1),
 		vegasMinRTT: math.Inf(1),
 	}
+	f.clk = net.Clock(srcGS)
+	f.rtoTimer = f.clk.NewTimer(f.onTimeout)
+	f.delAckTimer = f.clk.NewTimer(f.sendAck)
 	if cfg.Algorithm == BBR {
 		f.bbr = newBBR()
+		f.bbr.pacing = f.clk.NewTimer(f.bbrPacedSend)
 	}
-	f.clk = net.Clock(srcGS)
 	net.RegisterFlow(srcGS, f.FlowID, f.onSenderPacket)
 	net.RegisterFlow(dstGS, f.FlowID, f.onReceiverPacket)
 	return f
@@ -366,12 +373,7 @@ func (f *TCPFlow) onReceiverPacket(pkt *sim.Packet) {
 			return
 		}
 		// Arm the delayed-ACK timer for a lone segment.
-		gen := f.delAckGen
-		f.clk.Schedule(f.cfg.DelAckTimeout, func() {
-			if f.delAckGen == gen && f.delAckCnt > 0 {
-				f.sendAck()
-			}
-		})
+		f.delAckTimer.Reset(f.cfg.DelAckTimeout)
 		return
 	}
 	// Out-of-order and duplicate segments trigger immediate (dup) ACKs;
@@ -383,7 +385,7 @@ func (f *TCPFlow) onReceiverPacket(pkt *sim.Packet) {
 // SACK blocks describing out-of-order runs when enabled.
 func (f *TCPFlow) sendAck() {
 	f.delAckCnt = 0
-	f.delAckGen++
+	f.delAckTimer.Stop()
 	seg := tcpSegment{isAck: true, ack: f.rcvNxt}
 	if f.cfg.SACK && len(f.ooo) > 0 {
 		seg.sack = f.sackBlocks()
@@ -680,26 +682,20 @@ func (f *TCPFlow) vegasUpdate(newly int64) {
 // ---- Retransmission timer ----
 
 func (f *TCPFlow) armRTO() {
-	f.rtoGen++
-	gen := f.rtoGen
 	d := f.rto << uint(f.backoff)
 	if d > f.cfg.MaxRTO {
 		d = f.cfg.MaxRTO
 	}
-	f.clk.Schedule(d, func() {
-		if f.rtoGen == gen {
-			f.onTimeout()
-		}
-	})
+	f.rtoTimer.Reset(d)
 }
 
-func (f *TCPFlow) cancelRTO() { f.rtoGen++ }
+func (f *TCPFlow) cancelRTO() { f.rtoTimer.Stop() }
 
 // onTimeout handles an RTO expiry: multiplicative decrease to one segment
 // and go-back-N from the first unacknowledged segment.
 func (f *TCPFlow) onTimeout() {
 	if f.flightSize() == 0 {
-		return // nothing outstanding; timer was stale
+		return // nothing outstanding
 	}
 	f.TimeoutCount++
 	if f.cfg.Algorithm == BBR {

@@ -33,14 +33,10 @@ type UDPFlow struct {
 	SrcGS  int
 	DstGS  int
 
-	running bool
-	// tick is the pacing timer's func value, built once per Start so that the
-	// per-packet Schedule allocates nothing. It belongs to pacing chain gen:
-	// a firing left pending by a Stop finds the flow stopped, or a later
-	// Start's gen, and does nothing — a quick Stop/Start cannot leave two
-	// chains alive.
-	tick func()
-	gen  uint32
+	// pace fires sendNext one packet time after each send. The flow runs
+	// exactly while it is armed (or inside sendNext), so a quick Stop/Start
+	// re-arms the one timer and cannot leave two pacing chains alive.
+	pace *sim.Timer
 	sent int64 // packets sent
 	// ReceivedPayloadBytes counts payload bytes that reached the sink.
 	ReceivedPayloadBytes int64
@@ -55,6 +51,7 @@ func NewUDPFlow(net *sim.Network, ids *FlowIDs, srcGS, dstGS int, cfg UDPConfig)
 		panic("transport: UDP flow needs a positive rate")
 	}
 	f := &UDPFlow{Net: net, clk: net.Clock(srcGS), cfg: cfg, FlowID: ids.Next(), SrcGS: srcGS, DstGS: dstGS}
+	f.pace = f.clk.NewTimer(f.sendNext)
 	net.RegisterFlow(dstGS, f.FlowID, f.onReceive)
 	// The sender's pacing timer and the sink's counters are one flow object:
 	// keep both endpoints on one shard engine.
@@ -64,16 +61,8 @@ func NewUDPFlow(net *sim.Network, ids *FlowIDs, srcGS, dstGS int, cfg UDPConfig)
 
 // Start begins paced transmission and keeps sending until Stop.
 func (f *UDPFlow) Start() {
-	if f.running {
+	if f.pace.Armed() {
 		panic("transport: UDP flow started twice")
-	}
-	f.running = true
-	f.gen++
-	gen := f.gen
-	f.tick = func() {
-		if f.running && gen == f.gen {
-			f.sendNext()
-		}
 	}
 	f.sendNext()
 }
@@ -82,8 +71,8 @@ func (f *UDPFlow) Start() {
 // sharded-run-safe way to stagger flow starts).
 func (f *UDPFlow) StartAfter(delay sim.Time) { f.clk.Schedule(delay, f.Start) }
 
-// Stop halts the sender after the next scheduled packet.
-func (f *UDPFlow) Stop() { f.running = false }
+// Stop halts the sender: the next scheduled packet is not sent.
+func (f *UDPFlow) Stop() { f.pace.Stop() }
 
 // Sent returns the number of packets transmitted.
 func (f *UDPFlow) Sent() int64 { return f.sent }
@@ -95,7 +84,7 @@ func (f *UDPFlow) sendNext() {
 	f.Net.Send(f.SrcGS, f.DstGS, f.FlowID, wire, nil)
 	f.sent++
 	// Pace at the configured rate counted over wire bytes.
-	f.clk.Schedule(sim.Seconds(float64(wire*8)/f.cfg.RateBps), f.tick)
+	f.pace.Reset(sim.Seconds(float64(wire*8) / f.cfg.RateBps))
 }
 
 func (f *UDPFlow) onReceive(pkt *sim.Packet) {

@@ -40,6 +40,10 @@ trap 'rm -f "$raw1" "$rawN"' EXIT
 # 27.7–30.4k times (forwarding tables off the producer, Series growth at the
 # sinks, queue slab and ring growth while the links fill); a packet path
 # that allocated once per packet again would read 500k.
+# BenchmarkSimSerialTCP is the same on the TCP shape (~2.1M events): 146–148k
+# allocs/op, nearly all of them the boxed tcpSegment payload of each data
+# segment and ACK; with a fresh closure per retransmission- and delayed-ACK-
+# timer arm, as before sim.Timer, it read 185k.
 # BenchmarkAnalyzePairsS1 is 8 steps of the stepped analysis on the engine:
 # 57 allocs/op at the default 5x (steps 17-57 of a run, where a pair's stored
 # satellite sequence or a visibility list still meets a new longest now and
@@ -47,7 +51,7 @@ trap 'rm -f "$raw1" "$rawN"' EXIT
 # per step again would read hundreds of thousands.
 # Every budgeted benchmark gets "alloc_budget"/"alloc_budget_status" fields
 # in the JSON, and any "over" status fails the run.
-alloc_budgets="BenchmarkSnapshotInto=8 BenchmarkForwardingTableFull=16 BenchmarkForwardingTablePooled=8 BenchmarkForwardingStateIncremental=100 BenchmarkSimSerial=40000 BenchmarkAnalyzePairsS1=75"
+alloc_budgets="BenchmarkSnapshotInto=8 BenchmarkForwardingTableFull=16 BenchmarkForwardingTablePooled=8 BenchmarkForwardingStateIncremental=100 BenchmarkSimSerial=40000 BenchmarkSimSerialTCP=185000 BenchmarkAnalyzePairsS1=75"
 
 # budget_check fails when any benchmark came out over its pinned budget —
 # the bench harness' counterpart of a failing allocsafety finding.
@@ -68,7 +72,7 @@ bench_once() { # $1 = gomaxprocs, $2 = raw output file
         -bench 'ForwardingStateSerial|ForwardingStateIncremental' \
         -benchtime "$benchtime" -benchmem -count=1 ./internal/core/ | tee -a "$2"
     GOMAXPROCS="$1" go test -run '^$' \
-        -bench 'SimSerial$|SimSharded' \
+        -bench 'SimSerial|SimSharded' \
         -benchtime "$benchtime" -benchmem -count=1 ./internal/core/ | tee -a "$2"
     GOMAXPROCS="$1" go test -run '^$' \
         -bench 'AnalyzePairsS1' \
@@ -139,6 +143,7 @@ END {
     nr = 0
     emit_ratio("serial_over_incremental", ns["BenchmarkForwardingStateSerial"], ns["BenchmarkForwardingStateIncremental"])
     emit_ratio("sharded_over_serial",     ns["BenchmarkSimSerial"],             ns["BenchmarkSimSharded/shards=4"])
+    emit_ratio("sharded_over_serial_tcp", ns["BenchmarkSimSerialTCP"],          ns["BenchmarkSimShardedTCP/shards=4"])
     for (i = 0; i < nr; i++)
         printf "%s%s\n", ratios[i], (i < nr - 1) ? "," : ""
     printf "    }"
@@ -158,10 +163,11 @@ if [[ "${1:-}" == "--selftest" ]]; then
     # below 1.0 so the nproc annotation path is exercised, keeps the
     # incremental engine inside its allocation budget ("ok"), and regresses
     # SnapshotInto to its pre-arena-warmup 854 allocs/op so the "over"
-    # status and the budget_check failure path are exercised too. SimSerial
-    # and AnalyzePairsS1 sit inside their budgets here; two more canned logs
-    # below put the first back at one allocation per packet and the second
-    # back at materialised paths.
+    # status and the budget_check failure path are exercised too. SimSerial,
+    # SimSerialTCP and AnalyzePairsS1 sit inside their budgets here; three more
+    # canned logs below put the first back at one allocation per packet, the
+    # second back at one closure per timer arm and the third back at
+    # materialised paths.
     cat > "$self" <<'EOF'
 cpu: Selftest CPU @ 2.10GHz
 BenchmarkSnapshotInto-4                 5    1500000 ns/op  56000 B/op  854 allocs/op
@@ -170,6 +176,9 @@ BenchmarkForwardingStateIncremental-4   5   20000000 ns/op   500 B/op   5 allocs
 BenchmarkSimSerial-4                    5   80000000 ns/op  170000 events/s  3000 B/op  30 allocs/op
 BenchmarkSimSharded/shards=2-4          5  160000000 ns/op   85000 events/s  4000 B/op  40 allocs/op
 BenchmarkSimSharded/shards=4-4          5  100000000 ns/op  136000 events/s  4000 B/op  40 allocs/op
+BenchmarkSimSerialTCP-4                 5  650000000 ns/op  3200000 events/s  25700000 B/op  147000 allocs/op
+BenchmarkSimShardedTCP/shards=2-4       5  900000000 ns/op  2300000 events/s  28900000 B/op  148000 allocs/op
+BenchmarkSimShardedTCP/shards=4-4       5  520000000 ns/op  4000000 events/s  30900000 B/op  148000 allocs/op
 BenchmarkAnalyzePairsS1-4               5   56000000 ns/op  6000 B/op  57 allocs/op
 EOF
     json="$(run_json "$self" 4)"
@@ -184,8 +193,11 @@ EOF
         '"BenchmarkSimSharded/shards=4": {"ns_per_op": 100000000, "events_per_second": 136000, "bytes_per_op": 4000, "allocs_per_op": 40}' \
         '"BenchmarkAnalyzePairsS1": {"ns_per_op": 56000000, "ns_per_step": 7000000, "bytes_per_op": 6000, "allocs_per_op": 57, "alloc_budget": 75, "alloc_budget_status": "ok"}' \
         '"serial_over_incremental": 8.000,' \
+        '"BenchmarkSimSerialTCP": {"ns_per_op": 650000000, "events_per_second": 3200000, "bytes_per_op": 25700000, "allocs_per_op": 147000, "alloc_budget": 185000, "alloc_budget_status": "ok"}' \
+        '"BenchmarkSimShardedTCP/shards=4": {"ns_per_op": 520000000, "events_per_second": 4000000, "bytes_per_op": 30900000, "allocs_per_op": 148000}' \
         '"sharded_over_serial": 0.800,' \
-        '"sharded_over_serial_note"'; do
+        '"sharded_over_serial_note"' \
+        '"sharded_over_serial_tcp": 1.250'; do
         if ! grep -qF "$want" <<<"$json"; then
             echo "bench.sh --selftest: missing $want in run JSON:" >&2
             printf '%s\n' "$json" >&2
@@ -208,44 +220,42 @@ EOF
         exit 1
     fi
     rm -f "$selfjson" "$selfjson.ok"
-    # The packet-path budget's "over" side: SimSerial back at the 505 052
-    # allocs/op it measured with one Packet, one boxed payload and one method
-    # value per UDP packet must be marked over and fail budget_check.
-    self="$(mktemp)"
-    cat > "$self" <<'EOF'
-cpu: Selftest CPU @ 2.10GHz
-BenchmarkSimSerial-4                    5  841000000 ns/op  2400000 events/s  25000000 B/op  505052 allocs/op
-EOF
-    selfjson="$(mktemp)"
-    run_json "$self" 4 > "$selfjson"
-    rm -f "$self"
-    if ! grep -qF '"allocs_per_op": 505052, "alloc_budget": 40000, "alloc_budget_status": "over"' "$selfjson" ||
-        budget_check "$selfjson" 2>/dev/null; then
-        echo "bench.sh --selftest: an allocating packet path passed BenchmarkSimSerial's budget:" >&2
-        cat "$selfjson" >&2
-        rm -f "$selfjson"
-        exit 1
-    fi
-    rm -f "$selfjson"
-    # The analysis budget's "over" side: 8 steps that each materialise 4 950
-    # node paths and satellite sequences, as the from-scratch sweep did
-    # (45 MB per virtual second), must be marked over and fail budget_check.
-    self="$(mktemp)"
-    cat > "$self" <<'EOF'
-cpu: Selftest CPU @ 2.10GHz
-BenchmarkAnalyzePairsS1-4               5  190000000 ns/op  36300000 B/op  410000 allocs/op
-EOF
-    selfjson="$(mktemp)"
-    run_json "$self" 4 > "$selfjson"
-    rm -f "$self"
-    if ! grep -qF '"ns_per_step": 23750000, "bytes_per_op": 36300000, "allocs_per_op": 410000, "alloc_budget": 75, "alloc_budget_status": "over"' "$selfjson" ||
-        budget_check "$selfjson" 2>/dev/null; then
-        echo "bench.sh --selftest: a path-materialising sweep passed BenchmarkAnalyzePairsS1's budget:" >&2
-        cat "$selfjson" >&2
-        rm -f "$selfjson"
-        exit 1
-    fi
-    rm -f "$selfjson"
+    # expect_over renders one canned benchmark line on its own and requires
+    # that it comes out marked over its budget and fails budget_check.
+    expect_over() { # $1 = bench line, $2 = JSON fragment expected, $3 = what slipped through
+        local log json
+        log="$(mktemp)"
+        json="$(mktemp)"
+        printf 'cpu: Selftest CPU @ 2.10GHz\n%s\n' "$1" > "$log"
+        run_json "$log" 4 > "$json"
+        rm -f "$log"
+        if ! grep -qF "$2" "$json" || budget_check "$json" 2>/dev/null; then
+            echo "bench.sh --selftest: $3:" >&2
+            cat "$json" >&2
+            rm -f "$json"
+            exit 1
+        fi
+        rm -f "$json"
+    }
+    # The packet path: SimSerial back at the 505 052 allocs/op it measured
+    # with one Packet, one boxed payload and one method value per UDP packet.
+    expect_over \
+        'BenchmarkSimSerial-4                    5  841000000 ns/op  2400000 events/s  25000000 B/op  505052 allocs/op' \
+        '"allocs_per_op": 505052, "alloc_budget": 40000, "alloc_budget_status": "over"' \
+        "an allocating packet path passed BenchmarkSimSerial's budget"
+    # TCP's timers: SimSerialTCP back at the 185 147 allocs/op it measured
+    # with a fresh closure per retransmission- and delayed-ACK-timer arm.
+    expect_over \
+        'BenchmarkSimSerialTCP-4                 5  792000000 ns/op  2680000 events/s  32600000 B/op  185147 allocs/op' \
+        '"allocs_per_op": 185147, "alloc_budget": 185000, "alloc_budget_status": "over"' \
+        "a closure per timer arm passed BenchmarkSimSerialTCP's budget"
+    # The analysis sweep: 8 steps that each materialise 4 950 node paths and
+    # satellite sequences, as the from-scratch sweep did (45 MB per virtual
+    # second).
+    expect_over \
+        'BenchmarkAnalyzePairsS1-4               5  190000000 ns/op  36300000 B/op  410000 allocs/op' \
+        '"ns_per_step": 23750000, "bytes_per_op": 36300000, "allocs_per_op": 410000, "alloc_budget": 75, "alloc_budget_status": "over"' \
+        "a path-materialising sweep passed BenchmarkAnalyzePairsS1's budget"
     echo "bench.sh --selftest: ok"
     exit 0
 fi

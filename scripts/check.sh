@@ -56,7 +56,11 @@ stage "alloc guards (default build, GOMAXPROCS=1)"
 # steady-state hot paths to their budgets. Run in the default build — the
 # hypatia_checks build boxes assertion arguments and runs from-scratch
 # oracles, so the guards skip there — at GOMAXPROCS=1 so background
-# scheduling cannot smear allocations across the measured runs.
+# scheduling cannot smear allocations across the measured runs. In
+# internal/sim and internal/transport the guards are the event queue, the
+# packet path, the UDP send/deliver loop, a sim.Timer's Reset/Stop/fire
+# (TestAllocGuardTimer) and TCP's retransmission and delayed-ACK timer arms
+# (TestAllocGuardTCPTimers), every one at 0.
 GOMAXPROCS=1 go test -count=1 -run 'TestAllocGuard' \
     ./internal/graph/ ./internal/routing/ ./internal/analysis/ ./internal/sim/ ./internal/transport/
 
