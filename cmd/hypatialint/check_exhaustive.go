@@ -1,18 +1,61 @@
 package main
 
-// Tagged-union exhaustiveness, the third handlesafety clause: a switch over
-// a //hypatia:exhaustive tag type (the event-kind enum) must either carry a
-// default case or cover every package-scope constant of that type, so a new
-// event kind cannot silently fall through the serial or sharded dispatch
-// loops. A non-constant case expression makes coverage undecidable, so such
-// switches are skipped rather than guessed at.
+// The exhaustive check: a switch over a //hypatia:exhaustive tag type (the
+// event-kind enum) must either carry a default case or cover every
+// package-scope constant of that type, so a new event kind cannot silently
+// fall through the serial or sharded dispatch loops. A non-constant case
+// expression makes coverage undecidable, so such switches are skipped rather
+// than guessed at.
 
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
+
+const exhaustiveDirective = "//hypatia:exhaustive"
+
+// exhaustiveIndex is the set of //hypatia:exhaustive tag types across the
+// loaded packages.
+type exhaustiveIndex struct {
+	tags map[*types.TypeName]bool
+	// honored records the directive comments that took effect, for the
+	// misplaced-directive check.
+	honored map[token.Pos]bool
+}
+
+// collectExhaustiveDirectives indexes the directive in the doc comment of
+// every defined type (on the spec, or on a single-spec type declaration).
+func collectExhaustiveDirectives(all []*pkg) *exhaustiveIndex {
+	ex := &exhaustiveIndex{tags: map[*types.TypeName]bool{}, honored: map[token.Pos]bool{}}
+	for _, p := range all {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					c := directiveIn(ts.Doc, exhaustiveDirective)
+					if c == nil && len(gd.Specs) == 1 {
+						c = directiveIn(gd.Doc, exhaustiveDirective)
+					}
+					if c == nil {
+						continue
+					}
+					if tn, ok := p.info.Defs[ts.Name].(*types.TypeName); ok {
+						ex.tags[tn] = true
+						ex.honored[c.Pos()] = true
+					}
+				}
+			}
+		}
+	}
+	return ex
+}
 
 // tagConst is one package-scope constant of an exhaustive tag type.
 type tagConst struct {
@@ -37,8 +80,8 @@ func tagConsts(tn *types.TypeName) []tagConst {
 
 // checkExhaustivePkg reports every switch over an annotated tag type that
 // has no default and provably misses a constant.
-func checkExhaustivePkg(p *pkg, hx *handleIndex, rep *reporter) {
-	if len(hx.exhaustive) == 0 {
+func checkExhaustivePkg(p *pkg, ex *exhaustiveIndex, rep *reporter) {
+	if len(ex.tags) == 0 {
 		return
 	}
 	for _, f := range p.files {
@@ -52,7 +95,7 @@ func checkExhaustivePkg(p *pkg, hx *handleIndex, rep *reporter) {
 				return true
 			}
 			named, ok := types.Unalias(tagType).(*types.Named)
-			if !ok || !hx.exhaustive[named.Obj()] {
+			if !ok || !ex.tags[named.Obj()] {
 				return true
 			}
 			consts := tagConsts(named.Obj())
@@ -87,7 +130,7 @@ func checkExhaustivePkg(p *pkg, hx *handleIndex, rep *reporter) {
 				}
 			}
 			if len(missing) > 0 {
-				rep.add(sw.Pos(), checkHandleSafety, fmt.Sprintf(
+				rep.add(sw.Pos(), checkExhaustive, fmt.Sprintf(
 					"switch over %s does not cover %s and has no default; new %s values would fall through silently",
 					named.Obj().Name(), strings.Join(missing, ", "), named.Obj().Name()))
 			}

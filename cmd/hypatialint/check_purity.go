@@ -37,7 +37,7 @@ import (
 
 // checkPurityPkgs runs the purity check over the lint targets, using effect
 // summaries computed over every loaded package.
-func checkPurityPkgs(targets, all []*pkg, cg *callGraph, cfg config, hx *handleIndex, ax *allocAnalysis, rep *reporter) {
+func checkPurityPkgs(targets, all []*pkg, cg *callGraph, cfg config, ex *exhaustiveIndex, ax *allocAnalysis, rep *reporter) {
 	an := analyzeEffects(all, cg, cfg.module)
 	// An implementer of a //hypatia:pure interface must carry the annotation
 	// itself, which checkAnnotated then holds it to.
@@ -49,7 +49,7 @@ func checkPurityPkgs(targets, all []*pkg, cg *callGraph, cfg config, hx *handleI
 			tn.Name(), itn.Pkg().Name(), itn.Name(), m.Name())
 	}
 	for _, p := range targets {
-		pc := &purityChecker{an: an, p: p, handles: hx, allocs: ax, rep: rep}
+		pc := &purityChecker{an: an, p: p, exhaustive: ex, allocs: ax, rep: rep}
 		pc.checkDirectiveComments()
 		an.checkAnnotated(p, rep, pc.checkCalleesAnnotated)
 		an.checkImplementers(p, rep, unannotated)
@@ -60,11 +60,11 @@ func checkPurityPkgs(targets, all []*pkg, cg *callGraph, cfg config, hx *handleI
 }
 
 type purityChecker struct {
-	an      *effectAnalysis
-	p       *pkg
-	handles *handleIndex
-	allocs  *allocAnalysis
-	rep     *reporter
+	an         *effectAnalysis
+	p          *pkg
+	exhaustive *exhaustiveIndex
+	allocs     *allocAnalysis
+	rep        *reporter
 }
 
 // checkDirectiveComments flags //hypatia: comments that are malformed or
@@ -87,18 +87,8 @@ func (pc *purityChecker) checkDirectiveComments() {
 						pc.rep.add(c.Pos(), checkDirective,
 							"//hypatia:pure has no effect here; it belongs in the doc comment of a function or a named function type")
 					}
-				case "handle":
-					if !pc.handles.honored[c.Pos()] {
-						pc.rep.add(c.Pos(), checkDirective,
-							"//hypatia:handle has no effect here; it belongs on a handle-carrying field, a func doc comment, or trailing an assignment as a coercion")
-					}
-				case "epoch":
-					if !pc.handles.honored[c.Pos()] {
-						pc.rep.add(c.Pos(), checkDirective,
-							"//hypatia:epoch has no effect here; it belongs on an epoch-counter field or in the doc comment of an invalidating function")
-					}
 				case "exhaustive":
-					if !pc.handles.honored[c.Pos()] {
+					if !pc.exhaustive.honored[c.Pos()] {
 						pc.rep.add(c.Pos(), checkDirective,
 							"//hypatia:exhaustive has no effect here; it belongs in the doc comment of a defined tag type")
 					}
@@ -114,7 +104,7 @@ func (pc *purityChecker) checkDirectiveComments() {
 					}
 				default:
 					pc.rep.add(c.Pos(), checkDirective,
-						fmt.Sprintf("unknown //hypatia: directive %q (supported: //hypatia:pure, //hypatia:handle, //hypatia:epoch, //hypatia:exhaustive, //hypatia:noalloc, //hypatia:allocs)", "hypatia:"+verb))
+						fmt.Sprintf("unknown //hypatia: directive %q (supported: //hypatia:pure, //hypatia:exhaustive, //hypatia:noalloc, //hypatia:allocs)", "hypatia:"+verb))
 				}
 			}
 		}

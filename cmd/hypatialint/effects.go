@@ -453,8 +453,7 @@ func (fs *taintScan) shallowWalk(visit func(ast.Node)) {
 	bodyInspect(fs.body, visit)
 }
 
-// bodyInspect walks a whole function body (unlike shallowInspect, which is
-// statement-shallow for the CFG) without entering nested literals.
+// bodyInspect walks a whole function body without entering nested literals.
 func bodyInspect(body *ast.BlockStmt, visit func(ast.Node)) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {

@@ -16,11 +16,9 @@ const (
 	checkTimeUnits      = "timeunits"      // raw float<->sim.Time conversions, float equality
 	checkDroppedError   = "droppederror"   // discarded error results
 	checkCopyLock       = "copylock"       // by-value copies of sync primitives / the engine
-	checkLifecycle      = "lifecycle"      // use-after-Release / double-Release / leaked forwarding tables
-	checkUnitSafety     = "unitsafety"     // degrees/radians/meters/seconds taint reaching a mismatched sink
 	checkStaleIgnore    = "staleignore"    // //lint:ignore directives that no longer match any finding
 	checkPurity         = "purity"         // //hypatia:pure contract violations and unannotated pipeline callees
-	checkHandleSafety   = "handlesafety"   // wrong-domain or stale handles indexing annotated arrays; non-exhaustive tag switches
+	checkExhaustive     = "exhaustive"     // switches over //hypatia:exhaustive tag types missing a constant
 	checkAllocSafety    = "allocsafety"    // //hypatia:noalloc functions allocating on the steady-state path
 	checkDirective      = "directive"      // malformed //lint: or //hypatia: comments
 )
@@ -31,11 +29,9 @@ var checkDocs = [][2]string{
 	{checkTimeUnits, "sim.Time/float conversions must go through sim.Seconds()/Time.Seconds(); no float ==/!= outside tests (zero-sentinel compares allowed)"},
 	{checkDroppedError, "error results must be handled or explicitly discarded with _ ="},
 	{checkCopyLock, "no by-value copies of types containing sync primitives, sim.Simulator, or the event queue"},
-	{checkLifecycle, "pooled forwarding tables must not be used after Release, released twice, or leaked on early-return paths"},
-	{checkUnitSafety, "degrees/radians/meters/kilometers/seconds must not mix or reach a sink expecting another unit"},
 	{checkStaleIgnore, "//lint:ignore directives must still match a finding; delete them when the code is fixed"},
 	{checkPurity, "//hypatia:pure functions must be effect-free and call only annotated functions; pipeline goroutine bodies are held to the worker contract"},
-	{checkHandleSafety, "indexes into //hypatia:handle arrays must carry the matching domain and predate no //hypatia:epoch invalidation; switches over //hypatia:exhaustive tags must cover every constant or have a default"},
+	{checkExhaustive, "switches over //hypatia:exhaustive tag types must cover every constant or have a default"},
 	{checkAllocSafety, "//hypatia:noalloc functions must not allocate on the steady-state path; caller-owned arena growth and //hypatia:allocs(amortized) sites are the only allowances"},
 	{checkDirective, "//lint:ignore directives must name a check and give a reason; //hypatia: comments must be valid and take effect"},
 }
@@ -223,15 +219,9 @@ type config struct {
 	// simScope identifies the simulator-core packages, where the
 	// nondeterminism check applies.
 	simScope []string
-	// unitScope identifies the orbit-math packages, where the unitsafety
-	// dataflow applies.
-	unitScope []string
 	// pureScope identifies the packages whose goroutine bodies are pipeline
 	// workers, held to the purity root contract.
 	pureScope []string
-	// handleScope identifies the struct-of-arrays packages, where the
-	// handlesafety domain/epoch dataflow applies.
-	handleScope []string
 	// module is the module path of the tree under analysis, filled in by
 	// lint() from go.mod; the effect analysis uses it to tell module-local
 	// bodyless callees (interface methods) from standard-library calls.
@@ -242,10 +232,8 @@ type config struct {
 // analyzer is inside its own nondeterminism scope: two runs over one tree
 // must print the same bytes, so it is held to the simulator's bar.
 var defaultConfig = config{
-	simScope:    []string{"internal/sim", "internal/transport", "internal/routing", "internal/core", "cmd/hypatialint"},
-	unitScope:   []string{"internal/orbit", "internal/geom", "internal/tle"},
-	pureScope:   []string{"internal/core"},
-	handleScope: []string{"internal/sim", "internal/graph", "internal/routing"},
+	simScope:  []string{"internal/sim", "internal/transport", "internal/routing", "internal/core", "cmd/hypatialint"},
+	pureScope: []string{"internal/core"},
 }
 
 // lintPackages runs every check family: per-package checks over the lint
@@ -257,23 +245,19 @@ func lintPackages(targets, all []*pkg, cg *callGraph, cfg config, rep *reporter)
 			rep.collectSuppressions(f)
 		}
 	}
+	ex := collectExhaustiveDirectives(all)
 	for _, p := range targets {
 		checkNondeterminismPkg(p, cfg, rep)
 		checkTimeUnitsPkg(p, rep)
 		checkDroppedErrorPkg(p, rep)
 		checkCopyLockPkg(p, rep)
-		checkLifecyclePkg(p, rep)
+		checkExhaustivePkg(p, ex, rep)
 	}
-	checkUnitSafetyPkgs(targets, all, cfg, rep)
-	hx := collectHandleDirectives(all)
-	// handlesafety runs before the purity pass so coercion directives are
-	// already marked honored when checkDirectiveComments validates them.
-	checkHandleSafetyPkgs(targets, all, cfg, hx, rep)
-	// The allocation analysis runs before the purity pass so its directive
-	// index is complete when checkDirectiveComments validates //hypatia:
-	// comments.
+	// The allocation analysis, like the exhaustive index above, is built
+	// before the purity pass so its directive index is complete when
+	// checkDirectiveComments validates //hypatia: comments.
 	ax := analyzeAllocs(all, cg, cfg.module)
-	checkPurityPkgs(targets, all, cg, cfg, hx, ax, rep)
+	checkPurityPkgs(targets, all, cg, cfg, ex, ax, rep)
 	checkAllocSafetyPkgs(targets, ax, rep)
 	rep.reportStale()
 }

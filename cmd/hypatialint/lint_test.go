@@ -16,11 +16,9 @@ import (
 // fixture directories are named so their paths contain the same substrings
 // as the real packages each scoped check targets.
 var fixtureCfg = config{
-	simScope:  []string{"internal/sim", "internal/transport", "internal/routing"},
-	unitScope: []string{"internal/orbit", "internal/geom", "internal/tle"},
+	simScope: []string{"internal/sim", "internal/transport", "internal/routing"},
 	// The purity-root fixture lives under purity/core, not internal/core.
-	pureScope:   []string{"purity/core"},
-	handleScope: []string{"internal/sim", "internal/graph", "internal/routing"},
+	pureScope: []string{"purity/core"},
 }
 
 // loadExpectations scans the fixture tree for `// want <check>...` comments
@@ -104,8 +102,8 @@ func TestFixtures(t *testing.T) {
 	}
 	for _, name := range []string{
 		checkNondeterminism, checkTimeUnits, checkDroppedError, checkCopyLock,
-		checkLifecycle, checkUnitSafety, checkStaleIgnore, checkPurity,
-		checkHandleSafety, checkAllocSafety, checkDirective,
+		checkStaleIgnore, checkPurity, checkExhaustive, checkAllocSafety,
+		checkDirective,
 	} {
 		if !families[name] {
 			t.Errorf("check family %q produced no findings on its fixtures", name)
@@ -113,86 +111,20 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestLifecycleFixtureFailsAlone pins the acceptance criterion that the
-// seeded use-after-Release fixture is caught when linted by itself, with the
-// real command-line entry point and default scopes.
-func TestLifecycleFixtureFailsAlone(t *testing.T) {
-	if code := run([]string{"./testdata/src/lifecycle"}); code != 1 {
-		t.Fatalf("run on lifecycle fixture = %d, want 1", code)
+// TestExhaustiveFixtureFailsAlone pins that the seeded non-exhaustive tag
+// switch fails the lint when the fixture is run by itself, with the real
+// command-line entry point, and that the covered and defaulted switches
+// beside it stay clean.
+func TestExhaustiveFixtureFailsAlone(t *testing.T) {
+	if code := run([]string{"./testdata/src/exhaustive"}); code != 1 {
+		t.Fatalf("run on exhaustive fixture = %d, want 1", code)
 	}
-	findings, err := lint(".", []string{"./testdata/src/lifecycle"}, fixtureCfg)
+	findings, err := lint(".", []string{"./testdata/src/exhaustive"}, fixtureCfg)
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
-	counts := map[string]int{}
-	for _, f := range findings {
-		if !f.Suppressed {
-			counts[f.Check]++
-		}
-	}
-	if counts[checkLifecycle] < 4 {
-		t.Errorf("lifecycle findings = %d, want at least use-after-release, double-release, leak, and overwrite", counts[checkLifecycle])
-	}
-	if counts[checkStaleIgnore] != 1 {
-		t.Errorf("staleignore findings = %d, want exactly the planted stale directive", counts[checkStaleIgnore])
-	}
-}
-
-// TestHandlesFixtureFailsAlone pins the acceptance criterion that each of
-// the three seeded handlesafety bug classes — cross-domain index, stale
-// handle after an epoch bump, and non-exhaustive tag switch — fails the
-// lint when the fixture is run by itself, with the full acquire →
-// invalidate → use path present in both the text rendering and the -json
-// output.
-func TestHandlesFixtureFailsAlone(t *testing.T) {
-	if code := run([]string{"./testdata/src/internal/sim/handles"}); code != 1 {
-		t.Fatalf("run on handles fixture = %d, want 1", code)
-	}
-	findings, err := lint(".", []string{"./testdata/src/internal/sim/handles"}, fixtureCfg)
-	if err != nil {
-		t.Fatalf("lint: %v", err)
-	}
-	var crossDomain, stalePath, exhaustive bool
-	for _, f := range findings {
-		if f.Check != checkHandleSafety {
-			continue
-		}
-		switch {
-		case strings.Contains(f.Msg, "uses a node handle"):
-			crossDomain = true
-		case strings.Contains(f.Msg, "stale ring-slot handle: acquired at fixture.go:") &&
-			strings.Contains(f.Msg, "→ invalidated by call to table.reset at fixture.go:") &&
-			strings.Contains(f.Msg, "→ used here"):
-			stalePath = true
-		case strings.Contains(f.Msg, "does not cover kDrop"):
-			exhaustive = true
-		}
-	}
-	if !crossDomain {
-		t.Error("no cross-domain index finding")
-	}
-	if !stalePath {
-		t.Errorf("no stale-handle finding with the full acquire → invalidate → use path; findings:\n%v", findings)
-	}
-	if !exhaustive {
-		t.Error("no tagged-union exhaustiveness finding")
-	}
-	var buf bytes.Buffer
-	if err := writeJSON(&buf, findings); err != nil {
-		t.Fatalf("writeJSON: %v", err)
-	}
-	var decoded []jsonFinding
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("decode -json output: %v", err)
-	}
-	var jsonPathed bool
-	for _, d := range decoded {
-		if d.Check == checkHandleSafety && strings.Contains(d.Message, "→ invalidated by") {
-			jsonPathed = true
-		}
-	}
-	if !jsonPathed {
-		t.Error("-json output carries no handlesafety finding with its invalidation path")
+	if len(findings) != 1 || findings[0].Check != checkExhaustive || !strings.Contains(findings[0].Msg, "does not cover kDrop") {
+		t.Errorf("findings = %v, want the one exhaustive finding naming kDrop", findings)
 	}
 }
 
@@ -292,14 +224,14 @@ func TestFindingsSortedByPosition(t *testing.T) {
 // directive as used, while an unmatched directive becomes a staleignore
 // finding.
 func TestSuppressionState(t *testing.T) {
-	findings, err := lint(".", []string{"./testdata/src/lifecycle"}, fixtureCfg)
+	findings, err := lint(".", []string{"./testdata/src/copylock"}, fixtureCfg)
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
 	var suppressed, stale int
 	for _, f := range findings {
 		if f.Suppressed {
-			if f.Check != checkLifecycle {
+			if f.Check != checkCopyLock {
 				t.Errorf("suppressed finding of unexpected family %q", f.Check)
 			}
 			suppressed++
@@ -312,7 +244,7 @@ func TestSuppressionState(t *testing.T) {
 		}
 	}
 	if suppressed != 1 {
-		t.Errorf("suppressed findings = %d, want exactly the fixture's suppressed use-after-release", suppressed)
+		t.Errorf("suppressed findings = %d, want exactly the fixture's suppressed by-value copy", suppressed)
 	}
 	if stale != 1 {
 		t.Errorf("staleignore findings = %d, want exactly the planted stale directive", stale)
@@ -322,7 +254,7 @@ func TestSuppressionState(t *testing.T) {
 // TestJSONOutput round-trips the -json schema: an array of objects with
 // stable field names, including suppressed findings with their state.
 func TestJSONOutput(t *testing.T) {
-	findings, err := lint(".", []string{"./testdata/src/lifecycle"}, fixtureCfg)
+	findings, err := lint(".", []string{"./testdata/src/copylock"}, fixtureCfg)
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
@@ -494,11 +426,11 @@ func TestLintRunsByteIdentical(t *testing.T) {
 // onto the module root wherever the tool runs); a directory whose name
 // merely starts with the module name is a directory.
 func TestImportPathPatterns(t *testing.T) {
-	byPath, err := lint(".", []string{"hypatia/cmd/hypatialint/testdata/src/lifecycle"}, fixtureCfg)
+	byPath, err := lint(".", []string{"hypatia/cmd/hypatialint/testdata/src/copylock"}, fixtureCfg)
 	if err != nil {
 		t.Fatalf("import-path pattern: %v", err)
 	}
-	byDir, err := lint(".", []string{"./testdata/src/lifecycle"}, fixtureCfg)
+	byDir, err := lint(".", []string{"./testdata/src/copylock"}, fixtureCfg)
 	if err != nil {
 		t.Fatalf("directory pattern: %v", err)
 	}
@@ -569,6 +501,11 @@ type formerlyConfined struct{}
 
 //hypatia:transfer
 func formerlyTransfer() {}
+
+type formerlyHandled struct {
+	devs []int32 //hypatia:handle(node)
+	head int32   //hypatia:epoch(ring-slot)
+}
 `
 	if err := os.WriteFile(filepath.Join(scratch, "scratch.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
@@ -577,8 +514,8 @@ func formerlyTransfer() {}
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
-	if len(findings) != 5 {
-		t.Fatalf("findings = %v, want 5 directive findings", findings)
+	if len(findings) != 7 {
+		t.Fatalf("findings = %v, want 7 directive findings", findings)
 	}
 	for _, f := range findings {
 		if f.Check != checkDirective {

@@ -12,17 +12,8 @@
 //	droppederror    error results must be handled or discarded with _ =
 //	copylock        no by-value copies of sync primitives, sim.Simulator,
 //	                or the event queue
-//
-// On top of these per-statement rules sit the flow-sensitive families,
-// built on a per-function control-flow graph, a forward dataflow engine,
-// and a module-local call graph:
-//
-//	lifecycle       pooled routing.ForwardingTable values must not be used
-//	                after Release, released twice, or leaked on an
-//	                early-return path
-//	unitsafety      degrees/radians/meters/kilometers/seconds are tracked
-//	                through assignments and calls; mixing units or passing
-//	                one where another is expected is a finding
+//	exhaustive      a switch over a //hypatia:exhaustive tag type must
+//	                cover every constant of the type or carry a default
 //	staleignore     a //lint:ignore directive that no longer matches any
 //	                finding is itself reported, so suppressions cannot
 //	                outlive the code they excused
@@ -39,16 +30,6 @@
 //	                obligates module-local implementers; goroutine bodies in
 //	                the pipeline packages (defaultConfig.pureScope) are held
 //	                to the worker contract (channels and arena writes allowed)
-//	handlesafety    //hypatia:handle(<domain>) types the raw integer handles
-//	                of the struct-of-arrays simulator core: a flow-sensitive
-//	                taint lattice proves every index into an annotated array
-//	                carries the matching domain; //hypatia:epoch operations
-//	                (ring advance, graph.Reset, CloneInto) invalidate
-//	                outstanding handles, and a handle used after an
-//	                invalidation on any path is reported with the full
-//	                acquire → invalidate → use chain; switches over a
-//	                //hypatia:exhaustive tag type must cover every constant
-//	                or carry a default
 //	allocsafety     //hypatia:noalloc is a checked contract: a bottom-up
 //	                fixpoint over the call graph assigns every function an
 //	                allocation class — NoAlloc, AmortizedGrow (append into
@@ -63,9 +44,11 @@
 //	                name an unknown directive, or sit where they take no
 //	                effect
 //
-// "State owned by one goroutine at a time" is deliberately not a static
-// family: that property is gated by go test -race -tags hypatia_checks over
-// the sharded and pipeline differentials (DESIGN.md "Removed, and why").
+// There is no flow-sensitive tier: integer-handle domains, angle and length
+// units and forwarding-table lifecycles are gated by the test suite, and
+// "state owned by one goroutine at a time" by go test -race -tags
+// hypatia_checks over the sharded and pipeline differentials (DESIGN.md's two
+// "Removed, and why" sections record the mutation trials behind both calls).
 //
 // One run is one serial pass: the lint targets and their module-local
 // imports are parsed and type-checked from source, every check family runs

@@ -144,7 +144,7 @@ type Satellite struct {
 // identified by constellation index. Satellite indices double as node ids
 // in the routing topology (satellites occupy 0..S-1).
 type ISL struct {
-	A, B int //hypatia:handle(node)
+	A, B int
 }
 
 // ISLMode selects the inter-satellite interconnect.
@@ -367,7 +367,6 @@ func (c *Constellation) VisibleFrom(obs geom.LLA, t float64, positions []geom.Ve
 // repeated visibility scans allocation-free in steady state.
 //
 //hypatia:pure
-//hypatia:handle(out: ->node, return: ->node)
 func (c *Constellation) VisibleFromInto(obs geom.LLA, t float64, positions []geom.Vec3, out []int) []int {
 	if positions == nil {
 		positions = c.PositionsECEF(t, nil)

@@ -33,7 +33,7 @@ import (
 // absence: OldW < 0 means the edge was inserted, NewW < 0 means it was
 // removed; otherwise the weight changed from OldW to NewW.
 type EdgeChange struct {
-	A, B       int32 //hypatia:handle(node)
+	A, B       int32
 	OldW, NewW float64
 }
 
@@ -41,8 +41,8 @@ type EdgeChange struct {
 // The zero value is ready for use; a DiffScratch must not be shared between
 // concurrent DiffInto calls.
 type DiffScratch struct {
-	w     []float64 //hypatia:handle(node)
-	stamp []int64   //hypatia:handle(node)
+	w     []float64
+	stamp []int64
 	gen   int64
 }
 
@@ -65,7 +65,7 @@ func DiffInto(oldG, newG *Graph, out []EdgeChange, sc *DiffScratch) []EdgeChange
 	sc.stamp = sc.stamp[:n]
 	sc.w = sc.w[:n]
 	out = out[:0]
-	for v := 0; v < n; v++ { //hypatia:handle(node) diff walks nodes in id order
+	for v := 0; v < n; v++ {
 		sc.gen++
 		g := sc.gen
 		oldAdj := oldG.adj[v]
@@ -106,8 +106,8 @@ func DiffInto(oldG, newG *Graph, out []EdgeChange, sc *DiffScratch) []EdgeChange
 // between concurrent repairs.
 type RepairScratch struct {
 	h         indexedHeap
-	tieList   []int32 //hypatia:handle(->node)
-	unreached []int32 //hypatia:handle(->node)
+	tieList   []int32
+	unreached []int32
 }
 
 // orderCmp is the settle-order comparator: by distance, then node id —
@@ -115,7 +115,6 @@ type RepairScratch struct {
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(dist: node, a: node, b: node)
 func orderCmp(dist []float64, a, b int32) int {
 	da, db := dist[a], dist[b]
 	if da < db {
@@ -135,7 +134,6 @@ func orderCmp(dist []float64, a, b int32) int {
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(order: ->node, dist: node)
 func sortByDist(order []int32, dist []float64) {
 	n := len(order)
 	for root := n/2 - 1; root >= 0; root-- {
@@ -152,7 +150,6 @@ func sortByDist(order []int32, dist []float64) {
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(order: ->node, dist: node)
 func siftDownOrder(order []int32, dist []float64, root, n int) {
 	for {
 		child := 2*root + 1
@@ -201,7 +198,6 @@ const (
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(dist: node, return: node)
 func pull(edges []Edge, dist []float64) (arg int32, best, tie, far uint64) {
 	arg, best, tie = -1, ^uint64(0), ^uint64(0)
 	for _, e := range edges {
@@ -251,7 +247,6 @@ func pull(edges []Edge, dist []float64) (arg int32, best, tie, far uint64) {
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(src: node, dist: node, prev: node->node, order: ->node)
 func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []int32, sc *RepairScratch) {
 	n := g.n
 	if src < 0 || src >= n {
@@ -360,7 +355,6 @@ func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []i
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(dist: node, prev: node->node, src: node)
 func (g *Graph) settle(dist []float64, prev []int32, src int, sc *RepairScratch) int {
 	h := &sc.h
 	pops := 0
@@ -393,7 +387,6 @@ func (g *Graph) settle(dist []float64, prev []int32, src int, sc *RepairScratch)
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(src: node, v: node, dist: node, prev: node->node)
 func (g *Graph) canonicalPrev(src int, v int32, dist []float64, prev []int32) {
 	if int(v) == src {
 		prev[v] = int32(src)
@@ -403,7 +396,7 @@ func (g *Graph) canonicalPrev(src int, v int32, dist []float64, prev []int32) {
 		prev[v] = -1
 		return
 	}
-	best := int32(-1) //hypatia:handle(node) sentinel until the first achiever lands
+	best := int32(-1) // sentinel until the first achiever lands
 	achieved := false
 	for _, e := range g.adj[v] {
 		u := e.To
@@ -449,7 +442,7 @@ func (g *Graph) BellmanFord(src int) ([]float64, []int32) {
 	prev[src] = int32(src)
 	for changed := true; changed; {
 		changed = false
-		for v := 0; v < g.n; v++ { //hypatia:handle(node) relaxation sweeps nodes in id order
+		for v := 0; v < g.n; v++ {
 			dv := dist[v]
 			if math.IsInf(dv, 1) {
 				continue

@@ -23,22 +23,22 @@ var Infinity = math.Inf(1)
 
 // Edge is a half-edge in an adjacency list.
 type Edge struct {
-	To int32 //hypatia:handle(node)
+	To int32
 	W  float64
 }
 
 // Graph is an undirected weighted graph over nodes 0..N-1.
 type Graph struct {
 	n   int
-	adj [][]Edge //hypatia:handle(node)
+	adj [][]Edge
 
 	// Lazy CSR mirror of adj for the dense-repair sweep: every node's
 	// half-edges in one contiguous array (node v's are
 	// csrE[csrOff[v]:csrOff[v+1]]) stream far better than per-node adjacency
 	// slabs scattered across the heap. Invalidated by any mutation, rebuilt
 	// on demand, shared by every repair over the same graph build.
-	csrOff []int32 //hypatia:handle(node->csr-slot)
-	csrE   []Edge  //hypatia:handle(csr-slot)
+	csrOff []int32
+	csrE   []Edge
 	csrOK  bool
 }
 
@@ -56,7 +56,6 @@ func New(n int) *Graph {
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:epoch(recv: csr-slot)
 func (g *Graph) Reset(n int) {
 	if n <= cap(g.adj) {
 		g.adj = g.adj[:n]
@@ -79,7 +78,6 @@ func (g *Graph) Reset(n int) {
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(return: node->csr-slot, csr-slot)
 func (g *Graph) csr() (off []int32, edges []Edge) {
 	if g.csrOK {
 		return g.csrOff, g.csrE
@@ -90,7 +88,7 @@ func (g *Graph) csr() (off []int32, edges []Edge) {
 	g.csrOff = g.csrOff[:g.n+1]
 	g.csrE = g.csrE[:0]
 	g.csrOff[0] = 0
-	for v := 0; v < g.n; v++ { //hypatia:handle(node) edge copy walks nodes in id order
+	for v := 0; v < g.n; v++ {
 		if check.Enabled {
 			for _, e := range g.adj[v] {
 				check.Assert(e.W > 0, "graph: edge %d-%d has weight %v; the repair's contract is strictly positive weights", v, e.To, e.W)
@@ -126,7 +124,6 @@ func (g *Graph) NumEdges() int {
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(v: node)
 func (g *Graph) Neighbors(v int) []Edge { return g.adj[v] }
 
 // AddEdge inserts an undirected edge between a and b with weight w.
@@ -135,8 +132,6 @@ func (g *Graph) Neighbors(v int) []Edge { return g.adj[v] }
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(a: node, b: node)
-//hypatia:epoch(recv: csr-slot)
 func (g *Graph) AddEdge(a, b int, w float64) {
 	if a < 0 || a >= g.n || b < 0 || b >= g.n {
 		panic(fmt.Sprintf("graph: edge %d-%d out of range [0,%d)", a, b, g.n))
@@ -156,9 +151,9 @@ func (g *Graph) AddEdge(a, b int, w float64) {
 // with ties broken by node index for deterministic path selection. It
 // supports decrease-key via a position index.
 type indexedHeap struct {
-	nodes []int32   //hypatia:handle(->node)  heap array of node ids
-	pos   []int32   //hypatia:handle(node)  pos[node] = index in nodes, -1 if absent
-	key   []float64 //hypatia:handle(node)  key[node] = current tentative distance
+	nodes []int32   // heap array of node ids
+	pos   []int32   // pos[node] = index in nodes, -1 if absent
+	key   []float64 // key[node] = current tentative distance
 }
 
 // reset prepares the heap for a graph of n nodes, reusing the backing
@@ -185,7 +180,6 @@ func (h *indexedHeap) reset(n int) {
 
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(a: node, b: node)
 func (h *indexedHeap) less(a, b int32) bool {
 	//lint:ignore timeunits exact float tie-break keeps heap ordering deterministic
 	if h.key[a] != h.key[b] {
@@ -239,7 +233,6 @@ func (h *indexedHeap) down(i int) {
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(v: node)
 func (h *indexedHeap) push(v int32, k float64) {
 	if h.pos[v] >= 0 {
 		if k >= h.key[v] {
@@ -259,7 +252,6 @@ func (h *indexedHeap) push(v int32, k float64) {
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(return: node)
 func (h *indexedHeap) pop() int32 {
 	top := h.nodes[0]
 	last := len(h.nodes) - 1
@@ -288,7 +280,7 @@ type Scratch struct {
 	// settle order: the nodes in the order the heap popped them, then the
 	// unreached ones by ascending id — the order RepairSSSPDense carries
 	// from one solution to the next. Any other length records nothing.
-	Order []int32 //hypatia:handle(->node)
+	Order []int32
 }
 
 // Dijkstra computes single-source shortest paths from src. It fills dist
@@ -301,7 +293,6 @@ type Scratch struct {
 // identical shortest-path tree.
 //
 //hypatia:pure
-//hypatia:handle(src: node, dist: node, prev: node->node, return: node, node->node)
 func (g *Graph) Dijkstra(src int, dist []float64, prev []int32) ([]float64, []int32) {
 	return g.DijkstraScratch(src, dist, prev, &Scratch{})
 }
@@ -312,7 +303,6 @@ func (g *Graph) Dijkstra(src int, dist []float64, prev []int32) ([]float64, []in
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(src: node, dist: node, prev: node->node, return: node, node->node)
 func (g *Graph) DijkstraScratch(src int, dist []float64, prev []int32, sc *Scratch) ([]float64, []int32) {
 	if src < 0 || src >= g.n {
 		panic(fmt.Sprintf("graph: source %d out of range", src))
@@ -365,8 +355,6 @@ func (g *Graph) DijkstraScratch(src int, dist []float64, prev []int32, sc *Scrat
 
 // PathFromPrev reconstructs the path src..dst from a prev array produced by
 // Dijkstra(src, ...). It returns nil if dst is unreachable.
-//
-//hypatia:handle(prev: node->node, src: node, dst: node)
 func PathFromPrev(prev []int32, src, dst int) []int {
 	if prev[dst] == -1 {
 		return nil

@@ -122,8 +122,6 @@ func (g *Graph) dijkstraFiltered(src int, banned map[[2]int]bool, excluded map[i
 }
 
 // pathWeight sums the edge weights along nodes; +Inf if an edge is missing.
-//
-//hypatia:handle(nodes: ->node)
 func (g *Graph) pathWeight(nodes []int) float64 {
 	total := 0.0
 	for i := 0; i+1 < len(nodes); i++ {

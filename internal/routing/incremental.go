@@ -49,20 +49,20 @@ type DeltaState struct {
 	changes []graph.EdgeChange
 	diff    graph.DiffScratch
 
-	up        []geom.Vec3 //hypatia:handle(gs)  per-GS local-up unit vector (geodetic normal)
+	up        []geom.Vec3 // per-GS local-up unit vector (geodetic normal)
 	visible   []bool      // [gs*S+sat] cached visibility status
 	nextCheck []float64   // [gs*S+sat] earliest instant the pair could flip
-	rowNext   []float64   //hypatia:handle(gs)  per-GS earliest instant any pair in the row could flip
-	rowHor    []float64   //hypatia:handle(gs)  per-GS horizon up to which watch covers the row
-	watch     [][]int32   //hypatia:handle(gs->node)  per-GS satellites with a deadline before the horizon
-	visLists  [][]int32   //hypatia:handle(gs->node)  per-GS ascending visible-satellite indices
+	rowNext   []float64   // per-GS earliest instant any pair in the row could flip
+	rowHor    []float64   // per-GS horizon up to which watch covers the row
+	watch     [][]int32   // per-GS satellites with a deadline before the horizon
+	visLists  [][]int32   // per-GS ascending visible-satellite indices
 	visValid  bool        // cache primed and valid for forward stepping
 	lastT     float64
 
 	// visScratch is verifyVisibility's from-scratch scan buffer, held on
 	// the state so the hypatia_checks cross-check does not allocate per
 	// instant.
-	visScratch []int //hypatia:handle(->node)
+	visScratch []int
 }
 
 // watchHorizon is how far ahead (seconds) a row scan looks when collecting
@@ -125,7 +125,6 @@ func (d *DeltaState) reset(t *Topology) {
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(gi: gs, si: node, pos: node)
 func (d *DeltaState) refreshPair(t *Topology, gi, si int, tsec float64, pos []geom.Vec3) bool {
 	c := t.Constellation
 	p := pos[si]
@@ -165,7 +164,6 @@ func (d *DeltaState) refreshPair(t *Topology, gi, si int, tsec float64, pos []ge
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(gi: gs)
 func (d *DeltaState) rebuildRow(gi, nSat int) {
 	lst := d.visLists[gi][:0]
 	row := d.visible[gi*nSat : (gi+1)*nSat]
@@ -185,11 +183,10 @@ func (d *DeltaState) rebuildRow(gi, nSat int) {
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(gi: gs, pos: node)
 func (d *DeltaState) scanRow(t *Topology, gi, nSat int, tsec float64, pos []geom.Vec3, refreshAll bool) {
 	base := gi * nSat
 	changed := false
-	for si := 0; si < nSat; si++ { //hypatia:handle(node) satellite ids double as node ids
+	for si := 0; si < nSat; si++ { // satellite ids double as node ids
 		if (refreshAll || tsec >= d.nextCheck[base+si]) && d.refreshPair(t, gi, si, tsec, pos) {
 			changed = true
 		}
@@ -200,7 +197,7 @@ func (d *DeltaState) scanRow(t *Topology, gi, nSat int, tsec float64, pos []geom
 	horizon := tsec + watchHorizon
 	w := d.watch[gi][:0]
 	next := horizon
-	for si := 0; si < nSat; si++ { //hypatia:handle(node) satellite ids double as node ids
+	for si := 0; si < nSat; si++ { // satellite ids double as node ids
 		if nc := d.nextCheck[base+si]; nc < horizon {
 			w = append(w, int32(si))
 			if nc < next {
@@ -220,7 +217,6 @@ func (d *DeltaState) scanRow(t *Topology, gi, nSat int, tsec float64, pos []geom
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(gi: gs, pos: node)
 func (d *DeltaState) serviceWatch(t *Topology, gi, nSat int, tsec float64, pos []geom.Vec3) {
 	base := gi * nSat
 	changed := false
@@ -254,7 +250,6 @@ func (d *DeltaState) serviceWatch(t *Topology, gi, nSat int, tsec float64, pos [
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(pos: node)
 func (d *DeltaState) updateVisibility(t *Topology, tsec float64, pos []geom.Vec3) {
 	nSat := t.NumSats()
 	if !d.visValid || tsec < d.lastT {
@@ -280,7 +275,6 @@ func (d *DeltaState) updateVisibility(t *Topology, tsec float64, pos []geom.Vec3
 // visibility scan — the runtime form of the cache's soundness argument.
 //
 //hypatia:pure
-//hypatia:handle(pos: node)
 func (d *DeltaState) verifyVisibility(t *Topology, tsec float64, pos []geom.Vec3) {
 	scratch := d.visScratch
 	for gi, gs := range t.GroundStations {
@@ -340,7 +334,7 @@ func (d *DeltaState) snapshotFromCache(t *Topology, tsec float64, s *Snapshot) *
 		if len(vis) == 0 {
 			continue
 		}
-		gsNode := nSat + gi //hypatia:handle(node) GS node ids follow the satellites
+		gsNode := nSat + gi // GS node ids follow the satellites
 		if t.Policy == GSLNearestOnly {
 			best, bestD := -1, math.Inf(1)
 			for _, si := range vis {
@@ -438,13 +432,13 @@ type IncrementalEngine struct {
 	// The one dist/prev solution pair every tree is written into: the dense
 	// repair overwrites both before reading either, and Trees hands a tree
 	// to its visitor before the next root reuses the pair.
-	dist []float64 //hypatia:handle(node)
-	prev []int32   //hypatia:handle(node->node)
+	dist []float64
+	prev []int32
 
 	// Per-root settle order, the only state a repair carries into the next
 	// one. A nil order marks a root never yet computed: its first tree is a
 	// from-scratch Dijkstra whose pop order becomes the order.
-	order [][]int32 //hypatia:handle(gs->node)
+	order [][]int32
 
 	// Step's client state: the table being filled, and installColumn bound
 	// once as the visitor so that a Step creates no closure.
@@ -492,11 +486,10 @@ type TreeVisitor func(gs int, dist []float64, prev []int32)
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(roots: ->gs)
 func (e *IncrementalEngine) Trees(tsec float64, roots []int, visit TreeVisitor) {
 	g := e.topo.deltaSnapshot(tsec, &e.delta).G
 	if roots == nil {
-		for gs := 0; gs < e.topo.NumGS(); gs++ { //hypatia:handle(gs) full sweep walks roots in index order
+		for gs := 0; gs < e.topo.NumGS(); gs++ {
 			e.tree(g, tsec, gs)
 			visit(gs, e.dist, e.prev)
 		}
@@ -514,7 +507,6 @@ func (e *IncrementalEngine) Trees(tsec float64, roots []int, visit TreeVisitor) 
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(gs: gs)
 func (e *IncrementalEngine) tree(g *graph.Graph, tsec float64, gs int) {
 	root := e.topo.GSNode(gs)
 	if ord := e.order[gs]; ord != nil {
@@ -540,7 +532,6 @@ func (e *IncrementalEngine) tree(g *graph.Graph, tsec float64, gs int) {
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(active: ->gs)
 func (e *IncrementalEngine) Step(tsec float64, active []int) *ForwardingTable {
 	ft := e.pool.Empty(tsec, e.topo.NumNodes(), e.topo.NumGS())
 	e.ft = ft
@@ -554,7 +545,6 @@ func (e *IncrementalEngine) Step(tsec float64, active []int) *ForwardingTable {
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(gs: gs, prev: node->node)
 func (e *IncrementalEngine) installColumn(gs int, _ []float64, prev []int32) {
 	e.ft.SetDestination(gs, prev)
 }

@@ -7,10 +7,11 @@ import (
 	"testing"
 )
 
-// TestDoubleReleaseCaught is the runtime counterpart of hypatialint's
-// lifecycle check: releasing the same pooled table twice must panic under
-// hypatia_checks, because the second Release would append the buffer to the
-// free list again and the pool could then hand it to two owners at once.
+// TestDoubleReleaseCaught pins the gate on a pooled table's lifecycle (a
+// runtime one; no static check tracks Release): releasing the same table
+// twice must panic under hypatia_checks, because the second Release would
+// append the buffer to the free list again and the pool could then hand it
+// to two owners at once.
 func TestDoubleReleaseCaught(t *testing.T) {
 	var pool TablePool
 	ft := pool.Empty(3, 4, 1)

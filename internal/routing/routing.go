@@ -36,15 +36,13 @@ const (
 // order), ground stations occupy S..S+G-1 (dataset order).
 type Topology struct {
 	Constellation  *constellation.Constellation
-	GroundStations []groundstation.GS //hypatia:handle(gs)
+	GroundStations []groundstation.GS
 	Policy         GSLPolicy
 
-	gsECEF []geom.Vec3 //hypatia:handle(gs)  precomputed ground-station ECEF positions
+	gsECEF []geom.Vec3 // precomputed ground-station ECEF positions
 }
 
 // NewTopology builds a Topology. Ground stations must be non-empty.
-//
-//hypatia:handle(gss: gs)
 func NewTopology(c *constellation.Constellation, gss []groundstation.GS, policy GSLPolicy) (*Topology, error) {
 	if c == nil || c.NumSatellites() == 0 {
 		return nil, fmt.Errorf("routing: empty constellation")
@@ -82,19 +80,15 @@ func (t *Topology) NumNodes() int { return t.NumSats() + t.NumGS() }
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(gs: gs, return: node)
 func (t *Topology) GSNode(gs int) int { return t.NumSats() + gs }
 
 // IsGS reports whether node is a ground station.
 //
 //hypatia:noalloc
-//hypatia:handle(node: node)
 func (t *Topology) IsGS(node int) bool { return node >= t.NumSats() }
 
 // GSIndex maps a ground-station node id back to its index; panics if node
 // is a satellite.
-//
-//hypatia:handle(node: node, return: gs)
 func (t *Topology) GSIndex(node int) int {
 	if !t.IsGS(node) {
 		panic(fmt.Sprintf("routing: node %d is a satellite", node))
@@ -110,10 +104,10 @@ type Snapshot struct {
 	G    *graph.Graph
 	// Pos holds ECEF positions for every node (satellites then ground
 	// stations) at time T.
-	Pos []geom.Vec3 //hypatia:handle(node)
+	Pos []geom.Vec3
 
 	// vis is the visibility-scan scratch buffer reused by SnapshotInto.
-	vis []int //hypatia:handle(->node)
+	vis []int
 }
 
 // NodePositions fills dst (allocating if needed) with the ECEF positions of
@@ -122,7 +116,6 @@ type Snapshot struct {
 // additionally builds the connectivity graph.
 //
 //hypatia:noalloc
-//hypatia:handle(dst: node, return: node)
 func (t *Topology) NodePositions(tsec float64, dst []geom.Vec3) []geom.Vec3 {
 	n := t.NumNodes()
 	if cap(dst) < n {
@@ -183,7 +176,7 @@ func (t *Topology) SnapshotInto(tsec float64, s *Snapshot) *Snapshot {
 		if len(vis) == 0 {
 			continue
 		}
-		gsNode := nSat + gi //hypatia:handle(node) GS node ids follow the satellites
+		gsNode := nSat + gi // GS node ids follow the satellites
 		if t.Policy == GSLNearestOnly {
 			best, bestD := -1, math.Inf(1)
 			for _, si := range vis {
@@ -206,7 +199,6 @@ func (t *Topology) SnapshotInto(tsec float64, s *Snapshot) *Snapshot {
 // enough.
 //
 //hypatia:pure
-//hypatia:handle(gs: gs, dist: node, prev: node->node, return: node, node->node)
 func (s *Snapshot) FromGS(gs int, dist []float64, prev []int32) ([]float64, []int32) {
 	return s.G.Dijkstra(s.Topo.GSNode(gs), dist, prev)
 }
@@ -216,7 +208,6 @@ func (s *Snapshot) FromGS(gs int, dist []float64, prev []int32) ([]float64, []in
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(gs: gs, dist: node, prev: node->node, return: node, node->node)
 func (s *Snapshot) FromGSScratch(gs int, dist []float64, prev []int32, sc *graph.Scratch) ([]float64, []int32) {
 	return s.G.DijkstraScratch(s.Topo.GSNode(gs), dist, prev, sc)
 }
@@ -226,8 +217,8 @@ func (s *Snapshot) FromGSScratch(gs int, dist []float64, prev []int32, sc *graph
 // workspace. The zero value is ready for use; a StrategyScratch must not be
 // shared between concurrent sweeps.
 type StrategyScratch struct {
-	Dist     []float64 //hypatia:handle(node)
-	Prev     []int32   //hypatia:handle(node->node)
+	Dist     []float64
+	Prev     []int32
 	Dijkstra graph.Scratch
 }
 
@@ -236,8 +227,6 @@ type StrategyScratch struct {
 // It returns (nil, +Inf) when no path exists — e.g. when either station has
 // no visible satellite, the situation behind the paper's St. Petersburg
 // outage.
-//
-//hypatia:handle(srcGS: gs, dstGS: gs)
 func (s *Snapshot) Path(srcGS, dstGS int) ([]int, float64) {
 	dist, prev := s.FromGS(srcGS, nil, nil)
 	dstNode := s.Topo.GSNode(dstGS)
@@ -249,8 +238,6 @@ func (s *Snapshot) Path(srcGS, dstGS int) ([]int, float64) {
 
 // RTT returns the instantaneous two-way propagation latency in seconds
 // between two ground stations over the shortest path, +Inf if disconnected.
-//
-//hypatia:handle(srcGS: gs, dstGS: gs)
 func (s *Snapshot) RTT(srcGS, dstGS int) float64 {
 	_, d := s.Path(srcGS, dstGS)
 	if math.IsInf(d, 1) {
@@ -264,7 +251,7 @@ func (s *Snapshot) RTT(srcGS, dstGS int) float64 {
 // it to model failed or administratively excluded satellites.
 func (s *Snapshot) WithoutNodes(avoid map[int]bool) *Snapshot {
 	g := graph.New(s.G.N())
-	for v := 0; v < s.G.N(); v++ { //hypatia:handle(node) edge filter walks nodes in id order
+	for v := 0; v < s.G.N(); v++ {
 		if avoid[v] {
 			continue
 		}
@@ -283,8 +270,6 @@ func (s *Snapshot) WithoutNodes(avoid map[int]bool) *Snapshot {
 // stations on this snapshot, cheapest first — the building block for the
 // multi-path routing and traffic-engineering extensions the paper's §5.4
 // and §7 point to. It returns nil when the pair is disconnected.
-//
-//hypatia:handle(srcGS: gs, dstGS: gs)
 func (s *Snapshot) KShortestPaths(srcGS, dstGS, k int) []graph.WeightedPath {
 	return s.G.KShortestPaths(s.Topo.GSNode(srcGS), s.Topo.GSNode(dstGS), k)
 }
@@ -300,7 +285,7 @@ type ForwardingTable struct {
 	// next is flattened [dstGS*NumNodes + node] = next-hop node id, -1 if
 	// the destination is unreachable from node. next for the destination's
 	// own node is the node itself.
-	next []int32 //hypatia:handle(table-slot->node)
+	next []int32
 	// pool, when non-nil, is where Release returns the table's buffer.
 	pool *TablePool
 	// released marks a table whose buffer has been recycled; any further
@@ -328,7 +313,6 @@ func (s *Snapshot) ForwardingTable() *ForwardingTable {
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(active: ->gs)
 func (s *Snapshot) ForwardingTableFor(active []int, pool *TablePool, sc *StrategyScratch) *ForwardingTable {
 	n, ng := s.Topo.NumNodes(), s.Topo.NumGS()
 	if sc == nil {
@@ -341,7 +325,7 @@ func (s *Snapshot) ForwardingTableFor(active []int, pool *TablePool, sc *Strateg
 		ft = pool.Empty(s.T, n, ng)
 	}
 	if active == nil {
-		for gs := 0; gs < ng; gs++ { //hypatia:handle(gs) full sweep walks destinations in index order
+		for gs := 0; gs < ng; gs++ {
 			sc.Dist, sc.Prev = s.FromGSScratch(gs, sc.Dist, sc.Prev, &sc.Dijkstra)
 			ft.SetDestination(gs, sc.Prev)
 		}
@@ -417,7 +401,6 @@ func (p *TablePool) Empty(t float64, numNodes, numGS int) *ForwardingTable {
 // repeat.
 //
 //hypatia:noalloc
-//hypatia:epoch(recv: table-slot)
 func (ft *ForwardingTable) Release() {
 	if ft == nil {
 		return
@@ -447,7 +430,6 @@ func (ft *ForwardingTable) Release() {
 // later instants.
 //
 //hypatia:noalloc
-//hypatia:epoch(dst: table-slot)
 func (ft *ForwardingTable) CloneInto(dst *ForwardingTable) *ForwardingTable {
 	if check.Enabled {
 		check.Assert(!ft.released, "forwarding table t=%v cloned after Release", ft.T)
@@ -484,7 +466,6 @@ func (ft *ForwardingTable) Equal(o *ForwardingTable) bool {
 //
 //hypatia:noalloc
 //hypatia:pure
-//hypatia:handle(dstGS: gs, prev: node->node)
 func (ft *ForwardingTable) SetDestination(dstGS int, prev []int32) {
 	copy(ft.next[dstGS*ft.NumNodes:(dstGS+1)*ft.NumNodes], prev)
 	if check.Enabled {
@@ -499,7 +480,6 @@ func (ft *ForwardingTable) SetDestination(dstGS int, prev []int32) {
 // distinct destinations.
 //
 //hypatia:pure
-//hypatia:handle(dstGS: gs)
 func (ft *ForwardingTable) checkColumn(dstGS int) {
 	dstNode := ft.NumNodes - ft.NumGS + dstGS
 	col := ft.next[dstGS*ft.NumNodes : (dstGS+1)*ft.NumNodes]
@@ -517,12 +497,11 @@ func (ft *ForwardingTable) checkColumn(dstGS int) {
 // returns the node id.
 //
 //hypatia:noalloc
-//hypatia:handle(node: node, dstGS: gs, return: node)
 func (ft *ForwardingTable) NextHop(node, dstGS int) int32 {
 	if check.Enabled {
 		check.Assert(!ft.released, "forwarding table t=%v consulted after Release", ft.T)
 	}
-	slot := dstGS*ft.NumNodes + node //hypatia:handle(table-slot) column-major (dstGS, node) cell
+	slot := dstGS*ft.NumNodes + node // column-major (dstGS, node) cell
 	return ft.next[slot]
 }
 
@@ -534,8 +513,6 @@ func (ft *ForwardingTable) NextHop(node, dstGS int) int32 {
 // the hypatia_checks build asserts that and panics on a loop instead. It
 // is primarily a debugging and validation aid; packet forwarding in the
 // simulator does the same walk hop by hop.
-//
-//hypatia:handle(src: node, dstGS: gs)
 func (ft *ForwardingTable) PathVia(topo *Topology, src, dstGS int) []int {
 	dstNode := topo.GSNode(dstGS)
 	path := []int{src}
@@ -561,8 +538,6 @@ func (ft *ForwardingTable) PathVia(topo *Topology, src, dstGS int) []int {
 // stations (endpoints and, in bent-pipe scenarios, relays). Two paths are
 // "the same" in the paper's path-change metric iff their satellite
 // sequences are identical.
-//
-//hypatia:handle(path: ->node)
 func SatSequence(topo *Topology, path []int) []int {
 	var sats []int
 	for _, v := range path {
@@ -575,8 +550,6 @@ func SatSequence(topo *Topology, path []int) []int {
 
 // SameSatPath reports whether two paths traverse the same satellites in the
 // same order.
-//
-//hypatia:handle(a: ->node, b: ->node)
 func SameSatPath(topo *Topology, a, b []int) bool {
 	sa := SatSequence(topo, a)
 	sb := SatSequence(topo, b)
@@ -601,8 +574,6 @@ func HopCount(path []int) int {
 
 // PathLength sums the Euclidean edge lengths of a path under the snapshot's
 // positions.
-//
-//hypatia:handle(path: ->node)
 func (s *Snapshot) PathLength(path []int) float64 {
 	total := 0.0
 	for i := 0; i+1 < len(path); i++ {

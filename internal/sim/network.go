@@ -20,8 +20,8 @@ import (
 // Size -1) so a retained pointer fails loudly.
 type Packet struct {
 	ID     uint64
-	SrcGS  int    //hypatia:handle(gs) source ground-station index
-	DstGS  int    //hypatia:handle(gs) destination ground-station index
+	SrcGS  int    // source ground-station index
+	DstGS  int    // destination ground-station index
 	FlowID uint32 // demultiplexing key at the destination node
 	Size   int    // bytes on the wire
 	Hops   int    // hops traversed so far
@@ -159,7 +159,7 @@ type TransmitInfo struct {
 type netState struct {
 	ft        *routing.ForwardingTable
 	installs  int
-	pos       []geom.Vec3 //hypatia:handle(node)
+	pos       []geom.Vec3
 	posBucket Time
 
 	delivered uint64
@@ -176,7 +176,7 @@ type netState struct {
 	// forwarding-table clones staged by the coordinator for this shard's
 	// upcoming install events; freed returns displaced clones for reuse.
 	journaling    bool
-	outbox        [][]handoff //hypatia:handle(shard)
+	outbox        [][]handoff
 	journal       []journalRec
 	pendingTables []*routing.ForwardingTable
 	freed         []*routing.ForwardingTable
@@ -187,7 +187,7 @@ type netState struct {
 // does not reroute already queued packets, matching loss-free handoff).
 type queued struct {
 	pkt    *Packet
-	target int32 //hypatia:handle(node)
+	target int32
 }
 
 // device is a transmitting interface with a fixed-capacity drop-tail FIFO,
@@ -196,21 +196,22 @@ type queued struct {
 // the engine executing its node's events — the serial loop, or exactly one
 // shard in a sharded run.
 type device struct {
-	node    int32 //hypatia:handle(node)
+	node    int32
 	rateBps float64
 	// fixedPeer is the ISL peer node id, or -1 for the GSL device (the
 	// target then travels with each queued packet).
-	fixedPeer int32 //hypatia:handle(node)
+	fixedPeer int32
 	// head is the ring read position; advancing it retires the slot it
-	// addressed, so the write invalidates outstanding ring-slot handles.
-	head int32 //hypatia:epoch(ring-slot)
+	// addressed, so a rings index computed before the advance is stale
+	// after it.
+	head int32
 	n    int32
 	busy bool
 
 	// The in-flight packet, popped from the ring when serialization starts
 	// and resolved when the evTransmitDone event for this device fires.
 	inflight       *Packet
-	inflightTarget int32 //hypatia:handle(node)
+	inflightTarget int32
 	inflightStart  Time
 
 	// Statistics.
@@ -234,25 +235,25 @@ type Network struct {
 
 	cfg Config
 
-	devs    []device             //hypatia:handle(device)
-	rings   []queued             //hypatia:handle(ring-slot) len(devs) * cfg.QueuePackets, ring i at [i*Q, (i+1)*Q)
-	gslDev  []int32              //hypatia:handle(node->device) node -> its GSL device handle
-	islIdx  []int32              //hypatia:handle(node->isl-slot) CSR offsets into islPeer/islDev, len NumNodes+1
-	islPeer []int32              //hypatia:handle(isl-slot->node) ISL neighbor node ids, ascending per node
-	islDev  []int32              //hypatia:handle(isl-slot->device) device handle per ISL neighbor
-	flows   []map[uint32]Handler //hypatia:handle(node) per node; non-nil only on ground stations
-	pktSeq  []uint32             //hypatia:handle(node) per-node packet ID counters
+	devs    []device
+	rings   []queued             // len(devs) * cfg.QueuePackets, ring i at [i*Q, (i+1)*Q)
+	gslDev  []int32              // node -> its GSL device handle
+	islIdx  []int32              // CSR offsets into islPeer/islDev, len NumNodes+1
+	islPeer []int32              // ISL neighbor node ids, ascending per node
+	islDev  []int32              // device handle per ISL neighbor
+	flows   []map[uint32]Handler // per node; non-nil only on ground stations
+	pktSeq  []uint32             // per-node packet ID counters
 
 	// Sharded-run routing: nil outside RunSharded. shardOf maps node ->
 	// shard index; sims holds the shard engines (sharded.go).
-	shardOf []int32      //hypatia:handle(node->shard)
-	sims    []*Simulator //hypatia:handle(shard)
+	shardOf []int32
+	sims    []*Simulator
 
 	// Colocation constraints for sharding: a union-find over ground-station
 	// indices. Flows that share state across two stations (every transport
 	// here) keep their endpoints in one shard so transport callbacks stay
 	// single-engine; RegisterFlow unions automatically.
-	coloc  []int32 //hypatia:handle(gs->gs)
+	coloc  []int32
 	flowGS map[uint32]int32
 
 	onTransmit func(TransmitInfo)
@@ -332,7 +333,7 @@ func NewNetwork(s *Simulator, topo *routing.Topology, cfg Config) (*Network, err
 	n.islIdx = make([]int32, numNodes+1)
 	n.flows = make([]map[uint32]Handler, numNodes)
 	n.pktSeq = make([]uint32, numNodes)
-	for i := 0; i < numNodes; i++ { //hypatia:handle(node) construction walks nodes in id order
+	for i := 0; i < numNodes; i++ {
 		n.gslDev[i] = int32(len(n.devs))
 		n.devs = append(n.devs, device{node: int32(i), fixedPeer: -1, rateBps: rateFor(i, -1, cfg.GSLRateBps)})
 		for _, p := range adj[i] {
@@ -357,7 +358,6 @@ func (n *Network) Config() Config { return n.cfg }
 // the node's shard engine during a sharded run.
 //
 //hypatia:noalloc
-//hypatia:handle(node: node)
 func (n *Network) simFor(node int32) *Simulator {
 	if n.shardOf == nil {
 		return n.Sim
@@ -388,7 +388,6 @@ func (n *Network) SetDeliverHook(fn func(at Time, gs int, pkt *Packet)) { n.onDe
 // again.
 //
 //hypatia:noalloc
-//hypatia:handle(node: node)
 func (n *Network) drop(s *Simulator, node int32, pkt *Packet, reason DropReason) {
 	s.st.drops[reason]++
 	if n.onDrop != nil {
@@ -484,13 +483,26 @@ func (n *Network) installEvent(s *Simulator, idx int) {
 	s.st.installs++
 }
 
+// gsNode returns the node id of ground station gs and panics when gs is not
+// a station index. A station index is the one integer that enters the
+// network from outside; Clock, RegisterFlow, UnregisterFlow and Colocate pass
+// theirs through here, so by the time a flow exists no timer or handler is
+// bound to a satellite or to a node that does not exist.
+func (n *Network) gsNode(gs int, what string) int32 {
+	if gs < 0 || gs >= n.Topo.NumGS() {
+		panic(fmt.Sprintf("sim: %s: ground station %d outside [0, %d)", what, gs, n.Topo.NumGS()))
+	}
+	return int32(n.Topo.GSNode(gs))
+}
+
 // RegisterFlow attaches a transport handler for flowID at ground station
-// gs. Registering a duplicate flow id on the same station panics: flow ids
-// must be unique per endpoint. Registering the same flow id at two stations
-// colocates them for sharded runs (the flow's handlers are assumed to share
-// state, so both endpoints must execute on one shard).
+// gs. A gs that is not a station index panics, and so does registering a
+// duplicate flow id on the same station: flow ids must be unique per
+// endpoint. Registering the same flow id at two stations colocates them for
+// sharded runs (the flow's handlers are assumed to share state, so both
+// endpoints must execute on one shard).
 func (n *Network) RegisterFlow(gs int, flowID uint32, h Handler) {
-	node := n.Topo.GSNode(gs)
+	node := n.gsNode(gs, "RegisterFlow")
 	if _, dup := n.flows[node][flowID]; dup {
 		panic(fmt.Sprintf("sim: duplicate flow %d at GS %d", flowID, gs))
 	}
@@ -505,15 +517,22 @@ func (n *Network) RegisterFlow(gs int, flowID uint32, h Handler) {
 	}
 }
 
-// UnregisterFlow removes a flow handler.
+// UnregisterFlow removes a flow handler. It panics when gs is not a station
+// index.
 func (n *Network) UnregisterFlow(gs int, flowID uint32) {
-	delete(n.flows[n.Topo.GSNode(gs)], flowID)
+	delete(n.flows[n.gsNode(gs, "UnregisterFlow")], flowID)
 }
 
 // Send injects a packet at its source ground station. The packet is
 // forwarded per the current forwarding state; the returned packet ID
 // identifies it in traces. IDs encode (source node, per-node sequence) so
 // that concurrently executing shards mint identical IDs to a serial run.
+//
+// srcGS and dstGS must be ground-station indices in [0, Topo.NumGS()). Send
+// is the per-packet path and does not check them: before it sends, a
+// transport takes its Clock at the source and registers a handler at (or
+// colocates with) the destination, and those calls panic on an index outside
+// the range.
 func (n *Network) Send(srcGS, dstGS int, flowID uint32, size int, payload any) uint64 {
 	node := int32(n.Topo.GSNode(srcGS))
 	s := n.simFor(node)
@@ -558,7 +577,6 @@ func (n *Network) TotalDrops() uint64 {
 // instant containing t.
 //
 //hypatia:noalloc
-//hypatia:handle(return: node)
 func (n *Network) positionsAt(s *Simulator, t Time) []geom.Vec3 {
 	bucket := t / n.cfg.PosQuantum
 	if bucket != s.st.posBucket || s.st.pos == nil {
@@ -572,7 +590,6 @@ func (n *Network) positionsAt(s *Simulator, t Time) []geom.Vec3 {
 // two nodes at time t.
 //
 //hypatia:noalloc
-//hypatia:handle(a: node, b: node)
 func (n *Network) propagationDelay(s *Simulator, a, b int32, t Time) Time {
 	pos := n.positionsAt(s, t)
 	return Seconds(pos[a].Distance(pos[b]) / geom.SpeedOfLight)
@@ -581,7 +598,6 @@ func (n *Network) propagationDelay(s *Simulator, a, b int32, t Time) Time {
 // forward routes a packet held by node toward its destination GS.
 //
 //hypatia:noalloc
-//hypatia:handle(node: node)
 func (n *Network) forward(s *Simulator, node int32, pkt *Packet) {
 	if s.st.ft == nil {
 		panic("sim: no forwarding state installed")
@@ -609,7 +625,6 @@ func (n *Network) forward(s *Simulator, node int32, pkt *Packet) {
 // transmitter if idle.
 //
 //hypatia:noalloc
-//hypatia:handle(di: device, target: node)
 func (n *Network) enqueue(s *Simulator, di int32, pkt *Packet, target int32) {
 	d := &n.devs[di]
 	q := int32(n.cfg.QueuePackets)
@@ -617,7 +632,7 @@ func (n *Network) enqueue(s *Simulator, di int32, pkt *Packet, target int32) {
 		n.drop(s, d.node, pkt, DropQueue)
 		return
 	}
-	tail := di*q + (d.head+d.n)%q //hypatia:handle(ring-slot) tail of device di's ring
+	tail := di*q + (d.head+d.n)%q // tail of device di's ring
 	n.rings[tail] = queued{pkt: pkt, target: target}
 	d.n++
 	if check.Enabled {
@@ -637,14 +652,13 @@ func (n *Network) enqueue(s *Simulator, di int32, pkt *Packet, target int32) {
 // wire. The head advance retires the slot, so both ring accesses precede it.
 //
 //hypatia:noalloc
-//hypatia:handle(di: device)
 func (n *Network) transmitStart(s *Simulator, di int32) {
 	d := &n.devs[di]
 	if check.Enabled {
 		check.Assert(d.n > 0, "device %d transmit with empty queue", d.node)
 	}
 	q := int32(n.cfg.QueuePackets)
-	slot := di*q + d.head //hypatia:handle(ring-slot) head of device di's ring
+	slot := di*q + d.head // head of device di's ring
 	qd := n.rings[slot]
 	n.rings[slot] = queued{}
 	d.head = (d.head + 1) % q
@@ -668,7 +682,6 @@ func (n *Network) transmitStart(s *Simulator, di int32) {
 // and chain the next serialization.
 //
 //hypatia:noalloc
-//hypatia:handle(di: device)
 func (n *Network) transmitDone(s *Simulator, di int32) {
 	d := &n.devs[di]
 	pkt, target, start := d.inflight, d.inflightTarget, d.inflightStart
@@ -703,7 +716,6 @@ func (n *Network) transmitDone(s *Simulator, di int32) {
 // when the target is on this engine, as a cross-shard handoff otherwise.
 //
 //hypatia:noalloc
-//hypatia:handle(di: device, target: node)
 func (n *Network) deliverTo(s *Simulator, di, target int32, at Time, pkt *Packet) {
 	if n.shardOf != nil {
 		if k := n.shardOf[target]; k != s.shard {
@@ -722,7 +734,6 @@ func (n *Network) deliverTo(s *Simulator, di, target int32, at Time, pkt *Packet
 // delivery at the destination ground station, forwarding everywhere else.
 //
 //hypatia:noalloc
-//hypatia:handle(node: node)
 func (n *Network) receive(s *Simulator, node int32, pkt *Packet) {
 	pkt.Hops++
 	if n.Topo.IsGS(int(node)) && n.Topo.GSIndex(int(node)) == pkt.DstGS {

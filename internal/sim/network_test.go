@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -311,6 +312,40 @@ func TestDuplicateFlowRegistrationPanics(t *testing.T) {
 		}
 	}()
 	n.RegisterFlow(0, 1, func(*Packet) {})
+}
+
+// TestGroundStationIndexChecked pins the one boundary where an integer from
+// outside becomes a node id: every call that binds a flow, a handler or a
+// timer to a station rejects an index that is not one, before the first
+// packet. (Unchecked, Clock(-1) bound timers to the last satellite and
+// Send(-1, 1, ...) was delivered with SrcGS -1.)
+func TestGroundStationIndexChecked(t *testing.T) {
+	_, n, topo := testNet(t, DefaultConfig())
+	ng := topo.NumGS()
+	cases := []struct {
+		name string
+		call func(gs int)
+	}{
+		{"Clock", func(gs int) { n.Clock(gs) }},
+		{"RegisterFlow", func(gs int) { n.RegisterFlow(gs, 1, func(*Packet) {}) }},
+		{"UnregisterFlow", func(gs int) { n.UnregisterFlow(gs, 1) }},
+		{"Colocate", func(gs int) { n.Colocate(gs, 0) }},
+		{"Colocate", func(gs int) { n.Colocate(0, gs) }},
+	}
+	for _, c := range cases {
+		for _, gs := range []int{-1, ng, topo.GSNode(0)} {
+			want := fmt.Sprintf("sim: %s: ground station %d outside [0, %d)", c.name, gs, ng)
+			func() {
+				defer func() {
+					if got := recover(); got != want {
+						t.Errorf("%s(%d): panic %v, want %q", c.name, gs, got, want)
+					}
+				}()
+				c.call(gs)
+			}()
+		}
+		c.call(ng - 1) // the last station is in range
+	}
 }
 
 func TestUnregisterFlow(t *testing.T) {

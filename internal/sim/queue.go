@@ -41,7 +41,7 @@ type slot struct {
 // (slab index 0 is never handed out).
 type record struct {
 	event
-	src  int32 //hypatia:handle(device)
+	src  int32
 	next int32
 }
 
@@ -54,7 +54,7 @@ type eventQueue struct {
 	// tails[d] is the slab index of the last receive in device d's FIFO, or 0
 	// when d has nothing pending; the FIFO's first record is the one in the
 	// heap. Sized by devices().
-	tails []int32 //hypatia:handle(device)
+	tails []int32
 }
 
 // devices sizes the per-device FIFO state; receives may then be pushed
@@ -134,7 +134,6 @@ func (q *eventQueue) push(e event) {
 // as a plain event otherwise.
 //
 //hypatia:noalloc
-//hypatia:handle(dev: device)
 func (q *eventQueue) pushFlight(dev int32, e event) {
 	t := q.tails[dev]
 	switch {

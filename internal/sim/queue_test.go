@@ -182,6 +182,65 @@ func TestEventQueueTakeAll(t *testing.T) {
 	}
 }
 
+// TestInFlightReceivesStayBehindFIFOHeads pins, end to end, what the queue is
+// built for: with every link on a path busy at line rate, the heap holds one
+// transmit completion and one FIFO head per transmitting device while the
+// hundreds of packets in flight wait behind those heads. Two opposed streams
+// make every node on the path receive from two devices, so a FIFO keyed by
+// anything but the transmitting device (the receiving node, say) interleaves
+// two arrival sequences, keeps failing pushFlight's follows-the-tail test and
+// spills into the heap — every result byte unchanged, the run just slower.
+func TestInFlightReceivesStayBehindFIFOHeads(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ISLRateBps, cfg.GSLRateBps = 100e6, 100e6
+	s, n, _ := testNet(t, cfg)
+	busy := map[[2]int]bool{} // directed links used: one transmitting device each
+	n.SetTransmitHook(func(ti TransmitInfo) { busy[[2]int{ti.From, ti.To}] = true })
+
+	const packets, size = 2000, 1500
+	gap := Seconds(size * 8 / cfg.GSLRateBps)
+	stream := func(src, dst int) {
+		n.RegisterFlow(dst, uint32(src), func(*Packet) {})
+		left := packets
+		var send func()
+		send = func() {
+			n.Send(src, dst, uint32(src), size, nil)
+			if left--; left > 0 {
+				s.Schedule(gap, send)
+			}
+		}
+		s.Schedule(0, send)
+	}
+	stream(0, 1)
+	stream(1, 0)
+
+	var heapMax, pendingMax int
+	var probe func()
+	probe = func() {
+		heapMax = max(heapMax, len(s.events.heap)-heapRoot)
+		pendingMax = max(pendingMax, s.events.len())
+		if s.Now() < Time(packets)*gap {
+			s.Schedule(100*Microsecond, probe)
+		}
+	}
+	s.Schedule(0, probe)
+	s.Run(Second)
+
+	if got := n.Delivered(); got != 2*packets {
+		t.Fatalf("delivered %d of %d packets", got, 2*packets)
+	}
+	if pendingMax <= 500 {
+		t.Fatalf("only %d events pending at high-water; the streams do not fill the links", pendingMax)
+	}
+	// Per busy device a transmit completion and a FIFO head; then the two
+	// senders, the probe, and one event of slack.
+	if bound := 2*len(busy) + 4; heapMax > bound {
+		t.Errorf("heap held %d of %d pending events at high-water, want at most %d (%d busy devices): in-flight receives are not waiting behind their device's FIFO head",
+			heapMax, pendingMax, bound, len(busy))
+	}
+	t.Logf("heap high-water %d of %d pending, %d busy devices", heapMax, pendingMax, len(busy))
+}
+
 // FuzzEventQueue lets the fuzzer write the op stream of driveQueue; any
 // counterexample is a pop out of canonical order, a miscounted Pending, or
 // (under hypatia_checks) a broken heap or FIFO invariant.

@@ -47,7 +47,7 @@ import (
 // never touches it again.
 type handoff struct {
 	at   Time
-	node int32 //hypatia:handle(node)
+	node int32
 	pkt  *Packet
 }
 
@@ -109,12 +109,13 @@ func recLess(a, b *journalRec) bool {
 // exactly like Simulator.Schedule/Now.
 type Clock struct {
 	net  *Network
-	node int32 //hypatia:handle(node)
+	node int32
 }
 
-// Clock returns a scheduling handle bound to ground station gs.
+// Clock returns a scheduling handle bound to ground station gs. It panics
+// when gs is not a station index.
 func (n *Network) Clock(gs int) Clock {
-	return Clock{net: n, node: int32(n.Topo.GSNode(gs))}
+	return Clock{net: n, node: n.gsNode(gs, "Clock")}
 }
 
 // Now returns the owning engine's current time.
@@ -137,10 +138,14 @@ func (c Clock) Schedule(delay Time, fn func()) {
 // Colocate constrains two ground stations to the same shard. Transports
 // that share state across endpoints register the constraint (RegisterFlow
 // applies it automatically for flows registered at both ends); callers with
-// out-of-band coupling between stations can add their own.
-func (n *Network) Colocate(aGS, bGS int) { n.colocate(int32(aGS), int32(bGS)) }
+// out-of-band coupling between stations can add their own. It panics when
+// either is not a station index.
+func (n *Network) Colocate(aGS, bGS int) {
+	n.gsNode(aGS, "Colocate")
+	n.gsNode(bGS, "Colocate")
+	n.colocate(int32(aGS), int32(bGS))
+}
 
-//hypatia:handle(a: gs, b: gs)
 func (n *Network) colocate(a, b int32) {
 	if n.coloc == nil {
 		n.coloc = make([]int32, n.Topo.NumGS())
@@ -157,7 +162,6 @@ func (n *Network) colocate(a, b int32) {
 	}
 }
 
-//hypatia:handle(g: gs, return: gs)
 func (n *Network) colocRoot(g int32) int32 {
 	if n.coloc == nil {
 		return g
@@ -172,8 +176,6 @@ func (n *Network) colocRoot(g int32) int32 {
 // partition assigns nodes to shards: satellites in contiguous id blocks
 // (ISL meshes are plane-local, so block cuts keep most ISLs internal), and
 // ground-station colocation groups round-robin across shards.
-//
-//hypatia:handle(return: node->shard)
 func (n *Network) partition(shards int) []int32 {
 	numSats := n.Topo.NumSats()
 	shardOf := make([]int32, n.Topo.NumNodes())
@@ -211,16 +213,15 @@ func (n *Network) partition(shards int) []int32 {
 // bucket.
 type lookahead struct {
 	n       *Network
-	crossA  []int32     //hypatia:handle(->node)
-	crossB  []int32     //hypatia:handle(->node)
-	gslSats []int32     //hypatia:handle(->node)
-	gsNodes []int32     //hypatia:handle(->node)
-	pos     []geom.Vec3 //hypatia:handle(node)
+	crossA  []int32
+	crossB  []int32
+	gslSats []int32
+	gsNodes []int32
+	pos     []geom.Vec3
 	bucket  Time
 	minProp Time
 }
 
-//hypatia:handle(shardOf: node->shard)
 func newLookahead(n *Network, shardOf []int32, shards int) *lookahead {
 	la := &lookahead{n: n, bucket: -1}
 	for _, isl := range n.Topo.Constellation.ISLs {
@@ -235,7 +236,7 @@ func newLookahead(n *Network, shardOf []int32, shards int) *lookahead {
 		la.gsNodes = append(la.gsNodes, node)
 		gsShards[shardOf[node]] = true
 	}
-	for s := 0; s < n.Topo.NumSats(); s++ { //hypatia:handle(node) satellite ids double as node ids
+	for s := 0; s < n.Topo.NumSats(); s++ { // satellite ids double as node ids
 		for k := range gsShards {
 			if gsShards[k] && int32(k) != shardOf[s] {
 				la.gslSats = append(la.gslSats, int32(s))

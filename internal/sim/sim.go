@@ -106,7 +106,7 @@ type event struct {
 	at    Time
 	seq   uint64
 	key   uint64
-	owner int32 //hypatia:handle(node)
+	owner int32
 	kind  evKind
 	pkt   *Packet
 	fn    func()
@@ -144,7 +144,7 @@ type Simulator struct {
 	net       *Network
 	st        netState
 	windowEnd Time
-	shard     int32 //hypatia:handle(shard)
+	shard     int32
 	migrated  bool
 	cur       journalKey
 	curSub    uint32

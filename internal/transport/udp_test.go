@@ -81,6 +81,19 @@ func TestUDPRequiresRate(t *testing.T) {
 	NewUDPFlow(d.net, d.ids, 0, 1, UDPConfig{})
 }
 
+// TestUDPRejectsStationOutOfRange: a flow between stations that do not exist
+// fails when it is built, not when its first packet lands on a satellite.
+func TestUDPRejectsStationOutOfRange(t *testing.T) {
+	d := newDumbbell(t, sim.DefaultConfig(), geom.Vec3{}, 0)
+	defer func() {
+		want := "sim: Clock: ground station -1 outside [0, 3)"
+		if got := recover(); got != want {
+			t.Errorf("panic %v, want %q", got, want)
+		}
+	}()
+	NewUDPFlow(d.net, d.ids, -1, 1, UDPConfig{RateBps: 1e6})
+}
+
 func TestUDPStartTwicePanics(t *testing.T) {
 	d := newDumbbell(t, sim.DefaultConfig(), geom.Vec3{}, 0)
 	f := NewUDPFlow(d.net, d.ids, 0, 1, UDPConfig{RateBps: 1e6})

@@ -73,8 +73,15 @@ go test -tags hypatia_checks -count=1 \
     -run 'TestIncrementalOracleExercised|TestDifferentialIncrementalSequences' \
     ./internal/routing/ ./internal/core/ ./internal/analysis/
 
+stage "hypatialint tests (plain, shuffled)"
+# The analyzer has no go statement, no sync use and no internal/check
+# assertion, so -race and the hypatia_checks tag buy its tests nothing and
+# cost them 8x; they run plain, and the race suite below skips them.
+go test -shuffle=on ./cmd/hypatialint/
+
 stage "go test -race -tags hypatia_checks (shuffled)"
-go test -race -tags hypatia_checks -shuffle=on ./...
+# shellcheck disable=SC2046
+go test -race -tags hypatia_checks -shuffle=on $(go list ./... | grep -v /cmd/hypatialint)
 
 stage ""
 echo "ALL CHECKS PASSED in $SECONDS s"
