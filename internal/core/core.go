@@ -61,8 +61,9 @@ type RunConfig struct {
 	// the default is serial and the choice is the caller's: measured end to
 	// end with two shards on two hardware threads (DESIGN.md "Sharded
 	// conservative-parallel event loop"), a hundred independent line-rate
-	// UDP flows finish in about 0.75x the serial wall time for about 1.3x
-	// the CPU, 1.4x the allocation and 1.4x the peak RSS, while a hundred
+	// UDP flows finish in about 0.9x the serial wall time (0.75x before a
+	// hop cost the serial loop one event instead of two) for about 1.5x the
+	// CPU, 1.5x the allocation and 1.5x the peak RSS, while a hundred
 	// ACK-clocked TCP flows run slower than serial on every count, as does
 	// anything on a single hardware thread.
 	Shards int

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"hypatia/internal/constellation"
 	"hypatia/internal/routing"
@@ -217,4 +218,33 @@ func TestDifferentialTableReuseAcrossInstants(t *testing.T) {
 	}
 	held.Release()
 	p.close()
+}
+
+// TestPipelineHoldsAtMostReservedTables makes the pipeline's memory bound a
+// test instead of a benchmark reading: a consumer that holds the installed
+// table, releases it and only then takes the next — the install event's
+// order — and dawdles at random, so that the producer runs ahead, blocks and
+// is caught up with in turn, must only ever see the tablesInFlight+1 tables
+// the producer reserved before its first step. One table more, and some run
+// allocates it in its timed region whenever the scheduler feels like it.
+func TestPipelineHoldsAtMostReservedTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	topo := differentialTopo(t, routing.GSLFree)
+	times := randomInstants(rng, 4*tablesInFlight)
+	p := newPipeline(topo, nil, nil, times)
+	defer p.close()
+	seen := map[*routing.ForwardingTable]bool{}
+	var installed *routing.ForwardingTable
+	for range times {
+		installed.Release()
+		installed = <-p.tables
+		seen[installed] = true
+		if rng.Intn(3) == 0 {
+			time.Sleep(time.Duration(rng.Intn(2000)) * time.Microsecond)
+		}
+	}
+	installed.Release()
+	if len(seen) > tablesInFlight+1 {
+		t.Errorf("the consumer saw %d distinct tables; the pipeline reserves %d and must never need another", len(seen), tablesInFlight+1)
+	}
 }

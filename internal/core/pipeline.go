@@ -8,11 +8,16 @@ import (
 )
 
 // tablesInFlight bounds how many forwarding tables may exist ahead of the
-// event loop, computed but not yet installed. Each holds one NumNodes×NumGS
-// arena, so this caps the run's forwarding-state memory; the depth lets
-// uneven instants on either side (a costly repair, a busy window of traffic)
-// drain the buffer instead of stalling the other side.
-const tablesInFlight = 16
+// event loop, computed but not yet installed. It is 3 because the two sides
+// are never close: a producer step takes 3–5 ms, and the event loop asks for
+// a table every 160–230 ms of wall time under line-rate UDP, every 25–35 ms
+// under TCP, or — with no traffic — is always the one waiting. Either side
+// is so far ahead of the other that a deeper buffer only pins idle
+// NumNodes×NumGS arenas (DESIGN.md, "One forwarding-state producer").
+// With the table the network holds installed, a run owns at most
+// tablesInFlight+1 tables at any moment, and the producer reserves exactly
+// that many before its first step.
+const tablesInFlight = 3
 
 // pipeline precomputes forwarding state ahead of the event loop. The run's
 // update instants are known in advance and each instant's table is a pure
@@ -60,18 +65,30 @@ func newPipeline(topo *routing.Topology, strategy Strategy, active []int, times 
 //
 // The producer holds the machine-checked no-allocation contract for its
 // steady-state loop: the repair chain reuses the engine's carried arenas and
-// pooled tables end to end, so after the one-time engine construction each
-// instant is produced without touching the heap.
+// the tables reserved here end to end, so after the one-time construction and
+// the engine's first step (which sizes every arena, IncrementalEngine.prime)
+// each instant is produced without touching the heap.
 //
 //hypatia:noalloc
 func (p *pipeline) producer(topo *routing.Topology, strategy Strategy, active []int, times []sim.Time) {
 	defer close(p.stopped)
 	var eng *routing.IncrementalEngine
 	if strategy == nil {
-		eng = routing.NewIncrementalEngine(topo, nil)
+		pool := &routing.TablePool{}
+		pool.Reserve(tablesInFlight+1, topo.NumNodes(), topo.NumGS())
+		eng = routing.NewIncrementalEngine(topo, pool)
 	}
 	var snap *routing.Snapshot
 	for _, at := range times {
+		// A closed run stops here rather than at the send below, where a
+		// free buffer slot and the stop signal are both ready and select
+		// picks one at random: close then waits for the step in progress
+		// and not, half the time, for another one after it.
+		select {
+		case <-p.done:
+			return
+		default:
+		}
 		var ft *routing.ForwardingTable
 		if eng != nil {
 			ft = eng.Step(at.Seconds(), active)

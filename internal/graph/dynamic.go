@@ -110,6 +110,20 @@ type RepairScratch struct {
 	unreached []int32
 }
 
+// Reserve sizes the scratch for repairs over n nodes, so that the first
+// repair allocates as little as the thousandth.
+//
+//hypatia:pure
+func (sc *RepairScratch) Reserve(n int) {
+	sc.h.reset(n)
+	if cap(sc.tieList) < n {
+		sc.tieList = make([]int32, 0, n)
+	}
+	if cap(sc.unreached) < n {
+		sc.unreached = make([]int32, 0, n)
+	}
+}
+
 // orderCmp is the settle-order comparator: by distance, then node id —
 // exactly Dijkstra's pop order.
 //

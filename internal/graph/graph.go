@@ -82,9 +82,7 @@ func (g *Graph) csr() (off []int32, edges []Edge) {
 	if g.csrOK {
 		return g.csrOff, g.csrE
 	}
-	if cap(g.csrOff) < g.n+1 {
-		g.csrOff = make([]int32, g.n+1)
-	}
+	g.reserveCSR()
 	g.csrOff = g.csrOff[:g.n+1]
 	g.csrE = g.csrE[:0]
 	g.csrOff[0] = 0
@@ -99,6 +97,53 @@ func (g *Graph) csr() (off []int32, edges []Edge) {
 	}
 	g.csrOK = true
 	return g.csrOff, g.csrE
+}
+
+// reserveCSR sizes the CSR mirror's arrays for the graph's current edges,
+// with an eighth to spare when the edge array has to be (re)allocated: edge
+// counts creep as ground stations gain and lose satellites, and one
+// allocation with headroom replaces a chain of append doublings.
+//
+//hypatia:noalloc
+//hypatia:pure
+func (g *Graph) reserveCSR() {
+	if cap(g.csrOff) < g.n+1 {
+		g.csrOff = make([]int32, g.n+1)
+	}
+	half := 0
+	for _, a := range g.adj {
+		half += len(a)
+	}
+	if cap(g.csrE) < half {
+		g.csrE = make([]Edge, 0, half+half/8)
+	}
+}
+
+// Presize makes room in two graphs at once, for a client that rebuilds a
+// graph of one shape over and over in alternating buffers: g, freshly built,
+// gets the CSR arrays its first repair will need, and the returned empty
+// graph over the same nodes gets room for a build of g's shape — the
+// per-node adjacency capacity g ended up with, cut from one slab, and CSR
+// arrays to match — so that building and repairing it allocates nothing
+// until some node outgrows what g's needed.
+//
+//hypatia:pure
+func (g *Graph) Presize() *Graph {
+	g.reserveCSR()
+	twin := &Graph{n: g.n, adj: make([][]Edge, g.n)}
+	total := 0
+	for _, a := range g.adj {
+		total += cap(a)
+	}
+	slab := make([]Edge, total)
+	for v, a := range g.adj {
+		c := cap(a)
+		twin.adj[v] = slab[:0:c]
+		slab = slab[c:]
+	}
+	twin.csrOff = make([]int32, g.n+1)
+	twin.csrE = make([]Edge, 0, cap(g.csrE))
+	return twin
 }
 
 // N returns the number of nodes.

@@ -1,9 +1,13 @@
 package routing
 
 import (
+	"runtime"
 	"testing"
 
+	"hypatia/internal/check"
 	"hypatia/internal/check/checktest"
+	"hypatia/internal/constellation"
+	"hypatia/internal/groundstation"
 )
 
 // The AllocGuard tests are the runtime half of the //hypatia:noalloc
@@ -74,4 +78,40 @@ func TestAllocGuardIncrementalStep(t *testing.T) {
 		at += 0.1
 	}
 	checktest.AllocGuard(t, "IncrementalEngine.Step", 4, 20, step)
+}
+
+// TestEngineAllocatesArenasOnlyInFirstStep pins the engine's allocation
+// lifecycle on the benchmark's shape (K1, 100 cities, 100 ms): the first Step
+// sizes every arena — both snapshot buffers, both CSR mirrors, the repair
+// scratch (IncrementalEngine.prime) — so the ten instants after it, which
+// used to allocate over a megabyte between them, allocate next to nothing. A
+// run's timed region opens somewhere in those instants, at the scheduler's
+// whim; with this holding, its allocation reads the same wherever it opens.
+func TestEngineAllocatesArenasOnlyInFirstStep(t *testing.T) {
+	if check.Enabled {
+		t.Skip("allocation budgets are a production-build contract; the hypatia_checks oracle allocates per tree")
+	}
+	c, err := constellation.Generate(constellation.Kuiper())
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := NewTopology(c, groundstation.Top100Cities(), GSLFree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pool TablePool
+	pool.Reserve(1, topo.NumNodes(), topo.NumGS())
+	eng := NewIncrementalEngine(topo, &pool)
+	eng.Step(0, nil).Release()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= 10; i++ {
+		eng.Step(float64(i)*0.1, nil).Release()
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<10 {
+		t.Errorf("steps 1-10 allocated %d B in %d mallocs, want at most 4 KiB: an arena is still sized after the first step",
+			got, after.Mallocs-before.Mallocs)
+	}
 }

@@ -373,6 +373,18 @@ func (t *Topology) deltaSnapshot(tsec float64, d *DeltaState) *Snapshot {
 	return d.snaps[next]
 }
 
+// primeNext gives the second snapshot buffer, while it is still unused, the
+// capacity the first one's build ended up with (graph.Presize), so that the
+// second instant's snapshot allocates no more than any later one.
+//
+//hypatia:pure
+func (d *DeltaState) primeNext() {
+	cur := d.snaps[d.cur]
+	if d.snaps[d.cur^1] == nil {
+		d.snaps[d.cur^1] = &Snapshot{Pos: make([]geom.Vec3, len(cur.Pos)), G: cur.G.Presize()}
+	}
+}
+
 // DeltaInto advances d to time tsec and returns the snapshot for that
 // instant together with the changed-edge list against the previous instant
 // (weight drifts and visibility flips; nil on the first call, when there is
@@ -493,12 +505,31 @@ func (e *IncrementalEngine) Trees(tsec float64, roots []int, visit TreeVisitor) 
 			e.tree(g, tsec, gs)
 			visit(gs, e.dist, e.prev)
 		}
-		return
+	} else {
+		for _, gs := range roots {
+			e.tree(g, tsec, gs)
+			visit(gs, e.dist, e.prev)
+		}
 	}
-	for _, gs := range roots {
-		e.tree(g, tsec, gs)
-		visit(gs, e.dist, e.prev)
+	if e.delta.Prev() == nil {
+		e.prime()
 	}
+}
+
+// prime runs at the end of the engine's first instant (the one with no
+// predecessor; a time jump does not make another) and allocates
+// what the second and third would otherwise have: the second snapshot buffer
+// and both graphs' CSR mirrors, sized from the snapshot just built, and the
+// repair scratch (the first instant's trees are from-scratch Dijkstras and
+// never touch it). An engine's arenas are then a cost of its first instant
+// alone — which for a packet run is construction (core.NewRun returns after
+// it) — and what later instants allocate is the slow creep of rows that
+// outgrow their first size.
+//
+//hypatia:pure
+func (e *IncrementalEngine) prime() {
+	e.delta.primeNext()
+	e.repair.Reserve(e.topo.NumNodes())
 }
 
 // tree solves the tree rooted at ground station gs on g into e.dist/e.prev:

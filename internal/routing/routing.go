@@ -361,6 +361,31 @@ type TablePool struct {
 	free []*ForwardingTable
 }
 
+// Reserve stocks the pool with n tables of numNodes × numGS entries whose
+// buffers are cut from one allocation, so a client that knows how many tables
+// it can ever hold at once pays for them at construction and never again. One
+// slab rather than n buffers because a slab this size comes fresh from the
+// operating system and a table nobody draws is never touched: reserving more
+// than a run uses costs address space, not resident memory. Empty draws the
+// most recently returned table first, which keeps the working set at the
+// tables actually in rotation.
+//
+//hypatia:pure
+func (p *TablePool) Reserve(n, numNodes, numGS int) {
+	need := numNodes * numGS
+	slab := make([]int32, n*need)
+	tables := make([]ForwardingTable, n)
+	p.mu.Lock()
+	for i := range tables {
+		ft := &tables[i]
+		ft.next = slab[i*need : (i+1)*need : (i+1)*need]
+		ft.pool = p
+		ft.released = true
+		p.free = append(p.free, ft)
+	}
+	p.mu.Unlock()
+}
+
 // Empty returns a table with every entry unreachable (as
 // NewEmptyForwardingTable), drawing the backing buffer from the pool when
 // one large enough is available.

@@ -28,6 +28,13 @@ type Packet struct {
 	SentAt Time   // time the packet entered the network at its source
 
 	Payload any
+
+	// The hop in progress, for the evTransmitDone of an observed
+	// transmission (a packet is in one device at a time): serialization
+	// start, next-hop node, and the loss model's verdict. Stale otherwise.
+	txStart  Time
+	txTarget int32
+	txLost   bool
 }
 
 // Handler consumes packets delivered to a ground station for a flow. The
@@ -149,6 +156,13 @@ type TransmitInfo struct {
 	Arrive   Time // arrival at the receiving node
 }
 
+// posBucket is one entry of an engine's position cache: the node positions
+// of one PosQuantum bucket (-1: none yet).
+type posBucket struct {
+	bucket Time
+	pos    []geom.Vec3
+}
+
 // netState is the per-engine slice of mutable simulation state: forwarding
 // state and the count of scheduled installs executed, the position cache,
 // delivery/drop counters, and — in sharded runs — the outboxes, hook journal,
@@ -157,10 +171,16 @@ type TransmitInfo struct {
 // a sharded run gives each shard engine its own and folds counters back into
 // the root afterwards.
 type netState struct {
-	ft        *routing.ForwardingTable
-	installs  int
-	pos       []geom.Vec3
-	posBucket Time
+	ft       *routing.ForwardingTable
+	installs int
+	// posRing caches node positions per bucket, bucket b in slot b mod
+	// len (a power of two). A departure is fixed when its packet is enqueued,
+	// so delays are asked for up to a full queue's drain time ahead of the
+	// clock and out of order across devices; the ring grows to the span of
+	// buckets in use and reuses a slot once its bucket is behind the clock,
+	// so each bucket is still propagated exactly once (posFills counts).
+	posRing  []posBucket
+	posFills uint64
 
 	delivered uint64
 	drops     [numDropReasons]uint64
@@ -182,12 +202,12 @@ type netState struct {
 	freed         []*routing.ForwardingTable
 }
 
-// queued is one packet awaiting transmission along with its concrete
-// next-hop target (resolved at enqueue time; a later forwarding-state change
-// does not reroute already queued packets, matching loss-free handoff).
-type queued struct {
-	pkt    *Packet
-	target int32
+// departure is one packet waiting in a device's queue: when its
+// serialization starts — the completion of the packet ahead of it — and the
+// bytes the transmit counters take at that moment.
+type departure struct {
+	start Time
+	size  int32
 }
 
 // device is a transmitting interface with a fixed-capacity drop-tail FIFO,
@@ -195,26 +215,33 @@ type queued struct {
 // its ring lives in the shared Network.rings slab. Each device is owned by
 // the engine executing its node's events — the serial loop, or exactly one
 // shard in a sharded run.
+//
+// The device is non-preemptive, fixed-rate, and its packets' next hops are
+// resolved at enqueue (a later forwarding-state change does not reroute
+// queued packets, matching loss-free handoff), so enqueue fixes everything
+// about a packet's stay: start = max(now, busyUntil), done = start + size/rate.
+// The packet itself leaves with the arrival event enqueue schedules; what the
+// device keeps is the ring of the starts still ahead of the clock, which is
+// its queue occupancy. Nothing executes at a start or a completion: the ring
+// is brought up to the owning engine's clock (retire) wherever occupancy or
+// the counters are read — the drop-tail test, maxQueue, QueueLen,
+// DeviceStats — with same-instant ties settled by Simulator.departed.
 type device struct {
-	node    int32
-	rateBps float64
-	// fixedPeer is the ISL peer node id, or -1 for the GSL device (the
-	// target then travels with each queued packet).
+	node int32
+	// fixedPeer is the ISL peer node id, or -1 for the GSL device.
 	fixedPeer int32
-	// head is the ring read position; advancing it retires the slot it
-	// addressed, so a rings index computed before the advance is stale
-	// after it.
-	head int32
-	n    int32
-	busy bool
+	rateBps   float64
+	// head is the ring read position and waiting the occupancy: packets
+	// accepted whose serialization has not started as of the last retire.
+	head    int32
+	waiting int32
+	// busyUntil is when the last accepted packet completes (-1: none yet).
+	// The device is serializing until that departure is behind the clock.
+	busyUntil Time
 
-	// The in-flight packet, popped from the ring when serialization starts
-	// and resolved when the evTransmitDone event for this device fires.
-	inflight       *Packet
-	inflightTarget int32
-	inflightStart  Time
-
-	// Statistics.
+	// Statistics: packets and bytes whose serialization has started as of
+	// the last retire, and the peak occupancy an arriving packet has seen,
+	// itself included.
 	txPackets uint64
 	txBytes   uint64
 	maxQueue  int32
@@ -236,7 +263,7 @@ type Network struct {
 	cfg Config
 
 	devs    []device
-	rings   []queued             // len(devs) * cfg.QueuePackets, ring i at [i*Q, (i+1)*Q)
+	rings   []departure          // len(devs) * cfg.QueuePackets, ring i at [i*Q, (i+1)*Q)
 	gslDev  []int32              // node -> its GSL device handle
 	islIdx  []int32              // CSR offsets into islPeer/islDev, len NumNodes+1
 	islPeer []int32              // ISL neighbor node ids, ascending per node
@@ -282,10 +309,14 @@ type DeviceStats struct {
 // satellites first (each node's GSL device, then its ISL devices in
 // ascending peer order — the construction order of devs). Useful for
 // post-run diagnostics: hot devices, buffer headroom, and rate utilization.
+// TxPkts and TxBytes count serializations started as of the clock of the
+// engine that owns the device's node; like QueueLen it is for use between
+// runs or from that engine's events.
 func (n *Network) DeviceStats() []DeviceStats {
 	out := make([]DeviceStats, len(n.devs))
 	for i := range n.devs {
 		d := &n.devs[i]
+		n.retire(n.simFor(d.node), int32(i))
 		out[i] = DeviceStats{
 			Node: int(d.node), Peer: int(d.fixedPeer), RateBps: d.rateBps,
 			TxPkts: d.txPackets, TxBytes: d.txBytes, MaxQueue: int(d.maxQueue),
@@ -314,7 +345,6 @@ func NewNetwork(s *Simulator, topo *routing.Topology, cfg Config) (*Network, err
 	numNodes := topo.NumNodes()
 	n := &Network{Sim: s, Topo: topo, cfg: cfg}
 	s.net = n
-	s.st.posBucket = -1
 
 	adj := make([][]int32, numNodes)
 	for _, isl := range topo.Constellation.ISLs {
@@ -335,21 +365,32 @@ func NewNetwork(s *Simulator, topo *routing.Topology, cfg Config) (*Network, err
 	n.pktSeq = make([]uint32, numNodes)
 	for i := 0; i < numNodes; i++ {
 		n.gslDev[i] = int32(len(n.devs))
-		n.devs = append(n.devs, device{node: int32(i), fixedPeer: -1, rateBps: rateFor(i, -1, cfg.GSLRateBps)})
+		n.devs = append(n.devs, device{node: int32(i), fixedPeer: -1, rateBps: rateFor(i, -1, cfg.GSLRateBps), busyUntil: -1})
 		for _, p := range adj[i] {
 			n.islPeer = append(n.islPeer, p)
 			n.islDev = append(n.islDev, int32(len(n.devs)))
-			n.devs = append(n.devs, device{node: int32(i), fixedPeer: p, rateBps: rateFor(i, int(p), cfg.ISLRateBps)})
+			n.devs = append(n.devs, device{node: int32(i), fixedPeer: p, rateBps: rateFor(i, int(p), cfg.ISLRateBps), busyUntil: -1})
 		}
 		n.islIdx[i+1] = int32(len(n.islPeer))
 		if topo.IsGS(i) {
 			n.flows[i] = map[uint32]Handler{}
 		}
 	}
-	n.rings = make([]queued, len(n.devs)*cfg.QueuePackets)
-	s.events.devices(len(n.devs))
+	n.rings = make([]departure, len(n.devs)*cfg.QueuePackets)
+	s.events.devices(n.numFIFOs())
 	return n, nil
 }
+
+// numFIFOs is how many in-flight FIFOs an engine's event queue keeps for
+// this network: per device, one for the arrivals it produces (FIFO di) and
+// one for its observed transmit completions (txFIFO). Each sequence ascends
+// on its own; interleaved they would not.
+func (n *Network) numFIFOs() int { return 2 * len(n.devs) }
+
+// txFIFO is the event-queue FIFO of device di's transmit completions.
+//
+//hypatia:noalloc
+func (n *Network) txFIFO(di int32) int32 { return int32(len(n.devs)) + di }
 
 // Config returns the network's configuration (with defaults applied).
 func (n *Network) Config() Config { return n.cfg }
@@ -365,9 +406,12 @@ func (n *Network) simFor(node int32) *Simulator {
 	return n.sims[n.shardOf[node]]
 }
 
-// SetTransmitHook registers fn to observe every link transmission. Pass nil
-// to disable. Used by the utilization experiments (Figs 10, 14, 15). The
-// TransmitInfo's Packet is valid only until fn returns (see Packet).
+// SetTransmitHook registers fn to observe every link transmission, at the
+// moment its last bit is on the wire. Pass nil to disable. Used by the
+// utilization experiments (Figs 10, 14, 15). The TransmitInfo's Packet is
+// valid only until fn returns (see Packet). Install it before the traffic it
+// should see: a packet already accepted by a device when the hook arrives
+// leaves unobserved (its departure was fixed, with no event, at enqueue).
 func (n *Network) SetTransmitHook(fn func(TransmitInfo)) { n.onTransmit = fn }
 
 // SetDropHook registers fn to observe every packet drop with the drop time,
@@ -456,10 +500,13 @@ func (n *Network) ScheduleInstalls(at []Time, tables <-chan *routing.ForwardingT
 // Installs returns how many scheduled forwarding updates have executed.
 func (n *Network) Installs() int { return n.Sim.st.installs }
 
-// installEvent is the evInstall dispatch. The serial loop takes the
-// instant's table straight off the source and recycles the displaced one; a
-// shard engine installs the clone its coordinator staged for this instant
-// and retires the displaced clone for reuse.
+// installEvent is the evInstall dispatch. The serial loop recycles the
+// displaced table and takes the instant's table straight off the source —
+// in that order, so the engine never holds two tables at once and a source
+// with a fixed stock of them (core's pipeline) can count on it; nothing
+// forwards between the two statements. A shard engine installs the clone its
+// coordinator staged for this instant and retires the displaced clone for
+// reuse.
 //
 //hypatia:noalloc
 func (n *Network) installEvent(s *Simulator, idx int) {
@@ -468,8 +515,8 @@ func (n *Network) installEvent(s *Simulator, idx int) {
 	}
 	prev := s.st.ft
 	if n.shardOf == nil {
-		s.st.ft = <-n.tables
 		prev.Release()
+		s.st.ft = <-n.tables
 	} else {
 		if len(s.st.pendingTables) == 0 {
 			panic(fmt.Sprintf("sim: install event %d with no staged forwarding table", idx))
@@ -574,20 +621,51 @@ func (n *Network) TotalDrops() uint64 {
 }
 
 // positionsAt returns the engine's cached node positions for the quantized
-// instant containing t.
+// instant containing t, which must not lie behind the engine's clock.
 //
 //hypatia:noalloc
 func (n *Network) positionsAt(s *Simulator, t Time) []geom.Vec3 {
 	bucket := t / n.cfg.PosQuantum
-	if bucket != s.st.posBucket || s.st.pos == nil {
-		s.st.pos = n.Topo.NodePositions(Time(bucket*n.cfg.PosQuantum).Seconds(), s.st.pos)
-		s.st.posBucket = bucket
+	if ring := s.st.posRing; len(ring) > 0 {
+		if e := &ring[int(bucket)&(len(ring)-1)]; e.bucket == bucket {
+			return e.pos
+		}
 	}
-	return s.st.pos
+	return n.fillPositions(s, bucket)
 }
 
-// propagationDelay returns the current one-way propagation delay between
-// two nodes at time t.
+// fillPositions is positionsAt's miss path: propagate the bucket into its
+// slot, doubling the ring for as long as the slot holds a bucket the clock
+// has not passed (two live buckets a ring length apart).
+//
+//hypatia:noalloc
+func (n *Network) fillPositions(s *Simulator, bucket Time) []geom.Vec3 {
+	st := &s.st
+	live := s.now / n.cfg.PosQuantum
+	for {
+		if len(st.posRing) > 0 {
+			if e := &st.posRing[int(bucket)&(len(st.posRing)-1)]; e.bucket < live {
+				e.pos = n.Topo.NodePositions(Time(bucket*n.cfg.PosQuantum).Seconds(), e.pos)
+				e.bucket = bucket
+				st.posFills++
+				return e.pos
+			}
+		}
+		grown := make([]posBucket, max(1, 2*len(st.posRing))) //hypatia:allocs(amortized) the ring stops growing at the span of buckets in use
+		for i := range grown {
+			grown[i].bucket = -1
+		}
+		for _, e := range st.posRing {
+			if e.pos != nil {
+				grown[int(e.bucket)&(len(grown)-1)] = e
+			}
+		}
+		st.posRing = grown
+	}
+}
+
+// propagationDelay returns the one-way propagation delay between two nodes
+// at time t, now or ahead of the engine's clock.
 //
 //hypatia:noalloc
 func (n *Network) propagationDelay(s *Simulator, a, b int32, t Time) Time {
@@ -621,99 +699,113 @@ func (n *Network) forward(s *Simulator, node int32, pkt *Packet) {
 	n.enqueue(s, dev, pkt, nh)
 }
 
-// enqueue appends the packet to the device's drop-tail queue and kicks the
-// transmitter if idle.
+// retire brings device di's ring up to the clock of s, the engine that owns
+// its node: every waiting packet whose start the engine has passed has begun
+// serializing, so it leaves the occupancy and enters the transmit counters.
+//
+//hypatia:noalloc
+func (n *Network) retire(s *Simulator, di int32) {
+	d := &n.devs[di]
+	q := int32(n.cfg.QueuePackets)
+	for d.waiting > 0 {
+		e := n.rings[di*q+d.head] // head of device di's ring
+		if !s.departed(e.start, d.node, di) {
+			break
+		}
+		d.txPackets++
+		d.txBytes += uint64(e.size)
+		if d.head++; d.head == q {
+			d.head = 0
+		}
+		d.waiting--
+	}
+	if check.Enabled {
+		check.Assert(d.waiting >= 0 && d.waiting <= q,
+			"device %d queue occupancy %d outside [0, %d]", d.node, d.waiting, q)
+		check.Assert(d.waiting == 0 || d.busyUntil >= s.now,
+			"device %d holds %d waiting packets at %v but is busy only until %v", d.node, d.waiting, s.now, d.busyUntil)
+	}
+}
+
+// enqueue hands the packet to the device: drop-tail against the occupancy
+// as of now, then the whole hop at once — serialization start and end, link
+// loss, propagation at the moment the last bit leaves — and the arrival at
+// the target scheduled directly. Only a transmission somebody observes gets
+// an event at its completion (evTransmitDone), which then schedules the
+// arrival itself, as every transmission once did.
 //
 //hypatia:noalloc
 func (n *Network) enqueue(s *Simulator, di int32, pkt *Packet, target int32) {
 	d := &n.devs[di]
 	q := int32(n.cfg.QueuePackets)
-	if d.n == q {
-		n.drop(s, d.node, pkt, DropQueue)
+	n.retire(s, di)
+	start, occupancy := s.now, int32(1)
+	if s.departed(d.busyUntil, d.node, di) {
+		// Idle: serialization starts on the spot.
+		d.txPackets++
+		d.txBytes += uint64(pkt.Size)
+	} else {
+		if d.waiting == q {
+			n.drop(s, d.node, pkt, DropQueue)
+			return
+		}
+		start = d.busyUntil
+		tail := di*q + (d.head+d.waiting)%q // tail of device di's ring
+		if check.Enabled {
+			check.Assert(d.waiting == 0 || n.rings[di*q+(d.head+d.waiting-1)%q].start <= start,
+				"device %d: departure at %v queued behind a later one", d.node, start)
+		}
+		n.rings[tail] = departure{start: start, size: int32(pkt.Size)}
+		d.waiting++
+		occupancy = d.waiting
+	}
+	if occupancy > d.maxQueue {
+		d.maxQueue = occupancy
+	}
+	done := start + Seconds(float64(pkt.Size*8)/d.rateBps)
+	d.busyUntil = done
+
+	lost := n.cfg.LossModel != nil && n.cfg.LossModel(int(d.node), int(target), done) //hypatia:allocs(amortized) loss models own their allocation budget
+	if lost || n.onTransmit != nil {
+		pkt.txStart, pkt.txTarget, pkt.txLost = start, target, lost
+		s.events.pushFlight(n.txFIFO(di), event{
+			at: done, owner: d.node, kind: evTransmitDone,
+			key: uint64(di), seq: s.nextSeq(), pkt: pkt,
+		})
 		return
 	}
-	tail := di*q + (d.head+d.n)%q // tail of device di's ring
-	n.rings[tail] = queued{pkt: pkt, target: target}
-	d.n++
-	if check.Enabled {
-		check.Assert(d.n >= 1 && d.n <= q,
-			"device %d queue occupancy %d outside [1, %d] after enqueue", d.node, d.n, q)
-	}
-	if d.n > d.maxQueue {
-		d.maxQueue = d.n
-	}
-	if !d.busy {
-		n.transmitStart(s, di)
-	}
+	n.deliverTo(s, di, target, done+n.propagationDelay(s, d.node, target, done), pkt)
 }
 
-// transmitStart pops the head-of-line packet at serialization start and
-// schedules the device's evTransmitDone for when the last bit is on the
-// wire. The head advance retires the slot, so both ring accesses precede it.
+// transmitDone is the evTransmitDone dispatch, the completion of an observed
+// transmission: emit it, and drop the packet the loss model discarded or send
+// the survivor on toward its target (possibly across shards).
 //
 //hypatia:noalloc
-func (n *Network) transmitStart(s *Simulator, di int32) {
+func (n *Network) transmitDone(s *Simulator, di int32, pkt *Packet) {
 	d := &n.devs[di]
-	if check.Enabled {
-		check.Assert(d.n > 0, "device %d transmit with empty queue", d.node)
-	}
-	q := int32(n.cfg.QueuePackets)
-	slot := di*q + d.head // head of device di's ring
-	qd := n.rings[slot]
-	n.rings[slot] = queued{}
-	d.head = (d.head + 1) % q
-	d.n--
-	d.busy = true
-	d.txPackets++
-	d.txBytes += uint64(qd.pkt.Size)
-	d.inflight = qd.pkt
-	d.inflightTarget = qd.target
-	d.inflightStart = s.now
-
-	txTime := Seconds(float64(qd.pkt.Size*8) / d.rateBps)
-	s.events.push(event{
-		at: s.now + txTime, owner: d.node, kind: evTransmitDone,
-		key: uint64(di), seq: s.nextSeq(),
-	})
-}
-
-// transmitDone is the evTransmitDone dispatch: emit the transmission, apply
-// link loss, hand the packet toward its target (possibly across shards),
-// and chain the next serialization.
-//
-//hypatia:noalloc
-func (n *Network) transmitDone(s *Simulator, di int32) {
-	d := &n.devs[di]
-	pkt, target, start := d.inflight, d.inflightTarget, d.inflightStart
-	d.inflight = nil
-	done := s.now
-	prop := n.propagationDelay(s, d.node, target, done)
+	target, done := pkt.txTarget, s.now
+	arrive := done + n.propagationDelay(s, d.node, target, done)
 	if n.onTransmit != nil {
-		ti := TransmitInfo{From: int(d.node), To: int(target), Packet: pkt, Start: start, Arrive: done + prop}
 		if s.st.journaling {
 			s.st.journal = append(s.st.journal, journalRec{
-				key: s.emissionKey(), jk: jTransmit, at: start, a: d.node, b: target,
-				arrive: done + prop, pkt: *pkt,
+				key: s.emissionKey(), jk: jTransmit, at: pkt.txStart, a: d.node, b: target,
+				arrive: arrive, pkt: *pkt,
 			})
 		} else {
-			n.onTransmit(ti) //hypatia:allocs(amortized) monitoring hooks own their allocation budget
+			n.onTransmit(TransmitInfo{From: int(d.node), To: int(target), Packet: pkt, Start: pkt.txStart, Arrive: arrive}) //hypatia:allocs(amortized) monitoring hooks own their allocation budget
 		}
 	}
-	if n.cfg.LossModel != nil && n.cfg.LossModel(int(d.node), int(target), done) { //hypatia:allocs(amortized) loss models own their allocation budget
+	if pkt.txLost {
 		n.drop(s, d.node, pkt, DropLink)
-	} else {
-		n.deliverTo(s, di, target, done+prop, pkt)
+		return
 	}
-	if d.n > 0 {
-		n.transmitStart(s, di)
-	} else {
-		d.busy = false
-	}
+	n.deliverTo(s, di, target, arrive, pkt)
 }
 
 // deliverTo schedules the arrival at its target node of a packet device di
-// has just put on the wire: locally, through the device's in-flight FIFO,
-// when the target is on this engine, as a cross-shard handoff otherwise.
+// puts on the wire: locally, through the device's in-flight FIFO, when the
+// target is on this engine, as a cross-shard handoff otherwise.
 //
 //hypatia:noalloc
 func (n *Network) deliverTo(s *Simulator, di, target int32, at Time, pkt *Packet) {
@@ -761,12 +853,18 @@ func (n *Network) receive(s *Simulator, node int32, pkt *Packet) {
 
 // QueueLen reports the queue occupancy of the device from node `from`
 // toward node `to` (an ISL device if the pair is an ISL, otherwise the GSL
-// device of `from`). Useful for tests and instrumentation.
+// device of `from`): the packets waiting behind the one being serialized, as
+// of the clock of the engine that owns `from` — in a sharded run that is the
+// node's shard, not the root. Useful for tests and instrumentation, between
+// runs or from that engine's events.
 func (n *Network) QueueLen(from, to int) int {
+	di := n.gslDev[from]
 	for i := n.islIdx[from]; i < n.islIdx[from+1]; i++ {
 		if n.islPeer[i] == int32(to) {
-			return int(n.devs[n.islDev[i]].n)
+			di = n.islDev[i]
+			break
 		}
 	}
-	return int(n.devs[n.gslDev[from]].n)
+	n.retire(n.simFor(int32(from)), di)
+	return int(n.devs[di].waiting)
 }

@@ -9,14 +9,16 @@ import "hypatia/internal/check"
 // Why a FIFO per device: a device serializes one packet at a time, and within
 // a position bucket the propagation delay toward a given target is constant,
 // so the arrivals one device produces are already in time order — a link at
-// line rate holds tens of them. Only the earliest needs to compete in the
-// heap; popping it promotes its successor with one sift-down from the root.
-// A receive that does not follow its device's FIFO tail in canonical order
-// (the GSL target changed, a position-bucket edge shortened the delay) goes
-// into the heap as a plain event, as do closures, transmit completions,
-// installs and cross-shard handoffs. Either way the pop order is the
-// canonical (at, owner, kind, key, seq) order: it is a strict total order, so
-// any correct priority queue pops the same sequence.
+// line rate holds tens of them in flight, and with departures fixed at
+// enqueue (network.go) its whole queue's besides. Only the earliest needs to
+// compete in the heap; popping it promotes its successor with one sift-down
+// from the root. The completions of a device's observed transmissions are a
+// second such sequence and ride a second FIFO (Network.txFIFO). An event that
+// does not follow its FIFO's tail in canonical order (the GSL target changed,
+// a position-bucket edge shortened the delay) goes into the heap as a plain
+// event, as do closures, installs and cross-shard handoffs. Either way the pop
+// order is the canonical (at, owner, kind, key, seq) order: it is a strict
+// total order, so any correct priority queue pops the same sequence.
 
 // heapRoot is the index of the heap's root slot. The three slots before it
 // are padding: children of slot i sit at 4i-8 .. 4i-5, so every sibling group
@@ -35,8 +37,8 @@ type slot struct {
 	rec int32
 }
 
-// record is one slab entry. src is the device whose FIFO the event rides
-// (evReceive only), or -1 for a plain event; next links a FIFO-held record to
+// record is one slab entry. src is the FIFO the event rides, or -1 for a
+// plain event; next links a FIFO-held record to
 // its successor and a free record to the next free one, 0 ending either chain
 // (slab index 0 is never handed out).
 type record struct {
@@ -51,14 +53,14 @@ type eventQueue struct {
 	recs []record // the slab; recs[0] is the nil record
 	free int32    // head of the free-record chain
 	n    int      // pending events: heap entries plus FIFO-held records
-	// tails[d] is the slab index of the last receive in device d's FIFO, or 0
-	// when d has nothing pending; the FIFO's first record is the one in the
-	// heap. Sized by devices().
+	// tails[f] is the slab index of the last event in FIFO f, or 0 when f has
+	// nothing pending; the FIFO's first record is the one in the heap. Sized
+	// by devices().
 	tails []int32
 }
 
-// devices sizes the per-device FIFO state; receives may then be pushed
-// through pushFlight for device handles below n.
+// devices sizes the FIFO state; events may then be pushed through pushFlight
+// for FIFO handles below n (Network.numFIFOs: two per device).
 func (q *eventQueue) devices(n int) { q.tails = make([]int32, n) }
 
 //hypatia:noalloc
@@ -128,10 +130,11 @@ func (q *eventQueue) push(e event) {
 	q.up(slot{at: e.at, rec: q.alloc(e, -1)})
 }
 
-// pushFlight adds a receive produced by device dev's transmit completion: to
-// the device's FIFO when it follows the FIFO's tail in canonical order (it
-// becomes the head, and enters the heap, when the FIFO is empty), to the heap
-// as a plain event otherwise.
+// pushFlight adds an event of one of a device's ascending sequences — the
+// arrivals it produces, or its observed transmit completions: to that FIFO
+// when it follows the FIFO's tail in canonical order (it becomes the head,
+// and enters the heap, when the FIFO is empty), to the heap as a plain event
+// otherwise.
 //
 //hypatia:noalloc
 func (q *eventQueue) pushFlight(dev int32, e event) {
@@ -162,7 +165,7 @@ func (q *eventQueue) pop() event {
 	nx := r.next
 	if r.src >= 0 && nx == 0 {
 		if check.Enabled {
-			check.Assert(q.tails[r.src] == top, "device %d: popped its only in-flight receive %d but its FIFO tail is %d", r.src, top, q.tails[r.src])
+			check.Assert(q.tails[r.src] == top, "FIFO %d: popped its only pending event %d but its tail is %d", r.src, top, q.tails[r.src])
 		}
 		q.tails[r.src] = 0
 	}
@@ -175,7 +178,7 @@ func (q *eventQueue) pop() event {
 		succ := &q.recs[nx]
 		if check.Enabled {
 			check.Assert(r.src >= 0 && succ.src == r.src && q.tails[r.src] != 0 && e.before(&succ.event),
-				"device %d: FIFO successor %d (src %d, at %v) does not follow head %d (at %v)", r.src, nx, succ.src, succ.at, top, e.at)
+				"FIFO %d: successor %d (src %d, at %v) does not follow head %d (at %v)", r.src, nx, succ.src, succ.at, top, e.at)
 		}
 		q.down(slot{at: succ.at, rec: nx})
 		return e
@@ -326,15 +329,15 @@ func (q *eventQueue) takeAll() []event {
 }
 
 // assertConsistent walks the whole structure (hypatia_checks builds only):
-// the heap is ordered; each device has at most one head in the heap, its FIFO
-// is strictly ascending in canonical order and ends at the recorded tail;
+// the heap is ordered; each FIFO has at most one head in the heap, is
+// strictly ascending in canonical order and ends at the recorded tail;
 // plain records carry no chain; and the pending count is the heap length plus
 // the FIFO occupancy. It returns that occupancy.
 func (q *eventQueue) assertConsistent() (fifoHeld int) {
 	if q.n == 0 {
 		check.Assert(len(q.heap) <= heapRoot, "empty queue with %d heap entries", len(q.heap)-heapRoot)
 		for d, t := range q.tails {
-			check.Assert(t == 0, "empty queue but device %d has FIFO tail %d", d, t)
+			check.Assert(t == 0, "empty queue but FIFO %d has tail %d", d, t)
 		}
 		return 0
 	}
@@ -350,19 +353,19 @@ func (q *eventQueue) assertConsistent() (fifoHeld int) {
 			check.Assert(r.next == 0, "plain record %d is chained to %d", s.rec, r.next)
 			continue
 		}
-		check.Assert(!heads[r.src], "device %d has two FIFO heads in the heap", r.src)
+		check.Assert(!heads[r.src], "FIFO %d has two heads in the heap", r.src)
 		heads[r.src] = true
 		last := s.rec
 		for j := r.next; j != 0; j = q.recs[j].next {
 			check.Assert(q.recs[j].src == r.src && q.recs[last].before(&q.recs[j].event),
-				"device %d: FIFO record %d does not follow %d", r.src, j, last)
+				"FIFO %d: record %d does not follow %d", r.src, j, last)
 			last = j
 			fifoHeld++
 		}
-		check.Assert(q.tails[r.src] == last, "device %d: FIFO ends at %d, tail says %d", r.src, last, q.tails[r.src])
+		check.Assert(q.tails[r.src] == last, "FIFO %d ends at %d, tail says %d", r.src, last, q.tails[r.src])
 	}
 	for d, t := range q.tails {
-		check.Assert(t == 0 || heads[int32(d)], "device %d has FIFO tail %d and no head in the heap", d, t)
+		check.Assert(t == 0 || heads[int32(d)], "FIFO %d has tail %d and no head in the heap", d, t)
 	}
 	check.Assert(q.n == len(q.heap)-heapRoot+fifoHeld, "%d events pending, but %d in the heap and %d in FIFOs", q.n, len(q.heap)-heapRoot, fifoHeld)
 	return fifoHeld

@@ -377,13 +377,13 @@ func (n *Network) RunSharded(until Time, shards int) {
 		s := NewSimulator()
 		s.net = n
 		s.shard = int32(k)
-		s.st.posBucket = -1
 		s.st.journaling = journaling
-		s.events.devices(len(n.devs))
+		s.events.devices(n.numFIFOs())
 		s.st.outbox = make([][]handoff, shards)
 		s.st.installs = root.st.installs
 		s.seq = root.seq
 		s.now = root.now
+		s.cur = root.cur
 		if root.st.ft != nil {
 			s.st.ft = root.st.ft.CloneInto(nil)
 		}
@@ -542,6 +542,9 @@ func (n *Network) RunSharded(until Time, shards int) {
 	if !root.stopped && root.now < until {
 		root.now = until
 	}
+	// Every shard ran its last window to the end, so whatever the root clock
+	// reads, all events up to it have executed.
+	root.cur = journalKey{at: root.now, owner: afterAll}
 	if journaling {
 		n.replayJournals(sims)
 	}

@@ -11,6 +11,13 @@
 // partitions nodes across per-shard engines inside a propagation-delay
 // lookahead horizon.
 //
+// A hop costs one event. A device is a non-preemptive fixed-rate FIFO whose
+// next hop is fixed at enqueue, so the moment a packet is accepted its
+// departure is known: enqueue schedules the arrival at the next node
+// directly, and the device's queue is a ring of departure times that drains
+// by the clock, whenever somebody reads it, rather than by an event per
+// packet (network.go, "device").
+//
 // Simulated time is an int64 nanosecond count from the start of the run.
 // Events are ordered by a canonical content-based key — (time, owning node,
 // event kind, per-kind key, scheduling sequence) — rather than by insertion
@@ -87,8 +94,16 @@ const (
 	// evClosure runs a func() — user code, transport timers. key is 0; FIFO
 	// among the same owner via seq.
 	evClosure
-	// evTransmitDone completes a device's in-flight serialization (key =
-	// device handle, unique per instant and device).
+	// evTransmitDone is the moment a device puts a packet's last bit on the
+	// wire (key = device handle, unique per instant and device). The device
+	// model itself needs no event there — enqueue already fixed the departure
+	// and scheduled the arrival — so the event exists only for a transmission
+	// somebody observes at that moment: a transmit hook is installed, or the
+	// loss model discarded the packet and the drop is counted and reported
+	// there. Unobserved, its place in the order still decides one thing: an
+	// event of the same instant sees the device's queue as it was before the
+	// departure if it sorts ahead of this key, after it otherwise
+	// (Simulator.departed).
 	evTransmitDone
 	// evReceive delivers a packet to its owner node (key = packet ID,
 	// globally unique).
@@ -139,8 +154,12 @@ type Simulator struct {
 	// engine's index in a sharded run; windowEnd bounds the current
 	// lookahead window; migrated marks a root engine whose events have been
 	// handed to shard engines (scheduling on it would be silently lost, so
-	// it panics instead). cur/curSub identify the executing event for
-	// journaled hook emission.
+	// it panics instead). cur is the canonical key of the executing event —
+	// or of the last one executed, between events: everything up to it in the
+	// canonical order has run and nothing after it has (beforeAll on a new
+	// engine, afterAll once a run has executed every event up to its clock).
+	// Devices settle same-instant ties against it (departed); cur/curSub
+	// identify journaled hook emissions.
 	net       *Network
 	st        netState
 	windowEnd Time
@@ -150,9 +169,40 @@ type Simulator struct {
 	curSub    uint32
 }
 
+// beforeAll and afterAll are the owners of the two sentinel values of
+// Simulator.cur: no node id sorts before the first or after the second.
+const (
+	beforeAll int32 = math.MinInt32
+	afterAll  int32 = math.MaxInt32
+)
+
 // NewSimulator returns an engine at time zero with no pending events.
 func NewSimulator() *Simulator {
-	return &Simulator{}
+	return &Simulator{cur: journalKey{owner: beforeAll}}
+}
+
+// departed reports whether the departure device di of node makes at time t
+// lies behind the engine: t is past, or it is this very instant and the
+// canonical order puts (t, node, evTransmitDone, di) ahead of the executing
+// event. That is the one tie rule of the device model. At a departure's own
+// nanosecond an unowned closure, a closure of the node and the node's
+// earlier-keyed transmit completions still see the packet in the queue; the
+// node's evReceive, and anything owned by a later node, see it gone — exactly
+// what each saw when every departure was an event.
+//
+//hypatia:noalloc
+func (s *Simulator) departed(t Time, node, di int32) bool {
+	if t != s.now {
+		return t < s.now
+	}
+	c := &s.cur
+	if c.owner != node {
+		return c.owner > node
+	}
+	if c.kind != evTransmitDone {
+		return c.kind > evTransmitDone
+	}
+	return c.key > uint64(di)
 }
 
 // Now returns the current simulation time.
@@ -165,8 +215,11 @@ func (s *Simulator) Now() Time { return s.now }
 // duplicated per-shard forwarding installs). The count is of engine events,
 // not of simulated outcomes: a transport timer that is re-armed before it
 // fires costs no event (see Timer), where each superseded arm used to pop as
-// a no-op closure, so a run's count can drop between versions with no
-// simulated difference — which is why it is outside every digest.
+// a no-op closure; and a packet's departure from a device costs an event
+// only when it is observed (a transmit hook, a link loss — see
+// evTransmitDone), where every departure used to be one. So a run's count
+// can drop between versions, or when a hook is removed, with no simulated
+// difference — which is why it is outside every digest.
 func (s *Simulator) Processed() uint64 { return s.processed }
 
 // Pending returns the number of events currently queued, whether they sit in
@@ -234,10 +287,10 @@ func (s *Simulator) Run(until Time) {
 // lookahead windows, whose boundary events belong to the next window so that
 // cross-shard handoffs landing exactly on the boundary still precede them).
 //
-// The engine loop is //hypatia:noalloc: every steady-state event — transmit
-// completions, receives, installs — executes without touching the heap. User
-// closures (evClosure) and monitoring hooks are the deliberate boundary of
-// that contract; their call sites carry //hypatia:allocs(amortized) waivers
+// The engine loop is //hypatia:noalloc: every steady-state event — receives,
+// observed transmit completions, installs — executes without touching the
+// heap. User closures (evClosure) and monitoring hooks are the deliberate
+// boundary of that contract; their call sites carry //hypatia:allocs(amortized) waivers
 // because the code behind them owns its own allocation budget.
 //
 //hypatia:noalloc
@@ -253,14 +306,14 @@ func (s *Simulator) runWindow(end Time, inclusive bool) {
 		}
 		s.now = e.at
 		s.processed++
-		if s.st.journaling {
-			s.cur = journalKey{at: e.at, owner: e.owner, kind: e.kind, key: e.key, seq: e.seq}
-			s.curSub = 0
-		}
+		s.cur = journalKey{at: e.at, owner: e.owner, kind: e.kind, key: e.key, seq: e.seq}
+		s.curSub = 0
 		s.dispatch(&e)
 	}
-	if inclusive && !s.stopped && s.now < end {
-		s.now = end
+	if inclusive && !s.stopped {
+		// Everything up to end has run, whatever its place in the order.
+		s.now = max(s.now, end)
+		s.cur = journalKey{at: s.now, owner: afterAll}
 	}
 }
 
@@ -274,7 +327,7 @@ func (s *Simulator) dispatch(e *event) {
 	case evClosure:
 		e.fn() //hypatia:allocs(amortized) user closures own their allocation budget
 	case evTransmitDone:
-		s.net.transmitDone(s, int32(e.key))
+		s.net.transmitDone(s, int32(e.key), e.pkt)
 	case evReceive:
 		s.net.receive(s, e.owner, e.pkt)
 	}
