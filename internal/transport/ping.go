@@ -20,12 +20,9 @@ func (c PingConfig) withDefaults() PingConfig {
 	return c
 }
 
-// pingPayload identifies one echo request/response.
-type pingPayload struct {
-	seq     int64
-	isReply bool
-	sentAt  sim.Time
-}
+// An echo packet carries its request's sequence number in the packet's Seq,
+// the request's send time in Ack, and pingReply in Flags on the way back.
+const pingReply uint8 = 1
 
 // PingResult is the outcome of one echo request.
 type PingResult struct {
@@ -86,32 +83,29 @@ func (p *Pinger) sendNext() {
 	now := p.clk.Now()
 	seq := int64(len(p.results))
 	p.results = append(p.results, PingResult{Seq: seq, SentAt: now})
-	p.Net.Send(p.SrcGS, p.DstGS, p.FlowID, p.cfg.Size,
-		pingPayload{seq: seq, sentAt: now})
+	p.Net.SendHeader(p.SrcGS, p.DstGS, p.FlowID, p.cfg.Size, seq, int64(now), 0, nil)
 	p.interval.Reset(p.cfg.Interval)
 }
 
 // onRequest echoes a request back to the source.
 func (p *Pinger) onRequest(pkt *sim.Packet) {
-	pl := pkt.Payload.(pingPayload)
-	if pl.isReply {
+	if pkt.Flags&pingReply != 0 {
 		return
 	}
-	pl.isReply = true
-	p.Net.Send(p.DstGS, p.SrcGS, p.FlowID, p.cfg.Size, pl)
+	p.Net.SendHeader(p.DstGS, p.SrcGS, p.FlowID, p.cfg.Size, pkt.Seq, pkt.Ack, pingReply, nil)
 }
 
 // onReply records the measured RTT.
 func (p *Pinger) onReply(pkt *sim.Packet) {
-	pl := pkt.Payload.(pingPayload)
-	if !pl.isReply {
+	if pkt.Flags&pingReply == 0 {
 		return
 	}
-	if pl.seq < 0 || pl.seq >= int64(len(p.results)) {
+	seq := pkt.Seq
+	if seq < 0 || seq >= int64(len(p.results)) {
 		return
 	}
-	p.results[pl.seq].RTT = p.clk.Now() - pl.sentAt
-	p.results[pl.seq].Replied = true
+	p.results[seq].RTT = p.clk.Now() - sim.Time(pkt.Ack)
+	p.results[seq].Replied = true
 }
 
 // Results returns all ping outcomes in sequence order. The slice is owned

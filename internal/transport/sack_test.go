@@ -7,8 +7,18 @@ import (
 	"hypatia/internal/sim"
 )
 
+// receiverHolding returns a bare flow whose receiver got exactly the given
+// segments, in order of the slice.
+func receiverHolding(seqs ...int64) *TCPFlow {
+	f := &TCPFlow{}
+	for _, s := range seqs {
+		f.accept(s)
+	}
+	return f
+}
+
 func TestSACKBlocksSummarizeOOO(t *testing.T) {
-	f := &TCPFlow{ooo: map[int64]bool{5: true, 6: true, 7: true, 10: true, 12: true}}
+	f := receiverHolding(12, 6, 10, 5, 7)
 	blocks := f.sackBlocks()
 	want := [][2]int64{{5, 8}, {10, 11}, {12, 13}}
 	if len(blocks) != len(want) {
@@ -22,7 +32,7 @@ func TestSACKBlocksSummarizeOOO(t *testing.T) {
 }
 
 func TestSACKBlocksCapAtFour(t *testing.T) {
-	f := &TCPFlow{ooo: map[int64]bool{1: true, 3: true, 5: true, 7: true, 9: true, 11: true}}
+	f := receiverHolding(1, 3, 5, 7, 9, 11)
 	blocks := f.sackBlocks()
 	if len(blocks) != 4 {
 		t.Fatalf("blocks = %v, want 4 entries", blocks)
@@ -93,21 +103,45 @@ func TestSACKSurvivesOutageAndPathChange(t *testing.T) {
 	}
 }
 
+// TestSACKDisabledSendsNoBlocks: with SACK off, ACKs carry no blocks even
+// under reordering (path shortening at t=5 s). The positive control runs the
+// same reordering with SACK on and must see blocks, so the test cannot pass
+// by never recognizing one: every packet is classified by its header flag,
+// and any payload on an ACK other than a non-empty block list fails it.
 func TestSACKDisabledSendsNoBlocks(t *testing.T) {
-	// With SACK off, ACK segments must carry no blocks even under
-	// reordering (path shortening at t=5 s).
-	afterDrop := satAbove(0, 15, 600e3)
-	d := newDumbbell(t, sim.DefaultConfig(), afterDrop, 5)
-	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{})
-	sawBlocks := false
-	d.net.SetTransmitHook(func(ti sim.TransmitInfo) {
-		if seg, ok := ti.Packet.Payload.(tcpSegment); ok && seg.isAck && len(seg.sack) > 0 {
-			sawBlocks = true
+	run := func(sack bool) (acks, withBlocks int) {
+		afterDrop := satAbove(0, 15, 600e3)
+		d := newDumbbell(t, sim.DefaultConfig(), afterDrop, 5)
+		f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{SACK: sack})
+		d.net.SetTransmitHook(func(ti sim.TransmitInfo) {
+			p := ti.Packet
+			if p.Flags&tcpAck == 0 {
+				if p.Payload != nil {
+					t.Errorf("sack=%v: data segment %d carries payload %v", sack, p.Seq, p.Payload)
+				}
+				return
+			}
+			acks++
+			if p.Payload == nil {
+				return
+			}
+			if blocks, ok := p.Payload.([][2]int64); !ok || len(blocks) == 0 {
+				t.Errorf("sack=%v: ACK %d carries payload %#v, not SACK blocks", sack, p.Ack, p.Payload)
+				return
+			}
+			withBlocks++
+		})
+		f.Start()
+		d.sim.Run(8 * sim.Second)
+		if f.FastRetxCount == 0 {
+			t.Errorf("sack=%v: no fast retransmit: the path change did not reorder", sack)
 		}
-	})
-	f.Start()
-	d.sim.Run(8 * sim.Second)
-	if sawBlocks {
-		t.Error("SACK blocks emitted with SACK disabled")
+		return acks, withBlocks
+	}
+	if acks, n := run(false); acks == 0 || n > 0 {
+		t.Errorf("SACK disabled: %d of %d ACK transmissions carried blocks", n, acks)
+	}
+	if acks, n := run(true); n == 0 {
+		t.Errorf("SACK enabled: none of %d ACK transmissions carried blocks under the same reordering", acks)
 	}
 }

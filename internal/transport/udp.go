@@ -38,10 +38,10 @@ type UDPFlow struct {
 	// re-arms the one timer and cannot leave two pacing chains alive.
 	pace *sim.Timer
 	sent int64 // packets sent
-	// ReceivedPayloadBytes counts payload bytes that reached the sink.
+	// ReceivedPayloadBytes counts payload bytes that reached the sink. It is
+	// the sink's whole record: a per-arrival log would grow by 16 B a packet
+	// for as long as the flow runs.
 	ReceivedPayloadBytes int64
-	// ReceivedLog records payload bytes per arrival for windowed rates.
-	ReceivedLog Series
 }
 
 // NewUDPFlow creates the flow and registers its sink. Call Start to begin.
@@ -88,9 +88,7 @@ func (f *UDPFlow) sendNext() {
 }
 
 func (f *UDPFlow) onReceive(pkt *sim.Packet) {
-	payload := pkt.Size - f.cfg.HeaderBytes
-	f.ReceivedPayloadBytes += int64(payload)
-	f.ReceivedLog.Add(f.clk.Now(), float64(payload))
+	f.ReceivedPayloadBytes += int64(int(pkt.Size) - f.cfg.HeaderBytes)
 }
 
 // GoodputBps returns average payload goodput over the elapsed time.
