@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math"
 	"testing"
 
 	"hypatia/internal/geom"
@@ -116,6 +117,32 @@ func TestBBRStateMachineReachesProbeBW(t *testing.T) {
 	// RTprop near the propagation floor.
 	if f.bbr.rtProp > f.RTTLog.Min()+0.002 {
 		t.Errorf("rtProp %.1f ms vs observed floor %.1f ms", f.bbr.rtProp*1e3, f.RTTLog.Min()*1e3)
+	}
+}
+
+// TestBBRSkipsRetransmittedSample: Karn's rule for BBR's model. When the
+// newest segment a cumulative ACK covers was retransmitted, which copy the ACK
+// answers is ambiguous, so neither its delivery rate nor its RTT may feed the
+// filters. The check once read the retransmission mark after onNewAck had
+// cleared it and never fired. The control ACKs the same segment sent once,
+// which must be sampled.
+func TestBBRSkipsRetransmittedSample(t *testing.T) {
+	for _, retx := range []bool{false, true} {
+		d := newDumbbell(t, sim.DefaultConfig(), geom.Vec3{}, 0)
+		// GS2 is unreachable: nothing comes back, so the ACK below is the
+		// flow's only one.
+		f := NewTCPFlow(d.net, d.ids, 0, 2, TCPConfig{Algorithm: BBR, MaxSegments: 1})
+		f.Start() // segment 0 leaves at t=0
+		d.sim.Run(100 * sim.Millisecond)
+		if retx {
+			f.sendSegment(0, true)
+		}
+		f.onNewAck(1)
+		b := f.bbr
+		untouched := b.btlBw == 0 && b.bwSamples == [bbrBtlBwWindow]float64{} && math.IsInf(b.rtProp, 1)
+		if untouched != retx {
+			t.Errorf("retransmitted=%v: after the ACK btlBw=%v bwSamples=%v rtProp=%v", retx, b.btlBw, b.bwSamples, b.rtProp)
+		}
 	}
 }
 
