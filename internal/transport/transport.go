@@ -1,9 +1,15 @@
 // Package transport implements the end-to-end protocols Hypatia's
-// experiments run over the packet simulator: a TCP with NewReno (loss-based)
-// and Vegas (delay-based) congestion control, a paced constant-bit-rate UDP
-// source, and a ping application. Each agent logs the time series the
-// paper's figures are built from — per-packet RTTs, congestion-window
-// evolution, and application-level progress.
+// experiments run over the packet simulator: a TCP with NewReno (loss-based),
+// Vegas (delay-based) and BBR (model-based) congestion control, a paced
+// constant-bit-rate UDP source, and a ping application.
+//
+// Headers ride by value in the packet's Seq, Ack and Flags words
+// (sim.Network.SendHeader), so a data segment, an ACK or an echo allocates
+// nothing, and each TCP end keeps its per-segment state in a ring over its
+// sequence window. What grows with virtual time is only what a figure
+// reads: TCP's per-ACK CwndLog, RTTLog and AckedLog (Figs 3-5, 10), its
+// opt-in ArrivalLog, and one PingResult per request; a UDP sink only counts
+// payload bytes.
 package transport
 
 import (

@@ -60,7 +60,10 @@ stage "alloc guards (default build, GOMAXPROCS=1)"
 # internal/sim and internal/transport the guards are the event queue, the
 # packet path, the UDP send/deliver loop, a sim.Timer's Reset/Stop/fire
 # (TestAllocGuardTimer) and TCP's retransmission and delayed-ACK timer arms
-# (TestAllocGuardTCPTimers), every one at 0. Two more pin where a run's
+# (TestAllocGuardTCPTimers), every one at 0, and 10 ms of a bulk NewReno
+# transfer (TestAllocGuardTCPSteadyState) at 1, the amortized growth of its
+# three logs; the -run prefix picks up every TestAllocGuard* by name, so a new
+# guard needs no edit here. Two more pin where a run's
 # forwarding-state memory is allocated, which is what keeps a benchmark's
 # timed-region allocation from depending on the scheduler: the incremental
 # engine sizes every arena in its first step, and the pipeline never needs a
