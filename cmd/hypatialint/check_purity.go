@@ -37,7 +37,7 @@ import (
 
 // checkPurityPkgs runs the purity check over the lint targets, using effect
 // summaries computed over every loaded package.
-func checkPurityPkgs(targets, all []*pkg, cg *callGraph, cfg config, ex *exhaustiveIndex, ax *allocAnalysis, rep *reporter) {
+func checkPurityPkgs(targets, all []*pkg, cg *callGraph, cfg config, ax *allocAnalysis, rep *reporter) {
 	an := analyzeEffects(all, cg, cfg.module)
 	// An implementer of a //hypatia:pure interface must carry the annotation
 	// itself, which checkAnnotated then holds it to.
@@ -49,22 +49,21 @@ func checkPurityPkgs(targets, all []*pkg, cg *callGraph, cfg config, ex *exhaust
 			tn.Name(), itn.Pkg().Name(), itn.Name(), m.Name())
 	}
 	for _, p := range targets {
-		pc := &purityChecker{an: an, p: p, exhaustive: ex, allocs: ax, rep: rep}
+		pc := &purityChecker{an: an, p: p, allocs: ax, rep: rep}
 		pc.checkDirectiveComments()
 		an.checkAnnotated(p, rep, pc.checkCalleesAnnotated)
 		an.checkImplementers(p, rep, unannotated)
-		if inSimScope(p.path, cfg.pureScope) {
+		if inScope(p.path, cfg.pureScope) {
 			pc.checkRoots()
 		}
 	}
 }
 
 type purityChecker struct {
-	an         *effectAnalysis
-	p          *pkg
-	exhaustive *exhaustiveIndex
-	allocs     *allocAnalysis
-	rep        *reporter
+	an     *effectAnalysis
+	p      *pkg
+	allocs *allocAnalysis
+	rep    *reporter
 }
 
 // checkDirectiveComments flags //hypatia: comments that are malformed or
@@ -87,11 +86,6 @@ func (pc *purityChecker) checkDirectiveComments() {
 						pc.rep.add(c.Pos(), checkDirective,
 							"//hypatia:pure has no effect here; it belongs in the doc comment of a function or a named function type")
 					}
-				case "exhaustive":
-					if !pc.exhaustive.honored[c.Pos()] {
-						pc.rep.add(c.Pos(), checkDirective,
-							"//hypatia:exhaustive has no effect here; it belongs in the doc comment of a defined tag type")
-					}
 				case "noalloc":
 					if !pc.allocs.honored[c.Pos()] {
 						pc.rep.add(c.Pos(), checkDirective,
@@ -104,7 +98,7 @@ func (pc *purityChecker) checkDirectiveComments() {
 					}
 				default:
 					pc.rep.add(c.Pos(), checkDirective,
-						fmt.Sprintf("unknown //hypatia: directive %q (supported: //hypatia:pure, //hypatia:exhaustive, //hypatia:noalloc, //hypatia:allocs)", "hypatia:"+verb))
+						fmt.Sprintf("unknown //hypatia: directive %q (supported: //hypatia:pure, //hypatia:noalloc, //hypatia:allocs)", "hypatia:"+verb))
 				}
 			}
 		}

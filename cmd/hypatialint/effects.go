@@ -825,6 +825,21 @@ var mutatingStdFuncs = map[string]bool{
 	"slices.Sort": true, "slices.Reverse": true,
 }
 
+// wallClockFuncs are the package-level time functions that read or depend
+// on the wall clock: the Time effect.
+var wallClockFuncs = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true,
+	"After": true, "AfterFunc": true, "Tick": true,
+	"NewTimer": true, "NewTicker": true,
+}
+
+// seededRandCtors are the math/rand package-level functions that only
+// construct explicitly seeded generators; every other package-level
+// function draws from the global source, the Rand effect.
+var seededRandCtors = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true,
+}
+
 // stdSummary returns the effect summary of a standard-library function:
 // mask (effects regardless of arguments), mutates (writes through receiver
 // or pointer arguments), and whether the function is known at all.

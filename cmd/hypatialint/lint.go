@@ -12,26 +12,18 @@ import (
 // The check families. Each finding carries one of these names, and each can
 // be suppressed per line with `//lint:ignore <check> <reason>`.
 const (
-	checkNondeterminism = "nondeterminism" // wall clock, unseeded rand, map-order event scheduling
-	checkTimeUnits      = "timeunits"      // raw float<->sim.Time conversions, float equality
-	checkDroppedError   = "droppederror"   // discarded error results
-	checkCopyLock       = "copylock"       // by-value copies of sync primitives / the engine
-	checkStaleIgnore    = "staleignore"    // //lint:ignore directives that no longer match any finding
-	checkPurity         = "purity"         // //hypatia:pure contract violations and unannotated pipeline callees
-	checkExhaustive     = "exhaustive"     // switches over //hypatia:exhaustive tag types missing a constant
-	checkAllocSafety    = "allocsafety"    // //hypatia:noalloc functions allocating on the steady-state path
-	checkDirective      = "directive"      // malformed //lint: or //hypatia: comments
+	checkDroppedError = "droppederror" // discarded error results
+	checkStaleIgnore  = "staleignore"  // //lint:ignore directives that no longer match any finding
+	checkPurity       = "purity"       // //hypatia:pure contract violations and unannotated pipeline callees
+	checkAllocSafety  = "allocsafety"  // //hypatia:noalloc functions allocating on the steady-state path
+	checkDirective    = "directive"    // malformed //lint: or //hypatia: comments
 )
 
 // checkDocs is the one-line documentation per check, for -list.
 var checkDocs = [][2]string{
-	{checkNondeterminism, "no wall-clock time, unseeded math/rand, or map-range-ordered event scheduling in simulator-core packages"},
-	{checkTimeUnits, "sim.Time/float conversions must go through sim.Seconds()/Time.Seconds(); no float ==/!= outside tests (zero-sentinel compares allowed)"},
 	{checkDroppedError, "error results must be handled or explicitly discarded with _ ="},
-	{checkCopyLock, "no by-value copies of types containing sync primitives, sim.Simulator, or the event queue"},
 	{checkStaleIgnore, "//lint:ignore directives must still match a finding; delete them when the code is fixed"},
 	{checkPurity, "//hypatia:pure functions must be effect-free and call only annotated functions; pipeline goroutine bodies are held to the worker contract"},
-	{checkExhaustive, "switches over //hypatia:exhaustive tag types must cover every constant or have a default"},
 	{checkAllocSafety, "//hypatia:noalloc functions must not allocate on the steady-state path; caller-owned arena growth and //hypatia:allocs(amortized) sites are the only allowances"},
 	{checkDirective, "//lint:ignore directives must name a check and give a reason; //hypatia: comments must be valid and take effect"},
 }
@@ -213,14 +205,12 @@ func knownCheck(name string) bool {
 	return false
 }
 
-// config carries the scopes of the scoped check families: import-path
-// substrings selecting the packages each applies to.
+// config carries the scope of the one scoped check family and the module
+// under analysis.
 type config struct {
-	// simScope identifies the simulator-core packages, where the
-	// nondeterminism check applies.
-	simScope []string
-	// pureScope identifies the packages whose goroutine bodies are pipeline
-	// workers, held to the purity root contract.
+	// pureScope identifies, by import-path substring, the packages whose
+	// goroutine bodies are pipeline workers, held to the purity root
+	// contract.
 	pureScope []string
 	// module is the module path of the tree under analysis, filled in by
 	// lint() from go.mod; the effect analysis uses it to tell module-local
@@ -228,43 +218,33 @@ type config struct {
 	module string
 }
 
-// defaultConfig is the configuration the command line runs with. The
-// analyzer is inside its own nondeterminism scope: two runs over one tree
-// must print the same bytes, so it is held to the simulator's bar.
+// defaultConfig is the configuration the command line runs with.
 var defaultConfig = config{
-	simScope:  []string{"internal/sim", "internal/transport", "internal/routing", "internal/core", "cmd/hypatialint"},
 	pureScope: []string{"internal/core"},
 }
 
-// lintPackages runs every check family: per-package checks over the lint
-// targets, then the interprocedural families over the call graph built from
-// all loaded packages, then the stale-suppression sweep.
+// lintPackages runs every check family: the per-statement check over the
+// lint targets, then the interprocedural families over the call graph built
+// from all loaded packages, then the stale-suppression sweep.
 func lintPackages(targets, all []*pkg, cg *callGraph, cfg config, rep *reporter) {
 	for _, p := range targets {
 		for _, f := range p.files {
 			rep.collectSuppressions(f)
 		}
-	}
-	ex := collectExhaustiveDirectives(all)
-	for _, p := range targets {
-		checkNondeterminismPkg(p, cfg, rep)
-		checkTimeUnitsPkg(p, rep)
 		checkDroppedErrorPkg(p, rep)
-		checkCopyLockPkg(p, rep)
-		checkExhaustivePkg(p, ex, rep)
 	}
-	// The allocation analysis, like the exhaustive index above, is built
-	// before the purity pass so its directive index is complete when
-	// checkDirectiveComments validates //hypatia: comments.
+	// The allocation analysis is built before the purity pass so its
+	// directive index is complete when checkDirectiveComments validates
+	// //hypatia: comments.
 	ax := analyzeAllocs(all, cg, cfg.module)
-	checkPurityPkgs(targets, all, cg, cfg, ex, ax, rep)
+	checkPurityPkgs(targets, all, cg, cfg, ax, rep)
 	checkAllocSafetyPkgs(targets, ax, rep)
 	rep.reportStale()
 }
 
-// inSimScope reports whether the package's import path falls inside the
-// given scope list (substring match, as for every scope in config).
-func inSimScope(path string, scope []string) bool {
+// inScope reports whether the package's import path falls inside the given
+// scope list (substring match).
+func inScope(path string, scope []string) bool {
 	for _, s := range scope {
 		if s != "" && strings.Contains(path, s) {
 			return true
@@ -294,22 +274,4 @@ func namedType(t types.Type) (pkgPath, name string, ok bool) {
 		path = obj.Pkg().Path()
 	}
 	return path, obj.Name(), true
-}
-
-// isSimTime reports whether t is the simulator's Time type.
-func isSimTime(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	path, name, ok := namedType(t)
-	return ok && name == "Time" && strings.HasSuffix(path, "internal/sim")
-}
-
-// isFloat reports whether t's underlying type is a floating-point kind.
-func isFloat(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
 }

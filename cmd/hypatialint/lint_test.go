@@ -13,11 +13,8 @@ import (
 )
 
 // fixtureCfg mirrors defaultConfig, rebased onto the fixture tree: the
-// fixture directories are named so their paths contain the same substrings
-// as the real packages each scoped check targets.
+// purity-root fixture lives under purity/core, not internal/core.
 var fixtureCfg = config{
-	simScope: []string{"internal/sim", "internal/transport", "internal/routing"},
-	// The purity-root fixture lives under purity/core, not internal/core.
 	pureScope: []string{"purity/core"},
 }
 
@@ -101,30 +98,11 @@ func TestFixtures(t *testing.T) {
 		families[f.Check] = true
 	}
 	for _, name := range []string{
-		checkNondeterminism, checkTimeUnits, checkDroppedError, checkCopyLock,
-		checkStaleIgnore, checkPurity, checkExhaustive, checkAllocSafety,
-		checkDirective,
+		checkDroppedError, checkStaleIgnore, checkPurity, checkAllocSafety, checkDirective,
 	} {
 		if !families[name] {
 			t.Errorf("check family %q produced no findings on its fixtures", name)
 		}
-	}
-}
-
-// TestExhaustiveFixtureFailsAlone pins that the seeded non-exhaustive tag
-// switch fails the lint when the fixture is run by itself, with the real
-// command-line entry point, and that the covered and defaulted switches
-// beside it stay clean.
-func TestExhaustiveFixtureFailsAlone(t *testing.T) {
-	if code := run([]string{"./testdata/src/exhaustive"}); code != 1 {
-		t.Fatalf("run on exhaustive fixture = %d, want 1", code)
-	}
-	findings, err := lint(".", []string{"./testdata/src/exhaustive"}, fixtureCfg)
-	if err != nil {
-		t.Fatalf("lint: %v", err)
-	}
-	if len(findings) != 1 || findings[0].Check != checkExhaustive || !strings.Contains(findings[0].Msg, "does not cover kDrop") {
-		t.Errorf("findings = %v, want the one exhaustive finding naming kDrop", findings)
 	}
 }
 
@@ -224,14 +202,14 @@ func TestFindingsSortedByPosition(t *testing.T) {
 // directive as used, while an unmatched directive becomes a staleignore
 // finding.
 func TestSuppressionState(t *testing.T) {
-	findings, err := lint(".", []string{"./testdata/src/copylock"}, fixtureCfg)
+	findings, err := lint(".", []string{"./testdata/src/purity"}, fixtureCfg)
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
 	var suppressed, stale int
 	for _, f := range findings {
 		if f.Suppressed {
-			if f.Check != checkCopyLock {
+			if f.Check != checkPurity {
 				t.Errorf("suppressed finding of unexpected family %q", f.Check)
 			}
 			suppressed++
@@ -244,7 +222,7 @@ func TestSuppressionState(t *testing.T) {
 		}
 	}
 	if suppressed != 1 {
-		t.Errorf("suppressed findings = %d, want exactly the fixture's suppressed by-value copy", suppressed)
+		t.Errorf("suppressed findings = %d, want exactly the fixture's suppressed global write", suppressed)
 	}
 	if stale != 1 {
 		t.Errorf("staleignore findings = %d, want exactly the planted stale directive", stale)
@@ -254,7 +232,7 @@ func TestSuppressionState(t *testing.T) {
 // TestJSONOutput round-trips the -json schema: an array of objects with
 // stable field names, including suppressed findings with their state.
 func TestJSONOutput(t *testing.T) {
-	findings, err := lint(".", []string{"./testdata/src/copylock"}, fixtureCfg)
+	findings, err := lint(".", []string{"./testdata/src/purity"}, fixtureCfg)
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
@@ -347,27 +325,41 @@ func TestSuppressionEdgeCases(t *testing.T) {
 	defer os.RemoveAll(scratch)
 	src := `package scratch
 
-func mightFail(bool) error { return nil }
+var counter int
 
-// The next statement drops an error and compares floats on one line; the
-// directive names only droppederror, so the timeunits finding survives.
-func twoChecksOneIgnore(a, b float64) {
-	//lint:ignore droppederror exercises one-of-two suppression
-	mightFail(a == b)
+// helper is effect-free but unannotated, so every call to it from a
+// //hypatia:pure function is a purity finding at the call.
+func helper() int { return 1 }
+
+// The declaration breaks both contracts — a global write and an escaping
+// literal — so purity and allocsafety both report on its line; the
+// directive names only allocsafety, so the purity finding survives.
+//
+//hypatia:pure
+//hypatia:noalloc
+//lint:ignore allocsafety exercises one-of-two suppression
+func twoChecksOneIgnore() []int {
+	counter++
+	return []int{counter}
 }
 
-// Both directives match the single droppederror finding between them:
-// the finding is suppressed once and neither directive is stale.
-func doubledDirective() {
-	//lint:ignore droppederror covered from the line above
-	mightFail(false) //lint:ignore droppederror covered from the same line
+// Both directives match the single purity finding between them: the
+// finding is suppressed once and neither directive is stale.
+//
+//hypatia:pure
+func doubledDirective() int {
+	//lint:ignore purity covered from the line above
+	return helper() //lint:ignore purity covered from the same line
 }
 
 // A trailing directive covers only the line it shares with code: the same
 // check fires unsuppressed on the line below.
-func trailingCoversOwnLineOnly() {
-	mightFail(true) //lint:ignore droppederror this line only
-	mightFail(false)
+//
+//hypatia:pure
+func trailingCoversOwnLineOnly() int {
+	a := helper() //lint:ignore purity this line only
+	b := helper()
+	return a + b
 }
 `
 	if err := os.WriteFile(filepath.Join(scratch, "scratch.go"), []byte(src), 0o644); err != nil {
@@ -386,9 +378,9 @@ func trailingCoversOwnLineOnly() {
 		counts[key{f.Check, f.Suppressed}]++
 	}
 	want := map[key]int{
-		{checkDroppedError, true}:  3,
-		{checkDroppedError, false}: 1,
-		{checkTimeUnits, false}:    1,
+		{checkAllocSafety, true}: 1,
+		{checkPurity, true}:      2,
+		{checkPurity, false}:     2,
 	}
 	for k, n := range want {
 		if counts[k] != n {
@@ -426,11 +418,11 @@ func TestLintRunsByteIdentical(t *testing.T) {
 // onto the module root wherever the tool runs); a directory whose name
 // merely starts with the module name is a directory.
 func TestImportPathPatterns(t *testing.T) {
-	byPath, err := lint(".", []string{"hypatia/cmd/hypatialint/testdata/src/copylock"}, fixtureCfg)
+	byPath, err := lint(".", []string{"hypatia/cmd/hypatialint/testdata/src/purity"}, fixtureCfg)
 	if err != nil {
 		t.Fatalf("import-path pattern: %v", err)
 	}
-	byDir, err := lint(".", []string{"./testdata/src/copylock"}, fixtureCfg)
+	byDir, err := lint(".", []string{"./testdata/src/purity"}, fixtureCfg)
 	if err != nil {
 		t.Fatalf("directory pattern: %v", err)
 	}
@@ -485,7 +477,7 @@ func TestMalformedDirective(t *testing.T) {
 	defer os.RemoveAll(scratch)
 	src := `package scratch
 
-//lint:ignore droppederror
+//lint:ignore purity
 func missingReason() {}
 
 //lint:ignore notacheck because reasons
@@ -506,6 +498,9 @@ type formerlyHandled struct {
 	devs []int32 //hypatia:handle(node)
 	head int32   //hypatia:epoch(ring-slot)
 }
+
+//hypatia:exhaustive
+type formerlyExhaustive uint8
 `
 	if err := os.WriteFile(filepath.Join(scratch, "scratch.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
@@ -514,8 +509,8 @@ type formerlyHandled struct {
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
-	if len(findings) != 7 {
-		t.Fatalf("findings = %v, want 7 directive findings", findings)
+	if len(findings) != 8 {
+		t.Fatalf("findings = %v, want 8 directive findings", findings)
 	}
 	for _, f := range findings {
 		if f.Check != checkDirective {

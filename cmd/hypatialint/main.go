@@ -1,19 +1,8 @@
 // Command hypatialint is the project-specific static-analysis suite for the
-// Hypatia codebase. It enforces, as machine-checked rules, the invariants
-// the simulator's bit-for-bit determinism rests on — invariants a compiler
-// cannot see and a reviewer eventually misses:
+// Hypatia codebase. It enforces, as machine-checked rules, invariants a
+// compiler cannot see and a reviewer eventually misses:
 //
-//	nondeterminism  no wall-clock reads, global math/rand draws, or
-//	                map-range-ordered event scheduling inside the
-//	                simulator-core packages
-//	timeunits       sim.Time <-> float conversions must go through
-//	                sim.Seconds()/Time.Seconds(); no float ==/!= outside
-//	                tests (zero-sentinel comparisons allowed)
 //	droppederror    error results must be handled or discarded with _ =
-//	copylock        no by-value copies of sync primitives, sim.Simulator,
-//	                or the event queue
-//	exhaustive      a switch over a //hypatia:exhaustive tag type must
-//	                cover every constant of the type or carry a default
 //	staleignore     a //lint:ignore directive that no longer matches any
 //	                finding is itself reported, so suppressions cannot
 //	                outlive the code they excused
@@ -47,14 +36,17 @@
 // There is no flow-sensitive tier: integer-handle domains, angle and length
 // units and forwarding-table lifecycles are gated by the test suite, and
 // "state owned by one goroutine at a time" by go test -race -tags
-// hypatia_checks over the sharded and pipeline differentials (DESIGN.md's two
-// "Removed, and why" sections record the mutation trials behind both calls).
+// hypatia_checks over the sharded and pipeline differentials; wall-clock and
+// global-rand reads, sim.Time rounding, by-value lock copies and event kinds
+// without a dispatch arm by the replay tests, golden digests, go vet and
+// dispatch's own panic (DESIGN.md's three "Removed, and why" sections record
+// the mutation trials behind each call).
 //
 // One run is one serial pass: the lint targets and their module-local
 // imports are parsed and type-checked from source, every check family runs
 // over them, and the findings come out sorted — the same lint() the test
-// suite calls. The scopes of the scoped families are the fixed defaultConfig
-// below, not flags.
+// suite calls. The purity root scope is the fixed defaultConfig below, not a
+// flag.
 //
 // Usage:
 //
@@ -66,7 +58,7 @@
 // that line, or alone on the line above, naming the check and giving a
 // reason:
 //
-//	//lint:ignore timeunits Seconds is the one sanctioned conversion
+//	//lint:ignore purity hypatia_checks oracle counts comparisons globally
 //
 // With -json the tool prints every finding — suppressed ones included, with
 // their suppression state — as a JSON array of objects with fields check,

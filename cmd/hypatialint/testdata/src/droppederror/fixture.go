@@ -2,6 +2,7 @@
 package droppederror
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -21,6 +22,14 @@ func Bad(w *os.File) {
 	go fail()               // want droppederror
 	defer fail()            // want droppederror
 	fmt.Fprintln(w, "data") // want droppederror
+}
+
+// Lost holds the two drops no other gate sees: an artifact written with its
+// error ignored is still reported as written, and a trace whose final flush
+// fails on a full disk loses its tail without a word.
+func Lost(path string, svg []byte, w *bufio.Writer) {
+	os.WriteFile(path, svg, 0o644) // want droppederror
+	w.Flush()                      // want droppederror
 }
 
 // Good exercises the negatives: handled errors, explicit discards,

@@ -76,6 +76,15 @@ func suppressed() int {
 	return counter
 }
 
+// cleanButIgnored carries an ignore that matches nothing, so the directive
+// itself is stale.
+//
+//hypatia:pure
+func cleanButIgnored(a int) int {
+	//lint:ignore purity stale by design // want staleignore
+	return a
+}
+
 // The analysis honors //hypatia:pure only on functions and named function
 // or interface types; anywhere else it is dead weight and reported.
 //

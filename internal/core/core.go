@@ -58,14 +58,14 @@ type RunConfig struct {
 	// clamped.
 	//
 	// It trades resources for wall time and only on one kind of traffic, so
-	// the default is serial and the choice is the caller's: measured end to
+	// the default is serial and the choice is the caller's. Measured end to
 	// end with two shards on two hardware threads (DESIGN.md "Sharded
-	// conservative-parallel event loop"), a hundred independent line-rate
-	// UDP flows finish in about 0.9x the serial wall time (0.75x before a
-	// hop cost the serial loop one event instead of two) for about 1.5x the
-	// CPU, 1.5x the allocation and 1.5x the peak RSS, while a hundred
-	// ACK-clocked TCP flows run slower than serial on every count, as does
-	// anything on a single hardware thread.
+	// conservative-parallel event loop"): a hundred independent line-rate
+	// UDP flows at 250 Mbit/s finish in about 0.65x the serial wall time,
+	// for about 1.2x the CPU, 4x the allocation and 2.7x the peak RSS. At
+	// 100 Mbit/s the gain is about 0.9x. A hundred ACK-clocked TCP flows run
+	// about 1.7x slower than serial, for 1.9x the CPU, and so does anything
+	// on a single hardware thread.
 	Shards int
 }
 

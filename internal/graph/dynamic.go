@@ -80,7 +80,6 @@ func DiffInto(oldG, newG *Graph, out []EdgeChange, sc *DiffScratch) []EdgeChange
 				continue
 			}
 			if sc.stamp[e.To] == g {
-				//lint:ignore timeunits bitwise weight identity is the diff criterion
 				if sc.w[e.To] != e.W {
 					out = append(out, EdgeChange{A: int32(v), B: e.To, OldW: sc.w[e.To], NewW: e.W})
 				}
@@ -320,7 +319,6 @@ func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []i
 				dist[to] = nd
 				prev[to] = v
 				h.push(to, nd)
-				//lint:ignore timeunits exact equality detects shortest-path ties
 			} else if nd == dt && prev[to] != v && int(to) != src {
 				sc.tieList = append(sc.tieList, to)
 			}
@@ -382,7 +380,6 @@ func (g *Graph) settle(dist []float64, prev []int32, src int, sc *RepairScratch)
 				dist[e.To] = nd
 				prev[e.To] = u
 				h.push(e.To, nd)
-				//lint:ignore timeunits exact equality detects shortest-path ties
 			} else if nd == dist[e.To] && prev[e.To] != u && int(e.To) != src {
 				sc.tieList = append(sc.tieList, e.To)
 			}
@@ -414,7 +411,6 @@ func (g *Graph) canonicalPrev(src int, v int32, dist []float64, prev []int32) {
 	achieved := false
 	for _, e := range g.adj[v] {
 		u := e.To
-		//lint:ignore timeunits achiever test must match Dijkstra's exact float relaxation
 		if dist[u]+e.W != dist[v] {
 			continue
 		}
@@ -422,7 +418,6 @@ func (g *Graph) canonicalPrev(src int, v int32, dist []float64, prev []int32) {
 		if !(dist[u] < dist[v]) {
 			continue
 		}
-		//lint:ignore timeunits exact pop-order tie-break (dist, id)
 		if best < 0 || dist[u] < dist[best] || (dist[u] == dist[best] && u < best) {
 			best = u
 		}

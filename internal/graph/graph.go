@@ -226,7 +226,6 @@ func (h *indexedHeap) reset(n int) {
 //hypatia:noalloc
 //hypatia:pure
 func (h *indexedHeap) less(a, b int32) bool {
-	//lint:ignore timeunits exact float tie-break keeps heap ordering deterministic
 	if h.key[a] != h.key[b] {
 		return h.key[a] < h.key[b]
 	}

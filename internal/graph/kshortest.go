@@ -79,7 +79,6 @@ func (g *Graph) KShortestPaths(src, dst, k int) []WeightedPath {
 			break
 		}
 		sort.Slice(candidates, func(a, b int) bool {
-			//lint:ignore timeunits exact float tie-break keeps candidate ordering deterministic
 			if candidates[a].Weight != candidates[b].Weight {
 				return candidates[a].Weight < candidates[b].Weight
 			}

@@ -146,11 +146,9 @@ func (c *chart) computeBounds(series []Series) error {
 	if c.opt.XMax > 0 {
 		c.xMax = c.opt.XMax
 	}
-	//lint:ignore timeunits exact equality detects the fully degenerate axis range
 	if c.xMax == c.xMin {
 		c.xMax = c.xMin + 1
 	}
-	//lint:ignore timeunits exact equality detects the fully degenerate axis range
 	if c.yMax == c.yMin {
 		c.yMax = c.yMin + 1
 	}

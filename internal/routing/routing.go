@@ -478,7 +478,6 @@ func (ft *ForwardingTable) CloneInto(dst *ForwardingTable) *ForwardingTable {
 // predicate the differential tests use to compare the forwarding-state
 // producer against the from-scratch sweep.
 func (ft *ForwardingTable) Equal(o *ForwardingTable) bool {
-	//lint:ignore timeunits tables for the same instant must carry the exact same stamp
 	if ft.T != o.T {
 		return false
 	}

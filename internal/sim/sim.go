@@ -55,7 +55,6 @@ func Seconds(s float64) Time { return Time(math.Round(s * 1e9)) }
 //
 //hypatia:pure
 //hypatia:noalloc
-//lint:ignore timeunits Seconds is the one sanctioned Time-to-float conversion
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
 // String formats the time with millisecond precision, rounding half away
@@ -79,11 +78,8 @@ func (t Time) String() string {
 
 // evKind tags the payload of an event record. The tag participates in the
 // canonical event order (install events sort before everything else at the
-// same instant), so the values here are load-bearing. Every switch over the
-// tag must cover all kinds (or carry a default): a new kind that silently
-// fell through dispatch would desynchronize the serial and sharded engines.
-//
-//hypatia:exhaustive
+// same instant), so the values here are load-bearing. dispatch panics on a
+// kind it has no arm for rather than dropping the event.
 type evKind uint8
 
 const (
@@ -330,5 +326,7 @@ func (s *Simulator) dispatch(e *event) {
 		s.net.transmitDone(s, int32(e.key), e.pkt)
 	case evReceive:
 		s.net.receive(s, e.owner, e.pkt)
+	default:
+		panic("sim: event kind with no dispatch arm")
 	}
 }

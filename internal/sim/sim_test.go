@@ -117,6 +117,19 @@ func TestScheduleAtPastPanics(t *testing.T) {
 	s.Run(2 * Second)
 }
 
+// TestDispatchPanicsOnUnknownKind pins dispatch's default arm: an event kind
+// added without an arm of its own stops the run instead of being dropped.
+func TestDispatchPanicsOnUnknownKind(t *testing.T) {
+	s := NewSimulator()
+	s.events.push(event{at: Second, owner: -1, kind: evReceive + 1, seq: s.nextSeq()})
+	defer func() {
+		if r := recover(); r != "sim: event kind with no dispatch arm" {
+			t.Errorf("recovered %v, want the dispatch panic", r)
+		}
+	}()
+	s.Run(2 * Second)
+}
+
 func TestProcessedCount(t *testing.T) {
 	s := NewSimulator()
 	for i := 0; i < 7; i++ {
