@@ -24,7 +24,7 @@ func tcpScenario(t *testing.T) (processed uint64, flowStats string, traceBytes s
 	var buf strings.Builder
 	tr := NewTracer(&buf)
 	tr.Attach(run.Net)
-	flow := NewTCPFlow(run.Net, run.Flows, 0, 1, TCPConfig{})
+	flow := NewTCPFlow(run.Net, run.Flows, 0, 1, TCPConfig{RecordLogs: true})
 	flow.Start()
 	run.Execute()
 	if err := tr.Detach(); err != nil {

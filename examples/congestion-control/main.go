@@ -34,7 +34,8 @@ func main() {
 		run.Cfg.ActiveDstGS = []int{src, dst}
 
 		flow := hypatia.NewTCPFlow(run.Net, run.Flows, src, dst, hypatia.TCPConfig{
-			Algorithm: alg,
+			Algorithm:  alg,
+			RecordLogs: true, // the RTT range and cwnd p95 below read the logs
 		})
 		flow.Start()
 		run.Execute()

@@ -304,7 +304,7 @@ func ISLDynamicsAt(c *Constellation, t float64) []ISLDynamics {
 type ReorderingStats = transport.ReorderingStats
 
 // AnalyzeReordering computes reordering statistics from an arrival-order
-// log (e.g. TCPFlow.ArrivalLog with TCPConfig.TrackReordering set).
+// log (e.g. TCPFlow.ArrivalLog with TCPConfig.RecordLogs set).
 func AnalyzeReordering(arrivals []int64) ReorderingStats {
 	return transport.AnalyzeReordering(arrivals)
 }

@@ -119,7 +119,7 @@ func TestFacadeTransportsAndTools(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp := NewTCPFlow(run.Net, run.Flows, 0, 1, TCPConfig{TrackReordering: true})
+	tcp := NewTCPFlow(run.Net, run.Flows, 0, 1, TCPConfig{RecordLogs: true})
 	tcp.Start()
 	udp := NewUDPFlow(run.Net, run.Flows, 1, 0, UDPConfig{RateBps: 1e6})
 	udp.Start()

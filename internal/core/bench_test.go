@@ -129,12 +129,13 @@ func BenchmarkSimSharded(b *testing.B) {
 }
 
 // BenchmarkSimSerialTCP and BenchmarkSimShardedTCP are the same pair on the
-// TCP shape: ACK reverse traffic, transport timers, per-flow logs, a quarter
-// of the line rate. bench.sh emits their ratio as sharded_over_serial_tcp and
-// budgets the serial one at 15 000 allocs/op: segments and ACKs carry their
-// headers by value and each flow end keeps one sequence ring, so what is
-// left (~10.6 k) is the growth of the three per-ACK logs, packet records up
-// to the in-flight high-water and the forwarding tables.
+// TCP shape: ACK reverse traffic, transport timers, a quarter of the line
+// rate. bench.sh emits their ratio as sharded_over_serial_tcp and budgets the
+// serial one at 10 000 allocs/op: segments and ACKs carry their headers by
+// value, each flow end keeps one sequence ring, and a default flow records no
+// per-packet log, so what is left (~8.0 k) is nearly all packet records up to
+// the in-flight high-water, plus table reservation, event-slab growth and the
+// scoreboard rings.
 func BenchmarkSimSerialTCP(b *testing.B) { benchSim(b, 0, true) }
 
 func BenchmarkSimShardedTCP(b *testing.B) {

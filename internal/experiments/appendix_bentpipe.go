@@ -96,7 +96,7 @@ func AppendixBentPipe(cfg BentPipeConfig) (*BentPipeResult, *Report, error) {
 	if p, _ := islRun.Topo.Snapshot(0).Path(0, 1); p != nil {
 		res.ISLPathSVG = viz.PathMapSVG(islRun.Topo, p, 0, 0, 0)
 	}
-	res.ISLFlow = transport.NewTCPFlow(islRun.Net, islRun.Flows, 0, 1, transport.TCPConfig{})
+	res.ISLFlow = transport.NewTCPFlow(islRun.Net, islRun.Flows, 0, 1, transport.TCPConfig{RecordLogs: true})
 	res.ISLFlow.Start()
 	islRun.Execute()
 	res.ISLGoodput = res.ISLFlow.GoodputBps(duration)
@@ -117,7 +117,7 @@ func AppendixBentPipe(cfg BentPipeConfig) (*BentPipeResult, *Report, error) {
 	if p, _ := bentRun.Topo.Snapshot(0).Path(0, 1); p != nil {
 		res.BentPathSVG = viz.PathMapSVG(bentRun.Topo, p, 0, 0, 0)
 	}
-	res.BentFlow = transport.NewTCPFlow(bentRun.Net, bentRun.Flows, 0, 1, transport.TCPConfig{})
+	res.BentFlow = transport.NewTCPFlow(bentRun.Net, bentRun.Flows, 0, 1, transport.TCPConfig{RecordLogs: true})
 	res.BentFlow.Start()
 	bentRun.Execute()
 	res.BentGoodput = res.BentFlow.GoodputBps(duration)

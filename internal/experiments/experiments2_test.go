@@ -103,6 +103,11 @@ func TestAppendixBentPipeSmall(t *testing.T) {
 	if res.ISLGoodput <= 0 || res.BentGoodput <= 0 {
 		t.Errorf("goodputs: ISL %v, bent %v", res.ISLGoodput, res.BentGoodput)
 	}
+	// The report's max-RTT row reads the flows' RTT logs, which stay empty
+	// (Max -Inf) unless the flows ask to record them.
+	if isl, bent := res.ISLFlow.RTTLog.Max(), res.BentFlow.RTTLog.Max(); math.IsInf(isl, 0) || math.IsInf(bent, 0) {
+		t.Errorf("TCP max est. RTT: ISL %v, bent-pipe %v; want finite", isl, bent)
+	}
 	if !strings.HasPrefix(res.ISLPathSVG, "<svg") || !strings.HasPrefix(res.BentPathSVG, "<svg") {
 		t.Error("path SVGs malformed")
 	}

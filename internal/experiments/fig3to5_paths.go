@@ -84,7 +84,7 @@ func Fig3and4PathStudies(scale Scale, pingInterval sim.Time) ([]*PathStudy, *Rep
 		if err != nil {
 			return nil, nil, err
 		}
-		flow := transport.NewTCPFlow(tcpRun.Net, tcpRun.Flows, src, dst, transport.TCPConfig{})
+		flow := transport.NewTCPFlow(tcpRun.Net, tcpRun.Flows, src, dst, transport.TCPConfig{RecordLogs: true})
 		flow.Start()
 		tcpRun.Execute()
 		study.TCPRTT = flow.RTTLog
@@ -197,7 +197,7 @@ func Fig5LossVsDelayCC(scale Scale) (map[transport.CCAlgorithm]*CCStudy, *Report
 		if err != nil {
 			return nil, nil, err
 		}
-		flow := transport.NewTCPFlow(run.Net, run.Flows, src, dst, transport.TCPConfig{Algorithm: alg})
+		flow := transport.NewTCPFlow(run.Net, run.Flows, src, dst, transport.TCPConfig{Algorithm: alg, RecordLogs: true})
 		flow.Start()
 		run.Execute()
 		window := 100 * sim.Millisecond

@@ -13,7 +13,7 @@ func TestBBRSaturatesWithoutBufferbloat(t *testing.T) {
 	// queue — and therefore the RTT — near the propagation floor, unlike
 	// NewReno which fills the buffer.
 	d := newDumbbell(t, sim.DefaultConfig(), geom.Vec3{}, 0)
-	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{Algorithm: BBR})
+	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{Algorithm: BBR, RecordLogs: true})
 	f.Start()
 	d.sim.Run(30 * sim.Second)
 
@@ -41,7 +41,7 @@ func TestBBRSaturatesWithoutBufferbloat(t *testing.T) {
 func TestBBRKeepsQueueSmallerThanNewReno(t *testing.T) {
 	run := func(alg CCAlgorithm) float64 {
 		d := newDumbbell(t, sim.DefaultConfig(), geom.Vec3{}, 0)
-		f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{Algorithm: alg})
+		f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{Algorithm: alg, RecordLogs: true})
 		f.Start()
 		d.sim.Run(30 * sim.Second)
 		return f.RTTLog.Percentile(0.9)
@@ -58,7 +58,7 @@ func TestBBRSurvivesPathLengthening(t *testing.T) {
 	// window refreshes within 10 s, so throughput must recover.
 	after := satAbove(20, 15, 1790e3)
 	d := newDumbbell(t, sim.DefaultConfig(), after, 10)
-	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{Algorithm: BBR})
+	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{Algorithm: BBR, RecordLogs: true})
 	f.Start()
 	d.sim.Run(45 * sim.Second)
 	// Goodput over the final 10 s, well after the change and at least one
@@ -103,7 +103,7 @@ func TestBBRUnreachableDestinationDoesNotSpin(t *testing.T) {
 
 func TestBBRStateMachineReachesProbeBW(t *testing.T) {
 	d := newDumbbell(t, sim.DefaultConfig(), geom.Vec3{}, 0)
-	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{Algorithm: BBR})
+	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{Algorithm: BBR, RecordLogs: true})
 	f.Start()
 	d.sim.Run(10 * sim.Second)
 	if f.bbr.state != bbrProbeBW {

@@ -71,7 +71,7 @@ func TestTCPTracksReorderingOnPathShortening(t *testing.T) {
 	// up as a reordering event in the receiver's arrival log.
 	after := satAbove(0, 15, 600e3)
 	d := newDumbbell(t, sim.DefaultConfig(), after, 5)
-	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{TrackReordering: true})
+	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{RecordLogs: true})
 	f.Start()
 	d.sim.Run(10 * sim.Second)
 	st := AnalyzeReordering(f.ArrivalLog)
@@ -84,12 +84,16 @@ func TestTCPTracksReorderingOnPathShortening(t *testing.T) {
 	if st.Events == 0 || st.MaxDisplacement == 0 {
 		t.Errorf("stats: %+v", st)
 	}
-	// Without tracking the log stays empty.
+	// Without RecordLogs all four logs stay empty and the counters still run.
 	d2 := newDumbbell(t, sim.DefaultConfig(), geom.Vec3{}, 0)
 	f2 := NewTCPFlow(d2.net, d2.ids, 0, 1, TCPConfig{})
 	f2.Start()
 	d2.sim.Run(sim.Second)
-	if len(f2.ArrivalLog) != 0 {
-		t.Error("arrival log populated without TrackReordering")
+	if len(f2.ArrivalLog) != 0 || f2.CwndLog.Len() != 0 || f2.RTTLog.Len() != 0 || f2.AckedLog.Len() != 0 {
+		t.Errorf("logs populated without RecordLogs: arrivals %d, cwnd %d, rtt %d, acked %d",
+			len(f2.ArrivalLog), f2.CwndLog.Len(), f2.RTTLog.Len(), f2.AckedLog.Len())
+	}
+	if f2.AckedSegments == 0 {
+		t.Error("no segments acknowledged")
 	}
 }

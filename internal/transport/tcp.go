@@ -74,11 +74,13 @@ type TCPConfig struct {
 	// long-running flow that never exhausts data.
 	MaxSegments int64
 
-	// TrackReordering records the receiver's arrival order of data
-	// segments (one int64 per packet) so AnalyzeReordering can quantify
-	// path-change-induced reordering. Off by default to keep large
-	// many-flow runs lean.
-	TrackReordering bool
+	// RecordLogs turns on the flow's per-packet logs: CwndLog, RTTLog and
+	// AckedLog on the sender (about one sample per ACK each) and
+	// ArrivalLog on the receiver (one sequence number per data segment, for
+	// AnalyzeReordering). Set it on the flows a figure plots. Off, the
+	// default, the flow keeps only its counters (AckedSegments, RetxCount,
+	// ...), so its memory stays flat however long it runs.
+	RecordLogs bool
 
 	// SACK enables selective acknowledgments (RFC 2018 blocks with an
 	// RFC 6675-style scoreboard): the receiver reports out-of-order runs
@@ -284,8 +286,8 @@ func (r *oooRing) grow(nxt int64) {
 
 // TCPFlow is a unidirectional TCP connection between two ground stations:
 // data flows src->dst, ACKs dst->src. It implements sender, receiver, and
-// the selected congestion-control algorithm, and records the time series
-// the paper's per-connection figures show.
+// the selected congestion-control algorithm, and, with RecordLogs, records
+// the time series the paper's per-connection figures show.
 type TCPFlow struct {
 	Net    *sim.Network
 	clk    sim.Clock
@@ -339,13 +341,16 @@ type TCPFlow struct {
 	// canonical event order.
 	delAckTimer *sim.Timer
 	// ArrivalLog is the receiver-side arrival order of data segment
-	// sequence numbers (populated only with TrackReordering).
+	// sequence numbers; empty unless RecordLogs.
 	ArrivalLog []int64
 
-	// Metrics.
-	CwndLog       Series // congestion window, segments
-	RTTLog        Series // sender-measured per-packet RTT, seconds
-	AckedLog      Series // newly acknowledged payload bytes per ACK (for throughput)
+	// Per-packet logs, each empty unless RecordLogs; Min / Max of an empty
+	// Series read +Inf / -Inf.
+	CwndLog  Series // congestion window, segments
+	RTTLog   Series // sender-measured per-packet RTT, seconds
+	AckedLog Series // newly acknowledged payload bytes per ACK (for throughput)
+
+	// Counters, kept whether or not the flow records its logs.
 	RetxCount     int64
 	TimeoutCount  int64
 	FastRetxCount int64
@@ -432,7 +437,9 @@ func (f *TCPFlow) logCwnd() {
 		check.Assert(f.ssthresh >= 1, "flow %d ssthresh %v below 1 segment", f.FlowID, f.ssthresh)
 		check.Assert(f.sndUna <= f.sndNxt, "flow %d sndUna %d ahead of sndNxt %d", f.FlowID, f.sndUna, f.sndNxt)
 	}
-	f.CwndLog.Add(f.clk.Now(), f.cwnd)
+	if f.cfg.RecordLogs {
+		f.CwndLog.Add(f.clk.Now(), f.cwnd)
+	}
 }
 
 // flightSize returns the number of unacknowledged segments.
@@ -488,7 +495,7 @@ func (f *TCPFlow) onReceiverPacket(pkt *sim.Packet) {
 	if pkt.Flags&tcpAck != 0 {
 		return // stray ACK at receiver; cannot happen with distinct GSes
 	}
-	if f.cfg.TrackReordering {
+	if f.cfg.RecordLogs {
 		f.ArrivalLog = append(f.ArrivalLog, pkt.Seq)
 	}
 	hadOOO := f.ooo.n > 0
@@ -613,7 +620,9 @@ func (f *TCPFlow) onNewAck(ack int64) {
 		f.sndNxt = f.sndUna
 	}
 	f.AckedSegments = ack
-	f.AckedLog.Add(f.clk.Now(), float64(newly*int64(f.cfg.MSS)))
+	if f.cfg.RecordLogs {
+		f.AckedLog.Add(f.clk.Now(), float64(newly*int64(f.cfg.MSS)))
+	}
 	f.backoff = 0
 
 	if f.inRecovery {
@@ -748,11 +757,13 @@ func (f *TCPFlow) onDupAck() {
 	}
 }
 
-// sampleRTT feeds one RTT measurement into the estimator, the RTT log, and
-// Vegas' delay tracking.
+// sampleRTT feeds one RTT measurement into the estimator, the RTT log (with
+// RecordLogs), and Vegas' delay tracking.
 func (f *TCPFlow) sampleRTT(rtt sim.Time) {
 	r := rtt.Seconds()
-	f.RTTLog.Add(f.clk.Now(), r)
+	if f.cfg.RecordLogs {
+		f.RTTLog.Add(f.clk.Now(), r)
+	}
 	if f.srtt == 0 {
 		f.srtt = r
 		f.rttvar = r / 2

@@ -45,7 +45,7 @@ func TestTCPSlowStartDoublesPerRTT(t *testing.T) {
 
 func TestTCPSaturatesBottleneck(t *testing.T) {
 	d := newDumbbell(t, sim.DefaultConfig(), geom.Vec3{}, 0)
-	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{})
+	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{RecordLogs: true})
 	f.Start()
 	dur := 30 * sim.Second
 	d.sim.Run(dur)
@@ -76,7 +76,7 @@ func TestTCPFillsQueueAndInflatesRTT(t *testing.T) {
 	// The paper: TCP (NewReno) continually fills and drains the buffer,
 	// raising the per-packet RTT far above the propagation floor.
 	d := newDumbbell(t, sim.DefaultConfig(), geom.Vec3{}, 0)
-	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{})
+	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{RecordLogs: true})
 	f.Start()
 	d.sim.Run(30 * sim.Second)
 	minRTT, maxRTT := f.RTTLog.Min(), f.RTTLog.Max()
@@ -95,7 +95,7 @@ func TestTCPCwndOscillatesAroundBDPPlusQueue(t *testing.T) {
 	// recovers (Fig 4). BDP ~= 17 segments at 10 Mb/s and ~20 ms RTT, queue
 	// 100 packets.
 	d := newDumbbell(t, sim.DefaultConfig(), geom.Vec3{}, 0)
-	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{})
+	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{RecordLogs: true})
 	f.Start()
 	d.sim.Run(60 * sim.Second)
 	peak := f.CwndLog.Max()
@@ -186,7 +186,7 @@ func TestVegasKeepsQueuesNearlyEmpty(t *testing.T) {
 	// stays near the propagation floor, unlike NewReno's.
 	run := func(alg CCAlgorithm) *TCPFlow {
 		d := newDumbbell(t, sim.DefaultConfig(), geom.Vec3{}, 0)
-		f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{Algorithm: alg})
+		f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{Algorithm: alg, RecordLogs: true})
 		f.Start()
 		d.sim.Run(30 * sim.Second)
 		return f
@@ -209,7 +209,7 @@ func TestVegasCollapsesWhenPathLengthens(t *testing.T) {
 	// though the network is empty.
 	after := satAbove(20, 15, 1790e3) // SatB jumps far north+up at t=10 s
 	d := newDumbbell(t, sim.DefaultConfig(), after, 10)
-	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{Algorithm: Vegas})
+	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{Algorithm: Vegas, RecordLogs: true})
 	f.Start()
 	d.sim.Run(40 * sim.Second)
 
@@ -246,7 +246,7 @@ func TestNewRenoSurvivesPathLengthening(t *testing.T) {
 	// rise and keeps the pipe full.
 	after := satAbove(20, 15, 1790e3)
 	d := newDumbbell(t, sim.DefaultConfig(), after, 10)
-	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{Algorithm: NewReno})
+	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{Algorithm: NewReno, RecordLogs: true})
 	f.Start()
 	d.sim.Run(40 * sim.Second)
 	var lateBytes float64
@@ -338,7 +338,7 @@ func TestTCPRTTMeasurementsMatchPath(t *testing.T) {
 	d := newDumbbell(t, sim.DefaultConfig(), geom.Vec3{}, 0)
 	_, dist := d.topo.Snapshot(0).Path(0, 1)
 	propRTT := 2 * dist / geom.SpeedOfLight
-	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{InitialCwnd: 1, NoDelayedAcks: true})
+	f := NewTCPFlow(d.net, d.ids, 0, 1, TCPConfig{InitialCwnd: 1, NoDelayedAcks: true, RecordLogs: true})
 	f.Start()
 	d.sim.Run(100 * sim.Millisecond)
 	if f.RTTLog.Len() == 0 {
@@ -497,6 +497,7 @@ func TestTCPBehaviourLocked(t *testing.T) {
 			d := newDumbbell(t, cfg, geom.Vec3{}, 0)
 			var flows []*TCPFlow
 			for i, fc := range lock.flows {
+				fc.RecordLogs = true // the hash covers every log sample
 				f := NewTCPFlow(d.net, d.ids, 0, 1, fc)
 				f.StartAfter(sim.Time(i) * 50 * sim.Millisecond)
 				flows = append(flows, f)

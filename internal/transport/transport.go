@@ -7,9 +7,11 @@
 // (sim.Network.SendHeader), so a data segment, an ACK or an echo allocates
 // nothing, and each TCP end keeps its per-segment state in a ring over its
 // sequence window. What grows with virtual time is only what a figure
-// reads: TCP's per-ACK CwndLog, RTTLog and AckedLog (Figs 3-5, 10), its
-// opt-in ArrivalLog, and one PingResult per request; a UDP sink only counts
-// payload bytes.
+// reads, and only where it asks: a TCP flow with TCPConfig.RecordLogs keeps
+// its per-ACK CwndLog, RTTLog and AckedLog and its ArrivalLog (the single
+// flows Figs 3-5 and Appendix A plot), and a Pinger one PingResult per
+// request. A default TCP flow and a UDP sink only count, so a many-flow run
+// holds the same memory at any horizon.
 package transport
 
 import (

@@ -40,13 +40,15 @@ trap 'rm -f "$raw1" "$rawN"' EXIT
 # ~25.8k times (forwarding tables off the producer, queue slab and ring
 # growth while the links fill); a packet path that allocated once per packet
 # again would read 500k.
-# BenchmarkSimSerialTCP is the same on the TCP shape: ~10.6k allocs/op — the
-# growth of each flow's three per-ACK logs, packet records up to the
-# in-flight high-water and the forwarding tables — since the TCP header
-# rides by value in Packet and the per-segment state in a ring per flow end;
-# with a boxed segment payload per data segment and ACK and five sequence
-# maps per flow it read 146k, and with a fresh closure per retransmission-
-# and delayed-ACK-timer arm on top, as before sim.Timer, 185k.
+# BenchmarkSimSerialTCP is the same on the TCP shape: ~8.0k allocs/op — table
+# reservation, event-slab growth, scoreboard rings and packet records up to
+# the in-flight high-water — since the TCP header rides by value in Packet,
+# the per-segment state in a ring per flow end, and a flow records its three
+# per-ACK logs only when asked (TCPConfig.RecordLogs); with the logs on by
+# default it read 10.6k, with a boxed segment payload per data segment and
+# ACK and five sequence maps per flow on top 146k, and with a fresh closure
+# per retransmission- and delayed-ACK-timer arm as well, as before
+# sim.Timer, 185k.
 # BenchmarkAnalyzePairsS1 is 8 steps of the stepped analysis on the engine:
 # 57 allocs/op at the default 5x (steps 17-57 of a run, where a pair's stored
 # satellite sequence or a visibility list still meets a new longest now and
@@ -54,7 +56,7 @@ trap 'rm -f "$raw1" "$rawN"' EXIT
 # per step again would read hundreds of thousands.
 # Every budgeted benchmark gets "alloc_budget"/"alloc_budget_status" fields
 # in the JSON, and any "over" status fails the run.
-alloc_budgets="BenchmarkSnapshotInto=8 BenchmarkForwardingTableFull=16 BenchmarkForwardingTablePooled=8 BenchmarkForwardingStateIncremental=100 BenchmarkSimSerial=40000 BenchmarkSimSerialTCP=15000 BenchmarkAnalyzePairsS1=75"
+alloc_budgets="BenchmarkSnapshotInto=8 BenchmarkForwardingTableFull=16 BenchmarkForwardingTablePooled=8 BenchmarkForwardingStateIncremental=100 BenchmarkSimSerial=40000 BenchmarkSimSerialTCP=10000 BenchmarkAnalyzePairsS1=75"
 
 # budget_check fails when any benchmark came out over its pinned budget —
 # the bench harness' counterpart of a failing allocsafety finding.
@@ -167,10 +169,11 @@ if [[ "${1:-}" == "--selftest" ]]; then
     # incremental engine inside its allocation budget ("ok"), and regresses
     # SnapshotInto to its pre-arena-warmup 854 allocs/op so the "over"
     # status and the budget_check failure path are exercised too. SimSerial,
-    # SimSerialTCP and AnalyzePairsS1 sit inside their budgets here; four more
+    # SimSerialTCP and AnalyzePairsS1 sit inside their budgets here; five more
     # canned logs below put the first back at one allocation per packet, the
-    # second back at one closure per timer arm and at one boxed payload per
-    # segment, and the third back at materialised paths.
+    # second back at one closure per timer arm, at one boxed payload per
+    # segment and at per-ACK logs on by default, and the third back at
+    # materialised paths.
     cat > "$self" <<'EOF'
 cpu: Selftest CPU @ 2.10GHz
 BenchmarkSnapshotInto-4                 5    1500000 ns/op  56000 B/op  854 allocs/op
@@ -179,7 +182,7 @@ BenchmarkForwardingStateIncremental-4   5   20000000 ns/op   500 B/op   5 allocs
 BenchmarkSimSerial-4                    5   80000000 ns/op  170000 events/s  3000 B/op  30 allocs/op
 BenchmarkSimSharded/shards=2-4          5  160000000 ns/op   85000 events/s  4000 B/op  40 allocs/op
 BenchmarkSimSharded/shards=4-4          5  100000000 ns/op  136000 events/s  4000 B/op  40 allocs/op
-BenchmarkSimSerialTCP-4                 5  650000000 ns/op  3200000 events/s  8000000 B/op  10600 allocs/op
+BenchmarkSimSerialTCP-4                 5  650000000 ns/op  3200000 events/s  6000000 B/op  7950 allocs/op
 BenchmarkSimShardedTCP/shards=2-4       5  900000000 ns/op  2300000 events/s  28900000 B/op  148000 allocs/op
 BenchmarkSimShardedTCP/shards=4-4       5  520000000 ns/op  4000000 events/s  30900000 B/op  148000 allocs/op
 BenchmarkAnalyzePairsS1-4               5   56000000 ns/op  6000 B/op  57 allocs/op
@@ -196,7 +199,7 @@ EOF
         '"BenchmarkSimSharded/shards=4": {"ns_per_op": 100000000, "events_per_second": 136000, "bytes_per_op": 4000, "allocs_per_op": 40}' \
         '"BenchmarkAnalyzePairsS1": {"ns_per_op": 56000000, "ns_per_step": 7000000, "bytes_per_op": 6000, "allocs_per_op": 57, "alloc_budget": 75, "alloc_budget_status": "ok"}' \
         '"serial_over_incremental": 8.000,' \
-        '"BenchmarkSimSerialTCP": {"ns_per_op": 650000000, "events_per_second": 3200000, "bytes_per_op": 8000000, "allocs_per_op": 10600, "alloc_budget": 15000, "alloc_budget_status": "ok"}' \
+        '"BenchmarkSimSerialTCP": {"ns_per_op": 650000000, "events_per_second": 3200000, "bytes_per_op": 6000000, "allocs_per_op": 7950, "alloc_budget": 10000, "alloc_budget_status": "ok"}' \
         '"BenchmarkSimShardedTCP/shards=4": {"ns_per_op": 520000000, "events_per_second": 4000000, "bytes_per_op": 30900000, "allocs_per_op": 148000}' \
         '"sharded_over_serial": 0.800,' \
         '"sharded_over_serial_note"' \
@@ -250,14 +253,20 @@ EOF
     # with a fresh closure per retransmission- and delayed-ACK-timer arm.
     expect_over \
         'BenchmarkSimSerialTCP-4                 5  792000000 ns/op  2680000 events/s  32600000 B/op  185147 allocs/op' \
-        '"allocs_per_op": 185147, "alloc_budget": 15000, "alloc_budget_status": "over"' \
+        '"allocs_per_op": 185147, "alloc_budget": 10000, "alloc_budget_status": "over"' \
         "a closure per timer arm passed BenchmarkSimSerialTCP's budget"
     # TCP's headers: SimSerialTCP back at the 145 872 allocs/op it measured
     # with a boxed segment in Payload per data segment and ACK.
     expect_over \
         'BenchmarkSimSerialTCP-4                 5  650000000 ns/op  3200000 events/s  25700000 B/op  145872 allocs/op' \
-        '"allocs_per_op": 145872, "alloc_budget": 15000, "alloc_budget_status": "over"' \
+        '"allocs_per_op": 145872, "alloc_budget": 10000, "alloc_budget_status": "over"' \
         "a boxed payload per segment passed BenchmarkSimSerialTCP's budget"
+    # TCP's logs: SimSerialTCP back at the 10 626 allocs/op it measured with
+    # every flow appending to its CwndLog, RTTLog and AckedLog per ACK.
+    expect_over \
+        'BenchmarkSimSerialTCP-4                 5  650000000 ns/op  3200000 events/s  8000000 B/op  10626 allocs/op' \
+        '"allocs_per_op": 10626, "alloc_budget": 10000, "alloc_budget_status": "over"' \
+        "per-ACK logs on by default passed BenchmarkSimSerialTCP's budget"
     # The analysis sweep: 8 steps that each materialise 4 950 node paths and
     # satellite sequences, as the from-scratch sweep did (45 MB per virtual
     # second).

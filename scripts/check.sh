@@ -60,14 +60,15 @@ stage "alloc guards (default build, GOMAXPROCS=1)"
 # internal/sim and internal/transport the guards are the event queue, the
 # packet path, the UDP send/deliver loop, a sim.Timer's Reset/Stop/fire
 # (TestAllocGuardTimer) and TCP's retransmission and delayed-ACK timer arms
-# (TestAllocGuardTCPTimers), every one at 0, and 10 ms of a bulk NewReno
-# transfer (TestAllocGuardTCPSteadyState) at 1, the amortized growth of its
-# three logs; the -run prefix picks up every TestAllocGuard* by name, so a new
-# guard needs no edit here. Two more pin where a run's
-# forwarding-state memory is allocated, which is what keeps a benchmark's
-# timed-region allocation from depending on the scheduler: the incremental
-# engine sizes every arena in its first step, and the pipeline never needs a
-# table beyond the ones it reserves.
+# (TestAllocGuardTCPTimers), and 10 ms of a bulk NewReno transfer
+# (TestAllocGuardTCPSteadyState), every one at 0, plus 100 virtual s of that
+# transfer under 64 KiB (TestAllocGuardTCPHorizon: a flow records no
+# per-packet log unless asked); the -run prefix picks up every
+# TestAllocGuard* by name, so a new guard needs no edit here. Two more pin
+# where a run's forwarding-state memory is allocated, which is what keeps a
+# benchmark's timed-region allocation from depending on the scheduler: the
+# incremental engine sizes every arena in its first step, and the pipeline
+# never needs a table beyond the ones it reserves.
 GOMAXPROCS=1 go test -count=1 \
     -run 'TestAllocGuard|TestEngineAllocatesArenasOnlyInFirstStep|TestPipelineHoldsAtMostReservedTables' \
     ./internal/graph/ ./internal/routing/ ./internal/analysis/ ./internal/sim/ ./internal/transport/ ./internal/core/
