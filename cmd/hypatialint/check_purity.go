@@ -37,7 +37,7 @@ import (
 
 // checkPurityPkgs runs the purity check over the lint targets, using effect
 // summaries computed over every loaded package.
-func checkPurityPkgs(targets, all []*pkg, cg *callGraph, cfg config, ax *allocAnalysis, rep *reporter) {
+func checkPurityPkgs(targets, all []*pkg, cg *callGraph, cfg config, rep *reporter) {
 	an := analyzeEffects(all, cg, cfg.module)
 	// An implementer of a //hypatia:pure interface must carry the annotation
 	// itself, which checkAnnotated then holds it to.
@@ -49,7 +49,7 @@ func checkPurityPkgs(targets, all []*pkg, cg *callGraph, cfg config, ax *allocAn
 			tn.Name(), itn.Pkg().Name(), itn.Name(), m.Name())
 	}
 	for _, p := range targets {
-		pc := &purityChecker{an: an, p: p, allocs: ax, rep: rep}
+		pc := &purityChecker{an: an, p: p, rep: rep}
 		pc.checkDirectiveComments()
 		an.checkAnnotated(p, rep, pc.checkCalleesAnnotated)
 		an.checkImplementers(p, rep, unannotated)
@@ -60,10 +60,9 @@ func checkPurityPkgs(targets, all []*pkg, cg *callGraph, cfg config, ax *allocAn
 }
 
 type purityChecker struct {
-	an     *effectAnalysis
-	p      *pkg
-	allocs *allocAnalysis
-	rep    *reporter
+	an  *effectAnalysis
+	p   *pkg
+	rep *reporter
 }
 
 // checkDirectiveComments flags //hypatia: comments that are malformed or
@@ -80,25 +79,12 @@ func (pc *purityChecker) checkDirectiveComments() {
 				if i := strings.IndexAny(verb, " ("); i >= 0 {
 					verb = verb[:i]
 				}
-				switch verb {
-				case "pure":
-					if !pc.an.honored[c.Pos()] {
-						pc.rep.add(c.Pos(), checkDirective,
-							"//hypatia:pure has no effect here; it belongs in the doc comment of a function or a named function type")
-					}
-				case "noalloc":
-					if !pc.allocs.honored[c.Pos()] {
-						pc.rep.add(c.Pos(), checkDirective,
-							"//hypatia:noalloc has no effect here; it belongs in the doc comment of a function, a named function type, or an interface")
-					}
-				case "allocs":
-					if !pc.allocs.honored[c.Pos()] {
-						pc.rep.add(c.Pos(), checkDirective,
-							"//hypatia:allocs(amortized) downgrades no allocation site here; it must trail (or sit immediately above) an allocation inside a function body, and amortized is the only supported class")
-					}
-				default:
+				if verb != "pure" {
 					pc.rep.add(c.Pos(), checkDirective,
-						fmt.Sprintf("unknown //hypatia: directive %q (supported: //hypatia:pure, //hypatia:noalloc, //hypatia:allocs)", "hypatia:"+verb))
+						fmt.Sprintf("unknown //hypatia: directive %q (//hypatia:pure is the only one)", "hypatia:"+verb))
+				} else if !pc.an.honored[c.Pos()] {
+					pc.rep.add(c.Pos(), checkDirective,
+						"//hypatia:pure has no effect here; it belongs in the doc comment of a function or a named function type")
 				}
 			}
 		}

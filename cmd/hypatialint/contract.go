@@ -1,23 +1,21 @@
 package main
 
-// The contract engine behind the purity and allocsafety checks. Both turn a
-// //hypatia:<x> directive into a verified bottom-up contract of the same
-// shape:
+// The contract engine behind the purity check. It turns //hypatia:pure into a
+// verified bottom-up contract:
 //
 //   - a directive index over function declarations, named function types
 //     (calls through their values are trusted) and interfaces (calls through
 //     their methods are trusted, module-local implementers are obligated);
-//   - a summary per call-graph node — a set of lattice points, each with the
+//   - a summary per call-graph node — a set of effect bits, each with the
 //     origin call chain that first established it — computed bottom-up over
 //     the strongly connected components of the module-local call graph, the
-//     members of a component iterating to a fixpoint (the lattices are
-//     finite unions, so the iteration is trivially bounded);
+//     members of a component iterating to a fixpoint (the lattice is a
+//     finite union, so the iteration is trivially bounded);
 //   - a check that every annotated function's summary stays clear of the
-//     violating points, and that the implementers of annotated interfaces
-//     keep the promise callers rely on.
+//     impure bits, and that the implementers of annotated interfaces keep
+//     the promise callers rely on.
 //
-// A check family supplies the directive, the lattice points, and the
-// per-node scan; effects.go and allocs.go are the two instances.
+// effects.go holds the lattice and the per-node scan.
 
 import (
 	"fmt"
@@ -57,47 +55,40 @@ func shortFile(name string) string {
 	return name
 }
 
-// summary is the computed summary of one call-graph node: the lattice points
-// K established for it, each with the origin that established it first.
-type summary[K comparable] struct {
-	origins map[K]origin
+// funcSummary is the computed effect summary of one call-graph node: the
+// effect bits established for it, each with the origin that established it
+// first.
+type funcSummary struct {
+	origins map[effect]origin
 }
 
-func (s *summary[K]) has(k K) bool {
+func (s *funcSummary) has(k effect) bool {
 	_, ok := s.origins[k]
 	return ok
 }
 
-// add records o as the witness of point k unless k already has one, and
+// add records o as the witness of bit k unless k already has one, and
 // reports whether the summary grew.
-func (s *summary[K]) add(k K, o origin) bool {
+func (s *funcSummary) add(k effect, o origin) bool {
 	if s.has(k) {
 		return false
 	}
 	if s.origins == nil {
-		s.origins = map[K]origin{}
+		s.origins = map[effect]origin{}
 	}
 	s.origins[k] = o
 	return true
 }
 
-// contract is the module-wide state of one //hypatia:<x> contract: the
+// pureDirective is the one //hypatia: directive.
+const pureDirective = "//hypatia:pure"
+
+// contract is the module-wide state of the //hypatia:pure contract: the
 // directive index and a summary per call-graph node.
-type contract[K comparable] struct {
+type contract struct {
 	cg        *callGraph
 	module    string
-	check     string // the finding family violations are reported under
-	directive string // e.g. "//hypatia:pure"
-	// points are the lattice points in the order a fixpoint pass merges
-	// them and a witness is picked; violates tells which of them an
-	// annotated function must stay clear of.
-	points   []K
-	violates func(K) bool
-	// scan computes one node's summary from its body, composing callee
-	// summaries (provisional ones for the callees in inSCC).
-	scan func(k cgKey, inSCC map[cgKey]bool) *summary[K]
-
-	summaries map[cgKey]*summary[K]
+	summaries map[cgKey]*funcSummary
 	// fns are the annotated declared functions.
 	fns map[*types.Func]bool
 	// funcTypes are annotated named function types: calls through values of
@@ -114,31 +105,19 @@ type contract[K comparable] struct {
 	honored map[token.Pos]bool
 }
 
-func newContract[K comparable](cg *callGraph, module, check, directive string, points []K, violates func(K) bool) *contract[K] {
-	return &contract[K]{
-		cg: cg, module: module, check: check, directive: directive,
-		points: points, violates: violates,
-		summaries: map[cgKey]*summary[K]{},
-		fns:       map[*types.Func]bool{},
-		funcTypes: map[*types.TypeName]bool{},
-		ifaces:    map[*types.TypeName]bool{},
-		honored:   map[token.Pos]bool{},
-	}
-}
-
 // solve indexes the directives of every package, then computes the summary
 // of every call-graph node, callees before callers.
-func (c *contract[K]) solve(all []*pkg) {
+func (an *effectAnalysis) solve(all []*pkg) {
 	// Stable node order: packages are pre-sorted by path, funcsIn is file
 	// order, so SCC discovery (and therefore witness selection) is
 	// deterministic.
 	var order []cgKey
 	for _, p := range all {
-		c.collectDirectives(p)
-		order = append(order, c.cg.funcsIn[p]...)
+		an.collectDirectives(p)
+		order = append(order, an.cg.funcsIn[p]...)
 	}
-	for _, scc := range sccOrder(order, c.cg) {
-		c.solveSCC(scc)
+	for _, scc := range sccOrder(order, an.cg) {
+		an.solveSCC(scc)
 	}
 }
 
@@ -158,12 +137,12 @@ func directiveIn(doc *ast.CommentGroup, directive string) *ast.Comment {
 
 // collectDirectives records the contract's annotations on function
 // declarations, named function types, and interfaces.
-func (c *contract[K]) collectDirectives(p *pkg) {
+func (c *contract) collectDirectives(p *pkg) {
 	for _, f := range p.files {
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
-				if dc := directiveIn(d.Doc, c.directive); dc != nil {
+				if dc := directiveIn(d.Doc, pureDirective); dc != nil {
 					if fn, ok := p.info.Defs[d.Name].(*types.Func); ok {
 						c.fns[fn] = true
 						c.honored[dc.Pos()] = true
@@ -178,9 +157,9 @@ func (c *contract[K]) collectDirectives(p *pkg) {
 					if !ok {
 						continue
 					}
-					dc := directiveIn(ts.Doc, c.directive)
+					dc := directiveIn(ts.Doc, pureDirective)
 					if dc == nil && len(d.Specs) == 1 {
-						dc = directiveIn(d.Doc, c.directive)
+						dc = directiveIn(d.Doc, pureDirective)
 					}
 					if dc == nil {
 						continue
@@ -265,21 +244,22 @@ func sccOrder(order []cgKey, cg *callGraph) [][]cgKey {
 // solveSCC computes the summaries of one component to fixpoint. Summaries
 // only grow, so re-scanning members until nothing changes terminates within
 // a handful of passes.
-func (c *contract[K]) solveSCC(scc []cgKey) {
+func (an *effectAnalysis) solveSCC(scc []cgKey) {
 	inSCC := map[cgKey]bool{}
 	for _, k := range scc {
 		inSCC[k] = true
-		if c.summaries[k] == nil {
-			c.summaries[k] = &summary[K]{}
+		if an.summaries[k] == nil {
+			an.summaries[k] = &funcSummary{}
 		}
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, k := range scc {
-			fresh := c.scan(k, inSCC)
-			cur := c.summaries[k]
-			for _, pt := range c.points {
-				if o, ok := fresh.origins[pt]; ok && cur.add(pt, o) {
+			cur := an.summaries[k]
+			// Each bit keeps the first witness it got, so the order bits
+			// are merged in does not matter.
+			for bit, o := range an.scanNode(k, inSCC).origins {
+				if cur.add(bit, o) {
 					changed = true
 				}
 			}
@@ -287,10 +267,11 @@ func (c *contract[K]) solveSCC(scc []cgKey) {
 	}
 }
 
-// witness returns the origin of the first violating point of a summary.
-func (c *contract[K]) witness(s *summary[K]) (origin, bool) {
-	for _, pt := range c.points {
-		if o, ok := s.origins[pt]; ok && c.violates(pt) {
+// witness returns the origin of a summary's first impure bit, in
+// effectNames order.
+func witness(s *funcSummary) (origin, bool) {
+	for _, en := range effectNames {
+		if o, ok := s.origins[en.bit]; ok && en.bit&effImpure != 0 {
 			return o, true
 		}
 	}
@@ -298,10 +279,10 @@ func (c *contract[K]) witness(s *summary[K]) (origin, bool) {
 }
 
 // checkAnnotated verifies the annotated functions declared in p against
-// their summaries: a violating point is a finding at the declaration, naming
+// their summaries: an impure bit is a finding at the declaration, naming
 // the offending site and the full call chain down to it. each, when non-nil,
 // is called on every annotated declaration for the family's further rules.
-func (c *contract[K]) checkAnnotated(p *pkg, rep *reporter, each func(k cgKey, body *ast.BlockStmt, name string)) {
+func (c *contract) checkAnnotated(p *pkg, rep *reporter, each func(k cgKey, body *ast.BlockStmt, name string)) {
 	for _, k := range c.cg.funcsIn[p] {
 		fn, ok := k.(*types.Func)
 		if !ok || !c.fns[fn] {
@@ -313,9 +294,9 @@ func (c *contract[K]) checkAnnotated(p *pkg, rep *reporter, each func(k cgKey, b
 		}
 		name := c.cg.nodeName(fn)
 		if sum := c.summaries[k]; sum != nil {
-			if o, bad := c.witness(sum); bad {
-				rep.add(decl.Name.Pos(), c.check,
-					fmt.Sprintf("%s is marked %s but %s", name, c.directive, o.describe(name)))
+			if o, bad := witness(sum); bad {
+				rep.add(decl.Name.Pos(), checkPurity,
+					fmt.Sprintf("%s is marked %s but %s", name, pureDirective, o.describe(name)))
 			}
 		}
 		if each != nil {
@@ -331,7 +312,7 @@ func (c *contract[K]) checkAnnotated(p *pkg, rep *reporter, each func(k cgKey, b
 // "" when the method keeps the promise. (A type satisfying an annotated
 // interface declared downstream of its own package is invisible from here —
 // the documented structural-typing gap.)
-func (c *contract[K]) checkImplementers(p *pkg, rep *reporter, violation func(tn, itn *types.TypeName, m, impl *types.Func) string) {
+func (c *contract) checkImplementers(p *pkg, rep *reporter, violation func(tn, itn *types.TypeName, m, impl *types.Func) string) {
 	scope := p.types.Scope()
 	reported := map[*types.Func]bool{}
 	for _, tname := range scope.Names() {
@@ -364,7 +345,7 @@ func (c *contract[K]) checkImplementers(p *pkg, rep *reporter, violation func(tn
 				}
 				if msg := violation(tn, itn, m, impl); msg != "" {
 					reported[impl] = true
-					rep.add(decl.Name.Pos(), c.check, msg)
+					rep.add(decl.Name.Pos(), checkPurity, msg)
 				}
 			}
 		}

@@ -68,14 +68,11 @@ var effectNames = []struct {
 	{effMutatesPointee, "mutates-pointee"},
 }
 
-// funcSummary is the computed effect summary of one call-graph node.
-type funcSummary = summary[effect]
-
 // effectAnalysis is the module-wide result: the //hypatia:pure contract
 // (directive index plus a summary per node) and the mutable-global set the
 // scan reads.
 type effectAnalysis struct {
-	*contract[effect]
+	*contract
 	// mutableGlobals are package-level variables assigned (or having their
 	// address taken) somewhere in their own package outside declarations.
 	// Reads of other package-level variables are treated as constant loads.
@@ -84,16 +81,17 @@ type effectAnalysis struct {
 
 // analyzeEffects computes effect summaries for every node of the call graph.
 func analyzeEffects(all []*pkg, cg *callGraph, module string) *effectAnalysis {
-	points := make([]effect, len(effectNames))
-	for i, en := range effectNames {
-		points[i] = en.bit
-	}
 	an := &effectAnalysis{
-		contract: newContract(cg, module, checkPurity, "//hypatia:pure", points,
-			func(bit effect) bool { return bit&effImpure != 0 }),
+		contract: &contract{
+			cg: cg, module: module,
+			summaries: map[cgKey]*funcSummary{},
+			fns:       map[*types.Func]bool{},
+			funcTypes: map[*types.TypeName]bool{},
+			ifaces:    map[*types.TypeName]bool{},
+			honored:   map[token.Pos]bool{},
+		},
 		mutableGlobals: map[*types.Var]bool{},
 	}
-	an.scan = an.scanNode
 	for _, p := range all {
 		an.collectMutableGlobals(p)
 	}
@@ -212,9 +210,9 @@ const (
 	taintGlobal                   // package-level storage (directly or via alias)
 )
 
-// taintScan is the storage-provenance view of one node's body, shared by the
-// effect and allocation scans: which variables are parameters, where each
-// local's storage may live, and which locals are bound once to a literal.
+// taintScan is the storage-provenance view of one node's body: which
+// variables are parameters, where each local's storage may live, and which
+// locals are bound once to a literal.
 type taintScan struct {
 	p      *pkg
 	body   *ast.BlockStmt

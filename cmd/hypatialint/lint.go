@@ -15,7 +15,6 @@ const (
 	checkDroppedError = "droppederror" // discarded error results
 	checkStaleIgnore  = "staleignore"  // //lint:ignore directives that no longer match any finding
 	checkPurity       = "purity"       // //hypatia:pure contract violations and unannotated pipeline callees
-	checkAllocSafety  = "allocsafety"  // //hypatia:noalloc functions allocating on the steady-state path
 	checkDirective    = "directive"    // malformed //lint: or //hypatia: comments
 )
 
@@ -24,7 +23,6 @@ var checkDocs = [][2]string{
 	{checkDroppedError, "error results must be handled or explicitly discarded with _ ="},
 	{checkStaleIgnore, "//lint:ignore directives must still match a finding; delete them when the code is fixed"},
 	{checkPurity, "//hypatia:pure functions must be effect-free and call only annotated functions; pipeline goroutine bodies are held to the worker contract"},
-	{checkAllocSafety, "//hypatia:noalloc functions must not allocate on the steady-state path; caller-owned arena growth and //hypatia:allocs(amortized) sites are the only allowances"},
 	{checkDirective, "//lint:ignore directives must name a check and give a reason; //hypatia: comments must be valid and take effect"},
 }
 
@@ -233,12 +231,7 @@ func lintPackages(targets, all []*pkg, cg *callGraph, cfg config, rep *reporter)
 		}
 		checkDroppedErrorPkg(p, rep)
 	}
-	// The allocation analysis is built before the purity pass so its
-	// directive index is complete when checkDirectiveComments validates
-	// //hypatia: comments.
-	ax := analyzeAllocs(all, cg, cfg.module)
-	checkPurityPkgs(targets, all, cg, cfg, ax, rep)
-	checkAllocSafetyPkgs(targets, ax, rep)
+	checkPurityPkgs(targets, all, cg, cfg, rep)
 	rep.reportStale()
 }
 

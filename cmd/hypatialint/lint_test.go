@@ -98,69 +98,11 @@ func TestFixtures(t *testing.T) {
 		families[f.Check] = true
 	}
 	for _, name := range []string{
-		checkDroppedError, checkStaleIgnore, checkPurity, checkAllocSafety, checkDirective,
+		checkDroppedError, checkStaleIgnore, checkPurity, checkDirective,
 	} {
 		if !families[name] {
 			t.Errorf("check family %q produced no findings on its fixtures", name)
 		}
-	}
-}
-
-// TestAllocFixtureFailsAlone pins the acceptance criterion that each
-// seeded allocsafety violation — escaping literal, fresh append, escaping
-// closure, fmt boxing, a make buried two calls deep, and an allocating
-// implementer of a //hypatia:noalloc interface — fails the lint when the
-// fixture runs by itself, with the full allocation-origin call chain
-// present in both the text rendering and the -json output, while the
-// amortized arena, annotated warm-up, pool-reuse, panic-path,
-// waived-setup-call, and blessed-interface negatives stay clean.
-func TestAllocFixtureFailsAlone(t *testing.T) {
-	if code := run([]string{"./testdata/src/allocsafety"}); code != 1 {
-		t.Fatalf("run on allocsafety fixture = %d, want 1", code)
-	}
-	findings, err := lint(".", []string{"./testdata/src/allocsafety"}, fixtureCfg)
-	if err != nil {
-		t.Fatalf("lint: %v", err)
-	}
-	var alloc int
-	var chained bool
-	for _, f := range findings {
-		if f.Check != checkAllocSafety {
-			continue
-		}
-		alloc++
-		if strings.Contains(f.Msg, "make allocates at fixture.go:") &&
-			strings.Contains(f.Msg, "call chain: allocsafety.entry → allocsafety.helper → allocsafety.mid") {
-			chained = true
-		}
-		for _, clean := range []string{"push", "warmup", "get", "put", "checked", "setup", "total", "constSource.Sample"} {
-			if strings.Contains(f.Msg, "allocsafety."+clean+" ") {
-				t.Errorf("negative case %s flagged: %v", clean, f)
-			}
-		}
-	}
-	if alloc != 6 {
-		t.Errorf("allocsafety findings = %d, want the fixture's six seeded violations; findings:\n%v", alloc, findings)
-	}
-	if !chained {
-		t.Errorf("no finding renders the full allocation-origin call chain; findings:\n%v", findings)
-	}
-	var buf bytes.Buffer
-	if err := writeJSON(&buf, findings); err != nil {
-		t.Fatalf("writeJSON: %v", err)
-	}
-	var decoded []jsonFinding
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("decode -json output: %v", err)
-	}
-	var jsonChained bool
-	for _, d := range decoded {
-		if d.Check == checkAllocSafety && strings.Contains(d.Message, "call chain: allocsafety.entry →") {
-			jsonChained = true
-		}
-	}
-	if !jsonChained {
-		t.Error("-json output carries no allocsafety finding with its origin call chain")
 	}
 }
 
@@ -325,22 +267,20 @@ func TestSuppressionEdgeCases(t *testing.T) {
 	defer os.RemoveAll(scratch)
 	src := `package scratch
 
-var counter int
-
 // helper is effect-free but unannotated, so every call to it from a
 // //hypatia:pure function is a purity finding at the call.
 func helper() int { return 1 }
 
-// The declaration breaks both contracts — a global write and an escaping
-// literal — so purity and allocsafety both report on its line; the
-// directive names only allocsafety, so the purity finding survives.
+// check is helper with an error result.
+func check() error { return nil }
+
+// The call drops check's error and calls an unannotated function from a
+// //hypatia:pure one, so droppederror and purity both report on its line;
+// the directive names only droppederror, so the purity finding survives.
 //
 //hypatia:pure
-//hypatia:noalloc
-//lint:ignore allocsafety exercises one-of-two suppression
-func twoChecksOneIgnore() []int {
-	counter++
-	return []int{counter}
+func twoChecksOneIgnore() {
+	check() //lint:ignore droppederror exercises one-of-two suppression
 }
 
 // Both directives match the single purity finding between them: the
@@ -378,9 +318,9 @@ func trailingCoversOwnLineOnly() int {
 		counts[key{f.Check, f.Suppressed}]++
 	}
 	want := map[key]int{
-		{checkAllocSafety, true}: 1,
-		{checkPurity, true}:      2,
-		{checkPurity, false}:     2,
+		{checkDroppedError, true}: 1,
+		{checkPurity, true}:       2,
+		{checkPurity, false}:      2,
 	}
 	for k, n := range want {
 		if counts[k] != n {
@@ -501,6 +441,11 @@ type formerlyHandled struct {
 
 //hypatia:exhaustive
 type formerlyExhaustive uint8
+
+//hypatia:noalloc
+func formerlyNoalloc() []int {
+	return make([]int, 0, 4) //hypatia:allocs(amortized) no analyzer reads this either
+}
 `
 	if err := os.WriteFile(filepath.Join(scratch, "scratch.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
@@ -509,8 +454,8 @@ type formerlyExhaustive uint8
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
-	if len(findings) != 8 {
-		t.Fatalf("findings = %v, want 8 directive findings", findings)
+	if len(findings) != 10 {
+		t.Fatalf("findings = %v, want 10 directive findings", findings)
 	}
 	for _, f := range findings {
 		if f.Check != checkDirective {

@@ -9,7 +9,7 @@
 //
 // An interprocedural effect analysis — a bottom-up fixpoint over the
 // strongly-connected components of the module-local call graph — backs the
-// contract families:
+// contract family:
 //
 //	purity          //hypatia:pure is a checked contract: an annotated
 //	                function must be free of global writes, wall-clock and
@@ -19,16 +19,6 @@
 //	                obligates module-local implementers; goroutine bodies in
 //	                the pipeline packages (defaultConfig.pureScope) are held
 //	                to the worker contract (channels and arena writes allowed)
-//	allocsafety     //hypatia:noalloc is a checked contract: a bottom-up
-//	                fixpoint over the call graph assigns every function an
-//	                allocation class — NoAlloc, AmortizedGrow (append into
-//	                caller-owned arenas, capacity-guarded make, sync.Pool
-//	                misses), or Allocates — and an annotated function whose
-//	                steady-state path allocates is a finding with the full
-//	                allocation-origin call chain; //hypatia:allocs(amortized)
-//	                downgrades a justified growth site, and a named function
-//	                type annotated //hypatia:noalloc blesses dynamic calls
-//	                through its values
 //	directive       //lint: and //hypatia: comments that are malformed,
 //	                name an unknown directive, or sit where they take no
 //	                effect
@@ -39,8 +29,9 @@
 // hypatia_checks over the sharded and pipeline differentials; wall-clock and
 // global-rand reads, sim.Time rounding, by-value lock copies and event kinds
 // without a dispatch arm by the replay tests, golden digests, go vet and
-// dispatch's own panic (DESIGN.md's three "Removed, and why" sections record
-// the mutation trials behind each call).
+// dispatch's own panic; steady-state allocation on the hot paths by the
+// AllocGuard tests and scripts/bench.sh's alloc_budgets (DESIGN.md's four
+// "Removed, and why" sections record the mutation trials behind each call).
 //
 // One run is one serial pass: the lint targets and their module-local
 // imports are parsed and type-checked from source, every check family runs

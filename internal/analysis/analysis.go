@@ -158,7 +158,6 @@ func (c Config) pairList(topo *routing.Topology) [][2]int {
 // differs from the one the pair last had. A pair with no route gets +Inf, 0
 // and false.
 //
-//hypatia:noalloc
 //hypatia:pure
 type pairVisitor func(step, pair int, dist float64, hops int, changed bool)
 
@@ -243,8 +242,6 @@ func (sw *sweep) run(visit pairVisitor) {
 }
 
 // advance solves and visits the current step's trees.
-//
-//hypatia:noalloc
 func (sw *sweep) advance() {
 	sw.eng.Trees(float64(sw.step)*sw.cfg.Step, sw.roots, sw.onTree)
 }
@@ -254,7 +251,6 @@ func (sw *sweep) advance() {
 // predecessor walk from the destination back to the root, which is counted
 // and reduced to its satellites without being materialised.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (sw *sweep) tree(gs int, dist []float64, prev []int32) {
 	nSat := sw.topo.NumSats()
@@ -315,7 +311,6 @@ func AnalyzePairs(topo *routing.Topology, cfg Config) ([]PairStats, error) {
 
 // observe folds one step's shortest path into the pair's aggregates.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (st *PairStats) observe(dist float64, hops int, changed bool) {
 	st.Steps++

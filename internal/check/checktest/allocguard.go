@@ -1,10 +1,9 @@
-// Package checktest provides test-only helpers that enforce the runtime
-// half of the //hypatia:noalloc contract. The static side (hypatialint's
-// allocsafety check) proves the annotated hot paths free of steady-state
-// allocation sites; the AllocGuard here pins the same property on the
-// running binary with testing.AllocsPerRun, so a regression that slips
-// past the analyzer's model (compiler escape-analysis changes, a stdlib
-// function quietly starting to allocate) still fails the test suite.
+// Package checktest provides test-only helpers that enforce the simulator's
+// allocation contract: AllocGuard pins a steady-state hot path's heap
+// allocations per call on the running binary with testing.AllocsPerRun, so
+// what it measures is what the compiler's escape analysis and the standard
+// library actually do. The AllocGuard tests and scripts/bench.sh's
+// alloc_budgets are the whole contract; there is no static half.
 //
 // This package is imported only from _test.go files: it imports the
 // testing package, which must never be linked into the simulator binaries
@@ -21,8 +20,8 @@ import (
 // AllocGuard asserts that f performs at most budget heap allocations per
 // call in steady state. warmup calls run first so amortized paths (arena
 // growth, pool misses, capacity-guarded make) reach their steady state
-// before measurement — the same amortized/steady-state split the
-// allocsafety lattice draws.
+// before measurement: growth that stops is amortized, and only what every
+// call allocates counts.
 //
 // Under the hypatia_checks build the guard still exercises f once (so the
 // checked build's assertions and oracles run), but skips budget

@@ -196,9 +196,9 @@ func BenchmarkForwardingStateIncremental(b *testing.B) {
 	// Warm for two full 8-instant cycles, not just the seeding step: pooled
 	// tables, delta scratch, and per-destination repair arenas keep growing
 	// for several instants after the first as the drift exposes new
-	// high-water marks. The timed loop then measures the steady state the
-	// //hypatia:noalloc annotation on Step is about, so allocs/op reports
-	// the contract's honest per-instant residue.
+	// high-water marks. The timed loop then measures the steady state
+	// TestAllocGuardIncrementalStep pins, so allocs/op reports the honest
+	// per-instant residue.
 	for j := 0; j < 17; j++ {
 		eng.Step(at.Seconds(), nil).Release()
 		at += 100 * sim.Millisecond

@@ -63,13 +63,12 @@ func newPipeline(topo *routing.Topology, strategy Strategy, active []int, times 
 // A custom strategy is an opaque function, so it is called on a from-scratch
 // snapshot of each instant.
 //
-// The producer holds the machine-checked no-allocation contract for its
-// steady-state loop: the repair chain reuses the engine's carried arenas and
-// the tables reserved here end to end, so after the one-time construction and
-// the engine's first step (which sizes every arena, IncrementalEngine.prime)
-// each instant is produced without touching the heap.
-//
-//hypatia:noalloc
+// The producer's steady-state loop allocates nothing: the repair chain reuses
+// the engine's carried arenas and the tables reserved here end to end, so
+// after the one-time construction and the engine's first step (which sizes
+// every arena, IncrementalEngine.prime) each instant is produced without
+// touching the heap. TestAllocGuardIncrementalStepActive holds a step on this
+// shape at zero, and TestAllocGuardIncrementalStep the nil-list one.
 func (p *pipeline) producer(topo *routing.Topology, strategy Strategy, active []int, times []sim.Time) {
 	defer close(p.stopped)
 	var eng *routing.IncrementalEngine
@@ -94,7 +93,7 @@ func (p *pipeline) producer(topo *routing.Topology, strategy Strategy, active []
 			ft = eng.Step(at.Seconds(), active)
 		} else {
 			snap = topo.SnapshotInto(at.Seconds(), snap)
-			ft = strategy(snap, active) //hypatia:allocs(amortized) custom strategies own their allocation budget
+			ft = strategy(snap, active)
 		}
 		select {
 		case p.tables <- ft:

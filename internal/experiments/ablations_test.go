@@ -1,33 +1,51 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
 
+// TestAblationMultipath locks the table EXPERIMENTS.md's "Multi-path
+// diversity" bullet quotes: cmd/hypatia's ablation at -scale quick, the 4
+// shortest paths of 20 permutation pairs per constellation at t = 0. Each
+// stretch must round to the printed value (±0.0006 of it), and the disjoint
+// share may move by at most one pair; anything more changed the finding.
 func TestAblationMultipath(t *testing.T) {
-	stats, rep, err := AblationMultipath(3, 5, 0)
+	stats, rep, err := AblationMultipath(4, QuickScale().Pairs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats) != 3 {
-		t.Fatalf("constellations = %d", len(stats))
+	want := []struct {
+		name     string
+		pairs    int
+		stretch  []float64
+		disjoint float64
+	}{
+		{"Starlink", 20, []float64{1, 1.004, 1.010, 1.014}, 0.15},
+		{"Kuiper", 20, []float64{1, 1.006, 1.012, 1.021}, 0.35},
+		{"Telesat", 20, []float64{1, 1.011, 1.039, 1.043}, 0.60},
 	}
-	for _, st := range stats {
-		if st.Pairs == 0 {
-			t.Errorf("%s: no connected pairs", st.Name)
+	if len(stats) != len(want) {
+		t.Fatalf("constellations = %d, want %d", len(stats), len(want))
+	}
+	for i, w := range want {
+		st := stats[i]
+		if st.Name != w.name || st.Pairs != w.pairs {
+			t.Errorf("row %d: %s with %d connected pairs, want %s with %d", i, st.Name, st.Pairs, w.name, w.pairs)
 			continue
 		}
-		if len(st.KthStretch) == 0 || st.KthStretch[0] != 1 {
-			t.Errorf("%s: first path stretch = %v, want exactly 1", st.Name, st.KthStretch)
+		if len(st.KthStretch) != len(w.stretch) || st.KthStretch[0] != 1 {
+			t.Errorf("%s: stretches %v, want %v with the first exactly 1", st.Name, st.KthStretch, w.stretch)
+			continue
 		}
-		for i := 1; i < len(st.KthStretch); i++ {
-			if st.KthStretch[i] < st.KthStretch[i-1] {
-				t.Errorf("%s: stretches decrease: %v", st.Name, st.KthStretch)
+		for k := range w.stretch {
+			if math.Abs(st.KthStretch[k]-w.stretch[k]) > 0.0006 {
+				t.Errorf("%s: path %d stretch %.4f, want %.3f", st.Name, k+1, st.KthStretch[k], w.stretch[k])
 			}
 		}
-		if st.DisjointFraction < 0 || st.DisjointFraction > 1 {
-			t.Errorf("%s: disjoint fraction %v", st.Name, st.DisjointFraction)
+		if math.Abs(st.DisjointFraction-w.disjoint) > 1.0/float64(w.pairs)+1e-9 {
+			t.Errorf("%s: 2nd path disjoint for %.0f%% of pairs, want %.0f%% ± one pair", st.Name, 100*st.DisjointFraction, 100*w.disjoint)
 		}
 	}
 	if !strings.Contains(rep.String(), "stretch") {

@@ -6,12 +6,8 @@ import (
 	"hypatia/internal/check/checktest"
 )
 
-// The AllocGuard tests are the runtime half of the //hypatia:noalloc
-// contract on this package's hot paths: hypatialint's allocsafety check
-// proves the annotated functions free of steady-state allocation sites,
-// and these guards pin the same property on the running binary with
-// testing.AllocsPerRun, so a regression the static model cannot see
-// (escape-analysis changes, stdlib drift) still fails the suite.
+// The AllocGuard tests are the allocation contract on this package's hot
+// paths; see internal/check/checktest.
 
 // TestAllocGuardDijkstraScratch pins the relax loop plus the indexed-heap
 // workspace: with warmed dist/prev slabs and scratch, a full

@@ -51,7 +51,6 @@ type DiffScratch struct {
 // bitwise: the topology builders recompute identical geometry identically,
 // so an unchanged link produces an unchanged float.
 //
-//hypatia:noalloc
 //hypatia:pure
 func DiffInto(oldG, newG *Graph, out []EdgeChange, sc *DiffScratch) []EdgeChange {
 	if oldG.n != newG.n {
@@ -126,7 +125,6 @@ func (sc *RepairScratch) Reserve(n int) {
 // orderCmp is the settle-order comparator: by distance, then node id —
 // exactly Dijkstra's pop order.
 //
-//hypatia:noalloc
 //hypatia:pure
 func orderCmp(dist []float64, a, b int32) int {
 	da, db := dist[a], dist[b]
@@ -145,7 +143,6 @@ func orderCmp(dist []float64, a, b int32) int {
 // lazy order refresh allocation-free and, unlike slices.SortFunc, inside
 // the machine-checked purity contract.
 //
-//hypatia:noalloc
 //hypatia:pure
 func sortByDist(order []int32, dist []float64) {
 	n := len(order)
@@ -161,7 +158,6 @@ func sortByDist(order []int32, dist []float64) {
 // siftDownOrder restores the max-heap property under orderCmp for the
 // subtree of order[:n] rooted at root.
 //
-//hypatia:noalloc
 //hypatia:pure
 func siftDownOrder(order []int32, dist []float64, root, n int) {
 	for {
@@ -209,7 +205,6 @@ const (
 // the compiler keeps the accumulators on the stack, which measured 12-18 %
 // slower per tree (DESIGN.md, "Incremental forwarding state").
 //
-//hypatia:noalloc
 //hypatia:pure
 func pull(edges []Edge, dist []float64) (arg int32, best, tie, far uint64) {
 	arg, best, tie = -1, ^uint64(0), ^uint64(0)
@@ -258,7 +253,6 @@ func pull(edges []Edge, dist []float64) (arg int32, best, tie, far uint64) {
 // so its predecessor choice there is not the (dist, id) rule canonicalPrev
 // applies (TestRepairZeroWeightEdges).
 //
-//hypatia:noalloc
 //hypatia:pure
 func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []int32, sc *RepairScratch) {
 	n := g.n
@@ -365,7 +359,6 @@ func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []i
 // returning the number of heap pops (the repair's measure of how stale its
 // sweep order has become).
 //
-//hypatia:noalloc
 //hypatia:pure
 func (g *Graph) settle(dist []float64, prev []int32, src int, sc *RepairScratch) int {
 	h := &sc.h
@@ -396,7 +389,6 @@ func (g *Graph) settle(dist []float64, prev []int32, src int, sc *RepairScratch)
 // zero-weight edge) may be v's descendant, so when there is no other the
 // predecessor relaxation left — always a loop-free choice — stays.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (g *Graph) canonicalPrev(src int, v int32, dist []float64, prev []int32) {
 	if int(v) == src {

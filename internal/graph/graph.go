@@ -54,7 +54,6 @@ func New(n int) *Graph {
 // similar shape (the forwarding-state engine does so every update instant)
 // then performs no allocations in steady state.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (g *Graph) Reset(n int) {
 	if n <= cap(g.adj) {
@@ -76,7 +75,6 @@ func (g *Graph) Reset(n int) {
 // paths): the rebuild mutates the receiver. The checked build holds every
 // weight to the repair's contract (strictly positive) here.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (g *Graph) csr() (off []int32, edges []Edge) {
 	if g.csrOK {
@@ -104,7 +102,6 @@ func (g *Graph) csr() (off []int32, edges []Edge) {
 // counts creep as ground stations gain and lose satellites, and one
 // allocation with headroom replaces a chain of append doublings.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (g *Graph) reserveCSR() {
 	if cap(g.csrOff) < g.n+1 {
@@ -148,13 +145,11 @@ func (g *Graph) Presize() *Graph {
 
 // N returns the number of nodes.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (g *Graph) N() int { return g.n }
 
 // NumEdges returns the number of undirected edges.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (g *Graph) NumEdges() int {
 	total := 0
@@ -167,7 +162,6 @@ func (g *Graph) NumEdges() int {
 // Neighbors returns the adjacency list of node v. The slice is owned by the
 // graph and must not be modified.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (g *Graph) Neighbors(v int) []Edge { return g.adj[v] }
 
@@ -175,7 +169,6 @@ func (g *Graph) Neighbors(v int) []Edge { return g.adj[v] }
 // It panics on out-of-range nodes, self-loops, or negative weights —
 // all of which indicate a topology-construction bug.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (g *Graph) AddEdge(a, b int, w float64) {
 	if a < 0 || a >= g.n || b < 0 || b >= g.n {
@@ -206,7 +199,6 @@ type indexedHeap struct {
 // all -1 (every pushed node is eventually popped, and pop clears its pos
 // entry), so reuse needs no re-initialization sweep.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (h *indexedHeap) reset(n int) {
 	if cap(h.pos) < n {
@@ -223,7 +215,6 @@ func (h *indexedHeap) reset(n int) {
 	h.key = h.key[:n]
 }
 
-//hypatia:noalloc
 //hypatia:pure
 func (h *indexedHeap) less(a, b int32) bool {
 	if h.key[a] != h.key[b] {
@@ -232,7 +223,6 @@ func (h *indexedHeap) less(a, b int32) bool {
 	return a < b
 }
 
-//hypatia:noalloc
 //hypatia:pure
 func (h *indexedHeap) swap(i, j int) {
 	h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i]
@@ -240,7 +230,6 @@ func (h *indexedHeap) swap(i, j int) {
 	h.pos[h.nodes[j]] = int32(j)
 }
 
-//hypatia:noalloc
 //hypatia:pure
 func (h *indexedHeap) up(i int) {
 	for i > 0 {
@@ -253,7 +242,6 @@ func (h *indexedHeap) up(i int) {
 	}
 }
 
-//hypatia:noalloc
 //hypatia:pure
 func (h *indexedHeap) down(i int) {
 	for {
@@ -275,7 +263,6 @@ func (h *indexedHeap) down(i int) {
 
 // push inserts node v with key k, or decreases its key if already present.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (h *indexedHeap) push(v int32, k float64) {
 	if h.pos[v] >= 0 {
@@ -294,7 +281,6 @@ func (h *indexedHeap) push(v int32, k float64) {
 
 // pop removes and returns the minimum node.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (h *indexedHeap) pop() int32 {
 	top := h.nodes[0]
@@ -308,7 +294,6 @@ func (h *indexedHeap) pop() int32 {
 	return top
 }
 
-//hypatia:noalloc
 //hypatia:pure
 func (h *indexedHeap) empty() bool { return len(h.nodes) == 0 }
 
@@ -345,7 +330,6 @@ func (g *Graph) Dijkstra(src int, dist []float64, prev []int32) ([]float64, []in
 // are identical to Dijkstra for any scratch state: the workspace only
 // recycles allocations, never data.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (g *Graph) DijkstraScratch(src int, dist []float64, prev []int32, sc *Scratch) ([]float64, []int32) {
 	if src < 0 || src >= g.n {

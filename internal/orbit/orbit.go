@@ -164,13 +164,12 @@ func propagateAt(e Elements) State {
 }
 
 // Propagator produces inertial satellite states as a function of time
-// (seconds since the constellation epoch). The //hypatia:noalloc contract
-// rides on the interface: the forwarding-state hot paths call PositionECI
-// once per satellite per instant, so every implementation must compute
-// states in registers and stack values only.
+// (seconds since the constellation epoch). The forwarding-state hot paths
+// call PositionECI once per satellite per instant, so every implementation
+// must compute states in registers and stack values only
+// (TestAllocGuardSnapshotInto).
 //
 //hypatia:pure
-//hypatia:noalloc
 type Propagator interface {
 	// StateECI returns the inertial state at t seconds past epoch.
 	StateECI(t float64) State

@@ -10,8 +10,8 @@ import (
 	"hypatia/internal/groundstation"
 )
 
-// The AllocGuard tests are the runtime half of the //hypatia:noalloc
-// contract on this package's hot paths; see internal/check/checktest.
+// The AllocGuard tests are the allocation contract on this package's hot
+// paths; see internal/check/checktest.
 
 // TestAllocGuardSnapshotInto pins the arena-reusing snapshot path: after a
 // warm cycle over the instants the guard revisits, position slabs, graph
@@ -78,6 +78,40 @@ func TestAllocGuardIncrementalStep(t *testing.T) {
 		at += 0.1
 	}
 	checktest.AllocGuard(t, "IncrementalEngine.Step", 4, 20, step)
+}
+
+// TestAllocGuardIncrementalStepActive is the same repair on the shape the
+// pipeline producer drives it with in a packet run: K1, the 100 cities and an
+// explicit destination list, as core.RunConfig.ActiveDstGS passes it (Fig 2
+// lists every city that receives traffic). The nil-list guard above cannot
+// see work done per listed destination, and a map or slice built over the
+// list each step reaches the heap only once the list outgrows a stack-sized
+// one.
+func TestAllocGuardIncrementalStepActive(t *testing.T) {
+	c, err := constellation.Generate(constellation.Kuiper())
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := NewTopology(c, groundstation.Top100Cities(), GSLFree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := make([]int, topo.NumGS())
+	for i := range active {
+		active[i] = i
+	}
+	var pool TablePool
+	pool.Reserve(1, topo.NumNodes(), topo.NumGS())
+	eng := NewIncrementalEngine(topo, &pool)
+	// The guard cycles over four instants instead of moving on: rows that
+	// outgrow their first size as the constellation drifts are the amortized
+	// creep TestEngineAllocatesArenasOnlyInFirstStep bounds, while anything
+	// allocated per step shows here however often it runs.
+	i := 0
+	checktest.AllocGuard(t, "IncrementalEngine.Step over 100 listed destinations", 0, 8, func() {
+		eng.Step(0.1*float64(i%4), active).Release()
+		i++
+	})
 }
 
 // TestEngineAllocatesArenasOnlyInFirstStep pins the engine's allocation

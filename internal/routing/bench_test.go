@@ -67,8 +67,7 @@ func BenchmarkAblationSnapshotGSLNearest(b *testing.B) {
 // 200-instant cycle before the timer starts, so every arena has reached its
 // high-water mark (edge counts and visibility sets differ per instant) and
 // the timed loop measures pure reuse rather than first-cycle growth — the
-// same steady state the //hypatia:noalloc annotation on SnapshotInto
-// proves and the AllocGuard test enforces.
+// same steady state TestAllocGuardSnapshotInto enforces.
 func BenchmarkSnapshotInto(b *testing.B) {
 	topo := benchTopo(b, GSLFree)
 	var s *Snapshot

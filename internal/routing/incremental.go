@@ -75,7 +75,6 @@ const watchHorizon = 2.0
 // Prev returns the snapshot preceding the one DeltaInto last returned, or
 // nil on the first instant. It stays valid until the next DeltaInto call.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (d *DeltaState) Prev() *Snapshot {
 	if !d.prevOK {
@@ -86,7 +85,6 @@ func (d *DeltaState) Prev() *Snapshot {
 
 // reset rebinds the state to a topology, dropping all cached structure.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (d *DeltaState) reset(t *Topology) {
 	nSat := t.NumSats()
@@ -123,7 +121,6 @@ func (d *DeltaState) reset(t *Topology) {
 // criteria and stamps its next-check deadline from the distance-to-boundary
 // margins. It reports whether the cached status flipped.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (d *DeltaState) refreshPair(t *Topology, gi, si int, tsec float64, pos []geom.Vec3) bool {
 	c := t.Constellation
@@ -162,7 +159,6 @@ func (d *DeltaState) refreshPair(t *Topology, gi, si int, tsec float64, pos []ge
 // rebuildRow regenerates one ground station's ascending visible list and
 // row deadline from the per-pair cache.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (d *DeltaState) rebuildRow(gi, nSat int) {
 	lst := d.visLists[gi][:0]
@@ -181,7 +177,6 @@ func (d *DeltaState) rebuildRow(gi, nSat int) {
 // that horizon passes, the instants in between need only service the
 // watchlist.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (d *DeltaState) scanRow(t *Topology, gi, nSat int, tsec float64, pos []geom.Vec3, refreshAll bool) {
 	base := gi * nSat
@@ -215,7 +210,6 @@ func (d *DeltaState) scanRow(t *Topology, gi, nSat int, tsec float64, pos []geom
 // are guaranteed quiet until the horizon, so the row deadline is the
 // earlier of the watchlist minimum and the horizon itself.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (d *DeltaState) serviceWatch(t *Topology, gi, nSat int, tsec float64, pos []geom.Vec3) {
 	base := gi * nSat
@@ -248,7 +242,6 @@ func (d *DeltaState) serviceWatch(t *Topology, gi, nSat int, tsec float64, pos [
 // passed are touched, and within them only the watchlist — the full row is
 // rescanned only when its watch horizon expires.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (d *DeltaState) updateVisibility(t *Topology, tsec float64, pos []geom.Vec3) {
 	nSat := t.NumSats()
@@ -297,7 +290,6 @@ func (d *DeltaState) verifyVisibility(t *Topology, tsec float64, pos []geom.Vec3
 // positions, ISL edges, and GSL edge weights come from the same arithmetic,
 // and the cached lists reproduce VisibleFromInto's ascending order.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (d *DeltaState) snapshotFromCache(t *Topology, tsec float64, s *Snapshot) *Snapshot {
 	nSat := t.NumSats()
@@ -358,7 +350,6 @@ func (d *DeltaState) snapshotFromCache(t *Topology, tsec float64, s *Snapshot) *
 // directly and never reads a change list, so the O(E) diff would be pure
 // overhead there.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (t *Topology) deltaSnapshot(tsec float64, d *DeltaState) *Snapshot {
 	if d.topo != t {
@@ -395,8 +386,6 @@ func (d *DeltaState) primeNext() {
 // diffable). The change list is owned by d and overwritten by the next
 // call. Time may move in any direction; backward jumps just cost one full
 // visibility refresh.
-//
-//hypatia:noalloc
 func (t *Topology) DeltaInto(tsec float64, d *DeltaState) (*Snapshot, []graph.EdgeChange) {
 	snap := t.deltaSnapshot(tsec, d)
 	var changes []graph.EdgeChange
@@ -486,7 +475,6 @@ func NewIncrementalEngine(topo *Topology, pool *TablePool) *IncrementalEngine {
 // at that station's node fills them. The arrays are the engine's and are
 // overwritten by the next root: a visitor reads what it needs and returns.
 //
-//hypatia:noalloc
 //hypatia:pure
 type TreeVisitor func(gs int, dist []float64, prev []int32)
 
@@ -496,7 +484,6 @@ type TreeVisitor func(gs int, dist []float64, prev []int32)
 // tree rooted at a station is at once the forwarding column toward it
 // (prev[v] = v's next hop) and the shortest paths from it.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (e *IncrementalEngine) Trees(tsec float64, roots []int, visit TreeVisitor) {
 	g := e.topo.deltaSnapshot(tsec, &e.delta).G
@@ -536,7 +523,6 @@ func (e *IncrementalEngine) prime() {
 // a repair over the root's carried settle order, or on first use a
 // from-scratch Dijkstra that records it.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (e *IncrementalEngine) tree(g *graph.Graph, tsec float64, gs int) {
 	root := e.topo.GSNode(gs)
@@ -561,7 +547,6 @@ func (e *IncrementalEngine) tree(g *graph.Graph, tsec float64, gs int) {
 // installed as its destination's next-hop column. The table comes from the
 // engine's pool; the caller owns it and must Release it.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (e *IncrementalEngine) Step(tsec float64, active []int) *ForwardingTable {
 	ft := e.pool.Empty(tsec, e.topo.NumNodes(), e.topo.NumGS())
@@ -574,7 +559,6 @@ func (e *IncrementalEngine) Step(tsec float64, active []int) *ForwardingTable {
 // installColumn is Step's TreeVisitor: the tree's predecessors are its
 // root's next-hop column.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (e *IncrementalEngine) installColumn(gs int, _ []float64, prev []int32) {
 	e.ft.SetDestination(gs, prev)

@@ -60,31 +60,25 @@ func NewTopology(c *constellation.Constellation, gss []groundstation.GS, policy 
 
 // NumSats returns the satellite count.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (t *Topology) NumSats() int { return t.Constellation.NumSatellites() }
 
 // NumGS returns the ground-station count.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (t *Topology) NumGS() int { return len(t.GroundStations) }
 
 // NumNodes returns the total node count (satellites + ground stations).
 //
-//hypatia:noalloc
 //hypatia:pure
 func (t *Topology) NumNodes() int { return t.NumSats() + t.NumGS() }
 
 // GSNode maps a ground-station index to its node id.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (t *Topology) GSNode(gs int) int { return t.NumSats() + gs }
 
 // IsGS reports whether node is a ground station.
-//
-//hypatia:noalloc
 func (t *Topology) IsGS(node int) bool { return node >= t.NumSats() }
 
 // GSIndex maps a ground-station node id back to its index; panics if node
@@ -114,8 +108,6 @@ type Snapshot struct {
 // every node — satellites then ground stations — at time tsec. It is the
 // cheap position-only path used for per-packet propagation delays; Snapshot
 // additionally builds the connectivity graph.
-//
-//hypatia:noalloc
 func (t *Topology) NodePositions(tsec float64, dst []geom.Vec3) []geom.Vec3 {
 	n := t.NumNodes()
 	if cap(dst) < n {
@@ -143,7 +135,6 @@ func (t *Topology) Snapshot(tsec float64) *Snapshot {
 // recycles storage, never data. Reusing one snapshot across the engine's
 // update instants eliminates the per-instant allocation storm.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (t *Topology) SnapshotInto(tsec float64, s *Snapshot) *Snapshot {
 	nSat := t.NumSats()
@@ -206,7 +197,6 @@ func (s *Snapshot) FromGS(gs int, dist []float64, prev []int32) ([]float64, []in
 // FromGSScratch is FromGS with an explicit Dijkstra workspace, for callers
 // sweeping many destinations back-to-back. Results are identical to FromGS.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (s *Snapshot) FromGSScratch(gs int, dist []float64, prev []int32, sc *graph.Scratch) ([]float64, []int32) {
 	return s.G.DijkstraScratch(s.Topo.GSNode(gs), dist, prev, sc)
@@ -311,7 +301,6 @@ func (s *Snapshot) ForwardingTable() *ForwardingTable {
 // that keeps both across instants sweeps without allocating; nil for either
 // allocates fresh.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (s *Snapshot) ForwardingTableFor(active []int, pool *TablePool, sc *StrategyScratch) *ForwardingTable {
 	n, ng := s.Topo.NumNodes(), s.Topo.NumGS()
@@ -390,7 +379,6 @@ func (p *TablePool) Reserve(n, numNodes, numGS int) {
 // NewEmptyForwardingTable), drawing the backing buffer from the pool when
 // one large enough is available.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (p *TablePool) Empty(t float64, numNodes, numGS int) *ForwardingTable {
 	need := numNodes * numGS
@@ -424,8 +412,6 @@ func (p *TablePool) Empty(t float64, numNodes, numGS int) *ForwardingTable {
 // Release, into a panic, since a double Release would let the pool hand the
 // same buffer to two owners at once. Unchecked builds silently tolerate the
 // repeat.
-//
-//hypatia:noalloc
 func (ft *ForwardingTable) Release() {
 	if ft == nil {
 		return
@@ -453,8 +439,6 @@ func (ft *ForwardingTable) Release() {
 // engine stages one engine-local copy of each update instant's table per
 // shard, recycling each shard's displaced clones as the destinations for
 // later instants.
-//
-//hypatia:noalloc
 func (ft *ForwardingTable) CloneInto(dst *ForwardingTable) *ForwardingTable {
 	if check.Enabled {
 		check.Assert(!ft.released, "forwarding table t=%v cloned after Release", ft.T)
@@ -488,7 +472,6 @@ func (ft *ForwardingTable) Equal(o *ForwardingTable) bool {
 // station from a predecessor array produced by Dijkstra rooted at that
 // destination. Distinct destinations may be set concurrently.
 //
-//hypatia:noalloc
 //hypatia:pure
 func (ft *ForwardingTable) SetDestination(dstGS int, prev []int32) {
 	copy(ft.next[dstGS*ft.NumNodes:(dstGS+1)*ft.NumNodes], prev)
@@ -519,8 +502,6 @@ func (ft *ForwardingTable) checkColumn(dstGS int) {
 // NextHop returns the next-hop node from node toward destination ground
 // station dstGS, or -1 if unreachable. For the destination node itself it
 // returns the node id.
-//
-//hypatia:noalloc
 func (ft *ForwardingTable) NextHop(node, dstGS int) int32 {
 	if check.Enabled {
 		check.Assert(!ft.released, "forwarding table t=%v consulted after Release", ft.T)

@@ -6,8 +6,8 @@ import (
 	"hypatia/internal/check/checktest"
 )
 
-// The AllocGuard tests are the runtime half of the //hypatia:noalloc
-// contract on the event engine; see internal/check/checktest.
+// The AllocGuard tests are the allocation contract on the event engine; see
+// internal/check/checktest.
 
 // TestAllocGuardEventHeap pins the queue machinery the engine lives on:
 // once the heap and the record slab have grown to the working-set size,
@@ -61,4 +61,28 @@ func TestAllocGuardTimer(t *testing.T) {
 	if fired == 0 {
 		t.Error("timer never fired")
 	}
+}
+
+// TestAllocGuardShardedWindow pins the sharded loop's per-window protocol —
+// lookahead.window and minPropAt once a window, and the hook journal every
+// shard fills while hooks are installed — at nothing beyond what one
+// RunSharded call allocates once: shard engines and their channels, the
+// partition, the lookahead's link lists and position buffer, one table clone
+// per shard, and the journals' growth. Each call runs 20 ms of a 1 ms paced
+// flow over two shards: about ten windows and a hundred journal records, so a
+// window or a record that allocated would add that many.
+func TestAllocGuardShardedWindow(t *testing.T) {
+	s, n, _ := testNet(t, DefaultConfig())
+	n.RegisterFlow(1, 1, func(*Packet) {})
+	n.SetTransmitHook(func(TransmitInfo) {})
+	n.SetDeliverHook(func(Time, int, *Packet) {})
+	var pace *Timer
+	pace = n.Clock(0).NewTimer(func() {
+		n.Send(0, 1, 1, 1500, nil)
+		pace.Reset(Millisecond)
+	})
+	pace.Reset(0)
+	checktest.AllocGuard(t, "RunSharded window protocol", 126, 2, func() {
+		n.RunSharded(s.Now()+20*Millisecond, 2)
+	})
 }

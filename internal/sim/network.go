@@ -399,8 +399,6 @@ func NewNetwork(s *Simulator, topo *routing.Topology, cfg Config) (*Network, err
 func (n *Network) numFIFOs() int { return 2 * len(n.devs) }
 
 // txFIFO is the event-queue FIFO of device di's transmit completions.
-//
-//hypatia:noalloc
 func (n *Network) txFIFO(di int32) int32 { return int32(len(n.devs)) + di }
 
 // Config returns the network's configuration (with defaults applied).
@@ -408,8 +406,6 @@ func (n *Network) Config() Config { return n.cfg }
 
 // simFor returns the engine that owns a node's events: the root engine, or
 // the node's shard engine during a sharded run.
-//
-//hypatia:noalloc
 func (n *Network) simFor(node int32) *Simulator {
 	if n.shardOf == nil {
 		return n.Sim
@@ -441,8 +437,6 @@ func (n *Network) SetDeliverHook(fn func(at Time, gs int, pkt *Packet)) { n.onDe
 // journal for post-run replay in canonical order). The drop ends the
 // packet's journey: its record is recycled and the caller must not touch it
 // again.
-//
-//hypatia:noalloc
 func (n *Network) drop(s *Simulator, node int32, pkt *Packet, reason DropReason) {
 	s.st.drops[reason]++
 	if n.onDrop != nil {
@@ -451,7 +445,7 @@ func (n *Network) drop(s *Simulator, node int32, pkt *Packet, reason DropReason)
 				key: s.emissionKey(), jk: jDrop, at: s.now, a: node, reason: reason, pkt: *pkt,
 			})
 		} else {
-			n.onDrop(s.now, int(node), pkt, reason) //hypatia:allocs(amortized) monitoring hooks own their allocation budget
+			n.onDrop(s.now, int(node), pkt, reason)
 		}
 	}
 	s.recycle(pkt)
@@ -459,8 +453,6 @@ func (n *Network) drop(s *Simulator, node int32, pkt *Packet, reason DropReason)
 
 // recycle returns the record of a packet whose journey has ended to the
 // engine's free list.
-//
-//hypatia:noalloc
 func (s *Simulator) recycle(pkt *Packet) {
 	if check.Enabled {
 		pkt.ID, pkt.Hops, pkt.Size = ^uint64(0), -1, -1
@@ -518,8 +510,6 @@ func (n *Network) Installs() int { return n.Sim.st.installs }
 // forwards between the two statements. A shard engine installs the clone its
 // coordinator staged for this instant and retires the displaced clone for
 // reuse.
-//
-//hypatia:noalloc
 func (n *Network) installEvent(s *Simulator, idx int) {
 	if check.Enabled {
 		check.Assert(idx == s.st.installs, "install event %d executed as install number %d", idx, s.st.installs)
@@ -643,8 +633,6 @@ func (n *Network) TotalDrops() uint64 {
 
 // positionsAt returns the engine's cached node positions for the quantized
 // instant containing t, which must not lie behind the engine's clock.
-//
-//hypatia:noalloc
 func (n *Network) positionsAt(s *Simulator, t Time) []geom.Vec3 {
 	bucket := t / n.cfg.PosQuantum
 	if ring := s.st.posRing; len(ring) > 0 {
@@ -658,8 +646,6 @@ func (n *Network) positionsAt(s *Simulator, t Time) []geom.Vec3 {
 // fillPositions is positionsAt's miss path: propagate the bucket into its
 // slot, doubling the ring for as long as the slot holds a bucket the clock
 // has not passed (two live buckets a ring length apart).
-//
-//hypatia:noalloc
 func (n *Network) fillPositions(s *Simulator, bucket Time) []geom.Vec3 {
 	st := &s.st
 	live := s.now / n.cfg.PosQuantum
@@ -672,7 +658,7 @@ func (n *Network) fillPositions(s *Simulator, bucket Time) []geom.Vec3 {
 				return e.pos
 			}
 		}
-		grown := make([]posBucket, max(1, 2*len(st.posRing))) //hypatia:allocs(amortized) the ring stops growing at the span of buckets in use
+		grown := make([]posBucket, max(1, 2*len(st.posRing)))
 		for i := range grown {
 			grown[i].bucket = -1
 		}
@@ -687,16 +673,12 @@ func (n *Network) fillPositions(s *Simulator, bucket Time) []geom.Vec3 {
 
 // propagationDelay returns the one-way propagation delay between two nodes
 // at time t, now or ahead of the engine's clock.
-//
-//hypatia:noalloc
 func (n *Network) propagationDelay(s *Simulator, a, b int32, t Time) Time {
 	pos := n.positionsAt(s, t)
 	return Seconds(pos[a].Distance(pos[b]) / geom.SpeedOfLight)
 }
 
 // forward routes a packet held by node toward its destination GS.
-//
-//hypatia:noalloc
 func (n *Network) forward(s *Simulator, node int32, pkt *Packet) {
 	if s.st.ft == nil {
 		panic("sim: no forwarding state installed")
@@ -723,8 +705,6 @@ func (n *Network) forward(s *Simulator, node int32, pkt *Packet) {
 // retire brings device di's ring up to the clock of s, the engine that owns
 // its node: every waiting packet whose start the engine has passed has begun
 // serializing, so it leaves the occupancy and enters the transmit counters.
-//
-//hypatia:noalloc
 func (n *Network) retire(s *Simulator, di int32) {
 	d := &n.devs[di]
 	q := int32(n.cfg.QueuePackets)
@@ -754,8 +734,6 @@ func (n *Network) retire(s *Simulator, di int32) {
 // the target scheduled directly. Only a transmission somebody observes gets
 // an event at its completion (evTransmitDone), which then schedules the
 // arrival itself, as every transmission once did.
-//
-//hypatia:noalloc
 func (n *Network) enqueue(s *Simulator, di int32, pkt *Packet, target int32) {
 	d := &n.devs[di]
 	q := int32(n.cfg.QueuePackets)
@@ -786,7 +764,7 @@ func (n *Network) enqueue(s *Simulator, di int32, pkt *Packet, target int32) {
 	done := start + Seconds(float64(pkt.Size)*8/d.rateBps)
 	d.busyUntil = done
 
-	lost := n.cfg.LossModel != nil && n.cfg.LossModel(int(d.node), int(target), done) //hypatia:allocs(amortized) loss models own their allocation budget
+	lost := n.cfg.LossModel != nil && n.cfg.LossModel(int(d.node), int(target), done)
 	if lost || n.onTransmit != nil {
 		pkt.txStart, pkt.txTarget, pkt.txLost = start, target, lost
 		s.events.pushFlight(n.txFIFO(di), event{
@@ -801,8 +779,6 @@ func (n *Network) enqueue(s *Simulator, di int32, pkt *Packet, target int32) {
 // transmitDone is the evTransmitDone dispatch, the completion of an observed
 // transmission: emit it, and drop the packet the loss model discarded or send
 // the survivor on toward its target (possibly across shards).
-//
-//hypatia:noalloc
 func (n *Network) transmitDone(s *Simulator, di int32, pkt *Packet) {
 	d := &n.devs[di]
 	target, done := pkt.txTarget, s.now
@@ -814,7 +790,7 @@ func (n *Network) transmitDone(s *Simulator, di int32, pkt *Packet) {
 				arrive: arrive, pkt: *pkt,
 			})
 		} else {
-			n.onTransmit(TransmitInfo{From: int(d.node), To: int(target), Packet: pkt, Start: pkt.txStart, Arrive: arrive}) //hypatia:allocs(amortized) monitoring hooks own their allocation budget
+			n.onTransmit(TransmitInfo{From: int(d.node), To: int(target), Packet: pkt, Start: pkt.txStart, Arrive: arrive})
 		}
 	}
 	if pkt.txLost {
@@ -827,8 +803,6 @@ func (n *Network) transmitDone(s *Simulator, di int32, pkt *Packet) {
 // deliverTo schedules the arrival at its target node of a packet device di
 // puts on the wire: locally, through the device's in-flight FIFO, when the
 // target is on this engine, as a cross-shard handoff otherwise.
-//
-//hypatia:noalloc
 func (n *Network) deliverTo(s *Simulator, di, target int32, at Time, pkt *Packet) {
 	if n.shardOf != nil {
 		if k := n.shardOf[target]; k != s.shard {
@@ -845,8 +819,6 @@ func (n *Network) deliverTo(s *Simulator, di, target int32, at Time, pkt *Packet
 
 // receive is the evReceive dispatch: packet arrival at a node — local
 // delivery at the destination ground station, forwarding everywhere else.
-//
-//hypatia:noalloc
 func (n *Network) receive(s *Simulator, node int32, pkt *Packet) {
 	pkt.Hops++
 	if n.Topo.IsGS(int(node)) && n.Topo.GSIndex(int(node)) == pkt.DstGS {
@@ -862,10 +834,10 @@ func (n *Network) receive(s *Simulator, node int32, pkt *Packet) {
 					key: s.emissionKey(), jk: jDeliver, at: s.now, a: int32(pkt.DstGS), pkt: *pkt,
 				})
 			} else {
-				n.onDeliver(s.now, pkt.DstGS, pkt) //hypatia:allocs(amortized) monitoring hooks own their allocation budget
+				n.onDeliver(s.now, pkt.DstGS, pkt)
 			}
 		}
-		h(pkt) //hypatia:allocs(amortized) transport handlers own their allocation budget
+		h(pkt)
 		s.recycle(pkt)
 		return
 	}

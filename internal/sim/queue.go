@@ -63,19 +63,14 @@ type eventQueue struct {
 // for FIFO handles below n (Network.numFIFOs: two per device).
 func (q *eventQueue) devices(n int) { q.tails = make([]int32, n) }
 
-//hypatia:noalloc
 func (q *eventQueue) len() int { return q.n }
 
 // nextAt returns the time of the earliest pending event; the queue must not
 // be empty. Every non-empty FIFO has its head in the heap, so the root is the
 // earliest event overall.
-//
-//hypatia:noalloc
 func (q *eventQueue) nextAt() Time { return q.heap[heapRoot].at }
 
 // before is the canonical event order.
-//
-//hypatia:noalloc
 func (a *event) before(b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -94,8 +89,6 @@ func (a *event) before(b *event) bool {
 
 // slotBefore orders two heap slots: by time, and through their records when
 // the times tie.
-//
-//hypatia:noalloc
 func (q *eventQueue) slotBefore(a, b slot) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -104,8 +97,6 @@ func (q *eventQueue) slotBefore(a, b slot) bool {
 }
 
 // alloc stores e in a free slab record and counts it pending.
-//
-//hypatia:noalloc
 func (q *eventQueue) alloc(e event, src int32) int32 {
 	i := q.free
 	if i != 0 {
@@ -124,8 +115,6 @@ func (q *eventQueue) alloc(e event, src int32) int32 {
 }
 
 // push adds a plain event.
-//
-//hypatia:noalloc
 func (q *eventQueue) push(e event) {
 	q.up(slot{at: e.at, rec: q.alloc(e, -1)})
 }
@@ -135,8 +124,6 @@ func (q *eventQueue) push(e event) {
 // when it follows the FIFO's tail in canonical order (it becomes the head,
 // and enters the heap, when the FIFO is empty), to the heap as a plain event
 // otherwise.
-//
-//hypatia:noalloc
 func (q *eventQueue) pushFlight(dev int32, e event) {
 	t := q.tails[dev]
 	switch {
@@ -156,8 +143,6 @@ func (q *eventQueue) pushFlight(dev int32, e event) {
 // pop removes and returns the earliest event; the queue must not be empty.
 // When the event heads a FIFO with a successor, the successor takes the root
 // in the same sift-down that a plain removal spends on the last leaf.
-//
-//hypatia:noalloc
 func (q *eventQueue) pop() event {
 	top := q.heap[heapRoot].rec
 	r := &q.recs[top]
@@ -194,16 +179,12 @@ func (q *eventQueue) pop() event {
 
 // up appends x to the heap and sifts it toward the root, moving parents into
 // the hole rather than swapping.
-//
-//hypatia:noalloc
 func (q *eventQueue) up(x slot) {
 	q.heap = append(q.heap, x)
 	q.rise(len(q.heap)-1, x)
 }
 
 // rise places x at hole i or above.
-//
-//hypatia:noalloc
 func (q *eventQueue) rise(i int, x slot) {
 	h := q.heap
 	for i > heapRoot {
@@ -221,8 +202,6 @@ func (q *eventQueue) rise(i int, x slot) {
 // walks to a leaf along the least children without looking at x (it nearly
 // always belongs near the bottom — x is the last leaf, or an arrival a full
 // serialization time after the one just popped), then x rises from there.
-//
-//hypatia:noalloc
 func (q *eventQueue) down(x slot) {
 	h := q.heap
 	n := len(h)
@@ -258,8 +237,6 @@ func (q *eventQueue) down(x slot) {
 // conditional moves, and deliberately its own function: inlined into down's
 // loop by hand, the compiler runs out of registers and goes back to branches,
 // which mispredict on every level of the heap.
-//
-//hypatia:noalloc
 func least4(g *[4]slot) (m int, tied bool) {
 	a0, a1, a2, a3 := g[0].at, g[1].at, g[2].at, g[3].at
 	m01, a01 := 0, a0
@@ -295,8 +272,6 @@ func least4(g *[4]slot) (m int, tied bool) {
 // on the Fig 2 UDP workload: a station's pacing closure and its device's
 // transmit completion share instants) that this has to be the exact
 // comparator, not an approximation.
-//
-//hypatia:noalloc
 func (q *eventQueue) leastTied(g *[4]slot, m int) int {
 	at := g[m].at
 	for k := range g {

@@ -72,8 +72,6 @@ type journalRec struct {
 
 // emissionKey identifies a hook emission within the executing event:
 // the event's canonical key plus a per-event emission counter.
-//
-//hypatia:noalloc
 func (s *Simulator) emissionKey() journalKey {
 	k := s.cur
 	k.sub = s.curSub
@@ -81,7 +79,6 @@ func (s *Simulator) emissionKey() journalKey {
 	return k
 }
 
-//hypatia:noalloc
 func recLess(a, b *journalRec) bool {
 	x, y := &a.key, &b.key
 	if x.at != y.at {
@@ -119,14 +116,10 @@ func (n *Network) Clock(gs int) Clock {
 }
 
 // Now returns the owning engine's current time.
-//
-//hypatia:noalloc
 func (c Clock) Now() Time { return c.net.simFor(c.node).now }
 
 // Schedule enqueues fn to run delay from now on the node's owning engine.
 // Negative delays panic, as on Simulator.Schedule.
-//
-//hypatia:noalloc
 func (c Clock) Schedule(delay Time, fn func()) {
 	s := c.net.simFor(c.node)
 	if delay < 0 {
@@ -249,8 +242,6 @@ func newLookahead(n *Network, shardOf []int32, shards int) *lookahead {
 
 // minPropAt returns the minimum cross-shard propagation delay for one
 // position bucket (cached: windows revisit the same bucket repeatedly).
-//
-//hypatia:noalloc
 func (la *lookahead) minPropAt(bucket Time) Time {
 	if bucket == la.bucket {
 		return la.minProp
@@ -291,7 +282,6 @@ func (la *lookahead) minPropAt(bucket Time) Time {
 	return la.minProp
 }
 
-//hypatia:noalloc
 func satAdd(a, b Time) Time {
 	c := a + b
 	if c < a {
@@ -304,8 +294,6 @@ func satAdd(a, b Time) Time {
 // that every transmission decided in [t, W) arrives cross-shard at or after
 // W, taking the exact per-bucket minimum over every position bucket the
 // window overlaps. The final window (W reaching until) is inclusive.
-//
-//hypatia:noalloc
 func (la *lookahead) window(t, until Time) (Time, bool) {
 	q := la.n.cfg.PosQuantum
 	b := t / q

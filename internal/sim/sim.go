@@ -47,14 +47,11 @@ const (
 
 // Seconds converts a float64 second count to a Time, rounding to the
 // nearest nanosecond.
-//
-//hypatia:noalloc
 func Seconds(s float64) Time { return Time(math.Round(s * 1e9)) }
 
 // Seconds converts the Time to float64 seconds.
 //
 //hypatia:pure
-//hypatia:noalloc
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
 // String formats the time with millisecond precision, rounding half away
@@ -185,8 +182,6 @@ func NewSimulator() *Simulator {
 // earlier-keyed transmit completions still see the packet in the queue; the
 // node's evReceive, and anything owned by a later node, see it gone — exactly
 // what each saw when every departure was an event.
-//
-//hypatia:noalloc
 func (s *Simulator) departed(t Time, node, di int32) bool {
 	if t != s.now {
 		return t < s.now
@@ -224,8 +219,6 @@ func (s *Simulator) Pending() int { return s.events.len() }
 
 // Schedule enqueues fn to run delay from now. Negative delays panic: they
 // indicate a logic bug that would violate causality.
-//
-//hypatia:noalloc
 func (s *Simulator) Schedule(delay Time, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v at %v", delay, s.now))
@@ -234,8 +227,6 @@ func (s *Simulator) Schedule(delay Time, fn func()) {
 }
 
 // ScheduleAt enqueues fn to run at absolute time at (>= Now).
-//
-//hypatia:noalloc
 func (s *Simulator) ScheduleAt(at Time, fn func()) {
 	if s.migrated {
 		panic("sim: scheduling on the root engine during a sharded run; bind to a node with Network.Clock")
@@ -249,8 +240,6 @@ func (s *Simulator) ScheduleAt(at Time, fn func()) {
 // scheduleOwnedAt enqueues a closure on behalf of a node (transport timers
 // bound through a Clock). The owner keys the event's canonical order and, in
 // a sharded run, the shard that executes it.
-//
-//hypatia:noalloc
 func (s *Simulator) scheduleOwnedAt(at Time, owner int32, fn func()) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < %v", at, s.now))
@@ -258,7 +247,6 @@ func (s *Simulator) scheduleOwnedAt(at Time, owner int32, fn func()) {
 	s.events.push(event{at: at, owner: owner, kind: evClosure, seq: s.nextSeq(), fn: fn})
 }
 
-//hypatia:noalloc
 func (s *Simulator) nextSeq() uint64 {
 	q := s.seq
 	s.seq++
@@ -283,13 +271,11 @@ func (s *Simulator) Run(until Time) {
 // lookahead windows, whose boundary events belong to the next window so that
 // cross-shard handoffs landing exactly on the boundary still precede them).
 //
-// The engine loop is //hypatia:noalloc: every steady-state event — receives,
-// observed transmit completions, installs — executes without touching the
-// heap. User closures (evClosure) and monitoring hooks are the deliberate
-// boundary of that contract; their call sites carry //hypatia:allocs(amortized) waivers
-// because the code behind them owns its own allocation budget.
-//
-//hypatia:noalloc
+// Every steady-state event the loop runs — receives, observed transmit
+// completions, installs — executes without touching the heap
+// (TestAllocGuardPacketPath). User closures (evClosure) and monitoring hooks
+// are the deliberate boundary: the code behind them owns its own allocation
+// budget.
 func (s *Simulator) runWindow(end Time, inclusive bool) {
 	for s.events.len() > 0 && !s.stopped {
 		at := s.events.nextAt()
@@ -314,14 +300,12 @@ func (s *Simulator) runWindow(end Time, inclusive bool) {
 }
 
 // dispatch executes one event record.
-//
-//hypatia:noalloc
 func (s *Simulator) dispatch(e *event) {
 	switch e.kind {
 	case evInstall:
 		s.net.installEvent(s, int(e.key))
 	case evClosure:
-		e.fn() //hypatia:allocs(amortized) user closures own their allocation budget
+		e.fn()
 	case evTransmitDone:
 		s.net.transmitDone(s, int32(e.key), e.pkt)
 	case evReceive:

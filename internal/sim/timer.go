@@ -41,8 +41,6 @@ func (c Clock) NewTimer(fn func()) *Timer {
 
 // Reset arms the timer to fire delay from now, replacing any earlier
 // deadline. Negative delays panic, as on Clock.Schedule.
-//
-//hypatia:noalloc
 func (t *Timer) Reset(delay Time) {
 	t.deadline = t.clk.Now() + delay
 	t.armed = true
@@ -54,13 +52,9 @@ func (t *Timer) Reset(delay Time) {
 
 // Stop disarms the timer: fn does not run until the next Reset. The carrier
 // stays queued for that Reset to reuse, and pops as a no-op otherwise.
-//
-//hypatia:noalloc
 func (t *Timer) Stop() { t.armed = false }
 
 // Armed reports whether a Reset is waiting to fire.
-//
-//hypatia:noalloc
 func (t *Timer) Armed() bool { return t.armed }
 
 // pop is the carrier event.

@@ -29,13 +29,13 @@ raw1="$(mktemp)"
 rawN="$(mktemp)"
 trap 'rm -f "$raw1" "$rawN"' EXIT
 
-# alloc_budgets pins steady-state allocs/op for the benchmarks whose hot
-# paths carry the machine-checked //hypatia:noalloc contract (the static
-# side is hypatialint's allocsafety check; the per-function runtime side is
-# the AllocGuard tests). Budgets leave headroom over the measured steady
-# state — SnapshotInto and the pooled sweep measure 0–1, the incremental
-# engine ~10–20 per 8-step op of amortized arena residue — so only a real
-# regression (losing a reuse path, a new per-op allocation) trips them.
+# alloc_budgets pins steady-state allocs/op for the hot-path benchmarks; with
+# the per-function AllocGuard tests they are the whole allocation contract
+# (there is no static half, DESIGN.md "Removed, and why: allocsafety").
+# Budgets leave headroom over the measured steady state — SnapshotInto and
+# the pooled sweep measure 0–1, the incremental engine ~10–20 per 8-step op
+# of amortized arena residue — so only a real regression (losing a reuse
+# path, a new per-op allocation) trips them.
 # BenchmarkSimSerial is the packet path end to end: ~1.0M events allocate
 # ~25.8k times (forwarding tables off the producer, queue slab and ring
 # growth while the links fill); a packet path that allocated once per packet
@@ -58,8 +58,8 @@ trap 'rm -f "$raw1" "$rawN"' EXIT
 # in the JSON, and any "over" status fails the run.
 alloc_budgets="BenchmarkSnapshotInto=8 BenchmarkForwardingTableFull=16 BenchmarkForwardingTablePooled=8 BenchmarkForwardingStateIncremental=100 BenchmarkSimSerial=40000 BenchmarkSimSerialTCP=10000 BenchmarkAnalyzePairsS1=75"
 
-# budget_check fails when any benchmark came out over its pinned budget —
-# the bench harness' counterpart of a failing allocsafety finding.
+# budget_check fails when any benchmark came out over its pinned budget — the
+# bench harness' counterpart of a failing AllocGuard test.
 budget_check() { # $1 = json file
     if grep -q '"alloc_budget_status": "over"' "$1"; then
         echo "bench.sh: allocation budget exceeded (allocs_per_op over alloc_budget):" >&2

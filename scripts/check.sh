@@ -52,9 +52,9 @@ if ./bin/hypatialint ./cmd/hypatialint/testdata/src/... >/dev/null; then
 fi
 
 stage "alloc guards (default build, GOMAXPROCS=1)"
-# The runtime half of //hypatia:noalloc: testing.AllocsPerRun pins the
-# steady-state hot paths to their budgets. Run in the default build — the
-# hypatia_checks build boxes assertion arguments and runs from-scratch
+# The allocation contract (there is no static half): testing.AllocsPerRun
+# pins the steady-state hot paths to their budgets. Run in the default build
+# — the hypatia_checks build boxes assertion arguments and runs from-scratch
 # oracles, so the guards skip there — at GOMAXPROCS=1 so background
 # scheduling cannot smear allocations across the measured runs. In
 # internal/sim and internal/transport the guards are the event queue, the
@@ -63,12 +63,13 @@ stage "alloc guards (default build, GOMAXPROCS=1)"
 # (TestAllocGuardTCPTimers), and 10 ms of a bulk NewReno transfer
 # (TestAllocGuardTCPSteadyState), every one at 0, plus 100 virtual s of that
 # transfer under 64 KiB (TestAllocGuardTCPHorizon: a flow records no
-# per-packet log unless asked); the -run prefix picks up every
-# TestAllocGuard* by name, so a new guard needs no edit here. Two more pin
-# where a run's forwarding-state memory is allocated, which is what keeps a
-# benchmark's timed-region allocation from depending on the scheduler: the
-# incremental engine sizes every arena in its first step, and the pipeline
-# never needs a table beyond the ones it reserves.
+# per-packet log unless asked) and a sharded run's windows and hook journal
+# at its per-call setup (TestAllocGuardShardedWindow); the -run prefix picks
+# up every TestAllocGuard* by name, so a new guard needs no edit here. Two
+# more pin where a run's forwarding-state memory is allocated, which is what
+# keeps a benchmark's timed-region allocation from depending on the
+# scheduler: the incremental engine sizes every arena in its first step, and
+# the pipeline never needs a table beyond the ones it reserves.
 GOMAXPROCS=1 go test -count=1 \
     -run 'TestAllocGuard|TestEngineAllocatesArenasOnlyInFirstStep|TestPipelineHoldsAtMostReservedTables' \
     ./internal/graph/ ./internal/routing/ ./internal/analysis/ ./internal/sim/ ./internal/transport/ ./internal/core/
