@@ -131,11 +131,11 @@ func BenchmarkSimSharded(b *testing.B) {
 // BenchmarkSimSerialTCP and BenchmarkSimShardedTCP are the same pair on the
 // TCP shape: ACK reverse traffic, transport timers, a quarter of the line
 // rate. bench.sh emits their ratio as sharded_over_serial_tcp and budgets the
-// serial one at 10 000 allocs/op: segments and ACKs carry their headers by
-// value, each flow end keeps one sequence ring, and a default flow records no
-// per-packet log, so what is left (~8.0 k) is nearly all packet records up to
-// the in-flight high-water, plus table reservation, event-slab growth and the
-// scoreboard rings.
+// serial one at 2 000 allocs/op: segments and ACKs carry their headers by
+// value, each flow end keeps one sequence ring, a default flow records no
+// per-packet log, and packet and event records come in fixed pages (256 and
+// 1 024 to a page), so what is left (~1.0 k) is mostly the scoreboard rings
+// growing, then one allocation per page up to the in-flight high-water.
 func BenchmarkSimSerialTCP(b *testing.B) { benchSim(b, 0, true) }
 
 func BenchmarkSimShardedTCP(b *testing.B) {

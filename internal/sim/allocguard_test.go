@@ -12,19 +12,24 @@ import (
 // TestAllocGuardEventHeap pins the queue machinery the engine lives on:
 // once the heap and the record slab have grown to the working-set size,
 // fill/drain cycles of pushes — plain and through the per-device FIFOs — and
-// pops allocate nothing.
+// pops allocate nothing. The working set spans more than three slab pages, so
+// the free chain hands out records from every one of them.
 func TestAllocGuardEventHeap(t *testing.T) {
+	const events = 3*recPageLen + 256
 	var q eventQueue
 	q.devices(4)
 	checktest.AllocGuard(t, "eventQueue push/pop", 0, 1, func() {
-		for i := 0; i < 64; i++ {
-			q.push(event{at: Time(i * 7 % 64), owner: int32(i % 5), kind: evClosure, seq: uint64(2 * i)})
-			q.pushFlight(int32(i%4), event{at: Time(i * 5 % 64), owner: int32(i % 3), kind: evReceive, key: uint64(i), seq: uint64(2*i + 1)})
+		for i := 0; i < events/2; i++ {
+			q.push(event{at: Time(i * 7 % 1024), owner: int32(i % 5), kind: evClosure, seq: uint64(2 * i)})
+			q.pushFlight(int32(i%4), event{at: Time(i * 5 % 1024), owner: int32(i % 3), kind: evReceive, key: uint64(i), seq: uint64(2*i + 1)})
 		}
 		for q.len() > 0 {
 			q.pop()
 		}
 	})
+	if len(q.pages) < 4 {
+		t.Fatalf("working set reached %d slab pages, want 4", len(q.pages))
+	}
 }
 
 // TestAllocGuardPacketPath pins the full per-packet event chain — inject,
@@ -68,9 +73,10 @@ func TestAllocGuardTimer(t *testing.T) {
 // shard fills while hooks are installed — at nothing beyond what one
 // RunSharded call allocates once: shard engines and their channels, the
 // partition, the lookahead's link lists and position buffer, one table clone
-// per shard, and the journals' growth. Each call runs 20 ms of a 1 ms paced
-// flow over two shards: about ten windows and a hundred journal records, so a
-// window or a record that allocated would add that many.
+// and one event-slab page per shard, and the journals' growth. Each call runs
+// 20 ms of a 1 ms paced flow over two shards: about ten windows and a hundred
+// journal records, so a window or a record that allocated would add that
+// many. It measures 96.
 func TestAllocGuardShardedWindow(t *testing.T) {
 	s, n, _ := testNet(t, DefaultConfig())
 	n.RegisterFlow(1, 1, func(*Packet) {})
@@ -82,7 +88,7 @@ func TestAllocGuardShardedWindow(t *testing.T) {
 		pace.Reset(Millisecond)
 	})
 	pace.Reset(0)
-	checktest.AllocGuard(t, "RunSharded window protocol", 126, 2, func() {
+	checktest.AllocGuard(t, "RunSharded window protocol", 96, 2, func() {
 		n.RunSharded(s.Now()+20*Millisecond, 2)
 	})
 }

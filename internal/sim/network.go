@@ -20,10 +20,11 @@ import (
 // with the hypatia_checks tag poison a recycled record (ID ^0, Hops -1,
 // Size -1) so a retained pointer fails loudly.
 //
-// The fields are ordered (and Size and Hops are 32-bit) to keep the record in
-// the allocator's 96-byte size class: in the 112-byte class udp_perm100 read
-// a 1.04× median slowdown over six pairs and 4 % more allocation (DESIGN.md,
-// "Transport state by value"). TestPacketFitsItsSizeClass pins it.
+// The fields are ordered (and Size and Hops are 32-bit) to keep the record at
+// 96 bytes: at 112 udp_perm100 read a 1.04× median slowdown over six pairs and
+// 4 % more allocation (DESIGN.md, "Transport state by value"). Records come in
+// pages of pktPageLen, 256 × 96 = 24 576 bytes, exactly three 8 KiB runtime
+// pages; TestPageElementsFillWholePages pins both.
 type Packet struct {
 	ID     uint64
 	SrcGS  int  // source ground-station index
@@ -47,6 +48,10 @@ type Packet struct {
 
 	Flags uint8 // transport header flags
 }
+
+// pktPageLen is how many fresh packet records an engine allocates at once
+// (Packet, above).
+const pktPageLen = 256
 
 // Handler consumes packets delivered to a ground station for a flow. The
 // packet is valid only until the handler returns (see Packet).
@@ -197,8 +202,11 @@ type netState struct {
 	drops     [numDropReasons]uint64
 
 	// freePkts holds the records of packets whose journey ended on this
-	// engine, for Send to reuse.
+	// engine, for Send to reuse; pktPage is the unused rest of the engine's
+	// current page of fresh records, which Send takes from when freePkts is
+	// empty.
 	freePkts []*Packet
+	pktPage  []Packet
 
 	// Sharded-run fields (unused on the root engine in serial runs).
 	// outbox[k] collects handoffs destined for shard k during a window; the
@@ -598,7 +606,11 @@ func (n *Network) SendHeader(srcGS, dstGS int, flowID uint32, size int, seq, ack
 		pkt = s.st.freePkts[k]
 		s.st.freePkts = s.st.freePkts[:k]
 	} else {
-		pkt = new(Packet)
+		if len(s.st.pktPage) == 0 {
+			s.st.pktPage = make([]Packet, pktPageLen)
+		}
+		pkt = &s.st.pktPage[0]
+		s.st.pktPage = s.st.pktPage[1:]
 	}
 	*pkt = Packet{
 		ID:      id,

@@ -230,13 +230,30 @@ func TestSendHeaderCarriesWords(t *testing.T) {
 	}
 }
 
-// TestPacketFitsItsSizeClass pins Packet inside the allocator's 96-byte size
-// class: the header words were paid for by narrowing Size and Hops, and a
-// record in the 112-byte class measured slower and larger on the UDP packet
-// path (DESIGN.md, "Transport state by value").
-func TestPacketFitsItsSizeClass(t *testing.T) {
+// TestPageElementsFillWholePages pins the sizes the paged records depend on.
+// Packet stays within 96 bytes: the header words were paid for by narrowing
+// Size and Hops, and a 112-byte record measured slower and larger on the UDP
+// packet path (DESIGN.md, "Transport state by value"). A slab record is 56
+// bytes. And a page of either is a whole number of 8 KiB runtime pages, so
+// the allocator hands out exactly the bytes asked for and no tail is wasted.
+func TestPageElementsFillWholePages(t *testing.T) {
 	if sz := unsafe.Sizeof(Packet{}); sz > 96 {
 		t.Errorf("unsafe.Sizeof(Packet{}) = %d, want <= 96", sz)
+	}
+	if sz := unsafe.Sizeof(record{}); sz != 56 {
+		t.Errorf("unsafe.Sizeof(record{}) = %d, want 56", sz)
+	}
+	const runtimePage = 8 << 10
+	for _, p := range []struct {
+		what  string
+		bytes uintptr
+	}{
+		{"packet page", pktPageLen * unsafe.Sizeof(Packet{})},
+		{"event slab page", recPageLen * unsafe.Sizeof(record{})},
+	} {
+		if p.bytes%runtimePage != 0 {
+			t.Errorf("%s is %d bytes, not a whole number of %d-byte runtime pages", p.what, p.bytes, runtimePage)
+		}
 	}
 }
 

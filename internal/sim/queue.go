@@ -19,6 +19,22 @@ import "hypatia/internal/check"
 // event, as do closures, installs and cross-shard handoffs. Either way the pop
 // order is the canonical (at, owner, kind, key, seq) order: it is a strict
 // total order, so any correct priority queue pops the same sequence.
+//
+// Why a paged slab: the records live in fixed pages, allocated one at a time
+// as the pending set first reaches them and never copied, so a record keeps
+// its address for the queue's life and growing the slab costs one page. A
+// flat slice grown by append to the 26 k records of the Fig 2 UDP cell
+// allocated and copied about five times its final size (DESIGN.md, "Paged
+// event slab and packet records").
+
+// recPageLen records make a page: 1024 of 56 bytes are 57 344 bytes, exactly
+// seven 8 KiB runtime pages. rec reaches record i at page i>>recPageShift,
+// entry i&recPageMask.
+const (
+	recPageShift = 10
+	recPageLen   = 1 << recPageShift
+	recPageMask  = recPageLen - 1
+)
 
 // heapRoot is the index of the heap's root slot. The three slots before it
 // are padding: children of slot i sit at 4i-8 .. 4i-5, so every sibling group
@@ -49,10 +65,11 @@ type record struct {
 
 // eventQueue is the pending-event set. The zero value is an empty queue.
 type eventQueue struct {
-	heap []slot   // heap[heapRoot:] is the 4-ary heap; empty or padded
-	recs []record // the slab; recs[0] is the nil record
-	free int32    // head of the free-record chain
-	n    int      // pending events: heap entries plus FIFO-held records
+	heap  []slot                // heap[heapRoot:] is the 4-ary heap; empty or padded
+	pages []*[recPageLen]record // the slab; record 0 is the nil record
+	used  int32                 // highest record index ever handed out
+	free  int32                 // head of the free-record chain
+	n     int                   // pending events: heap entries plus FIFO-held records
 	// tails[f] is the slab index of the last event in FIFO f, or 0 when f has
 	// nothing pending; the FIFO's first record is the one in the heap. Sized
 	// by devices().
@@ -64,6 +81,11 @@ type eventQueue struct {
 func (q *eventQueue) devices(n int) { q.tails = make([]int32, n) }
 
 func (q *eventQueue) len() int { return q.n }
+
+// rec returns slab record i.
+func (q *eventQueue) rec(i int32) *record {
+	return &q.pages[i>>recPageShift][i&recPageMask]
+}
 
 // nextAt returns the time of the earliest pending event; the queue must not
 // be empty. Every non-empty FIFO has its head in the heap, so the root is the
@@ -93,30 +115,38 @@ func (q *eventQueue) slotBefore(a, b slot) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return q.recs[a.rec].before(&q.recs[b.rec].event)
+	return q.rec(a.rec).before(&q.rec(b.rec).event)
 }
 
-// alloc stores e in a free slab record and counts it pending.
-func (q *eventQueue) alloc(e event, src int32) int32 {
+// alloc takes a free slab record, counts it pending, and returns its index
+// and address for the caller to store the event in. With the free chain empty
+// it hands out the next record never used, whose zeroed link leaves the chain
+// empty; the first page also pads the heap. alloc is kept small enough to
+// inline into push and pushFlight (DESIGN.md, "Paged event slab and packet
+// records"), which is why the callers store the event.
+func (q *eventQueue) alloc() (int32, *record) {
 	i := q.free
-	if i != 0 {
-		q.free = q.recs[i].next
-	} else {
-		if len(q.recs) == 0 {
-			q.recs = append(q.recs, record{})
-			q.heap = append(q.heap[:0], slot{}, slot{}, slot{})
+	if i == 0 {
+		q.used++
+		i = q.used
+		if int(i>>recPageShift) == len(q.pages) {
+			if len(q.pages) == 0 {
+				q.heap = make([]slot, heapRoot)
+			}
+			q.pages = append(q.pages, new([recPageLen]record))
 		}
-		i = int32(len(q.recs))
-		q.recs = append(q.recs, record{})
 	}
-	q.recs[i] = record{event: e, src: src}
+	r := q.rec(i)
+	q.free = r.next
 	q.n++
-	return i
+	return i, r
 }
 
 // push adds a plain event.
 func (q *eventQueue) push(e event) {
-	q.up(slot{at: e.at, rec: q.alloc(e, -1)})
+	i, r := q.alloc()
+	*r = record{event: e, src: -1}
+	q.up(slot{at: e.at, rec: i})
 }
 
 // pushFlight adds an event of one of a device's ascending sequences — the
@@ -126,18 +156,22 @@ func (q *eventQueue) push(e event) {
 // otherwise.
 func (q *eventQueue) pushFlight(dev int32, e event) {
 	t := q.tails[dev]
-	switch {
-	case t == 0:
-		i := q.alloc(e, dev)
+	if t == 0 {
+		i, r := q.alloc()
+		*r = record{event: e, src: dev}
 		q.tails[dev] = i
 		q.up(slot{at: e.at, rec: i})
-	case q.recs[t].before(&e):
-		i := q.alloc(e, dev)
-		q.recs[t].next = i
-		q.tails[dev] = i
-	default:
-		q.push(e)
+		return
 	}
+	if tail := q.rec(t); tail.before(&e) {
+		// alloc may add a page, but records never move: tail stays valid.
+		i, r := q.alloc()
+		*r = record{event: e, src: dev}
+		tail.next = i
+		q.tails[dev] = i
+		return
+	}
+	q.push(e)
 }
 
 // pop removes and returns the earliest event; the queue must not be empty.
@@ -145,7 +179,7 @@ func (q *eventQueue) pushFlight(dev int32, e event) {
 // in the same sift-down that a plain removal spends on the last leaf.
 func (q *eventQueue) pop() event {
 	top := q.heap[heapRoot].rec
-	r := &q.recs[top]
+	r := q.rec(top)
 	e := r.event
 	nx := r.next
 	if r.src >= 0 && nx == 0 {
@@ -160,7 +194,7 @@ func (q *eventQueue) pop() event {
 	q.n--
 
 	if nx != 0 {
-		succ := &q.recs[nx]
+		succ := q.rec(nx)
 		if check.Enabled {
 			check.Assert(r.src >= 0 && succ.src == r.src && q.tails[r.src] != 0 && e.before(&succ.event),
 				"FIFO %d: successor %d (src %d, at %v) does not follow head %d (at %v)", r.src, nx, succ.src, succ.at, top, e.at)
@@ -293,8 +327,8 @@ func (q *eventQueue) takeAll() []event {
 	out := make([]event, 0, q.n)
 	if q.n > 0 {
 		for _, s := range q.heap[heapRoot:] {
-			for i := s.rec; i != 0; i = q.recs[i].next {
-				out = append(out, q.recs[i].event)
+			for i := s.rec; i != 0; i = q.rec(i).next {
+				out = append(out, q.rec(i).event)
 			}
 		}
 	}
@@ -319,7 +353,7 @@ func (q *eventQueue) assertConsistent() (fifoHeld int) {
 	heads := make(map[int32]bool)
 	for i := heapRoot; i < len(q.heap); i++ {
 		s := q.heap[i]
-		r := &q.recs[s.rec]
+		r := q.rec(s.rec)
 		check.Assert(s.at == r.at, "heap slot %d caches time %v of a record at %v", i, s.at, r.at)
 		if i > heapRoot {
 			check.Assert(!q.slotBefore(s, q.heap[parent(i)]), "heap slot %d sorts before its parent", i)
@@ -331,8 +365,8 @@ func (q *eventQueue) assertConsistent() (fifoHeld int) {
 		check.Assert(!heads[r.src], "FIFO %d has two heads in the heap", r.src)
 		heads[r.src] = true
 		last := s.rec
-		for j := r.next; j != 0; j = q.recs[j].next {
-			check.Assert(q.recs[j].src == r.src && q.recs[last].before(&q.recs[j].event),
+		for j := r.next; j != 0; j = q.rec(j).next {
+			check.Assert(q.rec(j).src == r.src && q.rec(last).before(&q.rec(j).event),
 				"FIFO %d: record %d does not follow %d", r.src, j, last)
 			last = j
 			fifoHeld++

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -14,13 +15,16 @@ type queueDrive struct {
 	maxHeld    int // most events held in FIFOs behind their heads at once
 	outOfOrder int // receives pushed earlier than their device's previous one
 	refills    int // receives pushed for a device whose FIFO had run empty
+	pages      int // slab pages the queue reached
+	reusePages int // slab pages a freed record was handed out again from
 }
 
 // driveQueue feeds an eventQueue an op stream through its real entry points
 // (push, pushFlight, pop, len, nextAt) and checks every pop against an oracle
-// that is not a heap: the set of everything scheduled and not yet popped,
-// stably sorted under the canonical comparator. Each op is two bytes — what,
-// and with which parameters — so the seeded test and the fuzzer share it.
+// that is not a heap: the list of everything scheduled and not yet popped,
+// kept sorted under the canonical comparator by inserting each event after
+// every pending one it does not precede. Each op is two bytes — what, and with
+// which parameters — so the seeded test and the fuzzer share it.
 func driveQueue(t *testing.T, ops []byte) queueDrive {
 	t.Helper()
 	const devs = 4
@@ -39,21 +43,25 @@ func driveQueue(t *testing.T, ops []byte) queueDrive {
 		lastAt  [devs]Time
 		live    [devs]int // receives pending per device, by either path
 		emptied [devs]bool
+		reused  = map[int32]bool{}
 		st      queueDrive
 	)
 	q.devices(devs)
 	sched := func(e event, dev int32) {
 		e.seq = seq
 		seq++
+		if q.free != 0 {
+			reused[q.free>>recPageShift] = true
+		}
 		if dev >= 0 {
 			q.pushFlight(dev, e)
 		} else {
 			q.push(e)
 		}
-		pending = append(pending, e)
+		k := sort.Search(len(pending), func(i int) bool { return e.before(&pending[i]) })
+		pending = slices.Insert(pending, k, e)
 	}
 	pop := func() {
-		sort.SliceStable(pending, func(i, j int) bool { return pending[i].before(&pending[j]) })
 		want := pending[0]
 		pending = pending[1:]
 		if at := q.nextAt(); at != want.at {
@@ -122,6 +130,7 @@ func driveQueue(t *testing.T, ops []byte) queueDrive {
 		t.Fatalf("drained queue reports %d pending", q.len())
 	}
 	q.assertConsistent()
+	st.pages, st.reusePages = len(q.pages), len(reused)
 	return st
 }
 
@@ -145,6 +154,57 @@ func TestEventQueueMatchesSortedOracle(t *testing.T) {
 	}
 	if total.pops < 10000 || total.maxPending < 150 || total.maxHeld < 50 || total.outOfOrder < 100 || total.refills < 100 {
 		t.Errorf("op streams too tame to trust: %+v", total)
+	}
+}
+
+// acrossPagesOps is a driveQueue op stream that runs the slab past two and a
+// half pages: it pushes closure triples and receives until about 3 300 events
+// are pending, churns — pops of four, each followed by four pushes that take
+// the records just freed, which the earliest events left scattered over every
+// page — and drains.
+func acrossPagesOps() []byte {
+	var ops []byte
+	for k := 0; k < 825; k++ {
+		ops = append(ops, 4, byte(k), 8, byte(k))
+	}
+	for k := 0; k < 400; k++ {
+		ops = append(ops, 12, 3, 4, byte(k), 9, byte(k))
+	}
+	return append(ops, 15, 0)
+}
+
+// TestEventQueueAcrossPages holds the queue to the oracle while more than
+// two and a half slab pages are pending and freed records from several pages
+// are handed out again.
+func TestEventQueueAcrossPages(t *testing.T) {
+	st := driveQueue(t, acrossPagesOps())
+	if 2*st.maxPending < 5*recPageLen || st.pages < 3 || st.reusePages < 3 {
+		t.Errorf("op stream does not cross pages: %+v", st)
+	}
+}
+
+// TestEventQueueRecordsNeverMove pins what the paged slab is for: growing
+// the slab past page boundaries leaves every record where it was, so a
+// pointer taken into one page stays valid.
+func TestEventQueueRecordsNeverMove(t *testing.T) {
+	var q eventQueue
+	q.push(event{at: 1, owner: -1, kind: evClosure, seq: 1})
+	first := q.rec(1)
+	var edge *record
+	for i := int32(2); i <= 3*recPageLen; i++ {
+		q.push(event{at: Time(i), owner: -1, kind: evClosure, seq: uint64(i)})
+		if i == recPageLen-1 {
+			edge = q.rec(i)
+		}
+	}
+	if len(q.pages) != 4 {
+		t.Fatalf("slab grew to %d pages, want 4", len(q.pages))
+	}
+	if q.rec(1) != first || first.seq != 1 {
+		t.Errorf("record 1 moved or changed as the slab grew: now at %p (was %p), seq %d", q.rec(1), first, first.seq)
+	}
+	if q.rec(recPageLen-1) != edge || edge.seq != recPageLen-1 {
+		t.Errorf("the last record of page 0 moved or changed as the slab grew")
 	}
 }
 
@@ -258,6 +318,8 @@ func FuzzEventQueue(f *testing.F) {
 	long := make([]byte, 512)
 	rng.Read(long)
 	f.Add(long)
+	// More than two and a half slab pages pending, records reused across them.
+	f.Add(acrossPagesOps())
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		driveQueue(t, ops)
 	})
