@@ -171,10 +171,12 @@ type (
 	NetworkConfig = sim.Config
 	// Network is the packet-forwarding fabric.
 	Network = sim.Network
-	// Packet is a simulated packet. The network reuses the record once the
-	// packet is delivered or dropped: a *Packet handed to a flow handler or
-	// to a transmit, drop or deliver hook (Network.RegisterFlow, Set*Hook)
-	// is valid only until that callback returns — copy the value to keep it.
+	// Packet is a simulated packet. It lives inside the event record of its
+	// next hop, which the network reuses once the packet is delivered or
+	// dropped: a *Packet handed to a flow handler or to a transmit, drop or
+	// deliver hook (Network.RegisterFlow, Set*Hook) is valid only until that
+	// callback returns — copy the value to keep it. SrcGS and DstGS are
+	// int32 station indices.
 	Packet = sim.Packet
 )
 

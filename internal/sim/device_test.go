@@ -92,9 +92,10 @@ func (d *eagerDevice) read(k *event) devRead {
 	return devRead{len(d.waiting), d.maxQueue, d.txPackets, d.txBytes}
 }
 
-// twoHopTopo is a mini constellation under two ground stations close enough
-// to share their satellites, so the shortest path between them is up and
-// straight down: two devices, the second one feeding the destination. It is
+// twoHopTopo is a mini constellation under three ground stations close enough
+// to share their satellites, so the shortest path from the first to either
+// other is up and straight down: two devices, the second one — the
+// satellite's GSL device — feeding whichever destination a packet has. It is
 // built once with its t = 0 forwarding table (both are read-only to a
 // network), which is most of what a fuzzer's execution would otherwise spend.
 var twoHopTopo = sync.OnceValues(func() (*routing.Topology, *routing.ForwardingTable) {
@@ -109,6 +110,7 @@ var twoHopTopo = sync.OnceValues(func() (*routing.Topology, *routing.ForwardingT
 	topo, err := routing.NewTopology(c, []groundstation.GS{
 		{ID: 0, Name: "Istanbul", Position: geom.LLADeg(41.0082, 28.9784, 0)},
 		{ID: 1, Name: "Izmit", Position: geom.LLADeg(40.7654, 29.9408, 0)},
+		{ID: 2, Name: "Bursa", Position: geom.LLADeg(40.1885, 29.0610, 0)},
 	}, routing.GSLFree)
 	if err != nil {
 		panic(err)
@@ -116,11 +118,13 @@ var twoHopTopo = sync.OnceValues(func() (*routing.Topology, *routing.ForwardingT
 	return topo, topo.Snapshot(0).ForwardingTable()
 })
 
-// deviceOp is one step of a lazy-vs-eager drive, at an absolute time.
+// deviceOp is one step of a lazy-vs-eager drive, at an absolute time. A send
+// goes to station dst, 1 or 2.
 type deviceOp struct {
 	at   Time
 	kind int // opSend*, opRead*
 	size int
+	dst  int
 }
 
 const (
@@ -141,19 +145,24 @@ type deviceDrive struct {
 	dropsA, dropsB, delivered, ties int
 }
 
-// driveDevices runs the op stream over the two-hop path on the real network —
-// unhooked, so no departure is an event, or with a transmit hook, so every
-// one is — and checks everything observable against two eagerDevices fed the
-// same arrivals: which packets each device drops, every delivery time, every
-// read of occupancy, peak occupancy and transmit counters, and under the hook
-// every transmission's start and arrival.
-func driveDevices(t *testing.T, ops []deviceOp, queue int, hooked bool) deviceDrive {
+// driveDevices runs the op stream over the two-hop paths on the real network,
+// with positions quantized to quantum — unhooked, so no departure is an
+// event, or with a transmit hook, so every one is — and checks everything
+// observable against two eagerDevices fed the same arrivals: which packets
+// each device drops, every delivery time, every read of occupancy, peak
+// occupancy and transmit counters, and under the hook every transmission's
+// start and arrival. The oracle propagates positions and computes
+// serialization times afresh for every packet, so it also holds the devices'
+// hop-timing memos to their keys.
+func driveDevices(t *testing.T, ops []deviceOp, queue int, quantum Time, hooked bool) deviceDrive {
 	t.Helper()
 	topo, ft := twoHopTopo()
 	src, dst := int32(topo.GSNode(0)), int32(topo.GSNode(1))
 	sat := ft.NextHop(int(src), 1)
-	if sat < 0 || ft.NextHop(int(sat), 1) != dst {
-		t.Fatalf("path %d -> %d is not two hops (first hop %d)", src, dst, sat)
+	for gs := 1; gs <= 2; gs++ {
+		if ft.NextHop(int(src), gs) != sat || ft.NextHop(int(sat), gs) != int32(topo.GSNode(gs)) {
+			t.Fatalf("path %d -> station %d is not two hops through %d", src, gs, sat)
+		}
 	}
 	// A byte per nanosecond up, half that down: small sizes make instants
 	// collide, and the second device is the bottleneck.
@@ -167,7 +176,7 @@ func driveDevices(t *testing.T, ops []deviceOp, queue int, hooked bool) deviceDr
 		return 0
 	}
 	cfg.QueuePackets = queue
-	cfg.PosQuantum = 2 * Microsecond // the drive crosses position buckets
+	cfg.PosQuantum = quantum
 	s := NewSimulator()
 	n, err := NewNetwork(s, topo, cfg)
 	if err != nil {
@@ -194,6 +203,7 @@ func driveDevices(t *testing.T, ops []deviceOp, queue int, hooked bool) deviceDr
 		key  event
 		id   uint64
 		size int
+		dst  int32 // destination node
 	}
 	type readRec struct {
 		key  event
@@ -212,9 +222,10 @@ func driveDevices(t *testing.T, ops []deviceOp, queue int, hooked bool) deviceDr
 		txRec
 	}
 	curKey := func() event {
-		return event{at: s.cur.at, owner: s.cur.owner, kind: s.cur.kind, key: s.cur.key, seq: s.cur.seq}
+		return event{at: s.cur.at, owner: s.cur.owner, kind: s.cur.kind, key: s.cur.key}
 	}
 	n.RegisterFlow(1, 1, func(p *Packet) { deliveredAt[p.ID] = s.Now() })
+	n.RegisterFlow(2, 1, func(p *Packet) { deliveredAt[p.ID] = s.Now() })
 	n.SetDropHook(func(at Time, node int, p *Packet, r DropReason) {
 		if r != DropQueue {
 			t.Errorf("packet %d dropped at node %d for %v", p.ID, node, r)
@@ -242,7 +253,7 @@ func driveDevices(t *testing.T, ops []deviceOp, queue int, hooked bool) deviceDr
 		op := op
 		send := func() {
 			k := curKey()
-			sends = append(sends, sendRec{k, n.Send(0, 1, 1, op.size, nil), op.size})
+			sends = append(sends, sendRec{k, n.Send(0, op.dst, 1, op.size, nil), op.size, int32(topo.GSNode(op.dst))})
 		}
 		probe := func() { reads = append(reads, readRec{curKey(), read(devA), read(devB)}) }
 		switch op.kind {
@@ -309,7 +320,7 @@ func driveDevices(t *testing.T, ops []deviceOp, queue int, hooked bool) deviceDr
 	for _, sd := range sends {
 		if dep, ok := a.sent[sd.id]; ok {
 			at := dep.done + prop(src, sat, dep.done)
-			arrivals = append(arrivals, sendRec{event{at: at, owner: sat, kind: evReceive, key: sd.id}, sd.id, sd.size})
+			arrivals = append(arrivals, sendRec{event{at: at, owner: sat, kind: evReceive, key: sd.id}, sd.id, sd.size, sd.dst})
 		} else if _, dropped := wantDropped[sd.id]; !dropped {
 			t.Fatalf("packet %d neither dropped nor sent by the first eager device", sd.id)
 		}
@@ -342,7 +353,7 @@ func driveDevices(t *testing.T, ops []deviceOp, queue int, hooked bool) deviceDr
 			continue
 		}
 		dep := b.sent[sd.id]
-		if got, want := deliveredAt[sd.id], dep.done+prop(sat, dst, dep.done); got != want {
+		if got, want := deliveredAt[sd.id], dep.done+prop(sat, sd.dst, dep.done); got != want {
 			t.Fatalf("packet %d delivered at %d ns, eager devices deliver it at %d", sd.id, got, want)
 		}
 		res.delivered++
@@ -351,11 +362,15 @@ func driveDevices(t *testing.T, ops []deviceOp, queue int, hooked bool) deviceDr
 		t.Fatalf("%d packets delivered (%d seen by the handler), eager devices deliver %d", got, len(deliveredAt), res.delivered)
 	}
 	if hooked {
+		dstOf := map[uint64]int32{}
+		for _, sd := range sends {
+			dstOf[sd.id] = sd.dst
+		}
 		want := 0
 		for _, tx := range transmissions {
 			dev, to := a, sat
 			if tx.from == sat {
-				dev, to = b, dst
+				dev, to = b, dstOf[tx.id]
 			}
 			dep, ok := dev.sent[tx.id]
 			if !ok || tx.start != dep.start || tx.arrive != dep.done+prop(tx.from, to, dep.done) {
@@ -380,7 +395,7 @@ func TestLazyDeviceTies(t *testing.T) {
 	// Device A: 4 B at 0 starts at once and completes at 4; 4 B at 1 waits
 	// for 4. The third send lands on 4.
 	third := func(kind int) []deviceOp {
-		return []deviceOp{{0, opSendUnowned, 4}, {1, opSendUnowned, 4}, {4, kind, 4}}
+		return []deviceOp{{0, opSendUnowned, 4, 1}, {1, opSendUnowned, 4, 1}, {4, kind, 4, 1}}
 	}
 	for _, tc := range []struct {
 		name           string
@@ -399,12 +414,12 @@ func TestLazyDeviceTies(t *testing.T) {
 		// p+12 (p the propagation delay): the first completes at p+12, the
 		// second waits for it, and the third arrives on p+12 exactly. A node's
 		// evReceive sorts behind its transmit completion, so there is room.
-		{"evReceive at a completion", []deviceOp{{0, opSendUnowned, 4}, {1, opSendUnowned, 4}, {5, opSendUnowned, 4}}, 0, 0},
+		{"evReceive at a completion", []deviceOp{{0, opSendUnowned, 4, 1}, {1, opSendUnowned, 4, 1}, {5, opSendUnowned, 4, 1}}, 0, 0},
 		// The same arrival one nanosecond early finds the queue full.
-		{"evReceive before a completion", []deviceOp{{0, opSendUnowned, 4}, {1, opSendUnowned, 4}, {5, opSendUnowned, 3}}, 0, 1},
+		{"evReceive before a completion", []deviceOp{{0, opSendUnowned, 4, 1}, {1, opSendUnowned, 4, 1}, {5, opSendUnowned, 3, 1}}, 0, 1},
 	} {
 		for _, hooked := range []bool{false, true} {
-			res := driveDevices(t, tc.ops, 1, hooked)
+			res := driveDevices(t, tc.ops, 1, fuzzQuantum, hooked)
 			if res.dropsA != tc.dropsA || res.dropsB != tc.dropsB {
 				t.Errorf("%s (hooked=%v): %d drops at the first device and %d at the second, want %d and %d",
 					tc.name, hooked, res.dropsA, res.dropsB, tc.dropsA, tc.dropsB)
@@ -417,16 +432,37 @@ func TestLazyDeviceTies(t *testing.T) {
 }
 
 // deviceOps decodes a fuzzer's bytes into an op stream: two bytes an op, the
-// first choosing its kind (low three bits) and size (1-8 B), the second the
-// nanoseconds since the op before (0-7).
+// first choosing its kind (low three bits), size (next three: 1-8 B) and
+// destination station (next bit: 1 or 2), the second the nanoseconds since
+// the op before (0-7).
 func deviceOps(b []byte) []deviceOp {
 	var ops []deviceOp
 	at := Time(0)
 	for i := 0; i+1 < len(b); i += 2 {
 		at += Time(b[i+1] % 8)
-		ops = append(ops, deviceOp{at: at, kind: int(b[i]&7) % numDeviceOps, size: 1 + int(b[i]>>3&7)})
+		ops = append(ops, deviceOp{at: at, kind: int(b[i]&7) % numDeviceOps, size: 1 + int(b[i]>>3&7), dst: 1 + int(b[i]>>6&1)})
 	}
 	return ops
+}
+
+// fuzzQuantum is the position quantum of the seeded and fuzzed drives: short
+// enough that their few microseconds cross position buckets.
+const fuzzQuantum = 2 * Microsecond
+
+// memoPatternOps is the hop memos' hard case (TestHopMemoMatchesUnmemoized)
+// in deviceOps bytes: sends that alternate between two sizes, and between the
+// two destinations every four sends, 7 ns apart for long enough to cross
+// fuzzQuantum bucket edges.
+func memoPatternOps() []byte {
+	var b []byte
+	for k := 0; k < 600; k++ {
+		size := byte(1) // 2 B
+		if k%2 == 1 {
+			size = 6 // 7 B
+		}
+		b = append(b, opSendUnowned|size<<3|byte(k/4%2)<<6, 7)
+	}
+	return b
 }
 
 func TestLazyDeviceMatchesEager(t *testing.T) {
@@ -441,7 +477,7 @@ func TestLazyDeviceMatchesEager(t *testing.T) {
 			}
 		}
 		for _, hooked := range []bool{false, true} {
-			res := driveDevices(t, deviceOps(b), 3, hooked)
+			res := driveDevices(t, deviceOps(b), 3, fuzzQuantum, hooked)
 			total.dropsA += res.dropsA
 			total.dropsB += res.dropsB
 			total.delivered += res.delivered
@@ -464,12 +500,57 @@ func FuzzLazyDevice(f *testing.F) {
 	rng.Read(long)
 	f.Add(long, uint8(3), false)
 	f.Add(long, uint8(2), true)
+	f.Add(memoPatternOps(), uint8(8), true)
 	f.Fuzz(func(t *testing.T, b []byte, queue uint8, hooked bool) {
 		if len(b) > 1024 {
 			b = b[:1024]
 		}
-		driveDevices(t, deviceOps(b), 1+int(queue%8), hooked)
+		driveDevices(t, deviceOps(b), 1+int(queue%8), fuzzQuantum, hooked)
 	})
+}
+
+// TestHopMemoMatchesUnmemoized drives the satellite's GSL device through
+// sends that alternate between two packet sizes, and between its two
+// destinations every four sends, while its completions cross a position-bucket
+// edge at the default 10 ms quantum, where a bucket moves a delay by
+// nanoseconds: every arrival and every transmit-hook start must equal the
+// un-memoized propagation and serialization times. A memo keyed on the bucket
+// alone misses the target changing inside a bucket; one keyed on the target
+// alone misses the edge inside a run of one target, which for at least three
+// of the four start offsets tried falls between two of the run's sends; and a
+// stale serialization time moves every start behind it.
+func TestHopMemoMatchesUnmemoized(t *testing.T) {
+	const quantum = 10 * Millisecond
+	topo, ft := twoHopTopo()
+	src, sat := int32(topo.GSNode(0)), ft.NextHop(topo.GSNode(0), 1)
+	delay := func(a, b int32, at Time) Time {
+		p := topo.NodePositions((at / quantum * quantum).Seconds(), nil)
+		return Seconds(p[a].Distance(p[b]) / geom.SpeedOfLight)
+	}
+	const edge = 3 * quantum
+	for gs := 1; gs <= 2; gs++ {
+		if to := int32(topo.GSNode(gs)); delay(sat, to, edge-1) == delay(sat, to, edge) {
+			t.Fatalf("the delay toward station %d does not change at the bucket edge; the drive cannot tell a target-keyed memo", gs)
+		}
+	}
+	// The satellite's completions straddle edge: sends start about 600 ns
+	// before the first hop's delay would land them there, 23 ns apart.
+	for offset := 0; offset < 4; offset++ {
+		first := edge - delay(src, sat, edge) - 600 + Time(23*offset)
+		var ops []deviceOp
+		for k := 0; k < 60; k++ {
+			size := 3
+			if k%2 == 1 {
+				size = 8
+			}
+			ops = append(ops, deviceOp{at: first + Time(23*k), kind: opSendUnowned, size: size, dst: 1 + k/4%2})
+		}
+		for _, hooked := range []bool{false, true} {
+			if res := driveDevices(t, ops, 100, quantum, hooked); res.delivered != len(ops) {
+				t.Errorf("offset %d, hooked=%v: %d of %d packets delivered", offset, hooked, res.delivered, len(ops))
+			}
+		}
+	}
 }
 
 // TestPositionRingPropagatesEachBucketOnce pins the position cache against

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"hypatia/internal/check"
 	"hypatia/internal/geom"
@@ -13,22 +14,21 @@ import (
 // fixed header words, carried by value; Payload carries anything of variable
 // length beyond them (TCP's SACK blocks). The network reads none of the four.
 //
-// Lifetime: the network owns every Packet and reuses the record once the
-// packet's journey ends (delivered or dropped). A *Packet handed to a Handler
-// or to a transmit, drop or deliver hook is valid only until that callback
-// returns; a callback that needs the packet later copies the value. Builds
-// with the hypatia_checks tag poison a recycled record (ID ^0, Hops -1,
-// Size -1) so a retained pointer fails loudly.
+// Lifetime: a packet lives inside the event-queue record of its next event,
+// which travels with it from hop to hop and is reused once the journey ends
+// (delivered or dropped). A *Packet handed to a Handler or to a transmit,
+// drop or deliver hook is valid only until that callback returns; a callback
+// that needs the packet later copies the value. Builds with the
+// hypatia_checks tag poison a released record (ID ^0, Hops -1, Size -1) so a
+// retained pointer fails loudly.
 //
-// The fields are ordered (and Size and Hops are 32-bit) to keep the record at
-// 96 bytes: at 112 udp_perm100 read a 1.04× median slowdown over six pairs and
-// 4 % more allocation (DESIGN.md, "Transport state by value"). Records come in
-// pages of pktPageLen, 256 × 96 = 24 576 bytes, exactly three 8 KiB runtime
-// pages; TestPageElementsFillWholePages pins both.
+// The fields are ordered (and everything but the 64-bit words narrowed to 32
+// bits) to keep the packet at 80 bytes and its record at 120, so that a page
+// of 1 024 records is exactly fifteen 8 KiB runtime pages
+// (TestPageElementsFillWholePages; DESIGN.md, "One record per packet in
+// flight").
 type Packet struct {
 	ID     uint64
-	SrcGS  int  // source ground-station index
-	DstGS  int  // destination ground-station index
 	SentAt Time // time the packet entered the network at its source
 
 	Seq, Ack int64 // transport header words
@@ -38,20 +38,18 @@ type Packet struct {
 	FlowID uint32 // demultiplexing key at the destination node
 	Size   int32  // bytes on the wire
 	Hops   int32  // hops traversed so far
+	SrcGS  int32  // source ground-station index
+	DstGS  int32  // destination ground-station index
 
 	// The hop in progress, for the evTransmitDone of an observed
-	// transmission (a packet is in one device at a time): serialization
-	// start, next-hop node, and the loss model's verdict. Stale otherwise.
+	// transmission (a packet is in one device at a time): next-hop node and
+	// the loss model's verdict. Stale otherwise. The serialization start is
+	// not kept: transmitDone derives it from the completion.
 	txTarget int32
-	txStart  Time
 	txLost   bool
 
 	Flags uint8 // transport header flags
 }
-
-// pktPageLen is how many fresh packet records an engine allocates at once
-// (Packet, above).
-const pktPageLen = 256
 
 // Handler consumes packets delivered to a ground station for a flow. The
 // packet is valid only until the handler returns (see Packet).
@@ -201,13 +199,6 @@ type netState struct {
 	delivered uint64
 	drops     [numDropReasons]uint64
 
-	// freePkts holds the records of packets whose journey ended on this
-	// engine, for Send to reuse; pktPage is the unused rest of the engine's
-	// current page of fresh records, which Send takes from when freePkts is
-	// empty.
-	freePkts []*Packet
-	pktPage  []Packet
-
 	// Sharded-run fields (unused on the root engine in serial runs).
 	// outbox[k] collects handoffs destined for shard k during a window; the
 	// coordinator drains it between windows. journal accumulates deferred
@@ -245,6 +236,11 @@ type departure struct {
 // is brought up to the owning engine's clock (retire) wherever occupancy or
 // the counters are read — the drop-tail test, maxQueue, QueueLen,
 // DeviceStats — with same-instant ties settled by Simulator.departed.
+//
+// The device also memoizes its hop timing, each value a pure function of its
+// key: the serialization time of the last packet size (serialization) and the
+// propagation delay toward the last target in the last position bucket
+// (Network.propagation). The fields are packed to keep the device at 80 bytes.
 type device struct {
 	node int32
 	// fixedPeer is the ISL peer node id, or -1 for the GSL device.
@@ -264,6 +260,32 @@ type device struct {
 	txPackets uint64
 	txBytes   uint64
 	maxQueue  int32
+
+	// serTime is the serialization time of serSize bytes (-1: none yet).
+	serSize int32
+	serTime Time
+	// propDelay is the delay toward node propTarget from a transmission
+	// completing in position bucket propBucket (-1: none yet). A delay past
+	// 2^31 ns is not memoized.
+	propTarget int32
+	propDelay  int32
+	propBucket Time
+}
+
+// serialization returns how long the device takes to put size bytes on the
+// wire: at least a nanosecond, so that a device completes at most one
+// transmission per instant and evTransmitDone's key (the device) is unique.
+// The miss is out of line so that the hit inlines.
+func (d *device) serialization(size int32) Time {
+	if size != d.serSize {
+		d.serialize(size)
+	}
+	return d.serTime
+}
+
+//go:noinline
+func (d *device) serialize(size int32) {
+	d.serSize, d.serTime = size, max(1, Seconds(float64(size)*8/d.rateBps))
 }
 
 // Network is the packet-forwarding fabric over a Topology: one node per
@@ -353,6 +375,12 @@ func NewNetwork(s *Simulator, topo *routing.Topology, cfg Config) (*Network, err
 	if cfg.QueuePackets < 0 {
 		return nil, fmt.Errorf("sim: negative queue capacity")
 	}
+	if cfg.MaxHops < 0 {
+		return nil, fmt.Errorf("sim: negative hop limit")
+	}
+	if cfg.PosQuantum < 0 {
+		return nil, fmt.Errorf("sim: negative position quantum")
+	}
 	rateFor := func(node, peer int, fallback float64) float64 {
 		if cfg.RateFor != nil {
 			if r := cfg.RateFor(node, peer); r > 0 {
@@ -378,17 +406,22 @@ func NewNetwork(s *Simulator, topo *routing.Topology, cfg Config) (*Network, err
 		}
 	}
 
+	// Every ISL is two directed devices, plus one GSL device per node.
+	isls := 2 * len(topo.Constellation.ISLs)
+	n.devs = make([]device, 0, numNodes+isls)
+	n.islPeer = make([]int32, 0, isls)
+	n.islDev = make([]int32, 0, isls)
 	n.gslDev = make([]int32, numNodes)
 	n.islIdx = make([]int32, numNodes+1)
 	n.flows = make([]map[uint32]Handler, numNodes)
 	n.pktSeq = make([]uint32, numNodes)
 	for i := 0; i < numNodes; i++ {
 		n.gslDev[i] = int32(len(n.devs))
-		n.devs = append(n.devs, device{node: int32(i), fixedPeer: -1, rateBps: rateFor(i, -1, cfg.GSLRateBps), busyUntil: -1})
+		n.devs = append(n.devs, device{node: int32(i), fixedPeer: -1, rateBps: rateFor(i, -1, cfg.GSLRateBps), busyUntil: -1, serSize: -1, propBucket: -1})
 		for _, p := range adj[i] {
 			n.islPeer = append(n.islPeer, p)
 			n.islDev = append(n.islDev, int32(len(n.devs)))
-			n.devs = append(n.devs, device{node: int32(i), fixedPeer: p, rateBps: rateFor(i, int(p), cfg.ISLRateBps), busyUntil: -1})
+			n.devs = append(n.devs, device{node: int32(i), fixedPeer: p, rateBps: rateFor(i, int(p), cfg.ISLRateBps), busyUntil: -1, serSize: -1, propBucket: -1})
 		}
 		n.islIdx[i+1] = int32(len(n.islPeer))
 		if topo.IsGS(i) {
@@ -443,29 +476,20 @@ func (n *Network) SetDeliverHook(fn func(at Time, gs int, pkt *Packet)) { n.onDe
 
 // drop counts a drop and notifies the hook (directly, or via the shard
 // journal for post-run replay in canonical order). The drop ends the
-// packet's journey: its record is recycled and the caller must not touch it
-// again.
-func (n *Network) drop(s *Simulator, node int32, pkt *Packet, reason DropReason) {
+// packet's journey: its record i is released and the caller must not touch
+// it again.
+func (n *Network) drop(s *Simulator, node, i int32, r *record, reason DropReason) {
 	s.st.drops[reason]++
 	if n.onDrop != nil {
 		if s.st.journaling {
 			s.st.journal = append(s.st.journal, journalRec{
-				key: s.emissionKey(), jk: jDrop, at: s.now, a: node, reason: reason, pkt: *pkt,
+				key: s.emissionKey(), jk: jDrop, at: s.now, a: node, reason: reason, pkt: r.pkt,
 			})
 		} else {
-			n.onDrop(s.now, int(node), pkt, reason)
+			n.onDrop(s.now, int(node), &r.pkt, reason)
 		}
 	}
-	s.recycle(pkt)
-}
-
-// recycle returns the record of a packet whose journey has ended to the
-// engine's free list.
-func (s *Simulator) recycle(pkt *Packet) {
-	if check.Enabled {
-		pkt.ID, pkt.Hops, pkt.Size = ^uint64(0), -1, -1
-	}
-	s.st.freePkts = append(s.st.freePkts, pkt)
+	s.events.release(i, r)
 }
 
 // InstallForwarding replaces the network-wide forwarding state and returns
@@ -500,9 +524,9 @@ func (n *Network) ScheduleInstalls(at []Time, tables <-chan *routing.ForwardingT
 			panic(fmt.Sprintf("sim: install instant %v out of order or in the past (after %v)", t, last))
 		}
 		last = t
-		// The instant index is both key and seq, so every engine of a
-		// sharded run orders its copy of the event identically.
-		s.events.push(event{at: t, owner: -1, kind: evInstall, key: uint64(i), seq: uint64(i)})
+		// The instant index is the key, so every engine of a sharded run
+		// orders its copy of the event identically.
+		s.events.push(event{at: t, owner: -1, kind: evInstall, key: uint64(i)})
 	}
 	n.installAt = at
 	n.tables = tables
@@ -601,30 +625,20 @@ func (n *Network) SendHeader(srcGS, dstGS int, flowID uint32, size int, seq, ack
 	s := n.simFor(node)
 	n.pktSeq[node]++
 	id := uint64(node)<<32 | uint64(n.pktSeq[node])
-	var pkt *Packet
-	if k := len(s.st.freePkts) - 1; k >= 0 {
-		pkt = s.st.freePkts[k]
-		s.st.freePkts = s.st.freePkts[:k]
-	} else {
-		if len(s.st.pktPage) == 0 {
-			s.st.pktPage = make([]Packet, pktPageLen)
-		}
-		pkt = &s.st.pktPage[0]
-		s.st.pktPage = s.st.pktPage[1:]
-	}
-	*pkt = Packet{
+	i, r := s.events.take()
+	r.pkt = Packet{
 		ID:      id,
-		SrcGS:   srcGS,
-		DstGS:   dstGS,
 		SentAt:  s.now,
 		Seq:     seq,
 		Ack:     ack,
 		Payload: payload,
 		FlowID:  flowID,
 		Size:    int32(size),
+		SrcGS:   int32(srcGS),
+		DstGS:   int32(dstGS),
 		Flags:   flags,
 	}
-	n.forward(s, node, pkt) // may end the journey and recycle pkt
+	n.forward(s, node, i, r) // links the record on, or ends the journey and releases it
 	return id
 }
 
@@ -690,18 +704,34 @@ func (n *Network) propagationDelay(s *Simulator, a, b int32, t Time) Time {
 	return Seconds(pos[a].Distance(pos[b]) / geom.SpeedOfLight)
 }
 
-// forward routes a packet held by node toward its destination GS.
-func (n *Network) forward(s *Simulator, node int32, pkt *Packet) {
+// propagation is propagationDelay from device d's node to target for a
+// transmission completing at t, through the device's memo: within a position
+// bucket the delay toward one target is constant.
+func (n *Network) propagation(s *Simulator, d *device, target int32, t Time) Time {
+	bucket := t / n.cfg.PosQuantum
+	if d.propTarget == target && d.propBucket == bucket {
+		return Time(d.propDelay)
+	}
+	delay := n.propagationDelay(s, d.node, target, t)
+	if delay <= math.MaxInt32 {
+		d.propTarget, d.propDelay, d.propBucket = target, int32(delay), bucket
+	}
+	return delay
+}
+
+// forward routes the packet of taken record i, held by node, toward its
+// destination GS.
+func (n *Network) forward(s *Simulator, node, i int32, r *record) {
 	if s.st.ft == nil {
 		panic("sim: no forwarding state installed")
 	}
-	if int(pkt.Hops) >= n.cfg.MaxHops {
-		n.drop(s, node, pkt, DropTTL)
+	if int(r.pkt.Hops) >= n.cfg.MaxHops {
+		n.drop(s, node, i, r, DropTTL)
 		return
 	}
-	nh := s.st.ft.NextHop(int(node), pkt.DstGS)
+	nh := s.st.ft.NextHop(int(node), int(r.pkt.DstGS))
 	if nh < 0 {
-		n.drop(s, node, pkt, DropNoRoute)
+		n.drop(s, node, i, r, DropNoRoute)
 		return
 	}
 	dev := n.gslDev[node]
@@ -711,7 +741,7 @@ func (n *Network) forward(s *Simulator, node int32, pkt *Packet) {
 			break
 		}
 	}
-	n.enqueue(s, dev, pkt, nh)
+	n.enqueue(s, dev, i, r, nh)
 }
 
 // retire brings device di's ring up to the clock of s, the engine that owns
@@ -740,14 +770,16 @@ func (n *Network) retire(s *Simulator, di int32) {
 	}
 }
 
-// enqueue hands the packet to the device: drop-tail against the occupancy
-// as of now, then the whole hop at once — serialization start and end, link
-// loss, propagation at the moment the last bit leaves — and the arrival at
-// the target scheduled directly. Only a transmission somebody observes gets
-// an event at its completion (evTransmitDone), which then schedules the
-// arrival itself, as every transmission once did.
-func (n *Network) enqueue(s *Simulator, di int32, pkt *Packet, target int32) {
+// enqueue hands the packet of taken record i to the device: drop-tail
+// against the occupancy as of now, then the whole hop at once —
+// serialization start and end, link loss, propagation at the moment the last
+// bit leaves — and the record linked again as the arrival at the target.
+// Only a transmission somebody observes gets an event at its completion
+// (evTransmitDone), which then schedules the arrival itself, as every
+// transmission once did.
+func (n *Network) enqueue(s *Simulator, di, i int32, r *record, target int32) {
 	d := &n.devs[di]
+	pkt := &r.pkt
 	q := int32(n.cfg.QueuePackets)
 	n.retire(s, di)
 	start, occupancy := s.now, int32(1)
@@ -757,7 +789,7 @@ func (n *Network) enqueue(s *Simulator, di int32, pkt *Packet, target int32) {
 		d.txBytes += uint64(pkt.Size)
 	} else {
 		if d.waiting == q {
-			n.drop(s, d.node, pkt, DropQueue)
+			n.drop(s, d.node, i, r, DropQueue)
 			return
 		}
 		start = d.busyUntil
@@ -773,87 +805,95 @@ func (n *Network) enqueue(s *Simulator, di int32, pkt *Packet, target int32) {
 	if occupancy > d.maxQueue {
 		d.maxQueue = occupancy
 	}
-	done := start + Seconds(float64(pkt.Size)*8/d.rateBps)
+	done := start + d.serialization(pkt.Size)
 	d.busyUntil = done
 
 	lost := n.cfg.LossModel != nil && n.cfg.LossModel(int(d.node), int(target), done)
 	if lost || n.onTransmit != nil {
-		pkt.txStart, pkt.txTarget, pkt.txLost = start, target, lost
-		s.events.pushFlight(n.txFIFO(di), event{
-			at: done, owner: d.node, kind: evTransmitDone,
-			key: uint64(di), seq: s.nextSeq(), pkt: pkt,
-		})
+		pkt.txTarget, pkt.txLost = target, lost
+		r.event = event{at: done, owner: d.node, kind: evTransmitDone, key: uint64(di)}
+		s.events.linkFlight(n.txFIFO(di), i, r)
 		return
 	}
-	n.deliverTo(s, di, target, done+n.propagationDelay(s, d.node, target, done), pkt)
+	n.deliverTo(s, di, target, done+n.propagation(s, d, target, done), i, r)
 }
 
-// transmitDone is the evTransmitDone dispatch, the completion of an observed
-// transmission: emit it, and drop the packet the loss model discarded or send
-// the survivor on toward its target (possibly across shards).
-func (n *Network) transmitDone(s *Simulator, di int32, pkt *Packet) {
+// transmitDone is the evTransmitDone dispatch of record i, the completion of
+// an observed transmission: emit it, and drop the packet the loss model
+// discarded or send the survivor on toward its target (possibly across
+// shards).
+func (n *Network) transmitDone(s *Simulator, di, i int32, r *record) {
 	d := &n.devs[di]
+	pkt := &r.pkt
 	target, done := pkt.txTarget, s.now
-	arrive := done + n.propagationDelay(s, d.node, target, done)
+	arrive := done + n.propagation(s, d, target, done)
 	if n.onTransmit != nil {
+		// enqueue set done to start plus exactly this.
+		start := done - d.serialization(pkt.Size)
 		if s.st.journaling {
 			s.st.journal = append(s.st.journal, journalRec{
-				key: s.emissionKey(), jk: jTransmit, at: pkt.txStart, a: d.node, b: target,
+				key: s.emissionKey(), jk: jTransmit, at: start, a: d.node, b: target,
 				arrive: arrive, pkt: *pkt,
 			})
 		} else {
-			n.onTransmit(TransmitInfo{From: int(d.node), To: int(target), Packet: pkt, Start: pkt.txStart, Arrive: arrive})
+			n.onTransmit(TransmitInfo{From: int(d.node), To: int(target), Packet: pkt, Start: start, Arrive: arrive})
 		}
 	}
 	if pkt.txLost {
-		n.drop(s, d.node, pkt, DropLink)
+		n.drop(s, d.node, i, r, DropLink)
 		return
 	}
-	n.deliverTo(s, di, target, arrive, pkt)
+	n.deliverTo(s, di, target, arrive, i, r)
 }
 
-// deliverTo schedules the arrival at its target node of a packet device di
-// puts on the wire: locally, through the device's in-flight FIFO, when the
-// target is on this engine, as a cross-shard handoff otherwise.
-func (n *Network) deliverTo(s *Simulator, di, target int32, at Time, pkt *Packet) {
+// deliverTo schedules the arrival at its target node of the packet in record
+// i that device di puts on the wire: locally, the record linked into the
+// device's in-flight FIFO, when the target is on this engine; as a
+// cross-shard handoff carrying a copy of the packet otherwise, the record
+// released.
+func (n *Network) deliverTo(s *Simulator, di, target int32, at Time, i int32, r *record) {
 	if n.shardOf != nil {
 		if k := n.shardOf[target]; k != s.shard {
 			if check.Enabled {
 				check.Assert(at >= s.windowEnd,
 					"cross-shard handoff at %v inside the lookahead window ending %v", at, s.windowEnd)
 			}
-			s.st.outbox[k] = append(s.st.outbox[k], handoff{at: at, node: target, pkt: pkt})
+			s.st.outbox[k] = append(s.st.outbox[k], handoff{at: at, node: target, pkt: r.pkt})
+			s.events.release(i, r)
 			return
 		}
 	}
-	s.events.pushFlight(di, event{at: at, owner: target, kind: evReceive, key: pkt.ID, seq: s.nextSeq(), pkt: pkt})
+	r.event = event{at: at, owner: target, kind: evReceive, key: r.pkt.ID}
+	s.events.linkFlight(di, i, r)
 }
 
-// receive is the evReceive dispatch: packet arrival at a node — local
-// delivery at the destination ground station, forwarding everywhere else.
-func (n *Network) receive(s *Simulator, node int32, pkt *Packet) {
+// receive is the evReceive dispatch of record i: packet arrival at a node —
+// local delivery at the destination ground station, forwarding everywhere
+// else.
+func (n *Network) receive(s *Simulator, node, i int32, r *record) {
+	pkt := &r.pkt
 	pkt.Hops++
-	if n.Topo.IsGS(int(node)) && n.Topo.GSIndex(int(node)) == pkt.DstGS {
+	if n.Topo.IsGS(int(node)) && n.Topo.GSIndex(int(node)) == int(pkt.DstGS) {
 		h := n.flows[node][pkt.FlowID]
 		if h == nil {
-			n.drop(s, node, pkt, DropNoHandler)
+			n.drop(s, node, i, r, DropNoHandler)
 			return
 		}
 		s.st.delivered++
 		if n.onDeliver != nil {
 			if s.st.journaling {
 				s.st.journal = append(s.st.journal, journalRec{
-					key: s.emissionKey(), jk: jDeliver, at: s.now, a: int32(pkt.DstGS), pkt: *pkt,
+					key: s.emissionKey(), jk: jDeliver, at: s.now, a: pkt.DstGS, pkt: *pkt,
 				})
 			} else {
-				n.onDeliver(s.now, pkt.DstGS, pkt)
+				n.onDeliver(s.now, int(pkt.DstGS), pkt)
 			}
 		}
 		h(pkt)
-		s.recycle(pkt)
+		s.events.release(i, r)
 		return
 	}
-	n.forward(s, node, pkt)
+	n.forward(s, node, i, r)
 }
 
 // QueueLen reports the queue occupancy of the device from node `from`

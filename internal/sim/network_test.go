@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"hypatia/internal/check"
 	"hypatia/internal/constellation"
 	"hypatia/internal/geom"
 	"hypatia/internal/groundstation"
@@ -61,12 +62,20 @@ func TestNewNetworkValidation(t *testing.T) {
 	if _, err := NewNetwork(NewSimulator(), topo, Config{QueuePackets: -1}); err == nil {
 		t.Error("negative queue accepted")
 	}
+	// A negative hop limit dropped every packet as ttl-exceeded; a negative
+	// position quantum made the first Send double the position ring forever.
+	if _, err := NewNetwork(NewSimulator(), topo, Config{MaxHops: -1}); err == nil {
+		t.Error("negative hop limit accepted")
+	}
+	if _, err := NewNetwork(NewSimulator(), topo, Config{PosQuantum: -Millisecond}); err == nil {
+		t.Error("negative position quantum accepted")
+	}
 	// Zero values take the paper defaults.
 	n, err := NewNetwork(NewSimulator(), topo, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := n.Config(); got.ISLRateBps != 10e6 || got.GSLRateBps != 10e6 || got.QueuePackets != 100 {
+	if got := n.Config(); got.ISLRateBps != 10e6 || got.GSLRateBps != 10e6 || got.QueuePackets != 100 || got.MaxHops != 64 || got.PosQuantum != 10*Millisecond {
 		t.Errorf("defaults not applied: %+v", got)
 	}
 }
@@ -230,30 +239,122 @@ func TestSendHeaderCarriesWords(t *testing.T) {
 	}
 }
 
-// TestPageElementsFillWholePages pins the sizes the paged records depend on.
-// Packet stays within 96 bytes: the header words were paid for by narrowing
-// Size and Hops, and a 112-byte record measured slower and larger on the UDP
-// packet path (DESIGN.md, "Transport state by value"). A slab record is 56
-// bytes. And a page of either is a whole number of 8 KiB runtime pages, so
-// the allocator hands out exactly the bytes asked for and no tail is wasted.
+// TestPageElementsFillWholePages pins the sizes the slab depends on. A packet
+// rides inside its event's record, so Packet stays within 80 bytes (the
+// header words and the 32-bit Size, Hops and station indices pay for it) and
+// a record is 120; a page of 1 024 records is then a whole number of 8 KiB
+// runtime pages, so the allocator hands out exactly the bytes asked for and
+// no tail is wasted (DESIGN.md, "One record per packet in flight").
 func TestPageElementsFillWholePages(t *testing.T) {
-	if sz := unsafe.Sizeof(Packet{}); sz > 96 {
-		t.Errorf("unsafe.Sizeof(Packet{}) = %d, want <= 96", sz)
+	if sz := unsafe.Sizeof(Packet{}); sz > 80 {
+		t.Errorf("unsafe.Sizeof(Packet{}) = %d, want <= 80", sz)
 	}
-	if sz := unsafe.Sizeof(record{}); sz != 56 {
-		t.Errorf("unsafe.Sizeof(record{}) = %d, want 56", sz)
+	if sz := unsafe.Sizeof(record{}); sz != 120 {
+		t.Errorf("unsafe.Sizeof(record{}) = %d, want 120", sz)
 	}
 	const runtimePage = 8 << 10
-	for _, p := range []struct {
-		what  string
-		bytes uintptr
-	}{
-		{"packet page", pktPageLen * unsafe.Sizeof(Packet{})},
-		{"event slab page", recPageLen * unsafe.Sizeof(record{})},
-	} {
-		if p.bytes%runtimePage != 0 {
-			t.Errorf("%s is %d bytes, not a whole number of %d-byte runtime pages", p.what, p.bytes, runtimePage)
+	if sz := recPageLen * unsafe.Sizeof(record{}); sz%runtimePage != 0 {
+		t.Errorf("an event slab page is %d bytes, not a whole number of %d-byte runtime pages", sz, runtimePage)
+	}
+}
+
+// TestHandlerPacketSurvivesSlabGrowth: a handler's *Packet points into the
+// slab record its delivery popped, and stays intact while the handler sends
+// enough packets to add slab pages, every one of them waiting in a queue.
+func TestHandlerPacketSurvivesSlabGrowth(t *testing.T) {
+	const burst = 2 * recPageLen
+	cfg := DefaultConfig()
+	cfg.QueuePackets = burst
+	s, n, _ := testNet(t, cfg)
+	var pagesBefore, pagesAfter int
+	n.RegisterFlow(0, 2, func(*Packet) {})
+	n.RegisterFlow(1, 1, func(p *Packet) {
+		before := *p
+		pagesBefore = len(s.events.pages)
+		for k := 0; k < burst; k++ {
+			n.Send(1, 0, 2, 1500, nil)
 		}
+		pagesAfter = len(s.events.pages)
+		if *p != before {
+			t.Errorf("the delivered packet changed while its handler sent: %+v, was %+v", *p, before)
+		}
+		if p.Payload != "mine" || p.SrcGS != 0 || p.DstGS != 1 || p.Size != 1200 {
+			t.Errorf("the delivered packet reads %+v", *p)
+		}
+	})
+	n.Send(0, 1, 1, 1200, "mine")
+	s.Run(Second)
+	if pagesAfter < pagesBefore+2 {
+		t.Errorf("the handler's sends grew the slab from %d to %d pages, want at least two more", pagesBefore, pagesAfter)
+	}
+	if got := n.Drops(DropQueue); got != 0 {
+		t.Errorf("%d of the burst dropped; the test needs them all queued", got)
+	}
+}
+
+// TestPendingCountsOnlyQueuedEvents: the record of the event executing is
+// taken, not pending, even while it carries a packet — a handler, a drop hook
+// and a closure each see only what is still queued.
+func TestPendingCountsOnlyQueuedEvents(t *testing.T) {
+	s, n, _ := testNet(t, DefaultConfig())
+	seen := map[string]int{}
+	n.RegisterFlow(1, 1, func(*Packet) { seen["handler"] = s.Pending() })
+	n.SetDropHook(func(Time, int, *Packet, DropReason) { seen["drop hook"] = s.Pending() })
+	n.Send(0, 1, 1, 1500, nil)
+	s.Run(Second)
+	n.Send(0, 1, 42, 1500, nil) // no handler: dropped at the destination
+	s.Run(2 * Second)
+	s.Schedule(0, func() { seen["closure"] = s.Pending() })
+	s.Run(3 * Second)
+	for _, what := range []string{"handler", "drop hook", "closure"} {
+		if got, ok := seen[what]; !ok || got != 0 {
+			t.Errorf("%s saw Pending() = %d (ran: %v), want 0", what, got, ok)
+		}
+	}
+}
+
+// TestReleasedPacketIsPoisoned: once its callback returns, a packet's record
+// goes back to the slab. Its payload reference is dropped for the GC, and in
+// hypatia_checks builds its ID, Hops and Size read ^0, -1 and -1, so a
+// retained *Packet fails loudly instead of reading the next packet.
+func TestReleasedPacketIsPoisoned(t *testing.T) {
+	s, n, _ := testNet(t, DefaultConfig())
+	var kept *Packet
+	n.RegisterFlow(1, 1, func(p *Packet) { kept = p })
+	n.Send(0, 1, 1, 1500, "payload")
+	s.Run(Second)
+	if kept == nil {
+		t.Fatal("packet not delivered")
+	}
+	if kept.Payload != nil {
+		t.Errorf("a released record still references its payload %v", kept.Payload)
+	}
+	if check.Enabled && (kept.ID != ^uint64(0) || kept.Hops != -1 || kept.Size != -1) {
+		t.Errorf("a released record reads ID %#x, Hops %d, Size %d; want the poison ^0, -1, -1", kept.ID, kept.Hops, kept.Size)
+	}
+}
+
+// TestEmptyPacketTakesANanosecond: serialization takes at least a
+// nanosecond, so two empty packets queued on one device complete at distinct
+// instants and their evTransmitDone keys, which are the device, stay unique.
+func TestEmptyPacketTakesANanosecond(t *testing.T) {
+	s, n, topo := testNet(t, DefaultConfig())
+	src := topo.GSNode(0)
+	var starts []Time
+	n.SetTransmitHook(func(ti TransmitInfo) {
+		if ti.From == src {
+			starts = append(starts, ti.Start)
+		}
+	})
+	n.RegisterFlow(1, 1, func(*Packet) {})
+	n.Send(0, 1, 1, 0, nil)
+	n.Send(0, 1, 1, 0, nil)
+	s.Run(Second)
+	if len(starts) != 2 || starts[1]-starts[0] != Nanosecond {
+		t.Errorf("two empty packets started serializing at %v, want 1 ns apart", starts)
+	}
+	if n.Delivered() != 2 {
+		t.Errorf("delivered %d of 2 empty packets", n.Delivered())
 	}
 }
 

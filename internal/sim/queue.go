@@ -5,6 +5,9 @@ import "hypatia/internal/check"
 // This file is the engine's pending-event set: a 4-ary min-heap of 16-byte
 // (time, record) slots over a slab of event records, in which the receives a
 // device has in flight wait in a FIFO behind the one that sits in the heap.
+// A packet in flight lives inside the record of its next event: the record
+// travels with it from hop to hop (Network.forward re-links the record it
+// popped) and returns to the free chain only when the journey ends.
 //
 // Why a FIFO per device: a device serializes one packet at a time, and within
 // a position bucket the propagation delay toward a given target is constant,
@@ -17,8 +20,9 @@ import "hypatia/internal/check"
 // does not follow its FIFO's tail in canonical order (the GSL target changed,
 // a position-bucket edge shortened the delay) goes into the heap as a plain
 // event, as do closures, installs and cross-shard handoffs. Either way the pop
-// order is the canonical (at, owner, kind, key, seq) order: it is a strict
-// total order, so any correct priority queue pops the same sequence.
+// order is the canonical (at, owner, kind, key) order: every event's key is
+// unique among those of its (at, owner, kind), so it is a strict total order
+// and any correct priority queue pops the same sequence.
 //
 // Why a paged slab: the records live in fixed pages, allocated one at a time
 // as the pending set first reaches them and never copied, so a record keeps
@@ -26,10 +30,14 @@ import "hypatia/internal/check"
 // flat slice grown by append to the 26 k records of the Fig 2 UDP cell
 // allocated and copied about five times its final size (DESIGN.md, "Paged
 // event slab and packet records").
+//
+// Why the packet rides in its record: a hop then reads and writes one record,
+// where a packet kept in a pool of its own is a second cold line per hop
+// (DESIGN.md, "One record per packet in flight").
 
-// recPageLen records make a page: 1024 of 56 bytes are 57 344 bytes, exactly
-// seven 8 KiB runtime pages. rec reaches record i at page i>>recPageShift,
-// entry i&recPageMask.
+// recPageLen records make a page: 1024 of 120 bytes are 122 880 bytes,
+// exactly fifteen 8 KiB runtime pages. rec reaches record i at page
+// i>>recPageShift, entry i&recPageMask.
 const (
 	recPageShift = 10
 	recPageLen   = 1 << recPageShift
@@ -53,12 +61,19 @@ type slot struct {
 	rec int32
 }
 
-// record is one slab entry. src is the FIFO the event rides, or -1 for a
-// plain event; next links a FIFO-held record to
-// its successor and a free record to the next free one, 0 ending either chain
+// record is one slab entry: an event and, for evReceive and evTransmitDone,
+// the packet it carries (stale in other records). src is the FIFO the event
+// rides, or -1 for a plain event; next links a FIFO-held record to its
+// successor and a free record to the next free one, 0 ending either chain
 // (slab index 0 is never handed out).
+//
+// A record is free, pending (linked into the heap or a FIFO), or taken: handed
+// out by take or pop and neither linked nor released yet — a packet being
+// forwarded, a closure's record between its pop and its release. Only pending
+// records count in len.
 type record struct {
 	event
+	pkt  Packet
 	src  int32
 	next int32
 }
@@ -76,8 +91,8 @@ type eventQueue struct {
 	tails []int32
 }
 
-// devices sizes the FIFO state; events may then be pushed through pushFlight
-// for FIFO handles below n (Network.numFIFOs: two per device).
+// devices sizes the FIFO state; records may then be linked through
+// linkFlight for FIFO handles below n (Network.numFIFOs: two per device).
 func (q *eventQueue) devices(n int) { q.tails = make([]int32, n) }
 
 func (q *eventQueue) len() int { return q.n }
@@ -103,10 +118,7 @@ func (a *event) before(b *event) bool {
 	if a.kind != b.kind {
 		return a.kind < b.kind
 	}
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return a.seq < b.seq
+	return a.key < b.key
 }
 
 // slotBefore orders two heap slots: by time, and through their records when
@@ -118,13 +130,12 @@ func (q *eventQueue) slotBefore(a, b slot) bool {
 	return q.rec(a.rec).before(&q.rec(b.rec).event)
 }
 
-// alloc takes a free slab record, counts it pending, and returns its index
-// and address for the caller to store the event in. With the free chain empty
-// it hands out the next record never used, whose zeroed link leaves the chain
-// empty; the first page also pads the heap. alloc is kept small enough to
-// inline into push and pushFlight (DESIGN.md, "Paged event slab and packet
-// records"), which is why the callers store the event.
-func (q *eventQueue) alloc() (int32, *record) {
+// take hands out a free slab record, not yet pending, for the caller to fill
+// and then link or release. With the free chain empty it hands out the next
+// record never used, whose zeroed link leaves the chain empty; the first page
+// also pads the heap. take is kept small enough to inline (DESIGN.md, "Paged
+// event slab and packet records"), which is why the callers store the event.
+func (q *eventQueue) take() (int32, *record) {
 	i := q.free
 	if i == 0 {
 		q.used++
@@ -138,49 +149,75 @@ func (q *eventQueue) alloc() (int32, *record) {
 	}
 	r := q.rec(i)
 	q.free = r.next
-	q.n++
 	return i, r
 }
 
-// push adds a plain event.
-func (q *eventQueue) push(e event) {
-	i, r := q.alloc()
-	*r = record{event: e, src: -1}
-	q.up(slot{at: e.at, rec: i})
+// release returns taken record i to the free chain, dropping its references
+// for the GC. Builds with the hypatia_checks tag poison its packet (ID ^0,
+// Hops -1, Size -1), so a *Packet kept past its callback fails loudly.
+func (q *eventQueue) release(i int32, r *record) {
+	r.fn, r.pkt.Payload = nil, nil
+	if check.Enabled {
+		r.pkt.ID, r.pkt.Hops, r.pkt.Size = ^uint64(0), -1, -1
+	}
+	r.next = q.free
+	q.free = i
 }
 
-// pushFlight adds an event of one of a device's ascending sequences — the
-// arrivals it produces, or its observed transmit completions: to that FIFO
-// when it follows the FIFO's tail in canonical order (it becomes the head,
-// and enters the heap, when the FIFO is empty), to the heap as a plain event
-// otherwise.
-func (q *eventQueue) pushFlight(dev int32, e event) {
+// link makes taken record i, its event stored, pending as a plain event.
+func (q *eventQueue) link(i int32, r *record) {
+	r.src, r.next = -1, 0
+	q.n++
+	q.up(slot{at: r.at, rec: i})
+}
+
+// linkFlight makes taken record i, its event stored, pending as the next
+// event of one of a device's ascending sequences — the arrivals it produces,
+// or its observed transmit completions: in that FIFO when the event follows
+// the FIFO's tail in canonical order (it becomes the head, and enters the
+// heap, when the FIFO is empty), in the heap as a plain event otherwise.
+func (q *eventQueue) linkFlight(dev, i int32, r *record) {
 	t := q.tails[dev]
 	if t == 0 {
-		i, r := q.alloc()
-		*r = record{event: e, src: dev}
+		r.src, r.next = dev, 0
 		q.tails[dev] = i
-		q.up(slot{at: e.at, rec: i})
+		q.n++
+		q.up(slot{at: r.at, rec: i})
 		return
 	}
-	if tail := q.rec(t); tail.before(&e) {
-		// alloc may add a page, but records never move: tail stays valid.
-		i, r := q.alloc()
-		*r = record{event: e, src: dev}
+	if tail := q.rec(t); tail.before(&r.event) {
+		r.src, r.next = dev, 0
 		tail.next = i
 		q.tails[dev] = i
+		q.n++
 		return
 	}
-	q.push(e)
+	q.link(i, r)
 }
 
-// pop removes and returns the earliest event; the queue must not be empty.
-// When the event heads a FIFO with a successor, the successor takes the root
-// in the same sift-down that a plain removal spends on the last leaf.
-func (q *eventQueue) pop() event {
+// push adds a plain event in a record of its own: closures and installs,
+// which carry no packet.
+func (q *eventQueue) push(e event) {
+	i, r := q.take()
+	r.event = e
+	q.link(i, r)
+}
+
+// adopt adds a copy of x, event and packet, as a plain event: the migration
+// of takeAll's records between engines.
+func (q *eventQueue) adopt(x *record) {
+	i, r := q.take()
+	r.event, r.pkt = x.event, x.pkt
+	q.link(i, r)
+}
+
+// pop removes the earliest event and returns its record, taken: the caller
+// links it again (a packet moving on) or releases it. The queue must not be
+// empty. When the event heads a FIFO with a successor, the successor takes the
+// root in the same sift-down that a plain removal spends on the last leaf.
+func (q *eventQueue) pop() (int32, *record) {
 	top := q.heap[heapRoot].rec
 	r := q.rec(top)
-	e := r.event
 	nx := r.next
 	if r.src >= 0 && nx == 0 {
 		if check.Enabled {
@@ -188,19 +225,16 @@ func (q *eventQueue) pop() event {
 		}
 		q.tails[r.src] = 0
 	}
-	r.pkt, r.fn = nil, nil // drop the references for the GC
-	r.next = q.free
-	q.free = top
 	q.n--
 
 	if nx != 0 {
 		succ := q.rec(nx)
 		if check.Enabled {
-			check.Assert(r.src >= 0 && succ.src == r.src && q.tails[r.src] != 0 && e.before(&succ.event),
-				"FIFO %d: successor %d (src %d, at %v) does not follow head %d (at %v)", r.src, nx, succ.src, succ.at, top, e.at)
+			check.Assert(r.src >= 0 && succ.src == r.src && q.tails[r.src] != 0 && r.before(&succ.event),
+				"FIFO %d: successor %d (src %d, at %v) does not follow head %d (at %v)", r.src, nx, succ.src, succ.at, top, r.at)
 		}
 		q.down(slot{at: succ.at, rec: nx})
-		return e
+		return top, r
 	}
 	last := len(q.heap) - 1
 	x := q.heap[last]
@@ -208,7 +242,7 @@ func (q *eventQueue) pop() event {
 	if last > heapRoot {
 		q.down(x)
 	}
-	return e
+	return top, r
 }
 
 // up appends x to the heap and sifts it toward the root, moving parents into
@@ -316,19 +350,20 @@ func (q *eventQueue) leastTied(g *[4]slot, m int) int {
 	return m
 }
 
-// takeAll empties the queue and returns every pending event, FIFO-held ones
-// included, as plain records in no particular order. RunSharded uses it to
-// migrate events between the root engine and the shard engines; the heap and
-// slab storage is dropped.
-func (q *eventQueue) takeAll() []event {
+// takeAll empties the queue and returns a copy of every pending record,
+// FIFO-held ones included, in no particular order; only their event and
+// packet mean anything (adopt re-adds one). RunSharded uses it to migrate
+// events between the root engine and the shard engines; the heap and slab
+// storage is dropped, so no record may be taken when it is called.
+func (q *eventQueue) takeAll() []record {
 	if check.Enabled {
 		q.assertConsistent()
 	}
-	out := make([]event, 0, q.n)
+	out := make([]record, 0, q.n)
 	if q.n > 0 {
 		for _, s := range q.heap[heapRoot:] {
 			for i := s.rec; i != 0; i = q.rec(i).next {
-				out = append(out, q.rec(i).event)
+				out = append(out, *q.rec(i))
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 // that the interesting paths were reached.
 type queueDrive struct {
 	pops       int
+	relinks    int // popped receive records linked again into another FIFO
 	maxPending int
 	maxHeld    int // most events held in FIFOs behind their heads at once
 	outOfOrder int // receives pushed earlier than their device's previous one
@@ -19,12 +20,26 @@ type queueDrive struct {
 	reusePages int // slab pages a freed record was handed out again from
 }
 
+// pushFlight adds e in a record of its own through FIFO dev.
+func pushFlight(q *eventQueue, dev int32, e event) {
+	i, r := q.take()
+	r.event = e
+	q.linkFlight(dev, i, r)
+}
+
 // driveQueue feeds an eventQueue an op stream through its real entry points
-// (push, pushFlight, pop, len, nextAt) and checks every pop against an oracle
-// that is not a heap: the list of everything scheduled and not yet popped,
-// kept sorted under the canonical comparator by inserting each event after
-// every pending one it does not precede. Each op is two bytes — what, and with
-// which parameters — so the seeded test and the fuzzer share it.
+// (take, link, linkFlight, pop, release, len, nextAt) and checks every pop
+// against an oracle that is not a heap: the list of everything scheduled and
+// not yet popped, kept sorted under the canonical comparator by inserting
+// each event after every pending one it does not precede. Each op is two
+// bytes — what, and with which parameters — so the seeded test and the
+// fuzzer share it.
+//
+// A receive's record carries a packet whose ID is the low half of the event's
+// key. A popped receive is released or, as the network forwards a packet,
+// linked again as a receive through another device's FIFO; every pop checks
+// that the record still carries its own packet and that the taken record is
+// not counted pending.
 func driveQueue(t *testing.T, ops []byte) queueDrive {
 	t.Helper()
 	const devs = 4
@@ -47,77 +62,112 @@ func driveQueue(t *testing.T, ops []byte) queueDrive {
 		st      queueDrive
 	)
 	q.devices(devs)
-	sched := func(e event, dev int32) {
-		e.seq = seq
+	// link makes taken record i pending, through FIFO dev unless dev < 0.
+	link := func(i int32, r *record, dev int32) {
+		if dev >= 0 {
+			q.linkFlight(dev, i, r)
+		} else {
+			q.link(i, r)
+		}
+		k := sort.Search(len(pending), func(i int) bool { return r.before(&pending[i]) })
+		pending = slices.Insert(pending, k, r.event)
+	}
+	// sched stores e in a fresh record and links it as a plain event;
+	// closures and transmit completions take the scheduling sequence as their
+	// key, as the engine's closures do.
+	sched := func(e event) {
+		e.key = seq
 		seq++
 		if q.free != 0 {
 			reused[q.free>>recPageShift] = true
 		}
-		if dev >= 0 {
-			q.pushFlight(dev, e)
-		} else {
-			q.push(e)
-		}
-		k := sort.Search(len(pending), func(i int) bool { return e.before(&pending[i]) })
-		pending = slices.Insert(pending, k, e)
+		i, r := q.take()
+		r.event = e
+		link(i, r, -1)
 	}
-	pop := func() {
+	// receive links record i as the arrival of its packet from device d.
+	receive := func(i int32, r *record, d int, at Time, owner int32) {
+		if live[d] > 0 && at < lastAt[d] {
+			st.outOfOrder++
+		}
+		if emptied[d] {
+			st.refills++
+			emptied[d] = false
+		}
+		lastAt[d] = at
+		live[d]++
+		// The test keeps the producing device in the high bits of the key.
+		r.event = event{at: at, owner: owner, kind: evReceive, key: uint64(d)<<32 | r.pkt.ID}
+		link(i, r, int32(d))
+	}
+	// pop checks the earliest event against the oracle. A receive's record is
+	// then released when relink is 0, and otherwise linked again as its
+	// packet's arrival from device d+relink, as the network forwards a packet.
+	pop := func(relink int) {
 		want := pending[0]
 		pending = pending[1:]
 		if at := q.nextAt(); at != want.at {
 			t.Fatalf("pop %d: nextAt %v, oracle's earliest is at %v", st.pops, at, want.at)
 		}
-		got := q.pop()
-		if got.at != want.at || got.owner != want.owner || got.kind != want.kind || got.key != want.key || got.seq != want.seq {
-			t.Fatalf("pop %d: got (at %v owner %d kind %d key %d seq %d), oracle says (at %v owner %d kind %d key %d seq %d)",
-				st.pops, got.at, got.owner, got.kind, got.key, got.seq, want.at, want.owner, want.kind, want.key, want.seq)
+		i, r := q.pop()
+		if r.at != want.at || r.owner != want.owner || r.kind != want.kind || r.key != want.key {
+			t.Fatalf("pop %d: got (at %v owner %d kind %d key %d), oracle says (at %v owner %d kind %d key %d)",
+				st.pops, r.at, r.owner, r.kind, r.key, want.at, want.owner, want.kind, want.key)
 		}
-		if got.kind == evReceive {
-			// The test keeps the producing device in the high bits of the key.
-			d := got.key >> 32
-			live[d]--
-			emptied[d] = live[d] == 0
+		if q.len() != len(pending) {
+			t.Fatalf("pop %d: len() = %d with %d events pending and the popped record taken", st.pops, q.len(), len(pending))
 		}
-		now = got.at
+		now = r.at
 		st.pops++
+		if r.kind != evReceive {
+			q.release(i, r)
+			return
+		}
+		d := int(r.key >> 32)
+		if uint32(r.key) != uint32(r.pkt.ID) {
+			t.Fatalf("pop %d: the receive of packet %d carries packet %d", st.pops, uint32(r.key), r.pkt.ID)
+		}
+		live[d]--
+		emptied[d] = live[d] == 0
+		if relink == 0 {
+			q.release(i, r)
+			return
+		}
+		next := (d + relink) % devs
+		receive(i, r, next, now+prop[next], int32(next%3))
+		st.relinks++
 	}
-	popN := func(n int) {
+	popN := func(n, relink int) {
 		for ; n > 0 && len(pending) > 0; n-- {
-			pop()
+			pop(relink)
 		}
 	}
 	for i := 0; i+1 < len(ops); i += 2 {
 		op, arg := ops[i]%16, int(ops[i+1])
 		switch {
 		case op < 2: // unowned closure
-			sched(event{at: now + delays[arg%len(delays)], owner: -1, kind: evClosure}, -1)
+			sched(event{at: now + delays[arg%len(delays)], owner: -1, kind: evClosure})
 		case op < 4: // owned closure
-			sched(event{at: now + delays[arg/4%len(delays)], owner: int32(arg % 4), kind: evClosure}, -1)
-		case op == 4: // three closures on one (at, owner): seq decides
+			sched(event{at: now + delays[arg/4%len(delays)], owner: int32(arg % 4), kind: evClosure})
+		case op == 4: // three closures on one (at, owner): the key decides
 			for k := 0; k < 3; k++ {
-				sched(event{at: now + delays[arg/4%len(delays)], owner: int32(arg%4) - 1, kind: evClosure}, -1)
+				sched(event{at: now + delays[arg/4%len(delays)], owner: int32(arg%4) - 1, kind: evClosure})
 			}
 		case op < 7: // transmit completion of device arg%devs (node = device)
-			d := int32(arg % devs)
-			sched(event{at: now + 120, owner: d, kind: evTransmitDone, key: uint64(d)}, -1)
-		case op < 12: // receive through the per-device path
+			sched(event{at: now + 120, owner: int32(arg % devs), kind: evTransmitDone})
+		case op < 12: // a packet's first receive, through the per-device path
 			d := arg % devs
-			at := now + prop[d] + jitter[arg/16%len(jitter)]
-			if live[d] > 0 && at < lastAt[d] {
-				st.outOfOrder++
-			}
-			if emptied[d] {
-				st.refills++
-				emptied[d] = false
-			}
-			lastAt[d] = at
-			live[d]++
 			pktID++
-			sched(event{at: at, owner: int32(arg / 4 % 3), kind: evReceive, key: uint64(d)<<32 | pktID}, int32(d))
+			if q.free != 0 {
+				reused[q.free>>recPageShift] = true
+			}
+			i, r := q.take()
+			r.pkt = Packet{ID: pktID}
+			receive(i, r, d, now+prop[d]+jitter[arg/16%len(jitter)], int32(arg/4%3))
 		case op < 15 || arg%16 != 0: // fewer pops than pushes: the heap gets deep
-			popN(1 + arg%4)
+			popN(1+arg%4, arg>>4&3)
 		default: // run dry: every FIFO empties, later receives refill them
-			popN(len(pending))
+			popN(len(pending), 0)
 		}
 		if q.len() != len(pending) {
 			t.Fatalf("op %d: len() = %d with %d events pending", i/2, q.len(), len(pending))
@@ -125,7 +175,7 @@ func driveQueue(t *testing.T, ops []byte) queueDrive {
 		st.maxPending = max(st.maxPending, len(pending))
 		st.maxHeld = max(st.maxHeld, q.assertConsistent())
 	}
-	popN(len(pending))
+	popN(len(pending), 0)
 	if q.len() != 0 {
 		t.Fatalf("drained queue reports %d pending", q.len())
 	}
@@ -138,7 +188,8 @@ func driveQueue(t *testing.T, ops []byte) queueDrive {
 // canonical pop order over seeded random mixes of closures (owned, unowned,
 // zero-delay, equal (at, owner)), transmit completions, and receives through
 // the per-device path — in order, out of order, tied on `at` across owners,
-// into FIFOs that run empty and refill — with pops interleaved throughout.
+// into FIFOs that run empty and refill, popped records linked on into
+// another FIFO — with pops interleaved throughout.
 func TestEventQueueMatchesSortedOracle(t *testing.T) {
 	var total queueDrive
 	for seed := int64(1); seed <= 40; seed++ {
@@ -147,12 +198,13 @@ func TestEventQueueMatchesSortedOracle(t *testing.T) {
 		rng.Read(ops)
 		st := driveQueue(t, ops)
 		total.pops += st.pops
+		total.relinks += st.relinks
 		total.maxPending = max(total.maxPending, st.maxPending)
 		total.maxHeld = max(total.maxHeld, st.maxHeld)
 		total.outOfOrder += st.outOfOrder
 		total.refills += st.refills
 	}
-	if total.pops < 10000 || total.maxPending < 150 || total.maxHeld < 50 || total.outOfOrder < 100 || total.refills < 100 {
+	if total.pops < 10000 || total.relinks < 1000 || total.maxPending < 150 || total.maxHeld < 50 || total.outOfOrder < 100 || total.refills < 100 {
 		t.Errorf("op streams too tame to trust: %+v", total)
 	}
 }
@@ -188,11 +240,11 @@ func TestEventQueueAcrossPages(t *testing.T) {
 // pointer taken into one page stays valid.
 func TestEventQueueRecordsNeverMove(t *testing.T) {
 	var q eventQueue
-	q.push(event{at: 1, owner: -1, kind: evClosure, seq: 1})
+	q.push(event{at: 1, owner: -1, kind: evClosure, key: 1})
 	first := q.rec(1)
 	var edge *record
 	for i := int32(2); i <= 3*recPageLen; i++ {
-		q.push(event{at: Time(i), owner: -1, kind: evClosure, seq: uint64(i)})
+		q.push(event{at: Time(i), owner: -1, kind: evClosure, key: uint64(i)})
 		if i == recPageLen-1 {
 			edge = q.rec(i)
 		}
@@ -200,23 +252,26 @@ func TestEventQueueRecordsNeverMove(t *testing.T) {
 	if len(q.pages) != 4 {
 		t.Fatalf("slab grew to %d pages, want 4", len(q.pages))
 	}
-	if q.rec(1) != first || first.seq != 1 {
-		t.Errorf("record 1 moved or changed as the slab grew: now at %p (was %p), seq %d", q.rec(1), first, first.seq)
+	if q.rec(1) != first || first.key != 1 {
+		t.Errorf("record 1 moved or changed as the slab grew: now at %p (was %p), key %d", q.rec(1), first, first.key)
 	}
-	if q.rec(recPageLen-1) != edge || edge.seq != recPageLen-1 {
+	if q.rec(recPageLen-1) != edge || edge.key != recPageLen-1 {
 		t.Errorf("the last record of page 0 moved or changed as the slab grew")
 	}
 }
 
 // TestEventQueueTakeAll checks the migration surface: takeAll returns every
-// pending event exactly once, FIFO-held ones included, and leaves an empty
-// queue that accepts both kinds of push again.
+// pending event exactly once, FIFO-held ones included and each with its
+// packet, and leaves an empty queue that accepts both kinds of link again.
 func TestEventQueueTakeAll(t *testing.T) {
 	var q eventQueue
 	q.devices(2)
-	for i := 0; i < 10; i++ {
-		q.push(event{at: Time(100 - i), owner: -1, kind: evClosure, seq: uint64(2 * i)})
-		q.pushFlight(int32(i%2), event{at: Time(10 * i), owner: 1, kind: evReceive, key: uint64(i), seq: uint64(2*i + 1)})
+	for k := 0; k < 10; k++ {
+		q.push(event{at: Time(100 - k), owner: -1, kind: evClosure, key: uint64(2 * k)})
+		i, r := q.take()
+		r.event = event{at: Time(10 * k), owner: 1, kind: evReceive, key: uint64(2*k + 1)}
+		r.pkt.ID = uint64(2*k + 1)
+		q.linkFlight(int32(k%2), i, r)
 	}
 	if held := q.assertConsistent(); held != 8 {
 		t.Fatalf("%d events FIFO-held, want 8", held)
@@ -224,7 +279,10 @@ func TestEventQueueTakeAll(t *testing.T) {
 	evs := q.takeAll()
 	seen := map[uint64]bool{}
 	for _, e := range evs {
-		seen[e.seq] = true
+		seen[e.key] = true
+		if e.kind == evReceive && e.pkt.ID != e.key {
+			t.Errorf("the receive keyed %d came back with packet %d", e.key, e.pkt.ID)
+		}
 	}
 	if len(evs) != 20 || len(seen) != 20 {
 		t.Fatalf("takeAll returned %d events, %d distinct; want 20", len(evs), len(seen))
@@ -232,13 +290,13 @@ func TestEventQueueTakeAll(t *testing.T) {
 	if q.len() != 0 {
 		t.Fatalf("queue holds %d events after takeAll", q.len())
 	}
-	q.pushFlight(1, event{at: 5, owner: 0, kind: evReceive, key: 1})
+	pushFlight(&q, 1, event{at: 5, owner: 0, kind: evReceive, key: 1})
 	q.push(event{at: 3, owner: -1, kind: evClosure})
-	if e := q.pop(); e.at != 3 {
-		t.Errorf("popped at %v after refill, want 3", e.at)
+	if _, r := q.pop(); r.at != 3 {
+		t.Errorf("popped at %v after refill, want 3", r.at)
 	}
-	if e := q.pop(); e.at != 5 || q.len() != 0 {
-		t.Errorf("popped at %v with %d left, want 5 and 0", e.at, q.len())
+	if _, r := q.pop(); r.at != 5 || q.len() != 0 {
+		t.Errorf("popped at %v with %d left, want 5 and 0", r.at, q.len())
 	}
 }
 
@@ -248,7 +306,7 @@ func TestEventQueueTakeAll(t *testing.T) {
 // hundreds of packets in flight wait behind those heads. Two opposed streams
 // make every node on the path receive from two devices, so a FIFO keyed by
 // anything but the transmitting device (the receiving node, say) interleaves
-// two arrival sequences, keeps failing pushFlight's follows-the-tail test and
+// two arrival sequences, keeps failing linkFlight's follows-the-tail test and
 // spills into the heap — every result byte unchanged, the run just slower.
 func TestInFlightReceivesStayBehindFIFOHeads(t *testing.T) {
 	cfg := DefaultConfig()

@@ -31,7 +31,7 @@ import (
 // no shard ever receives an event in its past.
 //
 // Determinism: events are ordered by the canonical content key
-// (at, owner, kind, key, seq) on every engine, so each shard pops exactly
+// (at, owner, kind, key) on every engine, so each shard pops exactly
 // the subsequence of the serial run's event sequence that its nodes own.
 // Per-node state (devices, queues, flow handlers) is only touched by its
 // owner's events; forwarding state and position caches are engine-local
@@ -42,13 +42,13 @@ import (
 // which is why a sharded run's delivery/drop/transmit traces are
 // byte-identical to the serial loop's.
 
-// handoff is a cross-shard packet arrival: pkt reaches node at time at.
-// Ownership of the packet transfers with the handoff — the sending shard
-// never touches it again.
+// handoff is a cross-shard packet arrival: pkt reaches node at time at. The
+// packet travels by value: the sending shard releases its record, and the
+// coordinator copies the packet into a record of the receiving engine.
 type handoff struct {
 	at   Time
 	node int32
-	pkt  *Packet
+	pkt  Packet
 }
 
 // Journal record kinds.
@@ -92,9 +92,6 @@ func recLess(a, b *journalRec) bool {
 	}
 	if x.key != y.key {
 		return x.key < y.key
-	}
-	if x.seq != y.seq {
-		return x.seq < y.seq
 	}
 	return x.sub < y.sub
 }
@@ -382,16 +379,18 @@ func (n *Network) RunSharded(until Time, shards int) {
 	// lives on the engine that executes the device, and starts empty there.
 	// Forwarding state is engine-local, so every shard gets its own copy of
 	// each install event and installs its own clone.
-	for _, e := range root.events.takeAll() {
+	pending := root.events.takeAll()
+	for x := range pending {
+		e := &pending[x]
 		switch {
 		case e.kind == evInstall:
 			for k := range sims {
-				sims[k].events.push(e)
+				sims[k].events.adopt(e)
 			}
 		case e.owner >= 0:
-			sims[shardOf[e.owner]].events.push(e)
+			sims[shardOf[e.owner]].events.adopt(e)
 		default:
-			sims[0].events.push(e)
+			sims[0].events.adopt(e)
 		}
 	}
 	if check.Enabled {
@@ -472,12 +471,16 @@ func (n *Network) RunSharded(until Time, shards int) {
 			s := sims[k]
 			for j := range s.st.outbox {
 				dst := sims[j]
-				for _, h := range s.st.outbox[j] {
+				for x := range s.st.outbox[j] {
+					h := &s.st.outbox[j][x]
 					if check.Enabled {
 						check.Assert(h.at >= dst.now,
 							"handoff at %v behind shard %d clock %v", h.at, j, dst.now)
 					}
-					dst.events.push(event{at: h.at, owner: h.node, kind: evReceive, key: h.pkt.ID, seq: dst.nextSeq(), pkt: h.pkt})
+					i, r := dst.events.take()
+					r.event = event{at: h.at, owner: h.node, kind: evReceive, key: h.pkt.ID}
+					r.pkt = h.pkt
+					dst.events.link(i, r)
 				}
 				s.st.outbox[j] = s.st.outbox[j][:0]
 			}
@@ -513,9 +516,10 @@ func (n *Network) RunSharded(until Time, shards int) {
 		if s.now > root.now {
 			root.now = s.now
 		}
-		for _, e := range s.events.takeAll() {
-			if e.kind != evInstall || k == 0 {
-				root.events.push(e)
+		left := s.events.takeAll()
+		for x := range left {
+			if e := &left[x]; e.kind != evInstall || k == 0 {
+				root.events.adopt(e)
 			}
 		}
 	}

@@ -20,11 +20,11 @@
 //
 // Simulated time is an int64 nanosecond count from the start of the run.
 // Events are ordered by a canonical content-based key — (time, owning node,
-// event kind, per-kind key, scheduling sequence) — rather than by insertion
-// order alone, so the serial and sharded engines pop identical sequences and
-// every run is bit-for-bit deterministic. Events scheduled by user code
-// (Schedule/ScheduleAt) carry no owner and fall back to FIFO among
-// themselves at equal instants.
+// event kind, per-kind key) — rather than by insertion order alone, so the
+// serial and sharded engines pop identical sequences and every run is
+// bit-for-bit deterministic. A closure's key is its scheduling sequence, so
+// events scheduled by user code (Schedule/ScheduleAt), which carry no owner,
+// run FIFO among themselves at equal instants.
 package sim
 
 import (
@@ -84,8 +84,9 @@ const (
 	// instant index). Sorts first so a table change at t is visible to every
 	// packet event at t, on every engine.
 	evInstall evKind = iota
-	// evClosure runs a func() — user code, transport timers. key is 0; FIFO
-	// among the same owner via seq.
+	// evClosure runs a func() — user code, transport timers. key is the
+	// engine's scheduling sequence (Simulator.nextSeq): FIFO among the same
+	// owner.
 	evClosure
 	// evTransmitDone is the moment a device puts a packet's last bit on the
 	// wire (key = device handle, unique per instant and device). The device
@@ -99,24 +100,26 @@ const (
 	// (Simulator.departed).
 	evTransmitDone
 	// evReceive delivers a packet to its owner node (key = packet ID,
-	// globally unique).
+	// globally unique). Like evTransmitDone it carries its packet in its
+	// record.
 	evReceive
 )
 
 // event is one scheduled occurrence. The comparator (event.before, queue.go)
 // orders events by content, not by insertion: at, then owner (-1 for
-// unowned/user events), then kind, then the per-kind key, then seq. For any
-// two events that can ever tie through (at, owner, kind, key), both engines
-// assign seq in the same relative order (all scheduling onto one owner
-// happens on the engine executing that owner), which is what makes serial and
-// sharded runs pop identical sequences.
+// unowned/user events), then kind, then the per-kind key. No two events share
+// all four: installs are keyed by instant, receives by packet ID, transmit
+// completions by device (serialization takes at least a nanosecond, so a
+// device completes at most one transmission per instant),
+// and closures by scheduling sequence. Both engines assign that sequence in
+// the same relative order to any two closures of one owner (all scheduling
+// onto one owner happens on the engine executing that owner), which is what
+// makes serial and sharded runs pop identical sequences.
 type event struct {
 	at    Time
-	seq   uint64
 	key   uint64
 	owner int32
 	kind  evKind
-	pkt   *Packet
 	fn    func()
 }
 
@@ -125,7 +128,6 @@ type event struct {
 // deferred hook replay reproduces the serial emission order exactly.
 type journalKey struct {
 	at    Time
-	seq   uint64
 	key   uint64
 	sub   uint32
 	owner int32
@@ -214,7 +216,8 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) Processed() uint64 { return s.processed }
 
 // Pending returns the number of events currently queued, whether they sit in
-// the heap or wait in a device's in-flight FIFO.
+// the heap or wait in a device's in-flight FIFO. The event executing is not
+// one of them, even while its record carries a packet on to the next hop.
 func (s *Simulator) Pending() int { return s.events.len() }
 
 // Schedule enqueues fn to run delay from now. Negative delays panic: they
@@ -234,7 +237,7 @@ func (s *Simulator) ScheduleAt(at Time, fn func()) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < %v", at, s.now))
 	}
-	s.events.push(event{at: at, owner: -1, kind: evClosure, seq: s.nextSeq(), fn: fn})
+	s.events.push(event{at: at, owner: -1, kind: evClosure, key: s.nextSeq(), fn: fn})
 }
 
 // scheduleOwnedAt enqueues a closure on behalf of a node (transport timers
@@ -244,7 +247,7 @@ func (s *Simulator) scheduleOwnedAt(at Time, owner int32, fn func()) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < %v", at, s.now))
 	}
-	s.events.push(event{at: at, owner: owner, kind: evClosure, seq: s.nextSeq(), fn: fn})
+	s.events.push(event{at: at, owner: owner, kind: evClosure, key: s.nextSeq(), fn: fn})
 }
 
 func (s *Simulator) nextSeq() uint64 {
@@ -282,15 +285,15 @@ func (s *Simulator) runWindow(end Time, inclusive bool) {
 		if at > end || (at == end && !inclusive) {
 			break
 		}
-		e := s.events.pop()
+		i, r := s.events.pop()
 		if check.Enabled {
-			check.Assert(e.at >= s.now, "event heap popped %v after clock reached %v", e.at, s.now)
+			check.Assert(r.at >= s.now, "event heap popped %v after clock reached %v", r.at, s.now)
 		}
-		s.now = e.at
+		s.now = r.at
 		s.processed++
-		s.cur = journalKey{at: e.at, owner: e.owner, kind: e.kind, key: e.key, seq: e.seq}
+		s.cur = journalKey{at: r.at, owner: r.owner, kind: r.kind, key: r.key}
 		s.curSub = 0
-		s.dispatch(&e)
+		s.dispatch(i, r)
 	}
 	if inclusive && !s.stopped {
 		// Everything up to end has run, whatever its place in the order.
@@ -299,17 +302,23 @@ func (s *Simulator) runWindow(end Time, inclusive bool) {
 	}
 }
 
-// dispatch executes one event record.
-func (s *Simulator) dispatch(e *event) {
-	switch e.kind {
+// dispatch executes popped record i. Installs and closures release it before
+// they run; a packet event hands it on with its packet, and the network
+// releases it where the journey ends.
+func (s *Simulator) dispatch(i int32, r *record) {
+	switch r.kind {
 	case evInstall:
-		s.net.installEvent(s, int(e.key))
+		idx := int(r.key)
+		s.events.release(i, r)
+		s.net.installEvent(s, idx)
 	case evClosure:
-		e.fn()
+		fn := r.fn
+		s.events.release(i, r)
+		fn()
 	case evTransmitDone:
-		s.net.transmitDone(s, int32(e.key), e.pkt)
+		s.net.transmitDone(s, int32(r.key), i, r)
 	case evReceive:
-		s.net.receive(s, e.owner, e.pkt)
+		s.net.receive(s, r.owner, i, r)
 	default:
 		panic("sim: event kind with no dispatch arm")
 	}

@@ -121,7 +121,7 @@ func TestScheduleAtPastPanics(t *testing.T) {
 // added without an arm of its own stops the run instead of being dropped.
 func TestDispatchPanicsOnUnknownKind(t *testing.T) {
 	s := NewSimulator()
-	s.events.push(event{at: Second, owner: -1, kind: evReceive + 1, seq: s.nextSeq()})
+	s.events.push(event{at: Second, owner: -1, kind: evReceive + 1, key: s.nextSeq()})
 	defer func() {
 		if r := recover(); r != "sim: event kind with no dispatch arm" {
 			t.Errorf("recovered %v, want the dispatch panic", r)
@@ -239,10 +239,11 @@ func TestTimeStringTable(t *testing.T) {
 	}
 }
 
-// TestFIFOTieBreakNested verifies the (at, seq) ordering when a handler
-// schedules more work at the very instant that is currently executing: the
-// nested zero-delay events must run after every event already queued for
-// that timestamp, in the order they were scheduled.
+// TestFIFOTieBreakNested verifies the (at, key) ordering of closures, whose
+// key is their scheduling sequence, when a handler schedules more work at the
+// very instant that is currently executing: the nested zero-delay events must
+// run after every event already queued for that timestamp, in the order they
+// were scheduled.
 func TestFIFOTieBreakNested(t *testing.T) {
 	s := NewSimulator()
 	var order []string

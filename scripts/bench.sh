@@ -37,22 +37,23 @@ trap 'rm -f "$raw1" "$rawN"' EXIT
 # of amortized arena residue — so only a real regression (losing a reuse
 # path, a new per-op allocation) trips them.
 # BenchmarkSimSerial is the packet path end to end: ~1.0M events allocate
-# ~150 times: one packet page per 256 records and one event-slab page per
-# 1 024 up to the in-flight high-water (~127), and the packet free list, the
-# position cache and the heap growing while the links fill. It read
-# ~25.8k with one new Packet per record up to that high-water and the slab
-# regrown by append, and a packet path that allocated once per packet again
-# would read 500k.
-# BenchmarkSimSerialTCP is the same on the TCP shape: ~1.0k allocs/op —
-# mostly the scoreboard rings (sndRing, oooRing) growing, then the two kinds
-# of page — since the
-# TCP header rides by value in Packet, the per-segment state in a ring per
-# flow end, a flow records its three per-ACK logs only when asked
-# (TCPConfig.RecordLogs), and packet and event records come in pages. With
-# one new Packet per record it read 8.0k, with the logs on by default 10.6k,
-# with a boxed segment payload per data segment and ACK and five sequence
-# maps per flow on top 146k, and with a fresh closure per retransmission- and
-# delayed-ACK-timer arm as well, as before sim.Timer, 185k.
+# ~40 times: one event-slab page per 1 024 records up to the in-flight
+# high-water (a packet rides inside its event's record), then the position
+# cache and the heap growing while the links fill. It read 149 with a second
+# pool of packet pages and a packet free list beside the slab, ~25.8k with
+# one new Packet per record up to that high-water and the slab regrown by
+# append, and a packet path that allocated once per packet again would read
+# 500k.
+# BenchmarkSimSerialTCP is the same on the TCP shape: ~940 allocs/op —
+# nearly all the scoreboard rings (sndRing, oooRing) growing, then the slab
+# pages — since the TCP header rides by value in Packet, the per-segment
+# state in a ring per flow end, a flow records its three per-ACK logs only
+# when asked (TCPConfig.RecordLogs), and packets ride in the event slab.
+# With packet pages of their own it read 986, with one new Packet per record
+# 8.0k, with the logs on by default 10.6k, with a boxed segment payload per
+# data segment and ACK and five sequence maps per flow on top 146k, and with
+# a fresh closure per retransmission- and delayed-ACK-timer arm as well, as
+# before sim.Timer, 185k.
 # BenchmarkAnalyzePairsS1 is 8 steps of the stepped analysis on the engine:
 # 57 allocs/op at the default 5x (steps 17-57 of a run, where a pair's stored
 # satellite sequence or a visibility list still meets a new longest now and
@@ -60,7 +61,7 @@ trap 'rm -f "$raw1" "$rawN"' EXIT
 # per step again would read hundreds of thousands.
 # Every budgeted benchmark gets "alloc_budget"/"alloc_budget_status" fields
 # in the JSON, and any "over" status fails the run.
-alloc_budgets="BenchmarkSnapshotInto=8 BenchmarkForwardingTableFull=16 BenchmarkForwardingTablePooled=8 BenchmarkForwardingStateIncremental=100 BenchmarkSimSerial=1000 BenchmarkSimSerialTCP=2000 BenchmarkAnalyzePairsS1=75"
+alloc_budgets="BenchmarkSnapshotInto=8 BenchmarkForwardingTableFull=16 BenchmarkForwardingTablePooled=8 BenchmarkForwardingStateIncremental=100 BenchmarkSimSerial=100 BenchmarkSimSerialTCP=1500 BenchmarkAnalyzePairsS1=75"
 
 # budget_check fails when any benchmark came out over its pinned budget — the
 # bench harness' counterpart of a failing AllocGuard test.
@@ -173,11 +174,11 @@ if [[ "${1:-}" == "--selftest" ]]; then
     # incremental engine inside its allocation budget ("ok"), and regresses
     # SnapshotInto to its pre-arena-warmup 854 allocs/op so the "over"
     # status and the budget_check failure path are exercised too. SimSerial,
-    # SimSerialTCP and AnalyzePairsS1 sit inside their budgets here; six more
-    # canned logs below put the first back at one allocation per packet and
-    # at one per packet record, the second back at one closure per timer arm,
-    # at one boxed payload per segment and at per-ACK logs on by default, and
-    # the third back at materialised paths.
+    # SimSerialTCP and AnalyzePairsS1 sit inside their budgets here; seven more
+    # canned logs below put the first back at one allocation per packet, at
+    # one per packet record and at a packet pool of its own, the second back
+    # at one closure per timer arm, at one boxed payload per segment and at
+    # per-ACK logs on by default, and the third back at materialised paths.
     cat > "$self" <<'EOF'
 cpu: Selftest CPU @ 2.10GHz
 BenchmarkSnapshotInto-4                 5    1500000 ns/op  56000 B/op  854 allocs/op
@@ -199,11 +200,11 @@ EOF
         '"BenchmarkSnapshotInto": {"ns_per_op": 1500000, "bytes_per_op": 56000, "allocs_per_op": 854, "alloc_budget": 8, "alloc_budget_status": "over"}' \
         '"BenchmarkForwardingStateSerial": {"ns_per_op": 160000000, "ns_per_instant": 20000000, "bytes_per_op": 1000, "allocs_per_op": 10}' \
         '"BenchmarkForwardingStateIncremental": {"ns_per_op": 20000000, "ns_per_instant": 2500000, "bytes_per_op": 500, "allocs_per_op": 5, "alloc_budget": 100, "alloc_budget_status": "ok"}' \
-        '"BenchmarkSimSerial": {"ns_per_op": 80000000, "events_per_second": 170000, "bytes_per_op": 3000, "allocs_per_op": 30, "alloc_budget": 1000, "alloc_budget_status": "ok"}' \
+        '"BenchmarkSimSerial": {"ns_per_op": 80000000, "events_per_second": 170000, "bytes_per_op": 3000, "allocs_per_op": 30, "alloc_budget": 100, "alloc_budget_status": "ok"}' \
         '"BenchmarkSimSharded/shards=4": {"ns_per_op": 100000000, "events_per_second": 136000, "bytes_per_op": 4000, "allocs_per_op": 40}' \
         '"BenchmarkAnalyzePairsS1": {"ns_per_op": 56000000, "ns_per_step": 7000000, "bytes_per_op": 6000, "allocs_per_op": 57, "alloc_budget": 75, "alloc_budget_status": "ok"}' \
         '"serial_over_incremental": 8.000,' \
-        '"BenchmarkSimSerialTCP": {"ns_per_op": 650000000, "events_per_second": 3200000, "bytes_per_op": 3000000, "allocs_per_op": 988, "alloc_budget": 2000, "alloc_budget_status": "ok"}' \
+        '"BenchmarkSimSerialTCP": {"ns_per_op": 650000000, "events_per_second": 3200000, "bytes_per_op": 3000000, "allocs_per_op": 988, "alloc_budget": 1500, "alloc_budget_status": "ok"}' \
         '"BenchmarkSimShardedTCP/shards=4": {"ns_per_op": 520000000, "events_per_second": 4000000, "bytes_per_op": 30900000, "allocs_per_op": 148000}' \
         '"sharded_over_serial": 0.800,' \
         '"sharded_over_serial_note"' \
@@ -251,32 +252,39 @@ EOF
     # with one Packet, one boxed payload and one method value per UDP packet.
     expect_over \
         'BenchmarkSimSerial-4                    5  841000000 ns/op  2400000 events/s  25000000 B/op  505052 allocs/op' \
-        '"allocs_per_op": 505052, "alloc_budget": 1000, "alloc_budget_status": "over"' \
+        '"allocs_per_op": 505052, "alloc_budget": 100, "alloc_budget_status": "over"' \
         "an allocating packet path passed BenchmarkSimSerial's budget"
     # The packet records: SimSerial back at the 25 830 allocs/op it measured
     # with one new Packet per record up to the in-flight high-water and the
     # event slab regrown by append.
     expect_over \
         'BenchmarkSimSerial-4                    5  700000000 ns/op  2900000 events/s  10300000 B/op  25830 allocs/op' \
-        '"allocs_per_op": 25830, "alloc_budget": 1000, "alloc_budget_status": "over"' \
+        '"allocs_per_op": 25830, "alloc_budget": 100, "alloc_budget_status": "over"' \
         "a new Packet per packet record passed BenchmarkSimSerial's budget"
+    # The packet pool: SimSerial back at the 149 allocs/op it measured with
+    # packets in pages of 256 of their own and a free list of them, beside
+    # the event slab.
+    expect_over \
+        'BenchmarkSimSerial-4                    5  188000000 ns/op  5360000 events/s  4352168 B/op  149 allocs/op' \
+        '"allocs_per_op": 149, "alloc_budget": 100, "alloc_budget_status": "over"' \
+        "a packet pool beside the event slab passed BenchmarkSimSerial's budget"
     # TCP's timers: SimSerialTCP back at the 185 147 allocs/op it measured
     # with a fresh closure per retransmission- and delayed-ACK-timer arm.
     expect_over \
         'BenchmarkSimSerialTCP-4                 5  792000000 ns/op  2680000 events/s  32600000 B/op  185147 allocs/op' \
-        '"allocs_per_op": 185147, "alloc_budget": 2000, "alloc_budget_status": "over"' \
+        '"allocs_per_op": 185147, "alloc_budget": 1500, "alloc_budget_status": "over"' \
         "a closure per timer arm passed BenchmarkSimSerialTCP's budget"
     # TCP's headers: SimSerialTCP back at the 145 872 allocs/op it measured
     # with a boxed segment in Payload per data segment and ACK.
     expect_over \
         'BenchmarkSimSerialTCP-4                 5  650000000 ns/op  3200000 events/s  25700000 B/op  145872 allocs/op' \
-        '"allocs_per_op": 145872, "alloc_budget": 2000, "alloc_budget_status": "over"' \
+        '"allocs_per_op": 145872, "alloc_budget": 1500, "alloc_budget_status": "over"' \
         "a boxed payload per segment passed BenchmarkSimSerialTCP's budget"
     # TCP's logs: SimSerialTCP back at the 10 626 allocs/op it measured with
     # every flow appending to its CwndLog, RTTLog and AckedLog per ACK.
     expect_over \
         'BenchmarkSimSerialTCP-4                 5  650000000 ns/op  3200000 events/s  8000000 B/op  10626 allocs/op' \
-        '"allocs_per_op": 10626, "alloc_budget": 2000, "alloc_budget_status": "over"' \
+        '"allocs_per_op": 10626, "alloc_budget": 1500, "alloc_budget_status": "over"' \
         "per-ACK logs on by default passed BenchmarkSimSerialTCP's budget"
     # The analysis sweep: 8 steps that each materialise 4 950 node paths and
     # satellite sequences, as the from-scratch sweep did (45 MB per virtual
