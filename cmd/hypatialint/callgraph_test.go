@@ -60,7 +60,7 @@ func TestCallGraphCrossPackage(t *testing.T) {
 	cg := buildRepoCallGraph(t, "/internal/core")
 	newPipeline := findFn(t, cg, "internal/core", "newPipeline")
 	producer := findFn(t, cg, "internal/core", "producer")
-	step := findFn(t, cg, "internal/routing", "Step")
+	advance := findFn(t, cg, "internal/routing", "Advance")
 	shortest := findFn(t, cg, "internal/core", "ShortestPath")
 	sweep := findFn(t, cg, "internal/routing", "ForwardingTableFor")
 	empty := findFn(t, cg, "internal/routing", "Empty")
@@ -71,8 +71,8 @@ func TestCallGraphCrossPackage(t *testing.T) {
 	if hasEdge(cg, newPipeline, producer, false) {
 		t.Error("producer must not appear as a plain callee of newPipeline")
 	}
-	if !hasEdge(cg, producer, step, false) {
-		t.Error("producer -> IncrementalEngine.Step cross-package edge missing")
+	if !hasEdge(cg, producer, advance, false) {
+		t.Error("producer -> IncrementalEngine.Advance cross-package edge missing")
 	}
 	if !hasEdge(cg, shortest, sweep, false) {
 		t.Error("ShortestPath -> Snapshot.ForwardingTableFor cross-package edge missing")

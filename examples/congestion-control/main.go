@@ -14,24 +14,25 @@ import (
 )
 
 func main() {
+	gss := hypatia.Top100Cities()
+	src, err := hypatia.GSIndexByName(gss, "Rio de Janeiro")
+	if err != nil {
+		log.Fatal(err)
+	}
+	dst, err := hypatia.GSIndexByName(gss, "Saint Petersburg")
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, alg := range []hypatia.CCAlgorithm{hypatia.NewReno, hypatia.Vegas, hypatia.BBR} {
 		run, err := hypatia.NewRun(hypatia.RunConfig{
 			Constellation:  hypatia.Kuiper(),
-			GroundStations: hypatia.Top100Cities(),
+			GroundStations: gss,
 			Duration:       hypatia.Seconds(60),
+			ActiveDstGS:    []int{src, dst}, // forwarding state only toward the endpoints
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		src, err := run.GSIndexByName("Rio de Janeiro")
-		if err != nil {
-			log.Fatal(err)
-		}
-		dst, err := run.GSIndexByName("Saint Petersburg")
-		if err != nil {
-			log.Fatal(err)
-		}
-		run.Cfg.ActiveDstGS = []int{src, dst}
 
 		flow := hypatia.NewTCPFlow(run.Net, run.Flows, src, dst, hypatia.TCPConfig{
 			Algorithm:  alg,

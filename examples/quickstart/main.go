@@ -12,29 +12,29 @@ import (
 )
 
 func main() {
-	// Build a 20-second run over Kuiper K1 with the built-in 100-city
-	// ground-station set. Forwarding state is recomputed every 100 ms, the
-	// paper's default.
-	run, err := hypatia.NewRun(hypatia.RunConfig{
-		Constellation:  hypatia.Kuiper(),
-		GroundStations: hypatia.Top100Cities(),
-		Duration:       hypatia.Seconds(20),
-	})
+	gss := hypatia.Top100Cities()
+	src, err := hypatia.GSIndexByName(gss, "Rio de Janeiro")
+	if err != nil {
+		log.Fatal(err)
+	}
+	dst, err := hypatia.GSIndexByName(gss, "Saint Petersburg")
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	src, err := run.GSIndexByName("Rio de Janeiro")
-	if err != nil {
-		log.Fatal(err)
-	}
-	dst, err := run.GSIndexByName("Saint Petersburg")
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Computing forwarding state only toward the two endpoints keeps the
+	// Build a 20-second run over Kuiper K1 with the built-in 100-city
+	// ground-station set. Forwarding state is recomputed every 100 ms, the
+	// paper's default; computing it only toward the two endpoints keeps the
 	// run fast.
-	run.Cfg.ActiveDstGS = []int{src, dst}
+	run, err := hypatia.NewRun(hypatia.RunConfig{
+		Constellation:  hypatia.Kuiper(),
+		GroundStations: gss,
+		Duration:       hypatia.Seconds(20),
+		ActiveDstGS:    []int{src, dst},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	ping := hypatia.NewPinger(run.Net, run.Flows, src, dst, hypatia.PingConfig{
 		Interval: 10 * hypatia.Millisecond,

@@ -50,24 +50,24 @@ func run(lossRate float64) (float64, int64) {
 		}
 	}
 
+	src, err := hypatia.GSIndexByName(gss, "Istanbul")
+	if err != nil {
+		log.Fatal(err)
+	}
+	dst, err := hypatia.GSIndexByName(gss, "Nairobi")
+	if err != nil {
+		log.Fatal(err)
+	}
 	run, err := hypatia.NewRun(hypatia.RunConfig{
 		Constellation:  hypatia.Kuiper(),
 		GroundStations: gss,
 		Duration:       hypatia.Seconds(30),
 		Net:            netCfg,
+		ActiveDstGS:    []int{src, dst}, // forwarding state only toward the endpoints
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	src, err := run.GSIndexByName("Istanbul")
-	if err != nil {
-		log.Fatal(err)
-	}
-	dst, err := run.GSIndexByName("Nairobi")
-	if err != nil {
-		log.Fatal(err)
-	}
-	run.Cfg.ActiveDstGS = []int{src, dst}
 
 	flow := hypatia.NewTCPFlow(run.Net, run.Flows, src, dst, hypatia.TCPConfig{})
 	flow.Start()

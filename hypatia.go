@@ -131,6 +131,12 @@ func Top100Cities() []GS { return groundstation.Top100Cities() }
 // GSByName finds a ground station by name in a dataset.
 func GSByName(gss []GS, name string) (GS, error) { return groundstation.ByName(gss, name) }
 
+// GSIndexByName resolves a station name to its index in a dataset, the
+// number RunConfig.ActiveDstGS and the flow constructors take. Unlike
+// Run.GSIndexByName it needs no run, so a run's active destinations can be
+// named before NewRun captures them.
+func GSIndexByName(gss []GS, name string) (int, error) { return groundstation.IndexByName(gss, name) }
+
 // RelayGrid generates a grid of candidate bent-pipe ground relays covering
 // the bounding box of two endpoints (Appendix A of the paper).
 func RelayGrid(a, b LLA, rows, cols int, marginDeg float64, firstID int) ([]GS, error) {

@@ -181,33 +181,34 @@ func BenchmarkForwardingStateSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkForwardingStateIncremental measures the incremental engine in
-// steady state on the same workload shape: 8 consecutive 100 ms instants
-// per op. The engine is primed once outside the timer (the first instant
-// pays a full visibility scan and per-destination Dijkstra seeding) and
-// time keeps advancing across ops, so every measured Step is the honest
-// small-drift repair case the engine exists for. Compare ns/op directly
-// against BenchmarkForwardingStateSerial — both compute 8 full tables per
-// op; bench.sh emits the ratio as serial_over_incremental.
+// BenchmarkForwardingStateIncremental measures the forwarding-state
+// producer in steady state on the same workload shape: 8 consecutive 100 ms
+// instants per op. It drains a real pipeline, so each instant's trees split
+// across GOMAXPROCS workers exactly as in a run; bench.sh's GOMAXPROCS=1 and
+// =2 captures show that split's scaling. The first 17 instants are taken
+// outside the timer: the first pays a full visibility scan and
+// per-destination Dijkstra seeding, and delta scratch and repair arenas keep
+// growing for several instants after it as the drift exposes new high-water
+// marks. Time keeps advancing across ops, so every measured instant is the
+// honest small-drift repair case the engine exists for, and allocs/op
+// reports the per-instant residue TestAllocGuardIncrementalStep pins.
+// Compare ns/op directly against BenchmarkForwardingStateSerial — both
+// compute 8 full tables per op; bench.sh emits the ratio as
+// serial_over_incremental.
 func BenchmarkForwardingStateIncremental(b *testing.B) {
 	topo := benchKuiperTopo(b)
-	eng := routing.NewIncrementalEngine(topo, nil)
-	at := sim.Time(0)
-	// Warm for two full 8-instant cycles, not just the seeding step: pooled
-	// tables, delta scratch, and per-destination repair arenas keep growing
-	// for several instants after the first as the drift exposes new
-	// high-water marks. The timed loop then measures the steady state
-	// TestAllocGuardIncrementalStep pins, so allocs/op reports the honest
-	// per-instant residue.
-	for j := 0; j < 17; j++ {
-		eng.Step(at.Seconds(), nil).Release()
-		at += 100 * sim.Millisecond
+	const warm = 17
+	times := make([]sim.Time, warm+8*b.N)
+	for i := range times {
+		times[i] = sim.Time(i) * 100 * sim.Millisecond
+	}
+	p := newPipeline(topo, nil, nil, times)
+	defer p.close()
+	for range warm {
+		(<-p.tables).Release()
 	}
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 8; j++ {
-			at += 100 * sim.Millisecond
-			eng.Step(at.Seconds(), nil).Release()
-		}
+	for range 8 * b.N {
+		(<-p.tables).Release()
 	}
 }

@@ -36,7 +36,8 @@ type RunConfig struct {
 	// ground stations that actually receive traffic, which keeps pair
 	// studies cheap. Nil computes state for every ground station. The set
 	// is captured at NewRun: the pipeline precomputes future instants from
-	// it, so mutating the config after construction has no effect.
+	// it, so mutating the config after construction has no effect. A
+	// station may be listed once.
 	ActiveDstGS []int
 	// Strategy optionally replaces shortest-path routing: it is called at
 	// every forwarding update with the current snapshot and the active
@@ -137,10 +138,15 @@ func NewRun(cfg RunConfig) (*Run, error) {
 	if cfg.Duration < 0 || cfg.UpdateInterval < 0 {
 		return nil, fmt.Errorf("core: negative duration %v or update interval %v", cfg.Duration, cfg.UpdateInterval)
 	}
+	listed := make([]bool, len(cfg.GroundStations))
 	for _, gs := range cfg.ActiveDstGS {
 		if gs < 0 || gs >= len(cfg.GroundStations) {
 			return nil, fmt.Errorf("core: active destination %d outside the %d ground stations", gs, len(cfg.GroundStations))
 		}
+		if listed[gs] {
+			return nil, fmt.Errorf("core: active destination %d listed twice", gs)
+		}
+		listed[gs] = true
 	}
 	c, err := constellation.Generate(cfg.Constellation)
 	if err != nil {
@@ -192,14 +198,5 @@ func (r *Run) UpdatesInstalled() int { return 1 + r.Net.Installs() }
 
 // GSIndexByName resolves a ground-station name to its index in the run.
 func (r *Run) GSIndexByName(name string) (int, error) {
-	g, err := groundstation.ByName(r.Topo.GroundStations, name)
-	if err != nil {
-		return 0, err
-	}
-	for i, cand := range r.Topo.GroundStations {
-		if cand.ID == g.ID {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("core: station %q not found", name)
+	return groundstation.IndexByName(r.Topo.GroundStations, name)
 }

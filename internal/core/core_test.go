@@ -70,10 +70,11 @@ func TestNewRunRejectsBadInputs(t *testing.T) {
 		t.Error("no ground stations accepted")
 	}
 	for name, mutate := range map[string]func(*RunConfig){
-		"negative update interval":    func(c *RunConfig) { c.UpdateInterval = -sim.Millisecond },
-		"negative duration":           func(c *RunConfig) { c.Duration = -sim.Second },
-		"negative active destination": func(c *RunConfig) { c.ActiveDstGS = []int{0, -1} },
-		"active destination past end": func(c *RunConfig) { c.ActiveDstGS = []int{0, 4} },
+		"negative update interval":     func(c *RunConfig) { c.UpdateInterval = -sim.Millisecond },
+		"negative duration":            func(c *RunConfig) { c.Duration = -sim.Second },
+		"negative active destination":  func(c *RunConfig) { c.ActiveDstGS = []int{0, -1} },
+		"active destination past end":  func(c *RunConfig) { c.ActiveDstGS = []int{0, 4} },
+		"duplicate active destination": func(c *RunConfig) { c.ActiveDstGS = []int{1, 3, 1} },
 	} {
 		cfg := RunConfig{Constellation: miniConfig(), GroundStations: fourCities(t), Duration: sim.Second}
 		mutate(&cfg)

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
 	"hypatia/internal/constellation"
+	"hypatia/internal/groundstation"
 	"hypatia/internal/routing"
 	"hypatia/internal/sim"
 )
@@ -246,5 +251,64 @@ func TestPipelineHoldsAtMostReservedTables(t *testing.T) {
 	installed.Release()
 	if len(seen) > tablesInFlight+1 {
 		t.Errorf("the consumer saw %d distinct tables; the pipeline reserves %d and must never need another", len(seen), tablesInFlight+1)
+	}
+}
+
+// tableHash is FNV-64a over a table's instant and every next-hop entry.
+func tableHash(ft *routing.ForwardingTable) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], math.Float64bits(ft.T))
+	h.Write(b[:])
+	for dst := 0; dst < ft.NumGS; dst++ {
+		for node := 0; node < ft.NumNodes; node++ {
+			binary.LittleEndian.PutUint32(b[:4], uint32(ft.NextHop(node, dst)))
+			h.Write(b[:4])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestProducerTablesIndependentOfWorkerCount runs one instant sequence —
+// 100 ms steps with a few coarse jumps, over the 100 cities — through the
+// producer at GOMAXPROCS 1, 2 and 4, which is how many workers share each
+// instant's trees. Every installed table must hash the same at every worker
+// count and match the ShortestPath specification sweep. Forcing at least
+// two procs makes the race detector see the fan-out even on one hardware
+// thread.
+func TestProducerTablesIndependentOfWorkerCount(t *testing.T) {
+	c, err := constellation.Generate(miniConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := routing.NewTopology(c, groundstation.Top100Cities(), routing.GSLFree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	times := make([]sim.Time, 12)
+	for i := 1; i < len(times); i++ {
+		step := 100 * sim.Millisecond
+		if rng.Intn(4) == 0 {
+			step = sim.Time(1+rng.Intn(300)) * sim.Second / 10
+		}
+		times[i] = times[i-1] + step
+	}
+	want := make([]uint64, len(times))
+	for i, at := range times {
+		want[i] = tableHash(ShortestPath(topo.Snapshot(at.Seconds()), nil))
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		p := newPipeline(topo, nil, nil, times)
+		for i := range times {
+			ft := <-p.tables
+			if got := tableHash(ft); got != want[i] {
+				t.Errorf("GOMAXPROCS=%d instant %d (t=%v): table hash %016x, specification %016x", procs, i, times[i], got, want[i])
+			}
+			ft.Release()
+		}
+		p.close()
 	}
 }

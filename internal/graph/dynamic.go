@@ -238,7 +238,8 @@ func pull(edges []Edge, dist []float64) (arg int32, best, tie, far uint64) {
 // prior contents may be arbitrary; all the carried-over state lives in
 // order, which must be a permutation of the nodes and is refreshed in place
 // toward the new solution's settle order whenever drift has degraded it,
-// ready for the next repair.
+// ready for the next repair. Repairs over one graph may run concurrently,
+// each with its own arrays and scratch, once the graph is frozen (Freeze).
 //
 // Edge weights must be strictly positive (every topology builder emits
 // distances between distinct positions). Then the result is bitwise

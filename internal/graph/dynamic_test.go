@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"hypatia/internal/check"
@@ -440,4 +442,52 @@ func FuzzRepairSSSP(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRepairConcurrentOnFrozenGraph runs repairs from several sources at
+// once over one frozen graph, each goroutine with its own arrays, order and
+// scratch, as the forwarding-state producer's workers do. Every solution
+// must equal the serial Dijkstra's; under -race any write a repair makes to
+// the shared graph (the CSR mirror built lazily instead of by Freeze) is a
+// reported race.
+func TestRepairConcurrentOnFrozenGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const n, sources, workers = 300, 12, 4
+	oldSet := randomEdgeSet(rng, n, 3*n, false)
+	oldG := fromEdgeSet(n, oldSet)
+	newG := fromEdgeSet(n, mutateEdgeSet(rng, n, oldSet, n/2, false))
+	type want struct {
+		dist  []float64
+		prev  []int32
+		order []int32
+	}
+	wants := make([]want, sources)
+	for src := range wants {
+		order := make([]int32, n)
+		oldG.DijkstraScratch(src, nil, nil, &Scratch{Order: order})
+		dist, prev := newG.Dijkstra(src, nil, nil)
+		wants[src] = want{dist, prev, order}
+	}
+	newG.Freeze()
+	errs := make(chan string, sources)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sc RepairScratch
+			dist, prev := make([]float64, n), make([]int32, n)
+			for src := w; src < sources; src += workers {
+				newG.RepairSSSPDense(src, dist, prev, wants[src].order, &sc)
+				if !slices.Equal(dist, wants[src].dist) || !slices.Equal(prev, wants[src].prev) {
+					errs <- fmt.Sprintf("source %d: concurrent repair differs from serial Dijkstra", src)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
 }

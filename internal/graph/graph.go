@@ -70,10 +70,19 @@ func (g *Graph) Reset(n int) {
 	g.csrOK = false
 }
 
+// Freeze builds the CSR mirror the dense repair sweeps, if any edge was
+// added since the last build. After it, and until the next mutation, any
+// number of goroutines may run RepairSSSPDense (or Dijkstra) over g at once:
+// every one of them only reads it. Without it the first repair builds the
+// mirror itself, which is a data race when two start together.
+//
+//hypatia:pure
+func (g *Graph) Freeze() { g.csr() }
+
 // csr returns the graph's CSR adjacency mirror, rebuilding it if any edge
-// was added since the last build. Only for single-owner use (the repair
-// paths): the rebuild mutates the receiver. The checked build holds every
-// weight to the repair's contract (strictly positive) here.
+// was added since the last build. The rebuild mutates the receiver, so
+// concurrent repairs need the graph frozen first (Freeze). The checked build
+// holds every weight to the repair's contract (strictly positive) here.
 //
 //hypatia:pure
 func (g *Graph) csr() (off []int32, edges []Edge) {

@@ -164,12 +164,22 @@ func Top100Cities() []GS {
 
 // ByName returns the ground station with the given name from gss.
 func ByName(gss []GS, name string) (GS, error) {
-	for _, g := range gss {
+	i, err := IndexByName(gss, name)
+	if err != nil {
+		return GS{}, err
+	}
+	return gss[i], nil
+}
+
+// IndexByName returns the index in gss of the first station with the given
+// name: the number a run's ActiveDstGS and flows use for it.
+func IndexByName(gss []GS, name string) (int, error) {
+	for i, g := range gss {
 		if g.Name == name {
-			return g, nil
+			return i, nil
 		}
 	}
-	return GS{}, fmt.Errorf("groundstation: no station named %q", name)
+	return 0, fmt.Errorf("groundstation: no station named %q", name)
 }
 
 // MustByName is ByName for known-good names; it panics on a miss. Intended

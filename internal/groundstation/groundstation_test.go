@@ -67,6 +67,20 @@ func TestByNameMiss(t *testing.T) {
 	}
 }
 
+func TestIndexByName(t *testing.T) {
+	gss := Top100Cities()
+	i, err := IndexByName(gss, "Nairobi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gss[i].Name != "Nairobi" {
+		t.Errorf("IndexByName(Nairobi) = %d, which is %s", i, gss[i].Name)
+	}
+	if _, err := IndexByName(gss, "Atlantis"); err == nil {
+		t.Error("missing city did not error")
+	}
+}
+
 func TestMustByNamePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

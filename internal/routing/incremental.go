@@ -404,8 +404,18 @@ func (t *Topology) DeltaInto(tsec float64, d *DeltaState) (*Snapshot, []graph.Ed
 // settle order from the previous instant. Between 100 ms instants every link
 // weight drifts (so there is nothing to diff around) but the settle order
 // barely moves, which makes the re-solve a single near-branchless sweep over
-// the adjacency. Trees is that loop; Step (forwarding tables for packet
-// runs) and the stepped analyses of internal/analysis are its two clients.
+// the adjacency.
+//
+// An instant has two phases. Advance is serial: it moves the snapshot to
+// the instant and freezes its graph. The trees are then independent of one
+// another, because a root's repair reads the frozen graph and writes only
+// its own settle order and the TreeScratch it is handed: Fill solves a list
+// of roots into a table's columns, and calls for distinct roots with
+// distinct scratches may run at once (core's producer splits each instant's
+// roots across its workers this way). Trees and Step are the serial clients:
+// Advance plus one loop over the roots on the engine's own scratch. Trees
+// hands each tree to a visitor (the stepped analyses of internal/analysis),
+// Step installs them into a table (packet runs).
 //
 // Because the dense repair is correct from any starting order — order
 // quality affects cost, never the bitwise result — the engine needs no
@@ -419,34 +429,49 @@ func (t *Topology) DeltaInto(tsec float64, d *DeltaState) (*Snapshot, []graph.Ed
 // and the differential suites in internal/core and internal/analysis prove
 // the same over randomized instant sequences.
 //
-// An engine is single-owner state (one goroutine at a time); tables it
-// returns are the caller's to Release.
+// Advance, Trees and Step are single-owner calls (one goroutine at a time,
+// never during a Fill); tables Step returns are the caller's to Release.
 type IncrementalEngine struct {
 	topo *Topology
 	pool *TablePool
 
 	delta DeltaState
-
-	repair graph.RepairScratch
-	first  graph.Scratch // a root's first tree: from-scratch Dijkstra
-
-	// The one dist/prev solution pair every tree is written into: the dense
-	// repair overwrites both before reading either, and Trees hands a tree
-	// to its visitor before the next root reuses the pair.
-	dist []float64
-	prev []int32
+	g     *graph.Graph // the instant Advance last reached, frozen
+	tsec  float64
 
 	// Per-root settle order, the only state a repair carries into the next
 	// one. A nil order marks a root never yet computed: its first tree is a
 	// from-scratch Dijkstra whose pop order becomes the order.
 	order [][]int32
 
-	// Step's client state: the table being filled, and installColumn bound
-	// once as the visitor so that a Step creates no closure.
-	ft      *ForwardingTable
-	install TreeVisitor
+	scratch *TreeScratch // Trees' and Step's
+	all     []int        // every ground station, the roots of a nil list
 
-	oracle oracleState // hypatia_checks only
+	oracle oracleSnapshot // hypatia_checks only
+}
+
+// TreeScratch is one solver's working arrays: the dist/prev pair a tree is
+// written into (the dense repair overwrites both before reading either),
+// the repair's and the first Dijkstra's scratch, and under hypatia_checks
+// the oracle's own pair. A TreeScratch serves one Fill at a time.
+type TreeScratch struct {
+	dist   []float64
+	prev   []int32
+	repair graph.RepairScratch
+	first  graph.Scratch // a root's first tree: from-scratch Dijkstra
+	oracle oracleScratch // hypatia_checks only
+}
+
+// NewTreeScratch sizes a scratch for the engine's topology, the repair's
+// heap included, so that a worker's trees allocate nothing beyond each
+// root's first settle order.
+//
+//hypatia:pure
+func (e *IncrementalEngine) NewTreeScratch() *TreeScratch {
+	n := e.topo.NumNodes()
+	sc := &TreeScratch{dist: make([]float64, n), prev: make([]int32, n)}
+	sc.repair.Reserve(n)
+	return sc
 }
 
 // NewIncrementalEngine builds an engine over topo drawing tables from pool
@@ -457,16 +482,62 @@ func NewIncrementalEngine(topo *Topology, pool *TablePool) *IncrementalEngine {
 	if pool == nil {
 		pool = &TablePool{}
 	}
-	n := topo.NumNodes()
 	e := &IncrementalEngine{
 		topo:  topo,
 		pool:  pool,
-		dist:  make([]float64, n),
-		prev:  make([]int32, n),
 		order: make([][]int32, topo.NumGS()),
+		all:   make([]int, topo.NumGS()),
 	}
-	e.install = e.installColumn
+	for gs := range e.all {
+		e.all[gs] = gs
+	}
+	e.scratch = e.NewTreeScratch()
 	return e
+}
+
+// Advance moves the engine to time tsec: the delta snapshot, its graph
+// frozen so that concurrent repairs only read it, on the engine's first
+// instant the second snapshot buffer sized (prime), and under
+// hypatia_checks the oracle's one from-scratch snapshot of the instant.
+// Fill then solves the instant's trees.
+//
+//hypatia:pure
+func (e *IncrementalEngine) Advance(tsec float64) {
+	e.g = e.topo.deltaSnapshot(tsec, &e.delta).G
+	e.tsec = tsec
+	if e.delta.Prev() == nil {
+		e.prime()
+	}
+	e.g.Freeze()
+	if check.Enabled {
+		e.oracleAdvance(tsec)
+	}
+}
+
+// prime runs in the engine's first instant (the one with no predecessor; a
+// time jump does not make another) and gives the second snapshot buffer what
+// the second and third instants would otherwise have allocated: adjacency
+// and CSR capacity sized from the snapshot just built. The repair scratch of
+// every TreeScratch is sized when it is made. An engine's arenas are then a
+// cost of its first instant alone — which for a packet run is construction
+// (core.NewRun returns after it) — and what later instants allocate is the
+// slow creep of rows that outgrow their first size.
+//
+//hypatia:pure
+func (e *IncrementalEngine) prime() {
+	e.delta.primeNext()
+}
+
+// Roots returns the roots a destination list names: the list itself, or
+// every ground station in index order for nil. The result is the engine's
+// and must not be modified.
+//
+//hypatia:pure
+func (e *IncrementalEngine) Roots(list []int) []int {
+	if list == nil {
+		return e.all
+	}
+	return list
 }
 
 // TreeVisitor receives one shortest-path tree from Trees: the root ground
@@ -486,80 +557,62 @@ type TreeVisitor func(gs int, dist []float64, prev []int32)
 //
 //hypatia:pure
 func (e *IncrementalEngine) Trees(tsec float64, roots []int, visit TreeVisitor) {
-	g := e.topo.deltaSnapshot(tsec, &e.delta).G
-	if roots == nil {
-		for gs := 0; gs < e.topo.NumGS(); gs++ {
-			e.tree(g, tsec, gs)
-			visit(gs, e.dist, e.prev)
-		}
-	} else {
-		for _, gs := range roots {
-			e.tree(g, tsec, gs)
-			visit(gs, e.dist, e.prev)
-		}
-	}
-	if e.delta.Prev() == nil {
-		e.prime()
+	e.Advance(tsec)
+	sc := e.scratch
+	for _, gs := range e.Roots(roots) {
+		e.solve(sc, gs)
+		visit(gs, sc.dist, sc.prev)
 	}
 }
 
-// prime runs at the end of the engine's first instant (the one with no
-// predecessor; a time jump does not make another) and allocates
-// what the second and third would otherwise have: the second snapshot buffer
-// and both graphs' CSR mirrors, sized from the snapshot just built, and the
-// repair scratch (the first instant's trees are from-scratch Dijkstras and
-// never touch it). An engine's arenas are then a cost of its first instant
-// alone — which for a packet run is construction (core.NewRun returns after
-// it) — and what later instants allocate is the slow creep of rows that
-// outgrow their first size.
+// Step computes the forwarding table for time tsec toward the given
+// destination ground stations (nil = all): Advance, then Fill on the
+// engine's own scratch. The table comes from the engine's pool; the caller
+// owns it and must Release it.
 //
 //hypatia:pure
-func (e *IncrementalEngine) prime() {
-	e.delta.primeNext()
-	e.repair.Reserve(e.topo.NumNodes())
+func (e *IncrementalEngine) Step(tsec float64, active []int) *ForwardingTable {
+	ft := e.pool.Empty(tsec, e.topo.NumNodes(), e.topo.NumGS())
+	e.Advance(tsec)
+	e.Fill(ft, e.Roots(active), e.scratch)
+	return ft
 }
 
-// tree solves the tree rooted at ground station gs on g into e.dist/e.prev:
+// Fill solves the tree of every root in roots at the instant Advance last
+// reached, in sc, and installs its predecessors as the root's next-hop
+// column of ft. Fills over disjoint root lists, each with its own scratch,
+// may run concurrently: a root's repair reads the frozen graph and writes
+// only its own settle order, the scratch and its own column. A root listed
+// twice, in one call or in two at once, is a data race.
+//
+//hypatia:pure
+func (e *IncrementalEngine) Fill(ft *ForwardingTable, roots []int, sc *TreeScratch) {
+	for _, gs := range roots {
+		e.solve(sc, gs)
+		ft.SetDestination(gs, sc.prev)
+	}
+}
+
+// solve solves the tree rooted at ground station gs into sc.dist/sc.prev:
 // a repair over the root's carried settle order, or on first use a
-// from-scratch Dijkstra that records it.
+// from-scratch Dijkstra that records it. It is the one tree path: Trees,
+// Step and every worker's Fill come through here.
 //
 //hypatia:pure
-func (e *IncrementalEngine) tree(g *graph.Graph, tsec float64, gs int) {
+func (e *IncrementalEngine) solve(sc *TreeScratch, gs int) {
 	root := e.topo.GSNode(gs)
 	if ord := e.order[gs]; ord != nil {
-		g.RepairSSSPDense(root, e.dist, e.prev, ord, &e.repair)
+		e.g.RepairSSSPDense(root, sc.dist, sc.prev, ord, &sc.repair)
 	} else {
-		e.first.Order = make([]int32, g.N())
-		e.dist, e.prev = g.DijkstraScratch(root, e.dist, e.prev, &e.first)
-		e.order[gs], e.first.Order = e.first.Order, nil
+		sc.first.Order = make([]int32, e.g.N())
+		sc.dist, sc.prev = e.g.DijkstraScratch(root, sc.dist, sc.prev, &sc.first)
+		e.order[gs], sc.first.Order = sc.first.Order, nil
 	}
 	if check.Enabled {
 		// The checked-build oracle is deliberately impure: it bumps a
 		// process-global comparison counter so check.sh can assert the
 		// differential layer actually ran.
 		//lint:ignore purity hypatia_checks oracle counts comparisons globally
-		e.oracleCheck(tsec, gs)
+		e.oracleCheck(sc, gs)
 	}
-}
-
-// Step computes the forwarding table for time tsec toward the given
-// destination ground stations (nil = all): Trees, each tree's predecessors
-// installed as its destination's next-hop column. The table comes from the
-// engine's pool; the caller owns it and must Release it.
-//
-//hypatia:pure
-func (e *IncrementalEngine) Step(tsec float64, active []int) *ForwardingTable {
-	ft := e.pool.Empty(tsec, e.topo.NumNodes(), e.topo.NumGS())
-	e.ft = ft
-	e.Trees(tsec, active, e.install)
-	e.ft = nil
-	return ft
-}
-
-// installColumn is Step's TreeVisitor: the tree's predecessors are its
-// root's next-hop column.
-//
-//hypatia:pure
-func (e *IncrementalEngine) installColumn(gs int, _ []float64, prev []int32) {
-	e.ft.SetDestination(gs, prev)
 }

@@ -7,9 +7,17 @@ package routing
 // always 0.
 func OracleComparisons() uint64 { return 0 }
 
-// oracleState is empty without -tags hypatia_checks.
-type oracleState struct{}
+// oracleSnapshot and oracleScratch are empty without -tags hypatia_checks.
+type (
+	oracleSnapshot struct{}
+	oracleScratch  struct{}
+)
 
-// oracleCheck is a no-op without -tags hypatia_checks; its call site is
-// guarded by check.Enabled, so this stub is never reached at runtime.
-func (e *IncrementalEngine) oracleCheck(float64, int) {}
+// oracleAdvance and oracleCheck are no-ops without -tags hypatia_checks;
+// their call sites are guarded by check.Enabled, so these stubs are never
+// reached at runtime.
+//
+//hypatia:pure
+func (e *IncrementalEngine) oracleAdvance(float64) {}
+
+func (e *IncrementalEngine) oracleCheck(*TreeScratch, int) {}

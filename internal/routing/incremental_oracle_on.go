@@ -18,32 +18,41 @@ var oracleComparisons atomic.Uint64
 // in this process (always 0 in unchecked builds).
 func OracleComparisons() uint64 { return oracleComparisons.Load() }
 
-// oracleState is the oracle's own from-scratch snapshot of the instant being
-// verified and its Dijkstra arrays — none of the engine's cached state.
-type oracleState struct {
+// oracleSnapshot is the oracle's own from-scratch snapshot of the instant
+// being verified — none of the engine's cached state. Advance builds it, and
+// every worker's oracleCheck only reads it.
+type oracleSnapshot struct {
 	snap *Snapshot
+}
+
+// oracleScratch is one worker's oracle Dijkstra arrays.
+type oracleScratch struct {
 	dist []float64
 	prev []int32
 }
 
-// oracleCheck re-derives the tree rooted at gs from scratch — fresh
-// snapshot, fresh Dijkstra — and fails the run on any bitwise difference, in
-// distance or predecessor, from the tree the engine just produced. This is
-// the differential-oracle discipline: the retained from-scratch computation
-// is the specification, the incremental path an optimization that must be
-// indistinguishable from it. A forwarding-table column is a copy of prev
-// and an analysis reads dist and walks prev, so both of Trees' clients are
-// covered here.
-func (e *IncrementalEngine) oracleCheck(tsec float64, gs int) {
-	o := &e.oracle
-	if o.snap == nil || o.snap.T != tsec {
-		o.snap = e.topo.SnapshotInto(tsec, o.snap)
-	}
-	o.dist, o.prev = o.snap.FromGS(gs, o.dist, o.prev)
+// oracleAdvance builds the oracle's snapshot of the instant at tsec.
+//
+//hypatia:pure
+func (e *IncrementalEngine) oracleAdvance(tsec float64) {
+	e.oracle.snap = e.topo.SnapshotInto(tsec, e.oracle.snap)
+}
+
+// oracleCheck re-derives the tree rooted at gs from scratch — the oracle's
+// snapshot, a fresh Dijkstra — and fails the run on any bitwise difference,
+// in distance or predecessor, from the tree the engine just solved into sc.
+// This is the differential-oracle discipline: the retained from-scratch
+// computation is the specification, the incremental path an optimization
+// that must be indistinguishable from it. A forwarding-table column is a
+// copy of prev and an analysis reads dist and walks prev, so both of the
+// engine's clients are covered here.
+func (e *IncrementalEngine) oracleCheck(sc *TreeScratch, gs int) {
+	o := &sc.oracle
+	o.dist, o.prev = e.oracle.snap.FromGS(gs, o.dist, o.prev)
 	for node := range o.dist {
-		if e.dist[node] != o.dist[node] || e.prev[node] != o.prev[node] {
+		if sc.dist[node] != o.dist[node] || sc.prev[node] != o.prev[node] {
 			check.Failf("incremental oracle t=%v root gs %d: node %d has (dist %v, prev %d), from-scratch says (%v, %d)",
-				tsec, gs, node, e.dist[node], e.prev[node], o.dist[node], o.prev[node])
+				e.tsec, gs, node, sc.dist[node], sc.prev[node], o.dist[node], o.prev[node])
 		}
 	}
 	oracleComparisons.Add(1)
