@@ -116,3 +116,24 @@ func infallibleWriter(info *types.Info, w ast.Expr) bool {
 	return ok && ((path == "bytes" && name == "Buffer") ||
 		(path == "strings" && name == "Builder"))
 }
+
+// namedType returns the named type and its qualified (pkgpath, name) if t
+// is (a pointer to) a defined type.
+func namedType(t types.Type) (pkgPath, name string, ok bool) {
+	if ptr, isPtr := t.(*types.Pointer); isPtr {
+		t = ptr.Elem()
+	}
+	n, isNamed := t.(*types.Named)
+	if !isNamed {
+		return "", "", false
+	}
+	obj := n.Obj()
+	if obj == nil {
+		return "", "", false
+	}
+	path := ""
+	if obj.Pkg() != nil {
+		path = obj.Pkg().Path()
+	}
+	return path, obj.Name(), true
+}

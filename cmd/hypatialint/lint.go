@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
@@ -14,16 +13,14 @@ import (
 const (
 	checkDroppedError = "droppederror" // discarded error results
 	checkStaleIgnore  = "staleignore"  // //lint:ignore directives that no longer match any finding
-	checkPurity       = "purity"       // //hypatia:pure contract violations and unannotated pipeline callees
-	checkDirective    = "directive"    // malformed //lint: or //hypatia: comments
+	checkDirective    = "directive"    // malformed //lint: comments and any //hypatia: comment
 )
 
 // checkDocs is the one-line documentation per check, for -list.
 var checkDocs = [][2]string{
 	{checkDroppedError, "error results must be handled or explicitly discarded with _ ="},
 	{checkStaleIgnore, "//lint:ignore directives must still match a finding; delete them when the code is fixed"},
-	{checkPurity, "//hypatia:pure functions must be effect-free and call only annotated functions; pipeline goroutine bodies are held to the worker contract"},
-	{checkDirective, "//lint:ignore directives must name a check and give a reason; //hypatia: comments must be valid and take effect"},
+	{checkDirective, "//lint:ignore directives must name a check and give a reason; no //hypatia: directive exists"},
 }
 
 // Finding is one reported lint violation. Suppressed findings (matched by a
@@ -203,68 +200,38 @@ func knownCheck(name string) bool {
 	return false
 }
 
-// config carries the scope of the one scoped check family and the module
-// under analysis.
-type config struct {
-	// pureScope identifies, by import-path substring, the packages whose
-	// goroutine bodies are pipeline workers, held to the purity root
-	// contract.
-	pureScope []string
-	// module is the module path of the tree under analysis, filled in by
-	// lint() from go.mod; the effect analysis uses it to tell module-local
-	// bodyless callees (interface methods) from standard-library calls.
-	module string
-}
-
-// defaultConfig is the configuration the command line runs with.
-var defaultConfig = config{
-	pureScope: []string{"internal/core"},
-}
-
-// lintPackages runs every check family: the per-statement check over the
-// lint targets, then the interprocedural families over the call graph built
-// from all loaded packages, then the stale-suppression sweep.
-func lintPackages(targets, all []*pkg, cg *callGraph, cfg config, rep *reporter) {
+// lintPackages runs every check family over the lint targets, then the
+// stale-suppression sweep.
+func lintPackages(targets []*pkg, rep *reporter) {
 	for _, p := range targets {
 		for _, f := range p.files {
 			rep.collectSuppressions(f)
 		}
 		checkDroppedErrorPkg(p, rep)
+		for _, f := range p.files {
+			rep.checkHypatiaComments(f)
+		}
 	}
-	checkPurityPkgs(targets, all, cg, cfg, rep)
 	rep.reportStale()
 }
 
-// inScope reports whether the package's import path falls inside the given
-// scope list (substring match).
-func inScope(path string, scope []string) bool {
-	for _, s := range scope {
-		if s != "" && strings.Contains(path, s) {
-			return true
+// checkHypatiaComments reports every //hypatia: comment in the file. No
+// analyzer reads one any more (DESIGN.md, "Correctness tooling"), so each is
+// an unknown directive: an annotation that claims a property no check holds
+// it to cannot creep back as a silent comment.
+func (r *reporter) checkHypatiaComments(file *ast.File) {
+	for _, cg := range file.Comments {
+		for _, c := range cg.List {
+			rest, ok := strings.CutPrefix(c.Text, "//hypatia:")
+			if !ok {
+				continue
+			}
+			verb := rest
+			if i := strings.IndexAny(verb, " ("); i >= 0 {
+				verb = verb[:i]
+			}
+			r.add(c.Pos(), checkDirective,
+				fmt.Sprintf("unknown //hypatia: directive %q (no //hypatia: directive exists)", "hypatia:"+verb))
 		}
 	}
-	return false
-}
-
-// ---- shared type helpers ----
-
-// namedType returns the named type and its qualified (pkgpath, name) if t
-// is (a pointer to) a defined type.
-func namedType(t types.Type) (pkgPath, name string, ok bool) {
-	if ptr, isPtr := t.(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	n, isNamed := t.(*types.Named)
-	if !isNamed {
-		return "", "", false
-	}
-	obj := n.Obj()
-	if obj == nil {
-		return "", "", false
-	}
-	path := ""
-	if obj.Pkg() != nil {
-		path = obj.Pkg().Path()
-	}
-	return path, obj.Name(), true
 }

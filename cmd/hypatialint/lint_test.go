@@ -12,12 +12,6 @@ import (
 	"testing"
 )
 
-// fixtureCfg mirrors defaultConfig, rebased onto the fixture tree: the
-// purity-root fixture lives under purity/core, not internal/core.
-var fixtureCfg = config{
-	pureScope: []string{"purity/core"},
-}
-
 // loadExpectations scans the fixture tree for `// want <check>...` comments
 // and returns the expected findings keyed by "file:line".
 func loadExpectations(t *testing.T, root string) map[string][]string {
@@ -60,7 +54,7 @@ func loadExpectations(t *testing.T, root string) map[string][]string {
 // path is covered separately by TestSuppressionState. This covers at least
 // one positive and one negative case per check family.
 func TestFixtures(t *testing.T) {
-	findings, err := lint(".", []string{"./testdata/src/..."}, fixtureCfg)
+	findings, err := lint(".", []string{"./testdata/src/..."})
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
@@ -98,7 +92,7 @@ func TestFixtures(t *testing.T) {
 		families[f.Check] = true
 	}
 	for _, name := range []string{
-		checkDroppedError, checkStaleIgnore, checkPurity, checkDirective,
+		checkDroppedError, checkStaleIgnore, checkDirective,
 	} {
 		if !families[name] {
 			t.Errorf("check family %q produced no findings on its fixtures", name)
@@ -109,7 +103,7 @@ func TestFixtures(t *testing.T) {
 // TestFindingsSortedByPosition pins the output ordering contract: findings
 // are sorted by file, then line, then column, then check name.
 func TestFindingsSortedByPosition(t *testing.T) {
-	findings, err := lint(".", []string{"./testdata/src/..."}, fixtureCfg)
+	findings, err := lint(".", []string{"./testdata/src/..."})
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
@@ -144,14 +138,14 @@ func TestFindingsSortedByPosition(t *testing.T) {
 // directive as used, while an unmatched directive becomes a staleignore
 // finding.
 func TestSuppressionState(t *testing.T) {
-	findings, err := lint(".", []string{"./testdata/src/purity"}, fixtureCfg)
+	findings, err := lint(".", []string{"./testdata/src/droppederror"})
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
 	var suppressed, stale int
 	for _, f := range findings {
 		if f.Suppressed {
-			if f.Check != checkPurity {
+			if f.Check != checkDroppedError {
 				t.Errorf("suppressed finding of unexpected family %q", f.Check)
 			}
 			suppressed++
@@ -164,7 +158,7 @@ func TestSuppressionState(t *testing.T) {
 		}
 	}
 	if suppressed != 1 {
-		t.Errorf("suppressed findings = %d, want exactly the fixture's suppressed global write", suppressed)
+		t.Errorf("suppressed findings = %d, want exactly the fixture's suppressed cleanup call", suppressed)
 	}
 	if stale != 1 {
 		t.Errorf("staleignore findings = %d, want exactly the planted stale directive", stale)
@@ -174,7 +168,7 @@ func TestSuppressionState(t *testing.T) {
 // TestJSONOutput round-trips the -json schema: an array of objects with
 // stable field names, including suppressed findings with their state.
 func TestJSONOutput(t *testing.T) {
-	findings, err := lint(".", []string{"./testdata/src/purity"}, fixtureCfg)
+	findings, err := lint(".", []string{"./testdata/src/droppederror"})
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
@@ -229,29 +223,6 @@ func TestRunExitCodes(t *testing.T) {
 	}
 }
 
-// TestPurityCallChain pins the acceptance criterion that an injected
-// global write deep inside the fixture copy of the table computation is
-// caught at the worker's call site with the full call chain named.
-func TestPurityCallChain(t *testing.T) {
-	findings, err := lint(".", []string{"./testdata/src/purity/core"}, fixtureCfg)
-	if err != nil {
-		t.Fatalf("lint: %v", err)
-	}
-	var chained bool
-	for _, f := range findings {
-		if f.Check != checkPurity {
-			continue
-		}
-		if strings.Contains(f.Msg, "writes package-level variable sharedTotal") &&
-			strings.Contains(f.Msg, "core.computeTable → core.fillColumn") {
-			chained = true
-		}
-	}
-	if !chained {
-		t.Errorf("no purity finding names the injected write with its full call chain; findings:\n%v", findings)
-	}
-}
-
 // TestSuppressionEdgeCases pins three corners of the directive machinery:
 // a line producing findings from two checks with an ignore naming only one
 // of them (only the named finding is suppressed, the directive is used),
@@ -267,45 +238,35 @@ func TestSuppressionEdgeCases(t *testing.T) {
 	defer os.RemoveAll(scratch)
 	src := `package scratch
 
-// helper is effect-free but unannotated, so every call to it from a
-// //hypatia:pure function is a purity finding at the call.
-func helper() int { return 1 }
-
-// check is helper with an error result.
+// check has an error result for the calls below to drop.
 func check() error { return nil }
 
-// The call drops check's error and calls an unannotated function from a
-// //hypatia:pure one, so droppederror and purity both report on its line;
-// the directive names only droppederror, so the purity finding survives.
-//
-//hypatia:pure
+// The call drops check's error and carries a //hypatia: comment, so
+// droppederror and directive both report on its line; the directive names
+// only droppederror, so the directive finding survives.
 func twoChecksOneIgnore() {
-	check() //lint:ignore droppederror exercises one-of-two suppression
+	//lint:ignore droppederror exercises one-of-two suppression
+	check() //hypatia:pure
 }
 
-// Both directives match the single purity finding between them: the
+// Both directives match the single droppederror finding between them: the
 // finding is suppressed once and neither directive is stale.
-//
-//hypatia:pure
-func doubledDirective() int {
-	//lint:ignore purity covered from the line above
-	return helper() //lint:ignore purity covered from the same line
+func doubledDirective() {
+	//lint:ignore droppederror covered from the line above
+	check() //lint:ignore droppederror covered from the same line
 }
 
 // A trailing directive covers only the line it shares with code: the same
 // check fires unsuppressed on the line below.
-//
-//hypatia:pure
-func trailingCoversOwnLineOnly() int {
-	a := helper() //lint:ignore purity this line only
-	b := helper()
-	return a + b
+func trailingCoversOwnLineOnly() {
+	check() //lint:ignore droppederror this line only
+	check()
 }
 `
 	if err := os.WriteFile(filepath.Join(scratch, "scratch.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	findings, err := lint(".", []string{"./" + scratch}, fixtureCfg)
+	findings, err := lint(".", []string{"./" + scratch})
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
@@ -318,9 +279,9 @@ func trailingCoversOwnLineOnly() int {
 		counts[key{f.Check, f.Suppressed}]++
 	}
 	want := map[key]int{
-		{checkDroppedError, true}: 1,
-		{checkPurity, true}:       2,
-		{checkPurity, false}:      2,
+		{checkDroppedError, true}:  3,
+		{checkDroppedError, false}: 1,
+		{checkDirective, false}:    1,
 	}
 	for k, n := range want {
 		if counts[k] != n {
@@ -335,12 +296,12 @@ func trailingCoversOwnLineOnly() int {
 }
 
 // TestLintRunsByteIdentical pins the determinism the analyzer is held to:
-// two independent runs over the fixture tree — every check family, every
-// origin chain and escape path — must print byte-identical -json output.
+// two independent runs over the fixture tree — every check family — must
+// print byte-identical -json output.
 func TestLintRunsByteIdentical(t *testing.T) {
 	var out [2]bytes.Buffer
 	for i := range out {
-		findings, err := lint(".", []string{"./testdata/src/..."}, fixtureCfg)
+		findings, err := lint(".", []string{"./testdata/src/..."})
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -358,11 +319,11 @@ func TestLintRunsByteIdentical(t *testing.T) {
 // onto the module root wherever the tool runs); a directory whose name
 // merely starts with the module name is a directory.
 func TestImportPathPatterns(t *testing.T) {
-	byPath, err := lint(".", []string{"hypatia/cmd/hypatialint/testdata/src/purity"}, fixtureCfg)
+	byPath, err := lint(".", []string{"hypatia/cmd/hypatialint/testdata/src/droppederror"})
 	if err != nil {
 		t.Fatalf("import-path pattern: %v", err)
 	}
-	byDir, err := lint(".", []string{"./testdata/src/purity"}, fixtureCfg)
+	byDir, err := lint(".", []string{"./testdata/src/droppederror"})
 	if err != nil {
 		t.Fatalf("directory pattern: %v", err)
 	}
@@ -394,7 +355,7 @@ func drop() { mightFail() }
 		t.Fatal(err)
 	}
 	for _, pattern := range []string{sibling, sibling + "/..."} {
-		findings, err := lint(".", []string{pattern}, fixtureCfg)
+		findings, err := lint(".", []string{pattern})
 		if err != nil {
 			t.Errorf("pattern %q: %v", pattern, err)
 			continue
@@ -417,7 +378,7 @@ func TestMalformedDirective(t *testing.T) {
 	defer os.RemoveAll(scratch)
 	src := `package scratch
 
-//lint:ignore purity
+//lint:ignore droppederror
 func missingReason() {}
 
 //lint:ignore notacheck because reasons
@@ -446,20 +407,30 @@ type formerlyExhaustive uint8
 func formerlyNoalloc() []int {
 	return make([]int, 0, 4) //hypatia:allocs(amortized) no analyzer reads this either
 }
+
+// The purity contract went with its analyzer, so its verb is unknown too.
+//
+//hypatia:pure
+func formerlyPure() {}
 `
 	if err := os.WriteFile(filepath.Join(scratch, "scratch.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	findings, err := lint(".", []string{"./" + scratch}, fixtureCfg)
+	findings, err := lint(".", []string{"./" + scratch})
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
-	if len(findings) != 10 {
-		t.Fatalf("findings = %v, want 10 directive findings", findings)
+	if len(findings) != 11 {
+		t.Fatalf("findings = %v, want 11 directive findings", findings)
 	}
+	var pure bool
 	for _, f := range findings {
 		if f.Check != checkDirective {
 			t.Errorf("finding %v: want check %q", f, checkDirective)
 		}
+		pure = pure || strings.Contains(f.Msg, `"hypatia:pure"`)
+	}
+	if !pure {
+		t.Errorf("no finding reports //hypatia:pure as an unknown directive: %v", findings)
 	}
 }

@@ -6,38 +6,22 @@
 //	staleignore     a //lint:ignore directive that no longer matches any
 //	                finding is itself reported, so suppressions cannot
 //	                outlive the code they excused
+//	directive       a //lint: comment that is malformed or names an unknown
+//	                check, and any //hypatia: comment: no annotation is read,
+//	                so none may sit in the tree claiming a property
 //
-// An interprocedural effect analysis — a bottom-up fixpoint over the
-// strongly-connected components of the module-local call graph — backs the
-// contract family:
-//
-//	purity          //hypatia:pure is a checked contract: an annotated
-//	                function must be free of global writes, wall-clock and
-//	                rand reads, I/O, and map-order leaks, and may call only
-//	                annotated functions; on a named function type or an
-//	                interface the annotation blesses calls through it and
-//	                obligates module-local implementers; goroutine bodies in
-//	                the pipeline packages (defaultConfig.pureScope) are held
-//	                to the worker contract (channels and arena writes allowed)
-//	directive       //lint: and //hypatia: comments that are malformed,
-//	                name an unknown directive, or sit where they take no
-//	                effect
-//
-// There is no flow-sensitive tier: integer-handle domains, angle and length
-// units and forwarding-table lifecycles are gated by the test suite, and
-// "state owned by one goroutine at a time" by go test -race -tags
-// hypatia_checks over the sharded and pipeline differentials; wall-clock and
-// global-rand reads, sim.Time rounding, by-value lock copies and event kinds
-// without a dispatch arm by the replay tests, golden digests, go vet and
-// dispatch's own panic; steady-state allocation on the hot paths by the
-// AllocGuard tests and scripts/bench.sh's alloc_budgets (DESIGN.md's four
-// "Removed, and why" sections record the mutation trials behind each call).
+// The other properties the tree relies on are gated at run time, not here
+// (DESIGN.md, "Correctness tooling", records each static family deleted in
+// favour of a runtime gate): goroutine ownership, and forwarding state that
+// depends only on its instant, by go test -race -tags hypatia_checks over the
+// split producer, the sharded loop and their differentials; determinism by
+// the replay tests and golden digests; allocation on the hot paths by the
+// AllocGuard tests and scripts/bench.sh's alloc_budgets.
 //
 // One run is one serial pass: the lint targets and their module-local
 // imports are parsed and type-checked from source, every check family runs
-// over them, and the findings come out sorted — the same lint() the test
-// suite calls. The purity root scope is the fixed defaultConfig below, not a
-// flag.
+// over the targets, and the findings come out sorted — the same lint() the
+// test suite calls.
 //
 // Usage:
 //
@@ -49,7 +33,7 @@
 // that line, or alone on the line above, naming the check and giving a
 // reason:
 //
-//	//lint:ignore purity hypatia_checks oracle counts comparisons globally
+//	//lint:ignore droppederror best-effort cleanup on shutdown
 //
 // With -json the tool prints every finding — suppressed ones included, with
 // their suppression state — as a JSON array of objects with fields check,
@@ -68,7 +52,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 )
 
 func main() {
@@ -99,7 +82,7 @@ func run(args []string) int {
 		patterns = []string{"./..."}
 	}
 
-	findings, err := lint(".", patterns, defaultConfig)
+	findings, err := lint(".", patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hypatialint:", err)
 		return 2
@@ -158,11 +141,8 @@ func writeJSON(w io.Writer, findings []Finding) error {
 
 // lint loads every package matched by patterns (resolved relative to dir)
 // and runs every check family over them, returning the sorted findings
-// (suppressed ones included). The call graph and the interprocedural
-// summaries cover every loaded module-local package — targets plus
-// dependencies — so interprocedural facts do not stop at the lint-target
-// boundary.
-func lint(dir string, patterns []string, cfg config) ([]Finding, error) {
+// (suppressed ones included).
+func lint(dir string, patterns []string) ([]Finding, error) {
 	l, err := newLoader(dir)
 	if err != nil {
 		return nil, err
@@ -186,13 +166,7 @@ func lint(dir string, patterns []string, cfg config) ([]Finding, error) {
 		}
 		targets = append(targets, p)
 	}
-	var all []*pkg
-	for _, p := range l.cache {
-		all = append(all, p)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].path < all[j].path })
 	rep := newReporter(l.fset)
-	cfg.module = l.module
-	lintPackages(targets, all, buildCallGraph(all), cfg, rep)
+	lintPackages(targets, rep)
 	return rep.sorted(), nil
 }

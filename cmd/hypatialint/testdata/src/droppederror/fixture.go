@@ -57,3 +57,10 @@ func Suppressed() {
 	//lint:ignore droppederror best-effort cleanup on shutdown
 	fail()
 }
+
+// Stale holds a directive whose finding was fixed: it matches nothing, so
+// it is itself a finding.
+func Stale() error {
+	//lint:ignore droppederror stale by design // want staleignore
+	return fail()
+}

@@ -157,8 +157,6 @@ func (c Config) pairList(topo *routing.Topology) [][2]int {
 // length in meters, its link count, and whether its satellite sequence
 // differs from the one the pair last had. A pair with no route gets +Inf, 0
 // and false.
-//
-//hypatia:pure
 type pairVisitor func(step, pair int, dist float64, hops int, changed bool)
 
 // sweep is the scaffold AnalyzePairs and PathChangeProfile share: the
@@ -250,8 +248,6 @@ func (sw *sweep) advance() {
 // pair's distance is the tree's at the destination, and its path is the
 // predecessor walk from the destination back to the root, which is counted
 // and reduced to its satellites without being materialised.
-//
-//hypatia:pure
 func (sw *sweep) tree(gs int, dist []float64, prev []int32) {
 	nSat := sw.topo.NumSats()
 	root := sw.topo.GSNode(gs)
@@ -310,8 +306,6 @@ func AnalyzePairs(topo *routing.Topology, cfg Config) ([]PairStats, error) {
 }
 
 // observe folds one step's shortest path into the pair's aggregates.
-//
-//hypatia:pure
 func (st *PairStats) observe(dist float64, hops int, changed bool) {
 	st.Steps++
 	if math.IsInf(dist, 1) {

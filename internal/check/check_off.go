@@ -9,6 +9,4 @@ const Enabled = false
 
 // Assert is a no-op in unchecked builds. Call sites on hot paths must still
 // guard with `if check.Enabled` so argument evaluation is also eliminated.
-//
-//hypatia:pure
 func Assert(cond bool, format string, args ...any) {}

@@ -298,13 +298,9 @@ func plusGrid(shells []Shell, first []int) []ISL {
 }
 
 // NumSatellites returns the total satellite count.
-//
-//hypatia:pure
 func (c *Constellation) NumSatellites() int { return len(c.Satellites) }
 
 // GMSTAt returns the sidereal angle at simulation time t (seconds).
-//
-//hypatia:pure
 func (c *Constellation) GMSTAt(t float64) float64 { return geom.GMST(c.epochGMST, t) }
 
 // PositionECI returns the inertial position of satellite i at time t.
@@ -319,8 +315,6 @@ func (c *Constellation) PositionECEF(i int, t float64) geom.Vec3 {
 
 // PositionsECEF computes the Earth-fixed positions of all satellites at time
 // t. The result is freshly allocated unless dst has sufficient capacity.
-//
-//hypatia:pure
 func (c *Constellation) PositionsECEF(t float64, dst []geom.Vec3) []geom.Vec3 {
 	theta := c.GMSTAt(t)
 	if cap(dst) < len(c.Satellites) {
@@ -343,8 +337,6 @@ func (c *Constellation) PositionsECEF(t float64, dst []geom.Vec3) []geom.Vec3 {
 // it is what makes marginal high-latitude coverage (e.g. Saint Petersburg
 // on Kuiper's 51.9-degree shell) mostly-connected-with-outages, as the
 // paper reports, rather than never connected.
-//
-//hypatia:pure
 func MaxGSLRange(h, minEl float64) float64 {
 	if minEl <= 0 {
 		// Degenerate to the horizon-limited slant range.
@@ -365,8 +357,6 @@ func (c *Constellation) VisibleFrom(obs geom.LLA, t float64, positions []geom.Ve
 // VisibleFromInto is VisibleFrom with caller-provided result storage: the
 // indices are appended to out[:0], so a buffer threaded across calls makes
 // repeated visibility scans allocation-free in steady state.
-//
-//hypatia:pure
 func (c *Constellation) VisibleFromInto(obs geom.LLA, t float64, positions []geom.Vec3, out []int) []int {
 	if positions == nil {
 		positions = c.PositionsECEF(t, nil)

@@ -81,8 +81,6 @@ type RunConfig struct {
 // must be a pure function of (s, active): the producer calls it ahead of
 // and concurrently with the event loop, and determinism of the simulation
 // rests on its output depending only on its inputs.
-//
-//hypatia:pure
 type Strategy func(s *routing.Snapshot, active []int) *routing.ForwardingTable
 
 // ShortestPath is the default routing strategy: per-destination Dijkstra

@@ -94,8 +94,6 @@ func (s *split) helper(sc *routing.TreeScratch) {
 }
 
 // claim solves roots off the shared cursor into ft until none is left.
-//
-//hypatia:pure
 func (s *split) claim(ft *routing.ForwardingTable, sc *routing.TreeScratch) {
 	for {
 		i := int(s.next.Add(1)) - 1

@@ -60,16 +60,12 @@ type Vec3 struct {
 func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v.X + w.X, v.Y + w.Y, v.Z + w.Z} }
 
 // Sub returns v - w.
-//
-//hypatia:pure
 func (v Vec3) Sub(w Vec3) Vec3 { return Vec3{v.X - w.X, v.Y - w.Y, v.Z - w.Z} }
 
 // Scale returns v scaled by s.
 func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
 
 // Dot returns the dot product of v and w.
-//
-//hypatia:pure
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
 // Cross returns the cross product v × w.
@@ -82,8 +78,6 @@ func (v Vec3) Cross(w Vec3) Vec3 {
 }
 
 // Norm returns the Euclidean length of v.
-//
-//hypatia:pure
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
 // Unit returns v normalized to unit length. The zero vector is returned
@@ -97,8 +91,6 @@ func (v Vec3) Unit() Vec3 {
 }
 
 // Distance returns the Euclidean distance between points v and w.
-//
-//hypatia:pure
 func (v Vec3) Distance(w Vec3) float64 { return v.Sub(w).Norm() }
 
 // String formats the vector with meter precision.
@@ -119,8 +111,6 @@ func LLADeg(latDeg, lonDeg, altM float64) LLA {
 
 // ToECEF converts a geodetic position to ECEF Cartesian coordinates on the
 // WGS72 ellipsoid.
-//
-//hypatia:pure
 func (p LLA) ToECEF() Vec3 {
 	e2 := EarthFlattening * (2 - EarthFlattening) // first eccentricity squared
 	sinLat := math.Sin(p.Lat)
@@ -174,8 +164,6 @@ func ECEFToLLA(v Vec3) LLA {
 // sidereal phase only rotates the entire ECEF frame relative to ECI and has
 // no effect on relative constellation geometry, so gmst0 = 0 is a valid
 // default and is what Epoch-less call sites use.
-//
-//hypatia:pure
 func GMST(gmst0, secondsSinceEpoch float64) float64 {
 	theta := math.Mod(gmst0+EarthRotationRate*secondsSinceEpoch, 2*math.Pi)
 	if theta < 0 {
@@ -201,8 +189,6 @@ func GMSTFromJulian(jd float64) float64 {
 
 // ECIToECEF rotates an ECI position into the ECEF frame given the current
 // sidereal angle theta (radians).
-//
-//hypatia:pure
 func ECIToECEF(eci Vec3, theta float64) Vec3 {
 	c, s := math.Cos(theta), math.Sin(theta)
 	return Vec3{
@@ -254,8 +240,6 @@ type LookAngles struct {
 // Look computes the look angles from an observer at geodetic position obs to
 // a target at ECEF position target. The local vertical is the geodetic
 // normal of the observer.
-//
-//hypatia:pure
 func Look(obs LLA, target Vec3) LookAngles {
 	o := obs.ToECEF()
 	d := target.Sub(o)
@@ -284,8 +268,6 @@ func Look(obs LLA, target Vec3) LookAngles {
 // Elevation returns just the elevation angle (radians) of target as seen
 // from obs. It is the quantity compared against a constellation's minimum
 // angle of elevation to decide GS-satellite connectivity.
-//
-//hypatia:pure
 func Elevation(obs LLA, target Vec3) float64 {
 	return Look(obs, target).Elevation
 }
@@ -300,8 +282,6 @@ func Visible(obs LLA, target Vec3, minElevation float64) bool {
 // height h (meters above the surface) can be seen from the ground at or
 // above minimum elevation minEl (radians), over a spherical Earth. It gives
 // a cheap pre-filter radius for visibility searches.
-//
-//hypatia:pure
 func MaxSlantRange(h, minEl float64) float64 {
 	re := EarthRadius
 	rs := re + h

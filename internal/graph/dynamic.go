@@ -50,8 +50,6 @@ type DiffScratch struct {
 // (same node count required) and returns the slice. Weights are compared
 // bitwise: the topology builders recompute identical geometry identically,
 // so an unchanged link produces an unchanged float.
-//
-//hypatia:pure
 func DiffInto(oldG, newG *Graph, out []EdgeChange, sc *DiffScratch) []EdgeChange {
 	if oldG.n != newG.n {
 		panic(fmt.Sprintf("graph: diff over different node counts %d vs %d", oldG.n, newG.n))
@@ -110,8 +108,6 @@ type RepairScratch struct {
 
 // Reserve sizes the scratch for repairs over n nodes, so that the first
 // repair allocates as little as the thousandth.
-//
-//hypatia:pure
 func (sc *RepairScratch) Reserve(n int) {
 	sc.h.reset(n)
 	if cap(sc.tieList) < n {
@@ -124,8 +120,6 @@ func (sc *RepairScratch) Reserve(n int) {
 
 // orderCmp is the settle-order comparator: by distance, then node id —
 // exactly Dijkstra's pop order.
-//
-//hypatia:pure
 func orderCmp(dist []float64, a, b int32) int {
 	da, db := dist[a], dist[b]
 	if da < db {
@@ -140,10 +134,7 @@ func orderCmp(dist []float64, a, b int32) int {
 // sortByDist sorts order into Dijkstra's settle order for dist (orderCmp):
 // an in-place heapsort. The comparator's key (dist, id) is unique per node,
 // so any comparison sort yields the same permutation; heapsort keeps the
-// lazy order refresh allocation-free and, unlike slices.SortFunc, inside
-// the machine-checked purity contract.
-//
-//hypatia:pure
+// lazy order refresh allocation-free.
 func sortByDist(order []int32, dist []float64) {
 	n := len(order)
 	for root := n/2 - 1; root >= 0; root-- {
@@ -157,8 +148,6 @@ func sortByDist(order []int32, dist []float64) {
 
 // siftDownOrder restores the max-heap property under orderCmp for the
 // subtree of order[:n] rooted at root.
-//
-//hypatia:pure
 func siftDownOrder(order []int32, dist []float64, root, n int) {
 	for {
 		child := 2*root + 1
@@ -204,8 +193,6 @@ const (
 // own: written inline, the sweep has more live values than registers and
 // the compiler keeps the accumulators on the stack, which measured 12-18 %
 // slower per tree (DESIGN.md, "Incremental forwarding state").
-//
-//hypatia:pure
 func pull(edges []Edge, dist []float64) (arg int32, best, tie, far uint64) {
 	arg, best, tie = -1, ^uint64(0), ^uint64(0)
 	for _, e := range edges {
@@ -253,8 +240,6 @@ func pull(edges []Edge, dist []float64) (arg int32, best, tie, far uint64) {
 // reached over a zero edge straight after its discoverer whatever its id,
 // so its predecessor choice there is not the (dist, id) rule canonicalPrev
 // applies (TestRepairZeroWeightEdges).
-//
-//hypatia:pure
 func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []int32, sc *RepairScratch) {
 	n := g.n
 	if src < 0 || src >= n {
@@ -359,8 +344,6 @@ func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []i
 // appending every node that receives a tied offer to sc.tieList and
 // returning the number of heap pops (the repair's measure of how stale its
 // sweep order has become).
-//
-//hypatia:pure
 func (g *Graph) settle(dist []float64, prev []int32, src int, sc *RepairScratch) int {
 	h := &sc.h
 	pops := 0
@@ -389,8 +372,6 @@ func (g *Graph) settle(dist []float64, prev []int32, src int, sc *RepairScratch)
 // achiever over a positive weight is; an achiever at v's own distance (a
 // zero-weight edge) may be v's descendant, so when there is no other the
 // predecessor relaxation left — always a loop-free choice — stays.
-//
-//hypatia:pure
 func (g *Graph) canonicalPrev(src int, v int32, dist []float64, prev []int32) {
 	if int(v) == src {
 		prev[v] = int32(src)

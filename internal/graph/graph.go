@@ -43,8 +43,6 @@ type Graph struct {
 }
 
 // New creates a graph with n nodes and no edges.
-//
-//hypatia:pure
 func New(n int) *Graph {
 	return &Graph{n: n, adj: make([][]Edge, n)}
 }
@@ -53,8 +51,6 @@ func New(n int) *Graph {
 // the per-node adjacency slabs from previous use. Rebuilding a graph of a
 // similar shape (the forwarding-state engine does so every update instant)
 // then performs no allocations in steady state.
-//
-//hypatia:pure
 func (g *Graph) Reset(n int) {
 	if n <= cap(g.adj) {
 		g.adj = g.adj[:n]
@@ -75,16 +71,12 @@ func (g *Graph) Reset(n int) {
 // number of goroutines may run RepairSSSPDense (or Dijkstra) over g at once:
 // every one of them only reads it. Without it the first repair builds the
 // mirror itself, which is a data race when two start together.
-//
-//hypatia:pure
 func (g *Graph) Freeze() { g.csr() }
 
 // csr returns the graph's CSR adjacency mirror, rebuilding it if any edge
 // was added since the last build. The rebuild mutates the receiver, so
 // concurrent repairs need the graph frozen first (Freeze). The checked build
 // holds every weight to the repair's contract (strictly positive) here.
-//
-//hypatia:pure
 func (g *Graph) csr() (off []int32, edges []Edge) {
 	if g.csrOK {
 		return g.csrOff, g.csrE
@@ -110,8 +102,6 @@ func (g *Graph) csr() (off []int32, edges []Edge) {
 // with an eighth to spare when the edge array has to be (re)allocated: edge
 // counts creep as ground stations gain and lose satellites, and one
 // allocation with headroom replaces a chain of append doublings.
-//
-//hypatia:pure
 func (g *Graph) reserveCSR() {
 	if cap(g.csrOff) < g.n+1 {
 		g.csrOff = make([]int32, g.n+1)
@@ -132,8 +122,6 @@ func (g *Graph) reserveCSR() {
 // per-node adjacency capacity g ended up with, cut from one slab, and CSR
 // arrays to match — so that building and repairing it allocates nothing
 // until some node outgrows what g's needed.
-//
-//hypatia:pure
 func (g *Graph) Presize() *Graph {
 	g.reserveCSR()
 	twin := &Graph{n: g.n, adj: make([][]Edge, g.n)}
@@ -153,13 +141,9 @@ func (g *Graph) Presize() *Graph {
 }
 
 // N returns the number of nodes.
-//
-//hypatia:pure
 func (g *Graph) N() int { return g.n }
 
 // NumEdges returns the number of undirected edges.
-//
-//hypatia:pure
 func (g *Graph) NumEdges() int {
 	total := 0
 	for _, a := range g.adj {
@@ -170,15 +154,11 @@ func (g *Graph) NumEdges() int {
 
 // Neighbors returns the adjacency list of node v. The slice is owned by the
 // graph and must not be modified.
-//
-//hypatia:pure
 func (g *Graph) Neighbors(v int) []Edge { return g.adj[v] }
 
 // AddEdge inserts an undirected edge between a and b with weight w.
 // It panics on out-of-range nodes, self-loops, or negative weights —
 // all of which indicate a topology-construction bug.
-//
-//hypatia:pure
 func (g *Graph) AddEdge(a, b int, w float64) {
 	if a < 0 || a >= g.n || b < 0 || b >= g.n {
 		panic(fmt.Sprintf("graph: edge %d-%d out of range [0,%d)", a, b, g.n))
@@ -207,8 +187,6 @@ type indexedHeap struct {
 // arrays when they are large enough. A completed Dijkstra run leaves pos
 // all -1 (every pushed node is eventually popped, and pop clears its pos
 // entry), so reuse needs no re-initialization sweep.
-//
-//hypatia:pure
 func (h *indexedHeap) reset(n int) {
 	if cap(h.pos) < n {
 		h.nodes = make([]int32, 0, n)
@@ -224,7 +202,6 @@ func (h *indexedHeap) reset(n int) {
 	h.key = h.key[:n]
 }
 
-//hypatia:pure
 func (h *indexedHeap) less(a, b int32) bool {
 	if h.key[a] != h.key[b] {
 		return h.key[a] < h.key[b]
@@ -232,14 +209,12 @@ func (h *indexedHeap) less(a, b int32) bool {
 	return a < b
 }
 
-//hypatia:pure
 func (h *indexedHeap) swap(i, j int) {
 	h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i]
 	h.pos[h.nodes[i]] = int32(i)
 	h.pos[h.nodes[j]] = int32(j)
 }
 
-//hypatia:pure
 func (h *indexedHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -251,7 +226,6 @@ func (h *indexedHeap) up(i int) {
 	}
 }
 
-//hypatia:pure
 func (h *indexedHeap) down(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -271,8 +245,6 @@ func (h *indexedHeap) down(i int) {
 }
 
 // push inserts node v with key k, or decreases its key if already present.
-//
-//hypatia:pure
 func (h *indexedHeap) push(v int32, k float64) {
 	if h.pos[v] >= 0 {
 		if k >= h.key[v] {
@@ -289,8 +261,6 @@ func (h *indexedHeap) push(v int32, k float64) {
 }
 
 // pop removes and returns the minimum node.
-//
-//hypatia:pure
 func (h *indexedHeap) pop() int32 {
 	top := h.nodes[0]
 	last := len(h.nodes) - 1
@@ -303,7 +273,6 @@ func (h *indexedHeap) pop() int32 {
 	return top
 }
 
-//hypatia:pure
 func (h *indexedHeap) empty() bool { return len(h.nodes) == 0 }
 
 // Scratch holds the reusable internals of a Dijkstra run (the indexed
@@ -329,8 +298,6 @@ type Scratch struct {
 // Ties between equally short paths are broken toward the smaller node index
 // at extraction time, so repeated runs over an identical graph produce an
 // identical shortest-path tree.
-//
-//hypatia:pure
 func (g *Graph) Dijkstra(src int, dist []float64, prev []int32) ([]float64, []int32) {
 	return g.DijkstraScratch(src, dist, prev, &Scratch{})
 }
@@ -338,8 +305,6 @@ func (g *Graph) Dijkstra(src int, dist []float64, prev []int32) ([]float64, []in
 // DijkstraScratch is Dijkstra with an explicit scratch workspace. Results
 // are identical to Dijkstra for any scratch state: the workspace only
 // recycles allocations, never data.
-//
-//hypatia:pure
 func (g *Graph) DijkstraScratch(src int, dist []float64, prev []int32, sc *Scratch) ([]float64, []int32) {
 	if src < 0 || src >= g.n {
 		panic(fmt.Sprintf("graph: source %d out of range", src))

@@ -80,8 +80,6 @@ func (e Elements) Speed() float64 { return math.Sqrt(geom.EarthMu / e.SemiMajorA
 // SolveKepler solves Kepler's equation M = E - e*sin(E) for the eccentric
 // anomaly E via Newton-Raphson, which converges quadratically for the
 // eccentricities of interest (e < 0.9).
-//
-//hypatia:pure
 func SolveKepler(meanAnomaly, eccentricity float64) float64 {
 	m := math.Mod(meanAnomaly, 2*math.Pi)
 	if m < 0 {
@@ -106,8 +104,6 @@ func SolveKepler(meanAnomaly, eccentricity float64) float64 {
 
 // TrueAnomaly converts an eccentric anomaly to the true anomaly for the
 // given eccentricity.
-//
-//hypatia:pure
 func TrueAnomaly(eccAnomaly, eccentricity float64) float64 {
 	if eccentricity == 0 {
 		return eccAnomaly
@@ -125,8 +121,6 @@ type State struct {
 
 // propagateAt computes the two-body state from an element set whose mean
 // anomaly has already been advanced to the target time.
-//
-//hypatia:pure
 func propagateAt(e Elements) State {
 	ecc := SolveKepler(e.MeanAnomaly, e.Eccentricity)
 	nu := TrueAnomaly(ecc, e.Eccentricity)
@@ -168,8 +162,6 @@ func propagateAt(e Elements) State {
 // call PositionECI once per satellite per instant, so every implementation
 // must compute states in registers and stack values only
 // (TestAllocGuardSnapshotInto).
-//
-//hypatia:pure
 type Propagator interface {
 	// StateECI returns the inertial state at t seconds past epoch.
 	StateECI(t float64) State
@@ -217,8 +209,6 @@ func (k *KeplerPropagator) Elements() Elements { return k.elements }
 
 // ElementsAt returns the osculating (secularly drifted) element set at time
 // t seconds past epoch.
-//
-//hypatia:pure
 func (k *KeplerPropagator) ElementsAt(t float64) Elements {
 	e := k.elements
 	e.MeanAnomaly = math.Mod(e.MeanAnomaly+(k.n+k.mDot)*t, 2*math.Pi)
@@ -230,15 +220,11 @@ func (k *KeplerPropagator) ElementsAt(t float64) Elements {
 }
 
 // StateECI implements Propagator.
-//
-//hypatia:pure
 func (k *KeplerPropagator) StateECI(t float64) State {
 	return propagateAt(k.ElementsAt(t))
 }
 
 // PositionECI implements Propagator.
-//
-//hypatia:pure
 func (k *KeplerPropagator) PositionECI(t float64) geom.Vec3 {
 	return k.StateECI(t).Position
 }

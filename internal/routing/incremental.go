@@ -74,8 +74,6 @@ const watchHorizon = 2.0
 
 // Prev returns the snapshot preceding the one DeltaInto last returned, or
 // nil on the first instant. It stays valid until the next DeltaInto call.
-//
-//hypatia:pure
 func (d *DeltaState) Prev() *Snapshot {
 	if !d.prevOK {
 		return nil
@@ -84,8 +82,6 @@ func (d *DeltaState) Prev() *Snapshot {
 }
 
 // reset rebinds the state to a topology, dropping all cached structure.
-//
-//hypatia:pure
 func (d *DeltaState) reset(t *Topology) {
 	nSat := t.NumSats()
 	nGS := t.NumGS()
@@ -120,8 +116,6 @@ func (d *DeltaState) reset(t *Topology) {
 // refreshPair recomputes one pair's visibility with VisibleFromInto's exact
 // criteria and stamps its next-check deadline from the distance-to-boundary
 // margins. It reports whether the cached status flipped.
-//
-//hypatia:pure
 func (d *DeltaState) refreshPair(t *Topology, gi, si int, tsec float64, pos []geom.Vec3) bool {
 	c := t.Constellation
 	p := pos[si]
@@ -158,8 +152,6 @@ func (d *DeltaState) refreshPair(t *Topology, gi, si int, tsec float64, pos []ge
 
 // rebuildRow regenerates one ground station's ascending visible list and
 // row deadline from the per-pair cache.
-//
-//hypatia:pure
 func (d *DeltaState) rebuildRow(gi, nSat int) {
 	lst := d.visLists[gi][:0]
 	row := d.visible[gi*nSat : (gi+1)*nSat]
@@ -176,8 +168,6 @@ func (d *DeltaState) rebuildRow(gi, nSat int) {
 // watchlist: the pairs whose deadline lands before the new horizon. Until
 // that horizon passes, the instants in between need only service the
 // watchlist.
-//
-//hypatia:pure
 func (d *DeltaState) scanRow(t *Topology, gi, nSat int, tsec float64, pos []geom.Vec3, refreshAll bool) {
 	base := gi * nSat
 	changed := false
@@ -209,8 +199,6 @@ func (d *DeltaState) scanRow(t *Topology, gi, nSat int, tsec float64, pos []geom
 // entries whose new deadline cleared the horizon. Pairs off the watchlist
 // are guaranteed quiet until the horizon, so the row deadline is the
 // earlier of the watchlist minimum and the horizon itself.
-//
-//hypatia:pure
 func (d *DeltaState) serviceWatch(t *Topology, gi, nSat int, tsec float64, pos []geom.Vec3) {
 	base := gi * nSat
 	changed := false
@@ -241,8 +229,6 @@ func (d *DeltaState) serviceWatch(t *Topology, gi, nSat int, tsec float64, pos [
 // deadlines) every pair is rechecked; otherwise only rows whose deadline
 // passed are touched, and within them only the watchlist — the full row is
 // rescanned only when its watch horizon expires.
-//
-//hypatia:pure
 func (d *DeltaState) updateVisibility(t *Topology, tsec float64, pos []geom.Vec3) {
 	nSat := t.NumSats()
 	if !d.visValid || tsec < d.lastT {
@@ -266,8 +252,6 @@ func (d *DeltaState) updateVisibility(t *Topology, tsec float64, pos []geom.Vec3
 
 // verifyVisibility cross-checks the margin cache against a from-scratch
 // visibility scan — the runtime form of the cache's soundness argument.
-//
-//hypatia:pure
 func (d *DeltaState) verifyVisibility(t *Topology, tsec float64, pos []geom.Vec3) {
 	scratch := d.visScratch
 	for gi, gs := range t.GroundStations {
@@ -289,8 +273,6 @@ func (d *DeltaState) verifyVisibility(t *Topology, tsec float64, pos []geom.Vec3
 // the margin cache's per-GS visible lists. Its output is bitwise identical:
 // positions, ISL edges, and GSL edge weights come from the same arithmetic,
 // and the cached lists reproduce VisibleFromInto's ascending order.
-//
-//hypatia:pure
 func (d *DeltaState) snapshotFromCache(t *Topology, tsec float64, s *Snapshot) *Snapshot {
 	nSat := t.NumSats()
 	n := t.NumNodes()
@@ -349,8 +331,6 @@ func (d *DeltaState) snapshotFromCache(t *Topology, tsec float64, s *Snapshot) *
 // entry point: its dense repair re-solves each tree from the new graph
 // directly and never reads a change list, so the O(E) diff would be pure
 // overhead there.
-//
-//hypatia:pure
 func (t *Topology) deltaSnapshot(tsec float64, d *DeltaState) *Snapshot {
 	if d.topo != t {
 		d.reset(t)
@@ -367,8 +347,6 @@ func (t *Topology) deltaSnapshot(tsec float64, d *DeltaState) *Snapshot {
 // primeNext gives the second snapshot buffer, while it is still unused, the
 // capacity the first one's build ended up with (graph.Presize), so that the
 // second instant's snapshot allocates no more than any later one.
-//
-//hypatia:pure
 func (d *DeltaState) primeNext() {
 	cur := d.snaps[d.cur]
 	if d.snaps[d.cur^1] == nil {
@@ -465,8 +443,6 @@ type TreeScratch struct {
 // NewTreeScratch sizes a scratch for the engine's topology, the repair's
 // heap included, so that a worker's trees allocate nothing beyond each
 // root's first settle order.
-//
-//hypatia:pure
 func (e *IncrementalEngine) NewTreeScratch() *TreeScratch {
 	n := e.topo.NumNodes()
 	sc := &TreeScratch{dist: make([]float64, n), prev: make([]int32, n)}
@@ -476,8 +452,6 @@ func (e *IncrementalEngine) NewTreeScratch() *TreeScratch {
 
 // NewIncrementalEngine builds an engine over topo drawing tables from pool
 // (nil allocates a private pool).
-//
-//hypatia:pure
 func NewIncrementalEngine(topo *Topology, pool *TablePool) *IncrementalEngine {
 	if pool == nil {
 		pool = &TablePool{}
@@ -500,8 +474,6 @@ func NewIncrementalEngine(topo *Topology, pool *TablePool) *IncrementalEngine {
 // instant the second snapshot buffer sized (prime), and under
 // hypatia_checks the oracle's one from-scratch snapshot of the instant.
 // Fill then solves the instant's trees.
-//
-//hypatia:pure
 func (e *IncrementalEngine) Advance(tsec float64) {
 	e.g = e.topo.deltaSnapshot(tsec, &e.delta).G
 	e.tsec = tsec
@@ -522,8 +494,6 @@ func (e *IncrementalEngine) Advance(tsec float64) {
 // cost of its first instant alone — which for a packet run is construction
 // (core.NewRun returns after it) — and what later instants allocate is the
 // slow creep of rows that outgrow their first size.
-//
-//hypatia:pure
 func (e *IncrementalEngine) prime() {
 	e.delta.primeNext()
 }
@@ -531,8 +501,6 @@ func (e *IncrementalEngine) prime() {
 // Roots returns the roots a destination list names: the list itself, or
 // every ground station in index order for nil. The result is the engine's
 // and must not be modified.
-//
-//hypatia:pure
 func (e *IncrementalEngine) Roots(list []int) []int {
 	if list == nil {
 		return e.all
@@ -545,8 +513,6 @@ func (e *IncrementalEngine) Roots(list []int) []int {
 // unreachable, the root its own) arrays over all nodes, as Dijkstra rooted
 // at that station's node fills them. The arrays are the engine's and are
 // overwritten by the next root: a visitor reads what it needs and returns.
-//
-//hypatia:pure
 type TreeVisitor func(gs int, dist []float64, prev []int32)
 
 // Trees advances the engine to time tsec and solves one shortest-path tree
@@ -554,8 +520,6 @@ type TreeVisitor func(gs int, dist []float64, prev []int32)
 // visit before the next root overwrites it. The graph is undirected, so the
 // tree rooted at a station is at once the forwarding column toward it
 // (prev[v] = v's next hop) and the shortest paths from it.
-//
-//hypatia:pure
 func (e *IncrementalEngine) Trees(tsec float64, roots []int, visit TreeVisitor) {
 	e.Advance(tsec)
 	sc := e.scratch
@@ -569,8 +533,6 @@ func (e *IncrementalEngine) Trees(tsec float64, roots []int, visit TreeVisitor) 
 // destination ground stations (nil = all): Advance, then Fill on the
 // engine's own scratch. The table comes from the engine's pool; the caller
 // owns it and must Release it.
-//
-//hypatia:pure
 func (e *IncrementalEngine) Step(tsec float64, active []int) *ForwardingTable {
 	ft := e.pool.Empty(tsec, e.topo.NumNodes(), e.topo.NumGS())
 	e.Advance(tsec)
@@ -584,8 +546,6 @@ func (e *IncrementalEngine) Step(tsec float64, active []int) *ForwardingTable {
 // may run concurrently: a root's repair reads the frozen graph and writes
 // only its own settle order, the scratch and its own column. A root listed
 // twice, in one call or in two at once, is a data race.
-//
-//hypatia:pure
 func (e *IncrementalEngine) Fill(ft *ForwardingTable, roots []int, sc *TreeScratch) {
 	for _, gs := range roots {
 		e.solve(sc, gs)
@@ -597,8 +557,6 @@ func (e *IncrementalEngine) Fill(ft *ForwardingTable, roots []int, sc *TreeScrat
 // a repair over the root's carried settle order, or on first use a
 // from-scratch Dijkstra that records it. It is the one tree path: Trees,
 // Step and every worker's Fill come through here.
-//
-//hypatia:pure
 func (e *IncrementalEngine) solve(sc *TreeScratch, gs int) {
 	root := e.topo.GSNode(gs)
 	if ord := e.order[gs]; ord != nil {
@@ -609,10 +567,9 @@ func (e *IncrementalEngine) solve(sc *TreeScratch, gs int) {
 		e.order[gs], sc.first.Order = sc.first.Order, nil
 	}
 	if check.Enabled {
-		// The checked-build oracle is deliberately impure: it bumps a
-		// process-global comparison counter so check.sh can assert the
-		// differential layer actually ran.
-		//lint:ignore purity hypatia_checks oracle counts comparisons globally
+		// The checked-build oracle bumps a process-global comparison
+		// counter so check.sh can assert the differential layer actually
+		// ran.
 		e.oracleCheck(sc, gs)
 	}
 }

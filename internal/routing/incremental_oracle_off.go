@@ -16,8 +16,6 @@ type (
 // oracleAdvance and oracleCheck are no-ops without -tags hypatia_checks;
 // their call sites are guarded by check.Enabled, so these stubs are never
 // reached at runtime.
-//
-//hypatia:pure
 func (e *IncrementalEngine) oracleAdvance(float64) {}
 
 func (e *IncrementalEngine) oracleCheck(*TreeScratch, int) {}

@@ -32,8 +32,6 @@ type oracleScratch struct {
 }
 
 // oracleAdvance builds the oracle's snapshot of the instant at tsec.
-//
-//hypatia:pure
 func (e *IncrementalEngine) oracleAdvance(tsec float64) {
 	e.oracle.snap = e.topo.SnapshotInto(tsec, e.oracle.snap)
 }

@@ -59,23 +59,15 @@ func NewTopology(c *constellation.Constellation, gss []groundstation.GS, policy 
 }
 
 // NumSats returns the satellite count.
-//
-//hypatia:pure
 func (t *Topology) NumSats() int { return t.Constellation.NumSatellites() }
 
 // NumGS returns the ground-station count.
-//
-//hypatia:pure
 func (t *Topology) NumGS() int { return len(t.GroundStations) }
 
 // NumNodes returns the total node count (satellites + ground stations).
-//
-//hypatia:pure
 func (t *Topology) NumNodes() int { return t.NumSats() + t.NumGS() }
 
 // GSNode maps a ground-station index to its node id.
-//
-//hypatia:pure
 func (t *Topology) GSNode(gs int) int { return t.NumSats() + gs }
 
 // IsGS reports whether node is a ground station.
@@ -134,8 +126,6 @@ func (t *Topology) Snapshot(tsec float64) *Snapshot {
 // if nil) and is byte-identical to Topology.Snapshot(tsec): arena reuse
 // recycles storage, never data. Reusing one snapshot across the engine's
 // update instants eliminates the per-instant allocation storm.
-//
-//hypatia:pure
 func (t *Topology) SnapshotInto(tsec float64, s *Snapshot) *Snapshot {
 	nSat := t.NumSats()
 	n := t.NumNodes()
@@ -188,16 +178,12 @@ func (t *Topology) SnapshotInto(tsec float64, s *Snapshot) *Snapshot {
 // FromGS runs Dijkstra rooted at ground station gs and returns the distance
 // and predecessor arrays over all nodes. dist/prev are reused when large
 // enough.
-//
-//hypatia:pure
 func (s *Snapshot) FromGS(gs int, dist []float64, prev []int32) ([]float64, []int32) {
 	return s.G.Dijkstra(s.Topo.GSNode(gs), dist, prev)
 }
 
 // FromGSScratch is FromGS with an explicit Dijkstra workspace, for callers
 // sweeping many destinations back-to-back. Results are identical to FromGS.
-//
-//hypatia:pure
 func (s *Snapshot) FromGSScratch(gs int, dist []float64, prev []int32, sc *graph.Scratch) ([]float64, []int32) {
 	return s.G.DijkstraScratch(s.Topo.GSNode(gs), dist, prev, sc)
 }
@@ -300,8 +286,6 @@ func (s *Snapshot) ForwardingTable() *ForwardingTable {
 // The table comes from pool and the Dijkstra arenas from sc, so a caller
 // that keeps both across instants sweeps without allocating; nil for either
 // allocates fresh.
-//
-//hypatia:pure
 func (s *Snapshot) ForwardingTableFor(active []int, pool *TablePool, sc *StrategyScratch) *ForwardingTable {
 	n, ng := s.Topo.NumNodes(), s.Topo.NumGS()
 	if sc == nil {
@@ -329,8 +313,6 @@ func (s *Snapshot) ForwardingTableFor(active []int, pool *TablePool, sc *Strateg
 
 // NewEmptyForwardingTable builds a table with every entry unreachable, for
 // callers that fill destinations selectively (see SetDestination).
-//
-//hypatia:pure
 func NewEmptyForwardingTable(t float64, numNodes, numGS int) *ForwardingTable {
 	ft := &ForwardingTable{T: t, NumNodes: numNodes, NumGS: numGS, next: make([]int32, numNodes*numGS)}
 	for i := range ft.next {
@@ -358,8 +340,6 @@ type TablePool struct {
 // than a run uses costs address space, not resident memory. Empty draws the
 // most recently returned table first, which keeps the working set at the
 // tables actually in rotation.
-//
-//hypatia:pure
 func (p *TablePool) Reserve(n, numNodes, numGS int) {
 	need := numNodes * numGS
 	slab := make([]int32, n*need)
@@ -378,8 +358,6 @@ func (p *TablePool) Reserve(n, numNodes, numGS int) {
 // Empty returns a table with every entry unreachable (as
 // NewEmptyForwardingTable), drawing the backing buffer from the pool when
 // one large enough is available.
-//
-//hypatia:pure
 func (p *TablePool) Empty(t float64, numNodes, numGS int) *ForwardingTable {
 	need := numNodes * numGS
 	var ft *ForwardingTable
@@ -471,8 +449,6 @@ func (ft *ForwardingTable) Equal(o *ForwardingTable) bool {
 // SetDestination installs the next-hop column for one destination ground
 // station from a predecessor array produced by Dijkstra rooted at that
 // destination. Distinct destinations may be set concurrently.
-//
-//hypatia:pure
 func (ft *ForwardingTable) SetDestination(dstGS int, prev []int32) {
 	copy(ft.next[dstGS*ft.NumNodes:(dstGS+1)*ft.NumNodes], prev)
 	if check.Enabled {
@@ -485,8 +461,6 @@ func (ft *ForwardingTable) SetDestination(dstGS int, prev []int32) {
 // (Dijkstra roots its predecessor tree with prev[src] = src). It touches only
 // the column for dstGS, so SetDestination stays safe to call concurrently for
 // distinct destinations.
-//
-//hypatia:pure
 func (ft *ForwardingTable) checkColumn(dstGS int) {
 	dstNode := ft.NumNodes - ft.NumGS + dstGS
 	col := ft.next[dstGS*ft.NumNodes : (dstGS+1)*ft.NumNodes]

@@ -50,8 +50,6 @@ const (
 func Seconds(s float64) Time { return Time(math.Round(s * 1e9)) }
 
 // Seconds converts the Time to float64 seconds.
-//
-//hypatia:pure
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
 // String formats the time with millisecond precision, rounding half away
