@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"hypatia/internal/experiments"
 	"hypatia/internal/sim"
@@ -111,12 +112,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		for name, svg := range charts {
-			if err := writeArtifact(*outDir, name+".svg", svg); err != nil {
-				return err
-			}
-		}
-		return nil
+		return writeArtifacts(*outDir, withExt(charts, ".svg"))
 	})
 
 	run("fig6", func() error {
@@ -133,12 +129,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		for name, svg := range charts {
-			if err := writeArtifact(*outDir, name+".svg", svg); err != nil {
-				return err
-			}
-		}
-		return nil
+		return writeArtifacts(*outDir, withExt(charts, ".svg"))
 	})
 
 	run("fig9", func() error {
@@ -163,21 +154,11 @@ func main() {
 		if err := writeArtifact(*outDir, "fig10-unused-bandwidth.svg", chart); err != nil {
 			return err
 		}
-		for name, svg := range map[string]string{
+		return writeArtifacts(*outDir, map[string]string{
 			"fig14-early.svg": res.Fig14SVGEarly,
 			"fig14-late.svg":  res.Fig14SVGLate,
 			"fig15.svg":       res.Fig15SVG,
-		} {
-			if svg == "" {
-				continue
-			}
-			p := filepath.Join(*outDir, name)
-			if err := os.WriteFile(p, []byte(svg), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", p)
-		}
-		return nil
+		})
 	})
 
 	run("fig11", func() error {
@@ -186,21 +167,14 @@ func main() {
 			return err
 		}
 		fmt.Println(rep)
+		files := map[string]string{}
 		for name, svg := range svgs {
-			p := filepath.Join(*outDir, "fig11-"+slug(name)+".svg")
-			if err := os.WriteFile(p, []byte(svg), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", p)
+			files["fig11-"+slug(name)+".svg"] = svg
 		}
 		for name, czml := range czmls {
-			p := filepath.Join(*outDir, "fig11-"+slug(name)+".czml")
-			if err := os.WriteFile(p, czml, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", p)
+			files["fig11-"+slug(name)+".czml"] = string(czml)
 		}
-		return nil
+		return writeArtifacts(*outDir, files)
 	})
 
 	run("fig12", func() error {
@@ -209,20 +183,10 @@ func main() {
 			return err
 		}
 		fmt.Println(rep)
-		for name, svg := range map[string]string{
+		return writeArtifacts(*outDir, map[string]string{
 			"fig12-connected.svg":    res.ConnectedSVG,
 			"fig12-disconnected.svg": res.DisconnectedSVG,
-		} {
-			if svg == "" {
-				continue
-			}
-			p := filepath.Join(*outDir, name)
-			if err := os.WriteFile(p, []byte(svg), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", p)
-		}
-		return nil
+		})
 	})
 
 	run("fig13", func() error {
@@ -231,17 +195,10 @@ func main() {
 			return err
 		}
 		fmt.Println(rep)
-		for name, svg := range map[string]string{
+		return writeArtifacts(*outDir, map[string]string{
 			"fig13-max-rtt.svg": res.MaxSVG,
 			"fig13-min-rtt.svg": res.MinSVG,
-		} {
-			p := filepath.Join(*outDir, name)
-			if err := os.WriteFile(p, []byte(svg), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", p)
-		}
-		return nil
+		})
 	})
 
 	run("ablation", func() error {
@@ -287,20 +244,10 @@ func main() {
 		if err := writeArtifact(*outDir, "fig19-cwnd.svg", chart); err != nil {
 			return err
 		}
-		for name, svg := range map[string]string{
+		return writeArtifacts(*outDir, map[string]string{
 			"fig16-isl-path.svg":  res.ISLPathSVG,
 			"fig16-bent-path.svg": res.BentPathSVG,
-		} {
-			if svg == "" {
-				continue
-			}
-			p := filepath.Join(*outDir, name)
-			if err := os.WriteFile(p, []byte(svg), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", p)
-		}
-		return nil
+		})
 	})
 }
 
@@ -346,6 +293,35 @@ func writeArtifact(dir, name, content string) error {
 	}
 	fmt.Printf("wrote %s\n", p)
 	return nil
+}
+
+// writeArtifacts writes each artifact under dir, named by its key, in sorted
+// name order, so the "wrote" lines print the same on every run. An empty
+// artifact (a figure the run had no data for) is skipped.
+func writeArtifacts(dir string, artifacts map[string]string) error {
+	names := make([]string, 0, len(artifacts))
+	for name := range artifacts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if artifacts[name] == "" {
+			continue
+		}
+		if err := writeArtifact(dir, name, artifacts[name]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// withExt returns charts keyed by file name: each chart's name plus ext.
+func withExt(charts map[string]string, ext string) map[string]string {
+	files := make(map[string]string, len(charts))
+	for name, svg := range charts {
+		files[name+ext] = svg
+	}
+	return files
 }
 
 func slug(s string) string {

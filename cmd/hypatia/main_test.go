@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,5 +73,40 @@ func TestWriteArtifact(t *testing.T) {
 	}
 	if err := writeArtifact(filepath.Join(dir, "missing-subdir"), "b.svg", "x"); err == nil {
 		t.Error("write into missing directory succeeded")
+	}
+}
+
+// TestWriteArtifactsInNameOrder pins the "wrote" lines to sorted name order
+// and skips an empty artifact: a range over the map would print them in
+// Go's randomized map order, so two runs' stdout would differ.
+func TestWriteArtifactsInNameOrder(t *testing.T) {
+	dir := t.TempDir()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	err = writeArtifacts(dir, map[string]string{
+		"fig5c.svg": "c", "fig11-k1.czml": "k", "fig5a.svg": "a", "empty.svg": "", "fig5b.svg": "b",
+	})
+	os.Stdout = stdout
+	w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, name := range []string{"fig11-k1.czml", "fig5a.svg", "fig5b.svg", "fig5c.svg"} {
+		want.WriteString("wrote " + filepath.Join(dir, name) + "\n")
+	}
+	if string(printed) != want.String() {
+		t.Errorf("printed:\n%s\nwant:\n%s", printed, want.String())
+	}
+	if _, err := os.Stat(filepath.Join(dir, "empty.svg")); !os.IsNotExist(err) {
+		t.Errorf("empty artifact written: %v", err)
 	}
 }

@@ -16,7 +16,7 @@
 // depends only on its instant, by go test -race -tags hypatia_checks over the
 // split producer, the sharded loop and their differentials; determinism by
 // the replay tests and golden digests; allocation on the hot paths by the
-// AllocGuard tests and scripts/bench.sh's alloc_budgets.
+// TestAllocGuard* tests, the benchmark budgets among them.
 //
 // One run is one serial pass: the lint targets and their module-local
 // imports are parsed and type-checked from source, every check family runs

@@ -2,8 +2,9 @@
 // allocation contract: AllocGuard pins a steady-state hot path's heap
 // allocations per call on the running binary with testing.AllocsPerRun, so
 // what it measures is what the compiler's escape analysis and the standard
-// library actually do. The AllocGuard tests and scripts/bench.sh's
-// alloc_budgets are the whole contract; there is no static half.
+// library actually do; AllocBudget does the same for a region measured
+// once. The TestAllocGuard* tests built on them are the whole contract;
+// there is no static half.
 //
 // This package is imported only from _test.go files: it imports the
 // testing package, which must never be linked into the simulator binaries
@@ -12,6 +13,7 @@
 package checktest
 
 import (
+	"runtime"
 	"testing"
 
 	"hypatia/internal/check"
@@ -39,5 +41,31 @@ func AllocGuard(t *testing.T, name string, budget float64, warmup int, f func())
 	}
 	if got := testing.AllocsPerRun(100, f); got > budget {
 		t.Errorf("%s: %.1f allocs/op in steady state, budget %.1f", name, got, budget)
+	}
+}
+
+// AllocBudget asserts that ops consecutive calls of op, measured once with
+// no warm-up call, average at most budget heap allocations per call: the
+// allocs/op that go test -bench -benchtime <ops>x -benchmem reports for a
+// benchmark whose setup leaves op ready to time. It is AllocGuard for a
+// region that is not the same region twice — a whole Run.Execute, the
+// instants right after a warm-up, whose arenas may still grow now and then —
+// where testing.AllocsPerRun would spend the region's start on its warm-up
+// call. Like AllocsPerRun it holds GOMAXPROCS at 1 while it measures, and it
+// skips under hypatia_checks.
+func AllocBudget(t *testing.T, name string, budget float64, ops int, op func()) {
+	t.Helper()
+	if check.Enabled {
+		t.Skipf("%s: allocation budgets are a production-build contract", name)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range ops {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	if got := float64(after.Mallocs-before.Mallocs) / float64(ops); got > budget {
+		t.Errorf("%s: %.1f allocs/op over %d ops, budget %.1f", name, got, ops, budget)
 	}
 }

@@ -56,19 +56,16 @@ func BenchmarkPacketForwardingRate(b *testing.B) {
 	}
 }
 
-// benchSimRun executes one of the paper's Fig 2 shapes — Kuiper K1, the 100
+// newSimShape builds one of the paper's Fig 2 shapes — Kuiper K1, the 100
 // cities, one flow per pair of a random permutation — on the given engine
-// (shards 0 = serial) and returns how many events it processed. The UDP shape
-// is line-rate flows on 100 Mbit/s links for 200 virtual milliseconds (~2M
-// events); the TCP shape (tcp set) is NewReno on 25 Mbit/s links for 2 virtual
-// seconds (~2.1M events: the benchmark's tcp_perm100 workload, shorter).
-// A hundred independent flows spread over the whole constellation are work a
-// shard count can split; a single flow is one causal chain that none can.
-// Only Execute is timed: constellation generation, network set-up and flow
-// attachment happen with the timer stopped, so events/s is the event loop's.
-func benchSimRun(b *testing.B, shards int, tcp bool) uint64 {
-	b.Helper()
-	b.StopTimer()
+// (shards 0 = serial), ready to Execute. The UDP shape is line-rate flows on
+// 100 Mbit/s links for 200 virtual milliseconds (~2M events); the TCP shape
+// (tcp set) is NewReno on 25 Mbit/s links for 2 virtual seconds (~2.1M
+// events: the benchmark's tcp_perm100 workload, shorter). A hundred
+// independent flows spread over the whole constellation are work a shard
+// count can split; a single flow is one causal chain that none can.
+func newSimShape(tb testing.TB, shards int, tcp bool) *Run {
+	tb.Helper()
 	rateBps, duration := 100e6, 200*sim.Millisecond
 	if tcp {
 		rateBps, duration = 25e6, 2*sim.Second
@@ -84,7 +81,7 @@ func benchSimRun(b *testing.B, shards int, tcp bool) uint64 {
 		Shards:         shards,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for src, dst := range rand.New(rand.NewSource(20201027)).Perm(len(cities)) {
 		switch {
@@ -95,23 +92,27 @@ func benchSimRun(b *testing.B, shards int, tcp bool) uint64 {
 			transport.NewUDPFlow(run.Net, run.Flows, src, dst, transport.UDPConfig{RateBps: rateBps}).Start()
 		}
 	}
-	b.StartTimer()
-	run.Execute()
-	return run.Sim.Processed()
+	return run
 }
 
-// benchSim reports events/s over b.N runs of benchSimRun.
+// benchSim reports events/s over b.N runs of newSimShape. Only Execute is
+// timed: constellation generation, network set-up and flow attachment happen
+// with the timer stopped, so events/s is the event loop's.
 func benchSim(b *testing.B, shards int, tcp bool) {
 	var total uint64
 	for i := 0; i < b.N; i++ {
-		total += benchSimRun(b, shards, tcp)
+		b.StopTimer()
+		run := newSimShape(b, shards, tcp)
+		b.StartTimer()
+		run.Execute()
+		total += run.Sim.Processed()
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "events/s")
 }
 
 // BenchmarkSimSerial is the serial event-loop baseline for the sharded
-// engine: identical workload, shard count 0. Its events/s metric is the
-// denominator of bench.sh's sharded_over_serial speedup ratio.
+// engine: identical workload, shard count 0. TestAllocGuardBenchSimSerial
+// holds one Execute of it to its allocation budget.
 func BenchmarkSimSerial(b *testing.B) { benchSim(b, 0, false) }
 
 // BenchmarkSimSharded runs the same workload on the sharded
@@ -120,8 +121,8 @@ func BenchmarkSimSerial(b *testing.B) { benchSim(b, 0, false) }
 // copies of the forwarding-install events — two per shard here, noise
 // against two million packet events). The ratio to BenchmarkSimSerial needs
 // hardware threads to show: with GOMAXPROCS=1 the shards take turns on one
-// thread and the ratio is the coordination overhead alone. bench.sh records
-// nproc and GOMAXPROCS next to the ratio so the number is honest.
+// thread and the ratio is the coordination overhead alone, so read it next
+// to the GOMAXPROCS it ran at.
 func BenchmarkSimSharded(b *testing.B) {
 	for _, shards := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) { benchSim(b, shards, false) })
@@ -130,12 +131,8 @@ func BenchmarkSimSharded(b *testing.B) {
 
 // BenchmarkSimSerialTCP and BenchmarkSimShardedTCP are the same pair on the
 // TCP shape: ACK reverse traffic, transport timers, a quarter of the line
-// rate. bench.sh emits their ratio as sharded_over_serial_tcp and budgets the
-// serial one at 2 000 allocs/op: segments and ACKs carry their headers by
-// value, each flow end keeps one sequence ring, a default flow records no
-// per-packet log, and packet and event records come in fixed pages (256 and
-// 1 024 to a page), so what is left (~1.0 k) is mostly the scoreboard rings
-// growing, then one allocation per page up to the in-flight high-water.
+// rate. TestAllocGuardBenchSimSerialTCP holds one serial Execute to its
+// allocation budget.
 func BenchmarkSimSerialTCP(b *testing.B) { benchSim(b, 0, true) }
 
 func BenchmarkSimShardedTCP(b *testing.B) {
@@ -154,15 +151,15 @@ func benchInstants() []sim.Time {
 	return times
 }
 
-func benchKuiperTopo(b *testing.B) *routing.Topology {
-	b.Helper()
+func benchKuiperTopo(tb testing.TB) *routing.Topology {
+	tb.Helper()
 	c, err := constellation.Generate(constellation.Kuiper())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	topo, err := routing.NewTopology(c, groundstation.Top100Cities(), routing.GSLFree)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return topo
 }
@@ -184,31 +181,43 @@ func BenchmarkForwardingStateSerial(b *testing.B) {
 // BenchmarkForwardingStateIncremental measures the forwarding-state
 // producer in steady state on the same workload shape: 8 consecutive 100 ms
 // instants per op. It drains a real pipeline, so each instant's trees split
-// across GOMAXPROCS workers exactly as in a run; bench.sh's GOMAXPROCS=1 and
-// =2 captures show that split's scaling. The first 17 instants are taken
-// outside the timer: the first pays a full visibility scan and
-// per-destination Dijkstra seeding, and delta scratch and repair arenas keep
-// growing for several instants after it as the drift exposes new high-water
-// marks. Time keeps advancing across ops, so every measured instant is the
-// honest small-drift repair case the engine exists for, and allocs/op
-// reports the per-instant residue TestAllocGuardIncrementalStep pins.
-// Compare ns/op directly against BenchmarkForwardingStateSerial — both
-// compute 8 full tables per op; bench.sh emits the ratio as
-// serial_over_incremental.
+// across GOMAXPROCS workers exactly as in a run; run it at GOMAXPROCS=1 and
+// wider to see that split's scaling. Time keeps advancing across ops, so
+// every measured instant is the honest small-drift repair case the engine
+// exists for. Compare ns/op directly against BenchmarkForwardingStateSerial
+// — both compute 8 full tables per op. TestAllocGuardBenchForwardingStateIncremental
+// holds one op to its allocation budget.
 func BenchmarkForwardingStateIncremental(b *testing.B) {
-	topo := benchKuiperTopo(b)
+	p := warmPipeline(b, b.N)
+	defer p.close()
+	b.ResetTimer()
+	for range b.N {
+		drainInstants(p)
+	}
+}
+
+// warmPipeline starts the producer on K1 toward every city over 17 + 8*ops
+// instants and drains the first 17 outside any measurement: the first pays a
+// full visibility scan and per-destination Dijkstra seeding, and delta
+// scratch and repair arenas keep growing for several instants after it as
+// the drift exposes new high-water marks.
+func warmPipeline(tb testing.TB, ops int) *pipeline {
 	const warm = 17
-	times := make([]sim.Time, warm+8*b.N)
+	times := make([]sim.Time, warm+8*ops)
 	for i := range times {
 		times[i] = sim.Time(i) * 100 * sim.Millisecond
 	}
-	p := newPipeline(topo, nil, nil, times)
-	defer p.close()
+	p := newPipeline(benchKuiperTopo(tb), nil, nil, times)
 	for range warm {
 		(<-p.tables).Release()
 	}
-	b.ResetTimer()
-	for range 8 * b.N {
+	return p
+}
+
+// drainInstants is one BenchmarkForwardingStateIncremental op: the next 8
+// instants' tables, each released as soon as it arrives.
+func drainInstants(p *pipeline) {
+	for range 8 {
 		(<-p.tables).Release()
 	}
 }

@@ -86,7 +86,7 @@ type Strategy func(s *routing.Snapshot, active []int) *routing.ForwardingTable
 // ShortestPath is the default routing strategy: per-destination Dijkstra
 // over link distances (lowest propagation latency), as in the paper.
 func ShortestPath(s *routing.Snapshot, active []int) *routing.ForwardingTable {
-	return s.ForwardingTableFor(active, nil, nil)
+	return s.ForwardingTableFor(active)
 }
 
 // AvoidNodes wraps a strategy so the given nodes are excluded from all

@@ -229,7 +229,7 @@ func TestPartialForwardingTableMatchesFull(t *testing.T) {
 	topo, _ := routing.NewTopology(c, cfg.GroundStations, routing.GSLFree)
 	snap := topo.Snapshot(5)
 	full := snap.ForwardingTable()
-	partial := snap.ForwardingTableFor([]int{1, 3}, nil, nil)
+	partial := snap.ForwardingTableFor([]int{1, 3})
 	for node := 0; node < topo.NumNodes(); node++ {
 		for _, gs := range []int{1, 3} {
 			if full.NextHop(node, gs) != partial.NextHop(node, gs) {

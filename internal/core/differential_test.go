@@ -44,7 +44,7 @@ func randomInstants(rng *rand.Rand, n int) []sim.Time {
 // serialReference computes the forwarding state for one instant from
 // scratch: a fresh snapshot plus the specification sweep.
 func serialReference(topo *routing.Topology, at sim.Time, active []int) *routing.ForwardingTable {
-	return topo.Snapshot(at.Seconds()).ForwardingTableFor(active, nil, nil)
+	return topo.Snapshot(at.Seconds()).ForwardingTableFor(active)
 }
 
 // TestDifferentialPipelineMatchesSerial is the differential harness for the

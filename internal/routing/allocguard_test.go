@@ -30,40 +30,6 @@ func TestAllocGuardSnapshotInto(t *testing.T) {
 	})
 }
 
-// TestAllocGuardPooledSweep pins the primitives the from-scratch sweep is
-// built from: table buffers cycle through the pool, Dijkstra scratch is
-// caller-owned, and the release returns every arena, so the steady-state
-// sweep stays allocation-free.
-func TestAllocGuardPooledSweep(t *testing.T) {
-	topo := miniTopo(t, GSLFree)
-	snap := topo.Snapshot(0)
-	var pool TablePool
-	var sc StrategyScratch
-	checktest.AllocGuard(t, "TablePool sweep", 0, 1, func() {
-		ft := pool.Empty(snap.T, topo.NumNodes(), topo.NumGS())
-		for gs := 0; gs < topo.NumGS(); gs++ {
-			sc.Dist, sc.Prev = snap.FromGSScratch(gs, sc.Dist, sc.Prev, &sc.Dijkstra)
-			ft.SetDestination(gs, sc.Prev)
-		}
-		ft.Release()
-	})
-}
-
-// TestAllocGuardShortestPathPooled pins the from-scratch sweep in its
-// pooled, partial form: with the table pool and the Dijkstra scratch kept by
-// the caller, a sweep allocates nothing once the release cycle returns each
-// table to the pool.
-func TestAllocGuardShortestPathPooled(t *testing.T) {
-	topo := miniTopo(t, GSLFree)
-	snap := topo.Snapshot(0)
-	var pool TablePool
-	var sc StrategyScratch
-	active := []int{0, 1, 2, 3}
-	checktest.AllocGuard(t, "Snapshot.ForwardingTableFor", 0, 1, func() {
-		snap.ForwardingTableFor(active, &pool, &sc).Release()
-	})
-}
-
 // TestAllocGuardIncrementalStep pins the incremental engine's per-instant
 // repair. Step's class is amortized, not zero: as the constellation drifts
 // into visibility configurations the run has not seen, delta scratch and

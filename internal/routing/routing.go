@@ -182,22 +182,6 @@ func (s *Snapshot) FromGS(gs int, dist []float64, prev []int32) ([]float64, []in
 	return s.G.Dijkstra(s.Topo.GSNode(gs), dist, prev)
 }
 
-// FromGSScratch is FromGS with an explicit Dijkstra workspace, for callers
-// sweeping many destinations back-to-back. Results are identical to FromGS.
-func (s *Snapshot) FromGSScratch(gs int, dist []float64, prev []int32, sc *graph.Scratch) ([]float64, []int32) {
-	return s.G.DijkstraScratch(s.Topo.GSNode(gs), dist, prev, sc)
-}
-
-// StrategyScratch bundles the scratch a from-scratch sweep reuses across
-// update instants: the Dijkstra distance/predecessor arrays and the heap
-// workspace. The zero value is ready for use; a StrategyScratch must not be
-// shared between concurrent sweeps.
-type StrategyScratch struct {
-	Dist     []float64
-	Prev     []int32
-	Dijkstra graph.Scratch
-}
-
 // Path returns a shortest path between two ground stations as a node-id
 // sequence (inclusive of both GS nodes) together with its length in meters.
 // It returns (nil, +Inf) when no path exists — e.g. when either station has
@@ -272,7 +256,7 @@ type ForwardingTable struct {
 // ForwardingTable computes the full forwarding state of the snapshot into a
 // fresh table: ForwardingTableFor over every destination.
 func (s *Snapshot) ForwardingTable() *ForwardingTable {
-	return s.ForwardingTableFor(nil, nil, nil)
+	return s.ForwardingTableFor(nil)
 }
 
 // ForwardingTableFor is the from-scratch sweep, and the specification every
@@ -281,32 +265,27 @@ func (s *Snapshot) ForwardingTable() *ForwardingTable {
 // of the undirected graph — the predecessor of node u in the tree rooted at
 // destination d is u's next hop toward d. Destinations outside active report
 // unreachable; traffic only flows to destinations declared active, so a
-// partial table is behaviorally equivalent at a fraction of the cost.
-//
-// The table comes from pool and the Dijkstra arenas from sc, so a caller
-// that keeps both across instants sweeps without allocating; nil for either
-// allocates fresh.
-func (s *Snapshot) ForwardingTableFor(active []int, pool *TablePool, sc *StrategyScratch) *ForwardingTable {
+// partial table is behaviorally equivalent at a fraction of the cost. The
+// table is freshly allocated; the Dijkstra arenas are shared across the
+// sweep's trees.
+func (s *Snapshot) ForwardingTableFor(active []int) *ForwardingTable {
 	n, ng := s.Topo.NumNodes(), s.Topo.NumGS()
-	if sc == nil {
-		sc = &StrategyScratch{}
-	}
-	var ft *ForwardingTable
-	if pool == nil {
-		ft = NewEmptyForwardingTable(s.T, n, ng)
-	} else {
-		ft = pool.Empty(s.T, n, ng)
-	}
+	ft := NewEmptyForwardingTable(s.T, n, ng)
+	var (
+		dist []float64
+		prev []int32
+		sc   graph.Scratch
+	)
 	if active == nil {
 		for gs := 0; gs < ng; gs++ {
-			sc.Dist, sc.Prev = s.FromGSScratch(gs, sc.Dist, sc.Prev, &sc.Dijkstra)
-			ft.SetDestination(gs, sc.Prev)
+			dist, prev = s.G.DijkstraScratch(s.Topo.GSNode(gs), dist, prev, &sc)
+			ft.SetDestination(gs, prev)
 		}
 		return ft
 	}
 	for _, gs := range active {
-		sc.Dist, sc.Prev = s.FromGSScratch(gs, sc.Dist, sc.Prev, &sc.Dijkstra)
-		ft.SetDestination(gs, sc.Prev)
+		dist, prev = s.G.DijkstraScratch(s.Topo.GSNode(gs), dist, prev, &sc)
+		ft.SetDestination(gs, prev)
 	}
 	return ft
 }

@@ -57,12 +57,11 @@ type TCPConfig struct {
 	MinRTO          sim.Time // RTO lower bound; default 1 s (RFC 6298)
 	MaxRTO          sim.Time // RTO upper bound; default 60 s
 
-	// DelayedAcks enables the receiver's delayed-ACK behavior (ACK every
+	// NoDelayedAcks turns off the receiver's delayed-ACK behavior (ACK every
 	// second in-order segment or after DelAckTimeout). The paper notes
 	// delayed ACKs cause RTT oscillations at low rates but do not change
 	// the headline behavior; they are on by default as in ns-3.
-	DelayedAcks   bool
-	NoDelayedAcks bool     // set to force delayed ACKs off
+	NoDelayedAcks bool
 	DelAckTimeout sim.Time // default 200 ms
 
 	// Vegas parameters, in segments (standard alpha=2, beta=4, gamma=1).
@@ -117,7 +116,6 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	if c.DelAckTimeout == 0 {
 		c.DelAckTimeout = 200 * sim.Millisecond
 	}
-	c.DelayedAcks = !c.NoDelayedAcks
 	if c.VegasAlpha == 0 {
 		c.VegasAlpha = 2
 	}
@@ -503,7 +501,7 @@ func (f *TCPFlow) onReceiverPacket(pkt *sim.Packet) {
 
 	// RFC 5681: ACK immediately while there is (or was) a sequence hole, so
 	// the sender learns about filled gaps without delayed-ACK latency.
-	if inOrder && f.cfg.DelayedAcks && !hadOOO && f.ooo.n == 0 {
+	if inOrder && !f.cfg.NoDelayedAcks && !hadOOO && f.ooo.n == 0 {
 		f.delAckCnt++
 		if f.delAckCnt >= 2 {
 			f.sendAck()

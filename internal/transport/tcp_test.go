@@ -321,7 +321,7 @@ func TestTCPConfigDefaults(t *testing.T) {
 	if cfg.MinRTO != sim.Second || cfg.MaxRTO != 60*sim.Second {
 		t.Errorf("RTO defaults: %+v", cfg)
 	}
-	if !cfg.DelayedAcks || cfg.DelAckTimeout != 200*sim.Millisecond {
+	if cfg.NoDelayedAcks || cfg.DelAckTimeout != 200*sim.Millisecond {
 		t.Errorf("delayed-ACK defaults: %+v", cfg)
 	}
 	if cfg.VegasAlpha != 2 || cfg.VegasBeta != 4 || cfg.VegasGamma != 1 {

@@ -64,8 +64,12 @@ stage "alloc guards (default build, GOMAXPROCS=1)"
 # (TestAllocGuardTCPSteadyState), every one at 0, plus 100 virtual s of that
 # transfer under 64 KiB (TestAllocGuardTCPHorizon: a flow records no
 # per-packet log unless asked) and a sharded run's windows and hook journal
-# at its per-call setup (TestAllocGuardShardedWindow); the -run prefix picks
-# up every TestAllocGuard* by name, so a new guard needs no edit here. Two
+# at its per-call setup (TestAllocGuardShardedWindow). In internal/routing,
+# internal/core and internal/analysis the TestAllocGuardBench* tests hold six
+# benchmarks' timed regions (SnapshotInto, ForwardingTableFull,
+# ForwardingStateIncremental, SimSerial, SimSerialTCP, AnalyzePairsS1) to
+# their allocs/op budgets, on each benchmark's own setup. The -run prefix
+# picks up every TestAllocGuard* by name, so a new guard needs no edit here. Two
 # more pin where a run's forwarding-state memory is allocated, which is what
 # keeps a benchmark's timed-region allocation from depending on the
 # scheduler: the incremental engine sizes every arena in its first step, and
