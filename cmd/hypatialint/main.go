@@ -14,7 +14,7 @@
 // (DESIGN.md, "Correctness tooling", records each static family deleted in
 // favour of a runtime gate): goroutine ownership, and forwarding state that
 // depends only on its instant, by go test -race -tags hypatia_checks over the
-// split producer, the sharded loop and their differentials; determinism by
+// tree split, the sharded loop and their differentials; determinism by
 // the replay tests and golden digests; allocation on the hot paths by the
 // TestAllocGuard* tests, the benchmark budgets among them.
 //

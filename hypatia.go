@@ -274,7 +274,8 @@ func NewPinger(n *Network, ids *FlowIDs, srcGS, dstGS int, cfg PingConfig) *Ping
 // Analysis.
 type (
 	// AnalysisConfig controls snapshot-based pair analysis. Its Workers
-	// field is deprecated and ignored: the sweep runs on one goroutine.
+	// field is deprecated and ignored: the sweep solves each step's trees
+	// on GOMAXPROCS workers.
 	AnalysisConfig = analysis.Config
 	// PairStats aggregates a pair's RTT and path behavior over time.
 	PairStats = analysis.PairStats

@@ -120,8 +120,9 @@ type Config struct {
 	Pairs [][2]int
 	// Workers is ignored.
 	//
-	// Deprecated: ignored; the sweep runs on one goroutine. Removed with the
-	// next benchmark PR.
+	// Deprecated: ignored; the sweep solves each step's trees on
+	// GOMAXPROCS workers (routing.Split). Removed with the next benchmark
+	// PR.
 	Workers int
 }
 
@@ -153,27 +154,27 @@ func (c Config) pairList(topo *routing.Topology) [][2]int {
 	return out
 }
 
-// pairVisitor receives one pair's shortest path at one step: its one-way
-// length in meters, its link count, and whether its satellite sequence
-// differs from the one the pair last had. A pair with no route gets +Inf, 0
-// and false.
-type pairVisitor func(step, pair int, dist float64, hops int, changed bool)
+// pairVisitor receives one pair's shortest path at one step, on split
+// worker w: its one-way length in meters, its link count, and whether its
+// satellite sequence differs from the one the pair last had. A pair with no
+// route gets +Inf, 0 and false. Calls for pairs of distinct sources run
+// concurrently; state a visitor keeps per pair or per worker needs no lock.
+type pairVisitor func(w, step, pair int, dist float64, hops int, changed bool)
 
 // sweep is the scaffold AnalyzePairs and PathChangeProfile share: the
 // validated configuration, the pair list grouped by source ground station,
-// the number of steps, and the engine that solves one shortest-path tree
-// per source per step, with the per-pair path memory the change count
-// compares against.
+// the number of steps, and the engine split that solves one shortest-path
+// tree per source per step on every core, with the per-pair path memory the
+// change count compares against. Every pair belongs to exactly one source,
+// so only the worker solving that source's tree touches the pair's state.
 type sweep struct {
 	topo  *routing.Topology
 	cfg   Config
 	pairs [][2]int
 	steps int
 
-	eng    *routing.IncrementalEngine
-	roots  []int               // source ground stations, ascending
-	byRoot [][]int             // byRoot[gs]: indices of the pairs whose source is gs
-	onTree routing.TreeVisitor // sw.tree, bound once so a step allocates nothing
+	split  *routing.Split
+	byRoot [][]int // byRoot[gs]: indices of the pairs whose source is gs
 
 	// forgetOnOutage drops a pair's remembered path at a step with no
 	// route, so the first step after an outage is never a change.
@@ -182,23 +183,25 @@ type sweep struct {
 	// lastSats[i] is pair i's satellite sequence at the last step it had
 	// one, listed from the destination back to the source (the order the
 	// predecessor walk yields; only equality is ever asked of it). Empty
-	// means nothing to compare against. sats is the walk's scratch.
+	// means nothing to compare against. sats[w] is worker w's walk scratch,
+	// sized for a path through every satellite so that it never grows.
 	lastSats [][]int32
-	sats     []int32
+	sats     [][]int32
 
 	step  int // the step being visited
 	visit pairVisitor
 }
 
-// newSweep applies the config's defaults and rejects what the stepping loop
-// cannot run on.
+// newSweep applies the config's defaults, rejects what the stepping loop
+// cannot run on, and only then starts the split's helpers: the caller must
+// close the split of a sweep it gets.
 func newSweep(topo *routing.Topology, cfg Config) (*sweep, error) {
 	cfg = cfg.withDefaults()
-	if !(cfg.Duration > 0) {
-		return nil, fmt.Errorf("analysis: non-positive duration")
+	if !(cfg.Duration > 0) || math.IsInf(cfg.Duration, 1) {
+		return nil, fmt.Errorf("analysis: duration %v is not positive and finite", cfg.Duration)
 	}
-	if !(cfg.Step > 0) {
-		return nil, fmt.Errorf("analysis: non-positive step %v", cfg.Step)
+	if !(cfg.Step > 0) || math.IsInf(cfg.Step, 1) {
+		return nil, fmt.Errorf("analysis: step %v is not positive and finite", cfg.Step)
 	}
 	pairs := cfg.pairList(topo)
 	if len(pairs) == 0 {
@@ -213,25 +216,29 @@ func newSweep(topo *routing.Topology, cfg Config) (*sweep, error) {
 		}
 		byRoot[p[0]] = append(byRoot[p[0]], i)
 	}
+	var roots []int // source ground stations, ascending
+	for gs, group := range byRoot {
+		if group != nil {
+			roots = append(roots, gs)
+		}
+	}
 	sw := &sweep{
 		topo: topo, cfg: cfg, pairs: pairs, steps: stepCount(cfg.Duration, cfg.Step),
-		eng:      routing.NewIncrementalEngine(topo, nil),
 		byRoot:   byRoot,
 		lastSats: make([][]int32, len(pairs)),
 	}
-	for gs, group := range byRoot {
-		if group != nil {
-			sw.roots = append(sw.roots, gs)
-		}
+	sw.split = routing.NewIncrementalEngine(topo, nil).NewSplit(roots, sw.tree)
+	sw.sats = make([][]int32, sw.split.Workers())
+	for w := range sw.sats {
+		sw.sats[w] = make([]int32, 0, topo.NumSats())
 	}
-	sw.onTree = sw.tree
 	return sw, nil
 }
 
 // run steps the topology from t=0 through the duration. At every step it
 // solves one tree per source and calls visit once per pair — grouped by
-// source, not in pair order; per-pair statistics and per-step counts do not
-// depend on the order within a step.
+// source, on the worker that solved it, not in pair order; per-pair
+// statistics and per-step counts do not depend on the order within a step.
 func (sw *sweep) run(visit pairVisitor) {
 	sw.visit = visit
 	for sw.step = 0; sw.step < sw.steps; sw.step++ {
@@ -241,27 +248,31 @@ func (sw *sweep) run(visit pairVisitor) {
 
 // advance solves and visits the current step's trees.
 func (sw *sweep) advance() {
-	sw.eng.Trees(float64(sw.step)*sw.cfg.Step, sw.roots, sw.onTree)
+	sw.split.Solve(float64(sw.step) * sw.cfg.Step)
 }
 
 // tree visits every pair whose source is gs on that source's tree: the
 // pair's distance is the tree's at the destination, and its path is the
 // predecessor walk from the destination back to the root, which is counted
-// and reduced to its satellites without being materialised.
-func (sw *sweep) tree(gs int, dist []float64, prev []int32) {
+// and reduced to its satellites without being materialised. The worker's
+// walk scratch is loaded once and stored back once: the workers' slice
+// headers share a cache line, which a store per pair would bounce between
+// cores.
+func (sw *sweep) tree(w, gs int, dist []float64, prev []int32) {
 	nSat := sw.topo.NumSats()
 	root := sw.topo.GSNode(gs)
+	sats := sw.sats[w]
 	for _, i := range sw.byRoot[gs] {
 		dst := sw.topo.GSNode(sw.pairs[i][1])
 		if math.IsInf(dist[dst], 1) {
 			if sw.forgetOnOutage {
 				sw.lastSats[i] = sw.lastSats[i][:0]
 			}
-			sw.visit(sw.step, i, dist[dst], 0, false)
+			sw.visit(w, sw.step, i, dist[dst], 0, false)
 			continue
 		}
 		hops := 0
-		sats := sw.sats[:0]
+		sats = sats[:0]
 		for v := dst; v != root; v = int(prev[v]) {
 			if v < nSat {
 				sats = append(sats, int32(v))
@@ -271,14 +282,14 @@ func (sw *sweep) tree(gs int, dist []float64, prev []int32) {
 				check.Assert(hops < len(prev), "analysis: predecessor walk from gs %d toward gs %d loops", sw.pairs[i][1], gs)
 			}
 		}
-		sw.sats = sats
 		last := sw.lastSats[i]
 		same := slices.Equal(last, sats)
 		if !same {
 			sw.lastSats[i] = append(last[:0], sats...)
 		}
-		sw.visit(sw.step, i, dist[dst], hops, len(last) > 0 && !same)
+		sw.visit(w, sw.step, i, dist[dst], hops, len(last) > 0 && !same)
 	}
+	sw.sats[w] = sats
 }
 
 // AnalyzePairs steps the topology from t=0 through cfg.Duration and returns
@@ -290,6 +301,7 @@ func AnalyzePairs(topo *routing.Topology, cfg Config) ([]PairStats, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sw.split.Close()
 	stats := make([]PairStats, len(sw.pairs))
 	for i, p := range sw.pairs {
 		stats[i] = PairStats{
@@ -301,7 +313,7 @@ func AnalyzePairs(topo *routing.Topology, cfg Config) ([]PairStats, error) {
 			MinHops: math.MaxInt32,
 		}
 	}
-	sw.run(func(_, i int, dist float64, hops int, changed bool) { stats[i].observe(dist, hops, changed) })
+	sw.run(func(_, _, i int, dist float64, hops int, changed bool) { stats[i].observe(dist, hops, changed) })
 	return stats, nil
 }
 
@@ -350,6 +362,7 @@ func PathChangeProfile(topo *routing.Topology, cfg Config) (*ChangeProfile, erro
 	if err != nil {
 		return nil, err
 	}
+	defer sw.split.Close()
 	prof := &ChangeProfile{
 		Step:    sw.cfg.Step,
 		PerStep: make([]int, sw.steps),
@@ -359,12 +372,23 @@ func PathChangeProfile(topo *routing.Topology, cfg Config) (*ChangeProfile, erro
 	// Unlike AnalyzePairs, a disconnected step forgets the path: the first
 	// step after an outage is never a change.
 	sw.forgetOnOutage = true
-	sw.run(func(step, i int, _ float64, _ int, changed bool) {
+	// Workers share a step, so each counts its changes in its own row, and
+	// the rows are summed once the sweep is done.
+	perWorker := make([][]int, sw.split.Workers())
+	for w := range perWorker {
+		perWorker[w] = make([]int, sw.steps)
+	}
+	sw.run(func(w, step, i int, _ float64, _ int, changed bool) {
 		if changed {
-			prof.PerStep[step]++
+			perWorker[w][step]++
 			prof.PerPair[i]++
 		}
 	})
+	for _, row := range perWorker {
+		for step, n := range row {
+			prof.PerStep[step] += n
+		}
+	}
 	return prof, nil
 }
 
@@ -397,13 +421,15 @@ func stepCount(duration, step float64) int {
 // one pair at every step — the "Computed" curve of Fig 3.
 func RTTSeries(topo *routing.Topology, src, dst int, duration, step float64) []float64 {
 	out := make([]float64, stepCount(duration, step))
-	eng := routing.NewIncrementalEngine(topo, nil)
-	roots := []int{src}
 	dstNode := topo.GSNode(dst)
-	for i := range out {
-		eng.Trees(float64(i)*step, roots, func(_ int, dist []float64, _ []int32) {
-			out[i] = 2 * dist[dstNode] / geom.SpeedOfLight // +Inf stays +Inf
-		})
+	var i int
+	// One root is one worker: the split starts no helper.
+	split := routing.NewIncrementalEngine(topo, nil).NewSplit([]int{src}, func(_, _ int, dist []float64, _ []int32) {
+		out[i] = 2 * dist[dstNode] / geom.SpeedOfLight // +Inf stays +Inf
+	})
+	defer split.Close()
+	for i = range out {
+		split.Solve(float64(i) * step)
 	}
 	return out
 }

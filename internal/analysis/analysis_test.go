@@ -182,16 +182,19 @@ func TestAnalyzePairsExplicitPairsAndExclusion(t *testing.T) {
 }
 
 // TestAnalyzePairsRejectsBadDuration: both stepped analyses return an
-// analysis error — not an empty result (negative Step) or an index panic
-// (pair outside the ground stations) — for every configuration the stepping
-// loop cannot run on.
+// analysis error — not an empty result (negative Step, or an infinite
+// Duration whose step count overflows), a NaN-weight panic (infinite Step)
+// or an index panic (pair outside the ground stations) — for every
+// configuration the stepping loop cannot run on.
 func TestAnalyzePairsRejectsBadDuration(t *testing.T) {
 	topo := miniTopo(t)
 	for name, cfg := range map[string]Config{
 		"zero duration":     {Duration: 0},
 		"negative duration": {Duration: -1},
 		"NaN duration":      {Duration: math.NaN()},
+		"infinite duration": {Duration: math.Inf(1)},
 		"negative step":     {Duration: 10, Step: -0.1},
+		"infinite step":     {Duration: 10, Step: math.Inf(1)},
 		"negative pair":     {Duration: 10, Pairs: [][2]int{{0, 1}, {-1, 2}}},
 		"pair past the end": {Duration: 10, Pairs: [][2]int{{0, topo.NumGS()}}},
 	} {

@@ -23,14 +23,16 @@ func BenchmarkAnalyzePairsS1(b *testing.B) {
 
 // warmSweep primes the S1 sweep with 17 steps (the first pays a full
 // visibility scan and a from-scratch Dijkstra per source), folding every
-// pair into PairStats as AnalyzePairs does.
+// pair into PairStats as AnalyzePairs does. Its split has GOMAXPROCS
+// workers, and is closed when the test or benchmark ends.
 func warmSweep(tb testing.TB) *sweep {
 	sw, err := newSweep(paperTopo(tb, constellation.Starlink()), Config{Duration: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	tb.Cleanup(sw.split.Close)
 	stats := make([]PairStats, len(sw.pairs))
-	sw.visit = func(_, i int, dist float64, hops int, changed bool) { stats[i].observe(dist, hops, changed) }
+	sw.visit = func(_, _, i int, dist float64, hops int, changed bool) { stats[i].observe(dist, hops, changed) }
 	for sw.step = 0; sw.step < 17; sw.step++ {
 		sw.advance()
 	}

@@ -2,8 +2,11 @@ package analysis
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"hypatia/internal/check"
 	"hypatia/internal/check/checktest"
@@ -190,6 +193,85 @@ func TestSweepMatchesReferencePairLists(t *testing.T) {
 	}
 }
 
+// TestSweepIndependentOfWorkerCount runs both stepped analyses over the
+// outage topology at GOMAXPROCS 1, 2 and 4, which is how many workers share
+// each step's trees, and requires every PairStats, PerStep and PerPair entry
+// to be the same at every width. Pair state is owned by the pair's source,
+// so it is the per-worker state — the walk scratch and the per-step change
+// counts — that a wider split could corrupt; forcing at least two procs
+// makes the race detector see the fan-out on any host.
+func TestSweepIndependentOfWorkerCount(t *testing.T) {
+	topo := miniTopoPolicy(t, routing.GSLNearestOnly)
+	cfg := Config{Duration: 300, Step: 1}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var wantStats []PairStats
+	var wantProf *ChangeProfile
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		stats, err := AnalyzePairs(topo, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := PathChangeProfile(topo, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantStats == nil {
+			wantStats, wantProf = stats, prof
+			continue
+		}
+		if !reflect.DeepEqual(stats, wantStats) {
+			t.Errorf("GOMAXPROCS=%d: AnalyzePairs differs from GOMAXPROCS=1", procs)
+		}
+		if !reflect.DeepEqual(prof, wantProf) {
+			t.Errorf("GOMAXPROCS=%d: PathChangeProfile differs from GOMAXPROCS=1:\nPerStep %v\nwant    %v\nPerPair %v\nwant    %v",
+				procs, prof.PerStep, wantProf.PerStep, prof.PerPair, wantProf.PerPair)
+		}
+	}
+	outages, changes := 0, 0
+	for i, st := range wantStats {
+		if st.DisconnectedSteps > 0 && st.DisconnectedSteps < st.Steps {
+			outages++
+		}
+		changes += wantProf.PerPair[i]
+	}
+	if outages == 0 || changes == 0 {
+		t.Errorf("%d pairs with an outage, %d path changes: the comparison is vacuous", outages, changes)
+	}
+}
+
+// TestSweepLeavesNoHelper: AnalyzePairs, PathChangeProfile and RTTSeries
+// stop their split's helpers before they return, and a configuration they
+// reject starts none.
+func TestSweepLeavesNoHelper(t *testing.T) {
+	topo := miniTopo(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"AnalyzePairs", func() { _, _ = AnalyzePairs(topo, Config{Duration: 3, Step: 1}) }},
+		{"PathChangeProfile", func() { _, _ = PathChangeProfile(topo, Config{Duration: 3, Step: 1}) }},
+		{"RTTSeries", func() { RTTSeries(topo, 0, 1, 3, 1) }},
+		{"rejected config", func() {
+			if _, err := AnalyzePairs(topo, Config{Duration: 3, Pairs: [][2]int{{0, 1}, {0, topo.NumGS()}}}); err == nil {
+				t.Error("a pair past the end was accepted")
+			}
+		}},
+	} {
+		before := runtime.NumGoroutine()
+		tc.run()
+		// The helpers have signalled their exit; give the runtime a moment
+		// to retire the goroutines themselves.
+		for i := 0; runtime.NumGoroutine() > before && i < 200; i++ {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > before {
+			t.Errorf("%s: %d goroutines after it returned, %d before", tc.name, got, before)
+		}
+	}
+}
+
 // TestRTTSeriesMatchesSnapshot holds the one-root sweep to the from-scratch
 // Snapshot.RTT at every step, disconnected steps included.
 func TestRTTSeriesMatchesSnapshot(t *testing.T) {
@@ -225,13 +307,21 @@ func TestRTTSeriesMatchesSnapshot(t *testing.T) {
 // measured step is revisited rather than advanced: what may still grow as
 // the constellation moves on (a visibility list, a pair's longest path) is
 // amortized and metered by the benchmark's alloc_mb_per_vsec, while anything
-// allocated per step shows here however often it runs.
+// allocated per step shows here however often it runs. The sweep is built
+// at GOMAXPROCS 2, so its split has a helper, and the step measured is the
+// fan-out's: the helper's wake-up and hand-back, and a walk scratch per
+// worker, must allocate nothing either.
 func TestAllocGuardAnalysisStep(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	sw, err := newSweep(paperTopo(t, constellation.Starlink()), Config{Duration: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw.visit = func(int, int, float64, int, bool) {}
+	defer sw.split.Close()
+	if sw.split.Workers() != 2 {
+		t.Fatalf("the sweep's split has %d workers at GOMAXPROCS 2, want 2", sw.split.Workers())
+	}
+	sw.visit = func(int, int, int, float64, int, bool) {}
 	for sw.step = 0; sw.step < 2; sw.step++ {
 		sw.advance()
 	}

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"hypatia/internal/routing"
 	"hypatia/internal/sim"
@@ -45,63 +43,27 @@ type pipeline struct {
 	once    sync.Once
 }
 
-// split is the default producer's state: the incremental engine, the tables
-// it fills, and the helpers that share each instant's trees with the
-// producer. Every worker claims roots from one cursor until the list runs
-// out, so a helper the scheduler does not run costs the instant nothing: the
-// producer claims its roots instead. One that wins the core the event loop
-// wanted holds it for the rest of the instant's roots, which is what the
-// split costs a packet run (DESIGN.md, "One forwarding-state producer").
-type split struct {
-	eng   *routing.IncrementalEngine
+// producerState is the default producer's: the incremental engine's split
+// over the run's destinations, the pool its tables come from, and the table
+// the instant being solved fills, which the split's visitor writes each
+// tree into.
+type producerState struct {
+	split *routing.Split
 	pool  *routing.TablePool
-	roots []int
-	own   *routing.TreeScratch // the producer's
-
-	next    atomic.Int64 // cursor into roots for the instant being solved
-	helpers int
-	start   chan *routing.ForwardingTable // one receive per helper per instant; closed to stop them
-	busy    sync.WaitGroup                // helpers still claiming this instant's roots
-	exited  sync.WaitGroup                // helpers not yet returned
+	ft    *routing.ForwardingTable
 }
 
-// newSplit builds the engine, reserves the run's tables and starts one
-// helper per extra worker: workers is GOMAXPROCS at construction, capped at
-// the number of roots. Tables do not depend on it (a root's repair only
-// ever reads its own settle order); at one worker no helper starts.
-func newSplit(topo *routing.Topology, active []int, workers int) *split {
-	pool := &routing.TablePool{}
-	pool.Reserve(tablesInFlight+1, topo.NumNodes(), topo.NumGS())
-	eng := routing.NewIncrementalEngine(topo, pool)
-	s := &split{eng: eng, pool: pool, roots: eng.Roots(active), own: eng.NewTreeScratch()}
-	s.helpers = max(0, min(workers, len(s.roots))-1)
-	s.start = make(chan *routing.ForwardingTable, s.helpers)
-	s.exited.Add(s.helpers)
-	for range s.helpers {
-		go s.helper(eng.NewTreeScratch())
-	}
-	return s
-}
-
-// helper solves the roots it claims of every instant the producer starts,
-// until the producer closes start.
-func (s *split) helper(sc *routing.TreeScratch) {
-	defer s.exited.Done()
-	for ft := range s.start {
-		s.claim(ft, sc)
-		s.busy.Done()
-	}
-}
-
-// claim solves roots off the shared cursor into ft until none is left.
-func (s *split) claim(ft *routing.ForwardingTable, sc *routing.TreeScratch) {
-	for {
-		i := int(s.next.Add(1)) - 1
-		if i >= len(s.roots) {
-			return
-		}
-		s.eng.Fill(ft, s.roots[i:i+1], sc)
-	}
+// newProducerState builds the engine and its split and reserves the run's
+// tables. The split's worker count is GOMAXPROCS now, capped at the number
+// of destinations; tables do not depend on it.
+func newProducerState(topo *routing.Topology, active []int) *producerState {
+	ps := &producerState{pool: &routing.TablePool{}}
+	ps.pool.Reserve(tablesInFlight+1, topo.NumNodes(), topo.NumGS())
+	eng := routing.NewIncrementalEngine(topo, ps.pool)
+	ps.split = eng.NewSplit(active, func(_, gs int, _ []float64, prev []int32) {
+		ps.ft.SetDestination(gs, prev)
+	})
+	return ps
 }
 
 // newPipeline starts the producer over the given update instants.
@@ -111,40 +73,37 @@ func newPipeline(topo *routing.Topology, strategy Strategy, active []int, times 
 		done:    make(chan struct{}),
 		stopped: make(chan struct{}),
 	}
-	var s *split
+	var ps *producerState
 	if strategy == nil {
-		s = newSplit(topo, active, runtime.GOMAXPROCS(0))
+		ps = newProducerState(topo, active)
 	}
-	go p.producer(topo, strategy, active, s, times)
+	go p.producer(topo, strategy, active, ps, times)
 	return p
 }
 
 // producer walks the instants in order and sends each one's table. Without
-// a custom strategy it runs split's routing.IncrementalEngine: between
+// a custom strategy it runs a routing.IncrementalEngine: between
 // consecutive instants every link weight drifts slightly but the
 // per-destination settle orders barely move, so re-solving each tree in its
 // carried order over the delta layer's cached-visibility snapshots is far
 // cheaper than recomputing the instant from scratch, and bitwise identical
 // to it. That chain is sequential per destination, not per instant: each
-// root carries its own settle order, so once Advance has built and frozen
-// the instant's graph the roots are independent, and the producer and its
-// helpers solve them at once. A custom strategy is an opaque function, so
-// it is called on a from-scratch snapshot of each instant.
+// root carries its own settle order, so once the engine has built and
+// frozen the instant's graph the roots are independent, and its
+// routing.Split solves them on every core. A custom strategy is an opaque
+// function, so it is called on a from-scratch snapshot of each instant.
 //
-// The producer's steady-state loop allocates nothing: the repair chain reuses
-// the engine's carried arenas, each worker its own TreeScratch, and the
-// tables reserved in newSplit end to end, so after the one-time construction
-// and the engine's first step (which sizes every arena) each instant is
-// produced without touching the heap. TestAllocGuardIncrementalStepActive
+// The producer's steady-state loop allocates nothing: the repair chain
+// reuses the engine's carried arenas, each split worker its own scratch,
+// and the tables reserved in newProducerState end to end, so after the
+// one-time construction and the engine's first step (which sizes every
+// arena) each instant is produced without touching the heap. TestAllocGuardIncrementalStepActive
 // holds a step on this shape at zero, and TestAllocGuardIncrementalStep the
 // nil-list one.
-func (p *pipeline) producer(topo *routing.Topology, strategy Strategy, active []int, s *split, times []sim.Time) {
+func (p *pipeline) producer(topo *routing.Topology, strategy Strategy, active []int, ps *producerState, times []sim.Time) {
 	defer close(p.stopped)
-	if s != nil {
-		defer func() {
-			close(s.start)
-			s.exited.Wait()
-		}()
+	if ps != nil {
+		defer ps.split.Close()
 	}
 	var snap *routing.Snapshot
 	for _, at := range times {
@@ -158,16 +117,10 @@ func (p *pipeline) producer(topo *routing.Topology, strategy Strategy, active []
 		default:
 		}
 		var ft *routing.ForwardingTable
-		if s != nil {
-			ft = s.pool.Empty(at.Seconds(), topo.NumNodes(), topo.NumGS())
-			s.eng.Advance(at.Seconds())
-			s.next.Store(0)
-			s.busy.Add(s.helpers)
-			for range s.helpers {
-				s.start <- ft
-			}
-			s.claim(ft, s.own)
-			s.busy.Wait()
+		if ps != nil {
+			ft = ps.pool.Empty(at.Seconds(), topo.NumNodes(), topo.NumGS())
+			ps.ft = ft
+			ps.split.Solve(at.Seconds())
 		} else {
 			snap = topo.SnapshotInto(at.Seconds(), snap)
 			ft = strategy(snap, active)

@@ -384,16 +384,16 @@ func (t *Topology) DeltaInto(tsec float64, d *DeltaState) (*Snapshot, []graph.Ed
 // barely moves, which makes the re-solve a single near-branchless sweep over
 // the adjacency.
 //
-// An instant has two phases. Advance is serial: it moves the snapshot to
+// An instant has two phases. advance is serial: it moves the snapshot to
 // the instant and freezes its graph. The trees are then independent of one
 // another, because a root's repair reads the frozen graph and writes only
-// its own settle order and the TreeScratch it is handed: Fill solves a list
-// of roots into a table's columns, and calls for distinct roots with
-// distinct scratches may run at once (core's producer splits each instant's
-// roots across its workers this way). Trees and Step are the serial clients:
-// Advance plus one loop over the roots on the engine's own scratch. Trees
-// hands each tree to a visitor (the stepped analyses of internal/analysis),
-// Step installs them into a table (packet runs).
+// its own settle order and the treeScratch it is handed, so calls for
+// distinct roots with distinct scratches may run at once. The engine has
+// two ways through an instant: Step, serial on the engine's own scratch,
+// installs every tree into a table; a Split (NewSplit) solves the trees of
+// a fixed root list on every core and hands each to a visitor — core's
+// forwarding-state producer and the stepped analyses of internal/analysis
+// are its clients.
 //
 // Because the dense repair is correct from any starting order — order
 // quality affects cost, never the bitwise result — the engine needs no
@@ -407,14 +407,14 @@ func (t *Topology) DeltaInto(tsec float64, d *DeltaState) (*Snapshot, []graph.Ed
 // and the differential suites in internal/core and internal/analysis prove
 // the same over randomized instant sequences.
 //
-// Advance, Trees and Step are single-owner calls (one goroutine at a time,
-// never during a Fill); tables Step returns are the caller's to Release.
+// Step and Split.Solve are single-owner calls (one goroutine at a time);
+// tables Step returns are the caller's to Release.
 type IncrementalEngine struct {
 	topo *Topology
 	pool *TablePool
 
 	delta DeltaState
-	g     *graph.Graph // the instant Advance last reached, frozen
+	g     *graph.Graph // the instant advance last reached, frozen
 	tsec  float64
 
 	// Per-root settle order, the only state a repair carries into the next
@@ -422,17 +422,17 @@ type IncrementalEngine struct {
 	// from-scratch Dijkstra whose pop order becomes the order.
 	order [][]int32
 
-	scratch *TreeScratch // Trees' and Step's
+	scratch *treeScratch // Step's, and a Split's first worker's
 	all     []int        // every ground station, the roots of a nil list
 
 	oracle oracleSnapshot // hypatia_checks only
 }
 
-// TreeScratch is one solver's working arrays: the dist/prev pair a tree is
+// treeScratch is one solver's working arrays: the dist/prev pair a tree is
 // written into (the dense repair overwrites both before reading either),
 // the repair's and the first Dijkstra's scratch, and under hypatia_checks
-// the oracle's own pair. A TreeScratch serves one Fill at a time.
-type TreeScratch struct {
+// the oracle's own pair. A treeScratch serves one solve at a time.
+type treeScratch struct {
 	dist   []float64
 	prev   []int32
 	repair graph.RepairScratch
@@ -440,12 +440,12 @@ type TreeScratch struct {
 	oracle oracleScratch // hypatia_checks only
 }
 
-// NewTreeScratch sizes a scratch for the engine's topology, the repair's
+// newTreeScratch sizes a scratch for the engine's topology, the repair's
 // heap included, so that a worker's trees allocate nothing beyond each
 // root's first settle order.
-func (e *IncrementalEngine) NewTreeScratch() *TreeScratch {
+func (e *IncrementalEngine) newTreeScratch() *treeScratch {
 	n := e.topo.NumNodes()
-	sc := &TreeScratch{dist: make([]float64, n), prev: make([]int32, n)}
+	sc := &treeScratch{dist: make([]float64, n), prev: make([]int32, n)}
 	sc.repair.Reserve(n)
 	return sc
 }
@@ -465,16 +465,16 @@ func NewIncrementalEngine(topo *Topology, pool *TablePool) *IncrementalEngine {
 	for gs := range e.all {
 		e.all[gs] = gs
 	}
-	e.scratch = e.NewTreeScratch()
+	e.scratch = e.newTreeScratch()
 	return e
 }
 
-// Advance moves the engine to time tsec: the delta snapshot, its graph
+// advance moves the engine to time tsec: the delta snapshot, its graph
 // frozen so that concurrent repairs only read it, on the engine's first
 // instant the second snapshot buffer sized (prime), and under
 // hypatia_checks the oracle's one from-scratch snapshot of the instant.
-// Fill then solves the instant's trees.
-func (e *IncrementalEngine) Advance(tsec float64) {
+// solve then solves the instant's trees.
+func (e *IncrementalEngine) advance(tsec float64) {
 	e.g = e.topo.deltaSnapshot(tsec, &e.delta).G
 	e.tsec = tsec
 	if e.delta.Prev() == nil {
@@ -490,7 +490,7 @@ func (e *IncrementalEngine) Advance(tsec float64) {
 // time jump does not make another) and gives the second snapshot buffer what
 // the second and third instants would otherwise have allocated: adjacency
 // and CSR capacity sized from the snapshot just built. The repair scratch of
-// every TreeScratch is sized when it is made. An engine's arenas are then a
+// every treeScratch is sized when it is made. An engine's arenas are then a
 // cost of its first instant alone — which for a packet run is construction
 // (core.NewRun returns after it) — and what later instants allocate is the
 // slow creep of rows that outgrow their first size.
@@ -498,66 +498,36 @@ func (e *IncrementalEngine) prime() {
 	e.delta.primeNext()
 }
 
-// Roots returns the roots a destination list names: the list itself, or
-// every ground station in index order for nil. The result is the engine's
-// and must not be modified.
-func (e *IncrementalEngine) Roots(list []int) []int {
+// roots returns the roots a destination list names: the list itself, or
+// every ground station in index order for nil.
+func (e *IncrementalEngine) roots(list []int) []int {
 	if list == nil {
 		return e.all
 	}
 	return list
 }
 
-// TreeVisitor receives one shortest-path tree from Trees: the root ground
-// station and the distance (meters, +Inf unreachable) and predecessor (-1
-// unreachable, the root its own) arrays over all nodes, as Dijkstra rooted
-// at that station's node fills them. The arrays are the engine's and are
-// overwritten by the next root: a visitor reads what it needs and returns.
-type TreeVisitor func(gs int, dist []float64, prev []int32)
-
-// Trees advances the engine to time tsec and solves one shortest-path tree
-// per root ground station (nil = all, in index order), handing each to
-// visit before the next root overwrites it. The graph is undirected, so the
-// tree rooted at a station is at once the forwarding column toward it
-// (prev[v] = v's next hop) and the shortest paths from it.
-func (e *IncrementalEngine) Trees(tsec float64, roots []int, visit TreeVisitor) {
-	e.Advance(tsec)
-	sc := e.scratch
-	for _, gs := range e.Roots(roots) {
-		e.solve(sc, gs)
-		visit(gs, sc.dist, sc.prev)
-	}
-}
-
 // Step computes the forwarding table for time tsec toward the given
-// destination ground stations (nil = all): Advance, then Fill on the
-// engine's own scratch. The table comes from the engine's pool; the caller
-// owns it and must Release it.
+// destination ground stations (nil = all): advance, then one tree per
+// destination on the engine's own scratch, installed as the destination's
+// next-hop column. The table comes from the engine's pool; the caller owns
+// it and must Release it. Step starts no goroutine.
 func (e *IncrementalEngine) Step(tsec float64, active []int) *ForwardingTable {
 	ft := e.pool.Empty(tsec, e.topo.NumNodes(), e.topo.NumGS())
-	e.Advance(tsec)
-	e.Fill(ft, e.Roots(active), e.scratch)
-	return ft
-}
-
-// Fill solves the tree of every root in roots at the instant Advance last
-// reached, in sc, and installs its predecessors as the root's next-hop
-// column of ft. Fills over disjoint root lists, each with its own scratch,
-// may run concurrently: a root's repair reads the frozen graph and writes
-// only its own settle order, the scratch and its own column. A root listed
-// twice, in one call or in two at once, is a data race.
-func (e *IncrementalEngine) Fill(ft *ForwardingTable, roots []int, sc *TreeScratch) {
-	for _, gs := range roots {
+	e.advance(tsec)
+	sc := e.scratch
+	for _, gs := range e.roots(active) {
 		e.solve(sc, gs)
 		ft.SetDestination(gs, sc.prev)
 	}
+	return ft
 }
 
 // solve solves the tree rooted at ground station gs into sc.dist/sc.prev:
 // a repair over the root's carried settle order, or on first use a
-// from-scratch Dijkstra that records it. It is the one tree path: Trees,
-// Step and every worker's Fill come through here.
-func (e *IncrementalEngine) solve(sc *TreeScratch, gs int) {
+// from-scratch Dijkstra that records it. It is the one tree path: Step and
+// every Split worker come through here.
+func (e *IncrementalEngine) solve(sc *treeScratch, gs int) {
 	root := e.topo.GSNode(gs)
 	if ord := e.order[gs]; ord != nil {
 		e.g.RepairSSSPDense(root, sc.dist, sc.prev, ord, &sc.repair)

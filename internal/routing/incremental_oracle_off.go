@@ -18,4 +18,4 @@ type (
 // reached at runtime.
 func (e *IncrementalEngine) oracleAdvance(float64) {}
 
-func (e *IncrementalEngine) oracleCheck(*TreeScratch, int) {}
+func (e *IncrementalEngine) oracleCheck(*treeScratch, int) {}

@@ -19,7 +19,7 @@ var oracleComparisons atomic.Uint64
 func OracleComparisons() uint64 { return oracleComparisons.Load() }
 
 // oracleSnapshot is the oracle's own from-scratch snapshot of the instant
-// being verified — none of the engine's cached state. Advance builds it, and
+// being verified — none of the engine's cached state. advance builds it, and
 // every worker's oracleCheck only reads it.
 type oracleSnapshot struct {
 	snap *Snapshot
@@ -44,7 +44,7 @@ func (e *IncrementalEngine) oracleAdvance(tsec float64) {
 // that must be indistinguishable from it. A forwarding-table column is a
 // copy of prev and an analysis reads dist and walks prev, so both of the
 // engine's clients are covered here.
-func (e *IncrementalEngine) oracleCheck(sc *TreeScratch, gs int) {
+func (e *IncrementalEngine) oracleCheck(sc *treeScratch, gs int) {
 	o := &sc.oracle
 	o.dist, o.prev = e.oracle.snap.FromGS(gs, o.dist, o.prev)
 	for node := range o.dist {

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hypatia/internal/check"
@@ -152,6 +153,50 @@ func TestIncrementalEngineMatchesScratch(t *testing.T) {
 					policy, step, tsec, active)
 			}
 			got.Release()
+		}
+	}
+}
+
+// TestSplitMatchesScratch runs one instant sequence, a backward jump
+// included, through a Split at GOMAXPROCS 1, 2 and 4: the worker count is
+// GOMAXPROCS capped at the roots, every root is visited once per Solve on a
+// worker index inside it, every tree installs the from-scratch column, and
+// Close is idempotent.
+func TestSplitMatchesScratch(t *testing.T) {
+	topo := miniTopo(t, GSLNearestOnly)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, roots := range [][]int{nil, {2}} {
+			eng := NewIncrementalEngine(topo, nil)
+			var ft *ForwardingTable
+			visits := make([]int, topo.NumGS())
+			var split *Split
+			split = eng.NewSplit(roots, func(w, gs int, _ []float64, prev []int32) {
+				if w < 0 || w >= split.Workers() {
+					t.Errorf("GOMAXPROCS=%d: root %d visited on worker %d of %d", procs, gs, w, split.Workers())
+				}
+				visits[gs]++
+				ft.SetDestination(gs, prev)
+			})
+			if want := min(procs, len(eng.roots(roots))); split.Workers() != want {
+				t.Errorf("GOMAXPROCS=%d roots %v: %d workers, want %d", procs, roots, split.Workers(), want)
+			}
+			for _, tsec := range []float64{0, 0.1, 0.2, 30, 0.1} {
+				ft = NewEmptyForwardingTable(tsec, topo.NumNodes(), topo.NumGS())
+				clear(visits)
+				split.Solve(tsec)
+				for _, gs := range eng.roots(roots) {
+					if visits[gs] != 1 {
+						t.Errorf("GOMAXPROCS=%d t=%v: root %d visited %d times", procs, tsec, gs, visits[gs])
+					}
+				}
+				if !ft.Equal(engineOracle(topo, tsec, roots)) {
+					t.Fatalf("GOMAXPROCS=%d roots %v t=%v: split table differs from scratch", procs, roots, tsec)
+				}
+			}
+			split.Close()
+			split.Close()
 		}
 	}
 }

@@ -1,0 +1,114 @@
+package routing
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
+
+// TreeVisitor receives one shortest-path tree from Split.Solve: the worker
+// that solved it (0 ≤ w < Split.Workers()), the root ground station, and the
+// distance (meters, +Inf unreachable) and predecessor (-1 unreachable, the
+// root its own) arrays over all nodes, as Dijkstra rooted at that station's
+// node fills them. The graph is undirected, so the tree rooted at a station
+// is at once the forwarding column toward it (prev[v] = v's next hop) and
+// the shortest paths from it.
+//
+// The arrays are the worker's and are overwritten by its next root: a
+// visitor reads what it needs and returns. Calls for distinct roots run
+// concurrently, but one worker's calls never overlap, so state a visitor
+// keeps per worker index, or per root, needs no lock.
+type TreeVisitor func(w, gs int, dist []float64, prev []int32)
+
+// Split solves an instant's trees over a fixed root list on every core: the
+// engine's serial advance, then every worker claims roots from one cursor
+// until the list runs out, each on its own treeScratch. The calling
+// goroutine is worker 0, and one helper goroutine per extra worker waits
+// between instants. A helper the scheduler does not run costs the instant
+// nothing — the caller claims its roots instead — while one that wins a core
+// another goroutine wanted holds it for the rest of the instant's roots,
+// which is what the split costs a packet run (DESIGN.md, "One
+// forwarding-state producer").
+//
+// The trees do not depend on the worker count: a root's repair reads only
+// the frozen graph and its own settle order.
+type Split struct {
+	eng   *IncrementalEngine
+	roots []int
+	visit TreeVisitor
+
+	next    atomic.Int64 // cursor into roots for the instant being solved
+	helpers int
+	start   chan struct{}  // one receive per helper per instant; closed to stop them
+	busy    sync.WaitGroup // helpers still claiming this instant's roots
+	exited  sync.WaitGroup // helpers not yet returned
+	closed  bool
+}
+
+// NewSplit returns a split over the given roots (nil = every ground
+// station, in index order) that hands each tree to visit, and starts its
+// helpers: the worker count is GOMAXPROCS now, capped at the number of
+// roots, so at one worker no goroutine starts. The split drives the engine
+// from here on; the caller must Close it, or its helpers outlive it.
+func (e *IncrementalEngine) NewSplit(roots []int, visit TreeVisitor) *Split {
+	s := &Split{eng: e, roots: e.roots(roots), visit: visit}
+	s.helpers = max(0, min(runtime.GOMAXPROCS(0), len(s.roots))-1)
+	s.start = make(chan struct{}, s.helpers)
+	s.exited.Add(s.helpers)
+	for w := 1; w <= s.helpers; w++ {
+		go s.helper(w, e.newTreeScratch())
+	}
+	return s
+}
+
+// Workers returns the number of workers, and so the bound on the worker
+// index a visitor is handed.
+func (s *Split) Workers() int { return s.helpers + 1 }
+
+// Solve advances the engine to time tsec and hands every root's tree at
+// that instant to the visitor, returning once all have been visited. Only
+// one goroutine may call Solve at a time, and never after Close.
+func (s *Split) Solve(tsec float64) {
+	s.eng.advance(tsec)
+	s.next.Store(0)
+	s.busy.Add(s.helpers)
+	for range s.helpers {
+		s.start <- struct{}{}
+	}
+	s.claim(0, s.eng.scratch)
+	s.busy.Wait()
+}
+
+// helper is worker w: it solves the roots it claims of every instant Solve
+// starts, until Close closes start.
+func (s *Split) helper(w int, sc *treeScratch) {
+	defer s.exited.Done()
+	for range s.start {
+		s.claim(w, sc)
+		s.busy.Done()
+	}
+}
+
+// claim solves roots off the shared cursor on worker w until none is left.
+func (s *Split) claim(w int, sc *treeScratch) {
+	for {
+		i := int(s.next.Add(1)) - 1
+		if i >= len(s.roots) {
+			return
+		}
+		gs := s.roots[i]
+		s.eng.solve(sc, gs)
+		s.visit(w, gs, sc.dist, sc.prev)
+	}
+}
+
+// Close stops the helpers and waits for them to return. It is idempotent,
+// and like Solve a single-owner call.
+func (s *Split) Close() {
+	if s.closed {
+		return
+	}
+	s.closed = true
+	close(s.start)
+	s.exited.Wait()
+}

@@ -68,7 +68,9 @@ stage "alloc guards (default build, GOMAXPROCS=1)"
 # internal/core and internal/analysis the TestAllocGuardBench* tests hold six
 # benchmarks' timed regions (SnapshotInto, ForwardingTableFull,
 # ForwardingStateIncremental, SimSerial, SimSerialTCP, AnalyzePairsS1) to
-# their allocs/op budgets, on each benchmark's own setup. The -run prefix
+# their allocs/op budgets, on each benchmark's own setup; the two analysis
+# guards build their sweep at GOMAXPROCS 2, so the tree split's helper runs
+# in the measured steps even here. The -run prefix
 # picks up every TestAllocGuard* by name, so a new guard needs no edit here. Two
 # more pin where a run's forwarding-state memory is allocated, which is what
 # keeps a benchmark's timed-region allocation from depending on the
