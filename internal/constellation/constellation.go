@@ -314,15 +314,18 @@ func (c *Constellation) PositionECEF(i int, t float64) geom.Vec3 {
 }
 
 // PositionsECEF computes the Earth-fixed positions of all satellites at time
-// t. The result is freshly allocated unless dst has sufficient capacity.
+// t, bitwise equal to PositionECEF for each: the sidereal angle's cosine
+// and sine are taken once for the instant. The result is freshly allocated
+// unless dst has sufficient capacity.
 func (c *Constellation) PositionsECEF(t float64, dst []geom.Vec3) []geom.Vec3 {
 	theta := c.GMSTAt(t)
+	cosT, sinT := math.Cos(theta), math.Sin(theta)
 	if cap(dst) < len(c.Satellites) {
 		dst = make([]geom.Vec3, len(c.Satellites))
 	}
 	dst = dst[:len(c.Satellites)]
 	for i := range c.Satellites {
-		dst[i] = geom.ECIToECEF(c.Satellites[i].Propagator.PositionECI(t), theta)
+		dst[i] = geom.ECIToECEFCosSin(c.Satellites[i].Propagator.PositionECI(t), cosT, sinT)
 	}
 	return dst
 }

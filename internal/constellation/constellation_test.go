@@ -365,15 +365,21 @@ func TestValidateRejectsBadWalkerF(t *testing.T) {
 	}
 }
 
+// TestPositionsECEFMatchesPerSatellite holds the batch path, which takes
+// the sidereal angle's trig once per instant, bitwise equal to the
+// per-satellite one for every satellite at several instants.
 func TestPositionsECEFMatchesPerSatellite(t *testing.T) {
 	c, _ := Generate(Telesat())
-	all := c.PositionsECEF(123.4, nil)
-	if len(all) != c.NumSatellites() {
-		t.Fatalf("len = %d", len(all))
-	}
-	for _, i := range []int{0, 17, 350} {
-		if d := all[i].Distance(c.PositionECEF(i, 123.4)); d > 1e-6 {
-			t.Errorf("sat %d: batch and single positions differ by %v m", i, d)
+	var all []geom.Vec3
+	for _, ts := range []float64{-50, 0, 0.1, 123.4, 5400, 86400} {
+		all = c.PositionsECEF(ts, all)
+		if len(all) != c.NumSatellites() {
+			t.Fatalf("len = %d", len(all))
+		}
+		for i, got := range all {
+			if want := c.PositionECEF(i, ts); got != want {
+				t.Fatalf("t=%v sat %d: batch position %v, single %v", ts, i, got, want)
+			}
 		}
 	}
 	// Reuses the destination slice when it has capacity.

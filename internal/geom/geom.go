@@ -190,7 +190,12 @@ func GMSTFromJulian(jd float64) float64 {
 // ECIToECEF rotates an ECI position into the ECEF frame given the current
 // sidereal angle theta (radians).
 func ECIToECEF(eci Vec3, theta float64) Vec3 {
-	c, s := math.Cos(theta), math.Sin(theta)
+	return ECIToECEFCosSin(eci, math.Cos(theta), math.Sin(theta))
+}
+
+// ECIToECEFCosSin is ECIToECEF with the cosine c and sine s of theta taken
+// by the caller, once for every position rotated through the same angle.
+func ECIToECEFCosSin(eci Vec3, c, s float64) Vec3 {
 	return Vec3{
 		X: c*eci.X + s*eci.Y,
 		Y: -s*eci.X + c*eci.Y,

@@ -43,3 +43,34 @@ func TestAllocGuardResetAddEdge(t *testing.T) {
 		}
 	})
 }
+
+// TestAllocGuardRepairRefresh pins a dense repair whose order refresh
+// fires: the repairs alternate between two instants of a drifting mesh 300
+// steps apart, so every one sweeps an order the other left and re-sorts it
+// by insertion. The refresh sorts in place, so a warmed repair allocates
+// nothing.
+func TestAllocGuardRepairRefresh(t *testing.T) {
+	const side = 24
+	n := side * side
+	src := n / 2
+	gs := [2]*Graph{New(n), New(n)}
+	driftingMesh(gs[0], side, 0)
+	driftingMesh(gs[1], side, 300)
+	gs[0].Freeze()
+	gs[1].Freeze()
+	order := make([]int32, n)
+	dist, prev := gs[0].DijkstraScratch(src, nil, nil, &Scratch{Order: order})
+	var sc RepairScratch
+	sc.Reserve(n)
+	k := 0
+	repair := func() {
+		k++
+		gs[k%2].RepairSSSPDense(src, dist, prev, order, &sc)
+	}
+	before := sc.secondPass
+	repair()
+	if got := sc.secondPass - before; got*256 <= n {
+		t.Fatalf("a repair sent %d nodes through the second pass; the refresh needs more than %d", got, n/256)
+	}
+	checktest.AllocGuard(t, "Graph.RepairSSSPDense with refresh", 0, 1, repair)
+}

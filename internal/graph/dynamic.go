@@ -104,7 +104,16 @@ type RepairScratch struct {
 	h         indexedHeap
 	tieList   []int32
 	unreached []int32
+
+	// secondPass counts the nodes the sweeps of every repair through this
+	// scratch have sent through the second pass: the measure of order
+	// quality the refresh rule reads, summed for benchmarks and tests.
+	secondPass int
 }
+
+// SecondPass returns the number of nodes the repairs through sc have sent
+// through the second pass, summed over every repair since sc was made.
+func (sc *RepairScratch) SecondPass() int { return sc.secondPass }
 
 // Reserve sizes the scratch for repairs over n nodes, so that the first
 // repair allocates as little as the thousandth.
@@ -143,6 +152,26 @@ func sortByDist(order []int32, dist []float64) {
 	for end := n - 1; end > 0; end-- {
 		order[0], order[end] = order[end], order[0]
 		siftDownOrder(order, dist, 0, end)
+	}
+}
+
+// tightenOrder sorts order into the same settle order as sortByDist by
+// insertion: allocation-free and O(n + inversions), so on an order that
+// drift has left almost sorted it costs one pass. On a stale order it is
+// quadratic, which is why RepairSSSPDense heap-sorts those instead.
+func tightenOrder(order []int32, dist []float64) {
+	for i := 1; i < len(order); i++ {
+		v := order[i]
+		dv := dist[v]
+		j := i
+		for ; j > 0; j-- {
+			u := order[j-1]
+			if du := dist[u]; du < dv || (du == dv && u < v) {
+				break
+			}
+			order[j] = u
+		}
+		order[j] = v
 	}
 }
 
@@ -260,6 +289,7 @@ func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []i
 	h.reset(n)
 	sc.tieList = sc.tieList[:0]
 	sc.unreached = sc.unreached[:0]
+	secondPass := 0
 	for _, v := range order {
 		if math.Float64bits(dist[v]) != unsweptBits {
 			panic(fmt.Sprintf("graph: order lists node %d twice; must be a permutation", v))
@@ -287,6 +317,7 @@ func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []i
 		if far < best {
 			continue
 		}
+		secondPass++
 		// The order is stale here: a neighbour swept earlier sits at or
 		// beyond v, so v may improve it. Offer v's distance to the swept
 		// neighbours the way Dijkstra relaxes, and let the heap re-settle
@@ -327,17 +358,25 @@ func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []i
 	for _, v := range sc.tieList {
 		g.canonicalPrev(src, v, dist, prev)
 	}
-	// Refresh the order only once drift has audibly degraded it. Inversions
-	// among near-equidistant nodes are constant but harmless — a violation
-	// needs a node swept before its tree parent, and that takes relative
-	// drift on the scale of a link weight — so sorting every repair buys
-	// nothing. The settle pop count is the direct measure of order quality;
-	// when it grows past n/8 (stale order after a coarse time jump, an order
-	// that was never a settle order) one full sort makes the order tight
-	// again. Correctness never depends on this.
-	if pops*8 > n {
+	// Refresh the order toward this solution's settle order once drift has
+	// degraded it; correctness never depends on this. Each node swept at or
+	// beyond a neighbour costs a second pass, and from one 100 ms instant
+	// to the next such inversions accumulate: left alone, a K1 tree's
+	// second pass averages 48 nodes over a chain's first 100 instants and
+	// 177 over 800. So a repair whose second pass took more than n/256
+	// nodes re-sorts the order by insertion, one pass over an order that is
+	// almost sorted (3.0 nodes per tree over 800 instants). An order that
+	// sent more than n/8 nodes through the heap is stale (a time jump, an
+	// order that was never a settle order), and insertion would be
+	// quadratic there: the heapsort takes it. DESIGN.md ("Incremental
+	// forwarding state") has the probe that picked the rule.
+	switch {
+	case pops*8 > n:
 		sortByDist(order, dist)
+	case secondPass*256 > n:
+		tightenOrder(order, dist)
 	}
+	sc.secondPass += secondPass
 }
 
 // settle runs the Dijkstra main loop over whatever sc.h was seeded with,

@@ -491,3 +491,117 @@ func TestRepairConcurrentOnFrozenGraph(t *testing.T) {
 		t.Error(e)
 	}
 }
+
+// driftingMesh rebuilds g as instant k of a slowly moving mesh: side×side
+// nodes on a grid, each linked to its right and lower neighbours and its
+// lower-right diagonal, weighted by Euclidean length. Every node circles
+// its grid point with a phase of its own, so every weight drifts a little
+// at every instant and the settle order drifts with it, as a
+// constellation's does between 100 ms instants.
+func driftingMesh(g *Graph, side, k int) {
+	g.Reset(side * side)
+	pos := func(r, c int) (x, y float64) {
+		ph := float64(k)*2*math.Pi/4000 + float64(r*7+c*3)
+		return float64(c) + 0.3*math.Sin(ph), float64(r) + 0.3*math.Cos(1.3*ph)
+	}
+	link := func(r, c, r2, c2 int) {
+		if r2 >= side || c2 >= side {
+			return
+		}
+		x1, y1 := pos(r, c)
+		x2, y2 := pos(r2, c2)
+		g.AddEdge(r*side+c, r2*side+c2, math.Hypot(x2-x1, y2-y1))
+	}
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			link(r, c, r, c+1)
+			link(r, c, r+1, c)
+			link(r, c, r+1, c+1)
+		}
+	}
+}
+
+// TestTightenOrderMatchesHeapsort: the insertion refresh and the heapsort
+// fallback produce the same permutation, the settle order of dist, from an
+// almost sorted order and from a shuffled one, with tied and infinite
+// distances among the keys.
+func TestTightenOrderMatchesHeapsort(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		dist := make([]float64, n)
+		for i := range dist {
+			switch rng.Intn(8) {
+			case 0:
+				dist[i] = Infinity
+			case 1:
+				dist[i] = float64(rng.Intn(4))
+			default:
+				dist[i] = 100 * rng.Float64()
+			}
+		}
+		order := settleOrder(dist)
+		if trial%2 == 0 {
+			for s := 0; s < n/10; s++ { // a few neighbouring swaps
+				i := rng.Intn(n)
+				j := min(n-1, i+1+rng.Intn(3))
+				order[i], order[j] = order[j], order[i]
+			}
+		} else {
+			rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		}
+		heap := slices.Clone(order)
+		sortByDist(heap, dist)
+		tightenOrder(order, dist)
+		if !slices.Equal(order, heap) {
+			t.Fatalf("trial %d: insertion refresh %v, heapsort %v", trial, order, heap)
+		}
+	}
+}
+
+// TestRepairOrderStaysTight chains 600 repairs over a mesh whose every
+// weight drifts slightly at every step, carrying one settle order from the
+// first Dijkstra onward as the forwarding-state engine does. At every step
+// the repair must equal a fresh Dijkstra bitwise and leave order a
+// permutation; and the order must stay tight: over the last 100 steps the
+// sweep may send at most n/128 nodes per repair through the second pass.
+// With the heapsort alone, which fires only once the heap pops exceed n/8,
+// the count climbs to well over that as the chain grows.
+func TestRepairOrderStaysTight(t *testing.T) {
+	const side, steps, window = 24, 600, 100
+	n := side * side
+	src := n/2 + side/2
+	g := New(n)
+	driftingMesh(g, side, 0)
+	order := make([]int32, n)
+	dist, prev := g.DijkstraScratch(src, nil, nil, &Scratch{Order: order})
+	var sc RepairScratch
+	var want Scratch
+	var wantDist []float64
+	var wantPrev []int32
+	seen := make([]bool, n)
+	lastSecondPass := 0
+	for k := 1; k <= steps; k++ {
+		driftingMesh(g, side, k)
+		before := sc.secondPass
+		g.RepairSSSPDense(src, dist, prev, order, &sc)
+		wantDist, wantPrev = g.DijkstraScratch(src, wantDist, wantPrev, &want)
+		sameSSSP(t, fmt.Sprintf("step %d", k), dist, wantDist, prev, wantPrev)
+		clear(seen)
+		for _, v := range order {
+			if seen[v] {
+				t.Fatalf("step %d: order lists node %d twice", k, v)
+			}
+			seen[v] = true
+		}
+		if k > steps-window {
+			lastSecondPass += sc.secondPass - before
+		}
+	}
+	if bound := window * n / 128; lastSecondPass > bound {
+		t.Errorf("%d second-pass nodes over the last %d repairs, bound %d: the carried order has decayed",
+			lastSecondPass, window, bound)
+	}
+	t.Logf("%d second-pass nodes over the last %d repairs (%.2f per repair, n = %d)",
+		lastSecondPass, window, float64(lastSecondPass)/window, n)
+}

@@ -119,42 +119,49 @@ type State struct {
 	Velocity geom.Vec3
 }
 
-// propagateAt computes the two-body state from an element set whose mean
-// anomaly has already been advanced to the target time.
-func propagateAt(e Elements) State {
+// perifocal solves an element set whose mean anomaly has already been
+// advanced to the target time: the position in the perifocal frame, and
+// the semi-latus rectum and true anomaly's cosine and sine the velocity
+// is built from.
+func perifocal(e Elements) (rp geom.Vec3, p, cosNu, sinNu float64) {
 	ecc := SolveKepler(e.MeanAnomaly, e.Eccentricity)
 	nu := TrueAnomaly(ecc, e.Eccentricity)
-	p := e.SemiMajorAxis * (1 - e.Eccentricity*e.Eccentricity)
-	r := p / (1 + e.Eccentricity*math.Cos(nu))
+	p = e.SemiMajorAxis * (1 - e.Eccentricity*e.Eccentricity)
+	cosNu, sinNu = math.Cos(nu), math.Sin(nu)
+	r := p / (1 + e.Eccentricity*cosNu)
+	return geom.Vec3{X: r * cosNu, Y: r * sinNu, Z: 0}, p, cosNu, sinNu
+}
 
-	// Position and velocity in the perifocal frame.
-	cosNu, sinNu := math.Cos(nu), math.Sin(nu)
-	rp := geom.Vec3{X: r * cosNu, Y: r * sinNu, Z: 0}
-	sqrtMuP := math.Sqrt(geom.EarthMu / p)
-	vp := geom.Vec3{X: -sqrtMuP * sinNu, Y: sqrtMuP * (e.Eccentricity + cosNu), Z: 0}
+// perifocalToECI is the rotation Rz(Ω) Rx(i) Rz(ω) from an orbit's
+// perifocal frame to ECI, held as its angles' cosines and sines.
+type perifocalToECI struct {
+	cosO, sinO, cosI, sinI, cosW, sinW float64
+}
 
-	// Rotate perifocal -> ECI: Rz(Ω) Rx(i) Rz(ω).
-	cosO, sinO := math.Cos(e.RAAN), math.Sin(e.RAAN)
-	cosI, sinI := math.Cos(e.Inclination), math.Sin(e.Inclination)
-	cosW, sinW := math.Cos(e.ArgPerigee), math.Sin(e.ArgPerigee)
-
-	rot := func(v geom.Vec3) geom.Vec3 {
-		// Rz(ω) applied first.
-		x1 := cosW*v.X - sinW*v.Y
-		y1 := sinW*v.X + cosW*v.Y
-		z1 := v.Z
-		// Rx(i).
-		x2 := x1
-		y2 := cosI*y1 - sinI*z1
-		z2 := sinI*y1 + cosI*z1
-		// Rz(Ω).
-		return geom.Vec3{
-			X: cosO*x2 - sinO*y2,
-			Y: sinO*x2 + cosO*y2,
-			Z: z2,
-		}
+// rotation returns e's perifocal-to-ECI rotation.
+func rotation(e Elements) perifocalToECI {
+	return perifocalToECI{
+		cosO: math.Cos(e.RAAN), sinO: math.Sin(e.RAAN),
+		cosI: math.Cos(e.Inclination), sinI: math.Sin(e.Inclination),
+		cosW: math.Cos(e.ArgPerigee), sinW: math.Sin(e.ArgPerigee),
 	}
-	return State{Position: rot(rp), Velocity: rot(vp)}
+}
+
+// apply rotates v from the perifocal frame to ECI.
+func (r perifocalToECI) apply(v geom.Vec3) geom.Vec3 {
+	// Rz(ω) applied first.
+	x1 := r.cosW*v.X - r.sinW*v.Y
+	y1 := r.sinW*v.X + r.cosW*v.Y
+	z1 := v.Z
+	// Rx(i).
+	y2 := r.cosI*y1 - r.sinI*z1
+	z2 := r.sinI*y1 + r.cosI*z1
+	// Rz(Ω).
+	return geom.Vec3{
+		X: r.cosO*x1 - r.sinO*y2,
+		Y: r.sinO*x1 + r.cosO*y2,
+		Z: z2,
+	}
 }
 
 // Propagator produces inertial satellite states as a function of time
@@ -165,8 +172,10 @@ func propagateAt(e Elements) State {
 type Propagator interface {
 	// StateECI returns the inertial state at t seconds past epoch.
 	StateECI(t float64) State
-	// PositionECI returns just the inertial position at t seconds past
-	// epoch; implementations may compute it more cheaply than StateECI.
+	// PositionECI returns the inertial position at t seconds past epoch,
+	// bitwise equal to StateECI(t).Position. Every position consumer calls
+	// it, so an implementation computes the position alone, without the
+	// velocity.
 	PositionECI(t float64) geom.Vec3
 }
 
@@ -221,10 +230,18 @@ func (k *KeplerPropagator) ElementsAt(t float64) Elements {
 
 // StateECI implements Propagator.
 func (k *KeplerPropagator) StateECI(t float64) State {
-	return propagateAt(k.ElementsAt(t))
+	e := k.ElementsAt(t)
+	rp, p, cosNu, sinNu := perifocal(e)
+	sqrtMuP := math.Sqrt(geom.EarthMu / p)
+	vp := geom.Vec3{X: -sqrtMuP * sinNu, Y: sqrtMuP * (e.Eccentricity + cosNu), Z: 0}
+	rot := rotation(e)
+	return State{Position: rot.apply(rp), Velocity: rot.apply(vp)}
 }
 
-// PositionECI implements Propagator.
+// PositionECI implements Propagator: StateECI without the velocity, so
+// bitwise its position (TestPositionECIMatchesStateECI).
 func (k *KeplerPropagator) PositionECI(t float64) geom.Vec3 {
-	return k.StateECI(t).Position
+	e := k.ElementsAt(t)
+	rp, _, _, _ := perifocal(e)
+	return rotation(e).apply(rp)
 }

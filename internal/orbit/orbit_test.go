@@ -262,3 +262,42 @@ func TestElementsAtWrapsAngles(t *testing.T) {
 		}
 	}
 }
+
+// TestPositionECIMatchesStateECI locks PositionECI to StateECI's position
+// bit for bit: with J2 off and on, circular and eccentric, equatorial,
+// inclined and retrograde, before the epoch, at it and across several
+// periods. Every forwarding table and digest is computed from PositionECI,
+// so a last-bit difference here would move them.
+func TestPositionECIMatchesStateECI(t *testing.T) {
+	for _, j2 := range []bool{false, true} {
+		for _, ecc := range []float64{0, 0.01, 0.1} {
+			for _, incl := range []float64{0, geom.Rad(53), geom.Rad(97.6)} {
+				el := Elements{
+					SemiMajorAxis: geom.EarthRadius + 630e3,
+					Eccentricity:  ecc,
+					Inclination:   incl,
+					RAAN:          1.1,
+					ArgPerigee:    0.7,
+					MeanAnomaly:   2.3,
+				}
+				k, err := NewKeplerPropagator(el, j2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				period := el.Period()
+				times := []float64{-3 * period, -1234.5, -0.1, 0, 0.1}
+				for ts := 0.0; ts < 4*period; ts += period / 37 {
+					times = append(times, ts)
+				}
+				for _, ts := range times {
+					got, want := k.PositionECI(ts), k.StateECI(ts).Position
+					if math.Float64bits(got.X) != math.Float64bits(want.X) ||
+						math.Float64bits(got.Y) != math.Float64bits(want.Y) ||
+						math.Float64bits(got.Z) != math.Float64bits(want.Z) {
+						t.Fatalf("j2=%v e=%v i=%v t=%v: PositionECI %v, StateECI %v", j2, ecc, incl, ts, got, want)
+					}
+				}
+			}
+		}
+	}
+}

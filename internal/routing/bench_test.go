@@ -97,3 +97,39 @@ func warmSnapshotInto(tb testing.TB) func() {
 		i++
 	}
 }
+
+// BenchmarkRepairChained measures the repair chain the forwarding-state
+// producer runs: K1 + 100 cities, one serial Step toward every city per
+// instant, chained over 800 instants — 80 s at the paper's 100 ms cadence,
+// and 800 s at Fig 9's 1 s step. Each op is one whole chain on a fresh
+// engine, whose first instant (a from-scratch Dijkstra per root) stays
+// outside the timer. It reports ns per tree, the serial advance included,
+// and second-pass nodes per tree: the measure of how tight the carried
+// settle orders stay as the chain grows.
+func BenchmarkRepairChained(b *testing.B) {
+	const instants = 800
+	topo := benchTopo(b, GSLFree)
+	for _, step := range []struct {
+		name string
+		dt   float64
+	}{{"step=100ms", 0.1}, {"step=1s", 1}} {
+		b.Run(step.name, func(b *testing.B) {
+			secondPass := 0
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				e := NewIncrementalEngine(topo, nil)
+				e.Step(0, nil).Release()
+				before := e.scratch.repair.SecondPass()
+				b.StartTimer()
+				for k := 1; k <= instants; k++ {
+					e.Step(float64(k)*step.dt, nil).Release()
+				}
+				b.StopTimer()
+				secondPass += e.scratch.repair.SecondPass() - before
+			}
+			trees := float64(b.N * instants * topo.NumGS())
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/trees, "ns/tree")
+			b.ReportMetric(float64(secondPass)/trees, "second-pass/tree")
+		})
+	}
+}
