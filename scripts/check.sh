@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1.5 verification gate: formatting, vet, project lints, and the race-
-# enabled test suite with runtime invariant checks compiled in. Run from the
-# repository root:
+# Tier-1.5 verification gate: formatting, vet, both build variants, the
+# allocation guards, and the race-enabled test suite with runtime invariant
+# checks compiled in (the project's one static check, TestNoDroppedErrors,
+# is a root-package test and runs there). Run from the repository root:
 #
 #   ./scripts/check.sh
 #
@@ -25,7 +26,7 @@ stage() {
 }
 
 stage "gofmt"
-unformatted=$(gofmt -s -l . | grep -v '^cmd/hypatialint/testdata/' || true)
+unformatted=$(gofmt -s -l .)
 if [[ -n "$unformatted" ]]; then
     echo "files need gofmt -s -w:" >&2
     echo "$unformatted" >&2
@@ -38,18 +39,6 @@ go vet ./...
 stage "build (both variants)"
 go build ./...
 go build -tags hypatia_checks ./...
-
-stage "build hypatialint"
-go build -o bin/hypatialint ./cmd/hypatialint
-
-stage "hypatialint"
-./bin/hypatialint ./...
-
-stage "hypatialint self-check (fixtures must fail)"
-if ./bin/hypatialint ./cmd/hypatialint/testdata/src/... >/dev/null; then
-    echo "hypatialint reported the fixture tree clean; the analyzer is broken" >&2
-    exit 1
-fi
 
 stage "alloc guards (default build, GOMAXPROCS=1)"
 # The allocation contract (there is no static half): testing.AllocsPerRun
@@ -89,15 +78,8 @@ go test -tags hypatia_checks -count=1 \
     -run 'TestIncrementalOracleExercised|TestDifferentialIncrementalSequences' \
     ./internal/routing/ ./internal/core/ ./internal/analysis/
 
-stage "hypatialint tests (plain, shuffled)"
-# The analyzer has no go statement, no sync use and no internal/check
-# assertion, so -race and the hypatia_checks tag buy its tests nothing and
-# cost them 8x; they run plain, and the race suite below skips them.
-go test -shuffle=on ./cmd/hypatialint/
-
 stage "go test -race -tags hypatia_checks (shuffled)"
-# shellcheck disable=SC2046
-go test -race -tags hypatia_checks -shuffle=on $(go list ./... | grep -v /cmd/hypatialint)
+go test -race -tags hypatia_checks -shuffle=on ./...
 
 stage ""
 echo "ALL CHECKS PASSED in $SECONDS s"
