@@ -57,14 +57,12 @@ func BenchmarkPacketForwardingRate(b *testing.B) {
 }
 
 // newSimShape builds one of the paper's Fig 2 shapes — Kuiper K1, the 100
-// cities, one flow per pair of a random permutation — on the given engine
-// (shards 0 = serial), ready to Execute. The UDP shape is line-rate flows on
-// 100 Mbit/s links for 200 virtual milliseconds (~2M events); the TCP shape
-// (tcp set) is NewReno on 25 Mbit/s links for 2 virtual seconds (~2.1M
-// events: the benchmark's tcp_perm100 workload, shorter). A hundred
-// independent flows spread over the whole constellation are work a shard
-// count can split; a single flow is one causal chain that none can.
-func newSimShape(tb testing.TB, shards int, tcp bool) *Run {
+// cities, one flow per pair of a random permutation — ready to Execute. The
+// UDP shape is line-rate flows on 100 Mbit/s links for 200 virtual
+// milliseconds (~2M events); the TCP shape (tcp set) is NewReno on 25 Mbit/s
+// links for 2 virtual seconds (~2.1M events: the benchmark's tcp_perm100
+// workload, shorter).
+func newSimShape(tb testing.TB, tcp bool) *Run {
 	tb.Helper()
 	rateBps, duration := 100e6, 200*sim.Millisecond
 	if tcp {
@@ -78,7 +76,6 @@ func newSimShape(tb testing.TB, shards int, tcp bool) *Run {
 		GroundStations: cities,
 		Duration:       duration,
 		Net:            net,
-		Shards:         shards,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -98,11 +95,11 @@ func newSimShape(tb testing.TB, shards int, tcp bool) *Run {
 // benchSim reports events/s over b.N runs of newSimShape. Only Execute is
 // timed: constellation generation, network set-up and flow attachment happen
 // with the timer stopped, so events/s is the event loop's.
-func benchSim(b *testing.B, shards int, tcp bool) {
+func benchSim(b *testing.B, tcp bool) {
 	var total uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		run := newSimShape(b, shards, tcp)
+		run := newSimShape(b, tcp)
 		b.StartTimer()
 		run.Execute()
 		total += run.Sim.Processed()
@@ -110,36 +107,15 @@ func benchSim(b *testing.B, shards int, tcp bool) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkSimSerial is the serial event-loop baseline for the sharded
-// engine: identical workload, shard count 0. TestAllocGuardBenchSimSerial
-// holds one Execute of it to its allocation budget.
-func BenchmarkSimSerial(b *testing.B) { benchSim(b, 0, false) }
+// BenchmarkSimSerial is the event loop on the Fig 2 UDP shape.
+// TestAllocGuardBenchSimSerial holds one Execute of it to its allocation
+// budget.
+func BenchmarkSimSerial(b *testing.B) { benchSim(b, false) }
 
-// BenchmarkSimSharded runs the same workload on the sharded
-// conservative-parallel loop at several shard counts. Events/s counts what
-// each engine actually processed (sharded runs process extra per-shard
-// copies of the forwarding-install events — two per shard here, noise
-// against two million packet events). The ratio to BenchmarkSimSerial needs
-// hardware threads to show: with GOMAXPROCS=1 the shards take turns on one
-// thread and the ratio is the coordination overhead alone, so read it next
-// to the GOMAXPROCS it ran at.
-func BenchmarkSimSharded(b *testing.B) {
-	for _, shards := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) { benchSim(b, shards, false) })
-	}
-}
-
-// BenchmarkSimSerialTCP and BenchmarkSimShardedTCP are the same pair on the
-// TCP shape: ACK reverse traffic, transport timers, a quarter of the line
-// rate. TestAllocGuardBenchSimSerialTCP holds one serial Execute to its
-// allocation budget.
-func BenchmarkSimSerialTCP(b *testing.B) { benchSim(b, 0, true) }
-
-func BenchmarkSimShardedTCP(b *testing.B) {
-	for _, shards := range []int{2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) { benchSim(b, shards, true) })
-	}
-}
+// BenchmarkSimSerialTCP is the same on the TCP shape: ACK reverse traffic,
+// transport timers, a quarter of the line rate.
+// TestAllocGuardBenchSimSerialTCP holds one Execute to its allocation budget.
+func BenchmarkSimSerialTCP(b *testing.B) { benchSim(b, true) }
 
 // benchInstants is the schedule for the from-scratch forwarding-state
 // benchmark: 8 Kuiper update instants at the paper's 100 ms granularity.

@@ -31,7 +31,7 @@ func TestAllocGuardBenchForwardingStateIncremental(t *testing.T) {
 // event's record, then the position cache and the heap growing while the
 // links fill). A packet path that allocated once per packet would read 500 k.
 func TestAllocGuardBenchSimSerial(t *testing.T) {
-	run := newSimShape(t, 0, false)
+	run := newSimShape(t, false)
 	checktest.AllocBudget(t, "BenchmarkSimSerial", 100, 1, func() { run.Execute() })
 }
 
@@ -40,6 +40,6 @@ func TestAllocGuardBenchSimSerial(t *testing.T) {
 // then the slab pages). A fresh closure per timer arm, a boxed payload per
 // segment or per-ACK logs on by default would each read 10 k or more.
 func TestAllocGuardBenchSimSerialTCP(t *testing.T) {
-	run := newSimShape(t, 0, true)
+	run := newSimShape(t, true)
 	checktest.AllocBudget(t, "BenchmarkSimSerialTCP", 1500, 1, func() { run.Execute() })
 }

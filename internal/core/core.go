@@ -48,26 +48,6 @@ type RunConfig struct {
 	// ShortestPath's (proven by the hypatia_checks oracle and the
 	// differential suite).
 	Strategy Strategy
-	// Shards selects the sharded conservative-parallel event loop: > 1
-	// partitions the network's nodes across that many concurrent engines
-	// advancing inside a propagation-delay lookahead horizon
-	// (sim.Network.RunSharded); 0 or 1 runs the serial loop. Sharding does
-	// not affect results — delivery/drop/transmit traces are byte-identical
-	// to the serial loop (proven by the sharded differential suite) — but
-	// Simulator.Processed additionally counts each shard's copy of the
-	// forwarding-install events. Shard counts above the satellite count are
-	// clamped.
-	//
-	// It trades resources for wall time and only on one kind of traffic, so
-	// the default is serial and the choice is the caller's. Measured end to
-	// end with two shards on two hardware threads (DESIGN.md "Sharded
-	// conservative-parallel event loop"): a hundred independent line-rate
-	// UDP flows at 250 Mbit/s finish in about 0.65x the serial wall time,
-	// for about 1.2x the CPU, 4x the allocation and 2.7x the peak RSS. At
-	// 100 Mbit/s the gain is about 0.9x. A hundred ACK-clocked TCP flows run
-	// about 1.7x slower than serial, for 1.9x the CPU, and so does anything
-	// on a single hardware thread.
-	Shards int
 }
 
 // Strategy computes a forwarding table from a topology snapshot. active
@@ -177,16 +157,11 @@ func NewRun(cfg RunConfig) (*Run, error) {
 // Idempotent. The run must not be Executed after Close.
 func (r *Run) Close() { r.pipe.close() }
 
-// Execute runs the simulation to the end of its duration — on the sharded
-// conservative-parallel loop with Cfg.Shards > 1, on the serial loop
-// otherwise — and returns the virtual duration simulated. Executing a run
-// that Sim.Stop cut short resumes it.
+// Execute runs the simulation to the end of its duration and returns the
+// virtual duration simulated. Executing a run that Sim.Stop cut short
+// resumes it.
 func (r *Run) Execute() sim.Time {
-	if r.Cfg.Shards > 1 {
-		r.Net.RunSharded(r.Cfg.Duration, r.Cfg.Shards)
-	} else {
-		r.Sim.Run(r.Cfg.Duration)
-	}
+	r.Sim.Run(r.Cfg.Duration)
 	return r.Cfg.Duration
 }
 

@@ -102,15 +102,14 @@ func TestForwardingUpdatesInstalledEveryInterval(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunsShareNothing executes four runs at once in one process,
-// serial and sharded mixed. Each run owns its producer, engines and scratch;
-// any state two runs reach in common (a package-level scratch, a shared
-// pool buffer) is a data race for the race detector and a table mismatch for
-// the hypatia_checks oracle.
+// TestConcurrentRunsShareNothing executes four runs at once in one process.
+// Each run owns its producer, engine and scratch; any state two runs reach
+// in common (a package-level scratch, a shared pool buffer) is a data race
+// for the race detector and a table mismatch for the hypatia_checks oracle.
 func TestConcurrentRunsShareNothing(t *testing.T) {
 	gs := fourCities(t)
 	var wg sync.WaitGroup
-	for i, shards := range []int{1, 2, 1, 2} {
+	for i := range 4 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -118,7 +117,6 @@ func TestConcurrentRunsShareNothing(t *testing.T) {
 				Constellation:  miniConfig(),
 				GroundStations: gs,
 				Duration:       5 * sim.Second,
-				Shards:         shards,
 			})
 			if err != nil {
 				t.Errorf("run %d: %v", i, err)
@@ -128,7 +126,7 @@ func TestConcurrentRunsShareNothing(t *testing.T) {
 			r.Execute()
 			// t=0 plus 50 periodic updates at the default 100 ms.
 			if got := r.UpdatesInstalled(); got != 51 {
-				t.Errorf("run %d (shards=%d): updates installed = %d, want 51", i, shards, got)
+				t.Errorf("run %d: updates installed = %d, want 51", i, got)
 			}
 		}()
 	}
@@ -136,32 +134,28 @@ func TestConcurrentRunsShareNothing(t *testing.T) {
 }
 
 // TestRunCloseStopsProducer checks the producer's lifecycle on the ways a
-// run is abandoned: never executed, and stopped mid-run via Sim.Stop on the
-// serial and on the sharded loop. Close must return, and leave no producer
-// or shard goroutine behind.
+// run is abandoned: never executed, and stopped mid-run via Sim.Stop. Close
+// must return, and leave no producer goroutine behind.
 func TestRunCloseStopsProducer(t *testing.T) {
 	before := runtime.NumGoroutine()
 	stopMidRun := func(r *Run) {
 		r.Sim.ScheduleAt(sim.Second, r.Sim.Stop)
 		r.Execute()
-		// Stopped at 1 s of 200: the serial loop halts on the spot, the
-		// sharded one within a lookahead window (a few milliseconds).
+		// Stopped at 1 s of 200: the loop halts on the spot.
 		if got := r.UpdatesInstalled(); got != 11 {
-			t.Fatalf("shards=%d: run was not stopped at 1 s: %d updates installed", r.Cfg.Shards, got)
+			t.Fatalf("run was not stopped at 1 s: %d updates installed", got)
 		}
 	}
 	for _, tc := range []struct {
 		name    string
-		shards  int
 		abandon func(*Run)
 	}{
-		{"never executed", 0, func(*Run) {}},
-		{"stopped mid-run", 0, stopMidRun},
-		{"stopped mid-run, sharded", 2, stopMidRun},
+		{"never executed", func(*Run) {}},
+		{"stopped mid-run", stopMidRun},
 	} {
 		// 200 s at 100 ms: far more instants than fit in flight, so the
 		// producer cannot have finished on its own when Close is called.
-		r, err := NewRun(RunConfig{Constellation: miniConfig(), GroundStations: fourCities(t), Shards: tc.shards})
+		r, err := NewRun(RunConfig{Constellation: miniConfig(), GroundStations: fourCities(t)})
 		if err != nil {
 			t.Fatal(err)
 		}

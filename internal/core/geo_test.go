@@ -26,7 +26,7 @@ func equatorialCities(t *testing.T) []groundstation.GS {
 
 // geoPingRun executes a 3 s ping exchange over the given shells and returns
 // the median observed RTT.
-func geoPingRun(t *testing.T, shells []constellation.Shell, shards int) sim.Time {
+func geoPingRun(t *testing.T, shells []constellation.Shell) sim.Time {
 	t.Helper()
 	run, err := NewRun(RunConfig{
 		Constellation: constellation.Config{
@@ -36,7 +36,6 @@ func geoPingRun(t *testing.T, shells []constellation.Shell, shards int) sim.Time
 		GSLPolicy:      routing.GSLFree,
 		Duration:       3 * sim.Second,
 		UpdateInterval: 100 * sim.Millisecond,
-		Shards:         shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,9 +71,9 @@ func TestGEORingEndToEnd(t *testing.T) {
 	leo := constellation.Shell{Name: "L1", AltitudeKm: 630, Orbits: 16, SatsPerOrbit: 16, IncDeg: 53}
 	geo := constellation.GEORing("G1", 8)
 
-	geoRTT := geoPingRun(t, []constellation.Shell{geo}, 0)
-	leoRTT := geoPingRun(t, []constellation.Shell{leo}, 0)
-	hybridRTT := geoPingRun(t, []constellation.Shell{geo, leo}, 0)
+	geoRTT := geoPingRun(t, []constellation.Shell{geo})
+	leoRTT := geoPingRun(t, []constellation.Shell{leo})
+	hybridRTT := geoPingRun(t, []constellation.Shell{geo, leo})
 
 	// A GEO bounce is ≥ 2×35786 km of propagation: no less than ~240 ms,
 	// and with ground-segment detours typically well above 400 ms isn't
@@ -92,11 +91,5 @@ func TestGEORingEndToEnd(t *testing.T) {
 	}
 	if hybridRTT >= 120*sim.Millisecond {
 		t.Errorf("hybrid median RTT %v; want LEO-like (< 120ms) since routing should prefer the low shell", hybridRTT)
-	}
-
-	// The hybrid constellation must behave identically on the sharded
-	// engine (partitioning spans both shells' satellites).
-	if sharded := geoPingRun(t, []constellation.Shell{geo, leo}, 4); sharded != hybridRTT {
-		t.Errorf("sharded hybrid median RTT %v differs from serial %v", sharded, hybridRTT)
 	}
 }

@@ -389,31 +389,6 @@ func (ft *ForwardingTable) Release() {
 	p.mu.Unlock()
 }
 
-// CloneInto copies the table's forwarding state into dst, reusing dst's
-// buffer when it is large enough (nil dst, or one with a smaller buffer,
-// allocates a fresh table). The clone is pool-free and starts a new
-// ownership life regardless of dst's prior state — this is how the sharded
-// engine stages one engine-local copy of each update instant's table per
-// shard, recycling each shard's displaced clones as the destinations for
-// later instants.
-func (ft *ForwardingTable) CloneInto(dst *ForwardingTable) *ForwardingTable {
-	if check.Enabled {
-		check.Assert(!ft.released, "forwarding table t=%v cloned after Release", ft.T)
-	}
-	need := ft.NumNodes * ft.NumGS
-	if dst == nil || cap(dst.next) < need {
-		dst = &ForwardingTable{next: make([]int32, need)}
-	}
-	dst.T = ft.T
-	dst.NumNodes = ft.NumNodes
-	dst.NumGS = ft.NumGS
-	dst.next = dst.next[:need]
-	copy(dst.next, ft.next)
-	dst.pool = nil
-	dst.released = false
-	return dst
-}
-
 // Equal reports whether two tables encode byte-identical forwarding state:
 // same instant, same dimensions, same next-hop entries. It is the identity
 // predicate the differential tests use to compare the forwarding-state

@@ -67,29 +67,3 @@ func TestAllocGuardTimer(t *testing.T) {
 		t.Error("timer never fired")
 	}
 }
-
-// TestAllocGuardShardedWindow pins the sharded loop's per-window protocol —
-// lookahead.window and minPropAt once a window, and the hook journal every
-// shard fills while hooks are installed — at nothing beyond what one
-// RunSharded call allocates once: shard engines and their channels, the
-// partition, the lookahead's link lists and position buffer, one table clone
-// and one event-slab page per shard, and the journals' growth. Each call runs
-// 20 ms of a 1 ms paced flow over two shards: about ten windows and a hundred
-// journal records, so a window or a record that allocated would add that
-// many. It measures 88 (96 while packets had pages and free lists of their
-// own).
-func TestAllocGuardShardedWindow(t *testing.T) {
-	s, n, _ := testNet(t, DefaultConfig())
-	n.RegisterFlow(1, 1, func(*Packet) {})
-	n.SetTransmitHook(func(TransmitInfo) {})
-	n.SetDeliverHook(func(Time, int, *Packet) {})
-	var pace *Timer
-	pace = n.Clock(0).NewTimer(func() {
-		n.Send(0, 1, 1, 1500, nil)
-		pace.Reset(Millisecond)
-	})
-	pace.Reset(0)
-	checktest.AllocGuard(t, "RunSharded window protocol", 88, 2, func() {
-		n.RunSharded(s.Now()+20*Millisecond, 2)
-	})
-}

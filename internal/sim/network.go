@@ -104,8 +104,6 @@ type Config struct {
 	// PosQuantum is the satellite-position cache granularity for
 	// propagation-delay computation. Positions move < 100 m per 10 ms,
 	// i.e. well under a microsecond of delay error. 0 means 10 ms.
-	// Positions being piecewise-constant per quantum also makes the sharded
-	// engine's lookahead bound exact rather than approximate (sharded.go).
 	PosQuantum Time
 
 	// RateFor optionally overrides the link rate (bits/s) per directed
@@ -122,8 +120,7 @@ type Config struct {
 	// (the receiver simply never sees it). It enables the paper's
 	// weather/reliability future-work experiments, e.g. rain fade on
 	// GSLs in a geographic region. It must be a pure function of its
-	// arguments: sharded runs consult it concurrently from shard
-	// goroutines, and determinism rests on its answer depending only on
+	// arguments: determinism rests on its answer depending only on
 	// (from, to, at).
 	LossModel func(from, to int, at Time) bool
 }
@@ -177,13 +174,10 @@ type posBucket struct {
 	pos    []geom.Vec3
 }
 
-// netState is the per-engine slice of mutable simulation state: forwarding
-// state and the count of scheduled installs executed, the position cache,
-// delivery/drop counters, and — in sharded runs — the outboxes, hook journal,
-// and table plumbing for one shard. Each Simulator embeds one; the serial
-// engine's netState on the root Simulator is the whole network state, while
-// a sharded run gives each shard engine its own and folds counters back into
-// the root afterwards.
+// netState is the network's mutable per-run state: forwarding state and the
+// count of scheduled installs executed, the position cache, and the
+// delivery/drop counters. The Simulator embeds it, next to the clock the
+// packet path reads with it.
 type netState struct {
 	ft       *routing.ForwardingTable
 	installs int
@@ -198,18 +192,6 @@ type netState struct {
 
 	delivered uint64
 	drops     [numDropReasons]uint64
-
-	// Sharded-run fields (unused on the root engine in serial runs).
-	// outbox[k] collects handoffs destined for shard k during a window; the
-	// coordinator drains it between windows. journal accumulates deferred
-	// hook emissions for the post-run merge. pendingTables are per-shard
-	// forwarding-table clones staged by the coordinator for this shard's
-	// upcoming install events; freed returns displaced clones for reuse.
-	journaling    bool
-	outbox        [][]handoff
-	journal       []journalRec
-	pendingTables []*routing.ForwardingTable
-	freed         []*routing.ForwardingTable
 }
 
 // departure is one packet waiting in a device's queue: when its
@@ -222,9 +204,7 @@ type departure struct {
 
 // device is a transmitting interface with a fixed-capacity drop-tail FIFO,
 // stored struct-of-arrays in Network.devs and addressed by integer handle;
-// its ring lives in the shared Network.rings slab. Each device is owned by
-// the engine executing its node's events — the serial loop, or exactly one
-// shard in a sharded run.
+// its ring lives in the shared Network.rings slab.
 //
 // The device is non-preemptive, fixed-rate, and its packets' next hops are
 // resolved at enqueue (a later forwarding-state change does not reroute
@@ -233,7 +213,7 @@ type departure struct {
 // The packet itself leaves with the arrival event enqueue schedules; what the
 // device keeps is the ring of the starts still ahead of the clock, which is
 // its queue occupancy. Nothing executes at a start or a completion: the ring
-// is brought up to the owning engine's clock (retire) wherever occupancy or
+// is brought up to the engine's clock (retire) wherever occupancy or
 // the counters are read — the drop-tail test, maxQueue, QueueLen,
 // DeviceStats — with same-instant ties settled by Simulator.departed.
 //
@@ -312,26 +292,14 @@ type Network struct {
 	flows   []map[uint32]Handler // per node; non-nil only on ground stations
 	pktSeq  []uint32             // per-node packet ID counters
 
-	// Sharded-run routing: nil outside RunSharded. shardOf maps node ->
-	// shard index; sims holds the shard engines (sharded.go).
-	shardOf []int32
-	sims    []*Simulator
-
-	// Colocation constraints for sharding: a union-find over ground-station
-	// indices. Flows that share state across two stations (every transport
-	// here) keep their endpoints in one shard so transport callbacks stay
-	// single-engine; RegisterFlow unions automatically.
-	coloc  []int32
-	flowGS map[uint32]int32
-
 	onTransmit func(TransmitInfo)
 	onDrop     func(at Time, node int, pkt *Packet, reason DropReason)
 	onDeliver  func(at Time, gs int, pkt *Packet)
 
 	// The forwarding-update schedule (ScheduleInstalls): installAt[i] is the
 	// instant of install event i, and tables delivers each event's table in
-	// that order. An engine's st.installs counts the events it has executed,
-	// so it is also the index of the next one.
+	// that order. Sim.st.installs counts the events executed, so it is also
+	// the index of the next one.
 	installAt []Time
 	tables    <-chan *routing.ForwardingTable
 }
@@ -350,14 +318,13 @@ type DeviceStats struct {
 // satellites first (each node's GSL device, then its ISL devices in
 // ascending peer order — the construction order of devs). Useful for
 // post-run diagnostics: hot devices, buffer headroom, and rate utilization.
-// TxPkts and TxBytes count serializations started as of the clock of the
-// engine that owns the device's node; like QueueLen it is for use between
-// runs or from that engine's events.
+// TxPkts and TxBytes count serializations started as of the engine's clock;
+// like QueueLen it is for use between runs or from the engine's events.
 func (n *Network) DeviceStats() []DeviceStats {
 	out := make([]DeviceStats, len(n.devs))
 	for i := range n.devs {
 		d := &n.devs[i]
-		n.retire(n.simFor(d.node), int32(i))
+		n.retire(n.Sim, int32(i))
 		out[i] = DeviceStats{
 			Node: int(d.node), Peer: int(d.fixedPeer), RateBps: d.rateBps,
 			TxPkts: d.txPackets, TxBytes: d.txBytes, MaxQueue: int(d.maxQueue),
@@ -445,15 +412,6 @@ func (n *Network) txFIFO(di int32) int32 { return int32(len(n.devs)) + di }
 // Config returns the network's configuration (with defaults applied).
 func (n *Network) Config() Config { return n.cfg }
 
-// simFor returns the engine that owns a node's events: the root engine, or
-// the node's shard engine during a sharded run.
-func (n *Network) simFor(node int32) *Simulator {
-	if n.shardOf == nil {
-		return n.Sim
-	}
-	return n.sims[n.shardOf[node]]
-}
-
 // SetTransmitHook registers fn to observe every link transmission, at the
 // moment its last bit is on the wire. Pass nil to disable. Used by the
 // utilization experiments (Figs 10, 14, 15). The TransmitInfo's Packet is
@@ -474,20 +432,12 @@ func (n *Network) SetDropHook(fn func(at Time, node int, pkt *Packet, reason Dro
 // nil to disable. pkt is valid only until fn returns (see Packet).
 func (n *Network) SetDeliverHook(fn func(at Time, gs int, pkt *Packet)) { n.onDeliver = fn }
 
-// drop counts a drop and notifies the hook (directly, or via the shard
-// journal for post-run replay in canonical order). The drop ends the
-// packet's journey: its record i is released and the caller must not touch
-// it again.
+// drop counts a drop and notifies the hook. The drop ends the packet's
+// journey: its record i is released and the caller must not touch it again.
 func (n *Network) drop(s *Simulator, node, i int32, r *record, reason DropReason) {
 	s.st.drops[reason]++
 	if n.onDrop != nil {
-		if s.st.journaling {
-			s.st.journal = append(s.st.journal, journalRec{
-				key: s.emissionKey(), jk: jDrop, at: s.now, a: node, reason: reason, pkt: r.pkt,
-			})
-		} else {
-			n.onDrop(s.now, int(node), &r.pkt, reason)
-		}
+		n.onDrop(s.now, int(node), &r.pkt, reason)
 	}
 	s.events.release(i, r)
 }
@@ -510,8 +460,8 @@ func (n *Network) InstallForwarding(ft *routing.ForwardingTable) *routing.Forwar
 // (ascending, none before Now): the install event for at[i] takes the i-th
 // table off tables, installs it ahead of every packet event of that instant,
 // and Releases the table it displaces. This is the one way periodic
-// forwarding state reaches the network, on the serial and the sharded loop
-// alike; core wires its precomputation pipeline here. It may be called once
+// forwarding state reaches the network; core wires its precomputation
+// pipeline here. It may be called once
 // per network, before the run starts.
 func (n *Network) ScheduleInstalls(at []Time, tables <-chan *routing.ForwardingTable) {
 	if n.tables != nil {
@@ -524,8 +474,6 @@ func (n *Network) ScheduleInstalls(at []Time, tables <-chan *routing.ForwardingT
 			panic(fmt.Sprintf("sim: install instant %v out of order or in the past (after %v)", t, last))
 		}
 		last = t
-		// The instant index is the key, so every engine of a sharded run
-		// orders its copy of the event identically.
 		s.events.push(event{at: t, owner: -1, kind: evInstall, key: uint64(i)})
 	}
 	n.installAt = at
@@ -535,38 +483,24 @@ func (n *Network) ScheduleInstalls(at []Time, tables <-chan *routing.ForwardingT
 // Installs returns how many scheduled forwarding updates have executed.
 func (n *Network) Installs() int { return n.Sim.st.installs }
 
-// installEvent is the evInstall dispatch. The serial loop recycles the
-// displaced table and takes the instant's table straight off the source —
-// in that order, so the engine never holds two tables at once and a source
-// with a fixed stock of them (core's pipeline) can count on it; nothing
-// forwards between the two statements. A shard engine installs the clone its
-// coordinator staged for this instant and retires the displaced clone for
-// reuse.
+// installEvent is the evInstall dispatch. It recycles the displaced table
+// and takes the instant's table straight off the source — in that order, so
+// the engine never holds two tables at once and a source with a fixed stock
+// of them (core's pipeline) can count on it; nothing forwards between the
+// two statements.
 func (n *Network) installEvent(s *Simulator, idx int) {
 	if check.Enabled {
 		check.Assert(idx == s.st.installs, "install event %d executed as install number %d", idx, s.st.installs)
 	}
-	prev := s.st.ft
-	if n.shardOf == nil {
-		prev.Release()
-		s.st.ft = <-n.tables
-	} else {
-		if len(s.st.pendingTables) == 0 {
-			panic(fmt.Sprintf("sim: install event %d with no staged forwarding table", idx))
-		}
-		s.st.ft = s.st.pendingTables[0]
-		s.st.pendingTables = s.st.pendingTables[1:]
-		if prev != nil {
-			s.st.freed = append(s.st.freed, prev)
-		}
-	}
+	s.st.ft.Release()
+	s.st.ft = <-n.tables
 	s.st.installs++
 }
 
 // gsNode returns the node id of ground station gs and panics when gs is not
 // a station index. A station index is the one integer that enters the
-// network from outside; Clock, RegisterFlow, UnregisterFlow and Colocate pass
-// theirs through here, so by the time a flow exists no timer or handler is
+// network from outside; Clock, RegisterFlow and UnregisterFlow pass theirs
+// through here, so by the time a flow exists no timer or handler is
 // bound to a satellite or to a node that does not exist.
 func (n *Network) gsNode(gs int, what string) int32 {
 	if gs < 0 || gs >= n.Topo.NumGS() {
@@ -578,23 +512,13 @@ func (n *Network) gsNode(gs int, what string) int32 {
 // RegisterFlow attaches a transport handler for flowID at ground station
 // gs. A gs that is not a station index panics, and so does registering a
 // duplicate flow id on the same station: flow ids must be unique per
-// endpoint. Registering the same flow id at two stations colocates them for
-// sharded runs (the flow's handlers are assumed to share state, so both
-// endpoints must execute on one shard).
+// endpoint.
 func (n *Network) RegisterFlow(gs int, flowID uint32, h Handler) {
 	node := n.gsNode(gs, "RegisterFlow")
 	if _, dup := n.flows[node][flowID]; dup {
 		panic(fmt.Sprintf("sim: duplicate flow %d at GS %d", flowID, gs))
 	}
 	n.flows[node][flowID] = h
-	if prev, ok := n.flowGS[flowID]; ok {
-		n.colocate(prev, int32(gs))
-	} else {
-		if n.flowGS == nil {
-			n.flowGS = map[uint32]int32{}
-		}
-		n.flowGS[flowID] = int32(gs)
-	}
 }
 
 // UnregisterFlow removes a flow handler. It panics when gs is not a station
@@ -605,14 +529,13 @@ func (n *Network) UnregisterFlow(gs int, flowID uint32) {
 
 // Send injects a packet at its source ground station. The packet is
 // forwarded per the current forwarding state; the returned packet ID
-// identifies it in traces. IDs encode (source node, per-node sequence) so
-// that concurrently executing shards mint identical IDs to a serial run.
+// identifies it in traces. IDs encode (source node, per-node sequence), so
+// an ID is a function of the sending station's history alone.
 //
 // srcGS and dstGS must be ground-station indices in [0, Topo.NumGS()). Send
 // is the per-packet path and does not check them: before it sends, a
-// transport takes its Clock at the source and registers a handler at (or
-// colocates with) the destination, and those calls panic on an index outside
-// the range.
+// transport takes its Clock at the source and registers a handler at the
+// destination, and those calls panic on an index outside the range.
 func (n *Network) Send(srcGS, dstGS int, flowID uint32, size int, payload any) uint64 {
 	return n.SendHeader(srcGS, dstGS, flowID, size, 0, 0, 0, payload)
 }
@@ -622,7 +545,7 @@ func (n *Network) Send(srcGS, dstGS int, flowID uint32, size int, payload any) u
 // costs no allocation. payload carries only what does not fit them.
 func (n *Network) SendHeader(srcGS, dstGS int, flowID uint32, size int, seq, ack int64, flags uint8, payload any) uint64 {
 	node := int32(n.Topo.GSNode(srcGS))
-	s := n.simFor(node)
+	s := n.Sim
 	n.pktSeq[node]++
 	id := uint64(node)<<32 | uint64(n.pktSeq[node])
 	i, r := s.events.take()
@@ -744,9 +667,8 @@ func (n *Network) forward(s *Simulator, node, i int32, r *record) {
 	n.enqueue(s, dev, i, r, nh)
 }
 
-// retire brings device di's ring up to the clock of s, the engine that owns
-// its node: every waiting packet whose start the engine has passed has begun
-// serializing, so it leaves the occupancy and enters the transmit counters.
+// retire brings device di's ring up to the clock of s: every waiting packet
+// whose start the engine has passed has begun serializing, so it leaves the occupancy and enters the transmit counters.
 func (n *Network) retire(s *Simulator, di int32) {
 	d := &n.devs[di]
 	q := int32(n.cfg.QueuePackets)
@@ -820,8 +742,7 @@ func (n *Network) enqueue(s *Simulator, di, i int32, r *record, target int32) {
 
 // transmitDone is the evTransmitDone dispatch of record i, the completion of
 // an observed transmission: emit it, and drop the packet the loss model
-// discarded or send the survivor on toward its target (possibly across
-// shards).
+// discarded or send the survivor on toward its target.
 func (n *Network) transmitDone(s *Simulator, di, i int32, r *record) {
 	d := &n.devs[di]
 	pkt := &r.pkt
@@ -830,14 +751,7 @@ func (n *Network) transmitDone(s *Simulator, di, i int32, r *record) {
 	if n.onTransmit != nil {
 		// enqueue set done to start plus exactly this.
 		start := done - d.serialization(pkt.Size)
-		if s.st.journaling {
-			s.st.journal = append(s.st.journal, journalRec{
-				key: s.emissionKey(), jk: jTransmit, at: start, a: d.node, b: target,
-				arrive: arrive, pkt: *pkt,
-			})
-		} else {
-			n.onTransmit(TransmitInfo{From: int(d.node), To: int(target), Packet: pkt, Start: start, Arrive: arrive})
-		}
+		n.onTransmit(TransmitInfo{From: int(d.node), To: int(target), Packet: pkt, Start: start, Arrive: arrive})
 	}
 	if pkt.txLost {
 		n.drop(s, d.node, i, r, DropLink)
@@ -847,22 +761,9 @@ func (n *Network) transmitDone(s *Simulator, di, i int32, r *record) {
 }
 
 // deliverTo schedules the arrival at its target node of the packet in record
-// i that device di puts on the wire: locally, the record linked into the
-// device's in-flight FIFO, when the target is on this engine; as a
-// cross-shard handoff carrying a copy of the packet otherwise, the record
-// released.
+// i that device di puts on the wire: the record linked into the device's
+// in-flight FIFO.
 func (n *Network) deliverTo(s *Simulator, di, target int32, at Time, i int32, r *record) {
-	if n.shardOf != nil {
-		if k := n.shardOf[target]; k != s.shard {
-			if check.Enabled {
-				check.Assert(at >= s.windowEnd,
-					"cross-shard handoff at %v inside the lookahead window ending %v", at, s.windowEnd)
-			}
-			s.st.outbox[k] = append(s.st.outbox[k], handoff{at: at, node: target, pkt: r.pkt})
-			s.events.release(i, r)
-			return
-		}
-	}
 	r.event = event{at: at, owner: target, kind: evReceive, key: r.pkt.ID}
 	s.events.linkFlight(di, i, r)
 }
@@ -881,13 +782,7 @@ func (n *Network) receive(s *Simulator, node, i int32, r *record) {
 		}
 		s.st.delivered++
 		if n.onDeliver != nil {
-			if s.st.journaling {
-				s.st.journal = append(s.st.journal, journalRec{
-					key: s.emissionKey(), jk: jDeliver, at: s.now, a: pkt.DstGS, pkt: *pkt,
-				})
-			} else {
-				n.onDeliver(s.now, int(pkt.DstGS), pkt)
-			}
+			n.onDeliver(s.now, int(pkt.DstGS), pkt)
 		}
 		h(pkt)
 		s.events.release(i, r)
@@ -899,9 +794,8 @@ func (n *Network) receive(s *Simulator, node, i int32, r *record) {
 // QueueLen reports the queue occupancy of the device from node `from`
 // toward node `to` (an ISL device if the pair is an ISL, otherwise the GSL
 // device of `from`): the packets waiting behind the one being serialized, as
-// of the clock of the engine that owns `from` — in a sharded run that is the
-// node's shard, not the root. Useful for tests and instrumentation, between
-// runs or from that engine's events.
+// of the engine's clock. Useful for tests and instrumentation, between runs
+// or from the engine's events.
 func (n *Network) QueueLen(from, to int) int {
 	di := n.gslDev[from]
 	for i := n.islIdx[from]; i < n.islIdx[from+1]; i++ {
@@ -910,6 +804,6 @@ func (n *Network) QueueLen(from, to int) int {
 			break
 		}
 	}
-	n.retire(n.simFor(int32(from)), di)
+	n.retire(n.Sim, di)
 	return int(n.devs[di].waiting)
 }

@@ -482,8 +482,6 @@ func TestGroundStationIndexChecked(t *testing.T) {
 		{"Clock", func(gs int) { n.Clock(gs) }},
 		{"RegisterFlow", func(gs int) { n.RegisterFlow(gs, 1, func(*Packet) {}) }},
 		{"UnregisterFlow", func(gs int) { n.UnregisterFlow(gs, 1) }},
-		{"Colocate", func(gs int) { n.Colocate(gs, 0) }},
-		{"Colocate", func(gs int) { n.Colocate(0, gs) }},
 	}
 	for _, c := range cases {
 		for _, gs := range []int{-1, ng, topo.GSNode(0)} {

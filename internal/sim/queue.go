@@ -19,7 +19,7 @@ import "hypatia/internal/check"
 // second such sequence and ride a second FIFO (Network.txFIFO). An event that
 // does not follow its FIFO's tail in canonical order (the GSL target changed,
 // a position-bucket edge shortened the delay) goes into the heap as a plain
-// event, as do closures, installs and cross-shard handoffs. Either way the pop
+// event, as do closures and installs. Either way the pop
 // order is the canonical (at, owner, kind, key) order: every event's key is
 // unique among those of its (at, owner, kind), so it is a strict total order
 // and any correct priority queue pops the same sequence.
@@ -203,14 +203,6 @@ func (q *eventQueue) push(e event) {
 	q.link(i, r)
 }
 
-// adopt adds a copy of x, event and packet, as a plain event: the migration
-// of takeAll's records between engines.
-func (q *eventQueue) adopt(x *record) {
-	i, r := q.take()
-	r.event, r.pkt = x.event, x.pkt
-	q.link(i, r)
-}
-
 // pop removes the earliest event and returns its record, taken: the caller
 // links it again (a packet moving on) or releases it. The queue must not be
 // empty. When the event heads a FIFO with a successor, the successor takes the
@@ -350,30 +342,9 @@ func (q *eventQueue) leastTied(g *[4]slot, m int) int {
 	return m
 }
 
-// takeAll empties the queue and returns a copy of every pending record,
-// FIFO-held ones included, in no particular order; only their event and
-// packet mean anything (adopt re-adds one). RunSharded uses it to migrate
-// events between the root engine and the shard engines; the heap and slab
-// storage is dropped, so no record may be taken when it is called.
-func (q *eventQueue) takeAll() []record {
-	if check.Enabled {
-		q.assertConsistent()
-	}
-	out := make([]record, 0, q.n)
-	if q.n > 0 {
-		for _, s := range q.heap[heapRoot:] {
-			for i := s.rec; i != 0; i = q.rec(i).next {
-				out = append(out, *q.rec(i))
-			}
-		}
-	}
-	clear(q.tails)
-	*q = eventQueue{tails: q.tails}
-	return out
-}
-
-// assertConsistent walks the whole structure (hypatia_checks builds only):
-// the heap is ordered; each FIFO has at most one head in the heap, is
+// assertConsistent walks the whole structure for the queue tests, which
+// call it between operations (its assertions fire in hypatia_checks builds
+// only): the heap is ordered; each FIFO has at most one head in the heap, is
 // strictly ascending in canonical order and ends at the recorded tail;
 // plain records carry no chain; and the pending count is the heap length plus
 // the FIFO occupancy. It returns that occupancy.

@@ -260,46 +260,6 @@ func TestEventQueueRecordsNeverMove(t *testing.T) {
 	}
 }
 
-// TestEventQueueTakeAll checks the migration surface: takeAll returns every
-// pending event exactly once, FIFO-held ones included and each with its
-// packet, and leaves an empty queue that accepts both kinds of link again.
-func TestEventQueueTakeAll(t *testing.T) {
-	var q eventQueue
-	q.devices(2)
-	for k := 0; k < 10; k++ {
-		q.push(event{at: Time(100 - k), owner: -1, kind: evClosure, key: uint64(2 * k)})
-		i, r := q.take()
-		r.event = event{at: Time(10 * k), owner: 1, kind: evReceive, key: uint64(2*k + 1)}
-		r.pkt.ID = uint64(2*k + 1)
-		q.linkFlight(int32(k%2), i, r)
-	}
-	if held := q.assertConsistent(); held != 8 {
-		t.Fatalf("%d events FIFO-held, want 8", held)
-	}
-	evs := q.takeAll()
-	seen := map[uint64]bool{}
-	for _, e := range evs {
-		seen[e.key] = true
-		if e.kind == evReceive && e.pkt.ID != e.key {
-			t.Errorf("the receive keyed %d came back with packet %d", e.key, e.pkt.ID)
-		}
-	}
-	if len(evs) != 20 || len(seen) != 20 {
-		t.Fatalf("takeAll returned %d events, %d distinct; want 20", len(evs), len(seen))
-	}
-	if q.len() != 0 {
-		t.Fatalf("queue holds %d events after takeAll", q.len())
-	}
-	pushFlight(&q, 1, event{at: 5, owner: 0, kind: evReceive, key: 1})
-	q.push(event{at: 3, owner: -1, kind: evClosure})
-	if _, r := q.pop(); r.at != 3 {
-		t.Errorf("popped at %v after refill, want 3", r.at)
-	}
-	if _, r := q.pop(); r.at != 5 || q.len() != 0 {
-		t.Errorf("popped at %v with %d left, want 5 and 0", r.at, q.len())
-	}
-}
-
 // TestInFlightReceivesStayBehindFIFOHeads pins, end to end, what the queue is
 // built for: with every link on a path busy at line rate, the heap holds one
 // transmit completion and one FIFO head per transmitting device while the

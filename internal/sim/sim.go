@@ -7,9 +7,8 @@
 // satellites and ground stations, point-to-point ISL channels, a shared-medium GSL channel, drop-tail queues, per-packet
 // propagation delays derived from live satellite positions, and
 // forwarding-state updates installed at a configurable time granularity —
-// and a sharded conservative-parallel execution mode (sharded.go) that
-// partitions nodes across per-shard engines inside a propagation-delay
-// lookahead horizon.
+// and node-bound scheduling handles (clock.go). There is one event loop, the
+// sequential one the paper's ns-3 simulator runs.
 //
 // A hop costs one event. A device is a non-preemptive fixed-rate FIFO whose
 // next hop is fixed at enqueue, so the moment a packet is accepted its
@@ -20,9 +19,9 @@
 //
 // Simulated time is an int64 nanosecond count from the start of the run.
 // Events are ordered by a canonical content-based key — (time, owning node,
-// event kind, per-kind key) — rather than by insertion order alone, so the
-// serial and sharded engines pop identical sequences and every run is
-// bit-for-bit deterministic. A closure's key is its scheduling sequence, so
+// event kind, per-kind key) — rather than by insertion order alone, so every
+// run is bit-for-bit deterministic and every recorded digest and trace is
+// defined on that order. A closure's key is its scheduling sequence, so
 // events scheduled by user code (Schedule/ScheduleAt), which carry no owner,
 // run FIFO among themselves at equal instants.
 package sim
@@ -80,7 +79,7 @@ type evKind uint8
 const (
 	// evInstall installs the next precomputed forwarding table (key = update
 	// instant index). Sorts first so a table change at t is visible to every
-	// packet event at t, on every engine.
+	// packet event at t.
 	evInstall evKind = iota
 	// evClosure runs a func() — user code, transport timers. key is the
 	// engine's scheduling sequence (Simulator.nextSeq): FIFO among the same
@@ -109,10 +108,8 @@ const (
 // all four: installs are keyed by instant, receives by packet ID, transmit
 // completions by device (serialization takes at least a nanosecond, so a
 // device completes at most one transmission per instant),
-// and closures by scheduling sequence. Both engines assign that sequence in
-// the same relative order to any two closures of one owner (all scheduling
-// onto one owner happens on the engine executing that owner), which is what
-// makes serial and sharded runs pop identical sequences.
+// and closures by scheduling sequence. So the order is total, and any correct
+// priority queue pops the same sequence.
 type event struct {
 	at    Time
 	key   uint64
@@ -121,20 +118,16 @@ type event struct {
 	fn    func()
 }
 
-// journalKey is the canonical identity of an event occurrence plus an
-// emission sub-index; per-shard hook journals are merged on it post-run so
-// deferred hook replay reproduces the serial emission order exactly.
-type journalKey struct {
+// eventKey is the canonical identity of an event occurrence: its place in
+// the (at, owner, kind, key) order.
+type eventKey struct {
 	at    Time
 	key   uint64
-	sub   uint32
 	owner int32
 	kind  evKind
 }
 
-// Simulator is a discrete-event engine: single-threaded on its own, and the
-// unit of parallelism in a sharded run (one Simulator per shard, each owned
-// by exactly one goroutine at a time — see Network.RunSharded).
+// Simulator is a single-threaded discrete-event engine.
 type Simulator struct {
 	now       Time
 	events    eventQueue
@@ -142,24 +135,16 @@ type Simulator struct {
 	processed uint64
 	stopped   bool
 
-	// Sharded-run plumbing. net backlinks to the Network whose tagged
-	// events this engine dispatches (set by NewNetwork); shard is this
-	// engine's index in a sharded run; windowEnd bounds the current
-	// lookahead window; migrated marks a root engine whose events have been
-	// handed to shard engines (scheduling on it would be silently lost, so
-	// it panics instead). cur is the canonical key of the executing event —
-	// or of the last one executed, between events: everything up to it in the
+	// net backlinks to the Network whose tagged events this engine
+	// dispatches (set by NewNetwork), and st is that network's mutable
+	// state. cur is the canonical key of the executing event — or of the
+	// last one executed, between events: everything up to it in the
 	// canonical order has run and nothing after it has (beforeAll on a new
 	// engine, afterAll once a run has executed every event up to its clock).
-	// Devices settle same-instant ties against it (departed); cur/curSub
-	// identify journaled hook emissions.
-	net       *Network
-	st        netState
-	windowEnd Time
-	shard     int32
-	migrated  bool
-	cur       journalKey
-	curSub    uint32
+	// Devices settle same-instant ties against it (departed).
+	net *Network
+	st  netState
+	cur eventKey
 }
 
 // beforeAll and afterAll are the owners of the two sentinel values of
@@ -171,7 +156,7 @@ const (
 
 // NewSimulator returns an engine at time zero with no pending events.
 func NewSimulator() *Simulator {
-	return &Simulator{cur: journalKey{owner: beforeAll}}
+	return &Simulator{cur: eventKey{owner: beforeAll}}
 }
 
 // departed reports whether the departure device di of node makes at time t
@@ -201,9 +186,7 @@ func (s *Simulator) Now() Time { return s.now }
 
 // Processed returns the number of events executed so far; per-packet event
 // counts dominate simulation wall-clock time (paper §3.4), so this is the
-// scalability-relevant metric. After a sharded run the root engine reports
-// the sum across shards (which exceeds a serial run's count by the
-// duplicated per-shard forwarding installs). The count is of engine events,
+// scalability-relevant metric. The count is of engine events,
 // not of simulated outcomes: a transport timer that is re-armed before it
 // fires costs no event (see Timer), where each superseded arm used to pop as
 // a no-op closure; and a packet's departure from a device costs an event
@@ -229,9 +212,6 @@ func (s *Simulator) Schedule(delay Time, fn func()) {
 
 // ScheduleAt enqueues fn to run at absolute time at (>= Now).
 func (s *Simulator) ScheduleAt(at Time, fn func()) {
-	if s.migrated {
-		panic("sim: scheduling on the root engine during a sharded run; bind to a node with Network.Clock")
-	}
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < %v", at, s.now))
 	}
@@ -239,8 +219,7 @@ func (s *Simulator) ScheduleAt(at Time, fn func()) {
 }
 
 // scheduleOwnedAt enqueues a closure on behalf of a node (transport timers
-// bound through a Clock). The owner keys the event's canonical order and, in
-// a sharded run, the shard that executes it.
+// bound through a Clock). The owner keys the event's canonical order.
 func (s *Simulator) scheduleOwnedAt(at Time, owner int32, fn func()) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < %v", at, s.now))
@@ -254,33 +233,22 @@ func (s *Simulator) nextSeq() uint64 {
 	return q
 }
 
-// Stop makes Run return after the currently executing event completes. A
-// sharded run (Network.RunSharded) honours a Stop of the root engine at the
-// end of the current lookahead window, on every shard; there it must only be
-// called from one shard's events at a time.
+// Stop makes Run return after the currently executing event completes.
 func (s *Simulator) Stop() { s.stopped = true }
 
 // Run executes events in canonical order until the queue is empty or the
-// next event is later than until; the clock then rests exactly at until.
-func (s *Simulator) Run(until Time) {
-	s.stopped = false
-	s.runWindow(until, true)
-}
-
-// runWindow executes events up to end — inclusive of end itself only when
-// inclusive is set (the final window of a run), exclusive otherwise (interior
-// lookahead windows, whose boundary events belong to the next window so that
-// cross-shard handoffs landing exactly on the boundary still precede them).
+// next event is later than until; the clock then rests exactly at until,
+// unless an event called Stop. Calling Run again resumes.
 //
 // Every steady-state event the loop runs — receives, observed transmit
 // completions, installs — executes without touching the heap
 // (TestAllocGuardPacketPath). User closures (evClosure) and monitoring hooks
 // are the deliberate boundary: the code behind them owns its own allocation
 // budget.
-func (s *Simulator) runWindow(end Time, inclusive bool) {
+func (s *Simulator) Run(until Time) {
+	s.stopped = false
 	for s.events.len() > 0 && !s.stopped {
-		at := s.events.nextAt()
-		if at > end || (at == end && !inclusive) {
+		if s.events.nextAt() > until {
 			break
 		}
 		i, r := s.events.pop()
@@ -289,14 +257,13 @@ func (s *Simulator) runWindow(end Time, inclusive bool) {
 		}
 		s.now = r.at
 		s.processed++
-		s.cur = journalKey{at: r.at, owner: r.owner, kind: r.kind, key: r.key}
-		s.curSub = 0
+		s.cur = eventKey{at: r.at, owner: r.owner, kind: r.kind, key: r.key}
 		s.dispatch(i, r)
 	}
-	if inclusive && !s.stopped {
-		// Everything up to end has run, whatever its place in the order.
-		s.now = max(s.now, end)
-		s.cur = journalKey{at: s.now, owner: afterAll}
+	if !s.stopped {
+		// Everything up to until has run, whatever its place in the order.
+		s.now = max(s.now, until)
+		s.cur = eventKey{at: s.now, owner: afterAll}
 	}
 }
 

@@ -16,10 +16,8 @@ import "hypatia/internal/check"
 // earlier carrier, and the old one finds on popping that it is not the one the
 // timer waits for. Reset and Stop allocate nothing.
 //
-// A Timer belongs to its node's engine: touch it only from events that engine
-// runs — the node's own (the timer's fn, closures on the same Clock, packet
-// handlers there) and those of stations colocated with it (a flow's other
-// end) — or between runs.
+// A Timer belongs to its network's engine: touch it only from that engine's
+// events or between runs.
 type Timer struct {
 	clk     Clock
 	fn      func()

@@ -72,8 +72,8 @@ func (p *Pinger) Start() {
 	p.sendNext()
 }
 
-// StartAfter schedules Start after a delay on the flow's own engine (the
-// sharded-run-safe way to stagger flow starts).
+// StartAfter schedules Start after a delay on the flow's Clock, as an event
+// of its source station.
 func (p *Pinger) StartAfter(delay sim.Time) { p.clk.Schedule(delay, p.Start) }
 
 // Stop halts the request stream.

@@ -334,9 +334,8 @@ type TCPFlow struct {
 	ooo       oooRing // out-of-order segments received
 	delAckCnt int
 	// delAckTimer acknowledges a lone segment that no second one follows. It
-	// runs on the source station's clock like everything else of the flow
-	// (RegisterFlow colocates the two ends): the owner is part of the
-	// canonical event order.
+	// runs on the source station's clock like everything else of the flow:
+	// the owner is part of the canonical event order.
 	delAckTimer *sim.Timer
 	// ArrivalLog is the receiver-side arrival order of data segment
 	// sequence numbers; empty unless RecordLogs.
@@ -394,8 +393,8 @@ func (f *TCPFlow) Config() TCPConfig { return f.cfg }
 // Cwnd returns the current congestion window in segments.
 func (f *TCPFlow) Cwnd() float64 { return f.cwnd }
 
-// StartAfter schedules Start after a delay on the flow's own engine (the
-// sharded-run-safe way to stagger flow starts).
+// StartAfter schedules Start after a delay on the flow's Clock, as an event
+// of its source station.
 func (f *TCPFlow) StartAfter(delay sim.Time) { f.clk.Schedule(delay, f.Start) }
 
 // Start begins transmission at the simulator's current time (schedule it

@@ -446,7 +446,7 @@ var tcpLocks = []struct {
 	{
 		name: "sack-link-loss", want: 0x91b998c31782f92f,
 		// One packet in 128, picked by a hash of the departure time: a pure
-		// function, so serial and sharded runs lose the same packets.
+		// function, so every run loses the same packets.
 		loss:  func(_, _ int, at sim.Time) bool { return uint64(at)*0x9E3779B97F4A7C15>>57 == 0 },
 		flows: []TCPConfig{{SACK: true}},
 		until: 20 * sim.Second,
@@ -488,34 +488,28 @@ func tcpLockHash(flows []*TCPFlow) uint64 {
 
 func TestTCPBehaviourLocked(t *testing.T) {
 	for _, lock := range tcpLocks {
-		for _, shards := range []int{0, 2} {
-			cfg := sim.DefaultConfig()
-			if lock.queue > 0 {
-				cfg.QueuePackets = lock.queue
+		cfg := sim.DefaultConfig()
+		if lock.queue > 0 {
+			cfg.QueuePackets = lock.queue
+		}
+		cfg.LossModel = lock.loss
+		d := newDumbbell(t, cfg, geom.Vec3{}, 0)
+		var flows []*TCPFlow
+		for i, fc := range lock.flows {
+			fc.RecordLogs = true // the hash covers every log sample
+			f := NewTCPFlow(d.net, d.ids, 0, 1, fc)
+			f.StartAfter(sim.Time(i) * 50 * sim.Millisecond)
+			flows = append(flows, f)
+		}
+		d.sim.Run(lock.until)
+		for i, f := range flows {
+			if !lock.fired(f) {
+				t.Errorf("%s flow %d: scenario did not reach %s (acked %d, retx %d, fast %d, timeouts %d)",
+					lock.name, i, lock.firedS, f.AckedSegments, f.RetxCount, f.FastRetxCount, f.TimeoutCount)
 			}
-			cfg.LossModel = lock.loss
-			d := newDumbbell(t, cfg, geom.Vec3{}, 0)
-			var flows []*TCPFlow
-			for i, fc := range lock.flows {
-				fc.RecordLogs = true // the hash covers every log sample
-				f := NewTCPFlow(d.net, d.ids, 0, 1, fc)
-				f.StartAfter(sim.Time(i) * 50 * sim.Millisecond)
-				flows = append(flows, f)
-			}
-			if shards > 0 {
-				d.net.RunSharded(lock.until, shards)
-			} else {
-				d.sim.Run(lock.until)
-			}
-			for i, f := range flows {
-				if !lock.fired(f) {
-					t.Errorf("%s shards=%d flow %d: scenario did not reach %s (acked %d, retx %d, fast %d, timeouts %d)",
-						lock.name, shards, i, lock.firedS, f.AckedSegments, f.RetxCount, f.FastRetxCount, f.TimeoutCount)
-				}
-			}
-			if got := tcpLockHash(flows); got != lock.want {
-				t.Errorf("%s shards=%d: logs and counters hash to %#016x, recorded %#016x", lock.name, shards, got, lock.want)
-			}
+		}
+		if got := tcpLockHash(flows); got != lock.want {
+			t.Errorf("%s: logs and counters hash to %#016x, recorded %#016x", lock.name, got, lock.want)
 		}
 	}
 }

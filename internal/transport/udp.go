@@ -53,9 +53,6 @@ func NewUDPFlow(net *sim.Network, ids *FlowIDs, srcGS, dstGS int, cfg UDPConfig)
 	f := &UDPFlow{Net: net, clk: net.Clock(srcGS), cfg: cfg, FlowID: ids.Next(), SrcGS: srcGS, DstGS: dstGS}
 	f.pace = f.clk.NewTimer(f.sendNext)
 	net.RegisterFlow(dstGS, f.FlowID, f.onReceive)
-	// The sender's pacing timer and the sink's counters are one flow object:
-	// keep both endpoints on one shard engine.
-	net.Colocate(srcGS, dstGS)
 	return f
 }
 
@@ -67,8 +64,8 @@ func (f *UDPFlow) Start() {
 	f.sendNext()
 }
 
-// StartAfter schedules Start after a delay on the flow's own engine (the
-// sharded-run-safe way to stagger flow starts).
+// StartAfter schedules Start after a delay on the flow's Clock, as an event
+// of its source station.
 func (f *UDPFlow) StartAfter(delay sim.Time) { f.clk.Schedule(delay, f.Start) }
 
 // Stop halts the sender: the next scheduled packet is not sent.

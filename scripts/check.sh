@@ -52,8 +52,7 @@ stage "alloc guards (default build, GOMAXPROCS=1)"
 # (TestAllocGuardTCPTimers), and 10 ms of a bulk NewReno transfer
 # (TestAllocGuardTCPSteadyState), every one at 0, plus 100 virtual s of that
 # transfer under 64 KiB (TestAllocGuardTCPHorizon: a flow records no
-# per-packet log unless asked) and a sharded run's windows and hook journal
-# at its per-call setup (TestAllocGuardShardedWindow). In internal/routing,
+# per-packet log unless asked). In internal/routing,
 # internal/core and internal/analysis the TestAllocGuardBench* tests hold six
 # benchmarks' timed regions (SnapshotInto, ForwardingTableFull,
 # ForwardingStateIncremental, SimSerial, SimSerialTCP, AnalyzePairsS1) to
