@@ -246,9 +246,14 @@ func (sw *sweep) run(visit pairVisitor) {
 	}
 }
 
-// advance solves and visits the current step's trees.
+// advance solves and visits the current step's trees, naming the step after
+// it, if the sweep has one, for the split to build while they run.
 func (sw *sweep) advance() {
-	sw.split.Solve(float64(sw.step) * sw.cfg.Step)
+	next := math.NaN()
+	if sw.step+1 < sw.steps {
+		next = float64(sw.step+1) * sw.cfg.Step
+	}
+	sw.split.Solve(float64(sw.step)*sw.cfg.Step, next)
 }
 
 // tree visits every pair whose source is gs on that source's tree: the
@@ -429,7 +434,11 @@ func RTTSeries(topo *routing.Topology, src, dst int, duration, step float64) []f
 	})
 	defer split.Close()
 	for i = range out {
-		split.Solve(float64(i) * step)
+		next := math.NaN()
+		if i+1 < len(out) {
+			next = float64(i+1) * step
+		}
+		split.Solve(float64(i)*step, next)
 	}
 	return out
 }

@@ -24,9 +24,11 @@ func BenchmarkAnalyzePairsS1(b *testing.B) {
 // warmSweep primes the S1 sweep with 17 steps (the first pays a full
 // visibility scan and a from-scratch Dijkstra per source), folding every
 // pair into PairStats as AnalyzePairs does. Its split has GOMAXPROCS
-// workers, and is closed when the test or benchmark ends.
+// workers, and is closed when the test or benchmark ends. The sweep's
+// duration outlasts any op count, so every measured step names a next one
+// for the split to build while its trees run, as inside a run.
 func warmSweep(tb testing.TB) *sweep {
-	sw, err := newSweep(paperTopo(tb, constellation.Starlink()), Config{Duration: 1})
+	sw, err := newSweep(paperTopo(tb, constellation.Starlink()), Config{Duration: 3600})
 	if err != nil {
 		tb.Fatal(err)
 	}

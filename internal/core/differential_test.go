@@ -275,7 +275,10 @@ func tableHash(ft *routing.ForwardingTable) uint64 {
 // instant's trees. Every installed table must hash the same at every worker
 // count and match the ShortestPath specification sweep. Forcing at least
 // two procs makes the race detector see the fan-out even on one hardware
-// thread.
+// thread. The producer names each instant's successor correctly, so the
+// same producer state is then driven through mispredicted successors: a
+// backward jump right after a prefetch, a prefetched instant never solved,
+// and instants with no successor named; the tables must not move.
 func TestProducerTablesIndependentOfWorkerCount(t *testing.T) {
 	c, err := constellation.Generate(miniConfig())
 	if err != nil {
@@ -298,6 +301,16 @@ func TestProducerTablesIndependentOfWorkerCount(t *testing.T) {
 	for i, at := range times {
 		want[i] = tableHash(ShortestPath(topo.Snapshot(at.Seconds()), nil))
 	}
+	// Indices into times: the instant solved and the successor named for it
+	// (-1: none).
+	mispredicted := []struct{ at, next int }{
+		{0, 1}, {1, 2}, {2, 3},
+		{3, 4}, // then a backward jump to 1
+		{1, 2},
+		{2, 9}, // 9 is never solved
+		{5, -1}, {6, 7}, {7, 11},
+		{11, -1}, // the last instant
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
@@ -310,5 +323,54 @@ func TestProducerTablesIndependentOfWorkerCount(t *testing.T) {
 			ft.Release()
 		}
 		p.close()
+
+		ps := newProducerState(topo, nil)
+		for _, in := range mispredicted {
+			next := math.NaN()
+			if in.next >= 0 {
+				next = times[in.next].Seconds()
+			}
+			ft := ps.table(times[in.at].Seconds(), next)
+			if got := tableHash(ft); got != want[in.at] {
+				t.Errorf("GOMAXPROCS=%d instant %d (t=%v) named successor %d: table hash %016x, specification %016x",
+					procs, in.at, times[in.at], in.next, got, want[in.at])
+			}
+			ft.Release()
+		}
+		ps.split.Close()
+	}
+}
+
+// TestPipelineBlanksInactiveColumns runs a destination subset through a
+// pipeline long enough that its reserved tables are each reused: the
+// producer sets to -1 only the columns of destinations outside the list —
+// every other column is a tree's — and a reserved table starts zeroed, so
+// every table must still read -1 in every inactive column, match the
+// specification sweep, and have cost exactly those columns.
+func TestPipelineBlanksInactiveColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	topo := differentialTopo(t, routing.GSLFree)
+	active := []int{2, 0}
+	times := randomInstants(rng, 4*(tablesInFlight+1))
+	p := newPipeline(topo, nil, active, times)
+	defer p.close()
+	seen := map[*routing.ForwardingTable]bool{}
+	for _, at := range times {
+		ft := <-p.tables
+		seen[ft] = true
+		for _, dst := range []int{1, 3} {
+			for node := range topo.NumNodes() {
+				if nh := ft.NextHop(node, dst); nh != -1 {
+					t.Fatalf("t=%v: inactive destination %d reads next hop %d at node %d, want -1", at, dst, nh, node)
+				}
+			}
+		}
+		if !ft.Equal(serialReference(topo, at, active)) {
+			t.Fatalf("t=%v: table differs from the specification sweep", at)
+		}
+		ft.Release()
+	}
+	if recycles := len(times) - len(seen); recycles < 5 {
+		t.Errorf("%d table recycles over %d instants; the test needs at least 5", recycles, len(times))
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 
 	"hypatia/internal/routing"
@@ -44,12 +45,11 @@ type pipeline struct {
 }
 
 // producerState is the default producer's: the incremental engine's split
-// over the run's destinations, the pool its tables come from, and the table
-// the instant being solved fills, which the split's visitor writes each
-// tree into.
+// over the run's destinations, which draws the tables from the pool the
+// producer reserves, and the table the instant being solved fills, which
+// the split's visitor writes each tree into.
 type producerState struct {
 	split *routing.Split
-	pool  *routing.TablePool
 	ft    *routing.ForwardingTable
 }
 
@@ -57,13 +57,22 @@ type producerState struct {
 // tables. The split's worker count is GOMAXPROCS now, capped at the number
 // of destinations; tables do not depend on it.
 func newProducerState(topo *routing.Topology, active []int) *producerState {
-	ps := &producerState{pool: &routing.TablePool{}}
-	ps.pool.Reserve(tablesInFlight+1, topo.NumNodes(), topo.NumGS())
-	eng := routing.NewIncrementalEngine(topo, ps.pool)
-	ps.split = eng.NewSplit(active, func(_, gs int, _ []float64, prev []int32) {
+	pool := &routing.TablePool{}
+	pool.Reserve(tablesInFlight+1, topo.NumNodes(), topo.NumGS())
+	ps := &producerState{}
+	ps.split = routing.NewIncrementalEngine(topo, pool).NewSplit(active, func(_, gs int, _ []float64, prev []int32) {
 		ps.ft.SetDestination(gs, prev)
 	})
 	return ps
+}
+
+// table computes the table of time tsec, building the graph of next (NaN:
+// none) while the trees run. Only the columns of destinations outside the
+// run's list are set unreachable first; every tree overwrites its own.
+func (ps *producerState) table(tsec, next float64) *routing.ForwardingTable {
+	ps.ft = ps.split.Table(tsec)
+	ps.split.Solve(tsec, next)
+	return ps.ft
 }
 
 // newPipeline starts the producer over the given update instants.
@@ -90,7 +99,8 @@ func newPipeline(topo *routing.Topology, strategy Strategy, active []int, times 
 // to it. That chain is sequential per destination, not per instant: each
 // root carries its own settle order, so once the engine has built and
 // frozen the instant's graph the roots are independent, and its
-// routing.Split solves them on every core. A custom strategy is an opaque
+// routing.Split solves them on every core while it builds the next
+// instant's graph on the side. A custom strategy is an opaque
 // function, so it is called on a from-scratch snapshot of each instant.
 //
 // The producer's steady-state loop allocates nothing: the repair chain
@@ -106,7 +116,7 @@ func (p *pipeline) producer(topo *routing.Topology, strategy Strategy, active []
 		defer ps.split.Close()
 	}
 	var snap *routing.Snapshot
-	for _, at := range times {
+	for i, at := range times {
 		// A closed run stops here rather than at the send below, where a
 		// free buffer slot and the stop signal are both ready and select
 		// picks one at random: close then waits for the step in progress
@@ -118,9 +128,11 @@ func (p *pipeline) producer(topo *routing.Topology, strategy Strategy, active []
 		}
 		var ft *routing.ForwardingTable
 		if ps != nil {
-			ft = ps.pool.Empty(at.Seconds(), topo.NumNodes(), topo.NumGS())
-			ps.ft = ft
-			ps.split.Solve(at.Seconds())
+			next := math.NaN()
+			if i+1 < len(times) {
+				next = times[i+1].Seconds()
+			}
+			ft = ps.table(at.Seconds(), next)
 		} else {
 			snap = topo.SnapshotInto(at.Seconds(), snap)
 			ft = strategy(snap, active)

@@ -1,0 +1,68 @@
+//go:build !hypatia_checks
+
+package core
+
+import (
+	"math"
+	"testing"
+
+	"hypatia/internal/routing"
+)
+
+// TestWorkGuardForwardingState holds the forwarding-state producer to work
+// budgets on a reduced fstate_k1 chain: K1 toward all 100 cities, 200
+// instants at 100 ms. Counts depend only on the code and its input, so
+// unlike wall time they read the same on any host and at any worker count:
+//
+//   - graph builds: exactly one per instant. The split builds each instant's
+//     graph while the instant before it solves its trees; a prefetch the
+//     next instant does not adopt costs a second build.
+//   - second-pass nodes per tree: how tight the carried settle orders stay
+//     (graph.RepairSSSPDense's refresh rule). The rule reads 3.06 here;
+//     without its insertion re-sort the count climbs with the chain and
+//     averages 77.6 over these 200 instants.
+//   - entries set to -1 per instant: 0 with every city a destination, since
+//     each tree overwrites its column whole; blanking the whole table first
+//     would read 125 600.
+//
+// The file is left out of the hypatia_checks build, whose oracle re-derives
+// every tree from scratch and would only make the chain slow.
+func TestWorkGuardForwardingState(t *testing.T) {
+	const (
+		instants         = 200
+		secondPassBudget = 8.0 // per tree
+	)
+	topo := benchKuiperTopo(t)
+	ps := newProducerState(topo, nil)
+	defer ps.split.Close()
+	at := func(i int) float64 { return 0.1 * float64(i) }
+	var first routing.Work
+	for i := range instants {
+		next := math.NaN()
+		if i+1 < instants {
+			next = at(i + 1)
+		}
+		ps.table(at(i), next).Release()
+		if i == 0 {
+			first = ps.split.Work()
+		}
+	}
+	w := ps.split.Work()
+	if w.Builds != instants {
+		t.Errorf("%d graph builds over %d instants, want exactly one per instant", w.Builds, instants)
+	}
+	// The first instant's trees are from-scratch Dijkstras with no second
+	// pass; the budget is on the repairs after it.
+	trees := w.Trees - first.Trees
+	perTree := float64(w.SecondPass-first.SecondPass) / float64(trees)
+	if perTree > secondPassBudget {
+		t.Errorf("%.2f second-pass nodes per tree over %d repaired trees, budget %.0f: the carried settle orders have decayed",
+			perTree, trees, secondPassBudget)
+	}
+	if w.Blanked != 0 {
+		t.Errorf("%d entries set to -1 over %d instants with every city a destination, want 0: every column is a tree's",
+			w.Blanked, instants)
+	}
+	t.Logf("per instant: %.2f builds, %.0f entries set to -1; %.3f second-pass nodes per repaired tree",
+		float64(w.Builds)/instants, float64(w.Blanked)/instants, perTree)
+}

@@ -218,10 +218,12 @@ const (
 //	far   the largest dist[u] among neighbours already swept, 0 with none.
 //
 // Each is one accumulator updated by a conditional move, so the loop has no
-// data-dependent branch and no store. It is deliberately a function of its
-// own: written inline, the sweep has more live values than registers and
-// the compiler keeps the accumulators on the stack, which measured 12-18 %
-// slower per tree (DESIGN.md, "Incremental forwarding state").
+// data-dependent branch and no store. The directive keeps it a call: the
+// compiler would inline it, and inline the sweep has more live values than
+// registers, so the accumulators live on the stack (DESIGN.md, "Incremental
+// forwarding state", has the measurement).
+//
+//go:noinline
 func pull(edges []Edge, dist []float64) (arg int32, best, tie, far uint64) {
 	arg, best, tie = -1, ^uint64(0), ^uint64(0)
 	for _, e := range edges {

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"hypatia/internal/constellation"
@@ -132,4 +134,40 @@ func BenchmarkRepairChained(b *testing.B) {
 			b.ReportMetric(float64(secondPass)/trees, "second-pass/tree")
 		})
 	}
+}
+
+// BenchmarkSplitChained measures the split the forwarding-state producer
+// drives, on fstate_k1's shape: K1 + 100 cities, every city a root, at
+// GOMAXPROCS 2, chained over 800 instants at 100 ms. Each instant draws a
+// table, and each Solve names the next instant, so its graph is built while
+// this one's trees run, as in a run. Each op is one whole chain on a fresh
+// engine, whose first instant stays outside the timer. It reports ns per
+// instant. BenchmarkRepairChained times the serial Step, which has no
+// second worker to overlap with.
+func BenchmarkSplitChained(b *testing.B) {
+	const instants = 800
+	topo := benchTopo(b, GSLFree)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	b.StopTimer()
+	for range b.N {
+		var ft *ForwardingTable
+		split := NewIncrementalEngine(topo, nil).NewSplit(nil, func(_, gs int, _ []float64, prev []int32) {
+			ft.SetDestination(gs, prev)
+		})
+		for k := 0; k <= instants; k++ {
+			if k == 1 {
+				b.StartTimer()
+			}
+			next := math.NaN()
+			if k < instants {
+				next = 0.1 * float64(k+1)
+			}
+			ft = split.Table(0.1 * float64(k))
+			split.Solve(0.1*float64(k), next)
+			ft.Release()
+		}
+		b.StopTimer()
+		split.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*instants), "ns/instant")
 }

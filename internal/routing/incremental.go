@@ -384,16 +384,19 @@ func (t *Topology) DeltaInto(tsec float64, d *DeltaState) (*Snapshot, []graph.Ed
 // barely moves, which makes the re-solve a single near-branchless sweep over
 // the adjacency.
 //
-// An instant has two phases. advance is serial: it moves the snapshot to
-// the instant and freezes its graph. The trees are then independent of one
-// another, because a root's repair reads the frozen graph and writes only
-// its own settle order and the treeScratch it is handed, so calls for
-// distinct roots with distinct scratches may run at once. The engine has
-// two ways through an instant: Step, serial on the engine's own scratch,
-// installs every tree into a table; a Split (NewSplit) solves the trees of
-// a fixed root list on every core and hands each to a visitor — core's
-// forwarding-state producer and the stepped analyses of internal/analysis
-// are its clients.
+// An instant has two phases. advance moves the engine to the instant: it
+// builds the delta snapshot and freezes its graph, or adopts the graph a
+// prefetch already built for that time. The trees are then independent of
+// one another, because a root's repair reads the frozen graph and writes
+// only its own settle order and the treeScratch it is handed, so calls for
+// distinct roots with distinct scratches may run at once — and so may the
+// build of the next instant's graph, which goes into the delta layer's other
+// snapshot buffer, the one no tree reads any more. The engine has two ways
+// through an instant: Step, serial on the engine's own scratch, installs
+// every tree into a table; a Split (NewSplit) solves the trees of a fixed
+// root list on every core, building the next instant while it does, and
+// hands each tree to a visitor — core's forwarding-state producer and the
+// stepped analyses of internal/analysis are its clients.
 //
 // Because the dense repair is correct from any starting order — order
 // quality affects cost, never the bitwise result — the engine needs no
@@ -417,13 +420,26 @@ type IncrementalEngine struct {
 	g     *graph.Graph // the instant advance last reached, frozen
 	tsec  float64
 
+	// aheadT is the time of the graph prefetch built and froze, the delta
+	// state's current snapshot, which advance adopts when it is asked for
+	// that time and builds over otherwise; NaN when there is none.
+	aheadT float64
+
 	// Per-root settle order, the only state a repair carries into the next
 	// one. A nil order marks a root never yet computed: its first tree is a
 	// from-scratch Dijkstra whose pop order becomes the order.
 	order [][]int32
 
-	scratch *treeScratch // Step's, and a Split's first worker's
-	all     []int        // every ground station, the roots of a nil list
+	scratch   *treeScratch   // Step's, and a Split's first worker's
+	scratches []*treeScratch // every treeScratch made, for Split.Work
+	all       []int          // every ground station, the roots of a nil list
+
+	// Step's scratch for the destinations its list leaves out (blank) and
+	// the per-station marks that find them.
+	blank []int
+	mark  []bool
+
+	builds int // snapshots built and frozen
 
 	oracle oracleSnapshot // hypatia_checks only
 }
@@ -438,6 +454,7 @@ type treeScratch struct {
 	repair graph.RepairScratch
 	first  graph.Scratch // a root's first tree: from-scratch Dijkstra
 	oracle oracleScratch // hypatia_checks only
+	trees  int           // trees solved through this scratch
 }
 
 // newTreeScratch sizes a scratch for the engine's topology, the repair's
@@ -447,6 +464,7 @@ func (e *IncrementalEngine) newTreeScratch() *treeScratch {
 	n := e.topo.NumNodes()
 	sc := &treeScratch{dist: make([]float64, n), prev: make([]int32, n)}
 	sc.repair.Reserve(n)
+	e.scratches = append(e.scratches, sc)
 	return sc
 }
 
@@ -457,10 +475,13 @@ func NewIncrementalEngine(topo *Topology, pool *TablePool) *IncrementalEngine {
 		pool = &TablePool{}
 	}
 	e := &IncrementalEngine{
-		topo:  topo,
-		pool:  pool,
-		order: make([][]int32, topo.NumGS()),
-		all:   make([]int, topo.NumGS()),
+		topo:   topo,
+		pool:   pool,
+		order:  make([][]int32, topo.NumGS()),
+		all:    make([]int, topo.NumGS()),
+		blank:  make([]int, 0, topo.NumGS()),
+		mark:   make([]bool, topo.NumGS()),
+		aheadT: math.NaN(),
 	}
 	for gs := range e.all {
 		e.all[gs] = gs
@@ -469,21 +490,42 @@ func NewIncrementalEngine(topo *Topology, pool *TablePool) *IncrementalEngine {
 	return e
 }
 
-// advance moves the engine to time tsec: the delta snapshot, its graph
-// frozen so that concurrent repairs only read it, on the engine's first
-// instant the second snapshot buffer sized (prime), and under
-// hypatia_checks the oracle's one from-scratch snapshot of the instant.
-// solve then solves the instant's trees.
+// advance moves the engine to time tsec: it adopts the graph prefetch built
+// when that was for tsec, and builds one otherwise (a time jump, or a
+// prefetched instant never asked for, costs the build, never correctness).
+// Under hypatia_checks it then builds the oracle's one from-scratch snapshot
+// of the instant. solve then solves the instant's trees.
 func (e *IncrementalEngine) advance(tsec float64) {
-	e.g = e.topo.deltaSnapshot(tsec, &e.delta).G
-	e.tsec = tsec
-	if e.delta.Prev() == nil {
-		e.prime()
+	if e.aheadT != tsec {
+		e.build(tsec)
 	}
-	e.g.Freeze()
+	e.aheadT = math.NaN()
+	e.g = e.delta.snaps[e.delta.cur].G
+	e.tsec = tsec
 	if check.Enabled {
 		e.oracleAdvance(tsec)
 	}
+}
+
+// prefetch builds and freezes the graph of time tsec ahead of the advance
+// that will ask for it. It writes only the delta state, whose other snapshot
+// buffer holds the instant before the one advance last reached, so it may
+// run while that instant's trees are being solved over e.g.
+func (e *IncrementalEngine) prefetch(tsec float64) {
+	e.build(tsec)
+	e.aheadT = tsec
+}
+
+// build makes the delta snapshot of time tsec the delta state's current one
+// and freezes its graph, sizing the second snapshot buffer on the engine's
+// first instant (prime).
+func (e *IncrementalEngine) build(tsec float64) {
+	g := e.topo.deltaSnapshot(tsec, &e.delta).G
+	if e.delta.Prev() == nil {
+		e.prime()
+	}
+	g.Freeze()
+	e.builds++
 }
 
 // prime runs in the engine's first instant (the one with no predecessor; a
@@ -513,13 +555,48 @@ func (e *IncrementalEngine) roots(list []int) []int {
 // next-hop column. The table comes from the engine's pool; the caller owns
 // it and must Release it. Step starts no goroutine.
 func (e *IncrementalEngine) Step(tsec float64, active []int) *ForwardingTable {
-	ft := e.pool.Empty(tsec, e.topo.NumNodes(), e.topo.NumGS())
+	e.blank = e.inactive(e.blank[:0], active)
+	ft := e.table(tsec, e.blank)
 	e.advance(tsec)
 	sc := e.scratch
 	for _, gs := range e.roots(active) {
 		e.solve(sc, gs)
 		ft.SetDestination(gs, sc.prev)
 	}
+	return ft
+}
+
+// inactive appends to dst, in index order, the ground stations a
+// destination list leaves out: none for nil, which lists every station.
+func (e *IncrementalEngine) inactive(dst, list []int) []int {
+	if list == nil {
+		return dst
+	}
+	for _, gs := range list {
+		e.mark[gs] = true
+	}
+	for gs, on := range e.mark {
+		if !on {
+			dst = append(dst, gs)
+		}
+	}
+	for _, gs := range list {
+		e.mark[gs] = false
+	}
+	return dst
+}
+
+// table draws a table for time tsec from the engine's pool and sets the
+// columns of the destinations in blank unreachable. Every other column is
+// left as the buffer had it, so the caller must set each one
+// (SetDestination) before the table is read: the trees overwrite those
+// columns whole, and blanking them first would be work thrown away.
+func (e *IncrementalEngine) table(tsec float64, blank []int) *ForwardingTable {
+	ft := e.pool.take(tsec, e.topo.NumNodes(), e.topo.NumGS())
+	for _, gs := range blank {
+		ft.unreachable(gs)
+	}
+	e.pool.blanked.Add(int64(len(blank) * ft.NumNodes))
 	return ft
 }
 
@@ -536,6 +613,7 @@ func (e *IncrementalEngine) solve(sc *treeScratch, gs int) {
 		sc.dist, sc.prev = e.g.DijkstraScratch(root, sc.dist, sc.prev, &sc.first)
 		e.order[gs], sc.first.Order = sc.first.Order, nil
 	}
+	sc.trees++
 	if check.Enabled {
 		// The checked-build oracle bumps a process-global comparison
 		// counter so check.sh can assert the differential layer actually

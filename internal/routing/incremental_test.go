@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -157,13 +158,25 @@ func TestIncrementalEngineMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestSplitMatchesScratch runs one instant sequence, a backward jump
-// included, through a Split at GOMAXPROCS 1, 2 and 4: the worker count is
-// GOMAXPROCS capped at the roots, every root is visited once per Solve on a
-// worker index inside it, every tree installs the from-scratch column, and
-// Close is idempotent.
+// TestSplitMatchesScratch runs one instant sequence through a Split at
+// GOMAXPROCS 1, 2 and 4: the worker count is GOMAXPROCS capped at the roots,
+// every root is visited once per Solve on a worker index inside it, every
+// table the split draws and its trees fill matches the from-scratch one, and
+// Close is idempotent. The next instant each Solve names is mispredicted in
+// every way a caller can: a backward jump right after a prefetch, a
+// prefetched instant never solved, and instants with no next at all. A
+// Solve builds a graph unless the Solve before it prefetched its time, and
+// a prefetch builds one, so the builds add up to exactly that.
 func TestSplitMatchesScratch(t *testing.T) {
 	topo := miniTopo(t, GSLNearestOnly)
+	none := math.NaN()
+	instants := []struct{ tsec, next float64 }{
+		{0, 0.1}, {0.1, 0.2}, {0.2, 30}, {30, 30.1},
+		{0.1, 0.2}, // a backward jump right after 30.1's prefetch
+		{0.2, 5},   // 5 is never solved
+		{0.3, none}, {0.4, 0.5},
+		{0.5, none}, // the last instant: no next
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
@@ -182,18 +195,30 @@ func TestSplitMatchesScratch(t *testing.T) {
 			if want := min(procs, len(eng.roots(roots))); split.Workers() != want {
 				t.Errorf("GOMAXPROCS=%d roots %v: %d workers, want %d", procs, roots, split.Workers(), want)
 			}
-			for _, tsec := range []float64{0, 0.1, 0.2, 30, 0.1} {
-				ft = NewEmptyForwardingTable(tsec, topo.NumNodes(), topo.NumGS())
+			builds := 0
+			ahead := none
+			for _, in := range instants {
+				if in.tsec != ahead {
+					builds++
+				}
+				if ahead = in.next; !math.IsNaN(ahead) {
+					builds++
+				}
+				ft = split.Table(in.tsec)
 				clear(visits)
-				split.Solve(tsec)
+				split.Solve(in.tsec, in.next)
 				for _, gs := range eng.roots(roots) {
 					if visits[gs] != 1 {
-						t.Errorf("GOMAXPROCS=%d t=%v: root %d visited %d times", procs, tsec, gs, visits[gs])
+						t.Errorf("GOMAXPROCS=%d t=%v: root %d visited %d times", procs, in.tsec, gs, visits[gs])
 					}
 				}
-				if !ft.Equal(engineOracle(topo, tsec, roots)) {
-					t.Fatalf("GOMAXPROCS=%d roots %v t=%v: split table differs from scratch", procs, roots, tsec)
+				if !ft.Equal(engineOracle(topo, in.tsec, roots)) {
+					t.Fatalf("GOMAXPROCS=%d roots %v t=%v next=%v: split table differs from scratch", procs, roots, in.tsec, in.next)
 				}
+				ft.Release()
+			}
+			if got := split.Work().Builds; got != builds {
+				t.Errorf("GOMAXPROCS=%d roots %v: %d graphs built, want %d", procs, roots, got, builds)
 			}
 			split.Close()
 			split.Close()

@@ -11,6 +11,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"hypatia/internal/check"
 	"hypatia/internal/constellation"
@@ -309,6 +310,10 @@ func NewEmptyForwardingTable(t float64, numNodes, numGS int) *ForwardingTable {
 type TablePool struct {
 	mu   sync.Mutex
 	free []*ForwardingTable
+
+	// blanked counts the entries set to -1 in the tables drawn from the
+	// pool (Split.Work).
+	blanked atomic.Int64
 }
 
 // Reserve stocks the pool with n tables of numNodes × numGS entries whose
@@ -338,6 +343,18 @@ func (p *TablePool) Reserve(n, numNodes, numGS int) {
 // NewEmptyForwardingTable), drawing the backing buffer from the pool when
 // one large enough is available.
 func (p *TablePool) Empty(t float64, numNodes, numGS int) *ForwardingTable {
+	ft := p.take(t, numNodes, numGS)
+	for i := range ft.next {
+		ft.next[i] = -1
+	}
+	p.blanked.Add(int64(len(ft.next)))
+	return ft
+}
+
+// take draws a table for time t as Empty does but leaves its entries as the
+// buffer had them: whatever its last owner wrote, or zero for a buffer never
+// used (Reserve) or freshly allocated.
+func (p *TablePool) take(t float64, numNodes, numGS int) *ForwardingTable {
 	need := numNodes * numGS
 	var ft *ForwardingTable
 	p.mu.Lock()
@@ -356,10 +373,15 @@ func (p *TablePool) Empty(t float64, numNodes, numGS int) *ForwardingTable {
 	ft.next = ft.next[:need]
 	ft.pool = p
 	ft.released = false
-	for i := range ft.next {
-		ft.next[i] = -1
-	}
 	return ft
+}
+
+// unreachable sets every node's entry toward dstGS to -1.
+func (ft *ForwardingTable) unreachable(dstGS int) {
+	col := ft.next[dstGS*ft.NumNodes : (dstGS+1)*ft.NumNodes]
+	for i := range col {
+		col[i] = -1
+	}
 }
 
 // Release marks the table dead and, when it came from a TablePool, returns

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -20,24 +21,26 @@ import (
 // keeps per worker index, or per root, needs no lock.
 type TreeVisitor func(w, gs int, dist []float64, prev []int32)
 
-// Split solves an instant's trees over a fixed root list on every core: the
-// engine's serial advance, then every worker claims roots from one cursor
-// until the list runs out, each on its own treeScratch. The calling
-// goroutine is worker 0, and one helper goroutine per extra worker waits
-// between instants. A helper the scheduler does not run costs the instant
-// nothing — the caller claims its roots instead — while one that wins a core
-// another goroutine wanted holds it for the rest of the instant's roots,
-// which is what the split costs a packet run (DESIGN.md, "One
-// forwarding-state producer").
+// Split solves an instant's trees over a fixed root list on every core. The
+// calling goroutine is worker 0, and one helper goroutine per extra worker
+// waits between instants. Solve moves the engine to the instant (advance),
+// wakes the helpers, and then, while they claim roots from one cursor, each
+// on its own treeScratch, worker 0 builds the graph of the instant the
+// caller will ask for next (prefetch) before it claims roots too. A helper
+// the scheduler does not run costs the instant nothing — the caller claims
+// its roots instead — while one that wins a core another goroutine wanted
+// holds it for the rest of the instant's roots, which is what the split
+// costs a packet run (DESIGN.md, "One forwarding-state producer").
 //
 // The trees do not depend on the worker count: a root's repair reads only
 // the frozen graph and its own settle order.
 type Split struct {
 	eng   *IncrementalEngine
 	roots []int
+	blank []int // the ground stations outside roots, whose columns Table blanks
 	visit TreeVisitor
 
-	next    atomic.Int64 // cursor into roots for the instant being solved
+	cursor  atomic.Int64 // into roots for the instant being solved
 	helpers int
 	start   chan struct{}  // one receive per helper per instant; closed to stop them
 	busy    sync.WaitGroup // helpers still claiming this instant's roots
@@ -51,7 +54,7 @@ type Split struct {
 // roots, so at one worker no goroutine starts. The split drives the engine
 // from here on; the caller must Close it, or its helpers outlive it.
 func (e *IncrementalEngine) NewSplit(roots []int, visit TreeVisitor) *Split {
-	s := &Split{eng: e, roots: e.roots(roots), visit: visit}
+	s := &Split{eng: e, roots: e.roots(roots), blank: e.inactive(nil, roots), visit: visit}
 	s.helpers = max(0, min(runtime.GOMAXPROCS(0), len(s.roots))-1)
 	s.start = make(chan struct{}, s.helpers)
 	s.exited.Add(s.helpers)
@@ -66,17 +69,53 @@ func (e *IncrementalEngine) NewSplit(roots []int, visit TreeVisitor) *Split {
 func (s *Split) Workers() int { return s.helpers + 1 }
 
 // Solve advances the engine to time tsec and hands every root's tree at
-// that instant to the visitor, returning once all have been visited. Only
-// one goroutine may call Solve at a time, and never after Close.
-func (s *Split) Solve(tsec float64) {
+// that instant to the visitor, returning once all have been visited. next
+// is the time the caller will solve after this one, or NaN when there is
+// none: its graph is built while this instant's trees are solved, and the
+// next Solve adopts it if asked for that time. Only one goroutine may call
+// Solve at a time, and never after Close.
+func (s *Split) Solve(tsec, next float64) {
 	s.eng.advance(tsec)
-	s.next.Store(0)
+	s.cursor.Store(0)
 	s.busy.Add(s.helpers)
 	for range s.helpers {
 		s.start <- struct{}{}
 	}
+	if !math.IsNaN(next) {
+		s.eng.prefetch(next)
+	}
 	s.claim(0, s.eng.scratch)
 	s.busy.Wait()
+}
+
+// Table draws a table for time tsec from the engine's pool for the visitor
+// to fill: the columns of the ground stations outside the split's roots are
+// unreachable, and the roots' columns hold whatever the buffer held until
+// the visitor sets each of them (ForwardingTable.SetDestination) in Solve.
+// Like Solve it is a single-owner call.
+func (s *Split) Table(tsec float64) *ForwardingTable {
+	return s.eng.table(tsec, s.blank)
+}
+
+// Work is what a split's engine has done since it was made, in counts that
+// depend only on the code and its input — not on the host, the scheduler or
+// the worker count — so a budget on them reads the same on any machine.
+type Work struct {
+	Builds     int // instant graphs built and frozen
+	Trees      int // trees solved, on every worker
+	SecondPass int // nodes the repairs sent through their second pass (graph.RepairScratch.SecondPass)
+	Blanked    int // entries set to -1 in tables drawn from the engine's pool, by anyone
+}
+
+// Work returns the engine's counts. Like Solve it is a single-owner call.
+func (s *Split) Work() Work {
+	e := s.eng
+	w := Work{Builds: e.builds, Blanked: int(e.pool.blanked.Load())}
+	for _, sc := range e.scratches {
+		w.Trees += sc.trees
+		w.SecondPass += sc.repair.SecondPass()
+	}
+	return w
 }
 
 // helper is worker w: it solves the roots it claims of every instant Solve
@@ -92,7 +131,7 @@ func (s *Split) helper(w int, sc *treeScratch) {
 // claim solves roots off the shared cursor on worker w until none is left.
 func (s *Split) claim(w int, sc *treeScratch) {
 	for {
-		i := int(s.next.Add(1)) - 1
+		i := int(s.cursor.Add(1)) - 1
 		if i >= len(s.roots) {
 			return
 		}

@@ -40,7 +40,7 @@ stage "build (both variants)"
 go build ./...
 go build -tags hypatia_checks ./...
 
-stage "alloc guards (default build, GOMAXPROCS=1)"
+stage "alloc and work guards (default build, GOMAXPROCS=1)"
 # The allocation contract (there is no static half): testing.AllocsPerRun
 # pins the steady-state hot paths to their budgets. Run in the default build
 # — the hypatia_checks build boxes assertion arguments and runs from-scratch
@@ -63,9 +63,12 @@ stage "alloc guards (default build, GOMAXPROCS=1)"
 # more pin where a run's forwarding-state memory is allocated, which is what
 # keeps a benchmark's timed-region allocation from depending on the
 # scheduler: the incremental engine sizes every arena in its first step, and
-# the pipeline never needs a table beyond the ones it reserves.
+# the pipeline never needs a table beyond the ones it reserves. The
+# TestWorkGuard* tests hold work counts to budgets the same way (in
+# internal/core: graph builds per instant, second-pass nodes per tree,
+# table entries set to -1 per instant); the -run prefix picks up new ones too.
 GOMAXPROCS=1 go test -count=1 \
-    -run 'TestAllocGuard|TestEngineAllocatesArenasOnlyInFirstStep|TestPipelineHoldsAtMostReservedTables' \
+    -run 'TestAllocGuard|TestWorkGuard|TestEngineAllocatesArenasOnlyInFirstStep|TestPipelineHoldsAtMostReservedTables' \
     ./internal/graph/ ./internal/routing/ ./internal/analysis/ ./internal/sim/ ./internal/transport/ ./internal/core/
 
 stage "incremental oracle exercised (comparison count must be nonzero)"
