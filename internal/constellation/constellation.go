@@ -340,12 +340,25 @@ func (c *Constellation) PositionsECEF(t float64, dst []geom.Vec3) []geom.Vec3 {
 // it is what makes marginal high-latitude coverage (e.g. Saint Petersburg
 // on Kuiper's 51.9-degree shell) mostly-connected-with-outages, as the
 // paper reports, rather than never connected.
-func MaxGSLRange(h, minEl float64) float64 {
-	if minEl <= 0 {
+func MaxGSLRange(h, minEl float64) float64 { return NewGSLCone(minEl).Range(h) }
+
+// GSLCone is MaxGSLRange's criterion for one minimum elevation with the
+// elevation's sine taken once, for a scan that ranges many satellites under
+// the same elevation. Range(h) equals MaxGSLRange(h, minEl) bit for bit.
+type GSLCone struct {
+	minEl, sin float64
+}
+
+// NewGSLCone returns the cone of minimum elevation minEl (radians).
+func NewGSLCone(minEl float64) GSLCone { return GSLCone{minEl: minEl, sin: math.Sin(minEl)} }
+
+// Range returns the connectivity radius for a satellite at altitude h.
+func (c GSLCone) Range(h float64) float64 {
+	if c.minEl <= 0 {
 		// Degenerate to the horizon-limited slant range.
 		return geom.MaxSlantRange(h, 0)
 	}
-	return h / math.Sin(minEl)
+	return h / c.sin
 }
 
 // VisibleFrom returns the indices of satellites connectable from the
@@ -365,10 +378,11 @@ func (c *Constellation) VisibleFromInto(obs geom.LLA, t float64, positions []geo
 		positions = c.PositionsECEF(t, nil)
 	}
 	obsECEF := obs.ToECEF()
+	cone := NewGSLCone(c.MinElev)
 	out = out[:0]
 	for i, p := range positions {
 		h := p.Norm() - geom.EarthRadius // instantaneous altitude
-		if p.Distance(obsECEF) > MaxGSLRange(h, c.MinElev) {
+		if p.Distance(obsECEF) > cone.Range(h) {
 			continue
 		}
 		if geom.Elevation(obs, p) < 0 {

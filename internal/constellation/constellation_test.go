@@ -443,6 +443,40 @@ func TestMaxGSLRange(t *testing.T) {
 	}
 }
 
+// TestGSLConeMatchesMaxGSLRange: a cone built once per elevation ranges
+// every altitude bit for bit as MaxGSLRange does, and as its written-out
+// formula does, over a sweep of altitudes and elevations that includes
+// zero and negative elevations (the horizon fallback).
+func TestGSLConeMatchesMaxGSLRange(t *testing.T) {
+	formula := func(h, minEl float64) float64 {
+		if minEl <= 0 {
+			return geom.MaxSlantRange(h, 0)
+		}
+		return h / math.Sin(minEl)
+	}
+	elevations := []float64{math.Inf(-1), -math.Pi / 2, -0.3, -1e-12, math.Copysign(0, -1), 0, 1e-12}
+	for deg := 0.25; deg < 90; deg += 0.25 {
+		elevations = append(elevations, geom.Rad(deg))
+	}
+	checked := 0
+	for _, minEl := range elevations {
+		cone := NewGSLCone(minEl)
+		for h := 150e3; h <= 40000e3; h *= 1.0173 {
+			for _, alt := range []float64{h, math.Nextafter(h, 0), h + 0.5} {
+				got := cone.Range(alt)
+				if want := MaxGSLRange(alt, minEl); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("minEl %v h %v: cone %v, MaxGSLRange %v", minEl, alt, got, want)
+				}
+				if want := formula(alt, minEl); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("minEl %v h %v: cone %v, formula %v", minEl, alt, got, want)
+				}
+				checked++
+			}
+		}
+	}
+	t.Logf("%d (altitude, elevation) points", checked)
+}
+
 func TestVisibleFromCubeMatchesPaperCoverage(t *testing.T) {
 	// The flat-earth cone criterion must make Saint Petersburg (59.93N)
 	// reachable from Kuiper K1 most of the time — the paper's Fig 3(a)

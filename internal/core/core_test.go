@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,6 +171,93 @@ func TestRunCloseStopsProducer(t *testing.T) {
 		if got := runtime.NumGoroutine(); got > before {
 			t.Errorf("%s: %d goroutines after Close, %d before NewRun", tc.name, got, before)
 		}
+	}
+}
+
+// TestCloseStopsWithinOneTree: a run abandoned mid-instant stops within one
+// tree per split worker. The stop comes as it does from Close
+// (pipeline.close calls Split.Stop), from a goroutine other than the
+// split's, while a K1 instant toward all 100 cities is partly solved: after
+// it, Work().Trees advances by at most Workers(), the Solve reports the
+// instant incomplete, every later Solve does nothing, and Close leaves no
+// helper. Then a K1 run closed right after NewRun, while its producer is in
+// its second instant, leaves no goroutine and no incomplete table in flight.
+func TestCloseStopsWithinOneTree(t *testing.T) {
+	topo := benchKuiperTopo(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const stopInstant, stopAfter = 2, 37 // the stop lands after instant 2's 37th tree
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		before := runtime.NumGoroutine()
+		var (
+			instant int
+			visited atomic.Int64 // trees visited in the instant
+			atStop  int64        // visited right after the stop
+			split   *routing.Split
+		)
+		stopAsked, stopDone := make(chan struct{}), make(chan struct{})
+		split = routing.NewIncrementalEngine(topo, nil).NewSplit(nil, func(_, _ int, _ []float64, _ []int32) {
+			if visited.Add(1) == stopAfter && instant == stopInstant {
+				stopAsked <- struct{}{}
+				<-stopDone // hold this worker's tree until the stop is in
+			}
+		})
+		go func() { // the closer
+			<-stopAsked
+			split.Stop()
+			atStop = visited.Load()
+			close(stopDone)
+		}()
+		for instant = 0; instant <= stopInstant; instant++ {
+			visited.Store(0)
+			w0 := split.Work()
+			done := split.Solve(0.1*float64(instant), 0.1*float64(instant+1))
+			w := split.Work()
+			if instant < stopInstant {
+				if !done || w.Trees-w0.Trees != topo.NumGS() {
+					t.Fatalf("GOMAXPROCS=%d instant %d: complete %v after %d trees", procs, instant, done, w.Trees-w0.Trees)
+				}
+				continue
+			}
+			if done {
+				t.Errorf("GOMAXPROCS=%d: the stopped instant reports complete", procs)
+			}
+			if after := int64(w.Trees-w0.Trees) - atStop; after > int64(split.Workers()) {
+				t.Errorf("GOMAXPROCS=%d: %d trees solved after the stop, want at most %d (one per worker)", procs, after, split.Workers())
+			}
+		}
+		w := split.Work()
+		if split.Solve(5, math.NaN()) {
+			t.Errorf("GOMAXPROCS=%d: a Solve after the stop reports complete", procs)
+		}
+		if split.Work() != w {
+			t.Errorf("GOMAXPROCS=%d: a Solve after the stop did work: %+v, then %+v", procs, w, split.Work())
+		}
+		split.Close()
+		for i := 0; runtime.NumGoroutine() > before && i < 200; i++ {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > before {
+			t.Errorf("GOMAXPROCS=%d: %d goroutines after Close, %d before the split", procs, got, before)
+		}
+	}
+
+	before := runtime.NumGoroutine()
+	r, err := NewRun(RunConfig{Constellation: constellation.Kuiper(), GroundStations: groundstation.Top100Cities(), Duration: 2 * sim.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	for len(r.pipe.tables) > 0 { // the producer has exited: what it sent is all there
+		if ft := <-r.pipe.tables; !ft.Equal(r.Topo.Snapshot(ft.T).ForwardingTable()) {
+			t.Errorf("the closed run's producer sent an incomplete table for t=%v", ft.T)
+		}
+	}
+	for i := 0; runtime.NumGoroutine() > before && i < 200; i++ {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("closed K1 run: %d goroutines after Close, %d before NewRun", got, before)
 	}
 }
 

@@ -42,6 +42,8 @@ type pipeline struct {
 	done    chan struct{} // closed by close to stop the producer early
 	stopped chan struct{} // closed by the producer on exit
 	once    sync.Once
+
+	split *routing.Split // the default producer's, which close stops mid-instant; nil for a custom strategy
 }
 
 // producerState is the default producer's: the incremental engine's split
@@ -68,10 +70,15 @@ func newProducerState(topo *routing.Topology, active []int) *producerState {
 
 // table computes the table of time tsec, building the graph of next (NaN:
 // none) while the trees run. Only the columns of destinations outside the
-// run's list are set unreachable first; every tree overwrites its own.
+// run's list are set unreachable first; every tree overwrites its own. It
+// returns nil when the split was stopped before every tree was in: such a
+// table is incomplete, and goes back to the pool.
 func (ps *producerState) table(tsec, next float64) *routing.ForwardingTable {
 	ps.ft = ps.split.Table(tsec)
-	ps.split.Solve(tsec, next)
+	if !ps.split.Solve(tsec, next) {
+		ps.ft.Release()
+		return nil
+	}
 	return ps.ft
 }
 
@@ -85,6 +92,7 @@ func newPipeline(topo *routing.Topology, strategy Strategy, active []int, times 
 	var ps *producerState
 	if strategy == nil {
 		ps = newProducerState(topo, active)
+		p.split = ps.split
 	}
 	go p.producer(topo, strategy, active, ps, times)
 	return p
@@ -120,7 +128,8 @@ func (p *pipeline) producer(topo *routing.Topology, strategy Strategy, active []
 		// A closed run stops here rather than at the send below, where a
 		// free buffer slot and the stop signal are both ready and select
 		// picks one at random: close then waits for the step in progress
-		// and not, half the time, for another one after it.
+		// (a custom strategy's whole, the split's one tree per worker) and
+		// not, half the time, for another one after it.
 		select {
 		case <-p.done:
 			return
@@ -132,7 +141,9 @@ func (p *pipeline) producer(topo *routing.Topology, strategy Strategy, active []
 			if i+1 < len(times) {
 				next = times[i+1].Seconds()
 			}
-			ft = ps.table(at.Seconds(), next)
+			if ft = ps.table(at.Seconds(), next); ft == nil {
+				return // stopped by close mid-instant
+			}
 		} else {
 			snap = topo.SnapshotInto(at.Seconds(), snap)
 			ft = strategy(snap, active)
@@ -145,11 +156,18 @@ func (p *pipeline) producer(topo *routing.Topology, strategy Strategy, active []
 	}
 }
 
-// close stops the producer and its helpers and waits for them to exit. Only
-// needed when a run is abandoned before all update instants were consumed;
-// a run executed to completion drains the pipeline and the producer exits
-// on its own. Idempotent; must not race with a receive from tables.
+// close stops the producer and its helpers and waits for them to exit: the
+// instant in progress is abandoned within one tree per split worker, and its
+// incomplete table is never sent. Only needed when a run is abandoned before
+// all update instants were consumed; a run executed to completion drains the
+// pipeline and the producer exits on its own. Idempotent; must not race
+// with a receive from tables.
 func (p *pipeline) close() {
-	p.once.Do(func() { close(p.done) })
+	p.once.Do(func() {
+		if p.split != nil {
+			p.split.Stop()
+		}
+		close(p.done)
+	})
 	<-p.stopped
 }

@@ -176,11 +176,25 @@ func (g *Graph) AddEdge(a, b int, w float64) {
 
 // indexedHeap is a binary min-heap of nodes keyed by tentative distance,
 // with ties broken by node index for deterministic path selection. It
-// supports decrease-key via a position index.
+// supports decrease-key via a position index. Each entry carries its key, so
+// a comparison reads the heap array alone, and a sift moves a hole to the
+// entry's final slot rather than swapping it there one level at a time. A
+// node is in the heap at most once, so the array never holds more than n
+// entries.
 type indexedHeap struct {
-	nodes []int32   // heap array of node ids
-	pos   []int32   // pos[node] = index in nodes, -1 if absent
-	key   []float64 // key[node] = current tentative distance
+	items []heapItem // the heap array
+	pos   []int32    // pos[node] = index in items, -1 if absent
+}
+
+// heapItem is a heap entry: a node and its current tentative distance.
+type heapItem struct {
+	key  float64
+	node int32
+}
+
+// before is the heap order: by key, then by node id.
+func (a heapItem) before(b heapItem) bool {
+	return a.key < b.key || a.key == b.key && a.node < b.node
 }
 
 // reset prepares the heap for a graph of n nodes, reusing the backing
@@ -189,91 +203,85 @@ type indexedHeap struct {
 // entry), so reuse needs no re-initialization sweep.
 func (h *indexedHeap) reset(n int) {
 	if cap(h.pos) < n {
-		h.nodes = make([]int32, 0, n)
+		h.items = make([]heapItem, 0, n)
 		h.pos = make([]int32, n)
-		h.key = make([]float64, n)
 		for i := range h.pos {
 			h.pos[i] = -1
 		}
 		return
 	}
-	h.nodes = h.nodes[:0]
+	h.items = h.items[:0]
 	h.pos = h.pos[:n]
-	h.key = h.key[:n]
 }
 
-func (h *indexedHeap) less(a, b int32) bool {
-	if h.key[a] != h.key[b] {
-		return h.key[a] < h.key[b]
-	}
-	return a < b
-}
-
-func (h *indexedHeap) swap(i, j int) {
-	h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i]
-	h.pos[h.nodes[i]] = int32(i)
-	h.pos[h.nodes[j]] = int32(j)
-}
-
-func (h *indexedHeap) up(i int) {
+// up places entry it at the hole i or above it, moving each parent that it
+// comes before one level down.
+func (h *indexedHeap) up(i int, it heapItem) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.nodes[i], h.nodes[parent]) {
+		p := h.items[parent]
+		if !it.before(p) {
 			break
 		}
-		h.swap(i, parent)
+		h.items[i] = p
+		h.pos[p.node] = int32(i)
 		i = parent
 	}
+	h.items[i] = it
+	h.pos[it.node] = int32(i)
 }
 
-func (h *indexedHeap) down(i int) {
+// down places entry it at the hole i or below it, moving each smaller child
+// that comes before it one level up.
+func (h *indexedHeap) down(i int, it heapItem) {
+	n := len(h.items)
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h.nodes) && h.less(h.nodes[l], h.nodes[small]) {
-			small = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < len(h.nodes) && h.less(h.nodes[r], h.nodes[small]) {
-			small = r
+		child := h.items[c]
+		if r := c + 1; r < n && h.items[r].before(child) {
+			c, child = r, h.items[r]
 		}
-		if small == i {
-			return
+		if !child.before(it) {
+			break
 		}
-		h.swap(i, small)
-		i = small
+		h.items[i] = child
+		h.pos[child.node] = int32(i)
+		i = c
 	}
+	h.items[i] = it
+	h.pos[it.node] = int32(i)
 }
 
 // push inserts node v with key k, or decreases its key if already present.
 func (h *indexedHeap) push(v int32, k float64) {
-	if h.pos[v] >= 0 {
-		if k >= h.key[v] {
+	if i := h.pos[v]; i >= 0 {
+		if k >= h.items[i].key {
 			return
 		}
-		h.key[v] = k
-		h.up(int(h.pos[v]))
+		h.up(int(i), heapItem{key: k, node: v})
 		return
 	}
-	h.key[v] = k
-	h.pos[v] = int32(len(h.nodes))
-	h.nodes = append(h.nodes, v)
-	h.up(len(h.nodes) - 1)
+	h.items = append(h.items, heapItem{})
+	h.up(len(h.items)-1, heapItem{key: k, node: v})
 }
 
 // pop removes and returns the minimum node.
 func (h *indexedHeap) pop() int32 {
-	top := h.nodes[0]
-	last := len(h.nodes) - 1
-	h.swap(0, last)
-	h.nodes = h.nodes[:last]
+	top := h.items[0].node
+	last := len(h.items) - 1
+	it := h.items[last]
+	h.items = h.items[:last]
 	h.pos[top] = -1
 	if last > 0 {
-		h.down(0)
+		h.down(0, it)
 	}
 	return top
 }
 
-func (h *indexedHeap) empty() bool { return len(h.nodes) == 0 }
+func (h *indexedHeap) empty() bool { return len(h.items) == 0 }
 
 // Scratch holds the reusable internals of a Dijkstra run (the indexed
 // binary heap). The zero value is ready for use; a Scratch must not be

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -399,5 +400,52 @@ func TestDijkstraScratchSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("scratch Dijkstra allocated %v times per run", allocs)
+	}
+}
+
+// TestDijkstraSettleOrderProperty: on random graphs with tie-heavy integer
+// weights, many of them disconnected, the recorded Scratch.Order is the
+// nodes sorted by (dist, id) with the unreached last by id — the order the
+// repair carries — and dist equals Bellman–Ford's exactly. The heap holds a
+// node at most once, so its array never grows past n entries.
+func TestDijkstraSettleOrderProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var reused Scratch
+	disconnected := 0
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.Intn(300)
+		g := New(n)
+		for i := rng.Intn(4 * n); i > 0; i-- {
+			if a, b := rng.Intn(n), rng.Intn(n); a != b {
+				g.AddEdge(a, b, float64(1+rng.Intn(3)))
+			}
+		}
+		src := rng.Intn(n)
+		fresh := Scratch{Order: make([]int32, n)}
+		dist, prev := g.DijkstraScratch(src, nil, nil, &fresh)
+		if want := settleOrder(dist); !slices.Equal(fresh.Order, want) {
+			t.Fatalf("trial %d: recorded order %v, (dist, id) order %v", trial, fresh.Order, want)
+		}
+		if c := cap(fresh.h.items); c > n {
+			t.Fatalf("trial %d: heap array grew to %d entries over %d nodes", trial, c, n)
+		}
+		bf, _ := g.BellmanFord(src)
+		for v := range dist {
+			if math.Float64bits(dist[v]) != math.Float64bits(bf[v]) {
+				t.Fatalf("trial %d: dist[%d] = %v, Bellman-Ford %v", trial, v, dist[v], bf[v])
+			}
+		}
+		if slices.Contains(prev, -1) {
+			disconnected++
+		}
+		// A scratch carried across graphs of every size gives the same run.
+		reused.Order = make([]int32, n)
+		d2, p2 := g.DijkstraScratch(src, nil, nil, &reused)
+		if !slices.Equal(d2, dist) || !slices.Equal(p2, prev) || !slices.Equal(reused.Order, fresh.Order) {
+			t.Fatalf("trial %d: a reused scratch changed the run", trial)
+		}
+	}
+	if disconnected < 40 {
+		t.Fatalf("only %d of 400 graphs were disconnected; unreached nodes are not exercised", disconnected)
 	}
 }

@@ -59,6 +59,12 @@ type DeltaState struct {
 	visValid  bool        // cache primed and valid for forward stepping
 	lastT     float64
 
+	// cone is the topology's GSL range criterion and rate the speed bound
+	// on a pair's distance to it (refreshPair), both fixed by its minimum
+	// elevation at reset; rate is 0 when the elevation is not positive.
+	cone constellation.GSLCone
+	rate float64
+
 	// visScratch is verifyVisibility's from-scratch scan buffer, held on
 	// the state so the hypatia_checks cross-check does not allocate per
 	// instant.
@@ -111,18 +117,23 @@ func (d *DeltaState) reset(t *Topology) {
 		sinLon, cosLon := math.Sincos(gs.Position.Lon)
 		d.up[i] = geom.Vec3{X: cosLat * cosLon, Y: cosLat * sinLon, Z: sinLat}
 	}
+	minEl := t.Constellation.MinElev
+	d.cone = constellation.NewGSLCone(minEl)
+	d.rate = 0
+	if minEl > 0 {
+		d.rate = (1 + 1/math.Sin(minEl)) * maxECEFSpeed
+	}
 }
 
 // refreshPair recomputes one pair's visibility with VisibleFromInto's exact
 // criteria and stamps its next-check deadline from the distance-to-boundary
 // margins. It reports whether the cached status flipped.
 func (d *DeltaState) refreshPair(t *Topology, gi, si int, tsec float64, pos []geom.Vec3) bool {
-	c := t.Constellation
 	p := pos[si]
 	obs := t.gsECEF[gi]
 	h := p.Norm() - geom.EarthRadius
 	dist := p.Distance(obs)
-	rng := constellation.MaxGSLRange(h, c.MinElev)
+	rng := d.cone.Range(h)
 	// The local-up component of the GS→satellite vector has exactly the
 	// sign of geom.Elevation (asin of the component over a positive range),
 	// so `u < 0` reproduces the horizon criterion bitwise.
@@ -132,12 +143,12 @@ func (d *DeltaState) refreshPair(t *Topology, gi, si int, tsec float64, pos []ge
 	// Each criterion's margin shrinks at a bounded rate: the slant distance
 	// and the altitude behind MaxGSLRange both move at ≤ maxECEFSpeed, and
 	// for minEl > 0 the range limit is h/sin(minEl), so |d(dist-rng)/dt| ≤
-	// (1 + 1/sin(minEl))·maxECEFSpeed. The up component is a fixed-direction
-	// projection of the satellite position, so it moves at ≤ maxECEFSpeed.
+	// (1 + 1/sin(minEl))·maxECEFSpeed (d.rate). The up component is a
+	// fixed-direction projection of the satellite position, so it moves at
+	// ≤ maxECEFSpeed.
 	safe := 0.0
-	if c.MinElev > 0 {
-		rate := (1 + 1/math.Sin(c.MinElev)) * maxECEFSpeed
-		safe = math.Abs(dist-rng) / rate
+	if d.rate > 0 {
+		safe = math.Abs(dist-rng) / d.rate
 		if s2 := math.Abs(u) / maxECEFSpeed; s2 < safe {
 			safe = s2
 		}
@@ -439,7 +450,8 @@ type IncrementalEngine struct {
 	blank []int
 	mark  []bool
 
-	builds int // snapshots built and frozen
+	builds  int // snapshots built and frozen
+	blanked int // entries table set to -1
 
 	oracle oracleSnapshot // hypatia_checks only
 }
@@ -596,7 +608,7 @@ func (e *IncrementalEngine) table(tsec float64, blank []int) *ForwardingTable {
 	for _, gs := range blank {
 		ft.unreachable(gs)
 	}
-	e.pool.blanked.Add(int64(len(blank) * ft.NumNodes))
+	e.blanked += len(blank) * ft.NumNodes
 	return ft
 }
 

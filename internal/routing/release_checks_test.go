@@ -14,7 +14,7 @@ import (
 // to two owners at once.
 func TestDoubleReleaseCaught(t *testing.T) {
 	var pool TablePool
-	ft := pool.Empty(3, 4, 1)
+	ft := pool.take(3, 4, 1)
 	ft.Release()
 	defer func() {
 		r := recover()

@@ -11,7 +11,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"hypatia/internal/check"
 	"hypatia/internal/constellation"
@@ -302,7 +301,7 @@ func NewEmptyForwardingTable(t float64, numNodes, numGS int) *ForwardingTable {
 }
 
 // TablePool recycles forwarding-table buffers across update instants. The
-// zero value is ready for use and safe for concurrent Empty/Release calls.
+// zero value is ready for use and safe for concurrent take/Release calls.
 // The forwarding-state engine allocates each instant's table from a pool
 // and releases it once the next instant's table has been installed, so a
 // steady-state run cycles a handful of buffers instead of allocating
@@ -310,10 +309,6 @@ func NewEmptyForwardingTable(t float64, numNodes, numGS int) *ForwardingTable {
 type TablePool struct {
 	mu   sync.Mutex
 	free []*ForwardingTable
-
-	// blanked counts the entries set to -1 in the tables drawn from the
-	// pool (Split.Work).
-	blanked atomic.Int64
 }
 
 // Reserve stocks the pool with n tables of numNodes × numGS entries whose
@@ -321,7 +316,7 @@ type TablePool struct {
 // it can ever hold at once pays for them at construction and never again. One
 // slab rather than n buffers because a slab this size comes fresh from the
 // operating system and a table nobody draws is never touched: reserving more
-// than a run uses costs address space, not resident memory. Empty draws the
+// than a run uses costs address space, not resident memory. take draws the
 // most recently returned table first, which keeps the working set at the
 // tables actually in rotation.
 func (p *TablePool) Reserve(n, numNodes, numGS int) {
@@ -339,21 +334,10 @@ func (p *TablePool) Reserve(n, numNodes, numGS int) {
 	p.mu.Unlock()
 }
 
-// Empty returns a table with every entry unreachable (as
-// NewEmptyForwardingTable), drawing the backing buffer from the pool when
-// one large enough is available.
-func (p *TablePool) Empty(t float64, numNodes, numGS int) *ForwardingTable {
-	ft := p.take(t, numNodes, numGS)
-	for i := range ft.next {
-		ft.next[i] = -1
-	}
-	p.blanked.Add(int64(len(ft.next)))
-	return ft
-}
-
-// take draws a table for time t as Empty does but leaves its entries as the
-// buffer had them: whatever its last owner wrote, or zero for a buffer never
-// used (Reserve) or freshly allocated.
+// take draws a table for time t of numNodes × numGS entries, from the pool
+// when a buffer large enough is free and freshly allocated otherwise. It
+// leaves the entries as the buffer had them: whatever its last owner wrote,
+// or zero for a buffer never used (Reserve) or freshly allocated.
 func (p *TablePool) take(t float64, numNodes, numGS int) *ForwardingTable {
 	need := numNodes * numGS
 	var ft *ForwardingTable

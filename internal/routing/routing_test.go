@@ -498,21 +498,14 @@ func TestSnapshotIntoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestTablePoolRecycling exercises the Empty/Release lifecycle: a released
-// buffer is reused, reused tables start all-unreachable, Release is
-// nil-safe, and (in unchecked builds) a repeated Release is tolerated. The
-// hypatia_checks build instead panics on the repeat — that path is pinned
-// by TestDoubleReleaseCaught in release_checks_test.go.
+// TestTablePoolRecycling exercises the take/Release lifecycle: a released
+// buffer is reused, Release is nil-safe, and (in unchecked builds) a
+// repeated Release is tolerated. The hypatia_checks build instead panics on
+// the repeat — that path is pinned by TestDoubleReleaseCaught in
+// release_checks_test.go.
 func TestTablePoolRecycling(t *testing.T) {
 	var pool TablePool
-	a := pool.Empty(1, 8, 2)
-	for gs := 0; gs < 2; gs++ {
-		for node := 0; node < 8; node++ {
-			if a.NextHop(node, gs) != -1 {
-				t.Fatalf("fresh pooled table entry (%d,%d) = %d", node, gs, a.NextHop(node, gs))
-			}
-		}
-	}
+	a := pool.take(1, 8, 2)
 	prev := []int32{5, 0, 0, 0, 0, 0, 0, 7} // junk column to dirty the buffer
 	a.SetDestination(1, prev)
 	a.Release()
@@ -522,20 +515,16 @@ func TestTablePoolRecycling(t *testing.T) {
 	var nilTable *ForwardingTable
 	nilTable.Release() // nil-safe
 
-	b := pool.Empty(2, 8, 2)
-	if b.T != 2 {
-		t.Errorf("reused table T = %v", b.T)
+	b := pool.take(2, 8, 2)
+	if b != a {
+		t.Error("the released table was not reused")
 	}
-	for gs := 0; gs < 2; gs++ {
-		for node := 0; node < 8; node++ {
-			if b.NextHop(node, gs) != -1 {
-				t.Fatalf("reused table entry (%d,%d) = %d, want -1", node, gs, b.NextHop(node, gs))
-			}
-		}
+	if b.T != 2 || b.NumNodes != 8 || b.NumGS != 2 {
+		t.Errorf("reused table is t=%v %d×%d, want t=2 8×2", b.T, b.NumNodes, b.NumGS)
 	}
 	// A request larger than any pooled buffer allocates fresh.
-	c := pool.Empty(3, 100, 100)
-	if c.NumNodes != 100 || c.NumGS != 100 {
+	c := pool.take(3, 100, 100)
+	if c == a || c.NumNodes != 100 || c.NumGS != 100 {
 		t.Errorf("oversize table dims = %d×%d", c.NumNodes, c.NumGS)
 	}
 }
@@ -547,7 +536,7 @@ func TestUseAfterReleaseCaught(t *testing.T) {
 		t.Skip("requires -tags hypatia_checks")
 	}
 	var pool TablePool
-	ft := pool.Empty(0, 4, 1)
+	ft := pool.take(0, 4, 1)
 	ft.Release()
 	defer func() {
 		if recover() == nil {

@@ -34,6 +34,10 @@ type TreeVisitor func(w, gs int, dist []float64, prev []int32)
 //
 // The trees do not depend on the worker count: a root's repair reads only
 // the frozen graph and its own settle order.
+//
+// Stop, from any goroutine, abandons the instant in progress: every worker
+// finishes the tree it holds and claims no other, so a split stops within
+// one tree per worker, and every later Solve returns at once.
 type Split struct {
 	eng   *IncrementalEngine
 	roots []int
@@ -41,6 +45,7 @@ type Split struct {
 	visit TreeVisitor
 
 	cursor  atomic.Int64 // into roots for the instant being solved
+	stopped atomic.Bool  // set by Stop, for good
 	helpers int
 	start   chan struct{}  // one receive per helper per instant; closed to stop them
 	busy    sync.WaitGroup // helpers still claiming this instant's roots
@@ -72,21 +77,35 @@ func (s *Split) Workers() int { return s.helpers + 1 }
 // that instant to the visitor, returning once all have been visited. next
 // is the time the caller will solve after this one, or NaN when there is
 // none: its graph is built while this instant's trees are solved, and the
-// next Solve adopts it if asked for that time. Only one goroutine may call
-// Solve at a time, and never after Close.
-func (s *Split) Solve(tsec, next float64) {
+// next Solve adopts it if asked for that time. Solve reports whether every
+// root was visited, which is false only after Stop: then the instant's
+// trees are partly visited or not at all, and whatever the visitor filled
+// is incomplete. Only one goroutine may call Solve at a time, and never
+// after Close.
+func (s *Split) Solve(tsec, next float64) bool {
+	if s.stopped.Load() {
+		return false
+	}
 	s.eng.advance(tsec)
 	s.cursor.Store(0)
 	s.busy.Add(s.helpers)
 	for range s.helpers {
 		s.start <- struct{}{}
 	}
-	if !math.IsNaN(next) {
+	if !math.IsNaN(next) && !s.stopped.Load() {
 		s.eng.prefetch(next)
 	}
 	s.claim(0, s.eng.scratch)
 	s.busy.Wait()
+	return s.cursor.Load() >= int64(len(s.roots))
 }
+
+// Stop abandons the split's work: the Solve in progress, if any, returns
+// once each worker has finished the tree it holds, and every later Solve
+// returns false without solving anything. Unlike the split's other calls
+// Stop may come from any goroutine, any number of times; the owner must
+// still Close the split.
+func (s *Split) Stop() { s.stopped.Store(true) }
 
 // Table draws a table for time tsec from the engine's pool for the visitor
 // to fill: the columns of the ground stations outside the split's roots are
@@ -104,13 +123,13 @@ type Work struct {
 	Builds     int // instant graphs built and frozen
 	Trees      int // trees solved, on every worker
 	SecondPass int // nodes the repairs sent through their second pass (graph.RepairScratch.SecondPass)
-	Blanked    int // entries set to -1 in tables drawn from the engine's pool, by anyone
+	Blanked    int // entries set to -1 in the tables the engine drew (Split.Table, Step)
 }
 
 // Work returns the engine's counts. Like Solve it is a single-owner call.
 func (s *Split) Work() Work {
 	e := s.eng
-	w := Work{Builds: e.builds, Blanked: int(e.pool.blanked.Load())}
+	w := Work{Builds: e.builds, Blanked: e.blanked}
 	for _, sc := range e.scratches {
 		w.Trees += sc.trees
 		w.SecondPass += sc.repair.SecondPass()
@@ -128,9 +147,11 @@ func (s *Split) helper(w int, sc *treeScratch) {
 	}
 }
 
-// claim solves roots off the shared cursor on worker w until none is left.
+// claim solves roots off the shared cursor on worker w until none is left
+// or the split is stopped. A stopped worker leaves the cursor alone, so
+// Solve can tell from it whether every root was claimed.
 func (s *Split) claim(w int, sc *treeScratch) {
-	for {
+	for !s.stopped.Load() {
 		i := int(s.cursor.Add(1)) - 1
 		if i >= len(s.roots) {
 			return

@@ -65,7 +65,8 @@ stage "alloc and work guards (default build, GOMAXPROCS=1)"
 # scheduler: the incremental engine sizes every arena in its first step, and
 # the pipeline never needs a table beyond the ones it reserves. The
 # TestWorkGuard* tests hold work counts to budgets the same way (in
-# internal/core: graph builds per instant, second-pass nodes per tree,
+# internal/core on fstate_k1's shape and in internal/analysis on
+# analysis_s1_pairs': graph builds per instant, second-pass nodes per tree,
 # table entries set to -1 per instant); the -run prefix picks up new ones too.
 GOMAXPROCS=1 go test -count=1 \
     -run 'TestAllocGuard|TestWorkGuard|TestEngineAllocatesArenasOnlyInFirstStep|TestPipelineHoldsAtMostReservedTables' \
