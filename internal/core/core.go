@@ -105,12 +105,12 @@ type Run struct {
 	pipe *pipeline
 }
 
-// NewRun generates the constellation, builds the network, starts the
-// forwarding-state producer, installs the t=0 state, and schedules one
-// forwarding update per later instant of the run's duration. Each update
-// takes the precomputed table for its instant off the pipeline — tables for
-// future instants are computed concurrently with DES execution — and
-// recycles the table it displaces.
+// NewRun generates the constellation, starts the forwarding-state producer,
+// builds the network while the producer solves t=0, installs the t=0 state,
+// and schedules one forwarding update per later instant of the run's
+// duration. Each update takes the precomputed table for its instant off the
+// pipeline — tables for future instants are computed concurrently with DES
+// execution — and recycles the table it displaces.
 func NewRun(cfg RunConfig) (*Run, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Duration < 0 || cfg.UpdateInterval < 0 {
@@ -134,21 +134,21 @@ func NewRun(cfg RunConfig) (*Run, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	s := sim.NewSimulator()
-	net, err := sim.NewNetwork(s, topo, cfg.Net)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	r := &Run{Cfg: cfg, Topo: topo, Sim: s, Net: net, Flows: &transport.FlowIDs{}}
-
 	times := make([]sim.Time, 0, int(cfg.Duration/cfg.UpdateInterval)+1)
 	for at := sim.Time(0); at <= cfg.Duration; at += cfg.UpdateInterval {
 		times = append(times, at)
 	}
-	r.pipe = newPipeline(topo, cfg.Strategy, cfg.ActiveDstGS, times)
-	net.InstallForwarding(<-r.pipe.tables)
-	net.ScheduleInstalls(times[1:], r.pipe.tables)
-	return r, nil
+	// The producer solves instant 0 while the network is built.
+	pipe := newPipeline(topo, cfg.Strategy, cfg.ActiveDstGS, times)
+	s := sim.NewSimulator()
+	net, err := sim.NewNetwork(s, topo, cfg.Net)
+	if err != nil {
+		pipe.close()
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	net.InstallForwarding(<-pipe.tables)
+	net.ScheduleInstalls(times[1:], pipe.tables)
+	return &Run{Cfg: cfg, Topo: topo, Sim: s, Net: net, Flows: &transport.FlowIDs{}, pipe: pipe}, nil
 }
 
 // Close shuts down the run's forwarding-state pipeline. It is only needed

@@ -63,7 +63,11 @@ func TestNewRunDefaults(t *testing.T) {
 	}
 }
 
+// TestNewRunRejectsBadInputs: every malformed config is an error, and none
+// leaves a goroutine behind — NewRun starts the producer before it builds
+// the network, so a Net config the network rejects must stop it again.
 func TestNewRunRejectsBadInputs(t *testing.T) {
+	before := runtime.NumGoroutine()
 	if _, err := NewRun(RunConfig{GroundStations: fourCities(t)}); err == nil {
 		t.Error("empty constellation accepted")
 	}
@@ -76,6 +80,11 @@ func TestNewRunRejectsBadInputs(t *testing.T) {
 		"negative active destination":  func(c *RunConfig) { c.ActiveDstGS = []int{0, -1} },
 		"active destination past end":  func(c *RunConfig) { c.ActiveDstGS = []int{0, 4} },
 		"duplicate active destination": func(c *RunConfig) { c.ActiveDstGS = []int{1, 3, 1} },
+		"negative queue capacity":      func(c *RunConfig) { c.Net.QueuePackets = -1 },
+		"negative ISL rate":            func(c *RunConfig) { c.Net.ISLRateBps = -1 },
+		"negative GSL rate":            func(c *RunConfig) { c.Net.GSLRateBps = -1e6 },
+		"negative hop limit":           func(c *RunConfig) { c.Net.MaxHops = -1 },
+		"negative position quantum":    func(c *RunConfig) { c.Net.PosQuantum = -sim.Millisecond },
 	} {
 		cfg := RunConfig{Constellation: miniConfig(), GroundStations: fourCities(t), Duration: sim.Second}
 		mutate(&cfg)
@@ -83,6 +92,12 @@ func TestNewRunRejectsBadInputs(t *testing.T) {
 			r.Close()
 			t.Errorf("%s accepted", name)
 		}
+	}
+	for i := 0; runtime.NumGoroutine() > before && i < 200; i++ {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("%d goroutines after the rejected configs, %d before", got, before)
 	}
 }
 
@@ -258,6 +273,57 @@ func TestCloseStopsWithinOneTree(t *testing.T) {
 	}
 	if got := runtime.NumGoroutine(); got > before {
 		t.Errorf("closed K1 run: %d goroutines after Close, %d before NewRun", got, before)
+	}
+}
+
+// TestStoppedProducerSendsNothing: a producer whose split was stopped
+// before its first instant returns having sent nothing, and the table that
+// instant drew goes back to the pool. The split is stopped before anything
+// runs, so every run of the test takes the same path: a producer that sends
+// its aborted table fails it every time, not only when a Close happens to
+// land mid-instant (TestCloseStopsWithinOneTree's run half).
+func TestStoppedProducerSendsNothing(t *testing.T) {
+	c, err := constellation.Generate(miniConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := routing.NewTopology(c, fourCities(t), routing.GSLFree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	ps := newProducerState(topo, nil)
+	ps.split.Stop()
+	if ft := ps.table(0, 0.1); ft != nil {
+		t.Error("a stopped split's instant returned a table")
+	}
+	// The pool hands out the table returned last first.
+	if again := ps.split.Table(0); again != ps.ft {
+		t.Error("the aborted instant's table did not go back to the pool")
+	} else {
+		again.Release()
+	}
+
+	p := &pipeline{
+		tables:  make(chan *routing.ForwardingTable, tablesInFlight-1),
+		done:    make(chan struct{}),
+		stopped: make(chan struct{}),
+		split:   ps.split,
+	}
+	p.producer(topo, nil, nil, ps, []sim.Time{0, 100 * sim.Millisecond})
+	select {
+	case <-p.stopped:
+	default:
+		t.Error("the producer returned without signalling its exit")
+	}
+	if n := len(p.tables); n != 0 {
+		t.Errorf("a stopped producer sent %d tables", n)
+	}
+	for i := 0; runtime.NumGoroutine() > before && i < 200; i++ {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("%d goroutines after the producer returned, %d before", got, before)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // The AllocGuard tests are the allocation contract on this package's hot
 // paths; see internal/check/checktest.
 
-// TestAllocGuardDijkstraScratch pins the relax loop plus the indexed-heap
+// TestAllocGuardDijkstraScratch pins the relax loop plus the bucket-queue
 // workspace: with warmed dist/prev slabs and scratch, a full
 // single-source sweep must not allocate.
 func TestAllocGuardDijkstraScratch(t *testing.T) {

@@ -6,7 +6,7 @@
 // instant, and between consecutive instants nearly every link weight drifts
 // — but the order in which Dijkstra settles the nodes barely moves.
 // RepairSSSPDense exploits that: one sweep over the carried order lets every
-// node pull its distance from its neighbours with no heap, and Dijkstra
+// node pull its distance from its neighbours with no queue, and Dijkstra
 // proper runs only over the nodes the drift actually reordered. On strictly
 // positive weights the repaired arrays are bitwise identical to a fresh
 // DijkstraScratch run on the new graph — Dijkstra's output is a canonical
@@ -96,12 +96,12 @@ func DiffInto(oldG, newG *Graph, out []EdgeChange, sc *DiffScratch) []EdgeChange
 }
 
 // RepairScratch holds the reusable workspaces of RepairSSSPDense: the
-// Dijkstra heap for the reordered region, the list of nodes that saw a tied
+// Dijkstra queue for the reordered region, the list of nodes that saw a tied
 // offer, and the list of nodes nothing had reached when they were swept.
 // The zero value is ready for use; a RepairScratch must not be shared
 // between concurrent repairs.
 type RepairScratch struct {
-	h         indexedHeap
+	q         bucketQueue
 	tieList   []int32
 	unreached []int32
 
@@ -118,7 +118,7 @@ func (sc *RepairScratch) SecondPass() int { return sc.secondPass }
 // Reserve sizes the scratch for repairs over n nodes, so that the first
 // repair allocates as little as the thousandth.
 func (sc *RepairScratch) Reserve(n int) {
-	sc.h.reset(n)
+	sc.q.reserve(n)
 	if cap(sc.tieList) < n {
 		sc.tieList = make([]int32, 0, n)
 	}
@@ -251,7 +251,7 @@ func pull(edges []Edge, dist []float64) (arg int32, best, tie, far uint64) {
 // previous solution's settle order: one sweep visits the nodes at their old
 // positions and lets each pull its distance from its neighbours — the
 // minimum of dist[u] + w(u,v) over the neighbours swept before it — and the
-// heap is engaged only for nodes the drift actually reordered (a node swept
+// queue is engaged only for nodes the drift actually reordered (a node swept
 // after a neighbour it improves). dist and prev are fully rewritten — their
 // prior contents may be arbitrary; all the carried-over state lives in
 // order, which must be a permutation of the nodes and is refreshed in place
@@ -264,7 +264,7 @@ func pull(edges []Edge, dist []float64) (arg int32, best, tie, far uint64) {
 // identical to DijkstraScratch regardless of order: the relaxation fixpoint
 // — distances as minima over paths of left-associated float sums — does not
 // depend on sweep order, every node whose distance improves after its slot
-// is re-settled through the heap, and predecessors are re-canonicalized
+// is re-settled through the queue, and predecessors are re-canonicalized
 // whenever a tie was observed. A stale order costs time, never correctness.
 // With zero-weight edges the distances are still that fixpoint and prev is
 // still a loop-free tree achieving them, but Dijkstra pops a node first
@@ -287,8 +287,8 @@ func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []i
 	for i := range dist {
 		dist[i] = unswept
 	}
-	h := &sc.h
-	h.reset(n)
+	q := &sc.q
+	q.reset(n, g.minW, g.maxW)
 	sc.tieList = sc.tieList[:0]
 	sc.unreached = sc.unreached[:0]
 	secondPass := 0
@@ -304,7 +304,7 @@ func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []i
 		if best >= farBits {
 			// Nothing swept so far reaches v (order stale, or v genuinely
 			// unreachable): if a later node does, its second pass below
-			// finds the mark and routes v through the heap.
+			// finds the mark and routes v through the queue.
 			dist[v] = math.MaxFloat64
 			prev[v] = -1
 			sc.unreached = append(sc.unreached, v)
@@ -322,7 +322,7 @@ func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []i
 		secondPass++
 		// The order is stale here: a neighbour swept earlier sits at or
 		// beyond v, so v may improve it. Offer v's distance to the swept
-		// neighbours the way Dijkstra relaxes, and let the heap re-settle
+		// neighbours the way Dijkstra relaxes, and let the queue re-settle
 		// whatever improves.
 		for _, e := range edges {
 			to := e.To
@@ -331,7 +331,7 @@ func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []i
 			if nd < dt {
 				dist[to] = nd
 				prev[to] = v
-				h.push(to, nd)
+				q.push(to, nd)
 			} else if nd == dt && prev[to] != v && int(to) != src {
 				sc.tieList = append(sc.tieList, to)
 			}
@@ -342,7 +342,7 @@ func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []i
 	// (unique-achiever nodes are already canonical). Every achiever of a
 	// node's final distance offers it at its final value at least once — to
 	// the node's own pull if it was swept and final by then, from its
-	// second pass or its last heap pop otherwise — so a genuine tie always
+	// second pass or its last pop otherwise — so a genuine tie always
 	// lands an exact-equality offer and gets listed; false positives
 	// (equality against a not-yet-final distance) just trigger an
 	// idempotent recanonicalization.
@@ -368,7 +368,7 @@ func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []i
 	// 177 over 800. So a repair whose second pass took more than n/256
 	// nodes re-sorts the order by insertion, one pass over an order that is
 	// almost sorted (3.0 nodes per tree over 800 instants). An order that
-	// sent more than n/8 nodes through the heap is stale (a time jump, an
+	// sent more than n/8 nodes through the queue is stale (a time jump, an
 	// order that was never a settle order), and insertion would be
 	// quadratic there: the heapsort takes it. DESIGN.md ("Incremental
 	// forwarding state") has the probe that picked the rule.
@@ -381,23 +381,23 @@ func (g *Graph) RepairSSSPDense(src int, dist []float64, prev []int32, order []i
 	sc.secondPass += secondPass
 }
 
-// settle runs the Dijkstra main loop over whatever sc.h was seeded with,
+// settle runs the Dijkstra main loop over whatever sc.q was seeded with,
 // appending every node that receives a tied offer to sc.tieList and
-// returning the number of heap pops (the repair's measure of how stale its
+// returning the number of pops (the repair's measure of how stale its
 // sweep order has become).
 func (g *Graph) settle(dist []float64, prev []int32, src int, sc *RepairScratch) int {
-	h := &sc.h
+	q := &sc.q
 	pops := 0
-	for !h.empty() {
+	for !q.empty() {
 		pops++
-		u := h.pop()
+		u := q.pop()
 		du := dist[u]
 		for _, e := range g.adj[u] {
 			nd := du + e.W
 			if nd < dist[e.To] {
 				dist[e.To] = nd
 				prev[e.To] = u
-				h.push(e.To, nd)
+				q.push(e.To, nd)
 			} else if nd == dist[e.To] && prev[e.To] != u && int(e.To) != src {
 				sc.tieList = append(sc.tieList, e.To)
 			}

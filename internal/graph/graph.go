@@ -1,5 +1,5 @@
 // Package graph implements the weighted-graph algorithms behind Hypatia's
-// routing: single-source shortest paths (Dijkstra with a binary heap, used
+// routing: single-source shortest paths (Dijkstra over a bucket queue, used
 // per destination ground station for scalable forwarding-state generation)
 // and all-pairs shortest paths (Floyd–Warshall, the algorithm the paper's
 // networkx-based pipeline uses, retained both for fidelity and as a
@@ -32,6 +32,11 @@ type Graph struct {
 	n   int
 	adj [][]Edge
 
+	// The least positive and the largest edge weight (0 while there is
+	// none), which size the Dijkstra queue's buckets. AddEdge keeps them, so
+	// a Dijkstra only reads the graph.
+	minW, maxW float64
+
 	// Lazy CSR mirror of adj for the dense-repair sweep: every node's
 	// half-edges in one contiguous array (node v's are
 	// csrE[csrOff[v]:csrOff[v+1]]) stream far better than per-node adjacency
@@ -63,6 +68,7 @@ func (g *Graph) Reset(n int) {
 		g.adj[i] = g.adj[i][:0]
 	}
 	g.n = n
+	g.minW, g.maxW = 0, 0
 	g.csrOK = false
 }
 
@@ -171,128 +177,277 @@ func (g *Graph) AddEdge(a, b int, w float64) {
 	}
 	g.adj[a] = append(g.adj[a], Edge{To: int32(b), W: w})
 	g.adj[b] = append(g.adj[b], Edge{To: int32(a), W: w})
+	if w > 0 && (g.minW == 0 || w < g.minW) {
+		g.minW = w
+	}
+	g.maxW = max(g.maxW, w)
 	g.csrOK = false
 }
 
-// indexedHeap is a binary min-heap of nodes keyed by tentative distance,
-// with ties broken by node index for deterministic path selection. It
-// supports decrease-key via a position index. Each entry carries its key, so
-// a comparison reads the heap array alone, and a sift moves a hole to the
-// entry's final slot rather than swapping it there one level at a time. A
-// node is in the heap at most once, so the array never holds more than n
-// entries.
-type indexedHeap struct {
-	items []heapItem // the heap array
-	pos   []int32    // pos[node] = index in items, -1 if absent
+// bucketQueue is the priority queue of every Dijkstra loop in the package:
+// nodes keyed by tentative distance, popped in exact (key, id) order, so a
+// run settles its nodes exactly as a binary heap with that comparison would.
+// It is a monotone bucket queue: every key pushed after a pop is at least the
+// key popped last, which Dijkstra's relaxations over non-negative weights
+// guarantee. Bucket b holds the keys whose index ⌊key/width⌋ is b, and the
+// buckets in [cur, cur+len(head)) live in a circular array of intrusive lists.
+// The width is the graph's least positive weight, so that a relaxation
+// lands in a later bucket but for rounding, and no narrower than the largest
+// weight over n: the array holds about largest/width ≤ n buckets.
+//
+// The bucket being drained, cur, is sorted once into drain by (key, id), and
+// an arrival into it — over a zero weight, or a weight below the width once
+// the width is capped — is inserted in order, so a pop is always the least
+// (key, id) queued. A key beyond the window, which only a repair's seeds
+// pushed before the first pop can have, waits in an overflow list that
+// refills the window once the buckets run dry. Each node is queued at most
+// once, and a decrease-key moves its one entry, so the queue never holds
+// more than n entries.
+type bucketQueue struct {
+	nodes []qnode // per node: key, where it is queued, list links
+	head  []int32 // first node of each bucket's list, -1 when empty; a power of two long
+	drain []int32 // bucket cur's nodes, by (key, id) descending: pop takes the last
+
+	inv     float64 // 1 / bucket width
+	cur     int64   // index of the bucket being drained
+	listed  int     // nodes in the bucket lists
+	over    int32   // first node of the overflow list, -1 when empty
+	overLow int64   // at or below every overflow node's index and above every listed one's; noOverflow when empty
 }
 
-// heapItem is a heap entry: a node and its current tentative distance.
-type heapItem struct {
-	key  float64
-	node int32
+// qnode is one node's queue state. loc is a bucket slot (≥ 0), or one of
+// notQueued, inDrain and inOverflow; next and prev link the node into its
+// bucket's or the overflow's list.
+type qnode struct {
+	key        float64
+	loc        int32
+	next, prev int32
 }
 
-// before is the heap order: by key, then by node id.
-func (a heapItem) before(b heapItem) bool {
-	return a.key < b.key || a.key == b.key && a.node < b.node
+// before is the pop order: by key, then by node id.
+func (q *bucketQueue) before(a, b int32) bool {
+	ka, kb := q.nodes[a].key, q.nodes[b].key
+	return ka < kb || ka == kb && a < b
 }
 
-// reset prepares the heap for a graph of n nodes, reusing the backing
-// arrays when they are large enough. A completed Dijkstra run leaves pos
-// all -1 (every pushed node is eventually popped, and pop clears its pos
-// entry), so reuse needs no re-initialization sweep.
-func (h *indexedHeap) reset(n int) {
-	if cap(h.pos) < n {
-		h.items = make([]heapItem, 0, n)
-		h.pos = make([]int32, n)
-		for i := range h.pos {
-			h.pos[i] = -1
+const (
+	notQueued  = -1
+	inDrain    = -2
+	inOverflow = -3
+
+	noOverflow = math.MaxInt64
+)
+
+// reserve sizes the per-node arrays for n nodes. A run leaves every node
+// notQueued and every bucket empty (each pushed node is eventually popped),
+// so reuse needs no re-initialization sweep.
+func (q *bucketQueue) reserve(n int) {
+	if cap(q.nodes) < n {
+		q.nodes = make([]qnode, n)
+		for i := range q.nodes {
+			q.nodes[i].loc = notQueued
+		}
+		q.drain = make([]int32, 0, n)
+	}
+	q.nodes = q.nodes[:n]
+}
+
+// reset prepares the queue for a run over n nodes whose edge weights' least
+// positive value is minW and largest maxW (both 0 without edges).
+func (q *bucketQueue) reset(n int, minW, maxW float64) {
+	q.reserve(n)
+	width := max(minW, maxW/float64(max(n, 1)))
+	q.inv = 1 / width
+	if math.IsInf(q.inv, 1) { // no positive weight, or a subnormal one
+		q.inv = 1
+	}
+	// A relaxation lands at most maxW past the key just popped: that many
+	// buckets, one for the rounding of each index, and the one being drained.
+	size := 4
+	for float64(size) < maxW*q.inv+3 {
+		size *= 2
+	}
+	if cap(q.head) < size {
+		q.head = make([]int32, size)
+		for i := range q.head {
+			q.head[i] = -1
+		}
+	}
+	q.head = q.head[:size]
+	q.drain = q.drain[:0]
+	q.cur, q.listed = 0, 0
+	q.over, q.overLow = -1, noOverflow
+}
+
+// index is key k's bucket: monotone in k, so a smaller bucket holds only
+// smaller keys whatever the rounding. A key is a path's length, at most n
+// times the largest weight, so the index is at most n².
+func (q *bucketQueue) index(k float64) int64 { return int64(k * q.inv) }
+
+// push queues node v with key k, or decreases its key if it is queued with a
+// larger one.
+func (q *bucketQueue) push(v int32, k float64) {
+	nd := &q.nodes[v]
+	switch nd.loc {
+	case notQueued:
+	case inDrain:
+		if k < nd.key {
+			nd.key = k
+			q.sort(v)
 		}
 		return
-	}
-	h.items = h.items[:0]
-	h.pos = h.pos[:n]
-}
-
-// up places entry it at the hole i or above it, moving each parent that it
-// comes before one level down.
-func (h *indexedHeap) up(i int, it heapItem) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		p := h.items[parent]
-		if !it.before(p) {
-			break
-		}
-		h.items[i] = p
-		h.pos[p.node] = int32(i)
-		i = parent
-	}
-	h.items[i] = it
-	h.pos[it.node] = int32(i)
-}
-
-// down places entry it at the hole i or below it, moving each smaller child
-// that comes before it one level up.
-func (h *indexedHeap) down(i int, it heapItem) {
-	n := len(h.items)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		child := h.items[c]
-		if r := c + 1; r < n && h.items[r].before(child) {
-			c, child = r, h.items[r]
-		}
-		if !child.before(it) {
-			break
-		}
-		h.items[i] = child
-		h.pos[child.node] = int32(i)
-		i = c
-	}
-	h.items[i] = it
-	h.pos[it.node] = int32(i)
-}
-
-// push inserts node v with key k, or decreases its key if already present.
-func (h *indexedHeap) push(v int32, k float64) {
-	if i := h.pos[v]; i >= 0 {
-		if k >= h.items[i].key {
+	default:
+		if k >= nd.key {
 			return
 		}
-		h.up(int(i), heapItem{key: k, node: v})
+		if nd.loc >= 0 && q.index(k)&int64(len(q.head)-1) == int64(nd.loc) {
+			nd.key = k // the same bucket, whose list is unordered
+			return
+		}
+		q.unlink(v)
+	}
+	nd.key = k
+	q.place(v)
+}
+
+// place files queued node v by its key: into the drain when its bucket is
+// being drained, into its bucket's list inside the window, and into the
+// overflow past it.
+func (q *bucketQueue) place(v int32) {
+	nd := &q.nodes[v]
+	b := q.index(nd.key)
+	if check.Enabled && b < q.cur {
+		check.Failf("graph: key %v pushed below the bucket being drained (%d < %d)", nd.key, b, q.cur)
+	}
+	switch {
+	case b == q.cur:
+		nd.loc = inDrain
+		q.drain = append(q.drain, v)
+		q.sort(v)
+	case b < q.overLow && b-q.cur < int64(len(q.head)):
+		slot := int32(b & int64(len(q.head)-1))
+		q.link(v, &q.head[slot])
+		nd.loc = slot
+		q.listed++
+	default:
+		q.link(v, &q.over)
+		nd.loc = inOverflow
+		q.overLow = min(q.overLow, b)
+	}
+}
+
+// link pushes v onto the front of the list at *first.
+func (q *bucketQueue) link(v int32, first *int32) {
+	nd := &q.nodes[v]
+	nd.prev, nd.next = -1, *first
+	if *first >= 0 {
+		q.nodes[*first].prev = v
+	}
+	*first = v
+}
+
+// unlink takes v out of its bucket's or the overflow's list.
+func (q *bucketQueue) unlink(v int32) {
+	nd := &q.nodes[v]
+	if nd.prev >= 0 {
+		q.nodes[nd.prev].next = nd.next
+	} else if nd.loc == inOverflow {
+		q.over = nd.next
+	} else {
+		q.head[nd.loc] = nd.next
+	}
+	if nd.next >= 0 {
+		q.nodes[nd.next].prev = nd.prev
+	}
+	if nd.loc >= 0 {
+		q.listed--
+	}
+}
+
+// sort moves drain node v, just appended or with its key just decreased, to
+// its place in the drain's (key, id) order.
+func (q *bucketQueue) sort(v int32) {
+	d := q.drain
+	i := len(d) - 1
+	for d[i] != v {
+		i--
+	}
+	for ; i+1 < len(d) && q.before(v, d[i+1]); i++ {
+		d[i] = d[i+1]
+	}
+	for ; i > 0 && q.before(d[i-1], v); i-- {
+		d[i] = d[i-1]
+	}
+	d[i] = v
+}
+
+// pop removes and returns the queued node least by (key, id).
+func (q *bucketQueue) pop() int32 {
+	if len(q.drain) == 0 {
+		q.advance()
+	}
+	last := len(q.drain) - 1
+	v := q.drain[last]
+	q.drain = q.drain[:last]
+	q.nodes[v].loc = notQueued
+	return v
+}
+
+// advance moves cur to the next bucket holding a node and sorts that
+// bucket's list into the drain, refilling the window from the overflow when
+// the lists are empty. The drain is empty and the queue is not.
+func (q *bucketQueue) advance() {
+	if q.listed == 0 {
+		q.refill()
 		return
 	}
-	h.items = append(h.items, heapItem{})
-	h.up(len(h.items)-1, heapItem{key: k, node: v})
-}
-
-// pop removes and returns the minimum node.
-func (h *indexedHeap) pop() int32 {
-	top := h.items[0].node
-	last := len(h.items) - 1
-	it := h.items[last]
-	h.items = h.items[:last]
-	h.pos[top] = -1
-	if last > 0 {
-		h.down(0, it)
+	mask := int64(len(q.head) - 1)
+	for {
+		q.cur++
+		if q.head[q.cur&mask] >= 0 {
+			break
+		}
 	}
-	return top
+	slot := q.cur & mask
+	for v := q.head[slot]; v >= 0; v = q.nodes[v].next {
+		q.nodes[v].loc = inDrain
+		q.drain = append(q.drain, v)
+		q.sort(v)
+		q.listed--
+	}
+	q.head[slot] = -1
 }
 
-func (h *indexedHeap) empty() bool { return len(h.items) == 0 }
+// refill moves the window to the overflow's least bucket and files every
+// overflow node again: the least ones into the drain, the rest of the
+// window into the lists, and the others back into the overflow.
+func (q *bucketQueue) refill() {
+	low := int64(noOverflow)
+	for v := q.over; v >= 0; v = q.nodes[v].next {
+		low = min(low, q.index(q.nodes[v].key))
+	}
+	q.cur = low
+	v := q.over
+	q.over, q.overLow = -1, noOverflow
+	for v >= 0 {
+		next := q.nodes[v].next
+		q.place(v)
+		v = next
+	}
+}
 
-// Scratch holds the reusable internals of a Dijkstra run (the indexed
-// binary heap). The zero value is ready for use; a Scratch must not be
-// shared between concurrent Dijkstra calls. Threading one Scratch through
-// a sweep of many runs (e.g. one per destination ground station) removes
-// the per-run heap allocations.
+func (q *bucketQueue) empty() bool { return len(q.drain) == 0 && q.listed == 0 && q.over < 0 }
+
+// Scratch holds the reusable internals of a Dijkstra run (the bucket
+// queue). The zero value is ready for use; a Scratch must not be shared
+// between concurrent Dijkstra calls. Threading one Scratch through a sweep
+// of many runs (e.g. one per destination ground station) removes the
+// per-run queue allocations.
 type Scratch struct {
-	h indexedHeap
+	q bucketQueue
 
 	// Order, when its length is the graph's node count, receives the run's
-	// settle order: the nodes in the order the heap popped them, then the
+	// settle order: the nodes in the order the queue popped them, then the
 	// unreached ones by ascending id — the order RepairSSSPDense carries
 	// from one solution to the next. Any other length records nothing.
 	Order []int32
@@ -329,15 +484,15 @@ func (g *Graph) DijkstraScratch(src int, dist []float64, prev []int32, sc *Scrat
 		dist[i] = Infinity
 		prev[i] = -1
 	}
-	h := &sc.h
-	h.reset(g.n)
+	q := &sc.q
+	q.reset(g.n, g.minW, g.maxW)
 	dist[src] = 0
 	prev[src] = int32(src)
-	h.push(int32(src), 0)
+	q.push(int32(src), 0)
 	record := len(sc.Order) == g.n
 	settled := 0
-	for !h.empty() {
-		u := h.pop()
+	for !q.empty() {
+		u := q.pop()
 		if record {
 			sc.Order[settled] = u
 			settled++
@@ -348,7 +503,7 @@ func (g *Graph) DijkstraScratch(src int, dist []float64, prev []int32, sc *Scrat
 			if nd < dist[e.To] {
 				dist[e.To] = nd
 				prev[e.To] = u
-				h.push(e.To, nd)
+				q.push(e.To, nd)
 			}
 		}
 	}

@@ -263,51 +263,90 @@ func TestNumEdgesAndNeighbors(t *testing.T) {
 	}
 }
 
-func TestIndexedHeapDecreaseKey(t *testing.T) {
-	h := &indexedHeap{}
-	h.reset(5)
-	h.push(0, 10)
-	h.push(1, 5)
-	h.push(2, 7)
-	h.push(0, 1) // decrease key of 0
-	if got := h.pop(); got != 0 {
+func TestBucketQueueDecreaseKey(t *testing.T) {
+	q := &bucketQueue{}
+	q.reset(5, 1, 10)
+	q.push(0, 10)
+	q.push(1, 5)
+	q.push(2, 7)
+	q.push(0, 1) // decrease key of 0
+	if got := q.pop(); got != 0 {
 		t.Errorf("pop = %d, want 0 after decrease-key", got)
 	}
-	if got := h.pop(); got != 1 {
+	if got := q.pop(); got != 1 {
 		t.Errorf("pop = %d, want 1", got)
 	}
 	// Increasing a key is ignored.
-	h.push(2, 100)
-	if got := h.pop(); got != 2 {
+	q.push(2, 100)
+	if got := q.pop(); got != 2 {
 		t.Errorf("pop = %d, want 2", got)
 	}
-	if !h.empty() {
-		t.Error("heap should be empty")
+	if !q.empty() {
+		t.Error("queue should be empty")
 	}
 }
 
-func TestIndexedHeapOrderingProperty(t *testing.T) {
+// TestBucketQueueOrderingProperty drives the queue the way Dijkstra and the
+// repair do — seeds at any key before the first pop, then pushes and
+// decrease-keys no lower than the key popped last and at most the largest
+// weight above it — against a reference that pops the least (key, id) by a
+// linear scan. The weight regimes cover tied integer keys, a width capped
+// far above the least weight (arrivals into the bucket being drained), zero
+// weights, and seeds spread over many windows (the overflow).
+func TestBucketQueueOrderingProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 50; trial++ {
-		n := 50
-		h := &indexedHeap{}
-		h.reset(n)
-		keys := make([]float64, n)
-		for i := range keys {
-			keys[i] = math.Floor(r.Float64() * 20) // deliberately many ties
-			h.push(int32(i), keys[i])
+	regimes := []struct{ minW, maxW float64 }{{1, 20}, {1e-3, 1e3}, {0, 0}, {0.5, 2}}
+	for trial := 0; trial < 200; trial++ {
+		reg := regimes[trial%len(regimes)]
+		n := 1 + r.Intn(80)
+		q := &bucketQueue{}
+		q.reset(n, reg.minW, reg.maxW)
+		weight := func() float64 {
+			if reg.maxW == 0 || r.Intn(8) == 0 {
+				return 0
+			}
+			if reg.minW == 1 {
+				return math.Floor(1 + r.Float64()*reg.maxW)
+			}
+			return reg.minW * math.Pow(reg.maxW/reg.minW, r.Float64())
 		}
-		prevKey := math.Inf(-1)
-		prevNode := int32(-1)
-		for !h.empty() {
-			v := h.pop()
-			if keys[v] < prevKey {
-				t.Fatalf("heap order violated: %v after %v", keys[v], prevKey)
+		queued := map[int32]float64{}
+		push := func(v int32, k float64) {
+			if old, ok := queued[v]; ok && k >= old {
+				q.push(v, k) // ignored
+				return
 			}
-			if keys[v] == prevKey && v < prevNode {
-				t.Fatalf("tie-break violated: node %d after %d at key %v", v, prevNode, prevKey)
+			queued[v] = k
+			q.push(v, k)
+		}
+		for v := range n {
+			if r.Intn(3) == 0 {
+				push(int32(v), math.Floor(r.Float64()*40)*(reg.maxW+1))
 			}
-			prevKey, prevNode = keys[v], v
+		}
+		last := 0.0
+		for pops := 0; !q.empty(); pops++ {
+			want := int32(-1)
+			for v, k := range queued {
+				if want < 0 || k < queued[want] || k == queued[want] && v < want {
+					want = v
+				}
+			}
+			if got := q.pop(); got != want {
+				t.Fatalf("trial %d: pop %d (key %v), want %d (key %v)", trial, got, queued[got], want, queued[want])
+			}
+			last = queued[want]
+			delete(queued, want)
+			for i := r.Intn(4); i > 0 && pops < 3*n; i-- { // then drain it
+				v := int32(r.Intn(n))
+				push(v, last+weight())
+			}
+		}
+		if len(queued) != 0 {
+			t.Fatalf("trial %d: queue empty with %d nodes queued", trial, len(queued))
+		}
+		if c := cap(q.drain); c > n {
+			t.Fatalf("trial %d: drain grew to %d entries over %d nodes", trial, c, n)
 		}
 	}
 }
@@ -403,11 +442,14 @@ func TestDijkstraScratchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestDijkstraSettleOrderProperty: on random graphs with tie-heavy integer
-// weights, many of them disconnected, the recorded Scratch.Order is the
-// nodes sorted by (dist, id) with the unreached last by id — the order the
-// repair carries — and dist equals Bellman–Ford's exactly. The heap holds a
-// node at most once, so its array never grows past n entries.
+// TestDijkstraSettleOrderProperty: on random graphs, many of them
+// disconnected, the recorded Scratch.Order is the nodes sorted by (dist, id)
+// with the unreached last by id — the order the repair carries — and dist
+// equals Bellman–Ford's exactly. Every other graph has tie-heavy integer
+// weights; the rest draw weights log-uniformly over six decades, so the
+// queue's width is capped far above the least weight and nodes arrive in the
+// bucket being drained. The queue holds a node at most once, so its drain
+// never grows past n entries, and its bucket array stays O(n).
 func TestDijkstraSettleOrderProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	var reused Scratch
@@ -417,7 +459,11 @@ func TestDijkstraSettleOrderProperty(t *testing.T) {
 		g := New(n)
 		for i := rng.Intn(4 * n); i > 0; i-- {
 			if a, b := rng.Intn(n), rng.Intn(n); a != b {
-				g.AddEdge(a, b, float64(1+rng.Intn(3)))
+				w := float64(1 + rng.Intn(3))
+				if trial%2 == 1 {
+					w = math.Pow(10, -3+6*rng.Float64())
+				}
+				g.AddEdge(a, b, w)
 			}
 		}
 		src := rng.Intn(n)
@@ -426,8 +472,11 @@ func TestDijkstraSettleOrderProperty(t *testing.T) {
 		if want := settleOrder(dist); !slices.Equal(fresh.Order, want) {
 			t.Fatalf("trial %d: recorded order %v, (dist, id) order %v", trial, fresh.Order, want)
 		}
-		if c := cap(fresh.h.items); c > n {
-			t.Fatalf("trial %d: heap array grew to %d entries over %d nodes", trial, c, n)
+		if c := cap(fresh.q.drain); c > n {
+			t.Fatalf("trial %d: the queue's drain grew to %d entries over %d nodes", trial, c, n)
+		}
+		if b := len(fresh.q.head); b > 2*(n+3) {
+			t.Fatalf("trial %d: %d buckets over %d nodes", trial, b, n)
 		}
 		bf, _ := g.BellmanFord(src)
 		for v := range dist {

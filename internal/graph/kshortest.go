@@ -98,13 +98,13 @@ func (g *Graph) dijkstraFiltered(src int, banned map[[2]int]bool, excluded map[i
 		dist[i] = Infinity
 		prev[i] = -1
 	}
-	h := &indexedHeap{}
-	h.reset(g.n)
+	q := &bucketQueue{}
+	q.reset(g.n, g.minW, g.maxW)
 	dist[src] = 0
 	prev[src] = int32(src)
-	h.push(int32(src), 0)
-	for !h.empty() {
-		u := h.pop()
+	q.push(int32(src), 0)
+	for !q.empty() {
+		u := q.pop()
 		du := dist[u]
 		for _, e := range g.adj[u] {
 			if excluded[int(e.To)] || banned[[2]int{int(u), int(e.To)}] {
@@ -113,7 +113,7 @@ func (g *Graph) dijkstraFiltered(src int, banned map[[2]int]bool, excluded map[i
 			if nd := du + e.W; nd < dist[e.To] {
 				dist[e.To] = nd
 				prev[e.To] = u
-				h.push(e.To, nd)
+				q.push(e.To, nd)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"hypatia/internal/check"
+	"hypatia/internal/graph"
 )
 
 // oracleComparisons counts the trees the incremental engine has verified
@@ -25,10 +26,11 @@ type oracleSnapshot struct {
 	snap *Snapshot
 }
 
-// oracleScratch is one worker's oracle Dijkstra arrays.
+// oracleScratch is one worker's oracle Dijkstra arrays and queue.
 type oracleScratch struct {
 	dist []float64
 	prev []int32
+	q    graph.Scratch
 }
 
 // oracleAdvance builds the oracle's snapshot of the instant at tsec.
@@ -37,7 +39,7 @@ func (e *IncrementalEngine) oracleAdvance(tsec float64) {
 }
 
 // oracleCheck re-derives the tree rooted at gs from scratch — the oracle's
-// snapshot, a fresh Dijkstra — and fails the run on any bitwise difference,
+// snapshot, a from-scratch Dijkstra — and fails the run on any bitwise difference,
 // in distance or predecessor, from the tree the engine just solved into sc.
 // This is the differential-oracle discipline: the retained from-scratch
 // computation is the specification, the incremental path an optimization
@@ -46,7 +48,8 @@ func (e *IncrementalEngine) oracleAdvance(tsec float64) {
 // engine's clients are covered here.
 func (e *IncrementalEngine) oracleCheck(sc *treeScratch, gs int) {
 	o := &sc.oracle
-	o.dist, o.prev = e.oracle.snap.FromGS(gs, o.dist, o.prev)
+	snap := e.oracle.snap
+	o.dist, o.prev = snap.G.DijkstraScratch(snap.Topo.GSNode(gs), o.dist, o.prev, &o.q)
 	for node := range o.dist {
 		if sc.dist[node] != o.dist[node] || sc.prev[node] != o.prev[node] {
 			check.Failf("incremental oracle t=%v root gs %d: node %d has (dist %v, prev %d), from-scratch says (%v, %d)",

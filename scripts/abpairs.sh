@@ -14,7 +14,10 @@
 # end-to-end medians of both sides and the per-repetition alloc_mb_per_vsec
 # samples — the line that shows an allocation that depends on scheduling, which
 # a median hides — and at the end, per metric, in how many pairs the change
-# read lower and the median change/parent ratio. Digests must match the
+# read lower, the median change/parent ratio, each side's median and
+# quartiles over the pairs, and whether a claim that the change lowers the
+# metric holds: lower in at least 9 of 10 pairs, and the medians further
+# apart than the parent's interquartile range. Digests must match the
 # recorded ones on both sides or the script stops.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -82,13 +85,28 @@ for ((i = 1; i <= pairs; i++)); do
     echo "    alloc_mb_per_vsec per repetition: parent $(samples "$tmp/parent.json" alloc_mb_per_vsec)| change $(samples "$tmp/change.json" alloc_mb_per_vsec)"
 done
 
-echo "== change lower in / median change:parent ratio, over $pairs pairs =="
+echo "== per metric over $pairs pairs: change lower in, median change:parent ratio; median [Q1, Q3] of each side; the claim rule =="
 for m in "${metrics[@]}"; do
     awk -v m="$m" '
-        $1 == m { n++; if ($3 < $2) wins++; r[n] = ($2 > 0) ? $3 / $2 : 1 }
+        # sorted copy of a[1..n] into s, by insertion
+        function sortinto(a, s, n,    i, j, t) {
+            for (i = 1; i <= n; i++) s[i] = a[i]
+            for (i = 2; i <= n; i++) for (j = i; j > 1 && s[j - 1] > s[j]; j--) { t = s[j]; s[j] = s[j - 1]; s[j - 1] = t }
+        }
+        # q-quantile of sorted s[1..n], interpolating between order statistics
+        function quantile(s, n, q,    h, lo) {
+            h = 1 + (n - 1) * q
+            lo = int(h)
+            return (lo >= n) ? s[n] : s[lo] + (h - lo) * (s[lo + 1] - s[lo])
+        }
+        $1 == m { n++; p[n] = $2; c[n] = $3; if ($3 < $2) wins++; r[n] = ($2 > 0) ? $3 / $2 : 1 }
         END {
-            for (i = 1; i <= n; i++) for (j = i + 1; j <= n; j++) if (r[j] < r[i]) { t = r[i]; r[i] = r[j]; r[j] = t }
-            med = (n % 2) ? r[(n + 1) / 2] : (r[n / 2] + r[n / 2 + 1]) / 2
-            printf "  %-20s %d/%d   %.3fx\n", m, wins, n, med
+            sortinto(r, rs, n); sortinto(p, ps, n); sortinto(c, cs, n)
+            pm = quantile(ps, n, 0.5); p1 = quantile(ps, n, 0.25); p3 = quantile(ps, n, 0.75)
+            cm = quantile(cs, n, 0.5); c1 = quantile(cs, n, 0.25); c3 = quantile(cs, n, 0.75)
+            iqr = p3 - p1
+            holds = (wins * 10 >= 9 * n && pm - cm > iqr) ? "holds" : "fails"
+            printf "  %-20s %d/%d  %.3fx  parent %.6g [%.6g, %.6g]  change %.6g [%.6g, %.6g]  parent IQR %.6g, medians %.6g apart: lower-claim %s\n", \
+                m, wins, n, quantile(rs, n, 0.5), pm, p1, p3, cm, c1, c3, iqr, pm - cm, holds
         }' "$tmp/pairs.txt"
 done
