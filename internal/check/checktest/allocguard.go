@@ -25,19 +25,17 @@ import (
 // before measurement: growth that stops is amortized, and only what every
 // call allocates counts.
 //
-// Under the hypatia_checks build the guard still exercises f once (so the
-// checked build's assertions and oracles run), but skips budget
-// enforcement: check.Assert boxes its variadic arguments and the
-// cross-checking oracles re-derive state from scratch by design, so
-// allocation budgets are a production-build contract.
+// In a build whose allocations are not the program's alone (unenforced) the
+// guard still exercises f once, so the checked build's assertions and
+// oracles and the race detector see it run, but skips budget enforcement.
 func AllocGuard(t *testing.T, name string, budget float64, warmup int, f func()) {
 	t.Helper()
 	for i := 0; i < warmup; i++ {
 		f()
 	}
-	if check.Enabled {
+	if why := unenforced(); why != "" {
 		f()
-		t.Skipf("%s: allocation budgets are a production-build contract; the hypatia_checks build boxes assertion arguments and runs from-scratch oracles", name)
+		t.Skipf("%s: allocation budgets are a production-build contract; %s", name, why)
 	}
 	if got := testing.AllocsPerRun(100, f); got > budget {
 		t.Errorf("%s: %.1f allocs/op in steady state, budget %.1f", name, got, budget)
@@ -52,11 +50,13 @@ func AllocGuard(t *testing.T, name string, budget float64, warmup int, f func())
 // instants right after a warm-up, whose arenas may still grow now and then —
 // where testing.AllocsPerRun would spend the region's start on its warm-up
 // call. Like AllocsPerRun it holds GOMAXPROCS at 1 while it measures, and it
-// skips under hypatia_checks.
+// logs what it read (go test -v shows it). Like AllocGuard it runs op once
+// and skips in a build that does not enforce budgets.
 func AllocBudget(t *testing.T, name string, budget float64, ops int, op func()) {
 	t.Helper()
-	if check.Enabled {
-		t.Skipf("%s: allocation budgets are a production-build contract", name)
+	if why := unenforced(); why != "" {
+		op()
+		t.Skipf("%s: allocation budgets are a production-build contract; %s", name, why)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
@@ -65,7 +65,24 @@ func AllocBudget(t *testing.T, name string, budget float64, ops int, op func()) 
 		op()
 	}
 	runtime.ReadMemStats(&after)
-	if got := float64(after.Mallocs-before.Mallocs) / float64(ops); got > budget {
+	got := float64(after.Mallocs-before.Mallocs) / float64(ops)
+	if got > budget {
 		t.Errorf("%s: %.1f allocs/op over %d ops, budget %.1f", name, got, ops, budget)
+		return
 	}
+	t.Logf("%s: %.1f allocs/op over %d ops, budget %.1f", name, got, ops, budget)
+}
+
+// unenforced names why this build's allocation counts are not the program's
+// alone, or returns "" when they are and budgets hold: the hypatia_checks
+// build boxes assertion arguments and runs from-scratch oracles, and the
+// race detector's runtime allocates on the program's behalf.
+func unenforced() string {
+	switch {
+	case check.Enabled:
+		return "the hypatia_checks build boxes assertion arguments and runs from-scratch oracles"
+	case raceEnabled:
+		return "the race detector's runtime allocates on the program's behalf"
+	}
+	return ""
 }

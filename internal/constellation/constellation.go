@@ -17,6 +17,8 @@ package constellation
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"hypatia/internal/geom"
 	"hypatia/internal/orbit"
@@ -210,6 +212,9 @@ func Telesat(shells ...Shell) Config {
 }
 
 // Generate builds the satellite fleet and ISL topology for a configuration.
+// It allocates per structure, not per satellite: the fleet, its propagators,
+// its names and its ISLs each come from one allocation sized from the shells
+// (TestAllocGuardConstructionTopology).
 func Generate(cfg Config) (*Constellation, error) {
 	if len(cfg.Shells) == 0 {
 		return nil, fmt.Errorf("constellation: %q has no shells", cfg.Name)
@@ -217,16 +222,28 @@ func Generate(cfg Config) (*Constellation, error) {
 	if cfg.MinElevDeg < 0 || cfg.MinElevDeg >= 90 {
 		return nil, fmt.Errorf("constellation: min elevation %v out of range [0, 90)", cfg.MinElevDeg)
 	}
-	c := &Constellation{
-		Name:      cfg.Name,
-		Shells:    cfg.Shells,
-		MinElev:   geom.Rad(cfg.MinElevDeg),
-		epochGMST: cfg.EpochGMST,
-	}
-	for si, sh := range cfg.Shells {
+	sats, nameBytes := 0, 0
+	for _, sh := range cfg.Shells {
 		if err := sh.Validate(); err != nil {
 			return nil, err
 		}
+		sats += sh.Sats()
+		// "<cfg>-<shell>-<orbit>-<slot>", at most this long.
+		nameBytes += sh.Sats() * (len(cfg.Name) + len(sh.Name) + 3 + len(strconv.Itoa(sh.Orbits-1)) + len(strconv.Itoa(sh.SatsPerOrbit-1)))
+	}
+	c := &Constellation{
+		Name:       cfg.Name,
+		Shells:     cfg.Shells,
+		MinElev:    geom.Rad(cfg.MinElevDeg),
+		epochGMST:  cfg.EpochGMST,
+		Satellites: make([]Satellite, 0, sats),
+		shellFirst: make([]int, 0, len(cfg.Shells)),
+	}
+	props := make([]orbit.KeplerPropagator, sats)
+	var names strings.Builder
+	names.Grow(nameBytes)
+	var num [20]byte
+	for si, sh := range cfg.Shells {
 		c.shellFirst = append(c.shellFirst, len(c.Satellites))
 		raanStep := 2 * math.Pi / float64(sh.Orbits)
 		maStep := 2 * math.Pi / float64(sh.SatsPerOrbit)
@@ -242,13 +259,21 @@ func Generate(cfg Config) (*Constellation, error) {
 			for s := 0; s < sh.SatsPerOrbit; s++ {
 				ma := math.Mod(float64(s)*maStep+phase, 2*math.Pi)
 				el := orbit.Circular(sh.AltitudeKm*1000, geom.Rad(sh.IncDeg), raan, ma)
-				prop, err := orbit.NewKeplerPropagator(el, cfg.J2)
-				if err != nil {
+				prop := &props[len(c.Satellites)]
+				if err := prop.Init(el, cfg.J2); err != nil {
 					return nil, fmt.Errorf("constellation: shell %q orbit %d sat %d: %w", sh.Name, o, s, err)
 				}
+				start := names.Len()
+				names.WriteString(cfg.Name)
+				names.WriteByte('-')
+				names.WriteString(sh.Name)
+				names.WriteByte('-')
+				names.Write(strconv.AppendInt(num[:0], int64(o), 10))
+				names.WriteByte('-')
+				names.Write(strconv.AppendInt(num[:0], int64(s), 10))
 				c.Satellites = append(c.Satellites, Satellite{
 					Index:      len(c.Satellites),
-					Name:       fmt.Sprintf("%s-%s-%d-%d", cfg.Name, sh.Name, o, s),
+					Name:       names.String()[start:],
 					ShellIndex: si,
 					Orbit:      o,
 					InOrbit:    s,
@@ -265,9 +290,14 @@ func Generate(cfg Config) (*Constellation, error) {
 }
 
 // plusGrid builds the +Grid interconnect independently within each shell:
-// satellite (o, s) links to (o, s+1) and ((o+1) mod O, s).
+// satellite (o, s) links to (o, s+1) and ((o+1) mod O, s), so there are at
+// most two links per satellite.
 func plusGrid(shells []Shell, first []int) []ISL {
-	var isls []ISL
+	sats := 0
+	for _, sh := range shells {
+		sats += sh.Sats()
+	}
+	isls := make([]ISL, 0, 2*sats)
 	for si, sh := range shells {
 		base := first[si]
 		idx := func(o, s int) int {

@@ -2,6 +2,8 @@ package constellation
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"hypatia/internal/geom"
 	"hypatia/internal/orbit"
@@ -77,30 +79,56 @@ func FromTLEs(tles []tle.TLE, cfg FromTLEConfig) (*Constellation, error) {
 		Shells:     []Shell{shell},
 		MinElev:    geom.Rad(cfg.MinElevDeg),
 		epochGMST:  cfg.EpochGMST,
+		Satellites: make([]Satellite, len(tles)),
 		shellFirst: []int{0},
 	}
+	props := make([]orbit.KeplerPropagator, len(tles))
+	// Unnamed entries are called "<name>-<satnum, five digits>"; their names
+	// are cut from one builder.
+	var names strings.Builder
 	for i, t := range tles {
 		el := t.Elements()
-		prop, err := orbit.NewKeplerPropagator(el, cfg.J2)
-		if err != nil {
+		if err := props[i].Init(el, cfg.J2); err != nil {
 			return nil, fmt.Errorf("constellation: TLE %d (%s): %w", i, t.Name, err)
 		}
 		satName := t.Name
 		if satName == "" {
-			satName = fmt.Sprintf("%s-%05d", name, t.SatelliteNum)
+			start := names.Len()
+			names.WriteString(name)
+			names.WriteByte('-')
+			var num [20]byte
+			names.Write(appendZeroPadded(num[:0], t.SatelliteNum, 5))
+			satName = names.String()[start:]
 		}
-		c.Satellites = append(c.Satellites, Satellite{
+		c.Satellites[i] = Satellite{
 			Index:      i,
 			Name:       satName,
 			ShellIndex: 0,
 			Orbit:      i / planeSize,
 			InOrbit:    i % planeSize,
-			Propagator: prop,
+			Propagator: &props[i],
 			Elements:   el,
-		})
+		}
 	}
 	if cfg.ISLMode == ISLPlusGrid {
 		c.ISLs = plusGrid(c.Shells, c.shellFirst)
 	}
 	return c, nil
+}
+
+// appendZeroPadded appends v in decimal to dst, zero-padded to width bytes
+// the way fmt's %0<width>d pads it: a minus sign counts toward the width and
+// precedes the zeros.
+func appendZeroPadded(dst []byte, v, width int) []byte {
+	var num [20]byte
+	digits := strconv.AppendInt(num[:0], int64(v), 10)
+	if v < 0 {
+		dst = append(dst, '-')
+		digits = digits[1:]
+		width--
+	}
+	for i := len(digits); i < width; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
 }

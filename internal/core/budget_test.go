@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"hypatia/internal/check/checktest"
+	"hypatia/internal/constellation"
+	"hypatia/internal/groundstation"
+	"hypatia/internal/sim"
 )
 
 // The benchmark budgets: each guard runs its Benchmark*'s own setup and holds
@@ -42,4 +45,29 @@ func TestAllocGuardBenchSimSerial(t *testing.T) {
 func TestAllocGuardBenchSimSerialTCP(t *testing.T) {
 	run := newSimShape(t, true)
 	checktest.AllocBudget(t, "BenchmarkSimSerialTCP", 1500, 1, func() { run.Execute() })
+}
+
+// TestAllocGuardConstructionRun holds NewRun + Close on fstate_k1's
+// configuration (K1, the 100 cities, 80 s at 100 ms, default links) to
+// 2 000 allocations per construction (it measures ~740, nearly all the
+// visibility cache's per-station lists). The fleet, the network's ISL
+// peers, and the first instant's graph and settle orders are each cut from
+// one slab; growing any of them per satellite or per node again reads 3 000
+// to 5 000 (a fmt name per satellite 4 208, NewNetwork's per-node append
+// 3 051, the first graph grown by AddEdge 4 994), and all of them 12 153.
+func TestAllocGuardConstructionRun(t *testing.T) {
+	cfg := RunConfig{
+		Constellation:  constellation.Kuiper(),
+		GroundStations: groundstation.Top100Cities(),
+		Duration:       80 * sim.Second,
+		UpdateInterval: 100 * sim.Millisecond,
+		Net:            sim.DefaultConfig(),
+	}
+	checktest.AllocBudget(t, "NewRun+Close", 2000, 3, func() {
+		run, err := NewRun(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.Close()
+	})
 }

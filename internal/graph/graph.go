@@ -14,6 +14,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"hypatia/internal/check"
 )
@@ -50,6 +51,39 @@ type Graph struct {
 // New creates a graph with n nodes and no edges.
 func New(n int) *Graph {
 	return &Graph{n: n, adj: make([][]Edge, n)}
+}
+
+// NewSized creates a graph over len(deg) nodes and no edges in which node v
+// takes deg[v] half-edges without AddEdge reallocating: its adjacency
+// capacity is deg[v] rounded up to a power of two, what appends from empty
+// would have grown it to, so a later build of a similar shape (Reset) has
+// the same room to creep. Every node's adjacency is cut from one slab,
+// where New's graph allocates per node as it grows.
+func NewSized(deg []int32) *Graph {
+	g := New(len(deg))
+	g.cutAdjacency(func(v int) int {
+		if deg[v] == 0 {
+			return 0
+		}
+		return 1 << bits.Len32(uint32(deg[v]-1))
+	})
+	return g
+}
+
+// cutAdjacency gives every node of g an empty adjacency list of capacity
+// size(v), all cut from one slab. It is the one sizing path of NewSized and
+// Presize.
+func (g *Graph) cutAdjacency(size func(v int) int) {
+	total := 0
+	for v := range g.adj {
+		total += size(v)
+	}
+	slab := make([]Edge, total)
+	for v := range g.adj {
+		c := size(v)
+		g.adj[v] = slab[:0:c]
+		slab = slab[c:]
+	}
 }
 
 // Reset reconfigures the graph in place to n nodes with no edges, retaining
@@ -130,17 +164,8 @@ func (g *Graph) reserveCSR() {
 // until some node outgrows what g's needed.
 func (g *Graph) Presize() *Graph {
 	g.reserveCSR()
-	twin := &Graph{n: g.n, adj: make([][]Edge, g.n)}
-	total := 0
-	for _, a := range g.adj {
-		total += cap(a)
-	}
-	slab := make([]Edge, total)
-	for v, a := range g.adj {
-		c := cap(a)
-		twin.adj[v] = slab[:0:c]
-		slab = slab[c:]
-	}
+	twin := New(g.n)
+	twin.cutAdjacency(func(v int) int { return cap(g.adj[v]) })
 	twin.csrOff = make([]int32, g.n+1)
 	twin.csrE = make([]Edge, 0, cap(g.csrE))
 	return twin

@@ -197,10 +197,22 @@ type KeplerPropagator struct {
 // NewKeplerPropagator builds a propagator for the given element set.
 // If j2 is true, secular J2 drift is applied.
 func NewKeplerPropagator(e Elements, j2 bool) (*KeplerPropagator, error) {
-	if err := e.Validate(); err != nil {
+	k := new(KeplerPropagator)
+	if err := k.Init(e, j2); err != nil {
 		return nil, err
 	}
-	k := &KeplerPropagator{elements: e, n: e.MeanMotion(), j2: j2}
+	return k, nil
+}
+
+// Init sets k to propagate the given element set, with secular J2 drift if
+// j2 is true; on an invalid set it returns the error and leaves k as it
+// was. It is NewKeplerPropagator filling a value in place, so a fleet's
+// propagators can live in one slice.
+func (k *KeplerPropagator) Init(e Elements, j2 bool) error {
+	if err := e.Validate(); err != nil {
+		return err
+	}
+	*k = KeplerPropagator{elements: e, n: e.MeanMotion(), j2: j2}
 	if j2 {
 		p := e.SemiMajorAxis * (1 - e.Eccentricity*e.Eccentricity)
 		fac := 1.5 * geom.EarthJ2 * (geom.EarthRadius / p) * (geom.EarthRadius / p) * k.n
@@ -210,7 +222,7 @@ func NewKeplerPropagator(e Elements, j2 bool) (*KeplerPropagator, error) {
 		k.argpDot = fac * (2 - 2.5*sinI2)
 		k.mDot = fac * math.Sqrt(1-e.Eccentricity*e.Eccentricity) * (1 - 1.5*sinI2)
 	}
-	return k, nil
+	return nil
 }
 
 // Elements returns the epoch element set the propagator was built from.

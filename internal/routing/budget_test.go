@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"hypatia/internal/check/checktest"
+	"hypatia/internal/constellation"
+	"hypatia/internal/groundstation"
 )
 
 // The benchmark budgets: each guard runs its Benchmark*'s own setup and holds
@@ -26,4 +28,23 @@ func TestAllocGuardBenchSnapshotInto(t *testing.T) {
 // arenas its 100 trees share).
 func TestAllocGuardBenchForwardingTableFull(t *testing.T) {
 	checktest.AllocBudget(t, "BenchmarkForwardingTableFull", 16, 5, fullTableSweep(t))
+}
+
+// TestAllocGuardConstructionTopology holds what analysis_s1_pairs' setup_s
+// times, Generate(Starlink()) + NewTopology over the 100 cities, to 40
+// allocations per construction (it measures 10: the fleet, its propagators,
+// its names and its ISLs are one allocation each). A per-satellite
+// allocation reads 1 584 more for each: Generate naming satellites with
+// fmt.Sprintf again reads 4 763, and the per-satellite names, heap
+// propagators and append-grown fleet together read 6 371.
+func TestAllocGuardConstructionTopology(t *testing.T) {
+	checktest.AllocBudget(t, "Generate(Starlink())+NewTopology", 40, 5, func() {
+		c, err := constellation.Generate(constellation.Starlink())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewTopology(c, groundstation.Top100Cities(), GSLFree); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

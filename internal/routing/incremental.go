@@ -306,7 +306,7 @@ func (d *DeltaState) snapshotFromCache(t *Topology, tsec float64, s *Snapshot) *
 	}
 
 	if s.G == nil {
-		s.G = graph.New(n)
+		s.G = graph.NewSized(d.degrees(t, pos))
 	} else {
 		s.G.Reset(n)
 	}
@@ -321,12 +321,7 @@ func (d *DeltaState) snapshotFromCache(t *Topology, tsec float64, s *Snapshot) *
 		}
 		gsNode := nSat + gi // GS node ids follow the satellites
 		if t.Policy == GSLNearestOnly {
-			best, bestD := -1, math.Inf(1)
-			for _, si := range vis {
-				if dd := pos[si].Distance(pos[gsNode]); dd < bestD {
-					best, bestD = int(si), dd
-				}
-			}
+			best, bestD := nearestVisible(vis, pos, gsNode)
 			g.AddEdge(gsNode, best, bestD)
 			continue
 		}
@@ -335,6 +330,36 @@ func (d *DeltaState) snapshotFromCache(t *Topology, tsec float64, s *Snapshot) *
 		}
 	}
 	return s
+}
+
+// degrees returns each node's degree in the graph snapshotFromCache builds
+// from pos and the visible lists, which a snapshot's first build sizes its
+// adjacency slab from (graph.NewSized): ISL degree from the constellation,
+// GSL degree from the lists.
+func (d *DeltaState) degrees(t *Topology, pos []geom.Vec3) []int32 {
+	nSat := t.NumSats()
+	deg := make([]int32, t.NumNodes())
+	for _, isl := range t.Constellation.ISLs {
+		deg[isl.A]++
+		deg[isl.B]++
+	}
+	for gi, vis := range d.visLists {
+		if len(vis) == 0 {
+			continue
+		}
+		gsNode := nSat + gi
+		if t.Policy == GSLNearestOnly {
+			best, _ := nearestVisible(vis, pos, gsNode)
+			deg[best]++
+			deg[gsNode]++
+			continue
+		}
+		for _, si := range vis {
+			deg[si]++
+		}
+		deg[gsNode] += int32(len(vis))
+	}
+	return deg
 }
 
 // deltaSnapshot advances d to time tsec and returns the instant's snapshot
@@ -438,8 +463,10 @@ type IncrementalEngine struct {
 
 	// Per-root settle order, the only state a repair carries into the next
 	// one. A nil order marks a root never yet computed: its first tree is a
-	// from-scratch Dijkstra whose pop order becomes the order.
-	order [][]int32
+	// from-scratch Dijkstra whose pop order becomes the order, recorded into
+	// the root's row of orderSlab (one node-count row per ground station).
+	order     [][]int32
+	orderSlab []int32
 
 	scratch   *treeScratch   // Step's, and a Split's first worker's
 	scratches []*treeScratch // every treeScratch made, for Split.Work
@@ -470,8 +497,8 @@ type treeScratch struct {
 }
 
 // newTreeScratch sizes a scratch for the engine's topology, the repair's
-// heap included, so that a worker's trees allocate nothing beyond each
-// root's first settle order.
+// heap included, so that a worker's trees allocate nothing: each root's
+// first settle order is a row of the engine's orderSlab.
 func (e *IncrementalEngine) newTreeScratch() *treeScratch {
 	n := e.topo.NumNodes()
 	sc := &treeScratch{dist: make([]float64, n), prev: make([]int32, n)}
@@ -487,13 +514,14 @@ func NewIncrementalEngine(topo *Topology, pool *TablePool) *IncrementalEngine {
 		pool = &TablePool{}
 	}
 	e := &IncrementalEngine{
-		topo:   topo,
-		pool:   pool,
-		order:  make([][]int32, topo.NumGS()),
-		all:    make([]int, topo.NumGS()),
-		blank:  make([]int, 0, topo.NumGS()),
-		mark:   make([]bool, topo.NumGS()),
-		aheadT: math.NaN(),
+		topo:      topo,
+		pool:      pool,
+		order:     make([][]int32, topo.NumGS()),
+		orderSlab: make([]int32, topo.NumGS()*topo.NumNodes()),
+		all:       make([]int, topo.NumGS()),
+		blank:     make([]int, 0, topo.NumGS()),
+		mark:      make([]bool, topo.NumGS()),
+		aheadT:    math.NaN(),
 	}
 	for gs := range e.all {
 		e.all[gs] = gs
@@ -621,7 +649,8 @@ func (e *IncrementalEngine) solve(sc *treeScratch, gs int) {
 	if ord := e.order[gs]; ord != nil {
 		e.g.RepairSSSPDense(root, sc.dist, sc.prev, ord, &sc.repair)
 	} else {
-		sc.first.Order = make([]int32, e.g.N())
+		n := e.g.N()
+		sc.first.Order = e.orderSlab[gs*n : (gs+1)*n : (gs+1)*n]
 		sc.dist, sc.prev = e.g.DijkstraScratch(root, sc.dist, sc.prev, &sc.first)
 		e.order[gs], sc.first.Order = sc.first.Order, nil
 	}

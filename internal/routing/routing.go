@@ -159,12 +159,7 @@ func (t *Topology) SnapshotInto(tsec float64, s *Snapshot) *Snapshot {
 		}
 		gsNode := nSat + gi // GS node ids follow the satellites
 		if t.Policy == GSLNearestOnly {
-			best, bestD := -1, math.Inf(1)
-			for _, si := range vis {
-				if d := pos[si].Distance(pos[gsNode]); d < bestD {
-					best, bestD = si, d
-				}
-			}
+			best, bestD := nearestVisible(vis, pos, gsNode)
 			g.AddEdge(gsNode, best, bestD)
 			continue
 		}
@@ -173,6 +168,19 @@ func (t *Topology) SnapshotInto(tsec float64, s *Snapshot) *Snapshot {
 		}
 	}
 	return s
+}
+
+// nearestVisible returns GSLNearestOnly's pick among a ground station's
+// visible satellites: the one nearest to it, the lowest index on a tie, and
+// its distance.
+func nearestVisible[S int | int32](vis []S, pos []geom.Vec3, gsNode int) (int, float64) {
+	best, bestD := -1, math.Inf(1)
+	for _, si := range vis {
+		if d := pos[si].Distance(pos[gsNode]); d < bestD {
+			best, bestD = int(si), d
+		}
+	}
+	return best, bestD
 }
 
 // FromGS runs Dijkstra rooted at ground station gs and returns the distance

@@ -289,7 +289,7 @@ type Network struct {
 	islIdx  []int32              // CSR offsets into islPeer/islDev, len NumNodes+1
 	islPeer []int32              // ISL neighbor node ids, ascending per node
 	islDev  []int32              // device handle per ISL neighbor
-	flows   []map[uint32]Handler // per node; non-nil only on ground stations
+	flows   []map[uint32]Handler // per node; made on a ground station by its first RegisterFlow
 	pktSeq  []uint32             // per-node packet ID counters
 
 	onTransmit func(TransmitInfo)
@@ -360,12 +360,31 @@ func NewNetwork(s *Simulator, topo *routing.Topology, cfg Config) (*Network, err
 	n := &Network{Sim: s, Topo: topo, cfg: cfg}
 	s.net = n
 
-	adj := make([][]int32, numNodes)
+	// Every ISL is two directed devices, plus one GSL device per node. Node
+	// i's ISL peers, ascending, are islPeer[islIdx[i]:islIdx[i+1]]: a
+	// degree-counting pass sizes the offsets, a second pass places each
+	// peer (advancing islIdx[i] as node i's cursor, which leaves it at node
+	// i+1's offset, so a shift restores the offsets).
+	isls := 2 * len(topo.Constellation.ISLs)
+	n.islIdx = make([]int32, numNodes+1)
 	for _, isl := range topo.Constellation.ISLs {
-		adj[isl.A] = append(adj[isl.A], int32(isl.B))
-		adj[isl.B] = append(adj[isl.B], int32(isl.A))
+		n.islIdx[isl.A+1]++
+		n.islIdx[isl.B+1]++
 	}
-	for _, peers := range adj {
+	for i := 0; i < numNodes; i++ {
+		n.islIdx[i+1] += n.islIdx[i]
+	}
+	n.islPeer = make([]int32, isls)
+	for _, isl := range topo.Constellation.ISLs {
+		n.islPeer[n.islIdx[isl.A]] = int32(isl.B)
+		n.islIdx[isl.A]++
+		n.islPeer[n.islIdx[isl.B]] = int32(isl.A)
+		n.islIdx[isl.B]++
+	}
+	copy(n.islIdx[1:], n.islIdx[:numNodes])
+	n.islIdx[0] = 0
+	for v := 0; v < numNodes; v++ {
+		peers := n.islPeer[n.islIdx[v]:n.islIdx[v+1]]
 		for i := 1; i < len(peers); i++ { // insertion sort: tiny lists
 			for j := i; j > 0 && peers[j-1] > peers[j]; j-- {
 				peers[j-1], peers[j] = peers[j], peers[j-1]
@@ -373,26 +392,17 @@ func NewNetwork(s *Simulator, topo *routing.Topology, cfg Config) (*Network, err
 		}
 	}
 
-	// Every ISL is two directed devices, plus one GSL device per node.
-	isls := 2 * len(topo.Constellation.ISLs)
 	n.devs = make([]device, 0, numNodes+isls)
-	n.islPeer = make([]int32, 0, isls)
 	n.islDev = make([]int32, 0, isls)
 	n.gslDev = make([]int32, numNodes)
-	n.islIdx = make([]int32, numNodes+1)
 	n.flows = make([]map[uint32]Handler, numNodes)
 	n.pktSeq = make([]uint32, numNodes)
 	for i := 0; i < numNodes; i++ {
 		n.gslDev[i] = int32(len(n.devs))
 		n.devs = append(n.devs, device{node: int32(i), fixedPeer: -1, rateBps: rateFor(i, -1, cfg.GSLRateBps), busyUntil: -1, serSize: -1, propBucket: -1})
-		for _, p := range adj[i] {
-			n.islPeer = append(n.islPeer, p)
+		for _, p := range n.islPeer[n.islIdx[i]:n.islIdx[i+1]] {
 			n.islDev = append(n.islDev, int32(len(n.devs)))
 			n.devs = append(n.devs, device{node: int32(i), fixedPeer: p, rateBps: rateFor(i, int(p), cfg.ISLRateBps), busyUntil: -1, serSize: -1, propBucket: -1})
-		}
-		n.islIdx[i+1] = int32(len(n.islPeer))
-		if topo.IsGS(i) {
-			n.flows[i] = map[uint32]Handler{}
 		}
 	}
 	n.rings = make([]departure, len(n.devs)*cfg.QueuePackets)
@@ -517,6 +527,9 @@ func (n *Network) RegisterFlow(gs int, flowID uint32, h Handler) {
 	node := n.gsNode(gs, "RegisterFlow")
 	if _, dup := n.flows[node][flowID]; dup {
 		panic(fmt.Sprintf("sim: duplicate flow %d at GS %d", flowID, gs))
+	}
+	if n.flows[node] == nil { // a station's table is made with its first flow
+		n.flows[node] = map[uint32]Handler{}
 	}
 	n.flows[node][flowID] = h
 }

@@ -43,8 +43,9 @@ go build -tags hypatia_checks ./...
 stage "alloc and work guards (default build, GOMAXPROCS=1)"
 # The allocation contract (there is no static half): testing.AllocsPerRun
 # pins the steady-state hot paths to their budgets. Run in the default build
-# — the hypatia_checks build boxes assertion arguments and runs from-scratch
-# oracles, so the guards skip there — at GOMAXPROCS=1 so background
+# without -race — the hypatia_checks build boxes assertion arguments and runs
+# from-scratch oracles, and the race runtime allocates on the program's
+# behalf, so the guards skip in both — at GOMAXPROCS=1 so background
 # scheduling cannot smear allocations across the measured runs. In
 # internal/sim and internal/transport the guards are the event queue, the
 # packet path, the UDP send/deliver loop, a sim.Timer's Reset/Stop/fire
@@ -58,7 +59,11 @@ stage "alloc and work guards (default build, GOMAXPROCS=1)"
 # ForwardingStateIncremental, SimSerial, SimSerialTCP, AnalyzePairsS1) to
 # their allocs/op budgets, on each benchmark's own setup; the two analysis
 # guards build their sweep at GOMAXPROCS 2, so the tree split's helper runs
-# in the measured steps even here. The -run prefix
+# in the measured steps even here. TestAllocGuardConstructionTopology
+# (internal/routing) and TestAllocGuardConstructionRun (internal/core) hold
+# construction — Generate(Starlink()) + NewTopology, and NewRun + Close on
+# fstate_k1's configuration — to 40 and 2 000 allocations, so that it
+# allocates per structure, not per satellite or node. The -run prefix
 # picks up every TestAllocGuard* by name, so a new guard needs no edit here. Two
 # more pin where a run's forwarding-state memory is allocated, which is what
 # keeps a benchmark's timed-region allocation from depending on the
