@@ -64,10 +64,15 @@ func BenchmarkPacketForwardingRate(b *testing.B) {
 // workload, shorter).
 func newSimShape(tb testing.TB, tcp bool) *Run {
 	tb.Helper()
-	rateBps, duration := 100e6, 200*sim.Millisecond
 	if tcp {
-		rateBps, duration = 25e6, 2*sim.Second
+		return newShape(tb, true, 25e6, 2*sim.Second)
 	}
+	return newShape(tb, false, 100e6, 200*sim.Millisecond)
+}
+
+// newShape is newSimShape at any link and UDP rate and horizon.
+func newShape(tb testing.TB, tcp bool, rateBps float64, duration sim.Time) *Run {
+	tb.Helper()
 	net := sim.DefaultConfig()
 	net.ISLRateBps, net.GSLRateBps = rateBps, rateBps
 	cities := groundstation.Top100Cities()
@@ -116,6 +121,40 @@ func BenchmarkSimSerial(b *testing.B) { benchSim(b, false) }
 // transport timers, a quarter of the line rate.
 // TestAllocGuardBenchSimSerialTCP holds one Execute to its allocation budget.
 func BenchmarkSimSerialTCP(b *testing.B) { benchSim(b, true) }
+
+// BenchmarkSimLoad is per-event cost against load: the UDP shape at 25, 50
+// and 100 Mbit/s for 500 virtual ms, the forwarding-state producer running
+// beside the loop as in production. Each rate reports the wall time per
+// event processed beside the mean pending events, sampled every virtual
+// millisecond by a closure (about 500 of the run's events), so the rows
+// show whether an event costs more as the pending set grows:
+//
+//	go test -run '^$' -bench SimLoad -benchtime 5x ./internal/core/
+func BenchmarkSimLoad(b *testing.B) {
+	for _, mbps := range []float64{25, 50, 100} {
+		b.Run(fmt.Sprintf("rate=%gMbps", mbps), func(b *testing.B) {
+			var events uint64
+			var pending, samples int
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				run := newShape(b, false, mbps*1e6, 500*sim.Millisecond)
+				s := run.Sim
+				var probe func()
+				probe = func() {
+					pending += s.Pending()
+					samples++
+					s.Schedule(sim.Millisecond, probe)
+				}
+				s.Schedule(0, probe)
+				b.StartTimer()
+				run.Execute()
+				events += s.Processed()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+			b.ReportMetric(float64(pending)/float64(samples), "pending")
+		})
+	}
+}
 
 // benchInstants is the schedule for the from-scratch forwarding-state
 // benchmark: 8 Kuiper update instants at the paper's 100 ms granularity.

@@ -239,22 +239,50 @@ func TestSendHeaderCarriesWords(t *testing.T) {
 	}
 }
 
-// TestPageElementsFillWholePages pins the sizes the slab depends on. A packet
-// rides inside its event's record, so Packet stays within 80 bytes (the
-// header words and the 32-bit Size, Hops and station indices pay for it) and
-// a record is 120; a page of 1 024 records is then a whole number of 8 KiB
-// runtime pages, so the allocator hands out exactly the bytes asked for and
-// no tail is wasted (DESIGN.md, "One record per packet in flight").
+// TestPageElementsFillWholePages pins the sizes and offsets the slab depends
+// on. A packet rides inside its event's record, so Packet stays within 80
+// bytes (the header words and the 32-bit Size, Hops and station indices pay
+// for it) and a record is 128. A page of 1 024 records is then a whole number
+// of 8 KiB runtime pages, so the allocator hands out exactly the bytes asked
+// for, page-aligned, and every record of a live queue starts on a 128-byte
+// boundary: two aligned cache lines, of which the queue reads only the first,
+// where at, src, next and succAt sit (DESIGN.md, "One record per packet in
+// flight").
 func TestPageElementsFillWholePages(t *testing.T) {
 	if sz := unsafe.Sizeof(Packet{}); sz > 80 {
 		t.Errorf("unsafe.Sizeof(Packet{}) = %d, want <= 80", sz)
 	}
-	if sz := unsafe.Sizeof(record{}); sz != 120 {
-		t.Errorf("unsafe.Sizeof(record{}) = %d, want 120", sz)
+	const recSize, line = 128, 64
+	if sz := unsafe.Sizeof(record{}); sz != recSize {
+		t.Errorf("unsafe.Sizeof(record{}) = %d, want %d", sz, recSize)
+	}
+	var r record
+	for _, f := range []struct {
+		name     string
+		off, len uintptr
+	}{
+		{"at", unsafe.Offsetof(r.at), unsafe.Sizeof(r.at)},
+		{"key", unsafe.Offsetof(r.key), unsafe.Sizeof(r.key)},
+		{"owner", unsafe.Offsetof(r.owner), unsafe.Sizeof(r.owner)},
+		{"kind", unsafe.Offsetof(r.kind), unsafe.Sizeof(r.kind)},
+		{"src", unsafe.Offsetof(r.src), unsafe.Sizeof(r.src)},
+		{"next", unsafe.Offsetof(r.next), unsafe.Sizeof(r.next)},
+		{"succAt", unsafe.Offsetof(r.succAt), unsafe.Sizeof(r.succAt)},
+	} {
+		if f.off+f.len > line {
+			t.Errorf("record.%s occupies bytes %d..%d, outside the record's first %d-byte line", f.name, f.off, f.off+f.len, line)
+		}
 	}
 	const runtimePage = 8 << 10
 	if sz := recPageLen * unsafe.Sizeof(record{}); sz%runtimePage != 0 {
 		t.Errorf("an event slab page is %d bytes, not a whole number of %d-byte runtime pages", sz, runtimePage)
+	}
+	var q eventQueue
+	for i := int32(1); i <= 2*recPageLen+3; i++ {
+		q.push(event{at: Time(i), owner: -1, kind: evClosure, key: uint64(i)})
+		if a := uintptr(unsafe.Pointer(q.rec(i))); a%recSize != 0 {
+			t.Fatalf("record %d of a live queue is at %#x, not %d-byte aligned", i, a, recSize)
+		}
 	}
 }
 

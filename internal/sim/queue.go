@@ -35,8 +35,9 @@ import "hypatia/internal/check"
 // where a packet kept in a pool of its own is a second cold line per hop
 // (DESIGN.md, "One record per packet in flight").
 
-// recPageLen records make a page: 1024 of 120 bytes are 122 880 bytes,
-// exactly fifteen 8 KiB runtime pages. rec reaches record i at page
+// recPageLen records make a page: 1024 of 128 bytes are 128 KiB, exactly
+// sixteen 8 KiB runtime pages, so the allocator hands a page out page-aligned
+// and every record starts on a cache line. rec reaches record i at page
 // i>>recPageShift, entry i&recPageMask.
 const (
 	recPageShift = 10
@@ -65,7 +66,14 @@ type slot struct {
 // the packet it carries (stale in other records). src is the FIFO the event
 // rides, or -1 for a plain event; next links a FIFO-held record to its
 // successor and a free record to the next free one, 0 ending either chain
-// (slab index 0 is never handed out).
+// (slab index 0 is never handed out). succAt is the time of the FIFO
+// successor, written by linkFlight when it links one behind this record, so
+// that pop promotes the successor without reading its record.
+//
+// Everything the queue reads — the event's order key, src, next and succAt
+// — lies in the first 48 bytes, and a record is 128: a page is 128 KiB, so
+// every record is two aligned cache lines, and a pop or a tie touches only
+// the first (TestPageElementsFillWholePages). The packet fills the rest.
 //
 // A record is free, pending (linked into the heap or a FIFO), or taken: handed
 // out by take or pop and neither linked nor released yet — a packet being
@@ -73,9 +81,10 @@ type slot struct {
 // records count in len.
 type record struct {
 	event
-	pkt  Packet
-	src  int32
-	next int32
+	src    int32
+	next   int32
+	succAt Time
+	pkt    Packet
 }
 
 // eventQueue is the pending-event set. The zero value is an empty queue.
@@ -89,6 +98,10 @@ type eventQueue struct {
 	// nothing pending; the FIFO's first record is the one in the heap. Sized
 	// by devices().
 	tails []int32
+	// What linkFlight did with each event it was handed (Simulator.Work):
+	// entered the heap as an empty FIFO's head, linked behind a FIFO's tail,
+	// or fell back to the heap as a plain event.
+	heads, behind, fallbacks int
 }
 
 // devices sizes the FIFO state; records may then be linked through
@@ -182,16 +195,19 @@ func (q *eventQueue) linkFlight(dev, i int32, r *record) {
 		r.src, r.next = dev, 0
 		q.tails[dev] = i
 		q.n++
+		q.heads++
 		q.up(slot{at: r.at, rec: i})
 		return
 	}
 	if tail := q.rec(t); tail.before(&r.event) {
 		r.src, r.next = dev, 0
-		tail.next = i
+		tail.next, tail.succAt = i, r.at
 		q.tails[dev] = i
 		q.n++
+		q.behind++
 		return
 	}
+	q.fallbacks++
 	q.link(i, r)
 }
 
@@ -206,7 +222,9 @@ func (q *eventQueue) push(e event) {
 // pop removes the earliest event and returns its record, taken: the caller
 // links it again (a packet moving on) or releases it. The queue must not be
 // empty. When the event heads a FIFO with a successor, the successor takes the
-// root in the same sift-down that a plain removal spends on the last leaf.
+// root in the same sift-down that a plain removal spends on the last leaf; its
+// time comes from the popped record's succAt, so its own record stays unread
+// until it is popped in turn (or a tie in the heap consults it).
 func (q *eventQueue) pop() (int32, *record) {
 	top := q.heap[heapRoot].rec
 	r := q.rec(top)
@@ -220,12 +238,13 @@ func (q *eventQueue) pop() (int32, *record) {
 	q.n--
 
 	if nx != 0 {
-		succ := q.rec(nx)
 		if check.Enabled {
+			succ := q.rec(nx)
 			check.Assert(r.src >= 0 && succ.src == r.src && q.tails[r.src] != 0 && r.before(&succ.event),
 				"FIFO %d: successor %d (src %d, at %v) does not follow head %d (at %v)", r.src, nx, succ.src, succ.at, top, r.at)
+			check.Assert(r.succAt == succ.at, "FIFO %d: head %d caches its successor's time as %d ns, successor %d is at %d ns", r.src, top, r.succAt, nx, succ.at)
 		}
-		q.down(slot{at: succ.at, rec: nx})
+		q.down(slot{at: r.succAt, rec: nx})
 		return top, r
 	}
 	last := len(q.heap) - 1
@@ -345,9 +364,10 @@ func (q *eventQueue) leastTied(g *[4]slot, m int) int {
 // assertConsistent walks the whole structure for the queue tests, which
 // call it between operations (its assertions fire in hypatia_checks builds
 // only): the heap is ordered; each FIFO has at most one head in the heap, is
-// strictly ascending in canonical order and ends at the recorded tail;
-// plain records carry no chain; and the pending count is the heap length plus
-// the FIFO occupancy. It returns that occupancy.
+// strictly ascending in canonical order, caches each record's time in its
+// predecessor's succAt and ends at the recorded tail; plain records carry no
+// chain; and the pending count is the heap length plus the FIFO occupancy.
+// It returns that occupancy.
 func (q *eventQueue) assertConsistent() (fifoHeld int) {
 	if q.n == 0 {
 		check.Assert(len(q.heap) <= heapRoot, "empty queue with %d heap entries", len(q.heap)-heapRoot)
@@ -374,6 +394,8 @@ func (q *eventQueue) assertConsistent() (fifoHeld int) {
 		for j := r.next; j != 0; j = q.rec(j).next {
 			check.Assert(q.rec(j).src == r.src && q.rec(last).before(&q.rec(j).event),
 				"FIFO %d: record %d does not follow %d", r.src, j, last)
+			check.Assert(q.rec(last).succAt == q.rec(j).at,
+				"FIFO %d: record %d caches its successor's time as %d ns, successor %d is at %d ns", r.src, last, q.rec(last).succAt, j, q.rec(j).at)
 			last = j
 			fifoHeld++
 		}

@@ -72,7 +72,10 @@ stage "alloc and work guards (default build, GOMAXPROCS=1)"
 # TestWorkGuard* tests hold work counts to budgets the same way (in
 # internal/core on fstate_k1's shape and in internal/analysis on
 # analysis_s1_pairs': graph builds per instant, second-pass nodes per tree,
-# table entries set to -1 per instant); the -run prefix picks up new ones too.
+# table entries set to -1 per instant; TestWorkGuardPacketPath in
+# internal/core on 200 ms of udp_perm100's shape: events processed, and
+# receives linked behind a FIFO head against FIFO heads and fallbacks to the
+# heap, from sim.Simulator.Work); the -run prefix picks up new ones too.
 GOMAXPROCS=1 go test -count=1 \
     -run 'TestAllocGuard|TestWorkGuard|TestEngineAllocatesArenasOnlyInFirstStep|TestPipelineHoldsAtMostReservedTables' \
     ./internal/graph/ ./internal/routing/ ./internal/analysis/ ./internal/sim/ ./internal/transport/ ./internal/core/
