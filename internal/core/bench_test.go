@@ -65,13 +65,16 @@ func BenchmarkPacketForwardingRate(b *testing.B) {
 func newSimShape(tb testing.TB, tcp bool) *Run {
 	tb.Helper()
 	if tcp {
-		return newShape(tb, true, 25e6, 2*sim.Second)
+		return newShape(tb, true, 25e6, 2*sim.Second, 0)
 	}
-	return newShape(tb, false, 100e6, 200*sim.Millisecond)
+	return newShape(tb, false, 100e6, 200*sim.Millisecond, 0)
 }
 
-// newShape is newSimShape at any link and UDP rate and horizon.
-func newShape(tb testing.TB, tcp bool, rateBps float64, duration sim.Time) *Run {
+// newShape is newSimShape at any link and UDP rate and horizon. With jitter
+// above zero each flow starts at a seeded offset below it, drawn the way the
+// benchmark's workloads draw theirs (attach in bench/workloads.go); at zero
+// every flow starts at t = 0.
+func newShape(tb testing.TB, tcp bool, rateBps float64, duration, jitter sim.Time) *Run {
 	tb.Helper()
 	net := sim.DefaultConfig()
 	net.ISLRateBps, net.GSLRateBps = rateBps, rateBps
@@ -85,13 +88,24 @@ func newShape(tb testing.TB, tcp bool, rateBps float64, duration sim.Time) *Run 
 	if err != nil {
 		tb.Fatal(err)
 	}
+	offsets := rand.New(rand.NewSource(20201027))
+	start := func(f interface {
+		Start()
+		StartAfter(sim.Time)
+	}) {
+		if jitter > 0 {
+			f.StartAfter(sim.Time(offsets.Int63n(int64(jitter))))
+		} else {
+			f.Start()
+		}
+	}
 	for src, dst := range rand.New(rand.NewSource(20201027)).Perm(len(cities)) {
 		switch {
 		case src == dst:
 		case tcp:
-			transport.NewTCPFlow(run.Net, run.Flows, src, dst, transport.TCPConfig{}).Start()
+			start(transport.NewTCPFlow(run.Net, run.Flows, src, dst, transport.TCPConfig{}))
 		default:
-			transport.NewUDPFlow(run.Net, run.Flows, src, dst, transport.UDPConfig{RateBps: rateBps}).Start()
+			start(transport.NewUDPFlow(run.Net, run.Flows, src, dst, transport.UDPConfig{RateBps: rateBps}))
 		}
 	}
 	return run
@@ -123,9 +137,11 @@ func BenchmarkSimSerial(b *testing.B) { benchSim(b, false) }
 func BenchmarkSimSerialTCP(b *testing.B) { benchSim(b, true) }
 
 // BenchmarkSimLoad is per-event cost against load: the UDP shape at 25, 50
-// and 100 Mbit/s for 500 virtual ms, the forwarding-state producer running
-// beside the loop as in production. Each rate reports the wall time per
-// event processed beside the mean pending events, sampled every virtual
+// and 100 Mbit/s for 500 virtual ms, each flow starting within the first
+// 10 ms as the benchmark's do (flows started together tie at every pacing
+// instant, which udp_perm100 does not), the forwarding-state producer
+// running beside the loop as in production. Each rate reports the wall time
+// per event processed beside the mean pending events, sampled every virtual
 // millisecond by a closure (about 500 of the run's events), so the rows
 // show whether an event costs more as the pending set grows:
 //
@@ -137,7 +153,7 @@ func BenchmarkSimLoad(b *testing.B) {
 			var pending, samples int
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				run := newShape(b, false, mbps*1e6, 500*sim.Millisecond)
+				run := newShape(b, false, mbps*1e6, 500*sim.Millisecond, 10*sim.Millisecond)
 				s := run.Sim
 				var probe func()
 				probe = func() {

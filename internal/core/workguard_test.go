@@ -82,10 +82,16 @@ func TestWorkGuardForwardingState(t *testing.T) {
 //     that always fell back to the heap reads 100 %.
 //   - FIFO heads: a FIFO runs empty only when its device goes idle, which
 //     reads 831 times here; budget 1 000.
+//   - root pushes: each pop prefetches the record at the heap's new root,
+//     which is the next one popped unless a push takes the root first. A
+//     push lands there only when nothing pending is earlier, which reads 3
+//     times here (8 over udp_perm100's 2 s); budget 20. A timer or flow that
+//     schedules at the current instant reads one per arm.
 func TestWorkGuardPacketPath(t *testing.T) {
 	const (
-		events      = 1_009_400
-		headsBudget = 1_000
+		events           = 1_009_400
+		headsBudget      = 1_000
+		rootPushesBudget = 20
 	)
 	run := newSimShape(t, false)
 	run.Execute()
@@ -101,5 +107,9 @@ func TestWorkGuardPacketPath(t *testing.T) {
 	}
 	if w.Heads > headsBudget {
 		t.Errorf("%d FIFO heads, budget %d", w.Heads, headsBudget)
+	}
+	if w.RootPushes > rootPushesBudget {
+		t.Errorf("%d heap pushes took the root, budget %d: each one wastes the prefetch of the next record to pop",
+			w.RootPushes, rootPushesBudget)
 	}
 }

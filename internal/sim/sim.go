@@ -198,21 +198,24 @@ func (s *Simulator) Processed() uint64 { return s.processed }
 
 // Work is what an engine has done since it was made, in counts that depend
 // only on the code and its input, not on the host, so a budget on them reads
-// the same on any machine. The last three split the events the network
-// linked through a device's in-flight FIFO (every receive, and the transmit
-// completions a hook or loss model observes; queue.go): a head or a fallback
-// costs a heap push, and a link behind a tail costs none.
+// the same on any machine. Behind, Heads and Fallbacks split the events the
+// network linked through a device's in-flight FIFO (every receive, and the
+// transmit completions a hook or loss model observes; queue.go): a head or a
+// fallback costs a heap push, and a link behind a tail costs none.
+// RootPushes counts the heap pushes of any event that became the earliest
+// pending: each leaves unused the prefetch of the record that was next.
 type Work struct {
-	Events    int // events processed (Processed)
-	Behind    int // FIFO events linked behind their FIFO's tail, out of the heap
-	Heads     int // FIFO events that entered the heap as an empty FIFO's head
-	Fallbacks int // FIFO events that did not follow their FIFO's tail and entered the heap as plain events
+	Events     int // events processed (Processed)
+	Behind     int // FIFO events linked behind their FIFO's tail, out of the heap
+	Heads      int // FIFO events that entered the heap as an empty FIFO's head
+	Fallbacks  int // FIFO events that did not follow their FIFO's tail and entered the heap as plain events
+	RootPushes int // heap pushes that ended at the root
 }
 
 // Work returns the engine's counts.
 func (s *Simulator) Work() Work {
 	q := &s.events
-	return Work{Events: int(s.processed), Behind: q.behind, Heads: q.heads, Fallbacks: q.fallbacks}
+	return Work{Events: int(s.processed), Behind: q.behind, Heads: q.heads, Fallbacks: q.fallbacks, RootPushes: q.rootPushes}
 }
 
 // Pending returns the number of events currently queued, whether they sit in

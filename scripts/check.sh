@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1.5 verification gate: formatting, vet, both build variants, the
-# allocation guards, and the race-enabled test suite with runtime invariant
-# checks compiled in (the project's one static check, TestNoDroppedErrors,
-# is a root-package test and runs there). Run from the repository root:
+# Tier-1.5 verification gate: formatting, vet, both build variants, an arm64
+# cross-build and vet (the only build of the event queue's no-op prefetch,
+# which stands in for its amd64 assembly elsewhere), the allocation guards,
+# and the race-enabled test suite with runtime invariant checks compiled in
+# (the project's one static check, TestNoDroppedErrors, is a root-package
+# test and runs there). Run from the repository root:
 #
 #   ./scripts/check.sh
 #
@@ -39,6 +41,12 @@ go vet ./...
 stage "build (both variants)"
 go build ./...
 go build -tags hypatia_checks ./...
+
+stage "arm64 cross-build and vet"
+# internal/sim prefetches with amd64 assembly and builds a no-op in its
+# place on every other architecture; no other stage compiles that file.
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/sim/
 
 stage "alloc and work guards (default build, GOMAXPROCS=1)"
 # The allocation contract (there is no static half): testing.AllocsPerRun
