@@ -57,17 +57,18 @@ func BenchmarkPacketForwardingRate(b *testing.B) {
 }
 
 // newSimShape builds one of the paper's Fig 2 shapes — Kuiper K1, the 100
-// cities, one flow per pair of a random permutation — ready to Execute. The
+// cities, one flow per pair of a random permutation, each starting within
+// the first 10 ms as the benchmark's workloads do — ready to Execute. The
 // UDP shape is line-rate flows on 100 Mbit/s links for 200 virtual
-// milliseconds (~2M events); the TCP shape (tcp set) is NewReno on 25 Mbit/s
-// links for 2 virtual seconds (~2.1M events: the benchmark's tcp_perm100
-// workload, shorter).
+// milliseconds (~1M events: udp_perm100, shorter); the TCP shape (tcp set)
+// is NewReno on 25 Mbit/s links for 2 virtual seconds (~1M events:
+// tcp_perm100, shorter).
 func newSimShape(tb testing.TB, tcp bool) *Run {
 	tb.Helper()
 	if tcp {
-		return newShape(tb, true, 25e6, 2*sim.Second, 0)
+		return newShape(tb, true, 25e6, 2*sim.Second, 10*sim.Millisecond)
 	}
-	return newShape(tb, false, 100e6, 200*sim.Millisecond, 0)
+	return newShape(tb, false, 100e6, 200*sim.Millisecond, 10*sim.Millisecond)
 }
 
 // newShape is newSimShape at any link and UDP rate and horizon. With jitter

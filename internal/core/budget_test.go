@@ -29,7 +29,7 @@ func TestAllocGuardBenchForwardingStateIncremental(t *testing.T) {
 }
 
 // TestAllocGuardBenchSimSerial holds one Execute of BenchmarkSimSerial's UDP
-// shape to 100 allocs (it measures ~38: one event-slab page per 1 024
+// shape to 100 allocs (it measures ~42: one event-slab page per 1 024
 // records up to the in-flight high-water, since a packet rides inside its
 // event's record, then the position cache and the heap growing while the
 // links fill). A packet path that allocated once per packet would read 500 k.
@@ -39,7 +39,7 @@ func TestAllocGuardBenchSimSerial(t *testing.T) {
 }
 
 // TestAllocGuardBenchSimSerialTCP holds one Execute of the TCP shape to
-// 1 500 allocs (it measures ~940, nearly all the scoreboard rings growing,
+// 1 500 allocs (it measures ~1 045, nearly all the scoreboard rings growing,
 // then the slab pages). A fresh closure per timer arm, a boxed payload per
 // segment or per-ACK logs on by default would each read 10 k or more.
 func TestAllocGuardBenchSimSerialTCP(t *testing.T) {

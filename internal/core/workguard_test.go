@@ -69,27 +69,33 @@ func TestWorkGuardForwardingState(t *testing.T) {
 
 // TestWorkGuardPacketPath holds the event engine to work budgets on a
 // reduced udp_perm100 shape: BenchmarkSimSerial's K1, 100 cities, one
-// line-rate UDP flow per permutation pair at 100 Mbit/s, 200 virtual ms.
-// The counts are the engine's (sim.Work) and read the same on any host:
+// line-rate UDP flow per permutation pair at 100 Mbit/s, each starting
+// within the first 10 ms, 200 virtual ms. The counts are the engine's
+// (sim.Work) and read the same on any host:
 //
 //   - events processed: exactly the recorded count. A change that adds an
 //     event per hop or per packet, or drops one, moves it, and must say
 //     why here.
 //   - FIFO links: nearly every receive waits behind its device's FIFO head,
-//     out of the heap. Fallbacks, which cost a heap push and a sift-down
-//     each, stay under 1 % of the links (they read 0.575 %, most of them
-//     while the flows start; 0.06 % over udp_perm100's 2 s); a linkFlight
-//     that always fell back to the heap reads 100 %.
+//     out of the heap and the run. Fallbacks, which cost an insert each,
+//     stay under 1 % of the links (they read 0.634 %, most of them while
+//     the flows start; 0.06 % over udp_perm100's 2 s); a linkFlight that
+//     always fell back reads 100 %.
 //   - FIFO heads: a FIFO runs empty only when its device goes idle, which
-//     reads 831 times here; budget 1 000.
-//   - root pushes: each pop prefetches the record at the heap's new root,
-//     which is the next one popped unless a push takes the root first. A
-//     push lands there only when nothing pending is earlier, which reads 3
+//     reads 877 times here; budget 1 000.
+//   - run pops: each event inserted a little behind everything pending joins
+//     the queue's sorted run and pops from it without touching the heap.
+//     They read 49.2 % of the events here, where the links are still
+//     filling, and 95.1 % over udp_perm100's 2 s; floor 40 %. A run that
+//     admitted nothing reads 0.
+//   - root pushes: each pop prefetches the record that is next, which is the
+//     next one popped unless an insert takes the queue's minimum first. An
+//     insert does so only when nothing pending is earlier, which reads 8
 //     times here (8 over udp_perm100's 2 s); budget 20. A timer or flow that
 //     schedules at the current instant reads one per arm.
 func TestWorkGuardPacketPath(t *testing.T) {
 	const (
-		events           = 1_009_400
+		events           = 983_179
 		headsBudget      = 1_000
 		rootPushesBudget = 20
 	)
@@ -97,19 +103,66 @@ func TestWorkGuardPacketPath(t *testing.T) {
 	run.Execute()
 	w := run.Sim.Work()
 	links := w.Behind + w.Heads + w.Fallbacks
-	t.Logf("%+v: %d FIFO links, %.3f %% fell back", w, links, 100*float64(w.Fallbacks)/float64(links))
+	t.Logf("%+v: %d FIFO links, %.3f %% fell back; %.1f %% of the events popped from the run",
+		w, links, 100*float64(w.Fallbacks)/float64(links), 100*float64(w.RunPops)/float64(w.Events))
 	if w.Events != events {
 		t.Errorf("%d events processed, want exactly %d", w.Events, events)
 	}
 	if 100*w.Fallbacks > links {
-		t.Errorf("%d of %d FIFO links fell back to the heap, budget 1 %%: in-flight receives are not waiting behind their FIFO heads",
+		t.Errorf("%d of %d FIFO links fell back, budget 1 %%: in-flight receives are not waiting behind their FIFO heads",
 			w.Fallbacks, links)
 	}
 	if w.Heads > headsBudget {
 		t.Errorf("%d FIFO heads, budget %d", w.Heads, headsBudget)
 	}
+	if 10*w.RunPops < 4*w.Events {
+		t.Errorf("%d of %d events popped from the run, floor 40 %%: the rotation is going through the heap",
+			w.RunPops, w.Events)
+	}
 	if w.RootPushes > rootPushesBudget {
-		t.Errorf("%d heap pushes took the root, budget %d: each one wastes the prefetch of the next record to pop",
+		t.Errorf("%d inserts took the queue's minimum, budget %d: each one wastes the prefetch of the next record to pop",
 			w.RootPushes, rootPushesBudget)
+	}
+}
+
+// TestWorkGuardPacketPathTCP is TestWorkGuardPacketPath's twin on the TCP
+// shape, BenchmarkSimSerialTCP's: NewReno per permutation pair on 25 Mbit/s
+// links, each flow starting within the first 10 ms, 2 virtual s. It pins the
+// event mix of tcp_perm100, the workload a packet-path change must not slow:
+//
+//   - events processed: exactly the recorded count, as above.
+//   - FIFO links: ACKs and data share devices and windows open and close, so
+//     FIFOs run empty far more often than under UDP: heads read 3.84 % of
+//     the links (budget 5 %) and fallbacks 2.16 % (budget 3 %).
+//   - run pops: TCP's rotation is its ACK trains, whose 40-byte ACKs are
+//     12.8 µs apart on a 25 Mbit/s link. They read 25.5 % of the events
+//     (tcp_perm100: 23.8 %); floor 15 %, which a run that admitted nothing
+//     fails, and a runSlack of 10 µs too (8.1 %).
+//   - root pushes: 8, budget 20, as above.
+func TestWorkGuardPacketPathTCP(t *testing.T) {
+	const (
+		events           = 1_004_278
+		rootPushesBudget = 20
+	)
+	run := newSimShape(t, true)
+	run.Execute()
+	w := run.Sim.Work()
+	links := w.Behind + w.Heads + w.Fallbacks
+	t.Logf("%+v: %d FIFO links, %.3f %% heads, %.3f %% fell back; %.2f %% of the events popped from the run",
+		w, links, 100*float64(w.Heads)/float64(links), 100*float64(w.Fallbacks)/float64(links), 100*float64(w.RunPops)/float64(w.Events))
+	if w.Events != events {
+		t.Errorf("%d events processed, want exactly %d", w.Events, events)
+	}
+	if 20*w.Heads > links {
+		t.Errorf("%d of %d FIFO links entered as heads, budget 5 %%", w.Heads, links)
+	}
+	if 100*w.Fallbacks > 3*links {
+		t.Errorf("%d of %d FIFO links fell back, budget 3 %%", w.Fallbacks, links)
+	}
+	if 100*w.RunPops < 15*w.Events {
+		t.Errorf("%d of %d events popped from the run, floor 15 %%", w.RunPops, w.Events)
+	}
+	if w.RootPushes > rootPushesBudget {
+		t.Errorf("%d inserts took the queue's minimum, budget %d", w.RootPushes, rootPushesBudget)
 	}
 }

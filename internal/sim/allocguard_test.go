@@ -24,7 +24,7 @@ func TestAllocGuardEventHeap(t *testing.T) {
 			pushFlight(&q, int32(i%4), event{at: Time(i * 5 % 1024), owner: int32(i % 3), kind: evReceive, key: uint64(2*i + 1)})
 		}
 		for q.len() > 0 {
-			q.release(q.pop())
+			q.release(q.pop(never))
 		}
 	})
 	if len(q.pages) < 4 {

@@ -25,8 +25,8 @@ import (
 // The fields are ordered (and everything but the 64-bit words narrowed to 32
 // bits) to keep the packet at 80 bytes and its record at 128, so that a page
 // of 1 024 records is exactly sixteen 8 KiB runtime pages and every record
-// two aligned cache lines (TestPageElementsFillWholePages; DESIGN.md, "One
-// record per packet in flight").
+// two aligned cache lines (TestPageElementsFillWholePages; DESIGN.md, "Event
+// records").
 type Packet struct {
 	ID     uint64
 	SentAt Time // time the packet entered the network at its source

@@ -246,8 +246,8 @@ func TestSendHeaderCarriesWords(t *testing.T) {
 // of 8 KiB runtime pages, so the allocator hands out exactly the bytes asked
 // for, page-aligned, and every record of a live queue starts on a 128-byte
 // boundary: two aligned cache lines, of which the queue reads only the first,
-// where at, src, next and succAt sit (DESIGN.md, "One record per packet in
-// flight"). eventQueue.pop's prefetch relies on that alignment: it fetches
+// where at, src, next and succAt sit (DESIGN.md, "Event records").
+// eventQueue.pop's prefetch relies on that alignment: it fetches
 // the 64 bytes at the record and the 64 after, which are the whole record
 // only if it starts on a line.
 func TestPageElementsFillWholePages(t *testing.T) {

@@ -2,43 +2,52 @@ package sim
 
 import "hypatia/internal/check"
 
-// This file is the engine's pending-event set: a 4-ary min-heap of 16-byte
-// (time, record) slots over a slab of event records, in which the receives a
-// device has in flight wait in a FIFO behind the one that sits in the heap.
-// A packet in flight lives inside the record of its next event: the record
-// travels with it from hop to hop (Network.forward re-links the record it
-// popped) and returns to the free chain only when the journey ends.
+// This file is the engine's pending-event set over a slab of event records:
+// a sorted run and a 4-ary min-heap, both of 16-byte (time, record) slots,
+// with the receives a device has in flight waiting in a FIFO behind the one
+// that sits in the run or the heap. A packet in flight lives inside the
+// record of its next event: the record travels with it from hop to hop
+// (Network.forward re-links the record it popped) and returns to the free
+// chain only when the journey ends.
 //
 // Why a FIFO per device: a device serializes one packet at a time, and within
 // a position bucket the propagation delay toward a given target is constant,
 // so the arrivals one device produces are already in time order — a link at
 // line rate holds tens of them in flight, and with departures fixed at
 // enqueue (network.go) its whole queue's besides. Only the earliest needs to
-// compete in the heap; popping it promotes its successor with one sift-down
-// from the root. The completions of a device's observed transmissions are a
-// second such sequence and ride a second FIFO (Network.txFIFO). An event that
-// does not follow its FIFO's tail in canonical order (the GSL target changed,
-// a position-bucket edge shortened the delay) goes into the heap as a plain
-// event, as do closures and installs. Either way the pop
-// order is the canonical (at, owner, kind, key) order: every event's key is
-// unique among those of its (at, owner, kind), so it is a strict total order
-// and any correct priority queue pops the same sequence.
+// compete; popping it inserts its successor. The completions of a device's
+// observed transmissions are a second such sequence and ride a second FIFO
+// (Network.txFIFO). An event that does not follow its FIFO's tail in
+// canonical order (the GSL target changed, a position-bucket edge shortened
+// the delay) is inserted as a plain event, as are closures and installs.
+// Either way the pop order is the canonical (at, owner, kind, key) order:
+// every event's key is unique among those of its (at, owner, kind), so it is
+// a strict total order and any correct priority queue pops the same
+// sequence.
 //
-// Why a paged slab: the records live in fixed pages, allocated one at a time
-// as the pending set first reaches them and never copied, so a record keeps
-// its address for the queue's life and growing the slab costs one page. A
-// flat slice grown by append to the 26 k records of the Fig 2 UDP cell
-// allocated and copied about five times its final size (DESIGN.md, "Paged
-// event slab and packet records").
+// Why a sorted run beside the heap: everything pending lies within about one
+// serialization time, so a saturated device's next arrival, or a pacing
+// timer's next arm, lands behind every other pending event, and the pops
+// follow a rotation. An insert that follows the run's back (by at most
+// runSlack) is appended to it, a ring in canonical order; the rest go to the
+// heap, and pop takes the earlier of the run's front and the heap's root.
+// On the Fig 2 UDP cell the run serves 95 % of the pops and the heap holds
+// ~70 slots where it held ~700; on the TCP cell, a quarter of them
+// (DESIGN.md, "Event queue").
 //
-// Why the packet rides in its record: a hop then reads and writes one record,
-// where a packet kept in a pool of its own is a second cold line per hop
-// (DESIGN.md, "One record per packet in flight").
+// Why a paged slab, and why the packet rides in its record: the records
+// live in fixed pages, allocated one at a time as the pending set first
+// reaches them and never copied, so a record keeps its address for the
+// queue's life and growing the slab costs one page; and a hop reads and
+// writes one record, where a packet kept in a pool of its own is a second
+// cold line per hop (DESIGN.md, "Event records").
 //
-// Why pop prefetches: the new heap root is, in all but a handful of pops a
-// run, the next record popped (a push that takes the root first is counted,
-// Simulator.Work), so pop starts both of its cache lines on their way into
-// cache, and the loop's next pop and hop find them there.
+// Why pop prefetches: the earlier of the run's front and the heap's root
+// after a pop is, in all but a handful of pops a run, the next record popped
+// (an insert that takes the minimum first is counted, Simulator.Work), so pop
+// starts both of its cache lines on their way into cache, and the loop's
+// next pop and hop find them there. When the run supplies it, the run's
+// second record, usually the event after it, is fetched too.
 
 // recPageLen records make a page: 1024 of 128 bytes are 128 KiB, exactly
 // sixteen 8 KiB runtime pages, so the allocator hands a page out page-aligned
@@ -60,8 +69,9 @@ const heapRoot = 3
 func firstChild(i int) int { return 4*i - 8 }
 func parent(i int) int     { return i/4 + 2 }
 
-// slot is one heap entry: the event's time, which decides nearly every
-// comparison, and the slab index of its record, consulted only on ties.
+// slot is one heap or run entry: the event's time, which decides nearly
+// every comparison, and the slab index of its record, consulted only on
+// ties.
 type slot struct {
 	at  Time
 	rec int32
@@ -81,7 +91,7 @@ type slot struct {
 // the first (TestPageElementsFillWholePages). The packet fills the rest. The
 // prefetch at the end of pop fetches exactly those two lines.
 //
-// A record is free, pending (linked into the heap or a FIFO), or taken: handed
+// A record is free, pending (in the run, the heap or a FIFO), or taken: handed
 // out by take or pop and neither linked nor released yet — a packet being
 // forwarded, a closure's record between its pop and its release. Only pending
 // records count in len.
@@ -99,23 +109,44 @@ type eventQueue struct {
 	pages []*[recPageLen]record // the slab; record 0 is the nil record
 	used  int32                 // highest record index ever handed out
 	free  int32                 // head of the free-record chain
-	n     int                   // pending events: heap entries plus FIFO-held records
+	n     int                   // pending events: heap and run entries plus FIFO-held records
+	// run is a ring of slots in canonical order, its front at run[head] and
+	// runLen long; devices sizes it, and a zero-value queue has none and
+	// admits nothing to it.
+	run          []slot
+	head, runLen int
+	back         slot // the run's last slot, while it has one
+	// fromRun says which of the run's front and the heap's root is the
+	// earliest pending event, whenever one is pending: pop decides it after
+	// each removal and an insert that takes the minimum updates it.
+	fromRun bool
 	// tails[f] is the slab index of the last event in FIFO f, or 0 when f has
-	// nothing pending; the FIFO's first record is the one in the heap. Sized
-	// by devices().
+	// nothing pending; the FIFO's first record is the one in the run or the
+	// heap. Sized by devices().
 	tails []int32
 	// What linkFlight did with each event it was handed (Simulator.Work):
-	// entered the heap as an empty FIFO's head, linked behind a FIFO's tail,
-	// or fell back to the heap as a plain event.
+	// inserted as an empty FIFO's head, linked behind a FIFO's tail, or
+	// inserted as a plain event after all.
 	heads, behind, fallbacks int
-	// rootPushes counts the pushes that took the heap's root, each one
-	// displacing the record the last pop prefetched (Simulator.Work).
-	rootPushes int
+	// rootPushes counts the inserts that took the queue's minimum, each one
+	// displacing the record the last pop prefetched, and runPops the pops
+	// the run served (Simulator.Work).
+	rootPushes, runPops int
 }
 
-// devices sizes the FIFO state; records may then be linked through
-// linkFlight for FIFO handles below n (Network.numFIFOs: two per device).
-func (q *eventQueue) devices(n int) { q.tails = make([]int32, n) }
+// devices sizes the FIFO state and the run; records may then be linked
+// through linkFlight for FIFO handles below n (Network.numFIFOs: two per
+// device).
+func (q *eventQueue) devices(n int) {
+	q.tails = make([]int32, n)
+	q.run = make([]slot, runSlots)
+}
+
+// runSlots sizes the run's ring: 16 KiB, a power of two. The rotation of the
+// Fig 2 UDP cell peaks at 667 slots; a ring with a slot for each of K1's
+// 11 760 FIFOs read 0.25 MB more peak RSS, since the front walks the whole
+// ring. A full run turns inserts away to the heap.
+const runSlots = 1024
 
 func (q *eventQueue) len() int { return q.n }
 
@@ -123,11 +154,6 @@ func (q *eventQueue) len() int { return q.n }
 func (q *eventQueue) rec(i int32) *record {
 	return &q.pages[i>>recPageShift][i&recPageMask]
 }
-
-// nextAt returns the time of the earliest pending event; the queue must not
-// be empty. Every non-empty FIFO has its head in the heap, so the root is the
-// earliest event overall.
-func (q *eventQueue) nextAt() Time { return q.heap[heapRoot].at }
 
 // before is the canonical event order.
 func (a *event) before(b *event) bool {
@@ -143,20 +169,28 @@ func (a *event) before(b *event) bool {
 	return a.key < b.key
 }
 
-// slotBefore orders two heap slots: by time, and through their records when
-// the times tie.
+// slotBefore orders two slots: by time, and through their records when the
+// times tie. Inlined, it costs a call only on a tie.
 func (q *eventQueue) slotBefore(a, b slot) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return q.rec(a.rec).before(&q.rec(b.rec).event)
+	return q.tieBefore(a.rec, b.rec)
+}
+
+// tieBefore orders records i and j, whose times tie. It is kept out of line
+// so that slotBefore stays small enough to inline.
+//
+//go:noinline
+func (q *eventQueue) tieBefore(i, j int32) bool {
+	return q.rec(i).before(&q.rec(j).event)
 }
 
 // take hands out a free slab record, not yet pending, for the caller to fill
 // and then link or release. With the free chain empty it hands out the next
 // record never used, whose zeroed link leaves the chain empty; the first page
-// also pads the heap. take is kept small enough to inline (DESIGN.md, "Paged
-// event slab and packet records"), which is why the callers store the event.
+// also pads the heap. take is kept small enough to inline (DESIGN.md, "Event
+// records"), which is why the callers store the event.
 func (q *eventQueue) take() (int32, *record) {
 	i := q.free
 	if i == 0 {
@@ -190,14 +224,14 @@ func (q *eventQueue) release(i int32, r *record) {
 func (q *eventQueue) link(i int32, r *record) {
 	r.src, r.next = -1, 0
 	q.n++
-	q.up(slot{at: r.at, rec: i})
+	q.insert(slot{at: r.at, rec: i})
 }
 
 // linkFlight makes taken record i, its event stored, pending as the next
 // event of one of a device's ascending sequences — the arrivals it produces,
 // or its observed transmit completions: in that FIFO when the event follows
-// the FIFO's tail in canonical order (it becomes the head, and enters the
-// heap, when the FIFO is empty), in the heap as a plain event otherwise.
+// the FIFO's tail in canonical order (it becomes the head, and is inserted,
+// when the FIFO is empty), as a plain event otherwise.
 func (q *eventQueue) linkFlight(dev, i int32, r *record) {
 	t := q.tails[dev]
 	if t == 0 {
@@ -205,7 +239,7 @@ func (q *eventQueue) linkFlight(dev, i int32, r *record) {
 		q.tails[dev] = i
 		q.n++
 		q.heads++
-		q.up(slot{at: r.at, rec: i})
+		q.insert(slot{at: r.at, rec: i})
 		return
 	}
 	if tail := q.rec(t); tail.before(&r.event) {
@@ -228,17 +262,93 @@ func (q *eventQueue) push(e event) {
 	q.link(i, r)
 }
 
+// runSlack is how far past the run's back an event may lie and still join
+// the run. The run serves the rotation, in which each insert lands a little
+// behind everything pending; the bound turns away an event well ahead of
+// it (a timer's deadline, a scheduled install, a device's next arrival after
+// an idle gap), which at the back would turn every later insert away until
+// it popped. 20 µs also admits TCP's ACK trains, whose 40-byte ACKs are
+// 12.8 µs apart at 25 Mbit/s. DESIGN.md ("Event queue") has the sweep that
+// chose it.
+const runSlack = 20 * Microsecond
+
+// joinRun appends slot x to the run when the run has room and is empty, or
+// x follows its back in canonical order by at most runSlack, and reports
+// whether it did. Its test of the time inlines, so a slot turned away on
+// time alone costs no call.
+func (q *eventQueue) joinRun(x slot) bool {
+	return (q.runLen == 0 || uint64(x.at-q.back.at) <= uint64(runSlack)) && q.appendRun(x)
+}
+
+// appendRun is the rest of joinRun: x joins unless the run is full, or x's
+// time ties with the back's and its record does not follow the back's.
+//
+//go:noinline
+func (q *eventQueue) appendRun(x slot) bool {
+	if q.runLen == len(q.run) || q.runLen != 0 && x.at == q.back.at && !q.tieBefore(q.back.rec, x.rec) {
+		return false
+	}
+	q.run[(q.head+q.runLen)&(len(q.run)-1)] = x
+	q.runLen++
+	q.back = x
+	return true
+}
+
+// insert makes slot x pending, in the run when it joins it and in the heap
+// otherwise. An insert that takes the queue's minimum (an append to an empty
+// run that precedes the heap's root, or a heap push that reaches the root
+// and precedes the run's front) is counted and recorded in fromRun.
+func (q *eventQueue) insert(x slot) {
+	if q.joinRun(x) {
+		if q.runLen == 1 && (len(q.heap) <= heapRoot || q.slotBefore(x, q.heap[heapRoot])) {
+			q.fromRun = true
+			q.rootPushes++
+		}
+		return
+	}
+	q.heap = append(q.heap, x)
+	if q.rise(len(q.heap)-1, x) == heapRoot && (q.runLen == 0 || q.slotBefore(x, q.run[q.head])) {
+		q.fromRun = false
+		q.rootPushes++
+	}
+}
+
 // pop removes the earliest event and returns its record, taken: the caller
-// links it again (a packet moving on) or releases it. The queue must not be
-// empty. When the event heads a FIFO with a successor, the successor takes the
-// root in the same sift-down that a plain removal spends on the last leaf; its
-// time comes from the popped record's succAt, so its own record stays unread
-// until it is popped in turn (or a tie in the heap consults it). Last, pop
-// prefetches both lines of the new root's record, which is nearly always the
-// next one popped: it is in cache by the time the caller has handled this
-// event.
-func (q *eventQueue) pop() (int32, *record) {
-	top := q.heap[heapRoot].rec
+// links it again (a packet moving on) or releases it. When nothing is
+// pending, or the earliest event lies after until, it returns a nil record
+// and removes nothing.
+//
+// The earliest event is the run's front or the heap's root, whichever
+// fromRun names. When it heads a FIFO with a successor, the successor is
+// inserted in its place: its time comes from the popped record's succAt, so
+// its own record stays unread until it is popped in turn (or a tie consults
+// it). A successor that stays out of the run takes the vacated heap root in
+// the same sift-down that a plain removal spends on the last leaf. Last, pop
+// settles which event is next and prefetches both lines of its record —
+// and, when the run supplies it, of the run's second record too — so they
+// are in cache by the time the caller has handled this event.
+func (q *eventQueue) pop(until Time) (int32, *record) {
+	if q.n == 0 {
+		return 0, nil
+	}
+	var top int32
+	fromRun := q.fromRun
+	if fromRun {
+		x := q.run[q.head]
+		if x.at > until {
+			return 0, nil
+		}
+		top = x.rec
+		q.head = (q.head + 1) & (len(q.run) - 1)
+		q.runLen--
+		q.runPops++
+	} else {
+		x := q.heap[heapRoot]
+		if x.at > until {
+			return 0, nil
+		}
+		top = x.rec
+	}
 	r := q.rec(top)
 	nx := r.next
 	if r.src >= 0 && nx == 0 {
@@ -256,27 +366,47 @@ func (q *eventQueue) pop() (int32, *record) {
 				"FIFO %d: successor %d (src %d, at %v) does not follow head %d (at %v)", r.src, nx, succ.src, succ.at, top, r.at)
 			check.Assert(r.succAt == succ.at, "FIFO %d: head %d caches its successor's time as %d ns, successor %d is at %d ns", r.src, top, r.succAt, nx, succ.at)
 		}
-		q.down(slot{at: r.succAt, rec: nx})
-	} else {
-		last := len(q.heap) - 1
-		x := q.heap[last]
-		q.heap = q.heap[:last]
-		if last > heapRoot {
+		x := slot{at: r.succAt, rec: nx}
+		switch {
+		case q.joinRun(x):
+			if !fromRun {
+				q.dropRoot()
+			}
+		case fromRun:
+			q.heap = append(q.heap, x)
+			q.rise(len(q.heap)-1, x)
+		default:
 			q.down(x)
 		}
+	} else if !fromRun {
+		q.dropRoot()
 	}
+
+	if q.runLen > 0 {
+		f := q.run[q.head]
+		if len(q.heap) <= heapRoot || q.slotBefore(f, q.heap[heapRoot]) {
+			q.fromRun = true
+			prefetch(q.rec(f.rec))
+			if q.runLen > 1 {
+				prefetch(q.rec(q.run[(q.head+1)&(len(q.run)-1)].rec))
+			}
+			return top, r
+		}
+	}
+	q.fromRun = false
 	if len(q.heap) > heapRoot {
 		prefetch(q.rec(q.heap[heapRoot].rec))
 	}
 	return top, r
 }
 
-// up appends x to the heap and sifts it toward the root, moving parents into
-// the hole rather than swapping.
-func (q *eventQueue) up(x slot) {
-	q.heap = append(q.heap, x)
-	if q.rise(len(q.heap)-1, x) == heapRoot {
-		q.rootPushes++
+// dropRoot removes the heap's root, refilling it with the last leaf.
+func (q *eventQueue) dropRoot() {
+	last := len(q.heap) - 1
+	x := q.heap[last]
+	q.heap = q.heap[:last]
+	if last > heapRoot {
+		q.down(x)
 	}
 }
 
@@ -367,10 +497,11 @@ func least4(g *[4]slot) (m int, tied bool) {
 // leastTied is down's tie path: among the siblings at the time of g[m], the
 // first in canonical order. It must be the exact comparator, because the pop
 // order is the simulated outcome. It is rare where flows start at staggered
-// offsets (udp_perm100: 41 990 tie groups in 10 879 551 pops, nearly all
-// settled by owner), and frequent where they start together and pace in
-// lockstep (the same shape at 100 Mbit/s for 500 ms with every flow started
-// at t = 0: 1 424 806 in 2 659 866 pops).
+// offsets (udp_perm100: 1 150 tie groups in 10 879 551 pops, most of which
+// the run serves; 41 990 with every event in the heap), and frequent where
+// they start together and pace in lockstep (the same shape at 100 Mbit/s
+// for 500 ms with every flow started at t = 0 and every event in the heap:
+// 1 424 806 in 2 659 866 pops).
 func (q *eventQueue) leastTied(g *[4]slot, m int) int {
 	at := g[m].at
 	for k := range g {
@@ -383,32 +514,56 @@ func (q *eventQueue) leastTied(g *[4]slot, m int) int {
 
 // assertConsistent walks the whole structure for the queue tests, which
 // call it between operations (its assertions fire in hypatia_checks builds
-// only): the heap is ordered; each FIFO has at most one head in the heap, is
-// strictly ascending in canonical order, caches each record's time in its
-// predecessor's succAt and ends at the recorded tail; plain records carry no
-// chain; and the pending count is the heap length plus the FIFO occupancy.
-// It returns that occupancy.
+// only): the heap is ordered and the run sorted in canonical order, every
+// slot caching its record's time; fromRun names the earlier of the run's
+// front and the heap's root; each FIFO has exactly one head across heap and
+// run, is strictly ascending in canonical order, caches each record's time
+// in its predecessor's succAt and ends at the recorded tail; plain records
+// carry no chain; and the pending count is the heap length plus the run
+// length plus the FIFO occupancy. It returns that occupancy.
 func (q *eventQueue) assertConsistent() (fifoHeld int) {
+	heapLen := max(len(q.heap)-heapRoot, 0)
+	check.Assert(q.runLen >= 0 && q.runLen <= len(q.run) && q.head >= 0 && q.head < max(len(q.run), 1),
+		"run of %d slots from %d in a ring of %d", q.runLen, q.head, len(q.run))
 	if q.n == 0 {
-		check.Assert(len(q.heap) <= heapRoot, "empty queue with %d heap entries", len(q.heap)-heapRoot)
+		check.Assert(heapLen == 0 && q.runLen == 0, "empty queue with %d heap and %d run entries", heapLen, q.runLen)
 		for d, t := range q.tails {
 			check.Assert(t == 0, "empty queue but FIFO %d has tail %d", d, t)
 		}
 		return 0
 	}
-	heads := make(map[int32]bool)
+	slots := make([]slot, 0, heapLen+q.runLen)
 	for i := heapRoot; i < len(q.heap); i++ {
-		s := q.heap[i]
-		r := q.rec(s.rec)
-		check.Assert(s.at == r.at, "heap slot %d caches time %v of a record at %v", i, s.at, r.at)
 		if i > heapRoot {
-			check.Assert(!q.slotBefore(s, q.heap[parent(i)]), "heap slot %d sorts before its parent", i)
+			check.Assert(!q.slotBefore(q.heap[i], q.heap[parent(i)]), "heap slot %d sorts before its parent", i)
 		}
+		slots = append(slots, q.heap[i])
+	}
+	for k := 0; k < q.runLen; k++ {
+		x := q.run[(q.head+k)&(len(q.run)-1)]
+		if k > 0 {
+			check.Assert(q.slotBefore(slots[len(slots)-1], x), "run slot %d does not follow slot %d", k, k-1)
+		}
+		slots = append(slots, x)
+	}
+	if q.runLen > 0 {
+		check.Assert(q.back == slots[len(slots)-1], "the run's back is cached as %v, its last slot is %v", q.back, slots[len(slots)-1])
+	}
+	if q.runLen > 0 && heapLen > 0 {
+		runFirst := q.slotBefore(q.run[q.head], q.heap[heapRoot])
+		check.Assert(q.fromRun == runFirst, "fromRun is %v, but the run's front sorts first: %v", q.fromRun, runFirst)
+	} else {
+		check.Assert(q.fromRun == (q.runLen > 0), "fromRun is %v with %d heap and %d run entries", q.fromRun, heapLen, q.runLen)
+	}
+	heads := make([]bool, len(q.tails))
+	for _, s := range slots {
+		r := q.rec(s.rec)
+		check.Assert(s.at == r.at, "slot of record %d caches time %v of a record at %v", s.rec, s.at, r.at)
 		if r.src < 0 {
 			check.Assert(r.next == 0, "plain record %d is chained to %d", s.rec, r.next)
 			continue
 		}
-		check.Assert(!heads[r.src], "FIFO %d has two heads in the heap", r.src)
+		check.Assert(!heads[r.src], "FIFO %d has two heads in the heap and run", r.src)
 		heads[r.src] = true
 		last := s.rec
 		for j := r.next; j != 0; j = q.rec(j).next {
@@ -422,8 +577,8 @@ func (q *eventQueue) assertConsistent() (fifoHeld int) {
 		check.Assert(q.tails[r.src] == last, "FIFO %d ends at %d, tail says %d", r.src, last, q.tails[r.src])
 	}
 	for d, t := range q.tails {
-		check.Assert(t == 0 || heads[int32(d)], "FIFO %d has tail %d and no head in the heap", d, t)
+		check.Assert(t == 0 || heads[d], "FIFO %d has tail %d and no head in the heap or run", d, t)
 	}
-	check.Assert(q.n == len(q.heap)-heapRoot+fifoHeld, "%d events pending, but %d in the heap and %d in FIFOs", q.n, len(q.heap)-heapRoot, fifoHeld)
+	check.Assert(q.n == heapLen+q.runLen+fifoHeld, "%d events pending, but %d in the heap, %d in the run and %d in FIFOs", q.n, heapLen, q.runLen, fifoHeld)
 	return fifoHeld
 }

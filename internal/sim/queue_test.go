@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -15,10 +16,23 @@ type queueDrive struct {
 	maxPending int
 	maxHeld    int // most events held in FIFOs behind their heads at once
 	outOfOrder int // receives pushed earlier than their device's previous one
-	refills    int // receives pushed for a device whose FIFO had run empty
+	fifoRefill int // receives pushed for a device whose FIFO had run empty
 	pages      int // slab pages the queue reached
 	reusePages int // slab pages a freed record was handed out again from
+
+	// The sorted run's cases.
+	runPops    int // pops the run served
+	appends    int // inserts that joined a non-empty run
+	tieAppends int // of those, at the back's time: the records decided
+	tieRefused int // inserts at the back's time that the records turned away
+	farBacks   int // inserts turned away by a back more than runSlack past now
+	refills    int // inserts that joined a run that had drained
+	runToHeap  int // FIFO successors of a run pop inserted into the heap
+	heapToRun  int // FIFO successors of a heap pop that joined the run
 }
+
+// never is a pop horizon past every event.
+const never = Time(math.MaxInt64)
 
 // pushFlight adds e in a record of its own through FIFO dev.
 func pushFlight(q *eventQueue, dev int32, e event) {
@@ -27,20 +41,20 @@ func pushFlight(q *eventQueue, dev int32, e event) {
 	q.linkFlight(dev, i, r)
 }
 
-// driveQueue feeds an eventQueue an op stream through its real entry points
-// (take, link, linkFlight, pop, release, len, nextAt) and checks every pop
-// against an oracle that is not a heap: the list of everything scheduled and
-// not yet popped, kept sorted under the canonical comparator by inserting
-// each event after every pending one it does not precede. Each op is two
-// bytes — what, and with which parameters — so the seeded test and the
-// fuzzer share it.
+// driveQueue feeds an eventQueue whose run has ring slots an op stream
+// through its real entry points (take, link, linkFlight, pop, release, len)
+// and checks every pop against an oracle that is not a heap: the list of
+// everything scheduled and not yet popped, kept sorted under the canonical
+// comparator by inserting each event after every pending one it does not
+// precede. Each op is two bytes — what, and with which parameters — so the
+// seeded test and the fuzzer share it.
 //
 // A receive's record carries a packet whose ID is the low half of the event's
 // key. A popped receive is released or, as the network forwards a packet,
 // linked again as a receive through another device's FIFO; every pop checks
 // that the record still carries its own packet and that the taken record is
 // not counted pending.
-func driveQueue(t *testing.T, ops []byte) queueDrive {
+func driveQueue(t *testing.T, ops []byte, ring int) queueDrive {
 	t.Helper()
 	const devs = 4
 	// Two devices share a propagation delay, so receives pushed at one instant
@@ -62,12 +76,40 @@ func driveQueue(t *testing.T, ops []byte) queueDrive {
 		st      queueDrive
 	)
 	q.devices(devs)
+	q.run = make([]slot, ring)
+	drained := false // the run has held events and is empty
+	// back returns the run's last slot.
+	back := func() slot { return q.run[(q.head+q.runLen-1)&(len(q.run)-1)] }
 	// link makes taken record i pending, through FIFO dev unless dev < 0.
 	link := func(i int32, r *record, dev int32) {
+		runLen, heapLen := q.runLen, len(q.heap)
+		var b slot
+		if runLen > 0 {
+			b = back()
+		}
 		if dev >= 0 {
 			q.linkFlight(dev, i, r)
 		} else {
 			q.link(i, r)
+		}
+		switch {
+		case q.runLen > runLen && runLen == 0:
+			if drained {
+				st.refills++
+				drained = false
+			}
+		case q.runLen > runLen:
+			st.appends++
+			if b.at == r.at {
+				st.tieAppends++
+			}
+		case len(q.heap) > heapLen && runLen > 0 && runLen < len(q.run):
+			if b.at == r.at {
+				st.tieRefused++
+			}
+			if b.at-now > runSlack && r.at < b.at {
+				st.farBacks++
+			}
 		}
 		k := sort.Search(len(pending), func(i int) bool { return r.before(&pending[i]) })
 		pending = slices.Insert(pending, k, r.event)
@@ -91,7 +133,7 @@ func driveQueue(t *testing.T, ops []byte) queueDrive {
 			st.outOfOrder++
 		}
 		if emptied[d] {
-			st.refills++
+			st.fifoRefill++
 			emptied[d] = false
 		}
 		lastAt[d] = at
@@ -106,10 +148,34 @@ func driveQueue(t *testing.T, ops []byte) queueDrive {
 	pop := func(relink int) {
 		want := pending[0]
 		pending = pending[1:]
-		if at := q.nextAt(); at != want.at {
-			t.Fatalf("pop %d: nextAt %v, oracle's earliest is at %v", st.pops, at, want.at)
+		if _, r := q.pop(want.at - 1); r != nil {
+			t.Fatalf("pop %d: pop(%v) returned an event at %v, oracle's earliest is at %v", st.pops, want.at-1, r.at, want.at)
 		}
-		i, r := q.pop()
+		fromRun := q.fromRun
+		var top int32
+		if fromRun {
+			top = q.run[q.head].rec
+		} else {
+			top = q.heap[heapRoot].rec
+		}
+		nx := q.rec(top).next
+		i, r := q.pop(want.at)
+		if r == nil {
+			t.Fatalf("pop %d: pop(%v) returned nothing, oracle's earliest is at %v", st.pops, want.at, want.at)
+		}
+		joined := nx != 0 && q.runLen > 0 && back().rec == nx
+		switch {
+		case fromRun:
+			st.runPops++
+			if nx != 0 && !joined {
+				st.runToHeap++
+			}
+		case joined:
+			st.heapToRun++
+		}
+		if q.runLen == 0 && fromRun {
+			drained = true
+		}
 		if r.at != want.at || r.owner != want.owner || r.kind != want.kind || r.key != want.key {
 			t.Fatalf("pop %d: got (at %v owner %d kind %d key %d), oracle says (at %v owner %d kind %d key %d)",
 				st.pops, r.at, r.owner, r.kind, r.key, want.at, want.owner, want.kind, want.key)
@@ -153,8 +219,14 @@ func driveQueue(t *testing.T, ops []byte) queueDrive {
 			for k := 0; k < 3; k++ {
 				sched(event{at: now + delays[arg/4%len(delays)], owner: int32(arg%4) - 1, kind: evClosure})
 			}
-		case op < 7: // transmit completion of device arg%devs (node = device)
+		case op == 5: // transmit completion of device arg%devs (node = device)
 			sched(event{at: now + 120, owner: int32(arg % devs), kind: evTransmitDone})
+		case op == 6: // a closure behind everything pending, or tied with the last
+			at := now
+			if len(pending) > 0 {
+				at = pending[len(pending)-1].at
+			}
+			sched(event{at: at + Time(arg%3), owner: int32(arg/3%4) - 1, kind: evClosure})
 		case op < 12: // a packet's first receive, through the per-device path
 			d := arg % devs
 			pktID++
@@ -184,29 +256,52 @@ func driveQueue(t *testing.T, ops []byte) queueDrive {
 	return st
 }
 
-// TestEventQueueMatchesSortedOracle holds the 4-ary heap of FIFO heads to the
-// canonical pop order over seeded random mixes of closures (owned, unowned,
-// zero-delay, equal (at, owner)), transmit completions, and receives through
-// the per-device path — in order, out of order, tied on `at` across owners,
-// into FIFOs that run empty and refill, popped records linked on into
-// another FIFO — with pops interleaved throughout.
+// TestEventQueueMatchesSortedOracle holds the queue — the sorted run beside
+// the 4-ary heap of FIFO heads — to the canonical pop order over seeded
+// random mixes of closures (owned, unowned, zero-delay, equal (at, owner),
+// behind everything pending or tied with the last of it), transmit
+// completions, and receives through the per-device path — in order, out of
+// order, tied on `at` across owners, into FIFOs that run empty and refill,
+// popped records linked on into another FIFO — with pops interleaved
+// throughout. Odd seeds run with a run of 4 slots, which fills, even ones
+// with 1 024, which does not; the run must see in-order appends, ties at its
+// back settled both ways by the records, far outliers at its back turning
+// inserts away, draining and refilling, and FIFO successors crossing from
+// run to heap and back.
 func TestEventQueueMatchesSortedOracle(t *testing.T) {
 	var total queueDrive
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ops := make([]byte, 2*1500)
 		rng.Read(ops)
-		st := driveQueue(t, ops)
+		ring := runSlots
+		if seed%2 == 1 {
+			ring = 4
+		}
+		st := driveQueue(t, ops, ring)
 		total.pops += st.pops
 		total.relinks += st.relinks
 		total.maxPending = max(total.maxPending, st.maxPending)
 		total.maxHeld = max(total.maxHeld, st.maxHeld)
 		total.outOfOrder += st.outOfOrder
+		total.fifoRefill += st.fifoRefill
+		total.runPops += st.runPops
+		total.appends += st.appends
+		total.tieAppends += st.tieAppends
+		total.tieRefused += st.tieRefused
+		total.farBacks += st.farBacks
 		total.refills += st.refills
+		total.runToHeap += st.runToHeap
+		total.heapToRun += st.heapToRun
 	}
-	if total.pops < 10000 || total.relinks < 1000 || total.maxPending < 150 || total.maxHeld < 50 || total.outOfOrder < 100 || total.refills < 100 {
+	if total.pops < 10000 || total.relinks < 1000 || total.maxPending < 150 || total.maxHeld < 50 || total.outOfOrder < 100 || total.fifoRefill < 100 {
 		t.Errorf("op streams too tame to trust: %+v", total)
 	}
+	if total.runPops < 5000 || total.appends < 1000 || total.tieAppends < 100 || total.tieRefused < 100 ||
+		total.farBacks < 100 || total.refills < 100 || total.runToHeap < 100 || total.heapToRun < 100 {
+		t.Errorf("op streams leave run cases untried: %+v", total)
+	}
+	t.Logf("%+v", total)
 }
 
 // acrossPagesOps is a driveQueue op stream that runs the slab past two and a
@@ -229,7 +324,7 @@ func acrossPagesOps() []byte {
 // two and a half slab pages are pending and freed records from several pages
 // are handed out again.
 func TestEventQueueAcrossPages(t *testing.T) {
-	st := driveQueue(t, acrossPagesOps())
+	st := driveQueue(t, acrossPagesOps(), runSlots)
 	if 2*st.maxPending < 5*recPageLen || st.pages < 3 || st.reusePages < 3 {
 		t.Errorf("op stream does not cross pages: %+v", st)
 	}
@@ -319,6 +414,44 @@ func TestInFlightReceivesStayBehindFIFOHeads(t *testing.T) {
 	t.Logf("heap high-water %d of %d pending, %d busy devices", heapMax, pendingMax, len(busy))
 }
 
+// runCases are driveQueue op streams aimed at the run, one case each, with
+// the counts that show the case reached under a run of 4 slots.
+var runCases = []struct {
+	name string
+	ops  []byte
+	hit  func(queueDrive) bool
+}{
+	{"in-order appends behind everything pending, popped as they come",
+		[]byte{6, 1, 6, 1, 6, 2, 6, 1, 12, 0, 6, 1, 12, 0, 6, 2, 15, 0},
+		func(st queueDrive) bool { return st.appends >= 5 && st.runPops == st.pops }},
+	{"appends tied with the back's time, settled by the records",
+		[]byte{6, 0, 6, 3, 6, 6, 6, 0, 15, 0},
+		func(st queueDrive) bool { return st.tieAppends >= 2 && st.tieRefused >= 1 }},
+	{"a far outlier alone in the run turns inserts away until it pops, then the run refills",
+		[]byte{0, 5, 7, 0, 8, 1, 9, 2, 12, 3, 12, 3, 12, 3, 7, 0, 6, 1, 15, 0},
+		func(st queueDrive) bool { return st.farBacks >= 3 && st.refills >= 1 }},
+	{"the run draining and refilling",
+		[]byte{6, 1, 6, 1, 15, 0, 6, 1, 6, 1, 12, 1, 15, 0},
+		func(st queueDrive) bool { return st.refills >= 1 }},
+	{"a FIFO successor of a run pop that precedes the run's back goes to the heap",
+		[]byte{7, 0, 7, 0, 6, 2, 12, 0, 15, 0},
+		func(st queueDrive) bool { return st.runToHeap >= 1 }},
+	{"a FIFO head turned away by a full run pops from the heap, and its successor joins the drained run",
+		[]byte{6, 1, 6, 1, 6, 1, 6, 1, 7, 0, 7, 0, 12, 3, 12, 0, 15, 0},
+		func(st queueDrive) bool { return st.heapToRun >= 1 }},
+}
+
+// TestEventQueueRunCases holds each run case to the oracle under both ring
+// sizes, and checks that the small ring reaches it.
+func TestEventQueueRunCases(t *testing.T) {
+	for _, c := range runCases {
+		if st := driveQueue(t, c.ops, 4); !c.hit(st) {
+			t.Errorf("%s: not reached: %+v", c.name, st)
+		}
+		driveQueue(t, c.ops, runSlots)
+	}
+}
+
 // FuzzEventQueue lets the fuzzer write the op stream of driveQueue; any
 // counterexample is a pop out of canonical order, a miscounted Pending, or
 // (under hypatia_checks) a broken heap or FIFO invariant.
@@ -338,7 +471,10 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add(long)
 	// More than two and a half slab pages pending, records reused across them.
 	f.Add(acrossPagesOps())
+	for _, c := range runCases {
+		f.Add(c.ops)
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		driveQueue(t, ops)
+		driveQueue(t, ops, 4)
 	})
 }

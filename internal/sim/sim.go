@@ -1,9 +1,9 @@
 // Package sim is a discrete-event, packet-level network simulator for LEO
 // constellations — the Go substitute for the ns-3 module the Hypatia paper
 // builds on. It provides the event engine (this file) over its pending-event
-// set (queue.go: a 4-ary heap in which the earliest of a device's in-flight
-// arrivals stands for all of them), re-armable timers for the transports
-// (timer.go), a network model (network.go): nodes for
+// set (queue.go: a sorted run beside a 4-ary heap, in which the earliest of
+// a device's in-flight arrivals stands for all of them), re-armable timers
+// for the transports (timer.go), a network model (network.go): nodes for
 // satellites and ground stations, point-to-point ISL channels, a shared-medium GSL channel, drop-tail queues, per-packet
 // propagation delays derived from live satellite positions, and
 // forwarding-state updates installed at a configurable time granularity —
@@ -201,21 +201,24 @@ func (s *Simulator) Processed() uint64 { return s.processed }
 // the same on any machine. Behind, Heads and Fallbacks split the events the
 // network linked through a device's in-flight FIFO (every receive, and the
 // transmit completions a hook or loss model observes; queue.go): a head or a
-// fallback costs a heap push, and a link behind a tail costs none.
-// RootPushes counts the heap pushes of any event that became the earliest
-// pending: each leaves unused the prefetch of the record that was next.
+// fallback is inserted into the queue's run or heap, and a link behind a tail
+// costs neither. RunPops counts the pops the queue's sorted run served, out
+// of the heap's reach. RootPushes counts the inserts of any event that became
+// the earliest pending: each leaves unused the prefetch of the record that
+// was next.
 type Work struct {
 	Events     int // events processed (Processed)
-	Behind     int // FIFO events linked behind their FIFO's tail, out of the heap
-	Heads      int // FIFO events that entered the heap as an empty FIFO's head
-	Fallbacks  int // FIFO events that did not follow their FIFO's tail and entered the heap as plain events
-	RootPushes int // heap pushes that ended at the root
+	Behind     int // FIFO events linked behind their FIFO's tail, out of the heap and the run
+	Heads      int // FIFO events inserted as an empty FIFO's head
+	Fallbacks  int // FIFO events that did not follow their FIFO's tail and were inserted as plain events
+	RunPops    int // pops the sorted run served
+	RootPushes int // inserts that took the queue's minimum
 }
 
 // Work returns the engine's counts.
 func (s *Simulator) Work() Work {
 	q := &s.events
-	return Work{Events: int(s.processed), Behind: q.behind, Heads: q.heads, Fallbacks: q.fallbacks, RootPushes: q.rootPushes}
+	return Work{Events: int(s.processed), Behind: q.behind, Heads: q.heads, Fallbacks: q.fallbacks, RunPops: q.runPops, RootPushes: q.rootPushes}
 }
 
 // Pending returns the number of events currently queued, whether they sit in
@@ -269,11 +272,11 @@ func (s *Simulator) Stop() { s.stopped = true }
 // budget.
 func (s *Simulator) Run(until Time) {
 	s.stopped = false
-	for s.events.len() > 0 && !s.stopped {
-		if s.events.nextAt() > until {
+	for !s.stopped {
+		i, r := s.events.pop(until)
+		if r == nil {
 			break
 		}
-		i, r := s.events.pop()
 		if check.Enabled {
 			check.Assert(r.at >= s.now, "event heap popped %v after clock reached %v", r.at, s.now)
 		}

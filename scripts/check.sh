@@ -81,9 +81,12 @@ stage "alloc and work guards (default build, GOMAXPROCS=1)"
 # internal/core on fstate_k1's shape and in internal/analysis on
 # analysis_s1_pairs': graph builds per instant, second-pass nodes per tree,
 # table entries set to -1 per instant; TestWorkGuardPacketPath in
-# internal/core on 200 ms of udp_perm100's shape: events processed, and
-# receives linked behind a FIFO head against FIFO heads and fallbacks to the
-# heap, from sim.Simulator.Work); the -run prefix picks up new ones too.
+# internal/core on 200 ms of udp_perm100's shape: events processed, receives
+# linked behind a FIFO head against FIFO heads and fallbacks, pops served by
+# the event queue's sorted run (RunPops, at least 40 %) and inserts that took
+# the queue's minimum (RootPushes), from sim.Simulator.Work; and its twin
+# TestWorkGuardPacketPathTCP on 2 s of tcp_perm100's shape, which pins that
+# workload's event mix); the -run prefix picks up new ones too.
 GOMAXPROCS=1 go test -count=1 \
     -run 'TestAllocGuard|TestWorkGuard|TestEngineAllocatesArenasOnlyInFirstStep|TestPipelineHoldsAtMostReservedTables' \
     ./internal/graph/ ./internal/routing/ ./internal/analysis/ ./internal/sim/ ./internal/transport/ ./internal/core/
